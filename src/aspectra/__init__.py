@@ -13,7 +13,6 @@ cluster tree with importances at every tree level, and every result object
 serializes to JSON/TSV and renders to standalone SVG.
 """
 
-from ._kernels import active_backend, set_backend
 from .aspects import (
     AspectExplanation,
     AspectRow,
@@ -140,7 +139,6 @@ __all__ = [
     "TriplotResult",
     "UnknownColumn",
     "ZeroVarianceColumn",
-    "active_backend",
     "agglomerative",
     "build_design",
     "cor_distance",
@@ -168,7 +166,6 @@ __all__ = [
     "sample_rows",
     "sampled_row_ids",
     "save_table",
-    "set_backend",
     "single_variable_importance",
     "validate_partition",
 ]

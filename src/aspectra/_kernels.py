@@ -1,60 +1,13 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: lasso coordinate descent and exhaustive k-NN scoring.
 
-Backend selection: the ASPECTRA_BACKEND environment variable may be set to
-"numba", "numpy" or "auto" (default). "auto" uses numba when it imports,
-numpy otherwise. Both paths implement identical arithmetic; tests compare
-them directly and benchmarks/bench_kernels.py times them side by side.
+Both are plain numpy and coerce their inputs to float64. `fit_lasso` calls
+`lasso_cd` once per bisection step and `KnnModel.predict` calls
+`knn_predict` once per batch.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - sandbox always has numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get("ASPECTRA_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"ASPECTRA_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise ImportError("ASPECTRA_BACKEND=numba but numba is not installed")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
-
-
-_BACKEND = _resolve_backend()
-
-
-def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Override the backend at runtime (tests and benchmarks)."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"backend must be numba|numpy, got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ImportError("numba backend requested but numba is not installed")
-    _BACKEND = name
-
 
 # --- lasso coordinate descent ----------------------------------------------
 #
@@ -65,7 +18,10 @@ def set_backend(name: str) -> None:
 # change in a sweep drops below tol, or after max_sweeps sweeps.
 
 
-def lasso_cd_numpy(X, y, lam, max_sweeps=100_000, tol=1e-10):
+def lasso_cd(X, y, lam, max_sweeps=100_000, tol=1e-10):
+    """Returns (coefficients, sweeps used)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     n, m = X.shape
     col_sq = np.einsum("ij,ij->j", X, X)
     w = np.zeros(m)
@@ -98,64 +54,6 @@ def lasso_cd_numpy(X, y, lam, max_sweeps=100_000, tol=1e-10):
     return w, max_sweeps
 
 
-@njit(cache=True)
-def _lasso_cd_jit(X, y, lam, max_sweeps, tol):  # pragma: no cover - jitted
-    n, m = X.shape
-    col_sq = np.zeros(m)
-    for j in range(m):
-        s = 0.0
-        for i in range(n):
-            s += X[i, j] * X[i, j]
-        col_sq[j] = s
-    w = np.zeros(m)
-    r = y.copy()
-    thresh = n * lam
-    for sweep in range(1, max_sweeps + 1):
-        max_delta = 0.0
-        for j in range(m):
-            if col_sq[j] == 0.0:
-                continue
-            wj_old = w[j]
-            if wj_old != 0.0:
-                for i in range(n):
-                    r[i] += X[i, j] * wj_old
-            rho = 0.0
-            for i in range(n):
-                rho += X[i, j] * r[i]
-            if rho > thresh:
-                wj = (rho - thresh) / col_sq[j]
-            elif rho < -thresh:
-                wj = (rho + thresh) / col_sq[j]
-            else:
-                wj = 0.0
-            w[j] = wj
-            if wj != 0.0:
-                for i in range(n):
-                    r[i] -= X[i, j] * wj
-            delta = abs(wj - wj_old)
-            if delta > max_delta:
-                max_delta = delta
-        if max_delta < tol:
-            return w, sweep
-    return w, max_sweeps
-
-
-def lasso_cd_numba(X, y, lam, max_sweeps=100_000, tol=1e-10):
-    w, sweeps = _lasso_cd_jit(
-        np.ascontiguousarray(X), np.ascontiguousarray(y), float(lam), int(max_sweeps), float(tol)
-    )
-    return w, int(sweeps)
-
-
-def lasso_cd(X, y, lam, max_sweeps=100_000, tol=1e-10):
-    """Dispatch to the active backend. Returns (coefficients, sweeps used)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if _BACKEND == "numba":
-        return lasso_cd_numba(X, y, lam, max_sweeps, tol)
-    return lasso_cd_numpy(X, y, lam, max_sweeps, tol)
-
-
 # --- k nearest neighbours ----------------------------------------------------
 #
 # Exhaustive scan: squared euclidean distance from every query row to every
@@ -163,7 +61,10 @@ def lasso_cd(X, y, lam, max_sweeps=100_000, tol=1e-10):
 # prediction is the mean target of the k nearest.
 
 
-def knn_predict_numpy(train, targets, query, k):
+def knn_predict(train, targets, query, k):
+    train = np.asarray(train, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
     out = np.empty(query.shape[0])
     for q in range(query.shape[0]):
         diff = train - query[q]
@@ -171,43 +72,3 @@ def knn_predict_numpy(train, targets, query, k):
         order = np.argsort(d, kind="stable")
         out[q] = targets[order[:k]].mean()
     return out
-
-
-@njit(cache=True)
-def _knn_predict_jit(train, targets, query, k):  # pragma: no cover - jitted
-    n, p = train.shape
-    nq = query.shape[0]
-    out = np.empty(nq)
-    d = np.empty(n)
-    for q in range(nq):
-        for i in range(n):
-            s = 0.0
-            for j in range(p):
-                diff = train[i, j] - query[q, j]
-                s += diff * diff
-            d[i] = s
-        order = np.argsort(d, kind="mergesort")
-        acc = 0.0
-        for t in range(k):
-            acc += targets[order[t]]
-        out[q] = acc / k
-    return out
-
-
-def knn_predict_numba(train, targets, query, k):
-    return _knn_predict_jit(
-        np.ascontiguousarray(train),
-        np.ascontiguousarray(targets),
-        np.ascontiguousarray(query),
-        int(k),
-    )
-
-
-def knn_predict(train, targets, query, k):
-    """Dispatch to the active backend."""
-    train = np.asarray(train, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    if _BACKEND == "numba":
-        return knn_predict_numba(train, targets, query, k)
-    return knn_predict_numpy(train, targets, query, k)

@@ -289,6 +289,26 @@ def fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> Surroga
     )
 
 
+def _fit_surrogate(
+    model: ModelAdapter,
+    table: NumericTable,
+    x_star: Observation,
+    partition: AspectPartition,
+    N: int,
+    seed: int,
+    limit: int | None,
+) -> SurrogateFit:
+    """Sample a design for `partition`, score it and fit the surrogate.
+
+    gamma is aligned to `partition.member_sets`; limit=None fits by OLS.
+    """
+    design = build_design(table, x_star, partition, N, RngStream(seed))
+    ym = delta_predictions(model, design)
+    if limit is None:
+        return fit_ols(design, ym)
+    return fit_lasso(design, ym, limit)
+
+
 def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str):
     need_cor = any(len(ms) > 1 for ms in partition.member_sets)
     C = correlation_matrix(table, method).values if need_cor else None
@@ -335,12 +355,7 @@ def predict_aspects(
         partition = grouping
     else:
         partition = group_variables(table, float(grouping), method)
-    design = build_design(table, x_star, partition, N, RngStream(seed))
-    ym = delta_predictions(model, design)
-    if limit is None:
-        fit = fit_ols(design, ym)
-    else:
-        fit = fit_lasso(design, ym, limit)
+    fit = _fit_surrogate(model, table, x_star, partition, N, seed, limit)
     return AspectExplanation(
         aspects=_aspect_rows(partition, fit.gamma, table, method),
         N=N,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aspects import predict_aspects
+from .aspects import _fit_surrogate
 from .cluster import (
     MergeTree,
     VALID_LINKAGES,
@@ -158,12 +158,8 @@ def predict_triplot(
         part = partition_after_merges(tree, level, table.column_names)
         # coarser levels have fewer aspects than the requested cap
         limit = None if cfg.limit is None else min(cfg.limit, part.m)
-        expl = predict_aspects(
-            model, table, x_star, part,
-            N=cfg.N, seed=cfg.seed, limit=limit, method=cfg.cor_method,
-        )
-        by_name = {row.name: row.contribution for row in expl.aspects}
-        return {members: by_name[name] for name, members in part.groups}
+        fit = _fit_surrogate(model, table, x_star, part, cfg.N, cfg.seed, limit)
+        return dict(zip(part.member_sets, fit.gamma))
 
     leaf_level = contributions_at(0)
     leaf_imp = np.array([leaf_level[(j,)] for j in range(table.p)])

@@ -2,27 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from aspectra._kernels import (
-    HAS_NUMBA,
-    _resolve_backend,
-    active_backend,
-    knn_predict,
-    knn_predict_numba,
-    knn_predict_numpy,
-    lasso_cd,
-    lasso_cd_numba,
-    lasso_cd_numpy,
-    set_backend,
-)
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-
-
-@pytest.fixture
-def restore_backend():
-    current = active_backend()
-    yield
-    set_backend(current)
+from aspectra._kernels import knn_predict, lasso_cd
 
 
 def lasso_problem(seed, n=200, m=8):
@@ -34,36 +14,6 @@ def lasso_problem(seed, n=200, m=8):
     return X, y
 
 
-# ----------------------------------------------------------------- backend
-
-
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv("ASPECTRA_BACKEND", "numpy")
-    assert _resolve_backend() == "numpy"
-    monkeypatch.setenv("ASPECTRA_BACKEND", "auto")
-    assert _resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv("ASPECTRA_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        _resolve_backend()
-
-
-def test_set_backend_validates(restore_backend):
-    set_backend("numpy")
-    assert active_backend() == "numpy"
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-
-
-@needs_numba
-def test_dispatchers_follow_set_backend(restore_backend):
-    X, y = lasso_problem(0)
-    set_backend("numpy")
-    w_np, _ = lasso_cd(X, y, 0.05)
-    set_backend("numba")
-    w_nb, _ = lasso_cd(X, y, 0.05)
-    assert np.allclose(w_np, w_nb, atol=1e-12)
-
-
 # ------------------------------------------------------------------- lasso
 
 
@@ -73,7 +23,7 @@ def test_lasso_kkt_conditions():
     X, y = lasso_problem(1)
     n = X.shape[0]
     lam = 0.02
-    w, _ = lasso_cd_numpy(X, y, lam)
+    w, _ = lasso_cd(X, y, lam)
     r = y - X @ w
     for j in range(X.shape[1]):
         g = float(X[:, j] @ r)
@@ -85,7 +35,7 @@ def test_lasso_kkt_conditions():
 
 def test_lasso_lam_zero_is_least_squares():
     X, y = lasso_problem(2)
-    w, _ = lasso_cd_numpy(X, y, 0.0)
+    w, _ = lasso_cd(X, y, 0.0)
     ref, *_ = np.linalg.lstsq(X, y, rcond=None)
     assert np.allclose(w, ref, atol=1e-8)
 
@@ -95,7 +45,7 @@ def test_lasso_above_lam_max_all_zero():
     # so the all-zero guarantee is asserted strictly above it
     X, y = lasso_problem(3)
     lam_max = float(np.max(np.abs(X.T @ y)) / X.shape[0])
-    w, sweeps = lasso_cd_numpy(X, y, lam_max * (1.0 + 1e-9))
+    w, sweeps = lasso_cd(X, y, lam_max * (1.0 + 1e-9))
     assert np.count_nonzero(w) == 0
     assert sweeps >= 1
 
@@ -104,24 +54,15 @@ def test_lasso_zero_norm_column_stays_zero():
     X, y = lasso_problem(4)
     X = X.copy()
     X[:, 2] = 0.0
-    w, _ = lasso_cd_numpy(X, y, 0.01)
+    w, _ = lasso_cd(X, y, 0.01)
     assert w[2] == 0.0
-
-
-@needs_numba
-@pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 1.0])
-def test_lasso_backends_agree(lam):
-    X, y = lasso_problem(5)
-    w_np, _ = lasso_cd_numpy(X, y, lam)
-    w_nb, _ = lasso_cd_numba(X, y, lam)
-    assert np.allclose(w_np, w_nb, atol=1e-12)
 
 
 def test_lasso_shrinks_monotonically():
     X, y = lasso_problem(6)
     norms = []
     for lam in (0.0, 0.01, 0.05, 0.2, 1.0):
-        w, _ = lasso_cd_numpy(X, y, lam)
+        w, _ = lasso_cd(X, y, lam)
         norms.append(float(np.sum(np.abs(w))))
     assert norms == sorted(norms, reverse=True)
 
@@ -144,34 +85,11 @@ def test_knn_numpy_matches_oracle(k):
     train = rng.standard_normal((100, 4))
     targets = rng.standard_normal(100)
     query = rng.standard_normal((25, 4))
-    got = knn_predict_numpy(train, targets, query, k)
+    got = knn_predict(train, targets, query, k)
     assert np.allclose(got, knn_oracle(train, targets, query, k), atol=1e-10)
 
 
-@needs_numba
-@pytest.mark.parametrize("k", [1, 5])
-def test_knn_backends_agree(k):
-    rng = np.random.default_rng(8)
-    train = rng.standard_normal((150, 3))
-    targets = rng.standard_normal(150)
-    query = rng.standard_normal((40, 3))
-    a = knn_predict_numpy(train, targets, query, k)
-    b = knn_predict_numba(train, targets, query, k)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_knn_tie_break_lower_index_both_backends():
-    # two training rows equidistant from the query; k=1 must take row 0
-    train = np.array([[1.0], [-1.0], [5.0]])
-    targets = np.array([100.0, 200.0, 300.0])
-    query = np.array([[0.0]])
-    assert knn_predict_numpy(train, targets, query, 1).tolist() == [100.0]
-    assert knn_predict_numba(train, targets, query, 1).tolist() == [100.0]
-
-
-def test_knn_dispatcher(restore_backend):
-    set_backend("numpy")
+def test_knn_dispatcher():
     train = np.array([[0.0], [2.0]])
     targets = np.array([1.0, 3.0])
     assert knn_predict(train, targets, np.array([[0.1]]), 1).tolist() == [1.0]
