@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .cluster import correlation_matrix, group_variables
+from .cluster import _group_variables, correlation_matrix
 from .data import (
     AspectPartition,
     NumericTable,
@@ -309,16 +309,18 @@ def _fit_surrogate(
     return fit_lasso(design, ym, limit)
 
 
-def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str):
-    need_cor = any(len(ms) > 1 for ms in partition.member_sets)
-    C = correlation_matrix(table, method).values if need_cor else None
+def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str, C):
+    """Rows ordered by |contribution|; C is the table's CorrelationMatrix
+    under `method`, or None to compute it only if some aspect needs it."""
+    if C is None and any(len(ms) > 1 for ms in partition.member_sets):
+        C = correlation_matrix(table, method)
     rows = []
     for g, (name, members) in enumerate(partition.groups):
         if len(members) == 1:
             min_abs, consistent = 1.0, True
         else:
             idx = list(members)
-            sub = C[np.ix_(idx, idx)]
+            sub = C.values[np.ix_(idx, idx)]
             off = sub[~np.eye(len(idx), dtype=bool)]
             min_abs = float(np.min(np.abs(off)))
             consistent = bool(np.all(off >= 0.0) or np.all(off <= 0.0))
@@ -352,12 +354,12 @@ def predict_aspects(
     set, at most that many aspects keep a nonzero contribution.
     """
     if isinstance(grouping, AspectPartition):
-        partition = grouping
+        partition, C = grouping, None
     else:
-        partition = group_variables(table, float(grouping), method)
+        partition, C = _group_variables(table, float(grouping), method)
     fit = _fit_surrogate(model, table, x_star, partition, N, seed, limit)
     return AspectExplanation(
-        aspects=_aspect_rows(partition, fit.gamma, table, method),
+        aspects=_aspect_rows(partition, fit.gamma, table, method, C),
         N=N,
         seed=seed,
         lam=fit.lam,

@@ -100,9 +100,11 @@ def _cmd_predict_aspects(args) -> int:
     table, y = load_table(args.data, target=args.target)
     model = _parse_model(args.model, table, y)
     x_star = _parse_observation(args, table)
-    partition = _parse_grouping(args, table)
+    # a cutoff goes to predict_aspects, which reuses the correlation matrix
+    # it groups with for the aspects' correlation summaries
+    grouping = args.cutoff if args.groups is None else _parse_grouping(args, table)
     expl = predict_aspects(
-        model, table, x_star, partition,
+        model, table, x_star, grouping,
         N=args.N, seed=args.seed, limit=args.limit, method=args.method,
     )
     _emit(expl.to_json() + "\n" if args.format == "json" else expl.to_tsv(), args.out)

@@ -58,24 +58,23 @@ class MergeTree:
 
     def leaf_order(self):
         """Left-to-right leaf ordering for dendrogram layout."""
-        if not self.merges:
-            return list(range(self.p))
         children = {self.p + t: (m.left, m.right) for t, m in enumerate(self.merges)}
-
-        def walk(node):
-            if node < self.p:
-                return [node]
-            left, right = children[node]
-            return walk(left) + walk(right)
-
-        order = []
         merged_into = set()
         for m in self.merges:
             merged_into.add(m.left)
             merged_into.add(m.right)
         roots = [i for i in range(self.p + len(self.merges)) if i not in merged_into]
-        for r in roots:
-            order.extend(walk(r))
+        # depth-first, left subtree first; an explicit stack, because single
+        # linkage can make the tree a chain as deep as p
+        order = []
+        stack = roots[::-1]
+        while stack:
+            node = stack.pop()
+            if node < self.p:
+                order.append(node)
+            else:
+                left, right = children[node]
+                stack.extend((right, left))
         return order
 
     def to_json_doc(self):
@@ -144,49 +143,35 @@ def agglomerative(D: np.ndarray, linkage: str = "complete") -> MergeTree:
         raise AspectraError(f"linkage must be one of {VALID_LINKAGES}, got {linkage!r}")
     D = np.asarray(D, dtype=np.float64)
     p = D.shape[0]
-    if D.shape != (p, p) or not np.allclose(D, D.T) or np.any(np.diag(D) != 0) or np.any(D < 0):
+    if D.shape != (p, p) or not np.all(np.isfinite(D)):
+        raise AspectraError("distance matrix must be square with finite entries")
+    if not np.allclose(D, D.T) or np.any(np.diag(D) != 0) or np.any(D < 0):
         raise AspectraError("distance matrix must be symmetric, nonnegative, zero-diagonal")
-    if p == 1:
-        return MergeTree(1, ())
+    if p <= 1:
+        return MergeTree(p, ())
 
-    members = {i: (i,) for i in range(p)}
-    dist = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            dist[(i, j)] = D[i, j]
-    active = list(range(p))
+    # one row and column per node id; inf marks the diagonal and every node
+    # that is retired or not yet created, so argmin only sees live pairs
+    n = 2 * p - 1
+    M = np.full((n, n), np.inf)
+    i, j = np.triu_indices(p, 1)
+    M[i, j] = M[j, i] = D[i, j]
     merges = []
-    for step in range(p - 1):
-        best_pair = None
-        best_d = np.inf
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                a, b = active[ai], active[bi]
-                dv = dist[(a, b)]
-                if dv < best_d or (dv == best_d and (a, b) < best_pair):
-                    best_d = dv
-                    best_pair = (a, b)
-        a, b = best_pair
-        new_id = p + step
-        new_members = tuple(sorted(members[a] + members[b]))
-        merges.append(MergeRecord(a, b, float(best_d), new_members))
-        active.remove(a)
-        active.remove(b)
-        for k in active:
-            da = dist.pop((min(a, k), max(a, k)))
-            db = dist.pop((min(b, k), max(b, k)))
-            if linkage == "complete":
-                dn = max(da, db)
-            elif linkage == "single":
-                dn = min(da, db)
-            else:
-                na, nb = len(members[a]), len(members[b])
-                dn = (na * da + nb * db) / (na + nb)
-            dist[(k, new_id)] = dn
-        del dist[(a, b)]
-        members[new_id] = new_members
-        del members[a], members[b]
-        active.append(new_id)
+    for new_id in range(p, n):
+        # the first row-major minimum of a symmetric matrix is the
+        # lexicographically smallest (left, right) pair among the ties
+        a, b = divmod(int(np.argmin(M)), n)
+        ma = merges[a - p].members if a >= p else (a,)
+        mb = merges[b - p].members if b >= p else (b,)
+        merges.append(MergeRecord(a, b, float(M[a, b]), tuple(sorted(ma + mb))))
+        if linkage == "complete":
+            row = np.maximum(M[a], M[b])
+        elif linkage == "single":
+            row = np.minimum(M[a], M[b])
+        else:
+            row = (len(ma) * M[a] + len(mb) * M[b]) / (len(ma) + len(mb))
+        M[new_id] = M[:, new_id] = row
+        M[[a, b]] = M[:, [a, b]] = np.inf
     return MergeTree(p, tuple(merges))
 
 
@@ -201,22 +186,15 @@ def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectP
         raise AspectraError(
             f"merge count must be in [0, {len(tree.merges)}], got {count}"
         )
-    parent = list(range(tree.p))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # each merge lists its whole cluster, so labelling every member with the
+    # cluster's smallest index applies the merge
+    label = list(range(tree.p))
     for m in tree.merges[:count]:
-        ra = find(m.members[0])
-        for i in m.members[1:]:
-            rb = find(i)
-            parent[rb] = ra
+        for i in m.members:
+            label[i] = m.members[0]
     clusters = {}
     for i in range(tree.p):
-        clusters.setdefault(find(i), []).append(i)
+        clusters.setdefault(label[i], []).append(i)
     ordered = sorted(clusters.values(), key=lambda ms: ms[0])
     names = []
     for ms in ordered:
@@ -242,8 +220,13 @@ def group_variables(table: NumericTable, cutoff: float, method: str = "spearman"
     Complete-linkage clustering of the 1 - |r| distances, cut at 1 - cutoff;
     complete linkage makes the within-group bound exact.
     """
+    return _group_variables(table, cutoff, method)[0]
+
+
+def _group_variables(table: NumericTable, cutoff: float, method: str):
+    """group_variables, also returning the CorrelationMatrix it clustered."""
     if not 0.0 <= cutoff <= 1.0:
         raise AspectraError(f"cutoff must be in [0, 1], got {cutoff}")
     C = correlation_matrix(table, method)
     tree = agglomerative(cor_distance(C), "complete")
-    return cut_tree(tree, 1.0 - cutoff, table.column_names)
+    return cut_tree(tree, 1.0 - cutoff, table.column_names), C

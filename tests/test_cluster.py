@@ -19,8 +19,61 @@ from aspectra import (
     group_variables,
     partition_after_merges,
 )
-from aspectra.cluster import MergeRecord, _group_name
+from aspectra.cluster import VALID_LINKAGES, MergeRecord, _group_name
 from aspectra.errors import AspectraError
+
+
+def _oracle_agglomerative(D: np.ndarray, linkage: str = "complete") -> MergeTree:
+    """The dict-of-pairs merge loop agglomerative used before, kept as the
+    reference for merge order, tie rule and bit-equal heights."""
+    if linkage not in VALID_LINKAGES:
+        raise AspectraError(f"linkage must be one of {VALID_LINKAGES}, got {linkage!r}")
+    D = np.asarray(D, dtype=np.float64)
+    p = D.shape[0]
+    if D.shape != (p, p) or not np.allclose(D, D.T) or np.any(np.diag(D) != 0) or np.any(D < 0):
+        raise AspectraError("distance matrix must be symmetric, nonnegative, zero-diagonal")
+    if p == 1:
+        return MergeTree(1, ())
+
+    members = {i: (i,) for i in range(p)}
+    dist = {}
+    for i in range(p):
+        for j in range(i + 1, p):
+            dist[(i, j)] = D[i, j]
+    active = list(range(p))
+    merges = []
+    for step in range(p - 1):
+        best_pair = None
+        best_d = np.inf
+        for ai in range(len(active)):
+            for bi in range(ai + 1, len(active)):
+                a, b = active[ai], active[bi]
+                dv = dist[(a, b)]
+                if dv < best_d or (dv == best_d and (a, b) < best_pair):
+                    best_d = dv
+                    best_pair = (a, b)
+        a, b = best_pair
+        new_id = p + step
+        new_members = tuple(sorted(members[a] + members[b]))
+        merges.append(MergeRecord(a, b, float(best_d), new_members))
+        active.remove(a)
+        active.remove(b)
+        for k in active:
+            da = dist.pop((min(a, k), max(a, k)))
+            db = dist.pop((min(b, k), max(b, k)))
+            if linkage == "complete":
+                dn = max(da, db)
+            elif linkage == "single":
+                dn = min(da, db)
+            else:
+                na, nb = len(members[a]), len(members[b])
+                dn = (na * da + nb * db) / (na + nb)
+            dist[(k, new_id)] = dn
+        del dist[(a, b)]
+        members[new_id] = new_members
+        del members[a], members[b]
+        active.append(new_id)
+    return MergeTree(p, tuple(merges))
 
 
 def random_table(seed, n=60, p=5):
@@ -110,6 +163,35 @@ def test_agglomerative_input_validation():
         agglomerative(np.array([[0.5]]))  # nonzero diagonal
     with pytest.raises(AspectraError):
         agglomerative(np.zeros((2, 2)), "median")
+    for bad in (np.inf, np.nan):
+        with pytest.raises(AspectraError):
+            agglomerative(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+@st.composite
+def tie_heavy_distances(draw):
+    """Symmetric zero-diagonal matrices over a five-value grid, so equal
+    distances, and with them the tie rule, decide most merges."""
+    p = draw(st.integers(min_value=1, max_value=40))
+    grid = draw(st.lists(st.integers(0, 4), min_size=p * (p - 1) // 2,
+                         max_size=p * (p - 1) // 2))
+    D = np.zeros((p, p))
+    i, j = np.triu_indices(p, 1)
+    D[i, j] = D[j, i] = 0.25 * np.array(grid, dtype=np.float64)
+    return D
+
+
+@pytest.mark.parametrize("method", VALID_LINKAGES)
+@settings(max_examples=60, deadline=None)
+@given(D=tie_heavy_distances())
+def test_agglomerative_matches_dict_loop_oracle(method, D):
+    ours = agglomerative(D, method)
+    ref = _oracle_agglomerative(D, method)
+    assert ours.p == ref.p
+    assert len(ours.merges) == len(ref.merges)
+    for got, want in zip(ours.merges, ref.merges):
+        assert (got.left, got.right, got.members) == (want.left, want.right, want.members)
+        assert np.float64(got.height).tobytes() == np.float64(want.height).tobytes()
 
 
 def test_single_leaf_tree():
@@ -166,6 +248,18 @@ def test_leaf_order_is_a_permutation():
     for merge in tree.merges:
         ps = sorted(pos[i] for i in merge.members)
         assert ps == list(range(ps[0], ps[0] + len(ps)))
+
+
+def test_leaf_order_on_a_deep_chain():
+    # single linkage can chain every leaf onto one cluster; a recursive walk
+    # would exceed the interpreter's recursion limit at this depth
+    p = 1200
+    merges = [MergeRecord(0, 1, 0.0, (0, 1))]
+    for k in range(2, p):
+        merges.append(MergeRecord(k, p + k - 2, 0.0, tuple(range(k + 1))))
+    order = MergeTree(p, tuple(merges)).leaf_order()
+    assert sorted(order) == list(range(p))
+    assert order[:3] == [p - 1, p - 2, p - 3] and order[-2:] == [0, 1]
 
 
 def test_tree_json_roundtrip():
