@@ -12,43 +12,47 @@ import numpy as np
 # --- lasso coordinate descent ----------------------------------------------
 #
 # Minimizes (1/2N) * ||y - X w||^2 + lam * ||w||_1 with no intercept and no
-# standardization. Soft-threshold update per coordinate:
-#   w_j <- S(x_j . r_j, N * lam) / ||x_j||^2,  r_j the partial residual.
-# Columns with zero norm keep w_j = 0. Converges when the largest coefficient
-# change in a sweep drops below tol, or after max_sweeps sweeps.
+# standardization, in covariance form (Friedman, Hastie & Tibshirani 2010,
+# "Regularization Paths for GLMs via Coordinate Descent", JSS 33(1), sec.
+# 2.2): the solver sees only W = X^T X, Z = X^T y and thresh = N * lam, and
+# keeps the gradient g = Z - W w. Soft-threshold update per coordinate:
+#   w_j <- S(g_j + W_jj w_j, thresh) / W_jj,
+# where g_j + W_jj w_j equals x_j . r_j, r_j the partial residual. A
+# coordinate that moves by d changes g by -d * W[:, j]. A coordinate costs
+# O(1), plus O(m) when it moves, so one sweep costs at most O(m^2), whatever
+# the number of rows N. Coordinates with W_jj == 0 (a column of zeros) keep
+# w_j = 0. Converges when the largest coefficient change in a sweep drops
+# below tol, or after max_sweeps sweeps.
 
 
-def lasso_cd(X, y, lam, max_sweeps=100_000, tol=1e-10):
-    """Returns (coefficients, sweeps used)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, m = X.shape
-    col_sq = np.einsum("ij,ij->j", X, X)
+def lasso_cd(W, Z, thresh, max_sweeps=100_000, tol=1e-10):
+    """Returns (coefficients, sweeps used); sweeps == max_sweeps may mean
+    the solve did not converge."""
+    W = np.asarray(W, dtype=np.float64)
+    g = np.array(Z, dtype=np.float64)
+    m = g.shape[0]
+    diag = W.diagonal()
     w = np.zeros(m)
-    r = y.copy()
-    thresh = n * lam
     for sweep in range(1, max_sweeps + 1):
         max_delta = 0.0
         for j in range(m):
-            if col_sq[j] == 0.0:
+            d = diag[j]
+            if d == 0.0:
                 continue
-            xj = X[:, j]
             wj_old = w[j]
-            if wj_old != 0.0:
-                r += xj * wj_old
-            rho = float(xj @ r)
+            rho = g[j] + d * wj_old
             if rho > thresh:
-                wj = (rho - thresh) / col_sq[j]
+                wj = (rho - thresh) / d
             elif rho < -thresh:
-                wj = (rho + thresh) / col_sq[j]
+                wj = (rho + thresh) / d
             else:
                 wj = 0.0
-            w[j] = wj
-            if wj != 0.0:
-                r -= xj * wj
-            delta = abs(wj - wj_old)
-            if delta > max_delta:
-                max_delta = delta
+            if wj != wj_old:
+                w[j] = wj
+                g -= W[:, j] * (wj - wj_old)
+                delta = abs(wj - wj_old)
+                if delta > max_delta:
+                    max_delta = delta
         if max_delta < tol:
             return w, sweep
     return w, max_sweeps

@@ -25,7 +25,7 @@ from .data import (
     sampled_row_ids,
     validate_partition,
 )
-from .errors import AspectraError, SchemaMismatch, SingularDesign
+from .errors import AspectraError, LassoNotConverged, SchemaMismatch, SingularDesign
 from .models import ModelAdapter, predict
 
 _K_ROWS = 0xA001
@@ -180,15 +180,15 @@ def build_design(
     if N < m:
         raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
     row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
-    A = table.values[row_ids].copy()
+    A = table.values[row_ids]
     kl = rng.child(_K_FLAGS).generator().integers(0, m, size=(N, 2))
     X_prime = np.zeros((N, m), dtype=np.int8)
     X_prime[np.arange(N), kl[:, 0]] = 1
     X_prime[np.arange(N), kl[:, 1]] = 1
-    A_prime = A.copy()
+    aspect_of = np.empty(table.p, dtype=np.intp)  # column -> its aspect
     for j, members in enumerate(partition.member_sets):
-        flagged = X_prime[:, j] == 1
-        A_prime[np.ix_(flagged, list(members))] = x_star.values[list(members)]
+        aspect_of[list(members)] = j
+    A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
     return SampleDesign(
         row_ids=row_ids,
         X_prime=X_prime,
@@ -240,6 +240,11 @@ def fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> Surroga
     intercept); lambda found by bisection on [0, lambda_max] where
     lambda_max = max_j |Z[j]| / N zeroes every coefficient. limit = m takes
     the plain least-squares path.
+
+    Every bisection step solves in covariance form on W = X'^T X' and
+    Z = X'^T Y, built once: a sweep costs O(m^2) and no step touches the
+    N x m design. A solve that spends all LASSO_MAX_SWEEPS sweeps raises
+    LassoNotConverged.
     """
     m = design.m
     if not 0 <= limit <= m:
@@ -275,7 +280,9 @@ def fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> Surroga
     floor = 1e-12 * lam_max
     while hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        w, _ = _kernels.lasso_cd(X, y, mid, LASSO_MAX_SWEEPS, LASSO_TOL)
+        w, sweeps = _kernels.lasso_cd(W, Z, design.N * mid, LASSO_MAX_SWEEPS, LASSO_TOL)
+        if sweeps >= LASSO_MAX_SWEEPS:
+            raise LassoNotConverged(mid, sweeps)
         nnz = int(np.count_nonzero(w))
         trace.append((mid, nnz))
         if nnz <= limit:

@@ -117,3 +117,13 @@ class SingularDesign(AspectraError):
             f"surrogate design is singular ({detail}); increase the sample size N "
             "or revisit the aspect partition"
         )
+
+
+class LassoNotConverged(AspectraError):
+    def __init__(self, lam: float, sweeps: int):
+        self.lam = lam
+        self.sweeps = sweeps
+        super().__init__(
+            f"lasso coordinate descent did not converge at lambda={lam!r} "
+            f"within {sweeps} sweeps"
+        )

@@ -99,8 +99,11 @@ class SubprocessModel(ModelAdapter):
         <n lines of comma-joined decimal values>
     then flushes; the child must answer with exactly n lines, one decimal
     prediction each, and flush. Short or non-numeric output raises
-    SubprocessFailure, never a silent coercion. One child process serves all
-    calls, so treat each instance as exclusive-access.
+    SubprocessFailure, never a silent coercion. A failed batch kills the
+    child, because its pipe may still hold answers that a later call would
+    read as its own; every later call then raises SubprocessFailure. One
+    child process serves all calls, so treat each instance as
+    exclusive-access.
     """
 
     def __init__(self, command, label=None):
@@ -110,8 +113,11 @@ class SubprocessModel(ModelAdapter):
         self.label = label or " ".join(self.command)
         self.column_names = None
         self._proc = None
+        self._failure = None  # why the child was killed, once a batch failed
 
     def _ensure_proc(self):
+        if self._failure is not None:
+            raise SubprocessFailure(f"child was stopped after a failed batch: {self._failure}")
         if self._proc is None or self._proc.poll() is not None:
             if self._proc is not None:
                 raise SubprocessFailure(
@@ -150,24 +156,32 @@ class SubprocessModel(ModelAdapter):
 
         writer = threading.Thread(target=_write)
         writer.start()
-        out = np.empty(table.n)
-        for i in range(table.n):
-            line = proc.stdout.readline()
-            if line == "":
-                writer.join()
-                raise SubprocessFailure(
-                    f"expected {table.n} prediction lines, got {i} before EOF"
-                )
-            try:
-                out[i] = float(line.strip())
-            except ValueError:
-                writer.join()
-                raise SubprocessFailure(f"non-numeric prediction line: {line.strip()!r}") from None
-        writer.join()
-        if write_error:
-            raise SubprocessFailure(f"write failed: {write_error[0]}")
-        if not np.all(np.isfinite(out)):
-            raise SubprocessFailure("non-finite prediction value")
+        try:
+            out = np.empty(table.n)
+            for i in range(table.n):
+                line = proc.stdout.readline()
+                if line == "":
+                    raise SubprocessFailure(
+                        f"expected {table.n} prediction lines, got {i} before EOF"
+                    )
+                try:
+                    out[i] = float(line.strip())
+                except ValueError:
+                    raise SubprocessFailure(
+                        f"non-numeric prediction line: {line.strip()!r}"
+                    ) from None
+            writer.join()
+            if write_error:
+                raise SubprocessFailure(f"write failed: {write_error[0]}")
+            if not np.all(np.isfinite(out)):
+                raise SubprocessFailure("non-finite prediction value")
+        except BaseException as exc:
+            # an interrupt mid-batch leaves the pipe in the same unknown state
+            self._failure = str(exc) or type(exc).__name__
+            proc.kill()
+            writer.join()  # the kill ends a blocked write with a broken pipe
+            self.close()
+            raise
         return out
 
     def close(self):
@@ -177,6 +191,7 @@ class SubprocessModel(ModelAdapter):
             except OSError:
                 pass
             self._proc.wait(timeout=10)
+            self._proc.stdout.close()
             self._proc = None
 
     def __enter__(self):

@@ -8,6 +8,8 @@ Usage: python3 child_model.py MODE
   first     echo column 1
   constant  always 3.25
   garbage   answer "not-a-number" lines
+  garbage-first  answer the first batch's first row with "oops", then
+            row sums for every other row of every batch
   short     answer n-1 lines then stall the batch
   die       exit 3 without answering
 """
@@ -17,6 +19,7 @@ import sys
 
 def main() -> int:
     mode = sys.argv[1]
+    batch = 0
     while True:
         head = sys.stdin.readline()
         if head == "":
@@ -28,14 +31,18 @@ def main() -> int:
         rows = [sys.stdin.readline() for _ in range(n)]
         if mode == "die":
             return 3
+        batch += 1
         for i, line in enumerate(rows):
             if mode == "short" and i == n - 1:
                 break
             if mode == "garbage":
                 print("not-a-number")
                 continue
+            if mode == "garbage-first" and batch == 1 and i == 0:
+                print("oops")
+                continue
             values = [float(tok) for tok in line.strip().split(",")]
-            if mode == "sum":
+            if mode in ("sum", "garbage-first"):
                 print(repr(sum(values)))
             elif mode == "first":
                 print(repr(values[0]))

@@ -314,8 +314,7 @@ def test_criterion_07_lasso_contract():
                 # minimality: nudging lambda down must break the cap
                 from aspectra._kernels import lasso_cd
 
-                w, _ = lasso_cd(design.X_prime.astype(float), ym.values,
-                                fit.lam * (1.0 - 1e-3))
+                w, _ = lasso_cd(fit.W, fit.Z, design.N * fit.lam * (1 - 1e-3))
                 assert np.count_nonzero(w) > limit, (
                     f"instance {instance} limit {limit}: lambda not minimal"
                 )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import aspectra.aspects
 from aspectra import (
     AspectExplanation,
     AspectPartition,
@@ -21,7 +22,7 @@ from aspectra import (
     predict_aspects,
 )
 from aspectra.aspects import DeltaPredictions
-from aspectra.errors import AspectraError
+from aspectra.errors import AspectraError, LassoNotConverged
 
 
 def uniform_table(seed=0, n=500, p=4):
@@ -235,6 +236,14 @@ def test_lasso_zero_response_short_circuits():
     fit = fit_lasso(design, DeltaPredictions(np.zeros(design.N)), limit=3)
     assert np.count_nonzero(fit.gamma) == 0
     assert fit.lam == 0.0
+
+
+def test_lasso_non_convergence_is_an_error(monkeypatch):
+    # one sweep is never enough to see the coefficients settle
+    monkeypatch.setattr(aspectra.aspects, "LASSO_MAX_SWEEPS", 1)
+    design, ym = lasso_instance(7)
+    with pytest.raises(LassoNotConverged, match="did not converge"):
+        fit_lasso(design, ym, limit=2)
 
 
 # --------------------------------------------------------- predict_aspects

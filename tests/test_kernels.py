@@ -1,8 +1,46 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from aspectra._kernels import knn_predict, lasso_cd
+
+
+def _oracle_lasso_cd(X, y, lam, max_sweeps=100_000, tol=1e-10):
+    """Row-form coordinate descent on X itself: the solver lasso_cd replaced."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, m = X.shape
+    col_sq = np.einsum("ij,ij->j", X, X)
+    w = np.zeros(m)
+    r = y.copy()
+    thresh = n * lam
+    for sweep in range(1, max_sweeps + 1):
+        max_delta = 0.0
+        for j in range(m):
+            if col_sq[j] == 0.0:
+                continue
+            xj = X[:, j]
+            wj_old = w[j]
+            if wj_old != 0.0:
+                r += xj * wj_old
+            rho = float(xj @ r)
+            if rho > thresh:
+                wj = (rho - thresh) / col_sq[j]
+            elif rho < -thresh:
+                wj = (rho + thresh) / col_sq[j]
+            else:
+                wj = 0.0
+            w[j] = wj
+            if wj != 0.0:
+                r -= xj * wj
+            delta = abs(wj - wj_old)
+            if delta > max_delta:
+                max_delta = delta
+        if max_delta < tol:
+            return w, sweep
+    return w, max_sweeps
 
 
 def lasso_problem(seed, n=200, m=8):
@@ -14,6 +52,11 @@ def lasso_problem(seed, n=200, m=8):
     return X, y
 
 
+def gram_lasso(X, y, lam, max_sweeps=100_000):
+    """lasso_cd on the covariance form of (X, y) at penalty lam."""
+    return lasso_cd(X.T @ X, X.T @ y, X.shape[0] * lam, max_sweeps)
+
+
 # ------------------------------------------------------------------- lasso
 
 
@@ -23,7 +66,7 @@ def test_lasso_kkt_conditions():
     X, y = lasso_problem(1)
     n = X.shape[0]
     lam = 0.02
-    w, _ = lasso_cd(X, y, lam)
+    w, _ = gram_lasso(X, y, lam)
     r = y - X @ w
     for j in range(X.shape[1]):
         g = float(X[:, j] @ r)
@@ -35,7 +78,7 @@ def test_lasso_kkt_conditions():
 
 def test_lasso_lam_zero_is_least_squares():
     X, y = lasso_problem(2)
-    w, _ = lasso_cd(X, y, 0.0)
+    w, _ = gram_lasso(X, y, 0.0)
     ref, *_ = np.linalg.lstsq(X, y, rcond=None)
     assert np.allclose(w, ref, atol=1e-8)
 
@@ -45,7 +88,7 @@ def test_lasso_above_lam_max_all_zero():
     # so the all-zero guarantee is asserted strictly above it
     X, y = lasso_problem(3)
     lam_max = float(np.max(np.abs(X.T @ y)) / X.shape[0])
-    w, sweeps = lasso_cd(X, y, lam_max * (1.0 + 1e-9))
+    w, sweeps = gram_lasso(X, y, lam_max * (1.0 + 1e-9))
     assert np.count_nonzero(w) == 0
     assert sweeps >= 1
 
@@ -54,7 +97,7 @@ def test_lasso_zero_norm_column_stays_zero():
     X, y = lasso_problem(4)
     X = X.copy()
     X[:, 2] = 0.0
-    w, _ = lasso_cd(X, y, 0.01)
+    w, _ = gram_lasso(X, y, 0.01)
     assert w[2] == 0.0
 
 
@@ -62,9 +105,52 @@ def test_lasso_shrinks_monotonically():
     X, y = lasso_problem(6)
     norms = []
     for lam in (0.0, 0.01, 0.05, 0.2, 1.0):
-        w, _ = lasso_cd(X, y, lam)
+        w, _ = gram_lasso(X, y, lam)
         norms.append(float(np.sum(np.abs(w))))
     assert norms == sorted(norms, reverse=True)
+
+
+@st.composite
+def flag_designs(draw):
+    """Binary aspect-flag designs as fit_lasso builds them (one or two flags
+    per row), with some columns zeroed and some duplicated, a response and
+    a penalty from 0 to above lambda_max."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    N = draw(st.integers(min_value=m, max_value=80))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kl = rng.integers(0, m, size=(N, 2))
+    X = np.zeros((N, m))
+    X[np.arange(N), kl[:, 0]] = 1.0
+    X[np.arange(N), kl[:, 1]] = 1.0
+    for j in draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=2)):
+        X[:, j] = 0.0
+    for a, b in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=2)):
+        X[:, b] = X[:, a]
+    y = X @ (rng.standard_normal(m) * (rng.random(m) < 0.6)) + 0.3 * rng.standard_normal(N)
+    lam_max = float(np.max(np.abs(X.T @ y)) / N)
+    lam = draw(st.floats(min_value=0.0, max_value=1.5)) * lam_max
+    return X, y, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=flag_designs())
+def test_lasso_matches_row_form_oracle(problem):
+    X, y, lam = problem
+    # with a copied column and lam near 0 both forms drift for 10^5 sweeps
+    # without converging; fit_lasso raises on that, so compare converged solves
+    budget = 5_000
+    ref, ref_sweeps = _oracle_lasso_cd(X, y, lam, budget)
+    assume(ref_sweeps < budget)
+    w, sweeps = gram_lasso(X, y, lam, budget)
+    # a coefficient whose rho sits exactly on the threshold (a copied or
+    # collinear column, or lam == lam_max) is 0 in one form and rounding noise
+    # in the other; every coefficient beyond that noise has the same support
+    noise = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    clear = (np.abs(w) > noise) | (np.abs(ref) > noise)
+    assert np.array_equal((w != 0.0)[clear], (ref != 0.0)[clear])
+    assert np.allclose(w, ref, rtol=1e-12, atol=noise)
+    assert abs(sweeps - ref_sweeps) <= 1
 
 
 # --------------------------------------------------------------------- knn

@@ -209,6 +209,17 @@ def test_subprocess_garbage_output():
             m.predict(table_of([[1.0]]))
 
 
+@pytest.mark.parametrize("mode", ["garbage-first", "garbage", "short", "die"])
+def test_subprocess_failed_batch_stops_the_child(mode):
+    # garbage-first leaves the answers 20.0 and 200.0 in the pipe; a later
+    # call must fail instead of returning them as its own predictions
+    with SubprocessModel(child_cmd(mode)) as m:
+        with pytest.raises(SubprocessFailure):
+            m.predict(table_of([[1.0], [20.0], [200.0]]))
+        with pytest.raises(SubprocessFailure, match="stopped after a failed batch"):
+            m.predict(table_of([[0.0], [0.0]]))
+
+
 def test_subprocess_missing_binary():
     m = SubprocessModel(["/no/such/binary"])
     with pytest.raises(SubprocessFailure):

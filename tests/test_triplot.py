@@ -6,9 +6,11 @@ import pytest
 from aspectra import (
     ConstantModel,
     ImportanceContext,
+    ModelAdapter,
     PermutationConfig,
     TriplotConfig,
     TriplotResult,
+    fit_knn,
     fit_linear,
     model_triplot,
     partition_after_merges,
@@ -135,6 +137,32 @@ def test_local_node_is_new_cluster_at_its_level(six_table):
             row = next(a for a in expl.aspects
                        if tuple(table.column_index(n) for n in a.members) == merge.members)
             assert res.node_importance[t] == row.contribution
+
+
+class CountingModel(ModelAdapter):
+    def __init__(self, model):
+        self.model = model
+        self.column_names = model.column_names
+        self.calls = self.rows = 0
+
+    def expected_p(self):
+        return self.model.expected_p()
+
+    def predict(self, table):
+        self.calls += 1
+        self.rows += table.n
+        return self.model.predict(table)
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+@pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
+def test_local_model_calls(six_table, fit, limit):
+    # each of the p levels scores its own A and A'
+    table, y = six_table
+    model = CountingModel(fit(table, y))
+    predict_triplot(model, table, table.row(5), TriplotConfig(mode="local", N=300, seed=6,
+                                                             limit=limit))
+    assert (model.calls, model.rows) == (2 * table.p, 2 * table.p * 300)
 
 
 def test_local_constant_model_all_zero(six_table):
