@@ -61,18 +61,44 @@ def lasso_cd(W, Z, thresh, max_sweeps=100_000, tol=1e-10):
 # --- k nearest neighbours ----------------------------------------------------
 #
 # Exhaustive scan: squared euclidean distance from every query row to every
-# training row, stable sort so distance ties resolve to the lower row index,
-# prediction is the mean target of the k nearest.
+# training row; the prediction is the mean target of the k nearest, with
+# distance ties resolved to the lower training-row index.
+#
+# Query rows are scored in blocks of about 1 MB of differences
+# (_KNN_BLOCK_VALUES float64 values), so numpy loops per block, not per row.
+# Each distance is einsum's sum of squared differences over one row's p
+# columns, the same reduction, in the same order, as one row scored alone;
+# the |q|^2 + |t|^2 - 2 q.t expansion or a column-by-column sum would round
+# differently and flip near-tied neighbours.
+#
+# argpartition then selects k candidates per row. Sorted by index and then
+# stably by distance, they are in (distance, index) order, which is the
+# order of a full stable sort. The candidates are the k nearest unless a
+# distance tie crosses the k-th place, that is, unless more than k rows lie
+# within the k-th distance; only such a row falls back to the full stable
+# sort, which takes the lowest-index rows of the tie. The mean over the k
+# targets in that order adds them up exactly as a per-row mean does, so the
+# result is bit-identical to scoring one row at a time with a stable sort.
+# Inputs must be finite, as KnnModel and NumericTable ensure: a NaN distance
+# would escape the tie check.
+
+_KNN_BLOCK_VALUES = 2**17
 
 
 def knn_predict(train, targets, query, k):
     train = np.asarray(train, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
+    block = max(1, _KNN_BLOCK_VALUES // train.size)
     out = np.empty(query.shape[0])
-    for q in range(query.shape[0]):
-        diff = train - query[q]
-        d = np.einsum("ij,ij->i", diff, diff)
-        order = np.argsort(d, kind="stable")
-        out[q] = targets[order[:k]].mean()
+    for start in range(0, query.shape[0], block):
+        diff = train - query[start:start + block, None, :]
+        d = np.einsum("qij,qij->qi", diff, diff)
+        part = np.sort(np.argpartition(d, k - 1, axis=1)[:, :k], axis=1)
+        dk = np.take_along_axis(d, part, axis=1)
+        order = np.take_along_axis(part, np.argsort(dk, axis=1, kind="stable"), axis=1)
+        tied = np.count_nonzero(d <= dk.max(axis=1, keepdims=True), axis=1) > k
+        for r in np.flatnonzero(tied):
+            order[r] = np.argsort(d[r], kind="stable")[:k]
+        out[start:start + d.shape[0]] = targets[order].mean(axis=1)
     return out

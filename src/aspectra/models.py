@@ -59,13 +59,30 @@ class LinearModel(ModelAdapter):
 class KnnModel(ModelAdapter):
     """k nearest neighbours regression, exhaustive euclidean scan.
 
-    Distance ties resolve to the lower training-row index.
+    Predicts the mean target of the k training rows nearest to each query
+    row; distance ties resolve to the lower training-row index. Query rows
+    are scored in blocks with a partial selection of the k nearest (see
+    `_kernels.knn_predict`), bit-identical to sorting each row's distances.
+    The training rows must form a non-empty 2-D array of finite values, with
+    one finite target per row.
     """
 
     def __init__(self, k, train_values, train_targets, column_names=None, label=None):
         self.k = int(k)
-        self.train_values = np.asarray(train_values, dtype=np.float64)
-        self.train_targets = np.asarray(train_targets, dtype=np.float64).reshape(-1)
+        # copies, so a caller's later writes cannot undo the checks below
+        self.train_values = np.array(train_values, dtype=np.float64)
+        self.train_targets = np.array(train_targets, dtype=np.float64).reshape(-1)
+        if self.train_values.ndim != 2 or self.train_values.shape[1] < 1:
+            raise AspectraError(
+                f"training values must be a 2-D array with at least one column, "
+                f"got shape {self.train_values.shape}"
+            )
+        if self.train_targets.shape[0] != self.train_values.shape[0]:
+            raise LengthMismatch(self.train_values.shape[0], self.train_targets.shape[0])
+        if not np.all(np.isfinite(self.train_values)):
+            raise AspectraError("training values must be finite")
+        if not np.all(np.isfinite(self.train_targets)):
+            raise AspectraError("training targets must be finite")
         if not 1 <= self.k <= self.train_values.shape[0]:
             raise BadK(self.k, self.train_values.shape[0])
         self.column_names = list(column_names) if column_names is not None else None
@@ -98,7 +115,9 @@ class SubprocessModel(ModelAdapter):
         <comma-joined column names>
         <n lines of comma-joined decimal values>
     then flushes; the child must answer with exactly n lines, one decimal
-    prediction each, and flush. Short or non-numeric output raises
+    prediction each, and flush. A column name holding a comma or a line
+    break would corrupt the header, so such a table raises SchemaMismatch
+    before anything is sent. Short or non-numeric output raises
     SubprocessFailure, never a silent coercion. A failed batch kills the
     child, because its pipe may still hold answers that a later call would
     read as its own; every later call then raises SubprocessFailure. One
@@ -136,6 +155,12 @@ class SubprocessModel(ModelAdapter):
         return self._proc
 
     def predict(self, table: NumericTable) -> np.ndarray:
+        for name in table.column_names:
+            if any(c in name for c in ",\n\r"):
+                raise SchemaMismatch(
+                    f"column name {name!r} contains a comma or a line break, "
+                    "which the line protocol cannot carry"
+                )
         proc = self._ensure_proc()
         header = f"PREDICT {table.n} {table.p}\n" + ",".join(table.column_names) + "\n"
         body = "\n".join(
@@ -216,9 +241,6 @@ def fit_linear(table: NumericTable, y) -> LinearModel:
 
 
 def fit_knn(table: NumericTable, y, k: int) -> KnnModel:
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != table.n:
-        raise LengthMismatch(table.n, y.shape[0])
     return KnnModel(k, table.values, y, column_names=table.column_names)
 
 

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from aspectra import _kernels
 from aspectra._kernels import knn_predict, lasso_cd
 
 
@@ -154,6 +155,67 @@ def test_lasso_matches_row_form_oracle(problem):
 
 
 # --------------------------------------------------------------------- knn
+
+
+def _oracle_knn_predict(train, targets, query, k):
+    """One query row at a time with a full stable sort: the kernel
+    knn_predict replaced."""
+    train = np.asarray(train, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    out = np.empty(query.shape[0])
+    for q in range(query.shape[0]):
+        diff = train - query[q]
+        d = np.einsum("ij,ij->i", diff, diff)
+        order = np.argsort(d, kind="stable")
+        out[q] = targets[order[:k]].mean()
+    return out
+
+
+@st.composite
+def knn_problems(draw):
+    """Grid-valued training and query rows, so distances tie often, with
+    duplicated training rows, queries that equal training rows, any k from
+    1 to n, and a block size with query counts on either side of a block
+    boundary."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    p = draw(st.integers(min_value=1, max_value=5))
+    levels = draw(st.integers(min_value=1, max_value=4))
+    step = draw(st.sampled_from([1.0, 0.1, 0.3]))
+    block = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
+    k = draw(st.integers(min_value=1, max_value=n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    train = rng.integers(0, levels, size=(n, p)) * step
+    copies = rng.integers(0, n, size=(2, n // 3))
+    train[copies[0]] = train[copies[1]]
+    query = rng.integers(0, levels, size=(m, p)) * step
+    hits = rng.random(m) < 0.4
+    query[hits] = train[rng.integers(0, n, size=int(hits.sum()))]
+    targets = rng.standard_normal(n)
+    return train, targets, query, k, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=knn_problems())
+def test_knn_matches_oracle_bit_for_bit(problem):
+    train, targets, query, k, block = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_KNN_BLOCK_VALUES", block * train.size)
+        got = knn_predict(train, targets, query, k)
+    assert np.array_equal(got, _oracle_knn_predict(train, targets, query, k))
+
+
+@pytest.mark.parametrize("k", [1, 129, 300])
+def test_knn_matches_oracle_at_the_default_block(k):
+    # k past 128 rows sums the mean in pairwise blocks; 300 query rows span
+    # two default blocks of max(1, 2**17 // (300 * 3)) = 145 rows and a rest
+    rng = np.random.default_rng(11)
+    train = rng.integers(0, 3, size=(300, 3)) * 0.1
+    targets = rng.standard_normal(300)
+    query = np.vstack([rng.integers(0, 3, size=(150, 3)) * 0.1, train[:150]])
+    assert np.array_equal(knn_predict(train, targets, query, k),
+                          _oracle_knn_predict(train, targets, query, k))
 
 
 def knn_oracle(train, targets, query, k):

@@ -107,6 +107,37 @@ def test_bad_k():
         KnnModel(5, t, np.ones(4))
 
 
+def test_knn_rejects_a_target_count_unlike_the_rows():
+    t = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(LengthMismatch):
+        KnnModel(1, t, [5.0, 6.0])
+    with pytest.raises(LengthMismatch):
+        KnnModel(1, t[:2], [5.0, 6.0, 7.0])
+
+
+@pytest.mark.parametrize("train, targets", [
+    (np.zeros(3), np.ones(3)),
+    (np.zeros((3, 1, 1)), np.ones(3)),
+    (np.zeros((3, 0)), np.ones(3)),
+    ([[0.0], [np.nan], [2.0]], np.ones(3)),
+    ([[0.0], [np.inf], [2.0]], np.ones(3)),
+    (np.zeros((3, 1)), [1.0, np.nan, 2.0]),
+    (np.zeros((3, 1)), [1.0, -np.inf, 2.0]),
+], ids=["1-d", "3-d", "no-columns", "nan-row", "inf-row", "nan-target", "inf-target"])
+def test_knn_rejects_bad_training_data(train, targets):
+    with pytest.raises(AspectraError):
+        KnnModel(1, train, targets)
+
+
+def test_knn_keeps_its_own_copy_of_the_training_data():
+    train = np.array([[0.0], [1.0], [2.0]])
+    targets = np.array([1.0, 2.0, 3.0])
+    m = KnnModel(1, train, targets)
+    train[1, 0] = np.nan
+    targets[1] = 20.0
+    assert m.predict(table_of([[1.0]])).tolist() == [2.0]
+
+
 def test_constant_model():
     m = ConstantModel(2.5)
     assert m.predict(table_of(np.zeros((3, 2)))).tolist() == [2.5, 2.5, 2.5]
@@ -218,6 +249,16 @@ def test_subprocess_failed_batch_stops_the_child(mode):
             m.predict(table_of([[1.0], [20.0], [200.0]]))
         with pytest.raises(SubprocessFailure, match="stopped after a failed batch"):
             m.predict(table_of([[0.0], [0.0]]))
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+def test_subprocess_rejects_protocol_breaking_column_names(name):
+    m = SubprocessModel(child_cmd("first"))
+    with pytest.raises(SchemaMismatch, match="line protocol"):
+        m.predict(table_of([[7.0]], names=(name,)))
+    assert m._proc is None  # rejected before the child was started
+    with m:
+        assert m.predict(table_of([[7.0]])).tolist() == [7.0]
 
 
 def test_subprocess_missing_binary():
