@@ -1,7 +1,8 @@
 """Hot numeric kernels: lasso coordinate descent and exhaustive k-NN scoring.
 
 Both are plain numpy and coerce their inputs to float64. `fit_lasso` calls
-`lasso_cd` once per bisection step and `KnnModel.predict` calls
+`lasso_cd` once per capped fit, at the lambda its search settles on (the
+search itself reads the exact lasso path), and `KnnModel.predict` calls
 `knn_predict` once per batch.
 """
 

@@ -10,6 +10,7 @@ searching for the smallest regularization strength that honours the cap.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ _K_FLAGS = 0xF1A6
 LASSO_MAX_SWEEPS = 100_000
 LASSO_TOL = 1e-10
 BISECT_REL_TOL = 1e-6
+_TIE = 1e-9  # relative: path events this close happen at one knot
+_MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,9 @@ class SurrogateFit:
     Z: np.ndarray
     residual_norm: float
     lam: float | None = None
-    path: tuple = ()  # (lambda, nonzero count) pairs visited by the search
+    # (lambda, nonzero count) per bisection step, the count read off the exact
+    # lasso path; gamma is one coordinate descent solve at `lam`
+    path: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -233,18 +238,131 @@ def fit_ols(design: SampleDesign, ym: DeltaPredictions) -> SurrogateFit:
     return SurrogateFit(gamma=gamma, W=W, Z=Z, residual_norm=residual)
 
 
+def _lasso_path(W: np.ndarray, Z: np.ndarray):
+    """Walk the exact lasso path on (W, Z) downwards, in t = N * lambda.
+
+    Yields (t_low, P) per segment, from t = max|Z| down to 0: on
+    (t_low, t_high], t_high the previous t_low, the coefficients in the
+    index array P are nonzero and all others are 0. With signs s_P the
+    segment has w_P(t) = W_PP^-1 (Z_P - t s_P), and the correlations
+    c(t) = Z - W_.P w_P(t) are linear in t too. The segment ends at the largest t below its top
+    where an inactive |c_j| reaches t (a join) or an active w_k reaches 0 (a
+    drop): one m_P x m_P solve per segment (Osborne, Presnell & Turlach 2000;
+    Efron et al. 2004, the lasso variant of LARS). Events within a relative
+    _TIE of each other happen at one knot, and _knot_active_set picks the
+    active set below it.
+
+    A column of zeros never joins. An inactive column collinear with the
+    active set has c_j = t * const along the segment; if |const| < 1 it never
+    joins. If |const| = 1 the lasso solution is not unique there, and which
+    coefficients coordinate descent leaves nonzero depends on rounding, so
+    that raises SingularDesign.
+    """
+    diag = W.diagonal()
+    sampled = diag > 0.0
+    ZW = np.column_stack((Z, W))
+    plus_minus = np.array([[1.0], [-1.0]])  # join rows: c = +t, c = -t
+    t = float(np.max(np.abs(Z)))
+    kept = np.array([], dtype=np.intp)
+    tied = joining = np.flatnonzero(np.abs(Z) >= t * (1.0 - _TIE))
+    signs = np.zeros(Z.shape[0])  # on the active set and the columns tied at a knot
+    signs[tied] = np.sign(Z[tied])
+    seen = set()
+    while True:
+        P, sol = _knot_active_set(W, ZW, kept, tied, joining, signs)
+        s_P = signs[P]
+        signs[:] = 0.0
+        signs[P] = s_P
+        if signs.tobytes() in seen:  # exact arithmetic never revisits a sign pattern
+            raise SingularDesign("the lasso path revisits an active set")
+        seen.add(signs.tobytes())
+        b, a = sol[:, 0], sol[:, 1]  # w_P(t) = a - t b
+        W_P = W[P]
+        beta, a_W = sol[:, :2].T @ W_P
+        alpha = Z - a_W  # c(t) = alpha + t beta
+        free = (signs == 0.0) & sampled
+        collinear = free & (diag - np.einsum("ij,ij->j", W_P, sol[:, 2:]) <= _TIE * diag)
+        # |c_j| = t all along the segment: w_j = 0 is a solution, the only one
+        # unless the column is collinear with the active set
+        rides = free & (np.abs(alpha) <= _TIE * t) & (np.abs(beta) >= 1.0 - _TIE)
+        if np.any(rides & collinear):
+            raise SingularDesign("aspect flag columns are collinear")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = alpha / (plus_minus - beta)
+            drop = a / b
+        # roots within _TIE below t belong to the knot just resolved
+        below = t * (1.0 - _TIE)
+        join = np.where((join > 0.0) & (join < below) & (free & ~(collinear | rides)), join, 0.0)
+        drop = np.where((drop > 0.0) & (drop < below), drop, 0.0)
+        t = max(float(join.max(initial=0.0)), float(drop.max(initial=0.0)))
+        yield t, P
+        if t == 0.0:
+            return
+        # tied at the new knot: the columns whose root is here, and every
+        # other free column with |c_j| = t (a rider)
+        at_knot = t * (1.0 - _TIE)
+        c = alpha + t * beta
+        boundary = np.flatnonzero(free & (np.abs(c) >= at_knot))
+        signs[boundary] = np.sign(c[boundary])
+        drops = drop >= at_knot
+        kept = P[~drops]
+        tied = np.concatenate((P[drops], boundary))
+        joining = np.flatnonzero(join.max(axis=0) >= at_knot)
+
+
+def _knot_active_set(W, ZW, kept, tied, joining, signs):
+    """The active set just below a knot, and its segment solve.
+
+    `kept` stay active; each `tied` column sits on the boundary (|c_j| = t, or
+    an active w_j = 0) with sign signs[j]. Going down, the coefficients move
+    by b = W_PP^-1 s_P on the new active set P = kept + joined. A tied column
+    belongs to P when it moves away from 0 in its own sign (s_j b_j > 0); one
+    left out must have its correlation fall at least as fast as t
+    (s_j W_jP b >= 1). Exactly one subset satisfies both when W_PP is
+    positive definite. A single join or drop, the usual case, is tried
+    first: `joining` is the column whose root made the knot, if any. Then
+    the subsets of `tied` are searched, smallest first, so that of two
+    copied columns the first joins.
+    """
+    if tied.shape[0] > _MAX_TIED:
+        raise SingularDesign(f"{tied.shape[0]} aspects tie at one point of the lasso path")
+    subsets = itertools.chain(
+        [joining.tolist()] if joining.shape[0] <= 1 else [],
+        (c for n in range(tied.shape[0] + 1) for c in itertools.combinations(tied.tolist(), n)),
+    )
+    for subset in subsets:
+        joined = np.array(subset, dtype=np.intp)
+        out = np.array([j for j in tied.tolist() if j not in subset], dtype=np.intp)
+        P = np.concatenate((kept, joined))
+        if P.size == 0:  # leaves every tied |c_j| = t above t
+            continue
+        try:
+            sol = np.linalg.solve(W[P[:, None], P], np.column_stack((signs[P], ZW[P])))
+        except np.linalg.LinAlgError:
+            raise SingularDesign("aspect flag columns are collinear") from None
+        b = sol[:, 0]
+        if np.all(signs[joined] * b[kept.shape[0]:] > 0.0) and np.all(
+            signs[out] * (W[out[:, None], P] @ b) >= 1.0 - _TIE
+        ):
+            return P, sol
+    raise SingularDesign("no active set continues the lasso path")
+
+
 def fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> SurrogateFit:
     """Smallest-lambda L1 fit keeping at most `limit` nonzero contributions.
 
-    Coordinate descent on the raw binary design (no standardization, no
-    intercept); lambda found by bisection on [0, lambda_max] where
+    Lasso on the raw binary design (no standardization, no intercept);
+    lambda found by bisection on [0, lambda_max] where
     lambda_max = max_j |Z[j]| / N zeroes every coefficient. limit = m takes
     the plain least-squares path.
 
-    Every bisection step solves in covariance form on W = X'^T X' and
-    Z = X'^T Y, built once: a sweep costs O(m^2) and no step touches the
-    N x m design. A solve that spends all LASSO_MAX_SWEEPS sweeps raises
-    LassoNotConverged.
+    Each bisection step reads its nonzero count off the exact lasso path on
+    W = X'^T X' and Z = X'^T Y, which is walked only as far down as the
+    lowest step asks. The bracket arithmetic is that of a bisection that
+    solves at every step, so lambda and `path` are the same. One coordinate
+    descent solve at the returned lambda gives gamma, with the coefficients
+    the path has at 0 kept at 0; if it spends all LASSO_MAX_SWEEPS sweeps,
+    LassoNotConverged is raised.
     """
     m = design.m
     if not 0 <= limit <= m:
@@ -270,9 +388,18 @@ def fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> Surroga
             gamma=gamma, W=W, Z=Z, residual_norm=float(np.linalg.norm(y)),
             lam=lam_max, path=((lam_max, 0),),
         )
+    segments = _lasso_path(W, Z)
+    knots, actives = [], []  # segment bottoms, descending, and their active sets
+
+    def active_set(t):
+        while not knots or knots[-1] >= t:  # the last segment ends at 0 < t
+            t_low, P = next(segments)
+            knots.append(t_low)
+            actives.append(P)
+        return actives[next(i for i, t_low in enumerate(knots) if t_low < t)]
+
     lo = 0.0
     hi = lam_max
-    gamma_hi = np.zeros(m)
     trace = [(lam_max, 0)]
     # stop once the bracket is tiny relative to the answer, so that shrinking
     # the returned lambda by even 0.1% drops below the true crossing point;
@@ -280,19 +407,26 @@ def fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> Surroga
     floor = 1e-12 * lam_max
     while hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        w, sweeps = _kernels.lasso_cd(W, Z, design.N * mid, LASSO_MAX_SWEEPS, LASSO_TOL)
-        if sweeps >= LASSO_MAX_SWEEPS:
-            raise LassoNotConverged(mid, sweeps)
-        nnz = int(np.count_nonzero(w))
+        nnz = active_set(design.N * mid).shape[0]
         trace.append((mid, nnz))
         if nnz <= limit:
             hi = mid
-            gamma_hi = w
         else:
             lo = mid
-    residual = float(np.linalg.norm(X @ gamma_hi - y))
+    if hi == lam_max:
+        gamma = np.zeros(m)
+    else:
+        gamma, sweeps = _kernels.lasso_cd(W, Z, design.N * hi, LASSO_MAX_SWEEPS, LASSO_TOL)
+        if sweeps >= LASSO_MAX_SWEEPS:
+            raise LassoNotConverged(hi, sweeps)
+        # within about LASSO_TOL of a knot the solve can leave a rounding-level
+        # coefficient where the path has 0; the cap counts the path's
+        inactive = np.ones(m, dtype=bool)
+        inactive[active_set(design.N * hi)] = False
+        gamma[inactive] = 0.0
+    residual = float(np.linalg.norm(X @ gamma - y))
     return SurrogateFit(
-        gamma=gamma_hi, W=W, Z=Z, residual_norm=residual, lam=hi, path=tuple(trace)
+        gamma=gamma, W=W, Z=Z, residual_norm=residual, lam=hi, path=tuple(trace)
     )
 
 

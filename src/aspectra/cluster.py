@@ -113,7 +113,7 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> Correla
         raise AspectraError(f"correlation method must be pearson|spearman, got {method!r}")
     X = table.values
     if method == "spearman":
-        X = np.column_stack([rankdata(X[:, j], method="average") for j in range(table.p)])
+        X = rankdata(X, method="average", axis=0)
     Xc = X - X.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
     for j, s in enumerate(norms):

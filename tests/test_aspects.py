@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import aspectra.aspects
 from aspectra import (
@@ -21,7 +23,15 @@ from aspectra import (
     fit_ols,
     predict_aspects,
 )
-from aspectra.aspects import DeltaPredictions
+from aspectra import _kernels
+from aspectra.aspects import (
+    BISECT_REL_TOL,
+    LASSO_TOL,
+    DeltaPredictions,
+    SurrogateFit,
+    _design_matrices,
+    _lasso_path,
+)
 from aspectra.errors import AspectraError, LassoNotConverged
 
 
@@ -244,6 +254,242 @@ def test_lasso_non_convergence_is_an_error(monkeypatch):
     design, ym = lasso_instance(7)
     with pytest.raises(LassoNotConverged, match="did not converge"):
         fit_lasso(design, ym, limit=2)
+
+
+# ------------------------------------------------------------ lasso oracle
+
+# The oracle gives up after this many sweeps, where fit_lasso allows
+# aspects.LASSO_MAX_SWEEPS: a stalled oracle solve (copied columns at lambda
+# near 0) is skipped rather than waited for. Solves that finish run the same
+# sweeps either way.
+LASSO_MAX_SWEEPS = 5_000
+
+
+def _oracle_fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> SurrogateFit:
+    """Smallest-lambda L1 fit keeping at most `limit` nonzero contributions.
+
+    Coordinate descent on the raw binary design (no standardization, no
+    intercept); lambda found by bisection on [0, lambda_max] where
+    lambda_max = max_j |Z[j]| / N zeroes every coefficient. limit = m takes
+    the plain least-squares path.
+
+    Every bisection step solves in covariance form on W = X'^T X' and
+    Z = X'^T Y, built once: a sweep costs O(m^2) and no step touches the
+    N x m design. A solve that spends all LASSO_MAX_SWEEPS sweeps raises
+    LassoNotConverged.
+    """
+    # Bisection with one coordinate descent solve per step: the search
+    # fit_lasso replaced, copied verbatim.
+    m = design.m
+    if not 0 <= limit <= m:
+        raise AspectraError(f"limit must be in [0, {m}], got {limit}")
+    if limit >= m:
+        fit = fit_ols(design, ym)
+        nnz = int(np.count_nonzero(fit.gamma))
+        return SurrogateFit(
+            gamma=fit.gamma, W=fit.W, Z=fit.Z, residual_norm=fit.residual_norm,
+            lam=0.0, path=((0.0, nnz),),
+        )
+    X, y, W, Z = _design_matrices(design, ym)
+    lam_max = float(np.max(np.abs(Z)) / design.N)
+    if lam_max == 0.0:
+        gamma = np.zeros(m)
+        return SurrogateFit(
+            gamma=gamma, W=W, Z=Z, residual_norm=float(np.linalg.norm(y)),
+            lam=0.0, path=((0.0, 0),),
+        )
+    if limit == 0:
+        gamma = np.zeros(m)
+        return SurrogateFit(
+            gamma=gamma, W=W, Z=Z, residual_norm=float(np.linalg.norm(y)),
+            lam=lam_max, path=((lam_max, 0),),
+        )
+    lo = 0.0
+    hi = lam_max
+    gamma_hi = np.zeros(m)
+    trace = [(lam_max, 0)]
+    # stop once the bracket is tiny relative to the answer, so that shrinking
+    # the returned lambda by even 0.1% drops below the true crossing point;
+    # the absolute floor ends the search when the crossing is at 0
+    floor = 1e-12 * lam_max
+    while hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        w, sweeps = _kernels.lasso_cd(W, Z, design.N * mid, LASSO_MAX_SWEEPS, LASSO_TOL)
+        if sweeps >= LASSO_MAX_SWEEPS:
+            raise LassoNotConverged(mid, sweeps)
+        nnz = int(np.count_nonzero(w))
+        trace.append((mid, nnz))
+        if nnz <= limit:
+            hi = mid
+            gamma_hi = w
+        else:
+            lo = mid
+    residual = float(np.linalg.norm(X @ gamma_hi - y))
+    return SurrogateFit(
+        gamma=gamma_hi, W=W, Z=Z, residual_norm=residual, lam=hi, path=tuple(trace)
+    )
+
+
+@st.composite
+def capped_flag_designs(draw):
+    """Binary flag designs as build_design makes them (one or two flags per
+    row), with a column zeroed or copied now and then, N from m to 10 m, and
+    a response from a sparse linear model plus noise."""
+    m = draw(st.integers(min_value=2, max_value=7))
+    N = draw(st.integers(min_value=m, max_value=10 * m))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kl = rng.integers(0, m, size=(N, 2))
+    X = np.zeros((N, m), dtype=np.int8)
+    X[np.arange(N), kl[:, 0]] = 1
+    X[np.arange(N), kl[:, 1]] = 1
+    for j in draw(st.sets(st.integers(min_value=0, max_value=m - 1), max_size=1)):
+        X[:, j] = 0
+    for a, b in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=2)):
+        X[:, b] = X[:, a]
+    y = X @ (rng.standard_normal(m) * (rng.random(m) < 0.6)) + 0.3 * rng.standard_normal(N)
+    return X, y
+
+
+def _collinear(W):
+    sampled = np.flatnonzero(np.diag(W) > 0.0)
+    return np.linalg.matrix_rank(W[np.ix_(sampled, sampled)]) < sampled.size
+
+
+def assert_fit_matches_oracle(design, ym, limit):
+    ref = _oracle_fit_lasso(design, ym, limit)
+    fit = fit_lasso(design, ym, limit)
+    assert fit.lam == ref.lam
+    assert fit.path == ref.path
+    assert np.array_equal(fit.gamma, ref.gamma)
+    assert fit.residual_norm == ref.residual_norm
+    return fit
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=capped_flag_designs())
+def test_lasso_path_search_matches_bisection_oracle(problem):
+    design, ym = manual_design(*problem)
+    for limit in range(1, design.m):
+        try:
+            ref = _oracle_fit_lasso(design, ym, limit)
+        except LassoNotConverged:
+            assume(False)
+        try:
+            fit = fit_lasso(design, ym, limit)
+        except SingularDesign:
+            # only where copied or otherwise collinear flag columns leave the
+            # lasso solution, and so the oracle's count, to rounding
+            assert _collinear(ref.W)
+            continue
+        assert np.count_nonzero(fit.gamma) <= limit
+        parting = next(((f, r) for f, r in zip(fit.path, ref.path) if f != r), None)
+        if parting is not None:
+            # the oracle's solve stops once no coefficient moves by LASSO_TOL,
+            # so within about that of a knot its count can be off; there a
+            # tighter solve at the same lambda must give the path's count
+            (lam, count), (lam_ref, _) = parting
+            assert lam == lam_ref
+            w, sweeps = _kernels.lasso_cd(ref.W, ref.Z, design.N * lam, 20_000, 1e-14)
+            assume(sweeps < 20_000)
+            assert np.count_nonzero(w) == count
+            continue
+        assert fit.lam == ref.lam
+        assert np.array_equal(fit.gamma, ref.gamma)
+
+
+def test_lasso_path_with_a_drop_event():
+    # in t = N * lambda: w_1 joins at 2.9, w_0 at 2.1 and w_2 at 1.35; w_0
+    # returns to 0 at 1.1 and joins again at 0.22. So "at most 2 nonzero"
+    # holds down to t = 0.22; a walk that misses the drop stops at 1.35
+    X = np.array([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    design, ym = manual_design(X, [0.9, 2.0, 1.6])
+    fit = assert_fit_matches_oracle(design, ym, limit=2)
+    knots, actives = zip(*_lasso_path(fit.W, fit.Z))
+    assert [P.tolist() for P in actives] == [[1], [1, 0], [1, 0, 2], [1, 2], [1, 2, 0]]
+    assert np.allclose(knots, [2.1, 1.35, 1.1, 0.22, 0.0])
+    assert fit.lam == pytest.approx(0.22 / 3, rel=1e-5)
+
+
+def test_lasso_never_sampled_aspect_stays_zero():
+    design, ym = lasso_instance(8, N=60, m=4)
+    X = design.X_prime.copy()
+    X[:, 2] = 0
+    design, ym = manual_design(X, ym.values)
+    for limit in range(1, 4):
+        fit = assert_fit_matches_oracle(design, ym, limit)
+        assert fit.gamma[2] == 0.0
+
+
+def test_lasso_collinear_column_that_never_ties():
+    # column 2 is columns 0 + 1; with w_0 < 0 < w_1 its correlation stays
+    # inside (-t, t), so the walk goes on without it
+    X = np.array([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 1, 0],
+                  [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]])
+    design, ym = manual_design(X, [-0.5, -0.3, 0.4, 1.0, -0.1, 1.4, -0.7, 0.4])
+    for limit in range(1, 4):
+        fit = assert_fit_matches_oracle(design, ym, limit)
+        assert fit.gamma[2] == 0.0
+
+
+def test_lasso_copied_column_is_singular():
+    # columns 0 and 1 are flagged on the same rows, so any split of their
+    # joint coefficient is a solution
+    X = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    design, ym = manual_design(X, [2.0, 2.5, 0.3, -0.2, 1.8])
+    for limit in (1, 2):
+        with pytest.raises(SingularDesign, match="collinear"):
+            fit_lasso(design, ym, limit)
+
+
+def test_lasso_columns_joining_at_one_knot():
+    # one flag per row and two rows per aspect: W = 2I, and three aspects
+    # reach the top together at t = 3, the fourth at t = 1
+    X = np.repeat(np.eye(4, dtype=np.int8), 2, axis=0)
+    design, ym = manual_design(X, [1.5, 1.5, 1.0, 2.0, -1.0, -2.0, 0.25, 0.75])
+    fits = [assert_fit_matches_oracle(design, ym, limit) for limit in (1, 2, 3)]
+    assert [f.lam for f in fits[:2]] == [3 / 8, 3 / 8]  # no lambda keeps 1 or 2
+    assert fits[2].lam == pytest.approx(1 / 8, rel=1e-5)
+    assert np.count_nonzero(fits[2].gamma) == 3
+
+
+def test_lasso_path_tie_where_one_column_joins():
+    # both |Z_j| are largest together, but W_01 > W_11 (a Gram matrix of
+    # real columns), so only w_1 can leave 0 at the top; w_0 joins later
+    # with the other sign
+    W = np.array([[4.0, 2.5], [2.5, 2.0]])
+    Z = np.array([5.0, 5.0])
+    segments = list(_lasso_path(W, Z))
+    assert [P.tolist() for _, P in segments] == [[1], [1, 0]]
+    assert segments[0][0] == pytest.approx(5 / 9)
+    top = 5.0
+    for t_low, P in segments:
+        w, _ = _kernels.lasso_cd(W, Z, (t_low + top) / 2, 100_000, 1e-14)
+        assert sorted(np.flatnonzero(w)) == sorted(P)
+        top = t_low
+
+
+def test_lasso_too_many_columns_tied_at_one_knot():
+    m = aspectra.aspects._MAX_TIED + 1
+    X = np.repeat(np.eye(m, dtype=np.int8), 2, axis=0)
+    design, ym = manual_design(X, np.ones(2 * m))
+    with pytest.raises(SingularDesign, match="tie"):
+        fit_lasso(design, ym, limit=1)
+
+
+def test_lasso_path_that_revisits_an_active_set_stops(monkeypatch):
+    # a walk stuck on one active set must raise, not loop
+    first = []
+    resolve = aspectra.aspects._knot_active_set
+
+    def stuck(*args):
+        first.append(first[0] if first else resolve(*args))
+        return first[-1]
+
+    monkeypatch.setattr(aspectra.aspects, "_knot_active_set", stuck)
+    design, ym = lasso_instance(9)
+    with pytest.raises(SingularDesign, match="revisits"):
+        fit_lasso(design, ym, limit=3)
 
 
 # --------------------------------------------------------- predict_aspects

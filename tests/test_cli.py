@@ -255,6 +255,31 @@ def test_computation_error_is_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+def _unreadable_file_cases(csv, tmp):
+    missing = str(tmp / "missing")
+    broken = tmp / "broken.json"
+    broken.write_text('{"ab": ["a", "b"')
+    model = ["--target", "y", "--model", "linear"]
+    return {
+        "missing-data": ["group-vars", "--data", missing, "--cutoff", "0.5"],
+        "missing-groups": ["global-importance", "--data", csv, *model, "--groups", missing],
+        "malformed-groups": ["global-importance", "--data", csv, *model, "--groups", str(broken)],
+        "missing-obs": ["predict-aspects", "--data", csv, *model, "--obs", missing,
+                        "--cutoff", "0.6"],
+        "missing-in": ["render", "--in", missing, "--out", str(tmp / "x.svg")],
+        "malformed-in": ["render", "--in", str(broken), "--out", str(tmp / "x.svg")],
+    }
+
+
+@pytest.mark.parametrize("case", ["missing-data", "missing-groups", "malformed-groups",
+                                  "missing-obs", "missing-in", "malformed-in"])
+def test_unreadable_input_file_is_exit_1(case, six_csv, tmp_path, capsys):
+    code, out, err = run(_unreadable_file_cases(six_csv, tmp_path)[case], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_help_is_exit_0(capsys):
     assert run(["--help"], capsys)[0] == 0
     assert run(["triplot", "--help"], capsys)[0] == 0

@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
-from scipy.stats import pearsonr, spearmanr
+from scipy.stats import pearsonr, rankdata, spearmanr
 
 from aspectra import (
     MergeTree,
@@ -110,6 +110,21 @@ def test_spearman_handles_ties():
     t = NumericTable(("x", "y"), np.column_stack([x, y]))
     C = correlation_matrix(t, "spearman").values
     assert C[0, 1] == pytest.approx(spearmanr(x, y).statistic, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=30), p=st.integers(min_value=1, max_value=6),
+       cells=st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=180, max_size=180))
+def test_spearman_ranks_all_columns_like_one_column_at_a_time(n, p, cells):
+    # grid values tie heavily; Spearman must equal Pearson on the stack of
+    # per-column average ranks, bit for bit
+    X = np.array(cells[: n * p]).reshape(n, p)
+    assume(all(np.ptp(X, axis=0) > 0.0))
+    names = tuple(f"x{j}" for j in range(p))
+    ranks = np.column_stack([rankdata(X[:, j], method="average") for j in range(p)])
+    C = correlation_matrix(NumericTable(names, X), "spearman").values
+    ref = correlation_matrix(NumericTable(names, ranks), "pearson").values
+    assert np.array_equal(C, ref)
 
 
 def test_zero_variance_column_rejected():
