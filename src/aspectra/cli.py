@@ -243,8 +243,8 @@ def cli_main(argv) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except (AspectraError, OSError, json.JSONDecodeError) as e:
-        # an unreadable or malformed input file is a computation error too
+    except (AspectraError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+        # an unreadable, malformed or non-UTF-8 input file is a computation error too
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -2,13 +2,16 @@
 
 All datasets are dense float64 matrices with named columns. Missing values,
 infinities and non-numeric cells are rejected at ingestion; callers must
-pre-encode categorical data.
+pre-encode categorical data. Tables the package derives from an already
+validated table's values and columns (such as a block-permuted copy) are not
+scanned again.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +102,21 @@ class NumericTable:
         vals.setflags(write=False)
         object.__setattr__(self, "column_names", tuple(names))
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _from_validated(cls, column_names: tuple, values: np.ndarray) -> "NumericTable":
+        """Wrap values derived from a validated table, skipping the checks.
+
+        `column_names` is that table's names tuple and `values` a fresh
+        C-contiguous float64 array of at least one row holding only that
+        table's values, so every check above already holds. It is made
+        read-only in place.
+        """
+        table = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(table, "column_names", column_names)
+        object.__setattr__(table, "values", values)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericTable is immutable")
@@ -262,7 +280,7 @@ def load_table(path, target: str | None = None):
                     v = float(cell)
                 except ValueError:
                     raise NonNumericCell(rownum, name, cell) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise NonNumericCell(rownum, name, cell)
                 parsed.append(v)
             rows.append(parsed)

@@ -106,7 +106,11 @@ def permutation_stream(seed: int, members, rep: int) -> RngStream:
 
 
 def permute_group(table: NumericTable, group, rng: RngStream) -> NumericTable:
-    """Apply one shared row permutation to every column in the group."""
+    """Apply one shared row permutation to every column in the group.
+
+    The result holds only the input's values under its column names, so it
+    shares the input's validation and is not scanned again.
+    """
     members = sorted(int(i) for i in group)
     if not members:
         raise EmptyGroup("<anonymous>")
@@ -115,8 +119,8 @@ def permute_group(table: NumericTable, group, rng: RngStream) -> NumericTable:
             raise BadIndex(i, table.p)
     perm = rng.generator().permutation(table.n)
     values = table.values.copy()
-    values[:, members] = values[np.ix_(perm, members)]
-    return table.with_values(values)
+    values[:, members] = table.values[:, members][perm]
+    return NumericTable._from_validated(table.column_names, values)
 
 
 class ImportanceContext:

@@ -163,9 +163,8 @@ class SubprocessModel(ModelAdapter):
                 )
         proc = self._ensure_proc()
         header = f"PREDICT {table.n} {table.p}\n" + ",".join(table.column_names) + "\n"
-        body = "\n".join(
-            ",".join(f"{v:.17g}" for v in row) for row in table.values
-        ) + "\n"
+        # repr is the shortest string that parses back to the same double
+        body = "\n".join(",".join(map(repr, row)) for row in table.values.tolist()) + "\n"
 
         # Writer thread avoids a pipe-buffer deadlock with children that
         # stream output before consuming all input.

@@ -259,11 +259,15 @@ def _unreadable_file_cases(csv, tmp):
     missing = str(tmp / "missing")
     broken = tmp / "broken.json"
     broken.write_text('{"ab": ["a", "b"')
+    latin = tmp / "latin.bin"
+    latin.write_bytes(b"x,y\n\xff\xfe,1\n")  # not UTF-8
     model = ["--target", "y", "--model", "linear"]
     return {
         "missing-data": ["group-vars", "--data", missing, "--cutoff", "0.5"],
+        "non-utf8-data": ["group-vars", "--data", str(latin), "--cutoff", "0.5"],
         "missing-groups": ["global-importance", "--data", csv, *model, "--groups", missing],
         "malformed-groups": ["global-importance", "--data", csv, *model, "--groups", str(broken)],
+        "non-utf8-groups": ["global-importance", "--data", csv, *model, "--groups", str(latin)],
         "missing-obs": ["predict-aspects", "--data", csv, *model, "--obs", missing,
                         "--cutoff", "0.6"],
         "missing-in": ["render", "--in", missing, "--out", str(tmp / "x.svg")],
@@ -271,8 +275,9 @@ def _unreadable_file_cases(csv, tmp):
     }
 
 
-@pytest.mark.parametrize("case", ["missing-data", "missing-groups", "malformed-groups",
-                                  "missing-obs", "missing-in", "malformed-in"])
+@pytest.mark.parametrize("case", ["missing-data", "non-utf8-data", "missing-groups",
+                                  "malformed-groups", "non-utf8-groups", "missing-obs",
+                                  "missing-in", "malformed-in"])
 def test_unreadable_input_file_is_exit_1(case, six_csv, tmp_path, capsys):
     code, out, err = run(_unreadable_file_cases(six_csv, tmp_path)[case], capsys)
     assert code == 1

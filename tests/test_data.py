@@ -172,6 +172,15 @@ def test_load_table_errors(tmp_path):
         load_table(f, target="z")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_load_table_rejects_non_finite_cell(tmp_path, cell):
+    f = tmp_path / "nonfinite.csv"
+    f.write_text(f"x,y,z\n1,2,3\n4,{cell},6\n")
+    with pytest.raises(NonNumericCell) as err:
+        load_table(f)
+    assert (err.value.row, err.value.column, err.value.value) == (2, "y", cell)
+
+
 def test_load_table_ragged_row(tmp_path):
     f = tmp_path / "ragged.csv"
     f.write_text("x,y\n1,2\n3\n")

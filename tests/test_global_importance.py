@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectra import (
     AspectPartition,
@@ -22,7 +24,7 @@ from aspectra import (
     predict,
     single_variable_importance,
 )
-from aspectra.errors import AspectraError
+from aspectra.errors import AspectraError, NonNumericCell
 
 from conftest import make_six_variable
 
@@ -59,6 +61,57 @@ def test_permute_group_errors():
         permute_group(t, [], RngStream(0))
     with pytest.raises(BadIndex):
         permute_group(t, [1], RngStream(0))
+
+
+def _oracle_permute_group(table, group, rng):
+    """permute_group as it was before it gathered the group's columns first."""
+    members = sorted(int(i) for i in group)
+    if not members:
+        raise EmptyGroup("<anonymous>")
+    for i in members:
+        if i < 0 or i >= table.p:
+            raise BadIndex(i, table.p)
+    perm = rng.generator().permutation(table.n)
+    values = table.values.copy()
+    values[:, members] = values[np.ix_(perm, members)]
+    return table.with_values(values)
+
+
+@st.composite
+def _tables_and_groups(draw):
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        group = list(range(p))[::-1]  # every column, unsorted
+    else:
+        group = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * p))
+    # few distinct values, so tied and repeated entries occur
+    values = np.random.default_rng(seed).integers(-3, 4, size=(n, p)) / 2.0
+    table = NumericTable(tuple(f"c{j}" for j in range(p)), values)
+    return table, group, RngStream(seed, 11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_and_groups())
+def test_permute_group_matches_oracle(case):
+    table, group, rng = case
+    before = table.values.copy()
+    got = permute_group(table, group, rng)
+    want = _oracle_permute_group(table, group, rng)
+    assert np.array_equal(got.values, want.values)
+    assert got.column_names == want.column_names == table.column_names
+    assert got.values.flags.writeable is False
+    assert np.array_equal(table.values, before)  # the input is left as it was
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_with_values_still_rejects_non_finite(bad):
+    table, _ = small_table(n=5, p=3)
+    values = table.values.copy()
+    values[3, 1] = bad
+    with pytest.raises(NonNumericCell):
+        table.with_values(values)
 
 
 def test_permutation_stream_keyed_by_member_set():

@@ -197,13 +197,23 @@ def test_subprocess_echo_column_1():
 
 
 def test_subprocess_sum_bit_exact():
-    # 17g serialization must round-trip doubles exactly
+    # the shortest repr of each double must round-trip it exactly
     rng = np.random.default_rng(4)
     X = rng.standard_normal((40, 3))
     with SubprocessModel(child_cmd("sum")) as m:
         out = m.predict(table_of(X))
     expected = [float(sum(row.tolist())) for row in X]
     assert out.tolist() == expected
+
+
+def test_subprocess_first_echoes_edge_doubles_bit_for_bit():
+    X = [[-0.0, 1.0], [5e-324, 1.0], [1.7976931348623157e308, 1.0], [0.1, 1.0], [1 / 3, 1.0],
+         [0.0, 1.0]]
+    with SubprocessModel(child_cmd("first")) as m:
+        out = m.predict(table_of(X))
+    expected = np.array([row[0] for row in X])
+    assert out.tobytes() == expected.tobytes()  # bit for bit, the sign of zero too
+    assert np.signbit(out).tolist() == [True, False, False, False, False, False]
 
 
 def test_subprocess_serves_multiple_batches():
