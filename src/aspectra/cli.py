@@ -23,12 +23,20 @@ from .render import RenderSpec, render_aspects, render_triplot
 from .triplot import TriplotConfig, TriplotResult, model_triplot, predict_triplot
 
 
+def _subprocess_model(cmd):
+    try:
+        argv = shlex.split(cmd)
+    except ValueError as e:  # an unclosed quote or a trailing backslash
+        raise AspectraError(f"cannot split model command {cmd!r}: {e}") from None
+    return SubprocessModel(argv)
+
+
 def _parse_model(model_spec, table, y):
     if model_spec is None:
         cmd = os.environ.get("ASPECTRA_MODEL_CMD", "").strip()
         if not cmd:
             raise AspectraError("no --model given and ASPECTRA_MODEL_CMD is unset")
-        return SubprocessModel(shlex.split(cmd))
+        return _subprocess_model(cmd)
     if model_spec == "linear":
         if y is None:
             raise AspectraError("--model linear needs --target to fit")
@@ -42,7 +50,7 @@ def _parse_model(model_spec, table, y):
             raise AspectraError(f"bad knn spec {model_spec!r}, expected knn:K") from None
         return fit_knn(table, y, k)
     if model_spec.startswith("cmd:"):
-        return SubprocessModel(shlex.split(model_spec[4:]))
+        return _subprocess_model(model_spec[4:])
     raise AspectraError(f"unknown model spec {model_spec!r}; use linear, knn:K or cmd:...")
 
 

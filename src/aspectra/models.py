@@ -26,6 +26,9 @@ from .errors import (
 
 LOSS_KINDS = ("rmse", "mae")
 
+# how long close() waits for a child to exit after its stdin is closed
+_CLOSE_TIMEOUT_S = 10.0
+
 
 class ModelAdapter:
     """Base contract: deterministic predict, finite outputs, fixed schema."""
@@ -61,8 +64,10 @@ class KnnModel(ModelAdapter):
 
     Predicts the mean target of the k training rows nearest to each query
     row; distance ties resolve to the lower training-row index. Query rows
-    are scored in blocks with a partial selection of the k nearest (see
-    `_kernels.knn_predict`), bit-identical to sorting each row's distances.
+    are scored in blocks: one matrix product and an error bound screen out
+    the training rows that cannot be among the k nearest, and exact
+    distances are computed only for the rest (see `_kernels.knn_predict`).
+    The result is bit-identical to sorting each row's exact distances.
     The training rows must form a non-empty 2-D array of finite values, with
     one finite target per row.
     """
@@ -122,13 +127,17 @@ class SubprocessModel(ModelAdapter):
     child, because its pipe may still hold answers that a later call would
     read as its own; every later call then raises SubprocessFailure. One
     child process serves all calls, so treat each instance as
-    exclusive-access.
+    exclusive-access. close() ends the child's input and waits 10 s for it
+    to exit; a child still running then is killed, and close() raises
+    SubprocessFailure.
     """
 
     def __init__(self, command, label=None):
         if isinstance(command, str):
             raise AspectraError("SubprocessModel takes an argv list, not a shell string")
         self.command = list(command)
+        if not self.command:
+            raise AspectraError("SubprocessModel needs a command, got an empty argv")
         self.label = label or " ".join(self.command)
         self.column_names = None
         self._proc = None
@@ -209,14 +218,24 @@ class SubprocessModel(ModelAdapter):
         return out
 
     def close(self):
-        if self._proc is not None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            self._proc.wait(timeout=10)
-            self._proc.stdout.close()
-            self._proc = None
+        if self._proc is None:
+            return
+        proc, self._proc = self._proc, None
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            proc.wait(timeout=_CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise SubprocessFailure(
+                f"child did not exit within {_CLOSE_TIMEOUT_S:g} s of its input "
+                "closing, so it was killed"
+            ) from None
+        finally:
+            proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -12,9 +12,11 @@ Usage: python3 child_model.py MODE
             row sums for every other row of every batch
   short     answer n-1 lines then stall the batch
   die       exit 3 without answering
+  linger    predict the row sum, but ignore EOF and keep running
 """
 
 import sys
+import time
 
 
 def main() -> int:
@@ -23,6 +25,8 @@ def main() -> int:
     while True:
         head = sys.stdin.readline()
         if head == "":
+            if mode == "linger":
+                time.sleep(60)
             return 0
         parts = head.split()
         assert parts[0] == "PREDICT", head
@@ -42,7 +46,7 @@ def main() -> int:
                 print("oops")
                 continue
             values = [float(tok) for tok in line.strip().split(",")]
-            if mode in ("sum", "garbage-first"):
+            if mode in ("sum", "garbage-first", "linger"):
                 print(repr(sum(values)))
             elif mode == "first":
                 print(repr(values[0]))

@@ -109,6 +109,27 @@ def test_no_model_no_env_is_computation_error(six_csv, capsys):
     assert "ASPECTRA_MODEL_CMD" in err
 
 
+@pytest.mark.parametrize("spec", ["cmd:", "cmd:   ", "cmd:'x", 'cmd:python3 "a', "cmd:x \\"])
+def test_unusable_model_command_is_exit_1(spec, six_csv, capsys):
+    # an empty argv, or one shlex cannot split, is a computation error
+    code, out, err = run([
+        "global-importance", "--data", six_csv, "--target", "y",
+        "--model", spec, "--cutoff", "0.6",
+    ], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unsplittable_model_env_is_exit_1(six_csv, capsys, monkeypatch):
+    monkeypatch.setenv("ASPECTRA_MODEL_CMD", "'x")
+    code, _, err = run([
+        "global-importance", "--data", six_csv, "--target", "y", "--cutoff", "0.6",
+    ], capsys)
+    assert code == 1
+    assert "No closing quotation" in err
+
+
 # --------------------------------------------------------- predict-aspects
 
 

@@ -241,3 +241,82 @@ def test_knn_dispatcher():
     train = np.array([[0.0], [2.0]])
     targets = np.array([1.0, 3.0])
     assert knn_predict(train, targets, np.array([[0.1]]), 1).tolist() == [1.0]
+
+
+@st.composite
+def screened_knn_problems(draw):
+    """Rows on which the screen's margin decides. Grid values tie exactly,
+    near-duplicates sit a few ulps apart, and rows offset by 1e5 or 1e6
+    make |q|^2 + |t|^2 dwarf their distances. Every kind is scaled from
+    subnormal (1e-320, where squares underflow) to past overflow (1e160).
+    Training rows are duplicated, queries copy training rows, k is any
+    value from 1 to n and blocks hold 1 to 8 query rows."""
+    n = draw(st.integers(min_value=1, max_value=120))
+    p = draw(st.integers(min_value=1, max_value=20))
+    k = draw(st.integers(min_value=1, max_value=n))
+    kind = draw(st.sampled_from(["grid", "near", "offset"]))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-320, 1e150, 1e160]))
+    block = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=3 * block + 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    base = rng.standard_normal(p)
+    offset = draw(st.sampled_from([1e5, 1e6]))
+    spread = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+
+    def rows(count):
+        if kind == "grid":
+            return rng.integers(0, 3, size=(count, p)) * 0.5
+        if kind == "near":
+            return base * (1.0 + rng.integers(-4, 5, size=(count, p)) * 2.0**-52)
+        return offset + rng.standard_normal((count, p)) * spread
+
+    train = rows(n) * scale
+    copies = rng.integers(0, n, size=(2, n // 3))
+    train[copies[0]] = train[copies[1]]
+    query = rows(m) * scale
+    hits = rng.random(m) < 0.3
+    query[hits] = train[rng.integers(0, n, size=int(hits.sum()))]
+    targets = rng.standard_normal(n)
+    return train, targets, query, k, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=screened_knn_problems())
+def test_knn_screen_matches_oracle_across_scales(problem):
+    train, targets, query, k, block = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_KNN_BLOCK_VALUES", block * train.size)
+        got = knn_predict(train, targets, query, k)
+    with np.errstate(over="ignore"):
+        want = _oracle_knn_predict(train, targets, query, k)
+    assert np.array_equal(got, want)
+
+
+def test_knn_screen_overflow_falls_back_to_exact_distances():
+    # |q|^2 + |t|^2 is about 1e310 and overflows, so the screen reads inf and
+    # nan; the distances themselves are below 1e302 and finite
+    train = 1e155 * (1.0 + np.array([[0.0, 0.0], [3e-5, 0.0], [0.0, 1e-5], [2e-5, 2e-5]]))
+    targets = np.array([1.0, 2.0, 4.0, 8.0])
+    query = 1e155 * (1.0 + np.array([[2.9e-5, 0.0], [0.0, 1.1e-5], [1e-6, 1e-6]]))
+    with np.errstate(over="raise", invalid="raise"):
+        got = knn_predict(train, targets, query, 2)
+    assert got.tolist() == [(2.0 + 8.0) / 2, (4.0 + 1.0) / 2, (1.0 + 4.0) / 2]
+    assert np.array_equal(got, _oracle_knn_predict(train, targets, query, 2))
+
+
+def test_knn_screen_floor_covers_underflowed_products():
+    # scaled by 1e-160, the squares (about 1e-310) and the distances (1e-322
+    # to 1e-320) are subnormal: each product rounds by up to 2^-1075, while
+    # rel * (|q|^2 + |t|^2) is a few subnormal steps, so only the floor keeps
+    # the margin above the screen's error
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n = int(rng.integers(20, 121))
+        p = int(rng.integers(1, 8))
+        k = int(rng.integers(1, n + 1))
+        spread = (0.1, 1.0)[rng.integers(0, 2)]
+        train = (1e5 + spread * rng.standard_normal((n, p))) * 1e-160
+        query = (1e5 + spread * rng.standard_normal((10, p))) * 1e-160
+        targets = rng.standard_normal(n)
+        assert np.array_equal(knn_predict(train, targets, query, k),
+                              _oracle_knn_predict(train, targets, query, k))

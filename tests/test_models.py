@@ -18,6 +18,7 @@ from aspectra import (
     loss,
     predict,
 )
+from aspectra import models
 from aspectra.errors import AspectraError
 
 from conftest import child_cmd
@@ -271,6 +272,19 @@ def test_subprocess_rejects_protocol_breaking_column_names(name):
         assert m.predict(table_of([[7.0]])).tolist() == [7.0]
 
 
+def test_subprocess_close_kills_a_child_that_ignores_eof(monkeypatch):
+    monkeypatch.setattr(models, "_CLOSE_TIMEOUT_S", 0.5)
+    m = SubprocessModel(child_cmd("linger"))
+    assert m.predict(table_of([[1.0, 2.0]])).tolist() == [3.0]
+    proc = m._proc
+    with pytest.raises(SubprocessFailure, match="killed"):
+        m.close()
+    assert proc.poll() is not None  # killed and reaped, not left running
+    assert proc.stdout.closed
+    assert m._proc is None
+    m.close()  # nothing left to close
+
+
 def test_subprocess_missing_binary():
     m = SubprocessModel(["/no/such/binary"])
     with pytest.raises(SubprocessFailure):
@@ -280,3 +294,8 @@ def test_subprocess_missing_binary():
 def test_subprocess_rejects_shell_string():
     with pytest.raises(AspectraError):
         SubprocessModel("python3 child.py sum")
+
+
+def test_subprocess_rejects_an_empty_argv():
+    with pytest.raises(AspectraError, match="empty argv"):
+        SubprocessModel([])
