@@ -11,161 +11,46 @@ Groups ("aspects") can be supplied by hand or derived from the data by
 hierarchical clustering of pairwise correlations.  Triplots combine the
 cluster tree with importances at every tree level, and every result object
 serializes to JSON/TSV and renders to standalone SVG.
+
+The root exports the entry points below. Every other name (the design and
+surrogate steps, the clustering steps, the model classes, the finer-grained
+errors) lives in its submodule: aspectra.aspects, aspectra.cluster,
+aspectra.data, aspectra.errors, aspectra.global_importance, aspectra.models,
+aspectra.render or aspectra.triplot.
 """
 
-from .aspects import (
-    AspectExplanation,
-    AspectRow,
-    DeltaPredictions,
-    SampleDesign,
-    SurrogateFit,
-    build_design,
-    delta_predictions,
-    fit_lasso,
-    fit_ols,
-    predict_aspects,
-)
-from .cluster import (
-    CorrelationMatrix,
-    MergeRecord,
-    MergeTree,
-    agglomerative,
-    cor_distance,
-    correlation_matrix,
-    cut_tree,
-    group_variables,
-    partition_after_merges,
-)
-from .data import (
-    AspectPartition,
-    NumericTable,
-    Observation,
-    RngStream,
-    load_table,
-    member_set_key,
-    sample_rows,
-    sampled_row_ids,
-    save_table,
-    validate_partition,
-)
-from .errors import (
-    AspectraError,
-    BadIndex,
-    BadK,
-    DuplicateColumn,
-    EmptyGroup,
-    EmptyTable,
-    LengthMismatch,
-    MissingTarget,
-    NonNumericCell,
-    NotCovering,
-    OverlappingGroups,
-    RankDeficient,
-    SchemaMismatch,
-    SingularDesign,
-    SubprocessFailure,
-    UnknownColumn,
-    ZeroVarianceColumn,
-)
-from .global_importance import (
-    GlobalImportance,
-    GroupImportanceRow,
-    ImportanceContext,
-    PermutationConfig,
-    group_importance,
-    permutation_stream,
-    permute_group,
-    single_variable_importance,
-)
-from .models import (
-    ConstantModel,
-    KnnModel,
-    LinearModel,
-    ModelAdapter,
-    SubprocessModel,
-    fit_knn,
-    fit_linear,
-    loss,
-    predict,
-)
-from .render import RenderSpec, render_aspects, render_triplot
-from .triplot import (
-    TriplotConfig,
-    TriplotResult,
-    model_triplot,
-    predict_triplot,
-)
+from .aspects import predict_aspects
+from .cluster import correlation_matrix, group_variables
+from .data import AspectPartition, NumericTable, Observation, load_table
+from .errors import AspectraError, SchemaMismatch, SingularDesign, SubprocessFailure
+from .global_importance import PermutationConfig, group_importance
+from .models import ConstantModel, SubprocessModel, fit_knn, fit_linear
+from .render import render_aspects, render_triplot
+from .triplot import TriplotConfig, model_triplot, predict_triplot
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AspectExplanation",
     "AspectPartition",
-    "AspectRow",
     "AspectraError",
-    "BadIndex",
-    "BadK",
     "ConstantModel",
-    "CorrelationMatrix",
-    "DeltaPredictions",
-    "DuplicateColumn",
-    "EmptyGroup",
-    "EmptyTable",
-    "GlobalImportance",
-    "GroupImportanceRow",
-    "ImportanceContext",
-    "KnnModel",
-    "LengthMismatch",
-    "LinearModel",
-    "MergeRecord",
-    "MergeTree",
-    "MissingTarget",
-    "ModelAdapter",
-    "NonNumericCell",
-    "NotCovering",
     "NumericTable",
     "Observation",
-    "OverlappingGroups",
     "PermutationConfig",
-    "RankDeficient",
-    "RenderSpec",
-    "RngStream",
-    "SampleDesign",
     "SchemaMismatch",
     "SingularDesign",
     "SubprocessFailure",
-    "SurrogateFit",
+    "SubprocessModel",
     "TriplotConfig",
-    "TriplotResult",
-    "UnknownColumn",
-    "ZeroVarianceColumn",
-    "agglomerative",
-    "build_design",
-    "cor_distance",
     "correlation_matrix",
-    "cut_tree",
-    "delta_predictions",
     "fit_knn",
-    "fit_lasso",
     "fit_linear",
-    "fit_ols",
     "group_importance",
     "group_variables",
     "load_table",
-    "loss",
-    "member_set_key",
     "model_triplot",
-    "partition_after_merges",
-    "permutation_stream",
-    "permute_group",
-    "predict",
     "predict_aspects",
     "predict_triplot",
     "render_aspects",
     "render_triplot",
-    "sample_rows",
-    "sampled_row_ids",
-    "save_table",
-    "single_variable_importance",
-    "validate_partition",
 ]

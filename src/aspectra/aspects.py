@@ -72,13 +72,6 @@ class SampleDesign:
 
 
 @dataclass(frozen=True)
-class DeltaPredictions:
-    """Prediction shift caused by the replacements: f(A') - f(A)."""
-
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SurrogateFit:
     """Least-squares surrogate of the prediction shifts on the flag matrix.
 
@@ -148,20 +141,26 @@ class AspectExplanation:
 
     @staticmethod
     def from_json_doc(doc: dict) -> "AspectExplanation":
-        meta = dict(doc.get("metadata", {}))
-        N = meta.pop("N", 0)
-        seed = meta.pop("seed", 0)
-        lam = meta.pop("lambda", None)
-        rows = tuple(
-            AspectRow(
-                name=a["name"],
-                members=tuple(a["members"]),
-                contribution=float(a["contribution"]),
-                min_abs_cor=float(a["min_abs_cor"]),
-                sign_consistent=bool(a["sign_consistent"]),
+        """Rebuild an explanation from to_json_doc's output; a malformed
+        document raises AspectraError."""
+        try:
+            meta = dict(doc.get("metadata", {}))
+            N = meta.pop("N", 0)
+            seed = meta.pop("seed", 0)
+            lam = meta.pop("lambda", None)
+            rows = tuple(
+                AspectRow(
+                    name=str(a["name"]),
+                    members=tuple(str(c) for c in a["members"]),
+                    contribution=float(a["contribution"]),
+                    min_abs_cor=float(a["min_abs_cor"]),
+                    sign_consistent=bool(a["sign_consistent"]),
+                )
+                for a in doc["aspects"]
             )
-            for a in doc["aspects"]
-        )
+            lam = None if lam is None else float(lam)
+        except (KeyError, TypeError, ValueError) as e:
+            raise AspectraError(f"malformed aspect document: {type(e).__name__}: {e}") from None
         return AspectExplanation(aspects=rows, N=N, seed=seed, lam=lam, metadata=meta)
 
 
@@ -204,16 +203,16 @@ def build_design(
     )
 
 
-def delta_predictions(model: ModelAdapter, design: SampleDesign) -> DeltaPredictions:
-    """f(A') - f(A), exactly two adapter calls."""
+def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
+    """The prediction shifts f(A') - f(A), exactly two adapter calls."""
     modified = predict(model, design.table_modified())
     original = predict(model, design.table_original())
-    return DeltaPredictions(modified - original)
+    return modified - original
 
 
-def _design_matrices(design: SampleDesign, ym: DeltaPredictions):
+def _design_matrices(design: SampleDesign, ym: np.ndarray):
     X = design.X_prime.astype(np.float64)
-    y = np.asarray(ym.values, dtype=np.float64).reshape(-1)
+    y = np.asarray(ym, dtype=np.float64).reshape(-1)
     if y.shape[0] != design.N:
         raise AspectraError(f"expected {design.N} prediction shifts, got {y.shape[0]}")
     W = X.T @ X
@@ -229,7 +228,7 @@ def _check_nonsingular(W: np.ndarray, partition: AspectPartition) -> None:
         raise SingularDesign("aspect flag columns are collinear")
 
 
-def fit_ols(design: SampleDesign, ym: DeltaPredictions) -> SurrogateFit:
+def fit_ols(design: SampleDesign, ym: np.ndarray) -> SurrogateFit:
     """Closed-form surrogate coefficients from the normal equations."""
     X, y, W, Z = _design_matrices(design, ym)
     _check_nonsingular(W, design.partition)
@@ -348,7 +347,7 @@ def _knot_active_set(W, ZW, kept, tied, joining, signs):
     raise SingularDesign("no active set continues the lasso path")
 
 
-def fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> SurrogateFit:
+def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
     """Smallest-lambda L1 fit keeping at most `limit` nonzero contributions.
 
     Lasso on the raw binary design (no standardization, no intercept);
@@ -451,7 +450,7 @@ def _fit_surrogate(
 
 
 def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str, C):
-    """Rows ordered by |contribution|; C is the table's CorrelationMatrix
+    """Rows ordered by |contribution|; C is the table's correlation matrix
     under `method`, or None to compute it only if some aspect needs it."""
     if C is None and any(len(ms) > 1 for ms in partition.member_sets):
         C = correlation_matrix(table, method)
@@ -461,7 +460,7 @@ def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method:
             min_abs, consistent = 1.0, True
         else:
             idx = list(members)
-            sub = C.values[np.ix_(idx, idx)]
+            sub = C[np.ix_(idx, idx)]
             off = sub[~np.eye(len(idx), dtype=bool)]
             min_abs = float(np.min(np.abs(off)))
             consistent = bool(np.all(off >= 0.0) or np.all(off <= 0.0))

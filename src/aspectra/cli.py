@@ -8,6 +8,7 @@ command when --model is absent.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
@@ -19,7 +20,7 @@ from .data import AspectPartition, NumericTable, Observation, load_table
 from .errors import AspectraError, SchemaMismatch
 from .global_importance import PermutationConfig, group_importance
 from .models import SubprocessModel, fit_knn, fit_linear
-from .render import RenderSpec, render_aspects, render_triplot
+from .render import render_aspects, render_triplot
 from .triplot import TriplotConfig, TriplotResult, model_triplot, predict_triplot
 
 
@@ -52,6 +53,18 @@ def _parse_model(model_spec, table, y):
     if model_spec.startswith("cmd:"):
         return _subprocess_model(model_spec[4:])
     raise AspectraError(f"unknown model spec {model_spec!r}; use linear, knn:K or cmd:...")
+
+
+@contextlib.contextmanager
+def _model(model_spec, table, y):
+    """The model _parse_model builds, closed on leaving the block if it has close()."""
+    model = _parse_model(model_spec, table, y)
+    try:
+        yield model
+    finally:
+        close = getattr(model, "close", None)
+        if close is not None:
+            close()
 
 
 def _parse_grouping(args, table):
@@ -96,55 +109,55 @@ def _cmd_group_vars(args) -> int:
 
 def _cmd_global_importance(args) -> int:
     table, y = load_table(args.data, target=args.target)
-    model = _parse_model(args.model, table, y)
-    partition = _parse_grouping(args, table)
-    cfg = PermutationConfig(loss=args.loss, B=args.B, N=args.N, seed=args.seed)
-    result = group_importance(model, table, y, partition, cfg)
+    with _model(args.model, table, y) as model:
+        partition = _parse_grouping(args, table)
+        cfg = PermutationConfig(loss=args.loss, B=args.B, N=args.N, seed=args.seed)
+        result = group_importance(model, table, y, partition, cfg)
     _emit(result.to_json() + "\n" if args.format == "json" else result.to_tsv(), args.out)
     return 0
 
 
 def _cmd_predict_aspects(args) -> int:
     table, y = load_table(args.data, target=args.target)
-    model = _parse_model(args.model, table, y)
-    x_star = _parse_observation(args, table)
-    # a cutoff goes to predict_aspects, which reuses the correlation matrix
-    # it groups with for the aspects' correlation summaries
-    grouping = args.cutoff if args.groups is None else _parse_grouping(args, table)
-    expl = predict_aspects(
-        model, table, x_star, grouping,
-        N=args.N, seed=args.seed, limit=args.limit, method=args.method,
-    )
+    with _model(args.model, table, y) as model:
+        x_star = _parse_observation(args, table)
+        # a cutoff goes to predict_aspects, which reuses the correlation matrix
+        # it groups with for the aspects' correlation summaries
+        grouping = args.cutoff if args.groups is None else _parse_grouping(args, table)
+        expl = predict_aspects(
+            model, table, x_star, grouping,
+            N=args.N, seed=args.seed, limit=args.limit, method=args.method,
+        )
     _emit(expl.to_json() + "\n" if args.format == "json" else expl.to_tsv(), args.out)
     return 0
 
 
 def _cmd_triplot(args) -> int:
     table, y = load_table(args.data, target=args.target)
-    model = _parse_model(args.model, table, y)
-    if args.mode == "global":
-        if y is None:
-            raise AspectraError("global triplot needs --target")
-        cfg = TriplotConfig(
-            mode="global",
-            cor_method=args.cor_method,
-            linkage=args.linkage,
-            permutation=PermutationConfig(loss=args.loss, B=args.B, N=args.N, seed=args.seed),
-        )
-        result = model_triplot(model, table, y, cfg)
-    else:
-        if args.row is None and args.obs is None:
-            raise AspectraError("local triplot needs --row or --obs")
-        x_star = _parse_observation(args, table)
-        cfg = TriplotConfig(
-            mode="local",
-            cor_method=args.cor_method,
-            linkage=args.linkage,
-            N=args.N if args.N is not None else 2000,
-            seed=args.seed,
-            limit=args.limit,
-        )
-        result = predict_triplot(model, table, x_star, cfg)
+    with _model(args.model, table, y) as model:
+        if args.mode == "global":
+            if y is None:
+                raise AspectraError("global triplot needs --target")
+            cfg = TriplotConfig(
+                mode="global",
+                cor_method=args.cor_method,
+                linkage=args.linkage,
+                permutation=PermutationConfig(loss=args.loss, B=args.B, N=args.N, seed=args.seed),
+            )
+            result = model_triplot(model, table, y, cfg)
+        else:
+            if args.row is None and args.obs is None:
+                raise AspectraError("local triplot needs --row or --obs")
+            x_star = _parse_observation(args, table)
+            cfg = TriplotConfig(
+                mode="local",
+                cor_method=args.cor_method,
+                linkage=args.linkage,
+                N=args.N if args.N is not None else 2000,
+                seed=args.seed,
+                limit=args.limit,
+            )
+            result = predict_triplot(model, table, x_star, cfg)
     _emit(result.to_json() + "\n", args.out)
     return 0
 
@@ -152,11 +165,12 @@ def _cmd_triplot(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    spec = RenderSpec()
+    if not isinstance(doc, dict):
+        raise AspectraError("unrecognized result document: expected a JSON object")
     if "tree" in doc and "leaves" in doc:
-        svg = render_triplot(TriplotResult.from_json_doc(doc), spec)
+        svg = render_triplot(TriplotResult.from_json_doc(doc))
     elif "aspects" in doc:
-        svg = render_aspects(AspectExplanation.from_json_doc(doc), spec)
+        svg = render_aspects(AspectExplanation.from_json_doc(doc))
     else:
         raise AspectraError("unrecognized result document: expected triplot or aspect JSON")
     _emit(svg, args.out)

@@ -7,7 +7,6 @@ convention: leaves 0..p-1, the t-th merge creates node p+t.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +16,6 @@ from .data import AspectPartition, NumericTable
 from .errors import AspectraError, ZeroVarianceColumn
 
 VALID_LINKAGES = ("complete", "single", "average")
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    values: np.ndarray
-    method: str  # "pearson" | "spearman"
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -88,24 +77,33 @@ class MergeTree:
             for m in self.merges
         ]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2)
-
     @staticmethod
     def from_json_doc(doc) -> "MergeTree":
-        merges = tuple(
-            MergeRecord(int(d["left"]), int(d["right"]), float(d["height"]), tuple(d["members"]))
-            for d in doc
-        )
-        return MergeTree(len(merges) + 1, merges)
+        """Rebuild a tree from to_json_doc's output; a malformed one raises AspectraError."""
+        try:
+            merges = tuple(
+                MergeRecord(int(d["left"]), int(d["right"]), float(d["height"]),
+                            tuple(int(i) for i in d["members"]))
+                for d in doc
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise AspectraError(f"malformed merge tree: {type(e).__name__}: {e}") from None
+        p = len(merges) + 1
+        live = {i: (i,) for i in range(p)}  # cluster id -> members, for unmerged clusters
+        for t, m in enumerate(merges):
+            a, b = live.pop(m.left, None), live.pop(m.right, None)
+            if a is None or b is None or m.members != tuple(sorted(a + b)):
+                raise AspectraError(f"merge {t} does not join two clusters of the tree")
+            live[p + t] = m.members
+        return MergeTree(p, merges)
 
 
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def correlation_matrix(table: NumericTable, method: str = "spearman") -> CorrelationMatrix:
-    """Sample correlation of all column pairs.
+def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndarray:
+    """Sample correlation of all column pairs, as a p x p array.
 
     Spearman is Pearson on average ranks (ties get the mean rank).
     """
@@ -122,12 +120,12 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> Correla
     C = (Xc.T @ Xc) / np.outer(norms, norms)
     C = np.clip((C + C.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(C, 1.0)
-    return CorrelationMatrix(C, method)
+    return C
 
 
-def cor_distance(C: CorrelationMatrix) -> np.ndarray:
+def cor_distance(C: np.ndarray) -> np.ndarray:
     """Distance d(i,j) = 1 - |r(i,j)|; zero diagonal, entries in [0,1]."""
-    D = 1.0 - np.abs(C.values)
+    D = 1.0 - np.abs(C)
     np.fill_diagonal(D, 0.0)
     return D
 
@@ -224,7 +222,7 @@ def group_variables(table: NumericTable, cutoff: float, method: str = "spearman"
 
 
 def _group_variables(table: NumericTable, cutoff: float, method: str):
-    """group_variables, also returning the CorrelationMatrix it clustered."""
+    """group_variables, also returning the correlation matrix it clustered."""
     if not 0.0 <= cutoff <= 1.0:
         raise AspectraError(f"cutoff must be in [0, 1], got {cutoff}")
     C = correlation_matrix(table, method)

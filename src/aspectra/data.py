@@ -203,12 +203,6 @@ class AspectPartition:
     def member_sets(self):
         return tuple(members for _, members in self.groups)
 
-    def members_of(self, name: str):
-        for gname, members in self.groups:
-            if gname == name:
-                return members
-        raise UnknownColumn(name)
-
     @staticmethod
     def singletons(column_names) -> "AspectPartition":
         return AspectPartition(tuple((name, (j,)) for j, name in enumerate(column_names)))
@@ -322,12 +316,7 @@ def save_table(table: NumericTable, path, target_name: str | None = None, target
 
 
 def sampled_row_ids(table: NumericTable, N: int, rng: RngStream) -> np.ndarray:
-    """The row indices sample_rows draws, for designs that track them."""
+    """Draw N row indices uniformly with replacement; deterministic given rng."""
     if N < 1:
         raise EmptyTable(f"cannot sample {N} rows")
     return rng.generator().integers(0, table.n, size=N)
-
-
-def sample_rows(table: NumericTable, N: int, rng: RngStream) -> NumericTable:
-    """Draw N rows uniformly with replacement; deterministic given rng."""
-    return table.take_rows(sampled_row_ids(table, N, rng))

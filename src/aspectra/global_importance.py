@@ -195,10 +195,3 @@ def group_importance(
         column_names=tuple(table.column_names),
         metadata={"loss": cfg.loss, "B": cfg.B, "N": cfg.N, "seed": cfg.seed},
     )
-
-
-def single_variable_importance(
-    model: ModelAdapter, table: NumericTable, y, cfg: PermutationConfig
-) -> GlobalImportance:
-    """group_importance over the all-singletons partition."""
-    return group_importance(model, table, y, AspectPartition.singletons(table.column_names), cfg)

@@ -18,15 +18,17 @@ from .errors import AspectraError
 from .triplot import TriplotResult
 
 
+_MARGIN = 42
+_FONT_SIZE = 11
+_PANEL_GAP = 10
+_BAR_COLOR = "#4477aa"
+_STROKE_COLOR = "#333333"
+
+
 @dataclass(frozen=True)
 class RenderSpec:
     width: int = 1200
     height: int = 500
-    margin: int = 42
-    font_size: int = 11
-    panel_gap: int = 10
-    bar_color: str = "#4477aa"
-    stroke_color: str = "#333333"
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -47,10 +49,10 @@ def _svg_open(spec: RenderSpec) -> list:
     ]
 
 
-def _text(x, y, s, cls, spec, anchor="start", dy=0.0):
+def _text(x, y, s, cls, anchor="start", dy=0.0):
     return (
         f'<text class="{cls}" x="{_fmt(x)}" y="{_fmt(y + dy)}" text-anchor="{anchor}" '
-        f'font-family="monospace" font-size="{spec.font_size}">{escape(s)}</text>'
+        f'font-family="monospace" font-size="{_FONT_SIZE}">{escape(s)}</text>'
     )
 
 
@@ -73,24 +75,23 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
     p = result.p
     tree = result.tree
     out = _svg_open(spec)
-    out.append(_text(spec.margin, spec.margin - 18,
-                     f"{result.mode} importance triplot", "title", spec))
+    out.append(_text(_MARGIN, _MARGIN - 18, f"{result.mode} importance triplot", "title"))
 
-    panel_w = (spec.width - 2 * spec.margin - 2 * spec.panel_gap) / 3.0
-    top = spec.margin + 14
-    bottom = spec.height - spec.margin - 18
+    panel_w = (spec.width - 2 * _MARGIN - 2 * _PANEL_GAP) / 3.0
+    top = _MARGIN + 14
+    bottom = spec.height - _MARGIN - 18
     leaf_order = tree.leaf_order()
     row_h = (bottom - top) / p
     row_y = {}
     for pos, leaf in enumerate(leaf_order):
         row_y[leaf] = top + (pos + 0.5) * row_h
 
-    x_left = spec.margin
-    x_mid = x_left + panel_w + spec.panel_gap
-    x_right = x_mid + panel_w + spec.panel_gap
+    x_left = _MARGIN
+    x_mid = x_left + panel_w + _PANEL_GAP
+    x_right = x_mid + panel_w + _PANEL_GAP
 
     # left panel: one diverging bar per variable
-    out.append(_text(x_left, top - 4, "variable importance", "panel-title", spec))
+    out.append(_text(x_left, top - 4, "variable importance", "panel-title"))
     name_w = min(140.0, panel_w * 0.4)
     bar_lo = x_left + name_w
     bar_hi = x_left + panel_w
@@ -98,7 +99,7 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
     zero_x = to_px(0.0)
     out.append(
         f'<line class="zero-line" x1="{_fmt(zero_x)}" y1="{_fmt(top)}" '
-        f'x2="{_fmt(zero_x)}" y2="{_fmt(bottom)}" stroke="{spec.stroke_color}" '
+        f'x2="{_fmt(zero_x)}" y2="{_fmt(bottom)}" stroke="{_STROKE_COLOR}" '
         f'stroke-dasharray="3,3" stroke-width="1"/>'
     )
     bar_h = max(4.0, row_h * 0.55)
@@ -109,13 +110,13 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
         x0, x1 = min(zero_x, x_v), max(zero_x, x_v)
         out.append(
             f'<rect class="bar" x="{_fmt(x0)}" y="{_fmt(y - bar_h / 2)}" '
-            f'width="{_fmt(x1 - x0)}" height="{_fmt(bar_h)}" fill="{spec.bar_color}"/>'
+            f'width="{_fmt(x1 - x0)}" height="{_fmt(bar_h)}" fill="{_BAR_COLOR}"/>'
         )
-        out.append(_text(x_left, y, result.leaf_names[j][:18], "row-label", spec, dy=3.0))
-        out.append(_text(x1 + 3, y, f"{v:.3f}", "bar-label", spec, dy=3.0))
+        out.append(_text(x_left, y, result.leaf_names[j][:18], "row-label", dy=3.0))
+        out.append(_text(x1 + 3, y, f"{v:.3f}", "bar-label", dy=3.0))
 
     # middle panel: stepped trajectory per variable, labels at merge nodes
-    out.append(_text(x_mid, top - 4, "group importance across merges", "panel-title", spec))
+    out.append(_text(x_mid, top - 4, "group importance across merges", "panel-title"))
     steps = max(p - 1, 1)
     step_x = [x_mid + 8 + t / steps * (panel_w - 30) for t in range(p)]
     y_cur = {j: row_y[j] for j in range(p)}
@@ -129,16 +130,16 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
                 points[j].append((x_t, y_new))
                 y_cur[j] = y_new
         out.append(_text(x_t + 2, y_new - 4,
-                         f"{float(result.node_importance[t]):.3f}", "node-label", spec))
+                         f"{float(result.node_importance[t]):.3f}", "node-label"))
     for j in range(p):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points[j])
         out.append(
             f'<polyline class="trajectory" points="{pts}" fill="none" '
-            f'stroke="{spec.bar_color}" stroke-width="1.5"/>'
+            f'stroke="{_BAR_COLOR}" stroke-width="1.5"/>'
         )
 
     # right panel: dendrogram, axis shown as correlation = 1 - height
-    out.append(_text(x_right, top - 4, "correlation structure", "panel-title", spec))
+    out.append(_text(x_right, top - 4, "correlation structure", "panel-title"))
     h_max = max(1.0, float(np.max(tree.heights)) if len(tree.merges) else 1.0)
 
     def hx(h):
@@ -154,7 +155,7 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
         out.append(
             f'<path class="junction" d="M {_fmt(xa)} {_fmt(ya)} L {_fmt(xm)} {_fmt(ya)} '
             f'L {_fmt(xm)} {_fmt(yb)} L {_fmt(xb)} {_fmt(yb)}" fill="none" '
-            f'stroke="{spec.stroke_color}" stroke-width="1"/>'
+            f'stroke="{_STROKE_COLOR}" stroke-width="1"/>'
         )
         node_id = p + t
         cluster_y[node_id] = 0.5 * (ya + yb)
@@ -162,21 +163,21 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
     axis_y = bottom + 12
     out.append(
         f'<line class="axis" x1="{_fmt(hx(0.0))}" y1="{_fmt(axis_y)}" '
-        f'x2="{_fmt(hx(h_max))}" y2="{_fmt(axis_y)}" stroke="{spec.stroke_color}" stroke-width="1"/>'
+        f'x2="{_fmt(hx(h_max))}" y2="{_fmt(axis_y)}" stroke="{_STROKE_COLOR}" stroke-width="1"/>'
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         h = frac * h_max
-        out.append(_text(hx(h), axis_y + spec.font_size,
-                         f"{1.0 - h:.2f}", "axis-label", spec, anchor="middle"))
-    out.append(_text(x_right + panel_w - 40, axis_y + 2 * spec.font_size + 2,
-                     "correlation", "axis-title", spec, anchor="end"))
+        out.append(_text(hx(h), axis_y + _FONT_SIZE,
+                         f"{1.0 - h:.2f}", "axis-label", anchor="middle"))
+    out.append(_text(x_right + panel_w - 40, axis_y + 2 * _FONT_SIZE + 2,
+                     "correlation", "axis-title", anchor="end"))
 
     if result.mode == "global":
         out.append(_text(
-            spec.margin, spec.height - spec.margin + 26,
+            _MARGIN, spec.height - _MARGIN + 26,
             f"full model loss {result.full_model_loss:.3f}  "
             f"baseline loss {result.baseline_loss:.3f}",
-            "footer", spec,
+            "footer",
         ))
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -190,21 +191,21 @@ def render_aspects(expl: AspectExplanation, spec: RenderSpec = RenderSpec()) -> 
     if expl.lam is not None:
         title += f", lambda={expl.lam:.6g}"
     title += ")"
-    out.append(_text(spec.margin, spec.margin - 18, title, "title", spec))
+    out.append(_text(_MARGIN, _MARGIN - 18, title, "title"))
 
-    top = spec.margin + 10
-    bottom = spec.height - spec.margin
+    top = _MARGIN + 10
+    bottom = spec.height - _MARGIN
     n_rows = max(len(rows), 1)
     row_h = (bottom - top) / n_rows
     name_w = 180.0
-    bar_lo = spec.margin + name_w
-    bar_hi = spec.width - spec.margin - 70
+    bar_lo = _MARGIN + name_w
+    bar_hi = spec.width - _MARGIN - 70
     contribs = np.array([r.contribution for r in rows]) if rows else np.zeros(1)
     to_px = _value_scale(contribs, bar_lo, bar_hi)
     zero_x = to_px(0.0)
     out.append(
         f'<line class="zero-line" x1="{_fmt(zero_x)}" y1="{_fmt(top)}" '
-        f'x2="{_fmt(zero_x)}" y2="{_fmt(bottom)}" stroke="{spec.stroke_color}" stroke-width="1"/>'
+        f'x2="{_fmt(zero_x)}" y2="{_fmt(bottom)}" stroke="{_STROKE_COLOR}" stroke-width="1"/>'
     )
     bar_h = max(4.0, row_h * 0.6)
     for i, row in enumerate(rows):
@@ -213,12 +214,12 @@ def render_aspects(expl: AspectExplanation, spec: RenderSpec = RenderSpec()) -> 
         x0, x1 = min(zero_x, x_v), max(zero_x, x_v)
         out.append(
             f'<rect class="bar" x="{_fmt(x0)}" y="{_fmt(y - bar_h / 2)}" '
-            f'width="{_fmt(x1 - x0)}" height="{_fmt(bar_h)}" fill="{spec.bar_color}"/>'
+            f'width="{_fmt(x1 - x0)}" height="{_fmt(bar_h)}" fill="{_BAR_COLOR}"/>'
         )
         label = row.name[:24]
         if len(row.members) > 1:
             label += f" (|r|>={row.min_abs_cor:.2f})"
-        out.append(_text(spec.margin, y, label, "row-label", spec, dy=3.0))
-        out.append(_text(max(x1, zero_x) + 4, y, f"{row.contribution:.3f}", "bar-label", spec, dy=3.0))
+        out.append(_text(_MARGIN, y, label, "row-label", dy=3.0))
+        out.append(_text(max(x1, zero_x) + 4, y, f"{row.contribution:.3f}", "bar-label", dy=3.0))
     out.append("</svg>")
     return "\n".join(out) + "\n"

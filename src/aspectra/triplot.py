@@ -97,22 +97,37 @@ class TriplotResult:
 
     @staticmethod
     def from_json_doc(doc: dict) -> "TriplotResult":
-        tree = MergeTree.from_json_doc(doc["tree"])
-        metadata = dict(doc.get("metadata", {}))
-        x_star = metadata.pop("x_star", None)
-        full = metadata.pop("full_model_loss", None)
-        baseline = metadata.pop("baseline_loss", None)
-        return TriplotResult(
-            mode=doc["mode"],
-            tree=tree,
-            leaf_names=tuple(leaf["name"] for leaf in doc["leaves"]),
-            leaf_importance=np.array([leaf["importance"] for leaf in doc["leaves"]]),
-            node_importance=np.array([node["importance"] for node in doc["nodes"]]),
-            full_model_loss=full,
-            baseline_loss=baseline,
-            x_star=None if x_star is None else np.asarray(x_star, dtype=np.float64),
-            metadata=metadata,
-        )
+        """Rebuild a result from to_json_doc's output; a malformed document
+        raises AspectraError."""
+        try:
+            tree = MergeTree.from_json_doc(doc["tree"])
+            metadata = dict(doc.get("metadata", {}))
+            x_star = metadata.pop("x_star", None)
+            full = metadata.pop("full_model_loss", None)
+            baseline = metadata.pop("baseline_loss", None)
+            result = TriplotResult(
+                mode=doc["mode"],
+                tree=tree,
+                leaf_names=tuple(str(leaf["name"]) for leaf in doc["leaves"]),
+                leaf_importance=np.array([float(leaf["importance"]) for leaf in doc["leaves"]]),
+                node_importance=np.array([float(node["importance"]) for node in doc["nodes"]]),
+                full_model_loss=None if full is None else float(full),
+                baseline_loss=None if baseline is None else float(baseline),
+                x_star=None if x_star is None else np.asarray(x_star, dtype=np.float64),
+                metadata=metadata,
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise AspectraError(f"malformed triplot document: {type(e).__name__}: {e}") from None
+        if result.mode not in ("global", "local"):
+            raise AspectraError(f"triplot document has mode {result.mode!r}, not global|local")
+        if result.mode == "global" and (full is None or baseline is None):
+            raise AspectraError("global triplot document lacks its model and baseline losses")
+        if result.p != tree.p or result.node_importance.shape[0] != len(tree.merges):
+            raise AspectraError(
+                f"triplot document has {result.p} leaves and {result.node_importance.shape[0]} "
+                f"nodes for a tree over {tree.p} leaves"
+            )
+        return result
 
 
 def _build_tree(table: NumericTable, cfg: TriplotConfig) -> MergeTree:

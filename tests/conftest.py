@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from aspectra import NumericTable, save_table
+from aspectra import NumericTable
+from aspectra.data import save_table
 
 CHILD = os.path.join(os.path.dirname(__file__), "child_model.py")
 

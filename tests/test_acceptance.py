@@ -20,17 +20,10 @@ from scipy.stats import spearmanr
 from aspectra import (
     AspectPartition,
     ConstantModel,
-    ImportanceContext,
-    LinearModel,
     NumericTable,
     Observation,
     PermutationConfig,
-    RngStream,
     TriplotConfig,
-    build_design,
-    delta_predictions,
-    fit_lasso,
-    fit_ols,
     group_importance,
     group_variables,
     model_triplot,
@@ -39,9 +32,12 @@ from aspectra import (
     render_aspects,
     render_triplot,
 )
-from aspectra.aspects import DeltaPredictions
+from aspectra.aspects import build_design, delta_predictions, fit_lasso, fit_ols
 from aspectra.cli import cli_main
+from aspectra.data import RngStream
 from aspectra.errors import SingularDesign
+from aspectra.global_importance import ImportanceContext
+from aspectra.models import LinearModel
 
 from conftest import make_six_variable
 
@@ -105,7 +101,7 @@ def test_criterion_01_closed_form_equivalence():
         m = int(rng.integers(1, 5))
         N = int(rng.integers(max(2 * m, 4), 51))
         design = random_design(rng, m, N)
-        ym = DeltaPredictions(rng.standard_normal(N))
+        ym = rng.standard_normal(N)
 
         # independent oracle: element-wise sums of sigma products
         Xp = design.X_prime
@@ -113,7 +109,7 @@ def test_criterion_01_closed_form_equivalence():
             [sum(int(Xp[n, i]) * int(Xp[n, j]) for n in range(N)) for j in range(m)]
             for i in range(m)
         ]
-        Z = [sum(int(Xp[n, i]) * float(ym.values[n]) for n in range(N)) for i in range(m)]
+        Z = [sum(int(Xp[n, i]) * float(ym[n]) for n in range(N)) for i in range(m)]
         if any(W[i][i] == 0 for i in range(m)) or np.linalg.cond(np.array(W)) > 1e6:
             continue
         expected = gauss_solve(W, Z)
@@ -299,9 +295,7 @@ def test_criterion_07_lasso_contract():
         N = 300
         design = random_design(rng, m, N)
         gamma_true = rng.standard_normal(m) * np.array([4.0, 3.0, 2.0, 1.2, 0.7, 0.4])
-        ym = DeltaPredictions(
-            design.X_prime.astype(float) @ gamma_true + 0.05 * rng.standard_normal(N)
-        )
+        ym = design.X_prime.astype(float) @ gamma_true + 0.05 * rng.standard_normal(N)
         ols = fit_ols(design, ym)
         support = int(np.count_nonzero(ols.gamma))
         for limit in range(m + 1):
@@ -417,9 +411,9 @@ def test_criterion_11_average_observation_small_Z():
     part = AspectPartition.singletons(table.column_names)
     design = build_design(table, x_star, part, N=20_000, rng=RngStream(0))
     ym = delta_predictions(model, design)
-    Z = design.X_prime.astype(float).T @ ym.values
+    Z = design.X_prime.astype(float).T @ ym
     mean_z = float(np.mean(np.abs(Z)) / design.N)
-    sd_ym = float(np.std(ym.values))
+    sd_ym = float(np.std(ym))
     assert sd_ym > 0.0
     assert mean_z < 0.05 * sd_ym, f"mean|Z|/N = {mean_z}, sd(Y_m) = {sd_ym}"
     budget.check()

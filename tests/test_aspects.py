@@ -7,32 +7,31 @@ from hypothesis import strategies as st
 
 import aspectra.aspects
 from aspectra import (
-    AspectExplanation,
     AspectPartition,
     ConstantModel,
-    LinearModel,
     NumericTable,
     Observation,
-    RngStream,
-    SampleDesign,
     SchemaMismatch,
     SingularDesign,
-    build_design,
-    delta_predictions,
-    fit_lasso,
-    fit_ols,
     predict_aspects,
 )
 from aspectra import _kernels
 from aspectra.aspects import (
     BISECT_REL_TOL,
     LASSO_TOL,
-    DeltaPredictions,
+    AspectExplanation,
+    SampleDesign,
     SurrogateFit,
     _design_matrices,
     _lasso_path,
+    build_design,
+    delta_predictions,
+    fit_lasso,
+    fit_ols,
 )
+from aspectra.data import RngStream
 from aspectra.errors import AspectraError, LassoNotConverged
+from aspectra.models import LinearModel
 
 
 def uniform_table(seed=0, n=500, p=4):
@@ -115,7 +114,7 @@ def test_delta_predictions_linear():
     d = build_design(t, t.row(0), singleton_partition(t), N=80, rng=RngStream(3))
     ym = delta_predictions(model, d)
     expected = (d.A_prime - d.A) @ np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(ym.values, expected, atol=1e-12)
+    assert np.allclose(ym, expected, atol=1e-12)
 
 
 # -------------------------------------------------------------------- OLS
@@ -134,7 +133,7 @@ def manual_design(X_prime, y):
             partition=part,
             column_names=tuple(f"a{j}" for j in range(m)),
         ),
-        DeltaPredictions(np.asarray(y, dtype=float)),
+        np.asarray(y, dtype=float),
     )
 
 
@@ -243,7 +242,7 @@ def test_lasso_limit_out_of_range():
 
 def test_lasso_zero_response_short_circuits():
     design, _ = lasso_instance(6)
-    fit = fit_lasso(design, DeltaPredictions(np.zeros(design.N)), limit=3)
+    fit = fit_lasso(design, np.zeros(design.N), limit=3)
     assert np.count_nonzero(fit.gamma) == 0
     assert fit.lam == 0.0
 
@@ -265,7 +264,7 @@ def test_lasso_non_convergence_is_an_error(monkeypatch):
 LASSO_MAX_SWEEPS = 5_000
 
 
-def _oracle_fit_lasso(design: SampleDesign, ym: DeltaPredictions, limit: int) -> SurrogateFit:
+def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
     """Smallest-lambda L1 fit keeping at most `limit` nonzero contributions.
 
     Coordinate descent on the raw binary design (no standardization, no
@@ -415,7 +414,7 @@ def test_lasso_never_sampled_aspect_stays_zero():
     design, ym = lasso_instance(8, N=60, m=4)
     X = design.X_prime.copy()
     X[:, 2] = 0
-    design, ym = manual_design(X, ym.values)
+    design, ym = manual_design(X, ym)
     for limit in range(1, 4):
         fit = assert_fit_matches_oracle(design, ym, limit)
         assert fit.gamma[2] == 0.0

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from aspectra import cli, models
 from aspectra.cli import cli_main
 
 from conftest import CHILD, make_six_variable
@@ -128,6 +129,55 @@ def test_unsplittable_model_env_is_exit_1(six_csv, capsys, monkeypatch):
     ], capsys)
     assert code == 1
     assert "No closing quotation" in err
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Every child process started by a cmd: model that the CLI builds."""
+    started = []
+
+    class Recording(models.SubprocessModel):
+        def _ensure_proc(self):
+            proc = super()._ensure_proc()
+            if proc not in started:
+                started.append(proc)
+            return proc
+
+    monkeypatch.setattr(cli, "SubprocessModel", Recording)
+    return started
+
+
+def child_spec(mode):
+    return f"cmd:{shlex.quote(sys.executable)} {shlex.quote(CHILD)} {mode}"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["global-importance", "--cutoff", "0.6"], 0),
+    (["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200"], 0),
+    (["triplot", "--mode", "global"], 0),
+    (["triplot", "--mode", "local", "--row", "0", "--N", "200"], 0),
+    # fails after the child has answered: the cap exceeds the aspect count
+    (["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200", "--limit", "99"], 1),
+])
+def test_cli_closes_the_model_it_builds(argv, exit_code, six_csv, children, capsys):
+    code, _, err = run(argv[:1] + ["--data", six_csv, "--target", "y",
+                                   "--model", child_spec("sum")] + argv[1:], capsys)
+    assert code == exit_code, err
+    assert len(children) == 1
+    assert children[0].returncode is not None  # exited and reaped
+    assert children[0].stdout.closed
+
+
+def test_model_that_outlives_its_input_is_exit_1(six_csv, children, capsys, monkeypatch):
+    monkeypatch.setattr(models, "_CLOSE_TIMEOUT_S", 0.5)
+    code, out, err = run([
+        "predict-aspects", "--data", six_csv, "--target", "y", "--model", child_spec("linger"),
+        "--row", "0", "--cutoff", "0.6", "--N", "200",
+    ], capsys)
+    assert code == 1
+    assert out == ""
+    assert "killed" in err
+    assert children[0].returncode is not None
 
 
 # --------------------------------------------------------- predict-aspects
@@ -253,10 +303,44 @@ def test_render_aspects_document(six_csv, tmp_path, capsys):
 
 def test_render_unknown_document(tmp_path, capsys):
     bad = tmp_path / "x.json"
-    bad.write_text('{"hello": 1}')
-    code, _, err = run(["render", "--in", str(bad), "--out", str(tmp_path / "x.svg")], capsys)
+    for text in ('{"hello": 1}', '["tree", "leaves"]'):
+        bad.write_text(text)
+        code, _, err = run(["render", "--in", str(bad), "--out", str(tmp_path / "x.svg")],
+                           capsys)
+        assert code == 1
+        assert "unrecognized" in err
+
+
+_MALFORMED = {
+    "leaf-without-name": ("triplot", lambda d: d["leaves"][0].pop("name")),
+    "tree-not-a-list": ("triplot", lambda d: d.update(tree=5)),
+    "aspect-without-members": ("aspects", lambda d: d["aspects"][0].pop("members")),
+    "fewer-nodes-than-merges": ("triplot", lambda d: d["nodes"].pop()),
+    "more-leaves-than-the-tree": ("triplot", lambda d: d["leaves"].append(d["leaves"][0])),
+    "merge-of-an-unknown-cluster": ("triplot", lambda d: d["tree"][0].update(left=99)),
+    "global-without-losses": ("triplot", lambda d: d["metadata"].pop("baseline_loss")),
+    "non-numeric-contribution": ("aspects", lambda d: d["aspects"][0].update(contribution="x")),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_render_malformed_document_is_exit_1(case, six_csv, tmp_path, capsys):
+    kind, corrupt = _MALFORMED[case]
+    doc_file = tmp_path / "doc.json"
+    if kind == "triplot":
+        argv = ["triplot", "--mode", "global"]
+    else:
+        argv = ["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200",
+                "--format", "json"]
+    assert run(argv[:1] + ["--data", six_csv, "--target", "y", "--model", "linear",
+                           "--out", str(doc_file)] + argv[1:], capsys)[0] == 0
+    doc = json.loads(doc_file.read_text())
+    corrupt(doc)
+    doc_file.write_text(json.dumps(doc))
+    code, _, err = run(["render", "--in", str(doc_file), "--out", str(tmp_path / "x.svg")],
+                       capsys)
     assert code == 1
-    assert "unrecognized" in err
+    assert err.startswith("error: ")
 
 
 # -------------------------------------------------------------- exit codes

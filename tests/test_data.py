@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspectra import (
-    AspectPartition,
+from aspectra import AspectPartition, NumericTable, Observation, load_table
+from aspectra.data import (
+    RngStream,
+    member_set_key,
+    sampled_row_ids,
+    save_table,
+    validate_partition,
+)
+from aspectra.errors import (
+    AspectraError,
     BadIndex,
     DuplicateColumn,
     EmptyGroup,
@@ -14,19 +22,9 @@ from aspectra import (
     MissingTarget,
     NonNumericCell,
     NotCovering,
-    NumericTable,
-    Observation,
     OverlappingGroups,
-    RngStream,
     UnknownColumn,
-    load_table,
-    member_set_key,
-    sample_rows,
-    sampled_row_ids,
-    save_table,
-    validate_partition,
 )
-from aspectra.errors import AspectraError
 
 
 # ---------------------------------------------------------------- RngStream
@@ -197,7 +195,7 @@ def test_partition_from_name_dict_roundtrip():
     part = AspectPartition.from_name_dict(mapping, t)
     assert part.to_name_dict(t.column_names) == mapping
     assert part.m == 2
-    assert part.members_of("ab") == (0, 1)
+    assert dict(part.groups)["ab"] == (0, 1)
 
 
 def test_partition_singletons():
@@ -234,13 +232,6 @@ def test_partition_json_shape():
 
 
 # ----------------------------------------------------------------- sampling
-
-
-def test_sample_rows_matches_ids():
-    t = NumericTable(("x",), np.arange(100.0).reshape(-1, 1))
-    rng = RngStream(5)
-    ids = sampled_row_ids(t, 40, rng)
-    assert sample_rows(t, 40, rng) == t.take_rows(ids)
 
 
 def test_sample_rows_with_replacement_uniform():

@@ -7,24 +7,16 @@ from hypothesis import strategies as st
 
 from aspectra import (
     AspectPartition,
-    BadIndex,
     ConstantModel,
-    EmptyGroup,
-    GlobalImportance,
-    ImportanceContext,
-    LinearModel,
     NumericTable,
     PermutationConfig,
-    RngStream,
     fit_linear,
     group_importance,
-    loss,
-    permutation_stream,
-    permute_group,
-    predict,
-    single_variable_importance,
 )
-from aspectra.errors import AspectraError, NonNumericCell
+from aspectra.data import RngStream
+from aspectra.errors import AspectraError, BadIndex, EmptyGroup, NonNumericCell
+from aspectra.global_importance import ImportanceContext, permutation_stream, permute_group
+from aspectra.models import LinearModel, loss, predict
 
 from conftest import make_six_variable
 
@@ -214,16 +206,6 @@ def test_grouped_vs_singleton_rows():
     assert [row.name for row in res.groups] == ["pair", "x2", "x3"]
     assert res.groups[0].members == (0, 1)  # indices; serializers map to names
     assert res.full_model_loss < res.baseline_loss
-
-
-def test_single_variable_importance_matches_singleton_partition():
-    table, y = small_table(seed=6)
-    model = fit_linear(table, y)
-    cfg = PermutationConfig(loss="rmse", B=2, seed=8)
-    singles = single_variable_importance(model, table, y, cfg)
-    part = AspectPartition.singletons(table.column_names)
-    grouped = group_importance(model, table, y, part, cfg)
-    assert [r.importance for r in singles.groups] == [r.importance for r in grouped.groups]
 
 
 def test_result_serialization_roundtrip():

@@ -3,23 +3,17 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from aspectra import (
-    BadK,
     ConstantModel,
-    KnnModel,
-    LengthMismatch,
-    LinearModel,
     NumericTable,
-    RankDeficient,
     SchemaMismatch,
     SubprocessFailure,
     SubprocessModel,
     fit_knn,
     fit_linear,
-    loss,
-    predict,
 )
 from aspectra import models
-from aspectra.errors import AspectraError
+from aspectra.errors import AspectraError, BadK, LengthMismatch, RankDeficient
+from aspectra.models import KnnModel, LinearModel, loss, predict
 
 from conftest import child_cmd
 

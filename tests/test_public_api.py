@@ -1,0 +1,40 @@
+"""The package root's exports and the README's Python quick start."""
+
+import re
+from pathlib import Path
+
+import aspectra
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = {
+    "NumericTable", "Observation", "AspectPartition", "load_table",
+    "fit_linear", "fit_knn", "ConstantModel", "SubprocessModel",
+    "correlation_matrix", "group_variables", "group_importance",
+    "PermutationConfig", "predict_aspects", "TriplotConfig", "model_triplot",
+    "predict_triplot", "render_triplot", "render_aspects",
+    "AspectraError", "SchemaMismatch", "SingularDesign", "SubprocessFailure",
+}
+
+
+def test_root_exports_exactly_the_public_names():
+    assert sorted(aspectra.__all__) == sorted(PUBLIC)
+    assert len(aspectra.__all__) == len(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(aspectra, name).__module__.startswith("aspectra.")
+
+
+def test_readme_lists_the_public_names():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Public API"):]
+    section = section[:section.index("\n## ", 1)]
+    assert set(re.findall(r"`(\w+)`", section)) >= PUBLIC
+
+
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    start = text.index("## Python quick start")
+    block = re.search(r"```python\n(.*?)```", text[start:], re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    out = capsys.readouterr().out
+    assert "full_model_loss" in out and "contribution" in out

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from aspectra import (
-    LinearModel,
+    AspectPartition,
     NumericTable,
     PermutationConfig,
-    RenderSpec,
     TriplotConfig,
     fit_linear,
     model_triplot,
@@ -17,8 +16,9 @@ from aspectra import (
     render_aspects,
     render_triplot,
 )
-from aspectra.data import AspectPartition
 from aspectra.errors import AspectraError
+from aspectra.models import LinearModel
+from aspectra.render import RenderSpec
 
 from conftest import make_six_variable
 

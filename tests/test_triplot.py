@@ -5,19 +5,19 @@ import pytest
 
 from aspectra import (
     ConstantModel,
-    ImportanceContext,
-    ModelAdapter,
     PermutationConfig,
     TriplotConfig,
-    TriplotResult,
     fit_knn,
     fit_linear,
     model_triplot,
-    partition_after_merges,
     predict_aspects,
     predict_triplot,
 )
+from aspectra.cluster import partition_after_merges
 from aspectra.errors import AspectraError
+from aspectra.global_importance import ImportanceContext
+from aspectra.models import ModelAdapter
+from aspectra.triplot import TriplotResult
 
 from conftest import make_six_variable
 
