@@ -23,6 +23,7 @@ from .data import (
     NumericTable,
     Observation,
     RngStream,
+    _finite_float,
     sampled_row_ids,
     validate_partition,
 )
@@ -152,13 +153,13 @@ class AspectExplanation:
                 AspectRow(
                     name=str(a["name"]),
                     members=tuple(str(c) for c in a["members"]),
-                    contribution=float(a["contribution"]),
-                    min_abs_cor=float(a["min_abs_cor"]),
+                    contribution=_finite_float(a["contribution"]),
+                    min_abs_cor=_finite_float(a["min_abs_cor"]),
                     sign_consistent=bool(a["sign_consistent"]),
                 )
                 for a in doc["aspects"]
             )
-            lam = None if lam is None else float(lam)
+            lam = None if lam is None else _finite_float(lam)
         except (KeyError, TypeError, ValueError) as e:
             raise AspectraError(f"malformed aspect document: {type(e).__name__}: {e}") from None
         return AspectExplanation(aspects=rows, N=N, seed=seed, lam=lam, metadata=meta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import AspectPartition, NumericTable
+from .data import AspectPartition, NumericTable, _finite_float
 from .errors import AspectraError, ZeroVarianceColumn
 
 VALID_LINKAGES = ("complete", "single", "average")
@@ -82,7 +82,7 @@ class MergeTree:
         """Rebuild a tree from to_json_doc's output; a malformed one raises AspectraError."""
         try:
             merges = tuple(
-                MergeRecord(int(d["left"]), int(d["right"]), float(d["height"]),
+                MergeRecord(int(d["left"]), int(d["right"]), _finite_float(d["height"]),
                             tuple(int(i) for i in d["members"]))
                 for d in doc
             )

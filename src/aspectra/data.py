@@ -107,10 +107,11 @@ class NumericTable:
     def _from_validated(cls, column_names: tuple, values: np.ndarray) -> "NumericTable":
         """Wrap values derived from a validated table, skipping the checks.
 
-        `column_names` is that table's names tuple and `values` a fresh
+        `column_names` is that table's names tuple and `values` a
         C-contiguous float64 array of at least one row holding only that
         table's values, so every check above already holds. It is made
-        read-only in place.
+        read-only in place; a view keeps its base array writable, so the
+        caller may rewrite a reused buffer once the table is out of use.
         """
         table = object.__new__(cls)
         values.setflags(write=False)
@@ -241,6 +242,14 @@ def validate_partition(partition: AspectPartition, p: int) -> None:
     missing = set(range(p)) - set(seen)
     if missing:
         raise NotCovering(missing)
+
+
+def _finite_float(value) -> float:
+    """float(value) for a document reader; NaN and infinities raise ValueError."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x!r}")
+    return x
 
 
 def load_table(path, target: str | None = None):

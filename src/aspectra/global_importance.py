@@ -6,6 +6,16 @@ columns of the group, so within-group joint structure is preserved while the
 group's association with everything else is broken. The baseline permutes all
 columns jointly; with the full-member group it is the same permutation stream,
 so full-group importance equals baseline_loss - full_model_loss exactly.
+
+Scoring is batched. Every (member set, repetition) job gets its own
+permuted copy of the table, and copies are stacked into one `predict` call
+of up to _BATCH_VALUES (2**19) values, in a buffer reused across calls.
+This rests on the model contract in `models.ModelAdapter`: a row's
+prediction must not depend on the other rows in the batch, and a model must
+neither keep nor write to the table it is given. Under that contract the
+losses equal those of scoring each copy alone, bit for bit; `LinearModel`'s
+BLAS product is the known exception, off by a rounding when n is not a
+multiple of 4 (see its docstring).
 """
 
 from __future__ import annotations
@@ -27,6 +37,9 @@ from .models import LOSS_KINDS, ModelAdapter, loss, predict
 
 _K_SUBSAMPLE = 0x5AB5
 _K_PERM = 0x9E47
+
+# at most this many values (rows x columns) of permuted tables per model call
+_BATCH_VALUES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -105,22 +118,31 @@ def permutation_stream(seed: int, members, rep: int) -> RngStream:
     return RngStream(seed).child(_K_PERM, member_set_key(members), rep)
 
 
-def permute_group(table: NumericTable, group, rng: RngStream) -> NumericTable:
-    """Apply one shared row permutation to every column in the group.
-
-    The result holds only the input's values under its column names, so it
-    shares the input's validation and is not scanned again.
-    """
+def _checked_members(group, p: int) -> list:
     members = sorted(int(i) for i in group)
     if not members:
         raise EmptyGroup("<anonymous>")
     for i in members:
-        if i < 0 or i >= table.p:
-            raise BadIndex(i, table.p)
+        if i < 0 or i >= p:
+            raise BadIndex(i, p)
+    return members
+
+
+def permute_group(table: NumericTable, group, rng: RngStream, out=None) -> NumericTable | None:
+    """Apply one shared row permutation to every column in the group.
+
+    The result holds only the input's values under its column names, so it
+    shares the input's validation and is not scanned again. With `out`, an
+    n x p array already holding the table's values, only the group's
+    columns are written there and nothing is returned.
+    """
+    members = _checked_members(group, table.p)
     perm = rng.generator().permutation(table.n)
-    values = table.values.copy()
+    values = table.values.copy() if out is None else out
     values[:, members] = table.values[:, members][perm]
-    return NumericTable._from_validated(table.column_names, values)
+    if out is None:
+        return NumericTable._from_validated(table.column_names, values)
+    return None
 
 
 class ImportanceContext:
@@ -150,19 +172,52 @@ class ImportanceContext:
 
     def mean_permuted_loss(self, members) -> float:
         key = frozenset(int(i) for i in members)
-        if key in self._cache:
-            return self._cache[key]
-        if not key:
-            result = self.full_model_loss
-        else:
-            per_rep = np.empty(self.cfg.B)
-            for b in range(self.cfg.B):
+        if key not in self._cache:
+            self._score([key])
+        return self._cache[key]
+
+    def _score(self, member_sets) -> None:
+        """Cache the mean permuted loss of every member set not cached yet.
+
+        All sets are checked before the first model call. Each (set,
+        repetition) job permutes its group's columns into its own n-row
+        slot of one buffer of tiled copies of the table; a model call
+        scores as many slots as _BATCH_VALUES allows, after which the
+        group's columns are written back from the table.
+        """
+        jobs, members_of = [], {}
+        for group in member_sets:
+            key = frozenset(int(i) for i in group)
+            if key in self._cache or key in members_of:
+                continue
+            if not key:
+                self._cache[key] = self.full_model_loss
+                continue
+            members_of[key] = _checked_members(key, self.table.p)
+            jobs += [(key, b) for b in range(self.cfg.B)]
+        if not jobs:
+            return
+        n, p = self.table.n, self.table.p
+        values = self.table.values
+        k = min(max(1, _BATCH_VALUES // (n * p)), len(jobs))
+        buf = np.tile(values, (k, 1))
+        losses = {key: np.empty(self.cfg.B) for key in members_of}
+        for start in range(0, len(jobs), k):
+            chunk = jobs[start:start + k]
+            for slot, (key, b) in enumerate(chunk):
                 stream = permutation_stream(self.cfg.seed, key, b)
-                permuted = permute_group(self.table, key, stream)
-                per_rep[b] = loss(self.cfg.loss, self.y, predict(self.model, permuted))
-            result = float(np.mean(per_rep))
-        self._cache[key] = result
-        return result
+                permute_group(self.table, key, stream, out=buf[slot * n:(slot + 1) * n])
+            stacked = NumericTable._from_validated(
+                self.table.column_names, buf[:len(chunk) * n]
+            )
+            yhat = predict(self.model, stacked)
+            for slot, (key, b) in enumerate(chunk):
+                rows = slice(slot * n, (slot + 1) * n)
+                losses[key][b] = loss(self.cfg.loss, self.y, yhat[rows])
+                members = members_of[key]
+                buf[rows, members] = values[:, members]
+        for key, per_rep in losses.items():
+            self._cache[key] = float(np.mean(per_rep))
 
     def importance(self, members) -> float:
         return self.mean_permuted_loss(members) - self.full_model_loss
@@ -182,6 +237,7 @@ def group_importance(
     """Block-permutation importance of every group in the partition."""
     validate_partition(groups, table.p)
     ctx = ImportanceContext(model, table, y, cfg)
+    ctx._score([members for _, members in groups.groups] + [range(table.p)])
     rows = []
     for name, members in groups.groups:
         mean_loss = ctx.mean_permuted_loss(members)

@@ -31,7 +31,15 @@ _CLOSE_TIMEOUT_S = 10.0
 
 
 class ModelAdapter:
-    """Base contract: deterministic predict, finite outputs, fixed schema."""
+    """Base contract: deterministic predict, finite outputs, fixed schema.
+
+    predict is called on batches of rows, and a row's prediction must not
+    depend on the other rows in the batch: global importance stacks several
+    permuted copies of the table into one call, up to 2**19 values. The
+    table is read-only and may be a view of a buffer that the caller
+    rewrites for its next call, so a model must neither keep the table nor
+    write to it.
+    """
 
     label: str = "model"
     column_names = None  # training schema; None skips the name check
@@ -44,7 +52,14 @@ class ModelAdapter:
 
 
 class LinearModel(ModelAdapter):
-    """Exact linear predictor: intercept + x . coefficients."""
+    """Exact linear predictor: intercept + x . coefficients.
+
+    The product is numpy's BLAS matrix-vector product. OpenBLAS (seen with
+    0.3.31) computes rows in blocks of 4, so a row's last bit can depend on
+    its position in the batch: the last n mod 4 rows of an n-row table
+    stacked with others, like a row subset of a table, may differ by one
+    rounding from the table scored alone. Results stay deterministic.
+    """
 
     def __init__(self, intercept, coefficients, column_names=None, label="linear"):
         self.intercept = float(intercept)

@@ -24,7 +24,7 @@ from .cluster import (
     correlation_matrix,
     partition_after_merges,
 )
-from .data import NumericTable, Observation
+from .data import NumericTable, Observation, _finite_float
 from .errors import AspectraError
 from .global_importance import ImportanceContext, PermutationConfig
 from .models import ModelAdapter
@@ -105,15 +105,16 @@ class TriplotResult:
             x_star = metadata.pop("x_star", None)
             full = metadata.pop("full_model_loss", None)
             baseline = metadata.pop("baseline_loss", None)
+            finite = _finite_float
             result = TriplotResult(
                 mode=doc["mode"],
                 tree=tree,
                 leaf_names=tuple(str(leaf["name"]) for leaf in doc["leaves"]),
-                leaf_importance=np.array([float(leaf["importance"]) for leaf in doc["leaves"]]),
-                node_importance=np.array([float(node["importance"]) for node in doc["nodes"]]),
-                full_model_loss=None if full is None else float(full),
-                baseline_loss=None if baseline is None else float(baseline),
-                x_star=None if x_star is None else np.asarray(x_star, dtype=np.float64),
+                leaf_importance=np.array([finite(leaf["importance"]) for leaf in doc["leaves"]]),
+                node_importance=np.array([finite(node["importance"]) for node in doc["nodes"]]),
+                full_model_loss=None if full is None else finite(full),
+                baseline_loss=None if baseline is None else finite(baseline),
+                x_star=None if x_star is None else np.array([finite(v) for v in x_star]),
                 metadata=metadata,
             )
         except (KeyError, TypeError, ValueError) as e:
@@ -140,7 +141,9 @@ def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfi
         raise AspectraError("model_triplot needs a global-mode config")
     tree = _build_tree(table, cfg)
     ctx = ImportanceContext(model, table, y, cfg.permutation)
-    leaf_imp = np.array([ctx.importance((j,)) for j in range(table.p)])
+    leaves = [(j,) for j in range(table.p)]
+    ctx._score(leaves + [m.members for m in tree.merges] + [range(table.p)])
+    leaf_imp = np.array([ctx.importance(leaf) for leaf in leaves])
     node_imp = np.array([ctx.importance(m.members) for m in tree.merges])
     return TriplotResult(
         mode="global",

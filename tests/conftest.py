@@ -6,12 +6,33 @@ import pytest
 
 from aspectra import NumericTable
 from aspectra.data import save_table
+from aspectra.models import ModelAdapter
 
 CHILD = os.path.join(os.path.dirname(__file__), "child_model.py")
 
 
 def child_cmd(mode: str):
     return [sys.executable, CHILD, mode]
+
+
+class CountingModel(ModelAdapter):
+    """Delegates to a model; counts calls and rows and notes whether each
+    table it was given could be written to."""
+
+    def __init__(self, model):
+        self.model = model
+        self.column_names = model.column_names
+        self.calls = self.rows = 0
+        self.writeable = []
+
+    def expected_p(self):
+        return self.model.expected_p()
+
+    def predict(self, table):
+        self.calls += 1
+        self.rows += table.n
+        self.writeable.append(table.values.flags.writeable)
+        return self.model.predict(table)
 
 
 def make_six_variable(n: int = 400, seed: int = 11):

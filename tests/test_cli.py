@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -320,6 +321,14 @@ _MALFORMED = {
     "merge-of-an-unknown-cluster": ("triplot", lambda d: d["tree"][0].update(left=99)),
     "global-without-losses": ("triplot", lambda d: d["metadata"].pop("baseline_loss")),
     "non-numeric-contribution": ("aspects", lambda d: d["aspects"][0].update(contribution="x")),
+    "nan-leaf-importance": ("triplot", lambda d: d["leaves"][0].update(importance=math.nan)),
+    "inf-node-importance": ("triplot", lambda d: d["nodes"][0].update(importance=math.inf)),
+    "nan-merge-height": ("triplot", lambda d: d["tree"][0].update(height=math.nan)),
+    "inf-baseline-loss": ("triplot", lambda d: d["metadata"].update(baseline_loss=-math.inf)),
+    "nan-model-loss": ("triplot", lambda d: d["metadata"].update(full_model_loss=math.nan)),
+    "nan-contribution": ("aspects", lambda d: d["aspects"][0].update(contribution=math.nan)),
+    "inf-min-abs-cor": ("aspects", lambda d: d["aspects"][0].update(min_abs_cor=math.inf)),
+    "nan-lambda": ("aspects", lambda d: d["metadata"].update({"lambda": math.nan})),
 }
 
 

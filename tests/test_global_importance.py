@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from aspectra import (
     fit_linear,
     group_importance,
 )
+from aspectra import global_importance
 from aspectra.data import RngStream
 from aspectra.errors import AspectraError, BadIndex, EmptyGroup, NonNumericCell
 from aspectra.global_importance import ImportanceContext, permutation_stream, permute_group
-from aspectra.models import LinearModel, loss, predict
+from aspectra.models import KnnModel, LinearModel, ModelAdapter, loss, predict
 
-from conftest import make_six_variable
+from conftest import CountingModel, make_six_variable
 
 
 def small_table(seed=0, n=80, p=4):
@@ -162,6 +164,143 @@ def test_context_caches_by_member_set():
     model = fit_linear(table, y)
     ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", seed=0))
     assert ctx.mean_permuted_loss([0, 1]) is ctx.mean_permuted_loss((1, 0))
+
+
+class RowByRowModel(ModelAdapter):
+    """Scores each row alone in plain Python, so no row can see another."""
+
+    label = "row-by-row"
+
+    def __init__(self, p):
+        self.weights = [math.sin(j + 1.0) for j in range(p)]
+
+    def expected_p(self):
+        return len(self.weights)
+
+    def predict(self, table):
+        return np.array([
+            math.tanh(sum(w * v for w, v in zip(self.weights, row))) + row[0] ** 2
+            for row in table.values.tolist()
+        ])
+
+
+def _oracle_mean_permuted_loss(ctx, members):
+    """ImportanceContext.mean_permuted_loss as it was before batching: one
+    permute_group and one predict per repetition, uncached."""
+    key = frozenset(int(i) for i in members)
+    if not key:
+        return ctx.full_model_loss
+    per_rep = np.empty(ctx.cfg.B)
+    for b in range(ctx.cfg.B):
+        stream = permutation_stream(ctx.cfg.seed, key, b)
+        permuted = permute_group(ctx.table, key, stream)
+        per_rep[b] = loss(ctx.cfg.loss, ctx.y, predict(ctx.model, permuted))
+    return float(np.mean(per_rep))
+
+
+@st.composite
+def _scoring_cases(draw):
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        values = rng.integers(-3, 4, size=(n, p)) / 2.0  # tied values
+    else:
+        values = rng.standard_normal((n, p))
+    table = NumericTable(tuple(f"c{j}" for j in range(p)), values)
+    y = rng.standard_normal(n)
+    cfg = PermutationConfig(
+        loss=draw(st.sampled_from(["rmse", "mae"])),
+        B=draw(st.integers(1, 3)),
+        N=draw(st.one_of(st.none(), st.integers(1, n + 2))),
+        seed=draw(st.integers(0, 1000)),
+    )
+    sets = draw(st.lists(st.lists(st.integers(0, p - 1), max_size=2 * p), min_size=1,
+                         max_size=6))
+    if draw(st.booleans()):
+        sets.append([])
+    if draw(st.booleans()):
+        sets.append(list(range(p))[::-1])
+    if draw(st.booleans()):
+        sets.append(sets[0][::-1] + sets[0])  # the same set again, reordered
+    # from a budget below one table (k = 1) to several tables per call
+    budget = draw(st.integers(1, 4 * n * p))
+    kind = draw(st.sampled_from(["knn", "constant", "row-by-row", "linear"]))
+    if kind == "knn":
+        train = rng.integers(-2, 3, size=(8, p)) / 2.0
+        model = KnnModel(draw(st.integers(1, 8)), train, rng.standard_normal(8))
+    elif kind == "constant":
+        model = ConstantModel(0.25)
+    elif kind == "row-by-row":
+        model = RowByRowModel(p)
+    else:
+        model = LinearModel(0.5, rng.standard_normal(p))
+    return table, y, cfg, sets, budget, kind, model
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scoring_cases())
+def test_batched_scoring_matches_per_set_oracle(case):
+    table, y, cfg, sets, budget, kind, model = case
+    before = table.values.copy()
+    saved = global_importance._BATCH_VALUES
+    global_importance._BATCH_VALUES = budget
+    try:
+        together = ImportanceContext(CountingModel(model), table, y, cfg)
+        together._score(sets)
+        one_at_a_time = ImportanceContext(CountingModel(model), table, y, cfg)
+        for members in sets:
+            one_at_a_time.mean_permuted_loss(members)
+    finally:
+        global_importance._BATCH_VALUES = saved
+    assert np.array_equal(table.values, before)
+    for ctx in (together, one_at_a_time):
+        assert not any(ctx.model.writeable)
+    for members in sets:
+        want = _oracle_mean_permuted_loss(together, members)
+        for ctx in (together, one_at_a_time):
+            got = ctx.mean_permuted_loss(members)
+            if kind == "linear":
+                # BLAS may round a row differently inside a stacked table
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+            else:
+                assert got == want
+
+
+def _calls_and_rows(n, p, B, sets, budget):
+    k = max(1, budget // (n * p))
+    return 1 + math.ceil(B * sets / k), n * (1 + B * sets)
+
+
+@pytest.mark.parametrize("budget", [1, 240, 1000, 1 << 19])
+def test_group_importance_model_calls(budget, monkeypatch):
+    # 3 groups and the full set, scored once each per repetition
+    monkeypatch.setattr(global_importance, "_BATCH_VALUES", budget)
+    table, y = small_table(n=60, p=4)
+    model = CountingModel(fit_linear(table, y))
+    part = AspectPartition((("pair", (0, 1)), ("x2", (2,)), ("x3", (3,))))
+    group_importance(model, table, y, part, PermutationConfig(loss="rmse", B=3, seed=1))
+    assert (model.calls, model.rows) == _calls_and_rows(60, 4, 3, 4, budget)
+
+
+def test_bad_member_index_raises_before_any_model_call(monkeypatch):
+    # one table per call, so a set checked only when its turn came would
+    # let the sets before it reach the model
+    monkeypatch.setattr(global_importance, "_BATCH_VALUES", 1)
+    table, y = small_table(n=20, p=3)
+    model = CountingModel(fit_linear(table, y))
+    ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", B=2))
+    assert model.calls == 1  # the unpermuted loss
+    with pytest.raises(BadIndex):
+        ctx._score([(0,), (1, 2), (0, 3)])
+    with pytest.raises(BadIndex):
+        ctx.mean_permuted_loss((-1,))
+    assert model.calls == 1
+    with pytest.raises(BadIndex):
+        group_importance(model, table, y, AspectPartition((("g", (0, 1, 2, 3)),)),
+                         PermutationConfig(loss="rmse"))
+    assert model.calls == 1
 
 
 def test_config_validation():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from aspectra import (
     predict_aspects,
     predict_triplot,
 )
+from aspectra import global_importance
 from aspectra.cluster import partition_after_merges
 from aspectra.errors import AspectraError
 from aspectra.global_importance import ImportanceContext
-from aspectra.models import ModelAdapter
 from aspectra.triplot import TriplotResult
 
-from conftest import make_six_variable
+from conftest import CountingModel, make_six_variable
 
 
 def global_cfg(**kw):
@@ -139,21 +140,6 @@ def test_local_node_is_new_cluster_at_its_level(six_table):
             assert res.node_importance[t] == row.contribution
 
 
-class CountingModel(ModelAdapter):
-    def __init__(self, model):
-        self.model = model
-        self.column_names = model.column_names
-        self.calls = self.rows = 0
-
-    def expected_p(self):
-        return self.model.expected_p()
-
-    def predict(self, table):
-        self.calls += 1
-        self.rows += table.n
-        return self.model.predict(table)
-
-
 @pytest.mark.parametrize("limit", [None, 2])
 @pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
 def test_local_model_calls(six_table, fit, limit):
@@ -163,6 +149,20 @@ def test_local_model_calls(six_table, fit, limit):
     predict_triplot(model, table, table.row(5), TriplotConfig(mode="local", N=300, seed=6,
                                                              limit=limit))
     assert (model.calls, model.rows) == (2 * table.p, 2 * table.p * 300)
+
+
+@pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
+@pytest.mark.parametrize("B", [1, 2])
+def test_global_model_calls(six_table, B, budget, monkeypatch):
+    # the unpermuted loss, then p leaves and p - 1 merges (the root is the
+    # baseline's full set), B repetitions each, stacked k tables per call
+    monkeypatch.setattr(global_importance, "_BATCH_VALUES", budget)
+    table, y = six_table
+    model = CountingModel(fit_linear(table, y))
+    model_triplot(model, table, y, global_cfg(B=B, seed=2))
+    jobs = B * (2 * table.p - 1)
+    k = max(1, budget // (table.n * table.p))
+    assert (model.calls, model.rows) == (1 + math.ceil(jobs / k), table.n * (1 + jobs))
 
 
 def test_local_constant_model_all_zero(six_table):
@@ -200,6 +200,16 @@ def test_json_roundtrip(six_table, mode):
     assert np.array_equal(back.leaf_importance, res.leaf_importance)
     assert np.array_equal(back.node_importance, res.node_importance)
     assert back.to_json() == res.to_json()  # serialization is a fixed point
+
+
+def test_json_doc_with_non_finite_x_star_is_rejected(six_table):
+    table, y = six_table
+    res = predict_triplot(fit_linear(table, y), table, table.row(0),
+                          TriplotConfig(mode="local", N=400, seed=5))
+    doc = json.loads(res.to_json())
+    doc["metadata"]["x_star"][2] = math.nan
+    with pytest.raises(AspectraError, match="non-finite"):
+        TriplotResult.from_json_doc(doc)
 
 
 def test_json_doc_shape(six_table):
