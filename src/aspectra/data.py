@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AspectraError,
     BadIndex,
     DuplicateColumn,
     EmptyGroup,
@@ -109,7 +110,8 @@ class NumericTable:
 
         `column_names` is that table's names tuple and `values` a
         C-contiguous float64 array of at least one row holding only that
-        table's values, so every check above already holds. It is made
+        table's values, such as a stack of its unpermuted and permuted
+        copies, so every check above already holds. It is made
         read-only in place; a view keeps its base array writable, so the
         caller may rewrite a reused buffer once the table is out of use.
         """
@@ -211,10 +213,18 @@ class AspectPartition:
     @staticmethod
     def from_name_dict(mapping, table: NumericTable) -> "AspectPartition":
         """Build a partition from {group name: [column names]}."""
+        if not isinstance(mapping, dict):
+            raise AspectraError(
+                f"groups must map group names to column names, got {type(mapping).__name__}"
+            )
         groups = []
         for gname, cols in mapping.items():
             if isinstance(cols, str):
                 cols = [cols]
+            if not isinstance(cols, (list, tuple)):
+                raise AspectraError(
+                    f"group {gname!r} must be a column name or a list of them, got {cols!r}"
+                )
             groups.append((gname, tuple(table.column_index(c) for c in cols)))
         part = AspectPartition(tuple(groups))
         validate_partition(part, table.p)

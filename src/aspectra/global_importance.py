@@ -9,7 +9,9 @@ so full-group importance equals baseline_loss - full_model_loss exactly.
 
 Scoring is batched. Every (member set, repetition) job gets its own
 permuted copy of the table, and copies are stacked into one `predict` call
-of up to _BATCH_VALUES (2**19) values, in a buffer reused across calls.
+of up to _BATCH_VALUES (2**19) values, in a buffer reused across calls. The
+unpermuted table is one more job, first in the first call, so one batch may
+hold it as well as permuted copies.
 This rests on the model contract in `models.ModelAdapter`: a row's
 prediction must not depend on the other rows in the batch, and a model must
 neither keep nor write to the table it is given. Under that contract the
@@ -32,8 +34,8 @@ from .data import (
     member_set_key,
     validate_partition,
 )
-from .errors import AspectraError, BadIndex, EmptyGroup, LengthMismatch
-from .models import LOSS_KINDS, ModelAdapter, loss, predict
+from .errors import AspectraError, BadIndex, EmptyGroup
+from .models import LOSS_KINDS, ModelAdapter, _finite_targets, loss, predict
 
 _K_SUBSAMPLE = 0x5AB5
 _K_PERM = 0x9E47
@@ -128,21 +130,15 @@ def _checked_members(group, p: int) -> list:
     return members
 
 
-def permute_group(table: NumericTable, group, rng: RngStream, out=None) -> NumericTable | None:
+def permute_group(table: NumericTable, group, rng: RngStream, out: np.ndarray) -> None:
     """Apply one shared row permutation to every column in the group.
 
-    The result holds only the input's values under its column names, so it
-    shares the input's validation and is not scanned again. With `out`, an
-    n x p array already holding the table's values, only the group's
-    columns are written there and nothing is returned.
+    `out` is an n x p array already holding the table's values; only the
+    group's columns are written there.
     """
     members = _checked_members(group, table.p)
     perm = rng.generator().permutation(table.n)
-    values = table.values.copy() if out is None else out
-    values[:, members] = table.values[:, members][perm]
-    if out is None:
-        return NumericTable._from_validated(table.column_names, values)
-    return None
+    out[:, members] = table.values[:, members][perm]
 
 
 class ImportanceContext:
@@ -151,12 +147,11 @@ class ImportanceContext:
     One context per call keeps every group, repetition and the baseline on
     the same rows, so level-to-level comparisons are paired. Member sets are
     cached by value; asking for the same set twice returns the same floats.
+    The empty set is the unpermuted table, whose loss is the full model's.
     """
 
     def __init__(self, model: ModelAdapter, table: NumericTable, y, cfg: PermutationConfig):
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if y.shape[0] != table.n:
-            raise LengthMismatch(table.n, y.shape[0])
+        y = _finite_targets(y, table.n)
         self.cfg = cfg
         base = RngStream(cfg.seed)
         if cfg.N is not None and cfg.N < table.n:
@@ -167,8 +162,11 @@ class ImportanceContext:
             self.table = table
             self.y = y
         self.model = model
-        self.full_model_loss = loss(cfg.loss, self.y, predict(model, self.table))
         self._cache = {}
+
+    @property
+    def full_model_loss(self) -> float:
+        return self.mean_permuted_loss(())
 
     def mean_permuted_loss(self, members) -> float:
         key = frozenset(int(i) for i in members)
@@ -183,30 +181,30 @@ class ImportanceContext:
         repetition) job permutes its group's columns into its own n-row
         slot of one buffer of tiled copies of the table; a model call
         scores as many slots as _BATCH_VALUES allows, after which the
-        group's columns are written back from the table.
+        group's columns are written back from the table. The empty set,
+        the unpermuted table, goes first as a single job whose slot keeps
+        the tiled values.
         """
-        jobs, members_of = [], {}
-        for group in member_sets:
+        jobs, members_of, losses = [], {}, {}
+        for group in [(), *member_sets]:
             key = frozenset(int(i) for i in group)
             if key in self._cache or key in members_of:
                 continue
-            if not key:
-                self._cache[key] = self.full_model_loss
-                continue
-            members_of[key] = _checked_members(key, self.table.p)
-            jobs += [(key, b) for b in range(self.cfg.B)]
+            members_of[key] = _checked_members(key, self.table.p) if key else []
+            losses[key] = np.empty(self.cfg.B if key else 1)
+            jobs += [(key, b) for b in range(losses[key].size)]
         if not jobs:
             return
         n, p = self.table.n, self.table.p
         values = self.table.values
         k = min(max(1, _BATCH_VALUES // (n * p)), len(jobs))
         buf = np.tile(values, (k, 1))
-        losses = {key: np.empty(self.cfg.B) for key in members_of}
         for start in range(0, len(jobs), k):
             chunk = jobs[start:start + k]
             for slot, (key, b) in enumerate(chunk):
-                stream = permutation_stream(self.cfg.seed, key, b)
-                permute_group(self.table, key, stream, out=buf[slot * n:(slot + 1) * n])
+                if key:
+                    stream = permutation_stream(self.cfg.seed, key, b)
+                    permute_group(self.table, key, stream, buf[slot * n:(slot + 1) * n])
             stacked = NumericTable._from_validated(
                 self.table.column_names, buf[:len(chunk) * n]
             )
@@ -218,9 +216,6 @@ class ImportanceContext:
                 buf[rows, members] = values[:, members]
         for key, per_rep in losses.items():
             self._cache[key] = float(np.mean(per_rep))
-
-    def importance(self, members) -> float:
-        return self.mean_permuted_loss(members) - self.full_model_loss
 
     @property
     def baseline_loss(self) -> float:

@@ -259,11 +259,20 @@ class SubprocessModel(ModelAdapter):
         self.close()
 
 
+def _finite_targets(y, n: int) -> np.ndarray:
+    """y as a float64 vector of n finite values; raise otherwise."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.shape[0] != n:
+        raise LengthMismatch(n, y.shape[0])
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise AspectraError(f"target y[{bad[0]}] is not a finite number: {y[bad[0]]!r}")
+    return y
+
+
 def fit_linear(table: NumericTable, y) -> LinearModel:
     """Ordinary least squares with intercept, via orthogonal decomposition."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != table.n:
-        raise LengthMismatch(table.n, y.shape[0])
+    y = _finite_targets(y, table.n)
     if table.n <= table.p:
         raise RankDeficient(f"need n > p rows, got n={table.n}, p={table.p}")
     design = np.column_stack([np.ones(table.n), table.values])
@@ -293,12 +302,8 @@ def loss(kind: str, y, yhat) -> float:
     return float(np.mean(np.abs(err)))
 
 
-def predict(model: ModelAdapter, table: NumericTable, check_determinism: bool = False) -> np.ndarray:
-    """Call the model with schema and output-contract checks.
-
-    check_determinism evaluates twice and errors on any difference; useful
-    when debugging external models that are secretly stochastic.
-    """
+def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
+    """Call the model with schema and output-contract checks."""
     if model.column_names is not None and list(model.column_names) != list(table.column_names):
         raise SchemaMismatch(
             f"model was trained on columns {model.column_names}, got {table.column_names}"
@@ -311,10 +316,4 @@ def predict(model: ModelAdapter, table: NumericTable, check_determinism: bool = 
         raise SchemaMismatch(f"model returned {out.shape[0]} predictions for {table.n} rows")
     if not np.all(np.isfinite(out)):
         raise AspectraError(f"model {model.label!r} returned non-finite predictions")
-    if check_determinism:
-        again = np.asarray(model.predict(table), dtype=np.float64).reshape(-1)
-        if not np.array_equal(out, again):
-            raise AspectraError(
-                f"model {model.label!r} is not deterministic: two evaluations differ"
-            )
     return out

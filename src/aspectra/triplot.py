@@ -143,15 +143,16 @@ def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfi
     ctx = ImportanceContext(model, table, y, cfg.permutation)
     leaves = [(j,) for j in range(table.p)]
     ctx._score(leaves + [m.members for m in tree.merges] + [range(table.p)])
-    leaf_imp = np.array([ctx.importance(leaf) for leaf in leaves])
-    node_imp = np.array([ctx.importance(m.members) for m in tree.merges])
+    full = ctx.full_model_loss
+    leaf_imp = np.array([ctx.mean_permuted_loss(leaf) - full for leaf in leaves])
+    node_imp = np.array([ctx.mean_permuted_loss(m.members) - full for m in tree.merges])
     return TriplotResult(
         mode="global",
         tree=tree,
         leaf_names=tuple(table.column_names),
         leaf_importance=leaf_imp,
         node_importance=node_imp,
-        full_model_loss=ctx.full_model_loss,
+        full_model_loss=full,
         baseline_loss=ctx.baseline_loss,
         metadata={
             "loss": cfg.permutation.loss,

@@ -375,13 +375,22 @@ def _unreadable_file_cases(csv, tmp):
     broken.write_text('{"ab": ["a", "b"')
     latin = tmp / "latin.bin"
     latin.write_bytes(b"x,y\n\xff\xfe,1\n")  # not UTF-8
+    listed = tmp / "list.json"
+    listed.write_text("[1, 2]")  # not an object
+    scalar = tmp / "scalar.json"
+    scalar.write_text('{"g": 5, "h": ["b", "c"]}')  # a group that is not names
     model = ["--target", "y", "--model", "linear"]
+    local = ["predict-aspects", "--data", csv, *model, "--row", "0"]
     return {
         "missing-data": ["group-vars", "--data", missing, "--cutoff", "0.5"],
         "non-utf8-data": ["group-vars", "--data", str(latin), "--cutoff", "0.5"],
         "missing-groups": ["global-importance", "--data", csv, *model, "--groups", missing],
         "malformed-groups": ["global-importance", "--data", csv, *model, "--groups", str(broken)],
         "non-utf8-groups": ["global-importance", "--data", csv, *model, "--groups", str(latin)],
+        "list-groups": ["global-importance", "--data", csv, *model, "--groups", str(listed)],
+        "scalar-group": ["global-importance", "--data", csv, *model, "--groups", str(scalar)],
+        "local-list-groups": [*local, "--groups", str(listed)],
+        "local-scalar-group": [*local, "--groups", str(scalar)],
         "missing-obs": ["predict-aspects", "--data", csv, *model, "--obs", missing,
                         "--cutoff", "0.6"],
         "missing-in": ["render", "--in", missing, "--out", str(tmp / "x.svg")],
@@ -390,7 +399,9 @@ def _unreadable_file_cases(csv, tmp):
 
 
 @pytest.mark.parametrize("case", ["missing-data", "non-utf8-data", "missing-groups",
-                                  "malformed-groups", "non-utf8-groups", "missing-obs",
+                                  "malformed-groups", "non-utf8-groups", "list-groups",
+                                  "scalar-group", "local-list-groups", "local-scalar-group",
+                                  "missing-obs",
                                   "missing-in", "malformed-in"])
 def test_unreadable_input_file_is_exit_1(case, six_csv, tmp_path, capsys):
     code, out, err = run(_unreadable_file_cases(six_csv, tmp_path)[case], capsys)

@@ -19,6 +19,7 @@ from aspectra.data import RngStream
 from aspectra.errors import AspectraError, BadIndex, EmptyGroup, NonNumericCell
 from aspectra.global_importance import ImportanceContext, permutation_stream, permute_group
 from aspectra.models import KnnModel, LinearModel, ModelAdapter, loss, predict
+from aspectra.triplot import TriplotConfig, model_triplot
 
 from conftest import CountingModel, make_six_variable
 
@@ -33,9 +34,16 @@ def small_table(seed=0, n=80, p=4):
 # ------------------------------------------------------------ permute_group
 
 
+def _permuted(table, group, rng):
+    """The table with the group permuted, written into a copy of its values."""
+    values = table.values.copy()
+    permute_group(table, group, rng, values)
+    return table.with_values(values)
+
+
 def test_permute_group_shares_one_permutation():
     t = NumericTable(("a", "b", "c"), np.arange(30.0).reshape(10, 3))
-    out = permute_group(t, [0, 2], RngStream(1))
+    out = _permuted(t, [0, 2], RngStream(1))
     # columns 0 and 2 moved together: their within-row difference is preserved
     assert set(out.values[:, 0].tolist()) == set(t.values[:, 0].tolist())
     assert np.array_equal(out.values[:, 2] - out.values[:, 0], np.full(10, 2.0))
@@ -44,17 +52,19 @@ def test_permute_group_shares_one_permutation():
 
 def test_permute_group_deterministic():
     t = NumericTable(("a",), np.arange(50.0).reshape(-1, 1))
-    a = permute_group(t, [0], RngStream(7))
-    b = permute_group(t, [0], RngStream(7))
+    a = _permuted(t, [0], RngStream(7))
+    b = _permuted(t, [0], RngStream(7))
     assert a == b
 
 
 def test_permute_group_errors():
     t = NumericTable(("a",), np.zeros((3, 1)))
+    out = t.values.copy()
     with pytest.raises(EmptyGroup):
-        permute_group(t, [], RngStream(0))
+        permute_group(t, [], RngStream(0), out)
     with pytest.raises(BadIndex):
-        permute_group(t, [1], RngStream(0))
+        permute_group(t, [1], RngStream(0), out)
+    assert np.array_equal(out, t.values)
 
 
 def _oracle_permute_group(table, group, rng):
@@ -91,11 +101,10 @@ def _tables_and_groups(draw):
 def test_permute_group_matches_oracle(case):
     table, group, rng = case
     before = table.values.copy()
-    got = permute_group(table, group, rng)
+    got = table.values.copy()
+    assert permute_group(table, group, rng, got) is None
     want = _oracle_permute_group(table, group, rng)
-    assert np.array_equal(got.values, want.values)
-    assert got.column_names == want.column_names == table.column_names
-    assert got.values.flags.writeable is False
+    assert np.array_equal(got, want.values)
     assert np.array_equal(table.values, before)  # the input is left as it was
 
 
@@ -131,7 +140,7 @@ def test_empty_member_set_is_full_model_loss():
     model = fit_linear(table, y)
     ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", seed=1))
     assert ctx.mean_permuted_loss(()) == ctx.full_model_loss
-    assert ctx.importance(()) == 0.0
+    assert ctx.full_model_loss == loss("rmse", y, predict(model, table))
 
 
 def test_mean_over_reps_matches_manual_loop():
@@ -143,7 +152,7 @@ def test_mean_over_reps_matches_manual_loop():
     per_rep = []
     for b in range(4):
         stream = permutation_stream(9, members, b)
-        permuted = permute_group(table, members, stream)
+        permuted = _permuted(table, members, stream)
         per_rep.append(loss("mae", y, predict(model, permuted)))
     assert ctx.mean_permuted_loss(members) == float(np.mean(per_rep))
 
@@ -186,14 +195,15 @@ class RowByRowModel(ModelAdapter):
 
 def _oracle_mean_permuted_loss(ctx, members):
     """ImportanceContext.mean_permuted_loss as it was before batching: one
-    permute_group and one predict per repetition, uncached."""
+    permute_group and one predict per repetition, uncached; the empty set is
+    the unpermuted table, scored alone."""
     key = frozenset(int(i) for i in members)
     if not key:
-        return ctx.full_model_loss
+        return loss(ctx.cfg.loss, ctx.y, predict(ctx.model, ctx.table))
     per_rep = np.empty(ctx.cfg.B)
     for b in range(ctx.cfg.B):
         stream = permutation_stream(ctx.cfg.seed, key, b)
-        permuted = permute_group(ctx.table, key, stream)
+        permuted = _permuted(ctx.table, key, stream)
         per_rep[b] = loss(ctx.cfg.loss, ctx.y, predict(ctx.model, permuted))
     return float(np.mean(per_rep))
 
@@ -257,10 +267,12 @@ def test_batched_scoring_matches_per_set_oracle(case):
     assert np.array_equal(table.values, before)
     for ctx in (together, one_at_a_time):
         assert not any(ctx.model.writeable)
-    for members in sets:
+    for members in [(), *sets]:
         want = _oracle_mean_permuted_loss(together, members)
         for ctx in (together, one_at_a_time):
             got = ctx.mean_permuted_loss(members)
+            if members == ():
+                assert got == ctx.full_model_loss
             if kind == "linear":
                 # BLAS may round a row differently inside a stacked table
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -269,8 +281,9 @@ def test_batched_scoring_matches_per_set_oracle(case):
 
 
 def _calls_and_rows(n, p, B, sets, budget):
+    # the unpermuted table is one job, scored in the first call
     k = max(1, budget // (n * p))
-    return 1 + math.ceil(B * sets / k), n * (1 + B * sets)
+    return math.ceil((1 + B * sets) / k), n * (1 + B * sets)
 
 
 @pytest.mark.parametrize("budget", [1, 240, 1000, 1 << 19])
@@ -291,16 +304,32 @@ def test_bad_member_index_raises_before_any_model_call(monkeypatch):
     table, y = small_table(n=20, p=3)
     model = CountingModel(fit_linear(table, y))
     ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", B=2))
-    assert model.calls == 1  # the unpermuted loss
+    assert model.calls == 0  # the unpermuted table waits for the first batch
     with pytest.raises(BadIndex):
         ctx._score([(0,), (1, 2), (0, 3)])
     with pytest.raises(BadIndex):
         ctx.mean_permuted_loss((-1,))
-    assert model.calls == 1
+    assert model.calls == 0
     with pytest.raises(BadIndex):
         group_importance(model, table, y, AspectPartition((("g", (0, 1, 2, 3)),)),
                          PermutationConfig(loss="rmse"))
-    assert model.calls == 1
+    assert model.calls == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_target_raises_before_any_model_call(bad):
+    table, y = small_table(n=20, p=3)
+    model = CountingModel(fit_linear(table, y))
+    y = y.copy()
+    y[5] = bad
+    cfg = PermutationConfig(loss="rmse", B=2)
+    with pytest.raises(AspectraError, match=r"target y\[5\]"):
+        ImportanceContext(model, table, y, cfg)
+    with pytest.raises(AspectraError, match=r"target y\[5\]"):
+        group_importance(model, table, y, AspectPartition.singletons(table.column_names), cfg)
+    with pytest.raises(AspectraError, match=r"target y\[5\]"):
+        model_triplot(model, table, y, TriplotConfig(mode="global", permutation=cfg))
+    assert model.calls == 0
 
 
 def test_config_validation():

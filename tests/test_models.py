@@ -65,6 +65,15 @@ def test_fit_linear_length_mismatch():
         fit_linear(table_of(np.ones((5, 1))), np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_linear_rejects_non_finite_target(bad):
+    X = np.arange(10.0).reshape(5, 2) ** 2
+    y = np.arange(5.0)
+    y[3] = bad
+    with pytest.raises(AspectraError, match=r"target y\[3\] is not a finite number"):
+        fit_linear(table_of(X), y)
+
+
 def test_knn_matches_brute_force_oracle():
     rng = np.random.default_rng(2)
     train = rng.standard_normal((80, 3))
@@ -165,12 +174,6 @@ def test_predict_checks_schema():
         predict(m, table_of(np.ones((2, 1)), names=("b",)))
     with pytest.raises(SchemaMismatch):
         predict(LinearModel(0.0, [1.0, 2.0]), table_of(np.ones((2, 1))))
-
-
-def test_predict_check_determinism_passes_for_pure_model():
-    m = LinearModel(0.0, [1.0])
-    t = table_of(np.ones((3, 1)))
-    assert predict(m, t, check_determinism=True).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_predict_rejects_non_finite_output():

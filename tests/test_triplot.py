@@ -80,9 +80,9 @@ def test_global_nodes_match_direct_context(six_table):
     res = model_triplot(model, table, y, TriplotConfig(mode="global", permutation=perm))
     ctx = ImportanceContext(model, table, y, perm)
     for merge, imp in zip(res.tree.merges, res.node_importance):
-        assert imp == ctx.importance(merge.members)
+        assert imp == ctx.mean_permuted_loss(merge.members) - ctx.full_model_loss
     for j, imp in enumerate(res.leaf_importance):
-        assert imp == ctx.importance((j,))
+        assert imp == ctx.mean_permuted_loss((j,)) - ctx.full_model_loss
 
 
 def test_global_constant_model_all_zero(six_table):
@@ -154,15 +154,15 @@ def test_local_model_calls(six_table, fit, limit):
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
 @pytest.mark.parametrize("B", [1, 2])
 def test_global_model_calls(six_table, B, budget, monkeypatch):
-    # the unpermuted loss, then p leaves and p - 1 merges (the root is the
-    # baseline's full set), B repetitions each, stacked k tables per call
+    # the unpermuted table once, then p leaves and p - 1 merges (the root is
+    # the baseline's full set), B repetitions each, stacked k tables per call
     monkeypatch.setattr(global_importance, "_BATCH_VALUES", budget)
     table, y = six_table
     model = CountingModel(fit_linear(table, y))
     model_triplot(model, table, y, global_cfg(B=B, seed=2))
-    jobs = B * (2 * table.p - 1)
+    jobs = 1 + B * (2 * table.p - 1)
     k = max(1, budget // (table.n * table.p))
-    assert (model.calls, model.rows) == (1 + math.ceil(jobs / k), table.n * (1 + jobs))
+    assert (model.calls, model.rows) == (math.ceil(jobs / k), table.n * jobs)
 
 
 def test_local_constant_model_all_zero(six_table):
