@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .data import (
     NumericTable,
     Observation,
     RngStream,
+    _check_tsv_names,
     _finite_float,
     sampled_row_ids,
     validate_partition,
@@ -48,14 +49,17 @@ class SampleDesign:
     indices are drawn with replacement, so they may coincide (probability
     1/m). A'[i, j] equals the explained observation at j when column j's
     aspect is flagged in row i, otherwise A[i, j].
+
+    `original` holds A and `modified` holds A', both N x p read-only tables
+    under the explained table's column names; they are the two tables the
+    model scores.
     """
 
     row_ids: np.ndarray
     X_prime: np.ndarray  # N x m, int8
-    A: np.ndarray  # N x p
-    A_prime: np.ndarray  # N x p
+    original: NumericTable
+    modified: NumericTable
     partition: AspectPartition
-    column_names: tuple
 
     @property
     def N(self) -> int:
@@ -64,12 +68,6 @@ class SampleDesign:
     @property
     def m(self) -> int:
         return self.X_prime.shape[1]
-
-    def table_original(self) -> NumericTable:
-        return NumericTable(self.column_names, self.A)
-
-    def table_modified(self) -> NumericTable:
-        return NumericTable(self.column_names, self.A_prime)
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,10 @@ class AspectExplanation:
     N: int
     seed: int
     lam: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def to_tsv(self) -> str:
+        _check_tsv_names((a.name, a.members) for a in self.aspects)
         lines = [f"# N\t{self.N}", f"# seed\t{self.seed}", f"# lambda\t{self.lam!r}"]
-        for k, v in self.metadata.items():
-            lines.append(f"# {k}\t{v}")
         lines.append("aspect\tmembers\tcontribution\tmin_abs_cor\tsign_consistent")
         for a in self.aspects:
             lines.append(
@@ -134,7 +130,7 @@ class AspectExplanation:
                 }
                 for a in self.aspects
             ],
-            "metadata": {"N": self.N, "seed": self.seed, "lambda": self.lam, **self.metadata},
+            "metadata": {"N": self.N, "seed": self.seed, "lambda": self.lam},
         }
 
     def to_json(self) -> str:
@@ -143,12 +139,13 @@ class AspectExplanation:
     @staticmethod
     def from_json_doc(doc: dict) -> "AspectExplanation":
         """Rebuild an explanation from to_json_doc's output; a malformed
-        document raises AspectraError."""
+        document raises AspectraError; metadata keys other than N, seed and
+        lambda are ignored."""
         try:
             meta = dict(doc.get("metadata", {}))
-            N = meta.pop("N", 0)
-            seed = meta.pop("seed", 0)
-            lam = meta.pop("lambda", None)
+            N = meta.get("N", 0)
+            seed = meta.get("seed", 0)
+            lam = meta.get("lambda", None)
             rows = tuple(
                 AspectRow(
                     name=str(a["name"]),
@@ -162,7 +159,7 @@ class AspectExplanation:
             lam = None if lam is None else _finite_float(lam)
         except (KeyError, TypeError, ValueError) as e:
             raise AspectraError(f"malformed aspect document: {type(e).__name__}: {e}") from None
-        return AspectExplanation(aspects=rows, N=N, seed=seed, lam=lam, metadata=meta)
+        return AspectExplanation(aspects=rows, N=N, seed=seed, lam=lam)
 
 
 def build_design(
@@ -194,21 +191,21 @@ def build_design(
     for j, members in enumerate(partition.member_sets):
         aspect_of[list(members)] = j
     A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
+    # A holds rows of the validated table and A' mixes them with the
+    # validated observation, so neither needs checking again
+    names = table.column_names
     return SampleDesign(
         row_ids=row_ids,
         X_prime=X_prime,
-        A=A,
-        A_prime=A_prime,
+        original=NumericTable._from_validated(names, A),
+        modified=NumericTable._from_validated(names, A_prime),
         partition=partition,
-        column_names=tuple(table.column_names),
     )
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
     """The prediction shifts f(A') - f(A), exactly two adapter calls."""
-    modified = predict(model, design.table_modified())
-    original = predict(model, design.table_original())
-    return modified - original
+    return predict(model, design.modified) - predict(model, design.original)
 
 
 def _design_matrices(design: SampleDesign, ym: np.ndarray):
@@ -376,18 +373,6 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
         )
     X, y, W, Z = _design_matrices(design, ym)
     lam_max = float(np.max(np.abs(Z)) / design.N)
-    if lam_max == 0.0:
-        gamma = np.zeros(m)
-        return SurrogateFit(
-            gamma=gamma, W=W, Z=Z, residual_norm=float(np.linalg.norm(y)),
-            lam=0.0, path=((0.0, 0),),
-        )
-    if limit == 0:
-        gamma = np.zeros(m)
-        return SurrogateFit(
-            gamma=gamma, W=W, Z=Z, residual_norm=float(np.linalg.norm(y)),
-            lam=lam_max, path=((lam_max, 0),),
-        )
     segments = _lasso_path(W, Z)
     knots, actives = [], []  # segment bottoms, descending, and their active sets
 
@@ -404,8 +389,10 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
     # stop once the bracket is tiny relative to the answer, so that shrinking
     # the returned lambda by even 0.1% drops below the true crossing point;
     # the absolute floor ends the search when the crossing is at 0
+    # limit = 0 is met at lam_max, and lam_max = 0 leaves no bracket: both
+    # skip the loop and return gamma = 0
     floor = 1e-12 * lam_max
-    while hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
+    while limit > 0 and hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         nnz = active_set(design.N * mid).shape[0]
         trace.append((mid, nnz))
@@ -441,13 +428,15 @@ def _fit_surrogate(
 ) -> SurrogateFit:
     """Sample a design for `partition`, score it and fit the surrogate.
 
-    gamma is aligned to `partition.member_sets`; limit=None fits by OLS.
+    gamma is aligned to `partition.member_sets`; limit=None fits by OLS. A
+    limit at or above the aspect count is the uncapped fit, so a coarse
+    partition takes min(limit, m).
     """
     design = build_design(table, x_star, partition, N, RngStream(seed))
     ym = delta_predictions(model, design)
     if limit is None:
         return fit_ols(design, ym)
-    return fit_lasso(design, ym, limit)
+    return fit_lasso(design, ym, min(limit, partition.m))
 
 
 def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str, C):
@@ -492,7 +481,9 @@ def predict_aspects(
 
     `grouping` is either an AspectPartition or a correlation cutoff in
     [0, 1]; a cutoff delegates the grouping to group_variables. With `limit`
-    set, at most that many aspects keep a nonzero contribution.
+    set, at most that many aspects keep a nonzero contribution; a limit at or
+    above the number of aspects the grouping gives fits without a cap, as
+    limit = m does. A negative limit raises AspectraError.
     """
     if isinstance(grouping, AspectPartition):
         partition, C = grouping, None

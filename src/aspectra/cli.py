@@ -69,7 +69,7 @@ def _model(model_spec, table, y):
 
 def _parse_grouping(args, table):
     if args.groups is not None:
-        with open(args.groups, "r", encoding="utf-8") as fh:
+        with open(args.groups, "r", encoding="utf-8-sig") as fh:
             mapping = json.load(fh)
         return AspectPartition.from_name_dict(mapping, table)
     return group_variables(table, args.cutoff, args.method)
@@ -163,7 +163,7 @@ def _cmd_triplot(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
+    with open(args.infile, "r", encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise AspectraError("unrecognized result document: expected a JSON object")

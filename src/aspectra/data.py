@@ -109,11 +109,14 @@ class NumericTable:
         """Wrap values derived from a validated table, skipping the checks.
 
         `column_names` is that table's names tuple and `values` a
-        C-contiguous float64 array of at least one row holding only that
-        table's values, such as a stack of its unpermuted and permuted
-        copies, so every check above already holds. It is made
-        read-only in place; a view keeps its base array writable, so the
-        caller may rewrite a reused buffer once the table is out of use.
+        C-contiguous float64 array of at least one row and p columns holding
+        only finite values already validated: that table's own values, such
+        as a stack of its unpermuted and permuted copies or its sampled rows,
+        or those rows with some cells replaced by an `Observation` of the
+        same width, as in a local design's modified rows. Every check above
+        then already holds. It is made read-only in place; a view keeps its
+        base array writable, so the caller may rewrite a reused buffer once
+        the table is out of use.
         """
         table = object.__new__(cls)
         values.setflags(write=False)
@@ -262,14 +265,34 @@ def _finite_float(value) -> float:
     return x
 
 
+def _check_tsv_names(groups) -> None:
+    """Reject names a TSV document cannot hold, before any of it is written.
+
+    `groups` yields (group name, member column names) pairs. A tab, CR or LF
+    in any name would split a field or a line, and a comma in a member name
+    would read as a second member of the comma-joined members field; each
+    raises AspectraError. JSON output holds any name.
+    """
+    for name, members in groups:
+        for text in (name, *members):
+            if any(c in text for c in "\t\r\n"):
+                raise AspectraError(f"name {text!r} holds a tab or line break; TSV cannot hold it")
+        for member in members:
+            if "," in member:
+                raise AspectraError(
+                    f"column name {member!r} holds a comma, which separates TSV members"
+                )
+
+
 def load_table(path, target: str | None = None):
-    """Read a comma-delimited text file with a header row.
+    """Read a comma-delimited UTF-8 text file with a header row.
 
     Returns (NumericTable, target vector or None). When `target` names a
     column, that column is split out as a float vector and excluded from
-    the table.
+    the table. A leading byte-order mark is skipped, so it does not become
+    part of the first column's name.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

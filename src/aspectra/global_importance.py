@@ -31,6 +31,7 @@ from .data import (
     AspectPartition,
     NumericTable,
     RngStream,
+    _check_tsv_names,
     member_set_key,
     validate_partition,
 )
@@ -79,6 +80,9 @@ class GlobalImportance:
     metadata: dict = field(default_factory=dict)
 
     def to_tsv(self) -> str:
+        _check_tsv_names(
+            (g.name, [self.column_names[i] for i in g.members]) for g in self.groups
+        )
         lines = [
             f"# full_model_loss\t{self.full_model_loss!r}",
             f"# baseline_loss\t{self.baseline_loss!r}",

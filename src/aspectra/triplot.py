@@ -175,9 +175,7 @@ def predict_triplot(
 
     def contributions_at(level: int) -> dict:
         part = partition_after_merges(tree, level, table.column_names)
-        # coarser levels have fewer aspects than the requested cap
-        limit = None if cfg.limit is None else min(cfg.limit, part.m)
-        fit = _fit_surrogate(model, table, x_star, part, cfg.N, cfg.seed, limit)
+        fit = _fit_surrogate(model, table, x_star, part, cfg.N, cfg.seed, cfg.limit)
         return dict(zip(part.member_sets, fit.gamma))
 
     leaf_level = contributions_at(0)

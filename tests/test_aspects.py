@@ -51,7 +51,7 @@ def test_design_shapes_and_flag_counts():
     part = singleton_partition(t)
     d = build_design(t, t.row(0), part, N=300, rng=RngStream(0))
     assert d.X_prime.shape == (300, 4)
-    assert d.A.shape == (300, 4) and d.A_prime.shape == (300, 4)
+    assert d.original.values.shape == (300, 4) and d.modified.values.shape == (300, 4)
     counts = d.X_prime.sum(axis=1)
     assert np.all((counts == 1) | (counts == 2))
     assert np.any(counts == 1) and np.any(counts == 2)  # both draw types occur
@@ -60,7 +60,19 @@ def test_design_shapes_and_flag_counts():
 def test_design_rows_come_from_table():
     t = uniform_table(n=40)
     d = build_design(t, t.row(3), singleton_partition(t), N=100, rng=RngStream(5))
-    assert np.array_equal(d.A, t.values[d.row_ids])
+    assert np.array_equal(d.original.values, t.values[d.row_ids])
+    assert d.original.column_names == d.modified.column_names == t.column_names
+
+
+def test_design_tables_are_read_only():
+    # the tables are wrapped without re-validation, so nothing may rewrite them
+    t = uniform_table(n=40)
+    d = build_design(t, t.row(3), singleton_partition(t), N=100, rng=RngStream(5))
+    for table in (d.original, d.modified):
+        assert table.values.dtype == np.float64 and table.values.flags.c_contiguous
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 1.0
 
 
 def test_design_replacement_semantics():
@@ -69,13 +81,14 @@ def test_design_replacement_semantics():
     part = AspectPartition((("g01", (0, 1)), ("g2", (2,)), ("g3", (3,))))
     d = build_design(t, x_star, part, N=200, rng=RngStream(2))
     star = x_star.values
+    A, A_prime = d.original.values, d.modified.values
     for n in range(200):
         for j, members in enumerate(part.member_sets):
             for c in members:
                 if d.X_prime[n, j]:
-                    assert d.A_prime[n, c] == star[c]
+                    assert A_prime[n, c] == star[c]
                 else:
-                    assert d.A_prime[n, c] == d.A[n, c]
+                    assert A_prime[n, c] == A[n, c]
 
 
 def test_design_deterministic_and_seed_sensitive():
@@ -113,7 +126,7 @@ def test_delta_predictions_linear():
     model = LinearModel(1.0, [1.0, 2.0, 3.0, 4.0])
     d = build_design(t, t.row(0), singleton_partition(t), N=80, rng=RngStream(3))
     ym = delta_predictions(model, d)
-    expected = (d.A_prime - d.A) @ np.array([1.0, 2.0, 3.0, 4.0])
+    expected = (d.modified.values - d.original.values) @ np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(ym, expected, atol=1e-12)
 
 
@@ -123,15 +136,14 @@ def test_delta_predictions_linear():
 def manual_design(X_prime, y):
     N, m = X_prime.shape
     part = AspectPartition(tuple((f"a{j}", (j,)) for j in range(m)))
-    zeros = np.zeros((N, m))
+    zeros = NumericTable(tuple(f"a{j}" for j in range(m)), np.zeros((N, m)))
     return (
         SampleDesign(
             row_ids=np.zeros(N, dtype=np.int64),
             X_prime=np.asarray(X_prime, dtype=np.int8),
-            A=zeros,
-            A_prime=zeros,
+            original=zeros,
+            modified=zeros,
             partition=part,
-            column_names=tuple(f"a{j}" for j in range(m)),
         ),
         np.asarray(y, dtype=float),
     )
@@ -206,6 +218,8 @@ def test_lasso_limit_zero_all_zero_at_lam_max():
     fit = fit_lasso(design, ym, limit=0)
     assert np.count_nonzero(fit.gamma) == 0
     assert fit.lam == pytest.approx(np.max(np.abs(fit.Z)) / design.N)
+    for seed in range(1, 20):  # the oracle returns early; fit_lasso skips its search
+        assert_fit_matches_oracle(*lasso_instance(seed), limit=0)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4])
@@ -245,6 +259,8 @@ def test_lasso_zero_response_short_circuits():
     fit = fit_lasso(design, np.zeros(design.N), limit=3)
     assert np.count_nonzero(fit.gamma) == 0
     assert fit.lam == 0.0
+    for limit in range(design.m):
+        assert_fit_matches_oracle(design, np.zeros(design.N), limit)
 
 
 def test_lasso_non_convergence_is_an_error(monkeypatch):
@@ -546,6 +562,21 @@ def test_limit_flows_through():
     assert expl.lam is not None and expl.lam > 0.0
 
 
+def test_limit_at_or_above_aspect_count_is_uncapped():
+    # a cutoff grouping decides m, so a caller cannot know it in advance
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal(400)
+    t = NumericTable(("a", "b", "c"), np.column_stack(
+        [a, a + 0.05 * rng.standard_normal(400), rng.standard_normal(400)]))
+    model = LinearModel(0.0, [1.0, 1.0, 1.0])
+    at_m = predict_aspects(model, t, t.row(0), 0.5, N=500, seed=3, limit=2)
+    assert len(at_m.aspects) == 2 and at_m.lam == 0.0
+    for limit in (3, 99):
+        assert predict_aspects(model, t, t.row(0), 0.5, N=500, seed=3, limit=limit) == at_m
+    with pytest.raises(AspectraError, match="limit"):
+        predict_aspects(model, t, t.row(0), 0.5, N=500, seed=3, limit=-1)
+
+
 def test_explanation_serialization_roundtrip():
     t = uniform_table(12)
     model = LinearModel(0.0, [1.0, 2.0, 3.0, 4.0])
@@ -557,7 +588,9 @@ def test_explanation_serialization_roundtrip():
     assert len(body) == 1 + 4
 
     doc = json.loads(expl.to_json())
+    doc["metadata"]["unknown"] = "ignored"
     back = AspectExplanation.from_json_doc(doc)
+    assert back == expl
     assert back.N == expl.N and back.seed == expl.seed and back.lam == expl.lam
     assert [a.name for a in back.aspects] == [a.name for a in expl.aspects]
     assert [a.contribution for a in back.aspects] == [a.contribution for a in expl.aspects]

@@ -157,8 +157,8 @@ def child_spec(mode):
     (["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200"], 0),
     (["triplot", "--mode", "global"], 0),
     (["triplot", "--mode", "local", "--row", "0", "--N", "200"], 0),
-    # fails after the child has answered: the cap exceeds the aspect count
-    (["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200", "--limit", "99"], 1),
+    # fails after the child has answered: the cap is negative
+    (["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200", "--limit", "-1"], 1),
 ])
 def test_cli_closes_the_model_it_builds(argv, exit_code, six_csv, children, capsys):
     code, _, err = run(argv[:1] + ["--data", six_csv, "--target", "y",
@@ -215,6 +215,77 @@ def test_predict_aspects_limit(six_csv, capsys):
     doc = json.loads(out)
     nonzero = [a for a in doc["aspects"] if a["contribution"] != 0.0]
     assert len(nonzero) <= 1
+
+
+def test_predict_aspects_limit_above_aspect_count(six_csv, capsys):
+    # cutoff 0.6 gives four aspects: a_b, c_d, e and f
+    argv = ["predict-aspects", "--data", six_csv, "--target", "y", "--model", "linear",
+            "--row", "0", "--cutoff", "0.6", "--N", "800", "--format", "json", "--limit"]
+    code, at_m, err = run(argv + ["4"], capsys)
+    assert code == 0, err
+    assert len(json.loads(at_m)["aspects"]) == 4
+    assert run(argv + ["99"], capsys) == (0, at_m, "")
+
+
+def _six_csv_as(path, names, target_first=False, bom=False):
+    """The six-variable data under other column names, each header field
+    quoted, so that a name may hold a comma, tab or line break."""
+    table, y = make_six_variable()
+    names, values = (*names, "y"), np.column_stack((table.values, y))
+    if target_first:
+        names, values = names[-1:] + names[:-1], np.roll(values, 1, axis=1)
+    lines = [",".join(f'"{name}"' for name in names)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in values]
+    path.write_text(("\ufeff" if bom else "") + "\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\rb", "a\nb", "a,b"])
+@pytest.mark.parametrize("command", [
+    ["global-importance", "--model", "linear", "--cutoff", "0.6"],
+    ["predict-aspects", "--model", "linear", "--row", "0", "--cutoff", "0.6", "--N", "200"],
+], ids=["global-importance", "predict-aspects"])
+def test_tsv_rejects_names_it_cannot_hold(command, name, tmp_path, capsys):
+    # a tab or line break would split a field or a row, and a comma in a
+    # column name would read as one more member
+    csv = _six_csv_as(tmp_path / "renamed.csv", (name, "b", "c", "d", "e", "f"))
+    argv = command[:1] + ["--data", csv, "--target", "y"] + command[1:]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "TSV" in err
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert any(name in row["members"] for row in doc.get("groups") or doc["aspects"])
+
+
+def test_byte_order_mark_data_file_reads_as_without(tmp_path, capsys):
+    # the mark must not become part of the first column's name, the target here
+    argv = ["group-vars", "--target", "y", "--cutoff", "0.6", "--data"]
+    names = ("a", "b", "c", "d", "e", "f")
+    plain = run(argv + [_six_csv_as(tmp_path / "plain.csv", names, target_first=True)], capsys)
+    assert plain[0] == 0
+    bom = _six_csv_as(tmp_path / "bom.csv", names, target_first=True, bom=True)
+    assert run(argv + [bom], capsys) == plain
+
+
+def test_byte_order_mark_json_files_read_as_without(six_csv, tmp_path, capsys):
+    groups = json.dumps({"ab": ["a", "b"], "rest": ["c", "d", "e", "f"]})
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes the mark
+        gfile, doc, svg = (tmp_path / f"{encoding}.{ext}" for ext in ("groups", "json", "svg"))
+        gfile.write_text(groups, encoding=encoding)
+        code, out, err = run([
+            "predict-aspects", "--data", six_csv, "--target", "y", "--model", "linear",
+            "--row", "0", "--groups", str(gfile), "--N", "200", "--format", "json",
+        ], capsys)
+        assert code == 0, err
+        doc.write_text(out, encoding=encoding)
+        code, _, err = run(["render", "--in", str(doc), "--out", str(svg)], capsys)
+        assert code == 0, err
+        outputs.append((out, svg.read_text(encoding="utf-8")))
+    assert outputs[0] == outputs[1]
 
 
 def test_predict_aspects_row_out_of_range(six_csv, capsys):

@@ -107,8 +107,8 @@ def test_local_structure(six_table):
     assert res.full_model_loss is None
 
 
-# the triplot caps each level at min(limit, m) aspects; limit=2 takes the
-# lasso path at every level with more than two aspects and OLS below that
+# a cap at or above a level's aspect count is the uncapped fit; limit=2 takes
+# the lasso path at every level with more than two aspects and OLS below that
 
 
 def test_local_leaves_match_singleton_predict_aspects(six_table):
@@ -118,8 +118,7 @@ def test_local_leaves_match_singleton_predict_aspects(six_table):
         cfg = TriplotConfig(mode="local", N=600, seed=2, limit=limit)
         res = predict_triplot(model, table, table.row(0), cfg)
         part0 = partition_after_merges(res.tree, 0, table.column_names)
-        expl = predict_aspects(model, table, table.row(0), part0, N=600, seed=2,
-                               limit=None if limit is None else min(limit, part0.m))
+        expl = predict_aspects(model, table, table.row(0), part0, N=600, seed=2, limit=limit)
         by_name = {a.name: a.contribution for a in expl.aspects}
         for name, imp in zip(res.leaf_names, res.leaf_importance):
             assert imp == by_name[name]
@@ -134,7 +133,7 @@ def test_local_node_is_new_cluster_at_its_level(six_table):
         for t, merge in enumerate(res.tree.merges):
             part = partition_after_merges(res.tree, t + 1, table.column_names)
             expl = predict_aspects(model, table, table.row(1), part, N=600, seed=3,
-                                   limit=None if limit is None else min(limit, part.m))
+                                   limit=limit)
             row = next(a for a in expl.aspects
                        if tuple(table.column_index(n) for n in a.members) == merge.members)
             assert res.node_importance[t] == row.contribution
