@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,32 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(bitgen: np.random.Philox, seed: int, stream_id: int) -> None:
+    """Put a Philox in the state `RngStream(seed, stream_id).generator()` starts in.
+
+    Philox is counter-based: its key, a zero counter and an empty buffer
+    (with no cached 32-bit half) are the whole state of a new one, so a
+    Generator over the re-keyed Philox draws what a new generator draws,
+    whatever was drawn from it before.
+    """
+    zeros = np.zeros(4, dtype=np.uint64)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": zeros,
+            "key": np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64),
+        },
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+# member_set_key's fold starts here; the empty set's key
+_MEMBER_KEY_START = 0x5D0_F00D
+
+
 def member_set_key(members) -> int:
     """Order-independent 64-bit fingerprint of a set of column indices.
 
@@ -72,7 +99,7 @@ def member_set_key(members) -> int:
     the same member set always sees the same stream regardless of where it
     appears (partition group, tree node, or the all-columns baseline).
     """
-    h = 0x5D0_F00D
+    h = _MEMBER_KEY_START
     for i in sorted(int(j) for j in members):
         h = _mix64(h ^ _mix64(i))
     return h
@@ -265,6 +292,22 @@ def _finite_float(value) -> float:
     return x
 
 
+def _integer_fields(config, names, optional=()) -> None:
+    """Check that the named fields of a frozen config are integers.
+
+    The `optional` fields may also be None. Python and numpy integers pass
+    and are stored as int, so a document records them as JSON numbers; a
+    bool, a float or anything else raises AspectraError.
+    """
+    for name in (*names, *optional):
+        value = getattr(config, name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise AspectraError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
+
+
 def _check_tsv_names(groups) -> None:
     """Reject names a TSV document cannot hold, before any of it is written.
 
@@ -342,12 +385,17 @@ def save_table(table: NumericTable, path, target_name: str | None = None, target
     Floats are written with 17 significant digits so load(save(t)) round
     trips every float64 exactly.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = list(table.column_names)
     if target_name is not None:
         header.append(target_name)
-    writer.writerow(header)
+    # QUOTE_MINIMAL quotes a field holding a character of the terminator;
+    # with "\r" among them it also quotes a name holding a bare CR, which
+    # load_table would otherwise read as a line break
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\r\n").writerow(header)
+    buf = io.StringIO()
+    buf.write(head.getvalue()[:-2] + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
     for i in range(table.n):
         rec = [f"{v:.17g}" for v in table.values[i]]
         if target_name is not None:

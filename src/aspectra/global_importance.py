@@ -11,7 +11,12 @@ Scoring is batched. Every (member set, repetition) job gets its own
 permuted copy of the table, and copies are stacked into one `predict` call
 of up to _BATCH_VALUES (2**19) values, in a buffer reused across calls. The
 unpermuted table is one more job, first in the first call, so one batch may
-hold it as well as permuted copies.
+hold it as well as permuted copies. Per-set work is done once per scorer
+call: each member set is checked once, before any model call, and its
+stream id derived once. Each job re-keys the call's one Philox to its
+stream instead of building a generator, and each call's losses are taken
+row-wise at once; streams and losses are bit-identical to
+`permutation_stream(...).generator()` and `models.loss` per job.
 This rests on the model contract in `models.ModelAdapter`: a row's
 prediction must not depend on the other rows in the batch, and a model must
 neither keep nor write to the table it is given. Under that contract the
@@ -28,21 +33,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
+    _MEMBER_KEY_START,
     AspectPartition,
     NumericTable,
     RngStream,
     _check_tsv_names,
+    _integer_fields,
+    _mix64,
+    _rekey,
     member_set_key,
     validate_partition,
 )
 from .errors import AspectraError, BadIndex, EmptyGroup
-from .models import LOSS_KINDS, ModelAdapter, _finite_targets, loss, predict
+from .models import LOSS_KINDS, ModelAdapter, _finite_targets, _row_losses, predict
 
 _K_SUBSAMPLE = 0x5AB5
 _K_PERM = 0x9E47
 
 # at most this many values (rows x columns) of permuted tables per model call
 _BATCH_VALUES = 1 << 19
+
+# the unpermuted table's job writes back no columns
+_NO_MEMBERS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,7 @@ class PermutationConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise AspectraError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
+        _integer_fields(self, ("B", "seed"), optional=("N",))
         if self.B < 1:
             raise AspectraError(f"B must be >= 1, got {self.B}")
         if self.N is not None and self.N < 1:
@@ -124,25 +137,62 @@ def permutation_stream(seed: int, members, rep: int) -> RngStream:
     return RngStream(seed).child(_K_PERM, member_set_key(members), rep)
 
 
-def _checked_members(group, p: int) -> list:
+def _checked_members(group, p: int) -> np.ndarray:
+    """The group's column indices, sorted and checked against p."""
     members = sorted(int(i) for i in group)
     if not members:
         raise EmptyGroup("<anonymous>")
     for i in members:
         if i < 0 or i >= p:
             raise BadIndex(i, p)
-    return members
+    return np.array(members, dtype=np.intp)
 
 
-def permute_group(table: NumericTable, group, rng: RngStream, out: np.ndarray) -> None:
-    """Apply one shared row permutation to every column in the group.
+def permute_group(
+    table: NumericTable, members: np.ndarray, gen: np.random.Generator, out: np.ndarray
+) -> None:
+    """Apply one shared row permutation, drawn from `gen`, to the group's columns.
 
-    `out` is an n x p array already holding the table's values; only the
-    group's columns are written there.
+    `members` holds the group's sorted, checked column indices, as
+    `_checked_members` returns them; the scorer checks each member set once
+    per call, so they are not checked again here. `gen` is the scorer's one
+    generator, whose Philox is re-keyed to the job's `permutation_stream`
+    before each call. `out` is an n x p array already holding the table's
+    values; only the group's columns are written there.
     """
-    members = _checked_members(group, table.p)
-    perm = rng.generator().permutation(table.n)
+    perm = gen.permutation(table.n)
     out[:, members] = table.values[:, members][perm]
+
+
+class _PermutationStreams:
+    """`permutation_stream(seed, members, b)` for every job of one scorer call.
+
+    The stream ids are `permutation_stream`'s, bit for bit, derived in
+    parts: the seed's `_K_PERM` child once per call, `_mix64` of each column
+    index and of each repetition once per call, the member-set key and its
+    fold into the child once per set, and the repetition once per job. One
+    Philox, re-keyed per job, draws every job's permutation.
+    """
+
+    def __init__(self, seed: int, p: int, B: int):
+        self._seed = seed
+        self._base = RngStream(seed).child(_K_PERM).stream_id
+        self._mixed_columns = [_mix64(i) for i in range(p)]
+        self._mixed_reps = [_mix64(b) for b in range(B)]
+        self._bitgen = np.random.Philox(0)  # re-keyed before every draw
+        self._gen = np.random.Generator(self._bitgen)
+
+    def set_id(self, members: np.ndarray) -> int:
+        """The stream id shared by a checked member set's repetitions."""
+        h = _MEMBER_KEY_START
+        for i in members.tolist():
+            h = _mix64(h ^ self._mixed_columns[i])
+        return _mix64(self._base ^ _mix64(h))
+
+    def generator(self, set_id: int, b: int) -> np.random.Generator:
+        """The one generator, re-keyed to repetition b of the set's stream."""
+        _rekey(self._bitgen, self._seed, _mix64(set_id ^ self._mixed_reps[b]))
+        return self._gen
 
 
 class ImportanceContext:
@@ -181,45 +231,51 @@ class ImportanceContext:
     def _score(self, member_sets) -> None:
         """Cache the mean permuted loss of every member set not cached yet.
 
-        All sets are checked before the first model call. Each (set,
-        repetition) job permutes its group's columns into its own n-row
-        slot of one buffer of tiled copies of the table; a model call
-        scores as many slots as _BATCH_VALUES allows, after which the
-        group's columns are written back from the table. The empty set,
-        the unpermuted table, goes first as a single job whose slot keeps
-        the tiled values.
+        Every set is checked once, before the first model call, and its
+        stream id derived once. Each (set, repetition) job permutes its
+        group's columns into its own n-row slot of one buffer of tiled
+        copies of the table; a model call scores as many slots as
+        _BATCH_VALUES allows, the call's losses are taken row-wise at once,
+        and then the group's columns are written back from the table. The
+        empty set, the unpermuted table, goes first as a single job whose
+        slot keeps the tiled values.
         """
-        jobs, members_of, losses = [], {}, {}
+        jobs, members_of = [], {}
         for group in [(), *member_sets]:
             key = frozenset(int(i) for i in group)
             if key in self._cache or key in members_of:
                 continue
-            members_of[key] = _checked_members(key, self.table.p) if key else []
-            losses[key] = np.empty(self.cfg.B if key else 1)
-            jobs += [(key, b) for b in range(losses[key].size)]
+            members_of[key] = _checked_members(key, self.table.p) if key else _NO_MEMBERS
+            jobs += [(key, b) for b in range(self.cfg.B if key else 1)]
         if not jobs:
             return
         n, p = self.table.n, self.table.p
         values = self.table.values
+        streams = _PermutationStreams(self.cfg.seed, p, self.cfg.B)
+        set_ids = {key: streams.set_id(members) for key, members in members_of.items() if key}
+        job_losses = np.empty(len(jobs))
         k = min(max(1, _BATCH_VALUES // (n * p)), len(jobs))
         buf = np.tile(values, (k, 1))
         for start in range(0, len(jobs), k):
             chunk = jobs[start:start + k]
             for slot, (key, b) in enumerate(chunk):
                 if key:
-                    stream = permutation_stream(self.cfg.seed, key, b)
-                    permute_group(self.table, key, stream, buf[slot * n:(slot + 1) * n])
+                    gen = streams.generator(set_ids[key], b)
+                    permute_group(self.table, members_of[key], gen, buf[slot * n:(slot + 1) * n])
             stacked = NumericTable._from_validated(
                 self.table.column_names, buf[:len(chunk) * n]
             )
-            yhat = predict(self.model, stacked)
-            for slot, (key, b) in enumerate(chunk):
-                rows = slice(slot * n, (slot + 1) * n)
-                losses[key][b] = loss(self.cfg.loss, self.y, yhat[rows])
+            yhat = predict(self.model, stacked).reshape(len(chunk), n)
+            job_losses[start:start + len(chunk)] = _row_losses(self.cfg.loss, self.y, yhat)
+            for slot, (key, _) in enumerate(chunk):
                 members = members_of[key]
-                buf[rows, members] = values[:, members]
-        for key, per_rep in losses.items():
-            self._cache[key] = float(np.mean(per_rep))
+                buf[slot * n:(slot + 1) * n, members] = values[:, members]
+        # each set's B jobs are adjacent, after the unpermuted table's one
+        keys = list(members_of)
+        if not keys[0]:
+            self._cache[keys.pop(0)] = float(job_losses[0])
+        per_set = job_losses[len(jobs) - len(keys) * self.cfg.B:].reshape(len(keys), self.cfg.B)
+        self._cache.update(zip(keys, np.mean(per_set, axis=1).tolist()))
 
     @property
     def baseline_loss(self) -> float:

@@ -296,10 +296,19 @@ def loss(kind: str, y, yhat) -> float:
         raise LengthMismatch(y.shape[0], yhat.shape[0])
     if y.shape[0] < 1:
         raise LengthMismatch(1, 0)
+    return float(_row_losses(kind, y, yhat.reshape(1, -1))[0])
+
+
+def _row_losses(kind: str, y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    """The loss of each row of the (k, n) predictions `yhat` against the n targets `y`.
+
+    Each row is reduced on its own, so a row's loss is the same for every k.
+    `kind`, the shapes and the float64 dtype are the caller's to check.
+    """
     err = y - yhat
     if kind == "rmse":
-        return float(np.sqrt(np.mean(err * err)))
-    return float(np.mean(np.abs(err)))
+        return np.sqrt(np.mean(err * err, axis=1))
+    return np.mean(np.abs(err), axis=1)
 
 
 def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:

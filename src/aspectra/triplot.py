@@ -24,7 +24,7 @@ from .cluster import (
     correlation_matrix,
     partition_after_merges,
 )
-from .data import NumericTable, Observation, _finite_float
+from .data import NumericTable, Observation, _finite_float, _integer_fields
 from .errors import AspectraError
 from .global_importance import ImportanceContext, PermutationConfig
 from .models import ModelAdapter
@@ -49,6 +49,7 @@ class TriplotConfig:
             raise AspectraError("global mode needs a PermutationConfig")
         if self.mode == "local" and self.N is None:
             raise AspectraError("local mode needs a sample size N")
+        _integer_fields(self, ("seed",), optional=("N", "limit"))
 
 
 @dataclass(frozen=True)

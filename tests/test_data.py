@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aspectra import AspectPartition, NumericTable, Observation, load_table
 from aspectra.data import (
     RngStream,
+    _rekey,
     member_set_key,
     sampled_row_ids,
     save_table,
@@ -62,6 +63,44 @@ def test_known_substream_values_are_pinned():
     got = RngStream(0).child(1).generator().random(3)
     expected = RngStream(0).child(1).generator().random(3)
     assert got.tolist() == expected.tolist()
+
+
+# draws that leave a Philox part-way through its buffer or holding the
+# spare half of a 64-bit draw, so a re-key that kept either would show
+_DRAWS_BEFORE = {
+    "nothing": lambda gen: None,
+    "permutation": lambda gen: gen.permutation(13),
+    "one integer": lambda gen: gen.integers(0, 10),
+    "three integers": lambda gen: gen.integers(0, 10, size=3),
+    "one 64-bit integer": lambda gen: gen.integers(0, 2**40),
+    "random": lambda gen: gen.random(5),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seeds=st.lists(
+        st.one_of(st.integers(-2**70, -1), st.integers(2**63, 2**66), st.integers(0, 2**63)),
+        min_size=1, max_size=3,
+    ),
+    stream_id=st.integers(0, 2**64 - 1),
+    before=st.lists(st.sampled_from(sorted(_DRAWS_BEFORE)), min_size=1, max_size=3),
+    n=st.integers(1, 60),
+)
+def test_rekeyed_philox_draws_what_a_new_generator_draws(seeds, stream_id, before, n):
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    for seed, name in zip(seeds, before):
+        _DRAWS_BEFORE[name](gen)
+        _rekey(bitgen, seed, stream_id)
+        new = RngStream(seed, stream_id).generator()
+        assert np.array_equal(gen.permutation(n), new.permutation(n))
+        assert np.array_equal(gen.integers(0, 7, size=3), new.integers(0, 7, size=3))
+    # a draw of a different n before the re-key
+    _rekey(bitgen, seeds[0], stream_id)
+    gen.permutation(n + 1)
+    _rekey(bitgen, seeds[0], stream_id)
+    assert np.array_equal(gen.permutation(n), RngStream(seeds[0], stream_id).generator().permutation(n))
 
 
 def test_member_set_key_order_independent():
@@ -137,6 +176,23 @@ def test_load_table_roundtrip(tmp_path):
     t2, y2 = load_table(path, target="out")
     assert t2 == t
     assert y2.tolist() == y.tolist()
+
+
+@pytest.mark.parametrize("name", ["a\rb", "a\r\nb", 'q"\rx', "c,\rd", "a\r\rb"])
+def test_save_table_round_trips_a_carriage_return_in_a_name(tmp_path, name):
+    t = NumericTable(("plain", name), [[1.0, 2.0], [3.0, 4.0]])
+    path = tmp_path / "t.csv"
+    save_table(t, path, target_name=f"y{name}", target=np.array([5.0, 6.0]))
+    t2, y2 = load_table(path, target=f"y{name}")
+    assert t2 == t
+    assert y2.tolist() == [5.0, 6.0]
+
+
+def test_save_table_quotes_only_what_it_must(tmp_path):
+    t = NumericTable(("plain", "com,ma", 'q"t', "c\rr"), [[1.0, 2.0, 3.0, 0.5]])
+    path = tmp_path / "t.csv"
+    save_table(t, path)
+    assert path.read_bytes() == b'plain,"com,ma","q""t","c\rr"\n1,2,3,0.5\n'
 
 
 def test_load_table_17g_is_exact(tmp_path):

@@ -17,7 +17,13 @@ from aspectra import (
 from aspectra import global_importance
 from aspectra.data import RngStream
 from aspectra.errors import AspectraError, BadIndex, EmptyGroup, NonNumericCell
-from aspectra.global_importance import ImportanceContext, permutation_stream, permute_group
+from aspectra.global_importance import (
+    ImportanceContext,
+    _checked_members,
+    _PermutationStreams,
+    permutation_stream,
+    permute_group,
+)
 from aspectra.models import KnnModel, LinearModel, ModelAdapter, loss, predict
 from aspectra.triplot import TriplotConfig, model_triplot
 
@@ -37,7 +43,7 @@ def small_table(seed=0, n=80, p=4):
 def _permuted(table, group, rng):
     """The table with the group permuted, written into a copy of its values."""
     values = table.values.copy()
-    permute_group(table, group, rng, values)
+    permute_group(table, _checked_members(group, table.p), rng.generator(), values)
     return table.with_values(values)
 
 
@@ -57,14 +63,16 @@ def test_permute_group_deterministic():
     assert a == b
 
 
-def test_permute_group_errors():
-    t = NumericTable(("a",), np.zeros((3, 1)))
-    out = t.values.copy()
+def test_checked_members_errors():
+    # the check permute_group's callers make once per member set
     with pytest.raises(EmptyGroup):
-        permute_group(t, [], RngStream(0), out)
+        _checked_members([], 1)
     with pytest.raises(BadIndex):
-        permute_group(t, [1], RngStream(0), out)
-    assert np.array_equal(out, t.values)
+        _checked_members([1], 1)
+    with pytest.raises(BadIndex):
+        _checked_members([0, -1], 3)
+    got = _checked_members(frozenset({2, 0}), 3)
+    assert got.dtype == np.intp and got.tolist() == [0, 2]
 
 
 def _oracle_permute_group(table, group, rng):
@@ -102,7 +110,8 @@ def test_permute_group_matches_oracle(case):
     table, group, rng = case
     before = table.values.copy()
     got = table.values.copy()
-    assert permute_group(table, group, rng, got) is None
+    members = _checked_members(group, table.p)
+    assert permute_group(table, members, rng.generator(), got) is None
     want = _oracle_permute_group(table, group, rng)
     assert np.array_equal(got, want.values)
     assert np.array_equal(table.values, before)  # the input is left as it was
@@ -122,6 +131,28 @@ def test_permutation_stream_keyed_by_member_set():
     assert permutation_stream(3, [2, 0], 0) == permutation_stream(3, (0, 2), 0)
     assert permutation_stream(3, [0], 0) != permutation_stream(3, [1], 0)
     assert permutation_stream(3, [0], 0) != permutation_stream(3, [0], 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derived_stream_ids_equal_permutation_stream(data):
+    p = data.draw(st.integers(1, 300))
+    B = data.draw(st.integers(1, 4))
+    seed = data.draw(st.one_of(st.integers(-2**70, 2**70), st.integers(0, 1000)))
+    streams = _PermutationStreams(seed, p, B)
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            raw = list(range(p))[::-1]  # every column, unsorted
+        else:
+            # unsorted, with repeats; the scorer keys a set by its frozenset
+            raw = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=40))
+        set_id = streams.set_id(_checked_members(frozenset(raw), p))
+        for b in range(B):
+            want = permutation_stream(seed, frozenset(raw), b)
+            gen = streams.generator(set_id, b)
+            key = gen.bit_generator.state["state"]["key"].tolist()
+            assert key == [seed % 2**64, want.stream_id]
+            assert np.array_equal(gen.permutation(9), want.generator().permutation(9))
 
 
 # ---------------------------------------------------------------- context
@@ -280,6 +311,18 @@ def test_batched_scoring_matches_per_set_oracle(case):
                 assert got == want
 
 
+@pytest.mark.parametrize("kind", ["rmse", "mae"])
+def test_many_repetitions_match_per_set_oracle(kind, monkeypatch):
+    # B above 8 takes numpy's unrolled sum, in the per-set means as in rows
+    monkeypatch.setattr(global_importance, "_BATCH_VALUES", 3 * 30 * 4)
+    table, y = small_table(seed=5, n=30, p=4)
+    ctx = ImportanceContext(RowByRowModel(4), table, y, PermutationConfig(kind, B=11, seed=2))
+    sets = [(0,), (1, 2), (3, 0, 2), range(4)]
+    ctx._score(sets)
+    for members in [(), *sets]:
+        assert ctx.mean_permuted_loss(members) == _oracle_mean_permuted_loss(ctx, members)
+
+
 def _calls_and_rows(n, p, B, sets, budget):
     # the unpermuted table is one job, scored in the first call
     k = max(1, budget // (n * p))
@@ -339,6 +382,27 @@ def test_config_validation():
         PermutationConfig(loss="rmse", N=0)
     with pytest.raises(AspectraError):
         PermutationConfig(loss="huber")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("B", 2.5), ("B", 2.0), ("B", True), ("B", None), ("B", "2"),
+    ("N", 10.5), ("N", 10.0), ("N", False), ("N", np.float64(10)),
+    ("seed", 1.5), ("seed", True), ("seed", None), ("seed", "3"),
+])
+def test_config_rejects_a_field_that_is_not_an_integer(field, value):
+    with pytest.raises(AspectraError, match=f"{field} must be an integer"):
+        PermutationConfig(loss="rmse", **{field: value})
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+def test_config_takes_numpy_integers_as_int(integer):
+    cfg = PermutationConfig(loss="rmse", B=integer(2), N=integer(30), seed=integer(3))
+    assert (cfg.B, cfg.N, cfg.seed) == (2, 30, 3)
+    assert all(type(v) is int for v in (cfg.B, cfg.N, cfg.seed))
+    table, y = small_table(n=40, p=3)
+    res = group_importance(ConstantModel(0.0), table, y,
+                           AspectPartition.singletons(table.column_names), cfg)
+    assert json.loads(res.to_json())["metadata"] == {"loss": "rmse", "B": 2, "N": 30, "seed": 3}
 
 
 # ----------------------------------------------------------- group results

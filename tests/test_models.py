@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from aspectra import (
@@ -13,7 +15,7 @@ from aspectra import (
 )
 from aspectra import models
 from aspectra.errors import AspectraError, BadK, LengthMismatch, RankDeficient
-from aspectra.models import KnnModel, LinearModel, loss, predict
+from aspectra.models import KnnModel, LinearModel, _row_losses, loss, predict
 
 from conftest import child_cmd
 
@@ -156,6 +158,36 @@ def test_loss_oracles():
     assert loss("rmse", y, yhat) == pytest.approx(np.sqrt(5.0 / 3.0), abs=1e-15)
     assert loss("mae", y, yhat) == pytest.approx(1.0, abs=1e-15)
     assert loss("rmse", y, y) == 0.0
+
+
+def _oracle_loss(kind, y, yhat):
+    """loss as it was before it reduced rows: a 1-d mean."""
+    err = y - yhat
+    if kind == "rmse":
+        return float(np.sqrt(np.mean(err * err)))
+    return float(np.mean(np.abs(err)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["rmse", "mae"]),
+    k=st.integers(1, 8),
+    n=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+def test_row_losses_equal_loss_bit_for_bit(kind, k, n, seed, ties):
+    rng = np.random.default_rng(seed)
+    if ties:
+        y, yhat = rng.integers(-3, 4, size=n) / 2.0, rng.integers(-3, 4, size=(k, n)) / 2.0
+    else:
+        # magnitudes over six decades, so the sums round
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        yhat = y + rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, size=(k, n))
+    got = _row_losses(kind, y, yhat)
+    assert got.shape == (k,)
+    for r in range(k):
+        assert got[r] == loss(kind, y, yhat[r]) == _oracle_loss(kind, y, yhat[r])
 
 
 def test_loss_validation():

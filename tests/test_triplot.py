@@ -42,6 +42,27 @@ def test_config_validation():
         TriplotConfig(mode="local", N=100, linkage="ward")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("N", 100.0), ("N", 100.5), ("N", True),
+    ("seed", 1.5), ("seed", False), ("seed", None),
+    ("limit", 1.5), ("limit", 1.0), ("limit", True), ("limit", "2"),
+])
+def test_config_rejects_a_field_that_is_not_an_integer(field, value):
+    kw = {"N": 100, field: value}
+    with pytest.raises(AspectraError, match=f"{field} must be an integer"):
+        TriplotConfig(mode="local", **kw)
+
+
+def test_config_takes_numpy_integers_as_int(six_table):
+    table, _ = six_table
+    model = ConstantModel(0.0)
+    cfg = TriplotConfig(mode="local", N=np.int64(200), seed=np.uint8(4), limit=np.int32(2))
+    assert all(type(v) is int for v in (cfg.N, cfg.seed, cfg.limit))
+    res = predict_triplot(model, table, table.row(0), cfg)
+    assert {k: res.to_json_doc()["metadata"][k] for k in ("N", "seed", "limit")} == \
+        {"N": 200, "seed": 4, "limit": 2}
+
+
 def test_mode_mismatch_rejected(six_table):
     table, y = six_table
     model = fit_linear(table, y)
