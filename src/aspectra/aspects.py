@@ -10,6 +10,7 @@ searching for the smallest regularization strength that honours the cap.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -374,14 +375,16 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
     X, y, W, Z = _design_matrices(design, ym)
     lam_max = float(np.max(np.abs(Z)) / design.N)
     segments = _lasso_path(W, Z)
-    knots, actives = [], []  # segment bottoms, descending, and their active sets
+    # negated segment bottoms, ascending for bisect, and their active sets
+    neg_knots, actives = [], []
 
     def active_set(t):
-        while not knots or knots[-1] >= t:  # the last segment ends at 0 < t
+        while not neg_knots or -neg_knots[-1] >= t:  # the last segment ends at 0 < t
             t_low, P = next(segments)
-            knots.append(t_low)
+            neg_knots.append(-t_low)
             actives.append(P)
-        return actives[next(i for i, t_low in enumerate(knots) if t_low < t)]
+        # the first segment whose bottom lies below t
+        return actives[bisect.bisect_right(neg_knots, -t)]
 
     lo = 0.0
     hi = lam_max

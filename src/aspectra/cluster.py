@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import AspectPartition, NumericTable, _finite_float
 from .errors import AspectraError, ZeroVarianceColumn
@@ -102,6 +101,32 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _average_ranks(X: np.ndarray) -> np.ndarray:
+    """Rank each column of an n x p array 1..n, ties sharing the mean of their ranks.
+
+    Equal, bit for bit, to scipy.stats.rankdata(X, method="average", axis=0).
+    The result is the transpose of a C-ordered p x n array, the layout recent
+    scipy returns: correlation_matrix's column sums run in a layout-dependent
+    order, and its results were fixed on that layout. A tie group over sorted
+    positions a..e-1 gets (a + e + 1) / 2, exact in float64. The sort need not
+    be stable, since every member of a tie group gets the same rank.
+    """
+    n, p = X.shape
+    XT = np.ascontiguousarray(X.T)
+    offsets = np.arange(0, p * n, n)[:, None]
+    order = np.argsort(XT, axis=1) + offsets  # flat positions in XT, ascending per row
+    s = XT.ravel()[order]
+    starts = np.empty((p, n), dtype=bool)  # where a tie group begins
+    starts[:, :1] = True
+    np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
+    bounds = np.append(np.flatnonzero(starts), p * n)  # no group spans two rows
+    ranks = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds)).reshape(p, n)
+    ranks -= offsets  # flat positions back to positions within the row, still exact
+    out = np.empty((p, n))
+    out.ravel()[order] = ranks
+    return out.T
+
+
 def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndarray:
     """Sample correlation of all column pairs, as a p x p array.
 
@@ -111,7 +136,7 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndar
         raise AspectraError(f"correlation method must be pearson|spearman, got {method!r}")
     X = table.values
     if method == "spearman":
-        X = rankdata(X, method="average", axis=0)
+        X = _average_ranks(X)
     Xc = X - X.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
     for j, s in enumerate(norms):

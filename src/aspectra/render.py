@@ -9,7 +9,6 @@ tests and downstream tooling can count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -49,10 +48,19 @@ def _svg_open(spec: RenderSpec) -> list:
     ]
 
 
+def _escape(s: str) -> str:
+    """XML-escape text content as xml.sax.saxutils.escape does, `&` first.
+
+    Kept local because importing xml.sax.saxutils loads urllib and its
+    http, ssl and email dependencies.
+    """
+    return s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _text(x, y, s, cls, anchor="start", dy=0.0):
     return (
         f'<text class="{cls}" x="{_fmt(x)}" y="{_fmt(y + dy)}" text-anchor="{anchor}" '
-        f'font-family="monospace" font-size="{_FONT_SIZE}">{escape(s)}</text>'
+        f'font-family="monospace" font-size="{_FONT_SIZE}">{_escape(s)}</text>'
     )
 
 

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import aspectra
 from aspectra import NumericTable
 from aspectra.data import save_table
 from aspectra.models import ModelAdapter
@@ -13,6 +14,14 @@ CHILD = os.path.join(os.path.dirname(__file__), "child_model.py")
 
 def child_cmd(mode: str):
     return [sys.executable, CHILD, mode]
+
+
+def package_env():
+    """os.environ with this aspectra's source root first on PYTHONPATH, for a
+    fresh interpreter that must import the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aspectra.__file__)))
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, rest] if rest else [src]))
 
 
 class CountingModel(ModelAdapter):

@@ -8,10 +8,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from aspectra import cli, models
+from aspectra import NumericTable, cli, correlation_matrix, models
 from aspectra.cli import cli_main
+from aspectra.data import save_table
 
-from conftest import CHILD, make_six_variable
+from conftest import CHILD, make_six_variable, package_env
 
 
 def run(argv, capsys):
@@ -506,3 +507,47 @@ def test_installed_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "group-vars" in proc.stdout
+
+
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from aspectra.cli import cli_main
+for argv in json.loads(sys.argv[1]):
+    code = cli_main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path, capsys):
+    # q and q**3 rank identically, so their Spearman correlation is exactly 1
+    rng = np.random.default_rng(5)
+    q = np.round(2 * rng.standard_normal(80)) / 2
+    w = np.round(rng.standard_normal(80))
+    X = np.column_stack([q, q**3, w, w + 0.3 * rng.standard_normal(80)])
+    table = NumericTable(("q", "q3", "w", "v"), X)
+    assert correlation_matrix(table)[0, 1] == 1.0
+    data = str(tmp_path / "ties.csv")
+    save_table(table, data, target_name="y", target=X @ [1.0, 0.2, -1.0, 0.5])
+
+    def commands(out_dir):
+        doc, svg = str(out_dir / "local.json"), str(out_dir / "local.svg")
+        return [
+            ["group-vars", "--data", data, "--target", "y", "--cutoff", "0.5"],
+            ["triplot", "--mode", "local", "--data", data, "--target", "y", "--model", "linear",
+             "--row", "3", "--N", "300", "--seed", "2", "--out", doc],
+            ["render", "--in", doc, "--out", svg],
+        ]
+
+    here, there = tmp_path / "in-process", tmp_path / "no-scipy"
+    here.mkdir()
+    there.mkdir()
+    ran = [run(argv, capsys) for argv in commands(here)]
+    assert [code for code, _, _ in ran] == [0, 0, 0]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(commands(there))],
+                          capture_output=True, text=True, env=package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(out for _, out, _ in ran)
+    for name in ("local.json", "local.svg"):
+        assert (there / name).read_bytes() == (here / name).read_bytes()

@@ -13,6 +13,7 @@ from aspectra.cluster import (
     VALID_LINKAGES,
     MergeRecord,
     MergeTree,
+    _average_ranks,
     _group_name,
     agglomerative,
     cor_distance,
@@ -124,6 +125,37 @@ def test_spearman_ranks_all_columns_like_one_column_at_a_time(n, p, cells):
     C = correlation_matrix(NumericTable(names, X), "spearman")
     ref = correlation_matrix(NumericTable(names, ranks), "pearson")
     assert np.array_equal(C, ref)
+
+
+def _assert_ranks_equal_rankdata(X):
+    ours = _average_ranks(X)
+    ref = rankdata(X, method="average", axis=0)
+    assert ours.dtype == ref.dtype == np.float64
+    assert ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+    # the transposed C layout that correlation_matrix's sums were fixed on
+    assert ours.flags.f_contiguous
+
+
+@pytest.mark.parametrize("X", [
+    np.array([[0.5, -2.0, 7.0]]),  # n = 1
+    np.full((6, 2), 3.0),  # fully tied columns
+    np.column_stack([[0.0, -0.0, 1.0, -0.0, 0.0, -1.0], [-0.0, 0.0, 0.0, 2.0, -0.0, -0.0]]),
+    np.column_stack([np.arange(9.0), np.arange(9.0)[::-1], np.repeat([1.0, 2.0, 3.0], 3)]),
+    np.random.default_rng(0).standard_normal((50, 3)),  # no ties
+], ids=["n1", "all-tied", "signed-zeros", "sorted-reversed-blocks", "continuous"])
+def test_average_ranks_equals_rankdata(X):
+    _assert_ranks_equal_rankdata(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=2000), p=st.integers(min_value=1, max_value=4),
+       levels=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
+def test_average_ranks_equals_rankdata_on_quantised_columns(n, p, levels, seed):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.standard_normal((n, p)) * levels / 8) / levels
+    X[X == 0.0] = np.where(rng.random(int(np.sum(X == 0.0))) < 0.5, -0.0, 0.0)
+    _assert_ranks_equal_rankdata(X)
 
 
 def test_zero_variance_column_rejected():

@@ -1,9 +1,14 @@
 """The package root's exports and the README's Python quick start."""
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import aspectra
+
+from conftest import package_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +43,25 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     out = capsys.readouterr().out
     assert "full_model_loss" in out and "contribution" in out
+
+
+# scipy.stats took about 1.3 s of a 1.45 s import on a 2-core x86_64 machine,
+# and xml.sax.saxutils pulled in urllib.request with http, ssl and email;
+# every CLI run paid for both
+SLOW_IMPORTS = ("scipy", "urllib", "http", "ssl", "email")
+NEW_MODULES = """
+import json, sys
+before = set(sys.modules)
+import aspectra, aspectra.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_scipy_or_network_modules():
+    # only modules the import itself adds count: a site .pth file may load
+    # pathlib, and with it urllib.parse, before any user code runs
+    done = subprocess.run([sys.executable, "-c", NEW_MODULES], capture_output=True,
+                          text=True, env=package_env(), timeout=120, check=True)
+    added = json.loads(done.stdout)
+    assert "aspectra.cli" in added
+    assert [m for m in added if m.split(".")[0] in SLOW_IMPORTS] == []

@@ -1,5 +1,6 @@
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from aspectra import (
 )
 from aspectra.errors import AspectraError
 from aspectra.models import LinearModel
-from aspectra.render import RenderSpec
+from aspectra.render import RenderSpec, _escape
 
 from conftest import make_six_variable
 
@@ -139,3 +140,10 @@ def test_aspects_lambda_in_title():
     without = render_aspects(predict_aspects(model, t, t.row(0), part, N=500, seed=0))
     assert "lambda=" in with_limit
     assert "lambda=" not in without
+
+
+@pytest.mark.parametrize("name", [
+    "plain", "a&b", "x<y>z", "&lt;", "&amp;&", "<<&>>", "'quoted'", '"double"', "a&\"b'<c>",
+])
+def test_escape_equals_saxutils(name):
+    assert _escape(name) == escape(name)
