@@ -4,9 +4,10 @@ Both are plain numpy and coerce their inputs to float64. `fit_lasso` calls
 `lasso_cd` once per capped fit, at the lambda its search settles on (the
 search itself reads the exact lasso path), and `KnnModel.predict` calls
 `knn_predict` once per batch. `knn_predict` screens neighbours with one
-matrix product and an error bound, then computes exact distances only for
-the rows that can be among the k nearest; its result is bit-identical to a
-stable sort of every exact distance.
+matrix product of augmented operands and a per-row error bound, then
+computes exact distances only for the training rows that can be among the k
+nearest; its result is bit-identical to a stable sort of every exact
+distance.
 """
 
 from __future__ import annotations
@@ -70,45 +71,58 @@ def lasso_cd(W, Z, thresh, max_sweeps=100_000, tol=1e-10):
 # einsum's sum of squared differences over one row's p columns, the same
 # reduction, in the same order, as one row scored alone with a stable sort.
 #
-# Query rows are scored in blocks of _KNN_BLOCK_VALUES // (n p) rows, so
-# numpy loops per block, not per row, and a block's full array of
-# differences holds about 1 MB. Per block, one BLAS product screens the
-# training rows before any exact distance is formed. With
-# S = |q|^2 + |t|^2 for a query row q and a training row t:
+# Query rows are screened in blocks of _KNN_SCREEN_VALUES // n rows, so
+# numpy loops per block, not per row, and a block's screen values hold
+# 256 KB. One BLAS product of augmented operands, whose training side is
+# formed once per call, gives for a query row q and a training row t
 #
-#   approx = S - 2 q.t,   margin = rel * S + floor,
-#   rel = 8 (p + 3) u,    floor = (p + 3) 2^-1070,   u = 2^-53.
+#   approx = [q, |q|^2, 1] . [-2 t, 1, |t|^2] = |q|^2 + |t|^2 - 2 q.t.
 #
-# Why approx - margin <= distance <= approx + margin for every pair, where
-# distance is einsum's value and D the exact one (first order in u, with
-# gamma_m = m u the bound for m roundings):
-# - The expansion is within (2p + 3) u S of D. |q|^2 and |t|^2 carry
-#   gamma_p S together; q.t carries gamma_p sum |q_j t_j| <= gamma_p S / 2,
-#   in any summation order, FMA or not, so 2 q.t carries gamma_p S; the
-#   add into S and the final add round once each, by u S and 2 u S.
+# -2 t is exact short of overflow, where |t|^2 overflows too. Each query row
+# has one margin, with R = |q|^2 + max |t|^2, which is at least
+# S = |q|^2 + |t|^2 for every training row t:
+#
+#   M = rel * R + floor,   rel = 8 (p + 3) u,   floor = (p + 3) 2^-1070,
+#   u = 2^-53.
+#
+# Why |approx - distance| <= M for every pair, where distance is einsum's
+# value and D the exact one (first order in u, with gamma_m = m u the bound
+# for m roundings):
+# - |q|^2 and |t|^2 carry gamma_p S together.
+# - The product is a (p + 2)-term dot product. In any summation order, FMA
+#   or not, its error is at most gamma_(p+2) times the sum of its terms'
+#   magnitudes, 2 sum |q_j t_j| + |q|^2 + |t|^2 <= 2 S. So approx is within
+#   (3p + 4) u S of D.
 # - einsum is within (p + 2) u D <= 2 (p + 2) u S of D: each difference is
 #   rounded, then squared, then p - 1 additions follow; D <= 2 S.
-# - So the two are less than 4 (p + 3) u S apart. rel doubles that, which
-#   absorbs the second-order terms and the rounding of margin itself.
-#   Rounding is monotone, so approx +- margin keeps its side of distance.
+# - So the two are at most (5p + 8) u S <= (5p + 8) u R apart. rel is at
+#   least 1.6 times that, which absorbs the second-order terms and the
+#   roundings of M and of the bound below. Rounding is monotone, so the
+#   comparison with the bound keeps its side.
 # - A product or square that underflows is off by up to 2^-1075 instead of
 #   a relative error. At most 4p enter (p squares in each of |q|^2, |t|^2
-#   and the distance, p products in q.t); floor is 32 (p + 3) such steps.
+#   and the distance, p products in q.t; the products by 1 are exact);
+#   floor is 32 (p + 3) such steps.
 #
-# Let bound be the k-th smallest approx + margin of a query row. It is at
-# least the k-th smallest distance, so every one of the k nearest has
-# approx - margin <= bound, and at least k rows do. A row with exactly k
-# such candidates therefore has its k nearest as candidates: only those k
-# distances are computed, with the same einsum, and the candidates, taken
-# in index order and sorted stably by distance, are in the (distance,
-# index) order of a full stable sort. Every other row falls back to its full
-# distance row and a stable sort: more than k candidates (a distance tie
-# across the k-th place, or neighbours nearer than the margin can tell
-# apart), fewer than k (a NaN), or S not below 2^1000 (an overflow, or a
-# margin near one). The mean over the k targets in that order adds them
-# up exactly as a per-row mean does, so the result is bit-identical to
-# scoring one row at a time with a stable sort of every exact distance.
+# Let bound = kth + 2 M, where kth is the row's k-th smallest approx. At
+# least k training rows have distance <= kth + M, so the k-th smallest
+# distance D_k is at most kth + M, and each of the k nearest has
+# approx <= D_k + M <= bound. A row with exactly k candidates approx <= bound
+# therefore has its k nearest as candidates: only those k distances are
+# computed, with the same einsum, and the candidates, taken in index order
+# and sorted stably by distance, are in the (distance, index) order of a
+# full stable sort. Every other row falls back to its full distance row and
+# a stable sort: more than k candidates (a distance tie across the k-th
+# place, neighbours nearer than the margin can tell apart, or one training
+# row so far out that max |t|^2 widens every margin), fewer than k (a NaN),
+# or R not below 2^1000 (an overflow, or a margin near one). The fallback
+# rows go in sub-blocks of _KNN_BLOCK_VALUES // (n p) rows, so their arrays
+# of differences hold about 1 MB however many rows tie. The mean over the k
+# targets in that order adds them up exactly as a per-row mean does, so the
+# result is bit-identical to scoring one row at a time with a stable sort of
+# every exact distance.
 
+_KNN_SCREEN_VALUES = 2**15
 _KNN_BLOCK_VALUES = 2**17
 
 
@@ -119,33 +133,43 @@ def knn_predict(train, targets, query, k):
     n, p = train.shape
     rel = 8 * (p + 3) * 2.0**-53
     floor = (p + 3) * 2.0**-1070
-    block = max(1, _KNN_BLOCK_VALUES // train.size)
+    block = max(1, _KNN_SCREEN_VALUES // n)
+    full_block = max(1, _KNN_BLOCK_VALUES // train.size)
+    right = np.empty((p + 2, n))
+    right[p] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        train_sq = np.einsum("ij,ij->i", train, train)
-        train_sq_max = train_sq.max()
-        cross = -2.0 * train.T  # exact short of overflow, where |t|^2 overflows too
+        right[:p] = -2.0 * train.T
+        right[p + 1] = np.einsum("ij,ij->i", train, train)
+        train_sq_max = right[p + 1].max()
+    left = np.empty((min(block, query.shape[0]), p + 2))
+    left[:, p + 1] = 1.0
     out = np.empty(query.shape[0])
     for start in range(0, query.shape[0], block):
         q = query[start:start + block]
+        b = q.shape[0]
+        lhs = left[:b]
+        lhs[:, :p] = q
         with np.errstate(over="ignore", invalid="ignore"):
-            q_sq = np.einsum("ij,ij->i", q, q)
-            scale = q_sq[:, None] + train_sq
-            approx = scale + q @ cross
-            margin = rel * scale + floor
-            bound = np.partition(approx + margin, k - 1, axis=1)[:, k - 1:k]
-            mask = approx - margin <= bound
-            # q_sq + train_sq_max rounds to the largest entry of scale's row
-            screened = (np.count_nonzero(mask, axis=1) == k) & (q_sq + train_sq_max < 2.0**1000)
-        order = np.empty((q.shape[0], k), dtype=np.intp)
+            lhs[:, p] = np.einsum("ij,ij->i", q, q)
+            approx = lhs @ right
+            reach = lhs[:, p] + train_sq_max
+            bound = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            bound += 2.0 * (rel * reach + floor)
+            hits = np.flatnonzero(approx <= bound[:, None])
+            hit_rows = hits // n
+            screened = (np.bincount(hit_rows, minlength=b) == k) & (reach < 2.0**1000)
+        order = np.empty((b, k), dtype=np.intp)
         if screened.any():
-            cand = np.flatnonzero(mask[screened]).reshape(-1, k) % n
+            cand = (hits[screened[hit_rows]] % n).reshape(-1, k)
             diff = train[cand] - q[screened, None, :]
             d = np.einsum("qij,qij->qi", diff, diff)
             ranks = np.argsort(d, axis=1, kind="stable")
             order[screened] = np.take_along_axis(cand, ranks, axis=1)
-        if not screened.all():
-            diff = train - q[~screened, None, :]
+        rest = np.flatnonzero(~screened)
+        for sub in range(0, rest.size, full_block):
+            rows = rest[sub:sub + full_block]
+            diff = train - q[rows, None, :]
             d = np.einsum("qij,qij->qi", diff, diff)
-            order[~screened] = np.argsort(d, axis=1, kind="stable")[:, :k]
-        out[start:start + q.shape[0]] = targets[order].mean(axis=1)
+            order[rows] = np.argsort(d, axis=1, kind="stable")[:, :k]
+        out[start:start + b] = targets[order].mean(axis=1)
     return out

@@ -31,7 +31,7 @@ _CLOSE_TIMEOUT_S = 10.0
 
 
 class ModelAdapter:
-    """Base contract: deterministic predict, finite outputs, fixed schema.
+    """Base contract: deterministic predict, finite real outputs, fixed schema.
 
     predict is called on batches of rows, and a row's prediction must not
     depend on the other rows in the batch: global importance stacks several
@@ -79,10 +79,12 @@ class KnnModel(ModelAdapter):
 
     Predicts the mean target of the k training rows nearest to each query
     row; distance ties resolve to the lower training-row index. Query rows
-    are scored in blocks: one matrix product and an error bound screen out
-    the training rows that cannot be among the k nearest, and exact
-    distances are computed only for the rest (see `_kernels.knn_predict`).
-    The result is bit-identical to sorting each row's exact distances.
+    are scored in blocks: one matrix product of augmented operands and a
+    per-row error bound screen out the training rows that cannot be among
+    the k nearest, and exact distances are computed only for the rest. A
+    row the screen cannot settle (a tie across the k-th place) is scored
+    against every training row (see `_kernels.knn_predict`). The result is
+    bit-identical to sorting each row's exact distances.
     The training rows must form a non-empty 2-D array of finite values, with
     one finite target per row.
     """
@@ -320,7 +322,17 @@ def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
     expected = model.expected_p()
     if expected is not None and expected != table.p:
         raise SchemaMismatch(f"model expects p={expected} columns, got p={table.p}")
-    out = np.asarray(model.predict(table), dtype=np.float64).reshape(-1)
+    raw = model.predict(table)
+    try:
+        out = np.asarray(raw)
+    except ValueError as e:  # a ragged list
+        raise AspectraError(f"model {model.label!r} returned unreadable predictions: {e}") from None
+    # booleans and integers convert; strings, complex numbers and objects do not
+    if out.dtype.kind not in "biuf":
+        raise AspectraError(
+            f"model {model.label!r} returned predictions of dtype {out.dtype}, not real numbers"
+        )
+    out = out.astype(np.float64, copy=False).reshape(-1)
     if out.shape[0] != table.n:
         raise SchemaMismatch(f"model returned {out.shape[0]} predictions for {table.n} rows")
     if not np.all(np.isfinite(out)):

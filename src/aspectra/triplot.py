@@ -129,6 +129,10 @@ class TriplotResult:
                 f"triplot document has {result.p} leaves and {result.node_importance.shape[0]} "
                 f"nodes for a tree over {tree.p} leaves"
             )
+        if result.mode == "local" and (result.x_star is None or result.x_star.shape != (result.p,)):
+            raise AspectraError(
+                f"local triplot document needs metadata.x_star with {result.p} values"
+            )
         return result
 
 

@@ -392,6 +392,8 @@ _MALFORMED = {
     "more-leaves-than-the-tree": ("triplot", lambda d: d["leaves"].append(d["leaves"][0])),
     "merge-of-an-unknown-cluster": ("triplot", lambda d: d["tree"][0].update(left=99)),
     "global-without-losses": ("triplot", lambda d: d["metadata"].pop("baseline_loss")),
+    "local-without-x-star": ("local", lambda d: d["metadata"].pop("x_star")),
+    "local-with-short-x-star": ("local", lambda d: d["metadata"]["x_star"].pop()),
     "non-numeric-contribution": ("aspects", lambda d: d["aspects"][0].update(contribution="x")),
     "nan-leaf-importance": ("triplot", lambda d: d["leaves"][0].update(importance=math.nan)),
     "inf-node-importance": ("triplot", lambda d: d["nodes"][0].update(importance=math.inf)),
@@ -410,6 +412,8 @@ def test_render_malformed_document_is_exit_1(case, six_csv, tmp_path, capsys):
     doc_file = tmp_path / "doc.json"
     if kind == "triplot":
         argv = ["triplot", "--mode", "global"]
+    elif kind == "local":
+        argv = ["triplot", "--mode", "local", "--row", "0", "--N", "200"]
     else:
         argv = ["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200",
                 "--format", "json"]

@@ -172,17 +172,34 @@ def _oracle_knn_predict(train, targets, query, k):
     return out
 
 
+# rows per screen block and per fallback sub-block
+block_sizes = st.tuples(st.integers(min_value=1, max_value=8),
+                        st.integers(min_value=1, max_value=8))
+
+
+def knn_at_blocks(train, targets, query, k, blocks):
+    """knn_predict with `blocks` = (rows per screen block, rows per
+    fallback sub-block) in place of the defaults."""
+    screen, full = blocks
+    n, p = np.shape(train)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_KNN_SCREEN_VALUES", screen * n)
+        mp.setattr(_kernels, "_KNN_BLOCK_VALUES", full * n * p)
+        return knn_predict(train, targets, query, k)
+
+
 @st.composite
 def knn_problems(draw):
     """Grid-valued training and query rows, so distances tie often, with
     duplicated training rows, queries that equal training rows, any k from
-    1 to n, and a block size with query counts on either side of a block
-    boundary."""
+    1 to n, and block sizes with query counts on either side of a screen
+    block boundary."""
     n = draw(st.integers(min_value=1, max_value=40))
     p = draw(st.integers(min_value=1, max_value=5))
     levels = draw(st.integers(min_value=1, max_value=4))
     step = draw(st.sampled_from([1.0, 0.1, 0.3]))
-    block = draw(st.integers(min_value=1, max_value=6))
+    blocks = draw(block_sizes)
+    block = blocks[0]
     m = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
     k = draw(st.integers(min_value=1, max_value=n))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -193,29 +210,75 @@ def knn_problems(draw):
     hits = rng.random(m) < 0.4
     query[hits] = train[rng.integers(0, n, size=int(hits.sum()))]
     targets = rng.standard_normal(n)
-    return train, targets, query, k, block
+    return train, targets, query, k, blocks
 
 
 @settings(max_examples=300, deadline=None)
 @given(problem=knn_problems())
 def test_knn_matches_oracle_bit_for_bit(problem):
-    train, targets, query, k, block = problem
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_KNN_BLOCK_VALUES", block * train.size)
-        got = knn_predict(train, targets, query, k)
+    train, targets, query, k, blocks = problem
+    got = knn_at_blocks(train, targets, query, k, blocks)
     assert np.array_equal(got, _oracle_knn_predict(train, targets, query, k))
 
 
 @pytest.mark.parametrize("k", [1, 129, 300])
 def test_knn_matches_oracle_at_the_default_block(k):
     # k past 128 rows sums the mean in pairwise blocks; 300 query rows span
-    # two default blocks of max(1, 2**17 // (300 * 3)) = 145 rows and a rest
+    # two default screen blocks of max(1, 2**15 // 300) = 109 rows and a
+    # rest, and the fallback's sub-blocks hold max(1, 2**17 // (300 * 3)) =
+    # 145 rows
     rng = np.random.default_rng(11)
     train = rng.integers(0, 3, size=(300, 3)) * 0.1
     targets = rng.standard_normal(300)
     query = np.vstack([rng.integers(0, 3, size=(150, 3)) * 0.1, train[:150]])
     assert np.array_equal(knn_predict(train, targets, query, k),
                           _oracle_knn_predict(train, targets, query, k))
+
+
+@pytest.mark.parametrize("blocks", [(6, 1), (6, 2), (6, 8), (4, 1)])
+def test_knn_block_holds_screened_and_fallback_rows(blocks):
+    # 0.1, 5.2 and 9.9 each have one clear nearest training row, so the
+    # screen keeps exactly k = 1 candidate; 1.0 and 7.5 sit midway between
+    # two training rows, a tie across the k-th place that the screen sees as
+    # two candidates, so they fall back to the full scan. With 6 rows per
+    # screen block both kinds share one block.
+    train = np.array([[0.0], [2.0], [5.0], [10.0], [7.0], [8.0]])
+    targets = 2.0 ** np.arange(6)
+    query = np.array([[0.1], [1.0], [5.2], [7.5], [9.9], [1.0]])
+    got = knn_at_blocks(train, targets, query, 1, blocks)
+    assert got.tolist() == [1.0, 1.0, 4.0, 16.0, 8.0, 1.0]
+    got = knn_at_blocks(train, targets, query, 2, blocks)
+    assert np.array_equal(got, _oracle_knn_predict(train, targets, query, 2))
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (3, 2), (8, 8)])
+def test_knn_k_equal_to_n_orders_every_training_row(blocks):
+    # the bound is the largest approx plus twice the margin, so all n rows
+    # are candidates; the mean over them adds up in (distance, index) order
+    rng = np.random.default_rng(3)
+    train = rng.integers(0, 3, size=(9, 2)) * 0.5
+    targets = rng.standard_normal(9)
+    query = np.vstack([rng.standard_normal((10, 2)), train[:3]])
+    got = knn_at_blocks(train, targets, query, 9, blocks)
+    assert np.array_equal(got, _oracle_knn_predict(train, targets, query, 9))
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e7])
+@pytest.mark.parametrize("k", [1, 4])
+def test_knn_screen_with_offset_rows_and_a_far_training_row(k, offset):
+    # |q|^2 is about 3 offset^2 and dwarfs the distances (about 6 on
+    # average), so each row's margin decides: at 1e6 it is about 0.08, of
+    # which the training row at twice the offset, never a neighbour, adds
+    # 0.05 through max |t|^2, and a third to a half of the query rows keep
+    # exactly k candidates; at 1e7 the screen's own rounding is as wide as
+    # the gaps between the nearest distances, so every row falls back, and
+    # a screen without its margin picks wrong neighbours
+    rng = np.random.default_rng(8)
+    train = np.vstack([offset + rng.standard_normal((60, 3)), np.full((1, 3), 2 * offset)])
+    query = offset + rng.standard_normal((40, 3))
+    targets = rng.standard_normal(61)
+    got = knn_at_blocks(train, targets, query, k, (8, 3))
+    assert np.array_equal(got, _oracle_knn_predict(train, targets, query, k))
 
 
 def knn_oracle(train, targets, query, k):
@@ -250,14 +313,15 @@ def screened_knn_problems(draw):
     make |q|^2 + |t|^2 dwarf their distances. Every kind is scaled from
     subnormal (1e-320, where squares underflow) to past overflow (1e160).
     Training rows are duplicated, queries copy training rows, k is any
-    value from 1 to n and blocks hold 1 to 8 query rows."""
+    value from 1 to n, and screen blocks and fallback sub-blocks hold 1 to 8
+    query rows each."""
     n = draw(st.integers(min_value=1, max_value=120))
     p = draw(st.integers(min_value=1, max_value=20))
     k = draw(st.integers(min_value=1, max_value=n))
     kind = draw(st.sampled_from(["grid", "near", "offset"]))
     scale = draw(st.sampled_from([1.0, 1e-160, 1e-320, 1e150, 1e160]))
-    block = draw(st.integers(min_value=1, max_value=8))
-    m = draw(st.integers(min_value=0, max_value=3 * block + 1))
+    blocks = draw(block_sizes)
+    m = draw(st.integers(min_value=0, max_value=3 * blocks[0] + 1))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     base = rng.standard_normal(p)
     offset = draw(st.sampled_from([1e5, 1e6]))
@@ -277,16 +341,14 @@ def screened_knn_problems(draw):
     hits = rng.random(m) < 0.3
     query[hits] = train[rng.integers(0, n, size=int(hits.sum()))]
     targets = rng.standard_normal(n)
-    return train, targets, query, k, block
+    return train, targets, query, k, blocks
 
 
 @settings(max_examples=300, deadline=None)
 @given(problem=screened_knn_problems())
 def test_knn_screen_matches_oracle_across_scales(problem):
-    train, targets, query, k, block = problem
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_KNN_BLOCK_VALUES", block * train.size)
-        got = knn_predict(train, targets, query, k)
+    train, targets, query, k, blocks = problem
+    got = knn_at_blocks(train, targets, query, k, blocks)
     with np.errstate(over="ignore"):
         want = _oracle_knn_predict(train, targets, query, k)
     assert np.array_equal(got, want)

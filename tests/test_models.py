@@ -217,6 +217,35 @@ def test_predict_rejects_non_finite_output():
         predict(Bad(0.0), table_of(np.ones((2, 1))))
 
 
+def _returning(raw):
+    class Fixed(ConstantModel):
+        def predict(self, table):
+            return raw
+
+    return Fixed(0.0, label="fixed-output")
+
+
+@pytest.mark.parametrize("raw", [
+    ["1.5", "oops"],
+    {"a": 1.0, "b": 2.0},
+    np.array([1.0 + 2.0j, 3.0 + 0.0j]),
+    [[1.0, 2.0], [3.0]],
+], ids=["str", "dict", "complex", "ragged"])
+def test_predict_rejects_output_that_is_not_real_numbers(raw):
+    # a complex array would otherwise lose its imaginary part with only a
+    # ComplexWarning, and the rest would escape as raw numpy errors
+    with pytest.raises(AspectraError, match="fixed-output"):
+        predict(_returning(raw), table_of(np.ones((2, 1))))
+
+
+@pytest.mark.parametrize("raw", [[True, False], np.array([3, -1], dtype=np.int8)],
+                         ids=["bool", "int8"])
+def test_predict_converts_booleans_and_integers(raw):
+    out = predict(_returning(raw), table_of(np.ones((2, 1))))
+    assert out.dtype == np.float64
+    assert out.tolist() == np.asarray(raw, dtype=np.float64).tolist()
+
+
 # -------------------------------------------------------------- subprocess
 
 

@@ -232,6 +232,20 @@ def test_json_doc_with_non_finite_x_star_is_rejected(six_table):
         TriplotResult.from_json_doc(doc)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda meta: meta.pop("x_star"),
+    lambda meta: meta["x_star"].pop(),
+], ids=["missing", "short"])
+def test_json_doc_without_a_full_x_star_is_rejected(six_table, corrupt):
+    table, y = six_table
+    res = predict_triplot(fit_linear(table, y), table, table.row(0),
+                          TriplotConfig(mode="local", N=400, seed=5))
+    doc = json.loads(res.to_json())
+    corrupt(doc["metadata"])
+    with pytest.raises(AspectraError, match="x_star"):
+        TriplotResult.from_json_doc(doc)
+
+
 def test_json_doc_shape(six_table):
     table, y = six_table
     model = fit_linear(table, y)
