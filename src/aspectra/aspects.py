@@ -6,6 +6,11 @@ values. The difference between modified and unmodified predictions is then
 regressed on the binary flag matrix; the coefficients are the aspect
 contributions. An L1-limited variant caps how many aspects stay nonzero by
 searching for the smallest regularization strength that honours the cap.
+
+The sampled rows do not depend on the grouping: a `_DesignSampler` draws
+them once, and each partition it is asked for draws only its flags. A local
+triplot takes every tree level's design from one sampler, and
+`build_design` is one sampler asked for one partition.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .data import (
     RngStream,
     _check_tsv_names,
     _finite_float,
+    _rekey,
     sampled_row_ids,
     validate_partition,
 )
@@ -53,7 +59,8 @@ class SampleDesign:
 
     `original` holds A and `modified` holds A', both N x p read-only tables
     under the explained table's column names; they are the two tables the
-    model scores.
+    model scores. Designs from one `_DesignSampler` share `row_ids` (also
+    read-only) and `original`.
     """
 
     row_ids: np.ndarray
@@ -163,6 +170,63 @@ class AspectExplanation:
         return AspectExplanation(aspects=rows, N=N, seed=seed, lam=lam)
 
 
+class _DesignSampler:
+    """The rows A sampled once, and a design for any partition over them.
+
+    The rows come from the stream `rng.child(_K_ROWS)` and each design's
+    flags from `rng.child(_K_FLAGS)`, restarted per design, so every
+    partition sees the same rows A and the flags that `build_design` draws
+    for it with the same rng. `original` is the one read-only table of A
+    that every design shares.
+    """
+
+    def __init__(self, table: NumericTable, x_star: Observation, N: int, rng: RngStream):
+        if x_star.p != table.p:
+            raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
+        self.table = table
+        self.N = N
+        self.row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
+        self.row_ids.setflags(write=False)
+        A = table.values[self.row_ids]
+        # A holds rows of the validated table, so it needs no checking again
+        self.original = NumericTable._from_validated(table.column_names, A)
+        # A' takes each cell from A or from x*; with D = bits(A) ^ bits(x*),
+        # bits(A') = bits(A) ^ (D * flag) selects between them exactly
+        self._bits = A.view(np.int64)
+        self._diff = self._bits ^ x_star.values.view(np.int64)
+        self._flag_stream = rng.child(_K_FLAGS)
+        self._flags = self._flag_stream.generator()
+
+    def design(self, partition: AspectPartition) -> SampleDesign:
+        """Flag one or two of the partition's aspects per sampled row."""
+        p = self.table.p
+        validate_partition(partition, p)
+        N, m = self.N, partition.m
+        if N < m:
+            raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
+        stream = self._flag_stream
+        _rekey(self._flags.bit_generator, stream.seed, stream.stream_id)
+        kl = self._flags.integers(0, m, size=(N, 2))
+        X_prime = np.zeros((N, m), dtype=np.int8)
+        rows = np.arange(N)
+        X_prime[rows, kl[:, 0]] = 1
+        X_prime[rows, kl[:, 1]] = 1
+        aspect_of = [0] * p  # column -> its aspect
+        for j, members in enumerate(partition.member_sets):
+            for i in members:
+                aspect_of[i] = j
+        bits = self._diff * X_prime[:, aspect_of]
+        bits ^= self._bits
+        # A' mixes rows of the validated table with the validated observation
+        return SampleDesign(
+            row_ids=self.row_ids,
+            X_prime=X_prime,
+            original=self.original,
+            modified=NumericTable._from_validated(self.table.column_names, bits.view(np.float64)),
+            partition=partition,
+        )
+
+
 def build_design(
     table: NumericTable,
     x_star: Observation,
@@ -174,34 +238,11 @@ def build_design(
 
     The row stream is derived independently of the partition, so designs
     built from the same rng share the same sampled rows A across different
-    groupings; only the flags and replacements differ.
+    groupings; only the flags and replacements differ. This is one
+    `_DesignSampler` asked for one partition; a local triplot keeps its
+    sampler and asks it for every tree level.
     """
-    validate_partition(partition, table.p)
-    if x_star.p != table.p:
-        raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
-    m = partition.m
-    if N < m:
-        raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
-    row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
-    A = table.values[row_ids]
-    kl = rng.child(_K_FLAGS).generator().integers(0, m, size=(N, 2))
-    X_prime = np.zeros((N, m), dtype=np.int8)
-    X_prime[np.arange(N), kl[:, 0]] = 1
-    X_prime[np.arange(N), kl[:, 1]] = 1
-    aspect_of = np.empty(table.p, dtype=np.intp)  # column -> its aspect
-    for j, members in enumerate(partition.member_sets):
-        aspect_of[list(members)] = j
-    A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
-    # A holds rows of the validated table and A' mixes them with the
-    # validated observation, so neither needs checking again
-    names = table.column_names
-    return SampleDesign(
-        row_ids=row_ids,
-        X_prime=X_prime,
-        original=NumericTable._from_validated(names, A),
-        modified=NumericTable._from_validated(names, A_prime),
-        partition=partition,
-    )
+    return _DesignSampler(table, x_star, N, rng).design(partition)
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
@@ -236,6 +277,10 @@ def fit_ols(design: SampleDesign, ym: np.ndarray) -> SurrogateFit:
     return SurrogateFit(gamma=gamma, W=W, Z=Z, residual_norm=residual)
 
 
+def _sign(v: float) -> float:
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
+
+
 def _lasso_path(W: np.ndarray, Z: np.ndarray):
     """Walk the exact lasso path on (W, Z) downwards, in t = N * lambda.
 
@@ -243,12 +288,16 @@ def _lasso_path(W: np.ndarray, Z: np.ndarray):
     (t_low, t_high], t_high the previous t_low, the coefficients in the
     index array P are nonzero and all others are 0. With signs s_P the
     segment has w_P(t) = W_PP^-1 (Z_P - t s_P), and the correlations
-    c(t) = Z - W_.P w_P(t) are linear in t too. The segment ends at the largest t below its top
-    where an inactive |c_j| reaches t (a join) or an active w_k reaches 0 (a
-    drop): one m_P x m_P solve per segment (Osborne, Presnell & Turlach 2000;
-    Efron et al. 2004, the lasso variant of LARS). Events within a relative
-    _TIE of each other happen at one knot, and _knot_active_set picks the
-    active set below it.
+    c(t) = Z - W_.P w_P(t) are linear in t too. The segment ends at the
+    largest t below its top where an inactive |c_j| reaches t (a join) or an
+    active w_k reaches 0 (a drop): one m_P x m_P solve per segment (Osborne,
+    Presnell & Turlach 2000; Efron et al. 2004, the lasso variant of LARS).
+    Events within a relative _TIE of each other happen at one knot, and
+    _knot_active_set picks the active set below it.
+
+    The solve and the two products over W_P run in numpy; the event search
+    runs on Python floats, whose element-wise IEEE arithmetic is numpy's, so
+    the knots are the same either way.
 
     A column of zeros never joins. An inactive column collinear with the
     active set has c_j = t * const along the segment; if |const| < 1 it never
@@ -256,59 +305,78 @@ def _lasso_path(W: np.ndarray, Z: np.ndarray):
     coefficients coordinate descent leaves nonzero depends on rounding, so
     that raises SingularDesign.
     """
-    diag = W.diagonal()
-    sampled = diag > 0.0
-    ZW = np.column_stack((Z, W))
-    plus_minus = np.array([[1.0], [-1.0]])  # join rows: c = +t, c = -t
-    t = float(np.max(np.abs(Z)))
-    kept = np.array([], dtype=np.intp)
-    tied = joining = np.flatnonzero(np.abs(Z) >= t * (1.0 - _TIE))
-    signs = np.zeros(Z.shape[0])  # on the active set and the columns tied at a knot
-    signs[tied] = np.sign(Z[tied])
+    m = Z.shape[0]
+    diag = W.diagonal().tolist()
+    z = Z.tolist()
+    # row j: a slot for column j's sign, Z_j and W_j., the segment solve's
+    # right-hand side once the slot is filled
+    rhs_rows = np.column_stack((np.zeros(m), Z, W))
+    t = max(abs(v) for v in z)
+    tied = joining = [j for j in range(m) if abs(z[j]) >= t * (1.0 - _TIE)]
+    kept = []
+    signs = [0.0] * m  # on the active set and the columns tied at a knot
+    for j in tied:
+        signs[j] = _sign(z[j])
     seen = set()
     while True:
-        P, sol = _knot_active_set(W, ZW, kept, tied, joining, signs)
-        s_P = signs[P]
-        signs[:] = 0.0
-        signs[P] = s_P
-        if signs.tobytes() in seen:  # exact arithmetic never revisits a sign pattern
+        P, sol = _knot_active_set(W, rhs_rows, kept, tied, joining, signs)
+        P_list = P.tolist()
+        s_P = [signs[j] for j in P_list]
+        signs = [0.0] * m
+        for j, s in zip(P_list, s_P):
+            signs[j] = s
+        pattern = tuple(signs)
+        if pattern in seen:  # exact arithmetic never revisits a sign pattern
             raise SingularDesign("the lasso path revisits an active set")
-        seen.add(signs.tobytes())
-        b, a = sol[:, 0], sol[:, 1]  # w_P(t) = a - t b
+        seen.add(pattern)
         W_P = W[P]
-        beta, a_W = sol[:, :2].T @ W_P
-        alpha = Z - a_W  # c(t) = alpha + t beta
-        free = (signs == 0.0) & sampled
-        collinear = free & (diag - np.einsum("ij,ij->j", W_P, sol[:, 2:]) <= _TIE * diag)
-        # |c_j| = t all along the segment: w_j = 0 is a solution, the only one
-        # unless the column is collinear with the active set
-        rides = free & (np.abs(alpha) <= _TIE * t) & (np.abs(beta) >= 1.0 - _TIE)
-        if np.any(rides & collinear):
-            raise SingularDesign("aspect flag columns are collinear")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            join = alpha / (plus_minus - beta)
-            drop = a / b
+        beta, a_W = (sol[:, :2].T @ W_P).tolist()
+        projected = np.einsum("ij,ij->j", W_P, sol[:, 2:]).tolist()
+        b, a = sol[:, 0].tolist(), sol[:, 1].tolist()  # w_P(t) = a - t b
+        alpha = [zj - aj for zj, aj in zip(z, a_W)]  # c(t) = alpha + t beta
+        free = [j for j in range(m) if signs[j] == 0.0 and diag[j] > 0.0]
         # roots within _TIE below t belong to the knot just resolved
         below = t * (1.0 - _TIE)
-        join = np.where((join > 0.0) & (join < below) & (free & ~(collinear | rides)), join, 0.0)
-        drop = np.where((drop > 0.0) & (drop < below), drop, 0.0)
-        t = max(float(join.max(initial=0.0)), float(drop.max(initial=0.0)))
+        join = [0.0] * m  # per column, its largest root below t, or 0
+        for j in free:
+            collinear = diag[j] - projected[j] <= _TIE * diag[j]
+            # |c_j| = t all along the segment: w_j = 0 is a solution, the only
+            # one unless the column is collinear with the active set
+            rides = abs(alpha[j]) <= _TIE * t and abs(beta[j]) >= 1.0 - _TIE
+            if rides and collinear:
+                raise SingularDesign("aspect flag columns are collinear")
+            if collinear or rides:
+                continue
+            for edge in (1.0, -1.0):  # c_j = +t, c_j = -t
+                if beta[j] != edge:
+                    root = alpha[j] / (edge - beta[j])
+                    if 0.0 < root < below and root > join[j]:
+                        join[j] = root
+        drop = [0.0] * len(P_list)
+        for k, (ak, bk) in enumerate(zip(a, b)):
+            if bk != 0.0:
+                root = ak / bk
+                if 0.0 < root < below:
+                    drop[k] = root
+        t = max(max(join), max(drop))
         yield t, P
         if t == 0.0:
             return
         # tied at the new knot: the columns whose root is here, and every
         # other free column with |c_j| = t (a rider)
         at_knot = t * (1.0 - _TIE)
-        c = alpha + t * beta
-        boundary = np.flatnonzero(free & (np.abs(c) >= at_knot))
-        signs[boundary] = np.sign(c[boundary])
-        drops = drop >= at_knot
-        kept = P[~drops]
-        tied = np.concatenate((P[drops], boundary))
-        joining = np.flatnonzero(join.max(axis=0) >= at_knot)
+        boundary = []
+        for j in free:
+            c = alpha[j] + t * beta[j]
+            if abs(c) >= at_knot:
+                signs[j] = _sign(c)
+                boundary.append(j)
+        kept = [j for j, root in zip(P_list, drop) if root < at_knot]
+        tied = [j for j, root in zip(P_list, drop) if root >= at_knot] + boundary
+        joining = [j for j in range(m) if join[j] >= at_knot]
 
 
-def _knot_active_set(W, ZW, kept, tied, joining, signs):
+def _knot_active_set(W, rhs_rows, kept, tied, joining, signs):
     """The active set just below a knot, and its segment solve.
 
     `kept` stay active; each `tied` column sits on the boundary (|c_j| = t, or
@@ -321,26 +389,34 @@ def _knot_active_set(W, ZW, kept, tied, joining, signs):
     first: `joining` is the column whose root made the knot, if any. Then
     the subsets of `tied` are searched, smallest first, so that of two
     copied columns the first joins.
+
+    The solve's right-hand side is rows P of `rhs_rows` with column 0 set to
+    s_P, so sol holds b, then a = W_PP^-1 Z_P, then W_PP^-1 W_P.
     """
-    if tied.shape[0] > _MAX_TIED:
-        raise SingularDesign(f"{tied.shape[0]} aspects tie at one point of the lasso path")
+    if len(tied) > _MAX_TIED:
+        raise SingularDesign(f"{len(tied)} aspects tie at one point of the lasso path")
     subsets = itertools.chain(
-        [joining.tolist()] if joining.shape[0] <= 1 else [],
-        (c for n in range(tied.shape[0] + 1) for c in itertools.combinations(tied.tolist(), n)),
+        [joining] if len(joining) <= 1 else [],
+        (c for n in range(len(tied) + 1) for c in itertools.combinations(tied, n)),
     )
     for subset in subsets:
-        joined = np.array(subset, dtype=np.intp)
-        out = np.array([j for j in tied.tolist() if j not in subset], dtype=np.intp)
-        P = np.concatenate((kept, joined))
-        if P.size == 0:  # leaves every tied |c_j| = t above t
+        P_list = kept + list(subset)
+        if not P_list:  # leaves every tied |c_j| = t above t
             continue
+        P = np.array(P_list, dtype=np.intp)
+        rhs = rhs_rows[P]
+        rhs[:, 0] = [signs[j] for j in P_list]
         try:
-            sol = np.linalg.solve(W[P[:, None], P], np.column_stack((signs[P], ZW[P])))
+            sol = np.linalg.solve(W[P[:, None], P], rhs)
         except np.linalg.LinAlgError:
             raise SingularDesign("aspect flag columns are collinear") from None
         b = sol[:, 0]
-        if np.all(signs[joined] * b[kept.shape[0]:] > 0.0) and np.all(
-            signs[out] * (W[out[:, None], P] @ b) >= 1.0 - _TIE
+        if not all(signs[j] * bj > 0.0 for j, bj in zip(subset, b[len(kept):].tolist())):
+            continue
+        out = [j for j in tied if j not in subset]
+        if not out or all(
+            signs[j] * v >= 1.0 - _TIE
+            for j, v in zip(out, (W[np.array(out)[:, None], P] @ b).tolist())
         ):
             return P, sol
     raise SingularDesign("no active set continues the lasso path")
@@ -420,26 +496,17 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
     )
 
 
-def _fit_surrogate(
-    model: ModelAdapter,
-    table: NumericTable,
-    x_star: Observation,
-    partition: AspectPartition,
-    N: int,
-    seed: int,
-    limit: int | None,
-) -> SurrogateFit:
-    """Sample a design for `partition`, score it and fit the surrogate.
+def _fit_surrogate(model: ModelAdapter, design: SampleDesign, limit: int | None) -> SurrogateFit:
+    """Score a design and fit the surrogate.
 
-    gamma is aligned to `partition.member_sets`; limit=None fits by OLS. A
-    limit at or above the aspect count is the uncapped fit, so a coarse
-    partition takes min(limit, m).
+    gamma is aligned to `design.partition.member_sets`; limit=None fits by
+    OLS. A limit at or above the aspect count is the uncapped fit, so a
+    coarse partition takes min(limit, m).
     """
-    design = build_design(table, x_star, partition, N, RngStream(seed))
     ym = delta_predictions(model, design)
     if limit is None:
         return fit_ols(design, ym)
-    return fit_lasso(design, ym, min(limit, partition.m))
+    return fit_lasso(design, ym, min(limit, design.m))
 
 
 def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str, C):
@@ -492,7 +559,8 @@ def predict_aspects(
         partition, C = grouping, None
     else:
         partition, C = _group_variables(table, float(grouping), method)
-    fit = _fit_surrogate(model, table, x_star, partition, N, seed, limit)
+    design = build_design(table, x_star, partition, N, RngStream(seed))
+    fit = _fit_surrogate(model, design, limit)
     return AspectExplanation(
         aspects=_aspect_rows(partition, fit.gamma, table, method, C),
         N=N,

@@ -7,6 +7,7 @@ convention: leaves 0..p-1, the t-th merge creates node p+t.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,22 +204,11 @@ def _group_name(members, column_names) -> str:
     return name[:40]
 
 
-def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectPartition:
-    """Partition induced by applying the first `count` merges of the tree."""
-    if not 0 <= count <= len(tree.merges):
-        raise AspectraError(
-            f"merge count must be in [0, {len(tree.merges)}], got {count}"
-        )
-    # each merge lists its whole cluster, so labelling every member with the
-    # cluster's smallest index applies the merge
-    label = list(range(tree.p))
-    for m in tree.merges[:count]:
-        for i in m.members:
-            label[i] = m.members[0]
-    clusters = {}
-    for i in range(tree.p):
-        clusters.setdefault(label[i], []).append(i)
-    ordered = sorted(clusters.values(), key=lambda ms: ms[0])
+def _named_partition(clusters, column_names) -> AspectPartition:
+    """A partition of the clusters (sorted member tuples) in order of their
+    smallest member, named after their members; a repeated name gets a
+    suffix _2, _3, ..."""
+    ordered = sorted(clusters, key=lambda ms: ms[0])
     names = []
     for ms in ordered:
         name = _group_name(ms, column_names)
@@ -228,7 +218,38 @@ def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectP
             name = f"{base}_{k}"
             k += 1
         names.append(name)
-    return AspectPartition(tuple((n, tuple(ms)) for n, ms in zip(names, ordered)))
+    return AspectPartition(tuple(zip(names, ordered)))
+
+
+def _clusters_along(tree: MergeTree):
+    """The clusters, keyed by their smallest member, before the first merge
+    and after each merge in turn; one dict, updated in place."""
+    clusters = {i: (i,) for i in range(tree.p)}
+    yield clusters
+    for m in tree.merges:
+        # each merge lists its whole cluster, so it covers both children,
+        # whose keys are among its members
+        for i in m.members:
+            clusters.pop(i, None)
+        clusters[m.members[0]] = m.members
+        yield clusters
+
+
+def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectPartition:
+    """Partition induced by applying the first `count` merges of the tree."""
+    if not 0 <= count <= len(tree.merges):
+        raise AspectraError(
+            f"merge count must be in [0, {len(tree.merges)}], got {count}"
+        )
+    clusters = next(itertools.islice(_clusters_along(tree), count, None))
+    return _named_partition(clusters.values(), column_names)
+
+
+def _partitions_along(tree: MergeTree, column_names):
+    """partition_after_merges(tree, count, column_names) for count = 0, 1,
+    ..., p - 1 in turn, applying each merge once."""
+    for clusters in _clusters_along(tree):
+        yield _named_partition(clusters.values(), column_names)
 
 
 def cut_tree(tree: MergeTree, h: float, column_names) -> AspectPartition:

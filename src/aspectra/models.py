@@ -332,9 +332,13 @@ def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
         raise AspectraError(
             f"model {model.label!r} returned predictions of dtype {out.dtype}, not real numbers"
         )
+    # one value per row, as a vector or a column; a flattened (2, 2) would
+    # pass for 4 rows
+    if out.shape not in ((table.n,), (table.n, 1)):
+        raise SchemaMismatch(
+            f"model {model.label!r} returned predictions of shape {out.shape} for {table.n} rows"
+        )
     out = out.astype(np.float64, copy=False).reshape(-1)
-    if out.shape[0] != table.n:
-        raise SchemaMismatch(f"model returned {out.shape[0]} predictions for {table.n} rows")
     if not np.all(np.isfinite(out)):
         raise AspectraError(f"model {model.label!r} returned non-finite predictions")
     return out

@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aspects import _fit_surrogate
+from .aspects import _DesignSampler, _fit_surrogate
 from .cluster import (
     MergeTree,
     VALID_LINKAGES,
+    _partitions_along,
     _round12,
     agglomerative,
     cor_distance,
     correlation_matrix,
-    partition_after_merges,
 )
-from .data import NumericTable, Observation, _finite_float, _integer_fields
+from .data import NumericTable, Observation, RngStream, _finite_float, _integer_fields
 from .errors import AspectraError
 from .global_importance import ImportanceContext, PermutationConfig
 from .models import ModelAdapter
@@ -177,17 +177,14 @@ def predict_triplot(
     if cfg.mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")
     tree = _build_tree(table, cfg)
-
-    def contributions_at(level: int) -> dict:
-        part = partition_after_merges(tree, level, table.column_names)
-        fit = _fit_surrogate(model, table, x_star, part, cfg.N, cfg.seed, cfg.limit)
-        return dict(zip(part.member_sets, fit.gamma))
-
-    leaf_level = contributions_at(0)
-    leaf_imp = np.array([leaf_level[(j,)] for j in range(table.p)])
-    node_imp = np.empty(len(tree.merges))
-    for t, merge in enumerate(tree.merges):
-        node_imp[t] = contributions_at(t + 1)[merge.members]
+    # every level scores the same sampled rows; only the flags differ
+    sampler = _DesignSampler(table, x_star, cfg.N, RngStream(cfg.seed))
+    levels = []
+    for part in _partitions_along(tree, table.column_names):
+        fit = _fit_surrogate(model, sampler.design(part), cfg.limit)
+        levels.append(dict(zip(part.member_sets, fit.gamma)))
+    leaf_imp = np.array([levels[0][(j,)] for j in range(table.p)])
+    node_imp = np.array([levels[t + 1][m.members] for t, m in enumerate(tree.merges)])
     return TriplotResult(
         mode="local",
         tree=tree,

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -17,6 +18,8 @@ from aspectra import (
 )
 from aspectra import _kernels
 from aspectra.aspects import (
+    _MAX_TIED,
+    _TIE,
     BISECT_REL_TOL,
     LASSO_TOL,
     AspectExplanation,
@@ -505,6 +508,191 @@ def test_lasso_path_that_revisits_an_active_set_stops(monkeypatch):
     design, ym = lasso_instance(9)
     with pytest.raises(SingularDesign, match="revisits"):
         fit_lasso(design, ym, limit=3)
+
+
+# ------------------------------------------------------------- walk oracle
+
+# The walk _lasso_path replaced, which ran its event search as numpy array
+# operations, copied verbatim but for the names. The Python-float walk must
+# give the same (t, P) sequence, and the same error where one is raised.
+
+
+def _oracle_lasso_path(W: np.ndarray, Z: np.ndarray):
+    """Walk the exact lasso path on (W, Z) downwards, in t = N * lambda.
+
+    Yields (t_low, P) per segment, from t = max|Z| down to 0: on
+    (t_low, t_high], t_high the previous t_low, the coefficients in the
+    index array P are nonzero and all others are 0. With signs s_P the
+    segment has w_P(t) = W_PP^-1 (Z_P - t s_P), and the correlations
+    c(t) = Z - W_.P w_P(t) are linear in t too. The segment ends at the largest t below its top
+    where an inactive |c_j| reaches t (a join) or an active w_k reaches 0 (a
+    drop): one m_P x m_P solve per segment (Osborne, Presnell & Turlach 2000;
+    Efron et al. 2004, the lasso variant of LARS). Events within a relative
+    _TIE of each other happen at one knot, and _knot_active_set picks the
+    active set below it.
+
+    A column of zeros never joins. An inactive column collinear with the
+    active set has c_j = t * const along the segment; if |const| < 1 it never
+    joins. If |const| = 1 the lasso solution is not unique there, and which
+    coefficients coordinate descent leaves nonzero depends on rounding, so
+    that raises SingularDesign.
+    """
+    diag = W.diagonal()
+    sampled = diag > 0.0
+    ZW = np.column_stack((Z, W))
+    plus_minus = np.array([[1.0], [-1.0]])  # join rows: c = +t, c = -t
+    t = float(np.max(np.abs(Z)))
+    kept = np.array([], dtype=np.intp)
+    tied = joining = np.flatnonzero(np.abs(Z) >= t * (1.0 - _TIE))
+    signs = np.zeros(Z.shape[0])  # on the active set and the columns tied at a knot
+    signs[tied] = np.sign(Z[tied])
+    seen = set()
+    while True:
+        P, sol = _oracle_knot_active_set(W, ZW, kept, tied, joining, signs)
+        s_P = signs[P]
+        signs[:] = 0.0
+        signs[P] = s_P
+        if signs.tobytes() in seen:  # exact arithmetic never revisits a sign pattern
+            raise SingularDesign("the lasso path revisits an active set")
+        seen.add(signs.tobytes())
+        b, a = sol[:, 0], sol[:, 1]  # w_P(t) = a - t b
+        W_P = W[P]
+        beta, a_W = sol[:, :2].T @ W_P
+        alpha = Z - a_W  # c(t) = alpha + t beta
+        free = (signs == 0.0) & sampled
+        collinear = free & (diag - np.einsum("ij,ij->j", W_P, sol[:, 2:]) <= _TIE * diag)
+        # |c_j| = t all along the segment: w_j = 0 is a solution, the only one
+        # unless the column is collinear with the active set
+        rides = free & (np.abs(alpha) <= _TIE * t) & (np.abs(beta) >= 1.0 - _TIE)
+        if np.any(rides & collinear):
+            raise SingularDesign("aspect flag columns are collinear")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = alpha / (plus_minus - beta)
+            drop = a / b
+        # roots within _TIE below t belong to the knot just resolved
+        below = t * (1.0 - _TIE)
+        join = np.where((join > 0.0) & (join < below) & (free & ~(collinear | rides)), join, 0.0)
+        drop = np.where((drop > 0.0) & (drop < below), drop, 0.0)
+        t = max(float(join.max(initial=0.0)), float(drop.max(initial=0.0)))
+        yield t, P
+        if t == 0.0:
+            return
+        # tied at the new knot: the columns whose root is here, and every
+        # other free column with |c_j| = t (a rider)
+        at_knot = t * (1.0 - _TIE)
+        c = alpha + t * beta
+        boundary = np.flatnonzero(free & (np.abs(c) >= at_knot))
+        signs[boundary] = np.sign(c[boundary])
+        drops = drop >= at_knot
+        kept = P[~drops]
+        tied = np.concatenate((P[drops], boundary))
+        joining = np.flatnonzero(join.max(axis=0) >= at_knot)
+
+
+def _oracle_knot_active_set(W, ZW, kept, tied, joining, signs):
+    """The active set just below a knot, and its segment solve.
+
+    `kept` stay active; each `tied` column sits on the boundary (|c_j| = t, or
+    an active w_j = 0) with sign signs[j]. Going down, the coefficients move
+    by b = W_PP^-1 s_P on the new active set P = kept + joined. A tied column
+    belongs to P when it moves away from 0 in its own sign (s_j b_j > 0); one
+    left out must have its correlation fall at least as fast as t
+    (s_j W_jP b >= 1). Exactly one subset satisfies both when W_PP is
+    positive definite. A single join or drop, the usual case, is tried
+    first: `joining` is the column whose root made the knot, if any. Then
+    the subsets of `tied` are searched, smallest first, so that of two
+    copied columns the first joins.
+    """
+    if tied.shape[0] > _MAX_TIED:
+        raise SingularDesign(f"{tied.shape[0]} aspects tie at one point of the lasso path")
+    subsets = itertools.chain(
+        [joining.tolist()] if joining.shape[0] <= 1 else [],
+        (c for n in range(tied.shape[0] + 1) for c in itertools.combinations(tied.tolist(), n)),
+    )
+    for subset in subsets:
+        joined = np.array(subset, dtype=np.intp)
+        out = np.array([j for j in tied.tolist() if j not in subset], dtype=np.intp)
+        P = np.concatenate((kept, joined))
+        if P.size == 0:  # leaves every tied |c_j| = t above t
+            continue
+        try:
+            sol = np.linalg.solve(W[P[:, None], P], np.column_stack((signs[P], ZW[P])))
+        except np.linalg.LinAlgError:
+            raise SingularDesign("aspect flag columns are collinear") from None
+        b = sol[:, 0]
+        if np.all(signs[joined] * b[kept.shape[0]:] > 0.0) and np.all(
+            signs[out] * (W[out[:, None], P] @ b) >= 1.0 - _TIE
+        ):
+            return P, sol
+    raise SingularDesign("no active set continues the lasso path")
+
+
+def _walk(path, W, Z):
+    """The (t_low, P) sequence of a walk and the SingularDesign message that
+    ends it, or None."""
+    segments = []
+    try:
+        for t_low, P in path(W, Z):
+            segments.append((t_low, P.tolist()))
+    except SingularDesign as e:
+        return segments, str(e)
+    return segments, None
+
+
+def assert_walk_matches_oracle(W, Z):
+    walk = _walk(_lasso_path, W, Z)
+    assert walk == _walk(_oracle_lasso_path, W, Z)
+    return walk
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=capped_flag_designs())
+def test_lasso_walk_matches_array_walk_oracle(problem):
+    design, ym = manual_design(*problem)
+    _, _, W, Z = _design_matrices(design, ym)
+    assert_walk_matches_oracle(W, Z)
+
+
+def _gram(X, y):
+    _, _, W, Z = _design_matrices(*manual_design(np.asarray(X), y))
+    return W, Z
+
+
+@pytest.mark.parametrize("X, y, error", [
+    # a drop: w_0 joins, leaves and joins again
+    ([[1, 1, 0], [0, 1, 0], [1, 0, 1]], [0.9, 2.0, 1.6], None),
+    # three columns tie at the top, the fourth joins later
+    (np.repeat(np.eye(4, dtype=np.int8), 2, axis=0),
+     [1.5, 1.5, 1.0, 2.0, -1.0, -2.0, 0.25, 0.75], None),
+    # a rider: column 0 lies inside column 1 and the rows flagging only
+    # column 1 sum to 0 but for rounding, so |c_1| = t to within _TIE all the
+    # way down and w_1 stays 0; taken for a join, it would join near 5e-17
+    ([[1, 1, 0], [0, 1, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]],
+     [0.6, 0.3, -0.5, 0.2, -0.97, 0.63], None),
+    # column 2 is columns 0 + 1 and never ties
+    ([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 1, 0],
+      [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]],
+     [-0.5, -0.3, 0.4, 1.0, -0.1, 1.4, -0.7, 0.4], None),
+    # columns 0 and 1 copied: collinear
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1], [1, 1, 0]], [2.0, 2.5, 0.3, -0.2, 1.8],
+     "collinear"),
+    # more columns tied at the top than the knot search takes
+    (np.repeat(np.eye(_MAX_TIED + 1, dtype=np.int8), 2, axis=0),
+     np.ones(2 * (_MAX_TIED + 1)), "tie"),
+], ids=["drop", "tie", "rider", "collinear-never-ties", "copied", "too-many-tied"])
+def test_lasso_walk_matches_array_walk_oracle_on_fixed_cases(X, y, error):
+    segments, message = assert_walk_matches_oracle(*_gram(X, y))
+    if error is None:
+        assert message is None and segments[-1][0] == 0.0
+    else:
+        assert error in message
+
+
+def test_lasso_walk_matches_array_walk_oracle_on_a_tie_where_one_joins():
+    W = np.array([[4.0, 2.5], [2.5, 2.0]])
+    Z = np.array([5.0, 5.0])
+    segments, message = assert_walk_matches_oracle(W, Z)
+    assert [P for _, P in segments] == [[1], [1, 0]] and message is None
 
 
 # --------------------------------------------------------- predict_aspects

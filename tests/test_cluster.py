@@ -15,6 +15,7 @@ from aspectra.cluster import (
     MergeTree,
     _average_ranks,
     _group_name,
+    _partitions_along,
     agglomerative,
     cor_distance,
     cut_tree,
@@ -331,6 +332,18 @@ def test_partition_after_merges_counts():
     with pytest.raises(AspectraError):
         partition_after_merges(tree, 5, t.column_names)
 
+
+
+@pytest.mark.parametrize("method", ["complete", "single", "average"])
+@pytest.mark.parametrize("seed", range(4))
+def test_partitions_along_the_tree_match_each_cut(method, seed):
+    # long names cut at 40 characters collide, so suffixes are assigned too
+    t = random_table(seed, p=9)
+    names = tuple("v" * 40 + str(j) for j in range(t.p))
+    tree = agglomerative(cor_distance(correlation_matrix(t, "pearson")), method)
+    along = list(_partitions_along(tree, names))
+    assert along == [partition_after_merges(tree, count, names) for count in range(t.p)]
+    assert any(name.endswith("_2") for part in along for name in part.names)
 
 def test_cut_tree_heights():
     t = random_table(7, p=5)

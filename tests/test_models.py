@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,26 @@ def test_predict_converts_booleans_and_integers(raw):
     out = predict(_returning(raw), table_of(np.ones((2, 1))))
     assert out.dtype == np.float64
     assert out.tolist() == np.asarray(raw, dtype=np.float64).tolist()
+
+
+
+@pytest.mark.parametrize("raw, shape", [
+    (np.ones((2, 2)), "(2, 2)"),
+    (np.ones((1, 4)), "(1, 4)"),
+    (np.ones((4, 1, 1)), "(4, 1, 1)"),
+    (np.ones(3), "(3,)"),
+    (np.float64(1.0), "()"),
+], ids=["square", "row", "3d-column", "short", "scalar"])
+def test_predict_rejects_output_of_another_shape(raw, shape):
+    # the right number of values in the wrong shape is not one value per row
+    with pytest.raises(SchemaMismatch, match=re.escape(f"shape {shape} for 4 rows")):
+        predict(_returning(raw), table_of(np.ones((4, 1))))
+
+
+def test_predict_takes_a_vector_or_a_column():
+    for raw in (np.arange(4.0), np.arange(4.0).reshape(4, 1), [[0.0], [1.0], [2.0], [3.0]]):
+        out = predict(_returning(raw), table_of(np.ones((4, 1))))
+        assert out.shape == (4,) and out.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 # -------------------------------------------------------------- subprocess

@@ -14,9 +14,17 @@ from aspectra import (
     predict_aspects,
     predict_triplot,
 )
-from aspectra import global_importance
-from aspectra.cluster import partition_after_merges
-from aspectra.errors import AspectraError
+from aspectra import aspects, global_importance
+from aspectra.aspects import SampleDesign, build_design, delta_predictions, fit_lasso, fit_ols
+from aspectra.cluster import (
+    _partitions_along,
+    agglomerative,
+    cor_distance,
+    correlation_matrix,
+    partition_after_merges,
+)
+from aspectra.data import NumericTable, RngStream, sampled_row_ids, validate_partition
+from aspectra.errors import AspectraError, SchemaMismatch
 from aspectra.global_importance import ImportanceContext
 from aspectra.triplot import TriplotResult
 
@@ -169,6 +177,104 @@ def test_local_model_calls(six_table, fit, limit):
     predict_triplot(model, table, table.row(5), TriplotConfig(mode="local", N=300, seed=6,
                                                              limit=limit))
     assert (model.calls, model.rows) == (2 * table.p, 2 * table.p * 300)
+
+
+# ------------------------------------------------------- local triplot oracle
+
+
+def _oracle_build_design(table, x_star, partition, N, rng):
+    """build_design as it was before designs shared one row sample: every
+    call draws A again and builds A' with np.where."""
+    validate_partition(partition, table.p)
+    if x_star.p != table.p:
+        raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
+    m = partition.m
+    if N < m:
+        raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
+    row_ids = sampled_row_ids(table, N, rng.child(aspects._K_ROWS))
+    A = table.values[row_ids]
+    kl = rng.child(aspects._K_FLAGS).generator().integers(0, m, size=(N, 2))
+    X_prime = np.zeros((N, m), dtype=np.int8)
+    X_prime[np.arange(N), kl[:, 0]] = 1
+    X_prime[np.arange(N), kl[:, 1]] = 1
+    aspect_of = np.empty(table.p, dtype=np.intp)  # column -> its aspect
+    for j, members in enumerate(partition.member_sets):
+        aspect_of[list(members)] = j
+    A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
+    names = table.column_names
+    return SampleDesign(
+        row_ids=row_ids,
+        X_prime=X_prime,
+        original=NumericTable._from_validated(names, A),
+        modified=NumericTable._from_validated(names, A_prime),
+        partition=partition,
+    )
+
+
+def _oracle_predict_triplot(model, table, x_star, cfg):
+    """The local triplot as p independent explanations: per tree level its
+    own partition, sampled design and surrogate fit."""
+    tree = agglomerative(cor_distance(correlation_matrix(table, cfg.cor_method)), cfg.linkage)
+
+    def contributions_at(level):
+        part = partition_after_merges(tree, level, table.column_names)
+        design = _oracle_build_design(table, x_star, part, cfg.N, RngStream(cfg.seed))
+        ym = delta_predictions(model, design)
+        if cfg.limit is None:
+            fit = fit_ols(design, ym)
+        else:
+            fit = fit_lasso(design, ym, min(cfg.limit, part.m))
+        return dict(zip(part.member_sets, fit.gamma))
+
+    leaf_level = contributions_at(0)
+    node_imp = np.empty(len(tree.merges))
+    for t, merge in enumerate(tree.merges):
+        node_imp[t] = contributions_at(t + 1)[merge.members]
+    return TriplotResult(
+        mode="local",
+        tree=tree,
+        leaf_names=tuple(table.column_names),
+        leaf_importance=np.array([leaf_level[(j,)] for j in range(table.p)]),
+        node_importance=node_imp,
+        x_star=x_star.values,
+        metadata={"N": cfg.N, "seed": cfg.seed, "limit": cfg.limit,
+                  "cor_method": cfg.cor_method, "linkage": cfg.linkage},
+    )
+
+
+@pytest.mark.parametrize("limit", [None, 0, 2, 6, 9])
+@pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
+def test_local_triplot_matches_per_level_oracle(six_table, fit, limit):
+    # N = 601 is not a multiple of 4, where a BLAS product may round a row by
+    # its position in the batch
+    table, y = six_table
+    model = fit(table, y)
+    for seed, row in ((5, 0), (8, 3)):
+        cfg = TriplotConfig(mode="local", N=601, seed=seed, limit=limit)
+        ours = predict_triplot(model, table, table.row(row), cfg)
+        assert ours.to_json() == _oracle_predict_triplot(model, table, table.row(row), cfg).to_json()
+
+
+def test_shared_sampler_designs_match_per_level_designs(six_table):
+    table, _ = six_table
+    x_star = table.row(4)
+    tree = agglomerative(cor_distance(correlation_matrix(table, "spearman")), "complete")
+    sampler = aspects._DesignSampler(table, x_star, 601, RngStream(9))
+    for part in _partitions_along(tree, table.column_names):
+        shared = sampler.design(part)
+        for other in (build_design(table, x_star, part, 601, RngStream(9)),
+                      _oracle_build_design(table, x_star, part, 601, RngStream(9))):
+            assert np.array_equal(shared.row_ids, other.row_ids)
+            assert np.array_equal(shared.X_prime, other.X_prime)
+            assert shared.X_prime.dtype == np.int8
+            for ours, theirs in ((shared.original, other.original),
+                                 (shared.modified, other.modified)):
+                assert ours.values.tobytes() == theirs.values.tobytes()
+                assert ours.column_names == theirs.column_names
+                assert ours.values.dtype == np.float64
+                assert ours.values.flags.c_contiguous and not ours.values.flags.writeable
+        assert shared.partition == part
+        assert shared.original is sampler.original and not shared.row_ids.flags.writeable
 
 
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
