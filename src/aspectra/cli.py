@@ -24,7 +24,16 @@ from .render import render_aspects, render_triplot
 from .triplot import TriplotConfig, TriplotResult, model_triplot, predict_triplot
 
 
-def _subprocess_model(cmd):
+def _child_model(model_spec):
+    """The SubprocessModel that a cmd: spec, or no spec, names; None for linear and knn:K."""
+    if model_spec is None:
+        cmd = os.environ.get("ASPECTRA_MODEL_CMD", "").strip()
+        if not cmd:
+            raise AspectraError("no --model given and ASPECTRA_MODEL_CMD is unset")
+    elif model_spec.startswith("cmd:"):
+        cmd = model_spec[4:]
+    else:
+        return None
     try:
         argv = shlex.split(cmd)
     except ValueError as e:  # an unclosed quote or a trailing backslash
@@ -32,12 +41,7 @@ def _subprocess_model(cmd):
     return SubprocessModel(argv)
 
 
-def _parse_model(model_spec, table, y):
-    if model_spec is None:
-        cmd = os.environ.get("ASPECTRA_MODEL_CMD", "").strip()
-        if not cmd:
-            raise AspectraError("no --model given and ASPECTRA_MODEL_CMD is unset")
-        return _subprocess_model(cmd)
+def _fitted_model(model_spec, table, y):
     if model_spec == "linear":
         if y is None:
             raise AspectraError("--model linear needs --target to fit")
@@ -50,17 +54,22 @@ def _parse_model(model_spec, table, y):
         except ValueError:
             raise AspectraError(f"bad knn spec {model_spec!r}, expected knn:K") from None
         return fit_knn(table, y, k)
-    if model_spec.startswith("cmd:"):
-        return _subprocess_model(model_spec[4:])
     raise AspectraError(f"unknown model spec {model_spec!r}; use linear, knn:K or cmd:...")
 
 
 @contextlib.contextmanager
-def _model(model_spec, table, y):
-    """The model _parse_model builds, closed on leaving the block if it has close()."""
-    model = _parse_model(model_spec, table, y)
+def _table_and_model(args):
+    """The --data table, its target and the --model, which is closed on leaving if it has close().
+
+    A child model is built first, so that its process starts while the CSV
+    loads; linear and knn:K are fitted to the loaded table.
+    """
+    model = _child_model(args.model)
     try:
-        yield model
+        table, y = load_table(args.data, target=args.target)
+        if model is None:
+            model = _fitted_model(args.model, table, y)
+        yield table, y, model
     finally:
         close = getattr(model, "close", None)
         if close is not None:
@@ -108,8 +117,7 @@ def _cmd_group_vars(args) -> int:
 
 
 def _cmd_global_importance(args) -> int:
-    table, y = load_table(args.data, target=args.target)
-    with _model(args.model, table, y) as model:
+    with _table_and_model(args) as (table, y, model):
         partition = _parse_grouping(args, table)
         cfg = PermutationConfig(loss=args.loss, B=args.B, N=args.N, seed=args.seed)
         result = group_importance(model, table, y, partition, cfg)
@@ -118,8 +126,7 @@ def _cmd_global_importance(args) -> int:
 
 
 def _cmd_predict_aspects(args) -> int:
-    table, y = load_table(args.data, target=args.target)
-    with _model(args.model, table, y) as model:
+    with _table_and_model(args) as (table, y, model):
         x_star = _parse_observation(args, table)
         # a cutoff goes to predict_aspects, which reuses the correlation matrix
         # it groups with for the aspects' correlation summaries
@@ -133,8 +140,7 @@ def _cmd_predict_aspects(args) -> int:
 
 
 def _cmd_triplot(args) -> int:
-    table, y = load_table(args.data, target=args.target)
-    with _model(args.model, table, y) as model:
+    with _table_and_model(args) as (table, y, model):
         if args.mode == "global":
             if y is None:
                 raise AspectraError("global triplot needs --target")

@@ -28,6 +28,8 @@ LOSS_KINDS = ("rmse", "mae")
 
 # how long close() waits for a child to exit after its stdin is closed
 _CLOSE_TIMEOUT_S = 10.0
+# rows per write of a request, so the child parses one chunk while the next is formatted
+_CHUNK_ROWS = 64
 
 
 class ModelAdapter:
@@ -137,16 +139,22 @@ class SubprocessModel(ModelAdapter):
         <comma-joined column names>
         <n lines of comma-joined decimal values>
     then flushes; the child must answer with exactly n lines, one decimal
-    prediction each, and flush. A column name holding a comma or a line
-    break would corrupt the header, so such a table raises SchemaMismatch
-    before anything is sent. Short or non-numeric output raises
-    SubprocessFailure, never a silent coercion. A failed batch kills the
-    child, because its pipe may still hold answers that a later call would
-    read as its own; every later call then raises SubprocessFailure. One
-    child process serves all calls, so treat each instance as
-    exclusive-access. close() ends the child's input and waits 10 s for it
-    to exit; a child still running then is killed, and close() raises
-    SubprocessFailure.
+    prediction each, and flush. The rows are written in chunks of 64 lines,
+    so the child can parse the first rows while later ones are formatted.
+    A column name holding a comma or a line break would corrupt the header,
+    so such a table raises SchemaMismatch before anything is sent. Short or
+    non-numeric output raises SubprocessFailure, never a silent coercion. A
+    failed batch kills the child, because its pipe may still hold answers
+    that a later call would read as its own; every later call then raises
+    SubprocessFailure. One child process serves all calls, so treat each
+    instance as exclusive-access.
+
+    The child starts when the model is built, so that it boots while the
+    caller does other work; build the model in a `with` block or call
+    close(). A child that cannot be started raises SubprocessFailure at the
+    first predict instead. close() ends the child's input and waits 10 s
+    for it to exit; a child still running then is killed, and close()
+    raises SubprocessFailure.
     """
 
     def __init__(self, command, label=None):
@@ -159,6 +167,10 @@ class SubprocessModel(ModelAdapter):
         self.column_names = None
         self._proc = None
         self._failure = None  # why the child was killed, once a batch failed
+        try:
+            self._ensure_proc()
+        except SubprocessFailure:
+            pass  # the first predict retries the start and raises
 
     def _ensure_proc(self):
         if self._failure is not None:
@@ -189,17 +201,22 @@ class SubprocessModel(ModelAdapter):
                 )
         proc = self._ensure_proc()
         header = f"PREDICT {table.n} {table.p}\n" + ",".join(table.column_names) + "\n"
-        # repr is the shortest string that parses back to the same double
-        body = "\n".join(",".join(map(repr, row)) for row in table.values.tolist()) + "\n"
+        rows = table.values.tolist()
 
         # Writer thread avoids a pipe-buffer deadlock with children that
-        # stream output before consuming all input.
+        # stream output before consuming all input. The pipe is line
+        # buffered, so each chunk reaches the child as soon as it is written.
         write_error = []
 
         def _write():
             try:
                 proc.stdin.write(header)
-                proc.stdin.write(body)
+                for start in range(0, len(rows), _CHUNK_ROWS):
+                    # repr is the shortest string that parses back to the same double
+                    proc.stdin.write("".join(
+                        ",".join(map(repr, row)) + "\n"
+                        for row in rows[start:start + _CHUNK_ROWS]
+                    ))
                 proc.stdin.flush()
             except (BrokenPipeError, OSError) as e:
                 write_error.append(e)

@@ -3,7 +3,7 @@
 Speaks the batched line protocol: reads "PREDICT <n> <p>", a header line,
 then n comma-joined rows; answers with n prediction lines. Loops until EOF.
 
-Usage: python3 child_model.py MODE
+Usage: python3 child_model.py MODE [PATH]
   sum       predict the row sum
   first     echo column 1
   constant  always 3.25
@@ -13,6 +13,9 @@ Usage: python3 child_model.py MODE
   short     answer n-1 lines then stall the batch
   die       exit 3 without answering
   linger    predict the row sum, but ignore EOF and keep running
+  record    predict the row sum, and append every byte read to PATH
+  stream    predict the row sum, answering and flushing each row as soon
+            as it is read
 """
 
 import sys
@@ -21,9 +24,19 @@ import time
 
 def main() -> int:
     mode = sys.argv[1]
+    # unbuffered, so the file holds every byte read by the time the child exits
+    record = open(sys.argv[2], "ab", buffering=0) if mode == "record" else None
+
+    def readline():
+        if record is None:
+            return sys.stdin.readline()
+        raw = sys.stdin.buffer.readline()
+        record.write(raw)
+        return raw.decode()
+
     batch = 0
     while True:
-        head = sys.stdin.readline()
+        head = readline()
         if head == "":
             if mode == "linger":
                 time.sleep(60)
@@ -31,8 +44,12 @@ def main() -> int:
         parts = head.split()
         assert parts[0] == "PREDICT", head
         n = int(parts[1])
-        sys.stdin.readline()  # column names, unused here
-        rows = [sys.stdin.readline() for _ in range(n)]
+        readline()  # column names, unused here
+        if mode == "stream":
+            for _ in range(n):
+                print(repr(sum(float(tok) for tok in readline().split(","))), flush=True)
+            continue
+        rows = [readline() for _ in range(n)]
         if mode == "die":
             return 3
         batch += 1
@@ -46,7 +63,7 @@ def main() -> int:
                 print("oops")
                 continue
             values = [float(tok) for tok in line.strip().split(",")]
-            if mode in ("sum", "garbage-first", "linger"):
+            if mode in ("sum", "garbage-first", "linger", "record"):
                 print(repr(sum(values)))
             elif mode == "first":
                 print(repr(values[0]))

@@ -182,6 +182,54 @@ def test_model_that_outlives_its_input_is_exit_1(six_csv, children, capsys, monk
     assert children[0].returncode is not None
 
 
+_MODEL_COMMANDS = {
+    "global-importance": ["global-importance", "--cutoff", "0.6"],
+    "predict-aspects": ["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200"],
+    "triplot": ["triplot", "--mode", "global"],
+}
+
+
+def _bad_data(kind, tmp_path):
+    if kind == "missing":
+        return str(tmp_path / "missing.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b,y\n1,2,3\n4,oops,6\n")
+    return str(bad)
+
+
+@pytest.mark.parametrize("kind", ["missing", "non-numeric"])
+@pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+def test_unloadable_data_with_a_child_model_is_exit_1(command, kind, tmp_path, children, capsys):
+    # the child starts before the CSV is read; the load error is the one a
+    # fitted model, built after the load, reports, and the child is reaped
+    argv = _MODEL_COMMANDS[command]
+    data = ["--data", _bad_data(kind, tmp_path), "--target", "y"]
+    code, out, err = run(argv[:1] + data + ["--model", child_spec("sum")] + argv[1:], capsys)
+    assert (code, out) == (1, "")
+    assert len(children) == 1
+    assert children[0].returncode is not None
+    assert children[0].stdout.closed
+    fitted = run(argv[:1] + data + ["--model", "linear"] + argv[1:], capsys)
+    assert fitted == (1, "", err)
+    assert ("No such file" if kind == "missing" else "'oops'") in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    (None, "ASPECTRA_MODEL_CMD is unset"),
+    ("cmd:'x", "cannot split model command"),
+    ("cmd:", "empty argv"),
+])
+def test_a_bad_child_spec_is_reported_before_unloadable_data(spec, message, tmp_path,
+                                                             capsys, monkeypatch):
+    # a child model is built before the CSV is read, so its error comes first
+    monkeypatch.delenv("ASPECTRA_MODEL_CMD", raising=False)
+    model = [] if spec is None else ["--model", spec]
+    code, out, err = run(["predict-aspects", "--data", str(tmp_path / "missing.csv"),
+                          *model, "--row", "0", "--cutoff", "0.6"], capsys)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 # --------------------------------------------------------- predict-aspects
 
 

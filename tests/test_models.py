@@ -1,4 +1,6 @@
 import re
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
 import pytest
@@ -313,6 +315,55 @@ def test_subprocess_large_batch_no_deadlock():
     assert np.array_equal(out, X[:, 0])
 
 
+def _predict_in_time(m, table, timeout=60):
+    """m.predict(table), failing the test if it takes longer than `timeout` s.
+
+    The call runs in a helper thread; a call that hangs, say because the
+    request and the answers block each other, has its child killed, which
+    ends it, instead of hanging the suite.
+    """
+    with ThreadPoolExecutor(1) as pool:
+        future = pool.submit(m.predict, table)
+        try:
+            return future.result(timeout)
+        except FutureTimeout:
+            m._proc.kill()  # ends the blocked read and write, so the call returns
+            pytest.fail(f"predict did not finish within {timeout} s")
+
+
+def test_subprocess_request_bytes_match_one_formatted_string(tmp_path):
+    # a batch of several chunks and a partial one; the streamed request must
+    # be the bytes of the header plus every row formatted as one string
+    edges = [-0.0, 5e-324, 1e-300, 1e16, 0.1, -1.5e308]
+    n = 3 * models._CHUNK_ROWS + 5
+    X = [[edges[(i + j) % 6] for j in range(6)] + [i / 7] for i in range(n)]
+    record = tmp_path / "request.bin"
+    with SubprocessModel(child_cmd("record") + [str(record)]) as m:
+        out = _predict_in_time(m, table_of(X))
+    assert out.tolist() == [sum(row) for row in X]
+    expected = (f"PREDICT {n} 7\nx0,x1,x2,x3,x4,x5,x6\n"
+                + "\n".join(",".join(map(repr, row)) for row in X) + "\n")
+    assert record.read_bytes() == expected.encode()
+
+
+def test_subprocess_streaming_child_large_batch_no_deadlock():
+    # the child answers each row as it reads it, so its answers (~80 kB)
+    # fill the output pipe while the ~2.5 MB request is still being written
+    X = np.random.default_rng(6).standard_normal((4000, 32))
+    with SubprocessModel(child_cmd("stream")) as m:
+        out = _predict_in_time(m, table_of(X))
+    assert out.tolist() == [sum(row) for row in X.tolist()]
+
+
+def test_subprocess_child_starts_when_the_model_is_built():
+    with SubprocessModel(child_cmd("sum")) as m:
+        proc = m._proc
+        assert proc.poll() is None  # running before any predict
+    assert proc.returncode is not None  # closing reaped it
+    assert proc.stdout.closed
+    assert m._proc is None
+
+
 def test_subprocess_child_dies():
     with SubprocessModel(child_cmd("die")) as m:
         with pytest.raises(SubprocessFailure):
@@ -344,11 +395,13 @@ def test_subprocess_failed_batch_stops_the_child(mode):
 
 @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
 def test_subprocess_rejects_protocol_breaking_column_names(name):
-    m = SubprocessModel(child_cmd("first"))
-    with pytest.raises(SchemaMismatch, match="line protocol"):
-        m.predict(table_of([[7.0]], names=(name,)))
-    assert m._proc is None  # rejected before the child was started
-    with m:
+    with SubprocessModel(child_cmd("first")) as m:
+        with pytest.raises(SchemaMismatch, match="line protocol"):
+            m.predict(table_of([[7.0]], names=(name,)))
+        # rejected before anything was sent: the child is still alive and
+        # in step, so the next batch gets its own answer
+        assert m._proc.poll() is None
+        assert m._failure is None
         assert m.predict(table_of([[7.0]])).tolist() == [7.0]
 
 
@@ -366,9 +419,11 @@ def test_subprocess_close_kills_a_child_that_ignores_eof(monkeypatch):
 
 
 def test_subprocess_missing_binary():
-    m = SubprocessModel(["/no/such/binary"])
-    with pytest.raises(SubprocessFailure):
+    m = SubprocessModel(["/no/such/binary"])  # the failed start is not raised here
+    with pytest.raises(SubprocessFailure, match="cannot start"):
         m.predict(table_of([[1.0]]))
+    assert m._proc is None
+    m.close()  # nothing was started, so nothing to close
 
 
 def test_subprocess_rejects_shell_string():
