@@ -10,7 +10,8 @@ searching for the smallest regularization strength that honours the cap.
 The sampled rows do not depend on the grouping: a `_DesignSampler` draws
 them once, and each partition it is asked for draws only its flags. A local
 triplot takes every tree level's design from one sampler, and
-`build_design` is one sampler asked for one partition.
+`build_design` is one sampler asked for one partition. A row drawn more than
+once is scored once: f(A) is taken on A's distinct rows.
 """
 
 from __future__ import annotations
@@ -57,15 +58,18 @@ class SampleDesign:
     1/m). A'[i, j] equals the explained observation at j when column j's
     aspect is flagged in row i, otherwise A[i, j].
 
-    `original` holds A and `modified` holds A', both N x p read-only tables
-    under the explained table's column names; they are the two tables the
-    model scores. Designs from one `_DesignSampler` share `row_ids` (also
-    read-only) and `original`.
+    The model scores two read-only tables under the explained table's column
+    names. `distinct` holds each distinct sampled row once, in ascending row
+    id, and `inverse` maps A onto it: A[i] = distinct[inverse[i]], so f(A)
+    is f(distinct)[inverse]. `modified` holds the N x p rows A'. Designs
+    from one `_DesignSampler` share `row_ids`, `distinct` and `inverse`, all
+    read-only.
     """
 
     row_ids: np.ndarray
     X_prime: np.ndarray  # N x m, int8
-    original: NumericTable
+    distinct: NumericTable
+    inverse: np.ndarray
     modified: NumericTable
     partition: AspectPartition
 
@@ -176,8 +180,9 @@ class _DesignSampler:
     The rows come from the stream `rng.child(_K_ROWS)` and each design's
     flags from `rng.child(_K_FLAGS)`, restarted per design, so every
     partition sees the same rows A and the flags that `build_design` draws
-    for it with the same rng. `original` is the one read-only table of A
-    that every design shares.
+    for it with the same rng. `distinct`, the read-only table of A's
+    distinct rows, and `inverse`, which expands it to A, are computed once
+    and shared by every design.
     """
 
     def __init__(self, table: NumericTable, x_star: Observation, N: int, rng: RngStream):
@@ -187,9 +192,11 @@ class _DesignSampler:
         self.N = N
         self.row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
         self.row_ids.setflags(write=False)
+        ids, self.inverse = np.unique(self.row_ids, return_inverse=True)
+        self.inverse.setflags(write=False)
+        # rows of the validated table need no checking again
+        self.distinct = NumericTable._from_validated(table.column_names, table.values[ids])
         A = table.values[self.row_ids]
-        # A holds rows of the validated table, so it needs no checking again
-        self.original = NumericTable._from_validated(table.column_names, A)
         # A' takes each cell from A or from x*; with D = bits(A) ^ bits(x*),
         # bits(A') = bits(A) ^ (D * flag) selects between them exactly
         self._bits = A.view(np.int64)
@@ -221,7 +228,8 @@ class _DesignSampler:
         return SampleDesign(
             row_ids=self.row_ids,
             X_prime=X_prime,
-            original=self.original,
+            distinct=self.distinct,
+            inverse=self.inverse,
             modified=NumericTable._from_validated(self.table.column_names, bits.view(np.float64)),
             partition=partition,
         )
@@ -246,8 +254,14 @@ def build_design(
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
-    """The prediction shifts f(A') - f(A), exactly two adapter calls."""
-    return predict(model, design.modified) - predict(model, design.original)
+    """The prediction shifts f(A') - f(A), from two adapter calls.
+
+    The first call scores the N rows of A'. The second scores each distinct
+    row of A once, `design.distinct`, and `design.inverse` expands its
+    predictions to A's N rows. Under the row-independence contract of
+    `ModelAdapter` that equals scoring all N rows of A.
+    """
+    return predict(model, design.modified) - predict(model, design.distinct)[design.inverse]
 
 
 def _design_matrices(design: SampleDesign, ym: np.ndarray):

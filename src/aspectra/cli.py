@@ -17,7 +17,7 @@ import sys
 from .aspects import AspectExplanation, predict_aspects
 from .cluster import group_variables
 from .data import AspectPartition, NumericTable, Observation, load_table
-from .errors import AspectraError, SchemaMismatch
+from .errors import AspectraError, SchemaMismatch, SubprocessFailure
 from .global_importance import PermutationConfig, group_importance
 from .models import SubprocessModel, fit_knn, fit_linear
 from .render import render_aspects, render_triplot
@@ -62,18 +62,22 @@ def _table_and_model(args):
     """The --data table, its target and the --model, which is closed on leaving if it has close().
 
     A child model is built first, so that its process starts while the CSV
-    loads; linear and knn:K are fitted to the loaded table.
+    loads; linear and knn:K are fitted to the loaded table. When an error
+    is already propagating, a failure to close the child is not raised in
+    its place.
     """
     model = _child_model(args.model)
+    close = getattr(model, "close", lambda: None)
     try:
         table, y = load_table(args.data, target=args.target)
         if model is None:
             model = _fitted_model(args.model, table, y)
         yield table, y, model
-    finally:
-        close = getattr(model, "close", None)
-        if close is not None:
+    except BaseException:
+        with contextlib.suppress(SubprocessFailure):
             close()
+        raise
+    close()
 
 
 def _parse_grouping(args, table):

@@ -88,21 +88,9 @@ def _rekey(bitgen: np.random.Philox, seed: int, stream_id: int) -> None:
     }
 
 
-# member_set_key's fold starts here; the empty set's key
+# a member set's 64-bit fingerprint folds its sorted column indices into
+# this start value; the empty set's key
 _MEMBER_KEY_START = 0x5D0_F00D
-
-
-def member_set_key(members) -> int:
-    """Order-independent 64-bit fingerprint of a set of column indices.
-
-    Used to derive permutation sub-streams from the set being permuted, so
-    the same member set always sees the same stream regardless of where it
-    appears (partition group, tree node, or the all-columns baseline).
-    """
-    h = _MEMBER_KEY_START
-    for i in sorted(int(j) for j in members):
-        h = _mix64(h ^ _mix64(i))
-    return h
 
 
 class NumericTable:

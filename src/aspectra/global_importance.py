@@ -15,8 +15,9 @@ hold it as well as permuted copies. Per-set work is done once per scorer
 call: each member set is checked once, before any model call, and its
 stream id derived once. Each job re-keys the call's one Philox to its
 stream instead of building a generator, and each call's losses are taken
-row-wise at once; streams and losses are bit-identical to
-`permutation_stream(...).generator()` and `models.loss` per job.
+row-wise at once; streams and losses are bit-identical to a new generator
+per job on the stream that `_PermutationStreams` describes, and to
+`models.loss` per job.
 This rests on the model contract in `models.ModelAdapter`: a row's
 prediction must not depend on the other rows in the batch, and a model must
 neither keep nor write to the table it is given. Under that contract the
@@ -41,7 +42,6 @@ from .data import (
     _integer_fields,
     _mix64,
     _rekey,
-    member_set_key,
     validate_partition,
 )
 from .errors import AspectraError, BadIndex, EmptyGroup
@@ -128,15 +128,6 @@ class GlobalImportance:
         return json.dumps(self.to_json_doc(), indent=2)
 
 
-def permutation_stream(seed: int, members, rep: int) -> RngStream:
-    """The sub-stream used for repetition `rep` of permuting `members`.
-
-    Derived from a fingerprint of the member set, not its position in the
-    partition, so identical sets always shuffle identically under one seed.
-    """
-    return RngStream(seed).child(_K_PERM, member_set_key(members), rep)
-
-
 def _checked_members(group, p: int) -> np.ndarray:
     """The group's column indices, sorted and checked against p."""
     members = sorted(int(i) for i in group)
@@ -156,22 +147,30 @@ def permute_group(
     `members` holds the group's sorted, checked column indices, as
     `_checked_members` returns them; the scorer checks each member set once
     per call, so they are not checked again here. `gen` is the scorer's one
-    generator, whose Philox is re-keyed to the job's `permutation_stream`
-    before each call. `out` is an n x p array already holding the table's
-    values; only the group's columns are written there.
+    generator, whose Philox is re-keyed to the job's stream (see
+    `_PermutationStreams`) before each call. `out` is an n x p array
+    already holding the table's values; only the group's columns are
+    written there.
     """
     perm = gen.permutation(table.n)
     out[:, members] = table.values[:, members][perm]
 
 
 class _PermutationStreams:
-    """`permutation_stream(seed, members, b)` for every job of one scorer call.
+    """The permutation stream of every job of one scorer call.
 
-    The stream ids are `permutation_stream`'s, bit for bit, derived in
-    parts: the seed's `_K_PERM` child once per call, `_mix64` of each column
-    index and of each repetition once per call, the member-set key and its
-    fold into the child once per set, and the repetition once per job. One
-    Philox, re-keyed per job, draws every job's permutation.
+    Repetition b of permuting a member set draws from
+    `RngStream(seed).child(_K_PERM, key, b)`, where the set's 64-bit key
+    folds its sorted column indices into `_MEMBER_KEY_START`. The key
+    depends on the set, not on its place in a partition, so one set always
+    shuffles the same way under one seed. The tests keep that derivation
+    as the oracle `permutation_stream` (tests/conftest.py).
+
+    The stream ids equal the oracle's, bit for bit, derived in parts: the
+    seed's `_K_PERM` child once per call, `_mix64` of each column index and
+    of each repetition once per call, the member-set key and its fold into
+    the child once per set, and the repetition once per job. One Philox,
+    re-keyed per job, draws every job's permutation.
     """
 
     def __init__(self, seed: int, p: int, B: int):

@@ -37,10 +37,11 @@ class ModelAdapter:
 
     predict is called on batches of rows, and a row's prediction must not
     depend on the other rows in the batch: global importance stacks several
-    permuted copies of the table into one call, up to 2**19 values. The
-    table is read-only and may be a view of a buffer that the caller
-    rewrites for its next call, so a model must neither keep the table nor
-    write to it.
+    permuted copies of the table into one call, up to 2**19 values, and a
+    local explanation scores each distinct sampled row once and uses that
+    prediction for every draw of the row. The table is read-only and may be
+    a view of a buffer that the caller rewrites for its next call, so a
+    model must neither keep the table nor write to it.
     """
 
     label: str = "model"
@@ -60,7 +61,9 @@ class LinearModel(ModelAdapter):
     0.3.31) computes rows in blocks of 4, so a row's last bit can depend on
     its position in the batch: the last n mod 4 rows of an n-row table
     stacked with others, like a row subset of a table, may differ by one
-    rounding from the table scored alone. Results stay deterministic.
+    rounding from the table scored alone. Likewise a local explanation's
+    f(A), scored on the distinct sampled rows, may differ in a row's last
+    bit from scoring all N draws. Results stay deterministic.
     """
 
     def __init__(self, intercept, coefficients, column_names=None, label="linear"):
@@ -259,15 +262,20 @@ class SubprocessModel(ModelAdapter):
             proc.stdin.close()
         except OSError:
             pass
+        # Popen.wait with a timeout sleep-polls, which adds up to the last
+        # sleep to every close; a blocking wait in a thread returns at the
+        # exit, and the join bounds it
+        waiter = threading.Thread(target=proc.wait, daemon=True)
+        waiter.start()
         try:
-            proc.wait(timeout=_CLOSE_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-            raise SubprocessFailure(
-                f"child did not exit within {_CLOSE_TIMEOUT_S:g} s of its input "
-                "closing, so it was killed"
-            ) from None
+            waiter.join(_CLOSE_TIMEOUT_S)
+            if waiter.is_alive():
+                proc.kill()
+                waiter.join()  # the wait returns once the kill ends the child
+                raise SubprocessFailure(
+                    f"child did not exit within {_CLOSE_TIMEOUT_S:g} s of its input "
+                    "closing, so it was killed"
+                )
         finally:
             proc.stdout.close()
 

@@ -6,7 +6,8 @@ import pytest
 
 import aspectra
 from aspectra import NumericTable
-from aspectra.data import save_table
+from aspectra.data import _MEMBER_KEY_START, RngStream, _mix64, save_table
+from aspectra.global_importance import _K_PERM
 from aspectra.models import ModelAdapter
 
 CHILD = os.path.join(os.path.dirname(__file__), "child_model.py")
@@ -22,6 +23,24 @@ def package_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(aspectra.__file__)))
     rest = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, rest] if rest else [src]))
+
+
+def member_set_key(members) -> int:
+    """Order-independent 64-bit fingerprint of a set of column indices.
+
+    The oracle for the member-set key that `_PermutationStreams` folds
+    column by column.
+    """
+    h = _MEMBER_KEY_START
+    for i in sorted(int(j) for j in members):
+        h = _mix64(h ^ _mix64(i))
+    return h
+
+
+def permutation_stream(seed: int, members, rep: int) -> RngStream:
+    """The sub-stream of repetition `rep` of permuting `members`: the oracle
+    for the stream ids that `_PermutationStreams` derives in parts."""
+    return RngStream(seed).child(_K_PERM, member_set_key(members), rep)
 
 
 class CountingModel(ModelAdapter):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from aspectra import (
     Observation,
     SchemaMismatch,
     SingularDesign,
+    SubprocessModel,
+    TriplotConfig,
+    fit_knn,
     predict_aspects,
+    predict_triplot,
 )
 from aspectra import _kernels
 from aspectra.aspects import (
@@ -34,7 +39,9 @@ from aspectra.aspects import (
 )
 from aspectra.data import RngStream
 from aspectra.errors import AspectraError, LassoNotConverged
-from aspectra.models import LinearModel
+from aspectra.models import LinearModel, ModelAdapter, predict
+
+from conftest import CountingModel, child_cmd, make_six_variable
 
 
 def uniform_table(seed=0, n=500, p=4):
@@ -54,7 +61,8 @@ def test_design_shapes_and_flag_counts():
     part = singleton_partition(t)
     d = build_design(t, t.row(0), part, N=300, rng=RngStream(0))
     assert d.X_prime.shape == (300, 4)
-    assert d.original.values.shape == (300, 4) and d.modified.values.shape == (300, 4)
+    assert d.modified.values.shape == (300, 4) and d.inverse.shape == (300,)
+    assert d.distinct.values.shape == (np.unique(d.row_ids).size, 4)
     counts = d.X_prime.sum(axis=1)
     assert np.all((counts == 1) | (counts == 2))
     assert np.any(counts == 1) and np.any(counts == 2)  # both draw types occur
@@ -63,19 +71,22 @@ def test_design_shapes_and_flag_counts():
 def test_design_rows_come_from_table():
     t = uniform_table(n=40)
     d = build_design(t, t.row(3), singleton_partition(t), N=100, rng=RngStream(5))
-    assert np.array_equal(d.original.values, t.values[d.row_ids])
-    assert d.original.column_names == d.modified.column_names == t.column_names
+    # each distinct sampled row once, in ascending row id, and expanded to A
+    assert np.array_equal(d.distinct.values, t.values[np.unique(d.row_ids)])
+    assert np.array_equal(d.distinct.values[d.inverse], t.values[d.row_ids])
+    assert d.distinct.column_names == d.modified.column_names == t.column_names
 
 
 def test_design_tables_are_read_only():
     # the tables are wrapped without re-validation, so nothing may rewrite them
     t = uniform_table(n=40)
     d = build_design(t, t.row(3), singleton_partition(t), N=100, rng=RngStream(5))
-    for table in (d.original, d.modified):
+    for table in (d.distinct, d.modified):
         assert table.values.dtype == np.float64 and table.values.flags.c_contiguous
         assert not table.values.flags.writeable
         with pytest.raises(ValueError):
             table.values[0, 0] = 1.0
+    assert not d.row_ids.flags.writeable and not d.inverse.flags.writeable
 
 
 def test_design_replacement_semantics():
@@ -84,7 +95,7 @@ def test_design_replacement_semantics():
     part = AspectPartition((("g01", (0, 1)), ("g2", (2,)), ("g3", (3,))))
     d = build_design(t, x_star, part, N=200, rng=RngStream(2))
     star = x_star.values
-    A, A_prime = d.original.values, d.modified.values
+    A, A_prime = d.distinct.values[d.inverse], d.modified.values
     for n in range(200):
         for j, members in enumerate(part.member_sets):
             for c in members:
@@ -129,8 +140,79 @@ def test_delta_predictions_linear():
     model = LinearModel(1.0, [1.0, 2.0, 3.0, 4.0])
     d = build_design(t, t.row(0), singleton_partition(t), N=80, rng=RngStream(3))
     ym = delta_predictions(model, d)
-    expected = (d.modified.values - d.original.values) @ np.array([1.0, 2.0, 3.0, 4.0])
+    A = d.distinct.values[d.inverse]
+    expected = (d.modified.values - A) @ np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(ym, expected, atol=1e-12)
+
+
+# --------------------------------------------------- distinct-row scoring
+
+
+def _oracle_delta_predictions(model, design):
+    """delta_predictions before distinct-row scoring: f(A) scores all N rows of A."""
+    A = NumericTable._from_validated(
+        design.modified.column_names, design.distinct.values[design.inverse]
+    )
+    return predict(model, design.modified) - predict(model, A)
+
+
+class RowwiseModel(ModelAdapter):
+    """Scores each row on its own, in Python floats."""
+
+    def predict(self, table):
+        return np.array([sum(math.sin(j + v) * v for j, v in enumerate(row))
+                         for row in table.values.tolist()])
+
+
+def _explained_table(case, train):
+    if case == "one-row":  # every one of the N draws repeats the table's only row
+        return train.take_rows([7])
+    if case == "few-repeats":  # 300 draws of 5000 rows repeat a few
+        return NumericTable(train.column_names,
+                            np.random.default_rng(2).standard_normal((5000, train.p)))
+    return train
+
+
+@pytest.mark.parametrize("model_kind", ["knn", "rowwise"])
+@pytest.mark.parametrize("case", ["one-row", "few-repeats", "triplot"])
+def test_distinct_row_scoring_matches_scoring_every_row(case, model_kind, monkeypatch):
+    train, y = make_six_variable()
+    model = CountingModel(fit_knn(train, y, 5) if model_kind == "knn" else RowwiseModel())
+    table = _explained_table(case, train)
+    part = singleton_partition(table)
+    x_star, N, seed = train.row(3), 300, 8
+    levels = train.p if case == "triplot" else 1
+
+    def explain():
+        if case == "triplot":
+            cfg = TriplotConfig(mode="local", N=N, seed=seed, limit=2)
+            return predict_triplot(model, table, x_star, cfg).to_json()
+        return predict_aspects(model, table, x_star, part, N=N, seed=seed, limit=2).to_json()
+
+    ours = explain()
+    distinct = np.unique(build_design(table, x_star, part, N, RngStream(seed)).row_ids).size
+    assert {"one-row": distinct == 1, "few-repeats": 0 < N - distinct < 20,
+            "triplot": distinct < N}[case]
+    assert (model.calls, model.rows) == (2 * levels, levels * (N + distinct))
+    monkeypatch.setattr(aspectra.aspects, "delta_predictions", _oracle_delta_predictions)
+    assert explain() == ours
+    assert model.rows == levels * (N + distinct) + levels * 2 * N
+
+
+def test_f_of_A_request_holds_each_distinct_row_once(tmp_path):
+    t = uniform_table(n=50, p=3)
+    part = singleton_partition(t)
+    record = tmp_path / "request.bin"
+    with SubprocessModel(child_cmd("record") + [str(record)]) as m:
+        predict_aspects(m, t, t.row(2), part, N=120, seed=4)
+    # A' first, then f(A)'s rows, each distinct sampled row once in ascending row id
+    first, second = record.read_bytes().decode().split("PREDICT ")[1:]
+    assert first.startswith("120 3\nx0,x1,x2\n")
+    ids = np.unique(build_design(t, t.row(2), part, 120, RngStream(4)).row_ids)
+    assert ids.size < 120
+    assert second == f"{ids.size} 3\nx0,x1,x2\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in t.values[ids].tolist()
+    )
 
 
 # -------------------------------------------------------------------- OLS
@@ -144,7 +226,8 @@ def manual_design(X_prime, y):
         SampleDesign(
             row_ids=np.zeros(N, dtype=np.int64),
             X_prime=np.asarray(X_prime, dtype=np.int8),
-            original=zeros,
+            distinct=zeros,
+            inverse=np.arange(N),
             modified=zeros,
             partition=part,
         ),

@@ -182,6 +182,22 @@ def test_model_that_outlives_its_input_is_exit_1(six_csv, children, capsys, monk
     assert children[0].returncode is not None
 
 
+def test_a_close_failure_does_not_hide_the_error_already_raised(tmp_path, children, capsys,
+                                                                monkeypatch):
+    # the load fails first; the lingering child is still killed and reaped,
+    # but the missing file is the error reported
+    monkeypatch.setattr(models, "_CLOSE_TIMEOUT_S", 0.5)
+    code, out, err = run([
+        "predict-aspects", "--data", str(tmp_path / "missing.csv"),
+        "--model", child_spec("linger"), "--row", "0", "--cutoff", "0.6",
+    ], capsys)
+    assert (code, out) == (1, "")
+    assert "No such file" in err and "killed" not in err
+    assert len(children) == 1
+    assert children[0].returncode is not None
+    assert children[0].stdout.closed
+
+
 _MODEL_COMMANDS = {
     "global-importance": ["global-importance", "--cutoff", "0.6"],
     "predict-aspects": ["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200"],

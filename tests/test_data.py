@@ -9,7 +9,6 @@ from aspectra import AspectPartition, NumericTable, Observation, load_table
 from aspectra.data import (
     RngStream,
     _rekey,
-    member_set_key,
     sampled_row_ids,
     save_table,
     validate_partition,
@@ -26,6 +25,8 @@ from aspectra.errors import (
     OverlappingGroups,
     UnknownColumn,
 )
+
+from conftest import member_set_key
 
 
 # ---------------------------------------------------------------- RngStream

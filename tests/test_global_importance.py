@@ -21,13 +21,12 @@ from aspectra.global_importance import (
     ImportanceContext,
     _checked_members,
     _PermutationStreams,
-    permutation_stream,
     permute_group,
 )
 from aspectra.models import KnnModel, LinearModel, ModelAdapter, loss, predict
 from aspectra.triplot import TriplotConfig, model_triplot
 
-from conftest import CountingModel, make_six_variable
+from conftest import CountingModel, make_six_variable, permutation_stream
 
 
 def small_table(seed=0, n=80, p=4):

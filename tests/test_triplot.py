@@ -171,12 +171,15 @@ def test_local_node_is_new_cluster_at_its_level(six_table):
 @pytest.mark.parametrize("limit", [None, 2])
 @pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
 def test_local_model_calls(six_table, fit, limit):
-    # each of the p levels scores its own A and A'
+    # each of the p levels scores its own A' and the distinct rows of the one A
     table, y = six_table
     model = CountingModel(fit(table, y))
     predict_triplot(model, table, table.row(5), TriplotConfig(mode="local", N=300, seed=6,
                                                              limit=limit))
-    assert (model.calls, model.rows) == (2 * table.p, 2 * table.p * 300)
+    row_ids = sampled_row_ids(table, 300, RngStream(6).child(aspects._K_ROWS))
+    distinct = np.unique(row_ids).size
+    assert distinct < 300
+    assert (model.calls, model.rows) == (2 * table.p, table.p * 300 + table.p * distinct)
 
 
 # ------------------------------------------------------- local triplot oracle
@@ -201,11 +204,13 @@ def _oracle_build_design(table, x_star, partition, N, rng):
     for j, members in enumerate(partition.member_sets):
         aspect_of[list(members)] = j
     A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
+    ids, inverse = np.unique(row_ids, return_inverse=True)
     names = table.column_names
     return SampleDesign(
         row_ids=row_ids,
         X_prime=X_prime,
-        original=NumericTable._from_validated(names, A),
+        distinct=NumericTable._from_validated(names, table.values[ids]),
+        inverse=inverse,
         modified=NumericTable._from_validated(names, A_prime),
         partition=partition,
     )
@@ -267,14 +272,16 @@ def test_shared_sampler_designs_match_per_level_designs(six_table):
             assert np.array_equal(shared.row_ids, other.row_ids)
             assert np.array_equal(shared.X_prime, other.X_prime)
             assert shared.X_prime.dtype == np.int8
-            for ours, theirs in ((shared.original, other.original),
+            assert np.array_equal(shared.inverse, other.inverse)
+            for ours, theirs in ((shared.distinct, other.distinct),
                                  (shared.modified, other.modified)):
                 assert ours.values.tobytes() == theirs.values.tobytes()
                 assert ours.column_names == theirs.column_names
                 assert ours.values.dtype == np.float64
                 assert ours.values.flags.c_contiguous and not ours.values.flags.writeable
         assert shared.partition == part
-        assert shared.original is sampler.original and not shared.row_ids.flags.writeable
+        assert shared.distinct is sampler.distinct and shared.inverse is sampler.inverse
+        assert not shared.row_ids.flags.writeable and not shared.inverse.flags.writeable
 
 
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
