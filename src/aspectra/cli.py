@@ -17,7 +17,7 @@ import sys
 from .aspects import AspectExplanation, predict_aspects
 from .cluster import group_variables
 from .data import AspectPartition, NumericTable, Observation, load_table
-from .errors import AspectraError, SchemaMismatch, SubprocessFailure
+from .errors import AspectraError, SchemaMismatch
 from .global_importance import PermutationConfig, group_importance
 from .models import SubprocessModel, fit_knn, fit_linear
 from .render import render_aspects, render_triplot
@@ -59,25 +59,19 @@ def _fitted_model(model_spec, table, y):
 
 @contextlib.contextmanager
 def _table_and_model(args):
-    """The --data table, its target and the --model, which is closed on leaving if it has close().
+    """The --data table, its target and the --model, left through its `with` protocol if it has one.
 
-    A child model is built first, so that its process starts while the CSV
-    loads; linear and knn:K are fitted to the loaded table. When an error
-    is already propagating, a failure to close the child is not raised in
-    its place.
+    A child model is built first, so that its process starts, or fails to
+    start, before the CSV loads; linear and knn:K are fitted to the loaded
+    table. On success the child is closed; on an error it is killed at once,
+    and the error is the one reported.
     """
     model = _child_model(args.model)
-    close = getattr(model, "close", lambda: None)
-    try:
+    with model if hasattr(model, "__exit__") else contextlib.nullcontext():
         table, y = load_table(args.data, target=args.target)
         if model is None:
             model = _fitted_model(args.model, table, y)
         yield table, y, model
-    except BaseException:
-        with contextlib.suppress(SubprocessFailure):
-            close()
-        raise
-    close()
 
 
 def _parse_grouping(args, table):

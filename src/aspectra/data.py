@@ -10,7 +10,6 @@ scanned again.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -225,10 +224,6 @@ class AspectPartition:
         return tuple(members for _, members in self.groups)
 
     @staticmethod
-    def singletons(column_names) -> "AspectPartition":
-        return AspectPartition(tuple((name, (j,)) for j, name in enumerate(column_names)))
-
-    @staticmethod
     def from_name_dict(mapping, table: NumericTable) -> "AspectPartition":
         """Build a partition from {group name: [column names]}."""
         if not isinstance(mapping, dict):
@@ -365,32 +360,6 @@ def load_table(path, target: str | None = None):
         if not header:
             raise EmptyTable("no feature columns left after removing the target")
     return NumericTable(header, values), y
-
-
-def save_table(table: NumericTable, path, target_name: str | None = None, target=None) -> None:
-    """Write the table in the same dialect load_table reads.
-
-    Floats are written with 17 significant digits so load(save(t)) round
-    trips every float64 exactly.
-    """
-    header = list(table.column_names)
-    if target_name is not None:
-        header.append(target_name)
-    # QUOTE_MINIMAL quotes a field holding a character of the terminator;
-    # with "\r" among them it also quotes a name holding a bare CR, which
-    # load_table would otherwise read as a line break
-    head = io.StringIO()
-    csv.writer(head, lineterminator="\r\n").writerow(header)
-    buf = io.StringIO()
-    buf.write(head.getvalue()[:-2] + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for i in range(table.n):
-        rec = [f"{v:.17g}" for v in table.values[i]]
-        if target_name is not None:
-            rec.append(f"{target[i]:.17g}")
-        writer.writerow(rec)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
 
 
 def sampled_row_ids(table: NumericTable, N: int, rng: RngStream) -> np.ndarray:

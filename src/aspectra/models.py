@@ -148,16 +148,17 @@ class SubprocessModel(ModelAdapter):
     so such a table raises SchemaMismatch before anything is sent. Short or
     non-numeric output raises SubprocessFailure, never a silent coercion. A
     failed batch kills the child, because its pipe may still hold answers
-    that a later call would read as its own; every later call then raises
-    SubprocessFailure. One child process serves all calls, so treat each
-    instance as exclusive-access.
+    that a later call would read as its own. One child process serves all
+    calls, so treat each instance as exclusive-access.
 
     The child starts when the model is built, so that it boots while the
-    caller does other work; build the model in a `with` block or call
-    close(). A child that cannot be started raises SubprocessFailure at the
-    first predict instead. close() ends the child's input and waits 10 s
-    for it to exit; a child still running then is killed, and close()
-    raises SubprocessFailure.
+    caller does other work; a command that cannot start raises
+    SubprocessFailure there. Build the model in a `with` block or call
+    close(). Once the model is closed or its child killed, predict raises
+    SubprocessFailure; no second child is ever started. close() ends the
+    child's input and waits 10 s for it to exit; a child still running then
+    is killed, and close() raises SubprocessFailure. Leaving the `with`
+    block by an exception kills the child at once.
     """
 
     def __init__(self, command, label=None):
@@ -168,32 +169,17 @@ class SubprocessModel(ModelAdapter):
             raise AspectraError("SubprocessModel needs a command, got an empty argv")
         self.label = label or " ".join(self.command)
         self.column_names = None
-        self._proc = None
-        self._failure = None  # why the child was killed, once a batch failed
+        self._stop_reason = None  # why predict raises, once the child no longer runs
         try:
-            self._ensure_proc()
-        except SubprocessFailure:
-            pass  # the first predict retries the start and raises
-
-    def _ensure_proc(self):
-        if self._failure is not None:
-            raise SubprocessFailure(f"child was stopped after a failed batch: {self._failure}")
-        if self._proc is None or self._proc.poll() is not None:
-            if self._proc is not None:
-                raise SubprocessFailure(
-                    f"process exited with code {self._proc.returncode} before the request"
-                )
-            try:
-                self._proc = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
-                )
-            except OSError as e:
-                raise SubprocessFailure(f"cannot start {self.command!r}: {e}") from None
-        return self._proc
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as e:
+            raise SubprocessFailure(f"cannot start {self.command!r}: {e}") from None
 
     def predict(self, table: NumericTable) -> np.ndarray:
         for name in table.column_names:
@@ -202,7 +188,9 @@ class SubprocessModel(ModelAdapter):
                     f"column name {name!r} contains a comma or a line break, "
                     "which the line protocol cannot carry"
                 )
-        proc = self._ensure_proc()
+        proc = self._proc
+        if proc is None:
+            raise SubprocessFailure(self._stop_reason)
         header = f"PREDICT {table.n} {table.p}\n" + ",".join(table.column_names) + "\n"
         rows = table.values.tolist()
 
@@ -247,17 +235,30 @@ class SubprocessModel(ModelAdapter):
                 raise SubprocessFailure("non-finite prediction value")
         except BaseException as exc:
             # an interrupt mid-batch leaves the pipe in the same unknown state
-            self._failure = str(exc) or type(exc).__name__
             proc.kill()
-            writer.join()  # the kill ends a blocked write with a broken pipe
-            self.close()
+            writer.join()  # the kill ends a blocked write; only then may the pipes close
+            self._stop(f"child was stopped after a failed batch: {str(exc) or type(exc).__name__}")
             raise
         return out
 
-    def close(self):
-        if self._proc is None:
-            return
+    def _stop(self, reason):
+        """Kill the child, reap it and close its pipes; later predicts raise `reason`."""
         proc, self._proc = self._proc, None
+        self._stop_reason = reason
+        if proc is None:
+            return
+        proc.kill()
+        proc.wait()
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass  # the flush of a write the kill cut short
+        proc.stdout.close()
+
+    def close(self):
+        proc = self._proc
+        if proc is None:
+            return
         try:
             proc.stdin.close()
         except OSError:
@@ -267,23 +268,24 @@ class SubprocessModel(ModelAdapter):
         # exit, and the join bounds it
         waiter = threading.Thread(target=proc.wait, daemon=True)
         waiter.start()
-        try:
-            waiter.join(_CLOSE_TIMEOUT_S)
-            if waiter.is_alive():
-                proc.kill()
-                waiter.join()  # the wait returns once the kill ends the child
-                raise SubprocessFailure(
-                    f"child did not exit within {_CLOSE_TIMEOUT_S:g} s of its input "
-                    "closing, so it was killed"
-                )
-        finally:
-            proc.stdout.close()
+        waiter.join(_CLOSE_TIMEOUT_S)
+        if waiter.is_alive():
+            self._stop("the model is closed")
+            raise SubprocessFailure(
+                f"child did not exit within {_CLOSE_TIMEOUT_S:g} s of its input "
+                "closing, so it was killed"
+            )
+        self._proc, self._stop_reason = None, "the model is closed"
+        proc.stdout.close()
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._stop("the model is closed")
 
 
 def _finite_targets(y, n: int) -> np.ndarray:

@@ -10,9 +10,10 @@ Usage: python3 child_model.py MODE [PATH]
   garbage   answer "not-a-number" lines
   garbage-first  answer the first batch's first row with "oops", then
             row sums for every other row of every batch
-  short     answer n-1 lines then stall the batch
+  short     answer the first batch's first n-1 rows with row sums, then exit 0
   die       exit 3 without answering
   linger    predict the row sum, but ignore EOF and keep running
+  once      predict the row sum for one batch, then exit 0
   record    predict the row sum, and append every byte read to PATH
   stream    predict the row sum, answering and flushing each row as soon
             as it is read
@@ -63,7 +64,7 @@ def main() -> int:
                 print("oops")
                 continue
             values = [float(tok) for tok in line.strip().split(",")]
-            if mode in ("sum", "garbage-first", "linger", "record"):
+            if mode in ("sum", "garbage-first", "linger", "record", "short", "once"):
                 print(repr(sum(values)))
             elif mode == "first":
                 print(repr(values[0]))
@@ -72,7 +73,7 @@ def main() -> int:
             else:
                 raise SystemExit(f"unknown mode {mode}")
         sys.stdout.flush()
-        if mode == "short":
+        if mode in ("short", "once"):
             return 0
 
 

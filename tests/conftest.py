@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import sys
 
@@ -5,8 +7,8 @@ import numpy as np
 import pytest
 
 import aspectra
-from aspectra import NumericTable
-from aspectra.data import _MEMBER_KEY_START, RngStream, _mix64, save_table
+from aspectra import AspectPartition, NumericTable
+from aspectra.data import _MEMBER_KEY_START, RngStream, _mix64
 from aspectra.global_importance import _K_PERM
 from aspectra.models import ModelAdapter
 
@@ -23,6 +25,37 @@ def package_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(aspectra.__file__)))
     rest = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, rest] if rest else [src]))
+
+
+def singletons(column_names) -> AspectPartition:
+    """One aspect per column, named after it."""
+    return AspectPartition(tuple((name, (j,)) for j, name in enumerate(column_names)))
+
+
+def save_table(table: NumericTable, path, target_name: str | None = None, target=None) -> None:
+    """Write the table in the same dialect load_table reads.
+
+    Floats are written with 17 significant digits so load(save(t)) round
+    trips every float64 exactly.
+    """
+    header = list(table.column_names)
+    if target_name is not None:
+        header.append(target_name)
+    # QUOTE_MINIMAL quotes a field holding a character of the terminator;
+    # with "\r" among them it also quotes a name holding a bare CR, which
+    # load_table would otherwise read as a line break
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\r\n").writerow(header)
+    buf = io.StringIO()
+    buf.write(head.getvalue()[:-2] + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for i in range(table.n):
+        rec = [f"{v:.17g}" for v in table.values[i]]
+        if target_name is not None:
+            rec.append(f"{target[i]:.17g}")
+        writer.writerow(rec)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())
 
 
 def member_set_key(members) -> int:

@@ -39,7 +39,7 @@ from aspectra.errors import SingularDesign
 from aspectra.global_importance import ImportanceContext
 from aspectra.models import LinearModel
 
-from conftest import make_six_variable
+from conftest import make_six_variable, singletons
 
 
 class Budget:
@@ -136,7 +136,7 @@ def test_criterion_02_constant_model_zero():
     worst = max(worst, max(abs(a.contribution) for a in expl.aspects))
 
     perm = PermutationConfig(loss="rmse", B=2, seed=1)
-    gi = group_importance(model, table, y, AspectPartition.singletons(table.column_names), perm)
+    gi = group_importance(model, table, y, singletons(table.column_names), perm)
     worst = max(worst, max(abs(g.importance) for g in gi.groups))
 
     tg = model_triplot(model, table, y, TriplotConfig(mode="global", permutation=perm))
@@ -163,7 +163,7 @@ def test_criterion_03_additive_linear_recovery():
     x_star = table.row(17)
     means = table.values.mean(axis=0)
     expected = coef * (x_star.values - means)
-    part = AspectPartition.singletons(table.column_names)
+    part = singletons(table.column_names)
 
     hits = 0
     for seed in range(10):
@@ -389,7 +389,7 @@ def test_criterion_10_renderer_structure():
     model9 = LinearModel(0.0, [5, 4, 3, 2, 1, 0.5, 0.3, 0.2, 0.1])
     L = 4
     expl = predict_aspects(model9, big, big.row(0),
-                           AspectPartition.singletons(big.column_names),
+                           singletons(big.column_names),
                            N=4000, seed=0, limit=L)
     svg2 = render_aspects(expl)
     ET.fromstring(svg2)
@@ -412,7 +412,7 @@ def test_criterion_11_average_observation_small_Z():
     coef = np.array([2.0, -1.0, 1.5, 0.8, -0.5])
     model = LinearModel(1.0, coef)
     x_star = Observation(table.values.mean(axis=0))
-    part = AspectPartition.singletons(table.column_names)
+    part = singletons(table.column_names)
     design = build_design(table, x_star, part, N=20_000, rng=RngStream(0))
     ym = delta_predictions(model, design)
     Z = design.X_prime.astype(float).T @ ym

@@ -41,7 +41,7 @@ from aspectra.data import RngStream
 from aspectra.errors import AspectraError, LassoNotConverged
 from aspectra.models import LinearModel, ModelAdapter, predict
 
-from conftest import CountingModel, child_cmd, make_six_variable
+from conftest import CountingModel, child_cmd, make_six_variable, singletons
 
 
 def uniform_table(seed=0, n=500, p=4):
@@ -50,7 +50,7 @@ def uniform_table(seed=0, n=500, p=4):
 
 
 def singleton_partition(table):
-    return AspectPartition.singletons(table.column_names)
+    return singletons(table.column_names)
 
 
 # ------------------------------------------------------------- build_design

@@ -3,6 +3,7 @@ import math
 import shlex
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,9 +11,8 @@ import pytest
 
 from aspectra import NumericTable, cli, correlation_matrix, models
 from aspectra.cli import cli_main
-from aspectra.data import save_table
 
-from conftest import CHILD, make_six_variable, package_env
+from conftest import CHILD, make_six_variable, package_env, save_table
 
 
 def run(argv, capsys):
@@ -139,11 +139,9 @@ def children(monkeypatch):
     started = []
 
     class Recording(models.SubprocessModel):
-        def _ensure_proc(self):
-            proc = super()._ensure_proc()
-            if proc not in started:
-                started.append(proc)
-            return proc
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self._proc)
 
     monkeypatch.setattr(cli, "SubprocessModel", Recording)
     return started
@@ -182,15 +180,17 @@ def test_model_that_outlives_its_input_is_exit_1(six_csv, children, capsys, monk
     assert children[0].returncode is not None
 
 
-def test_a_close_failure_does_not_hide_the_error_already_raised(tmp_path, children, capsys,
-                                                                monkeypatch):
-    # the load fails first; the lingering child is still killed and reaped,
-    # but the missing file is the error reported
-    monkeypatch.setattr(models, "_CLOSE_TIMEOUT_S", 0.5)
+def test_a_close_failure_does_not_hide_the_error_already_raised(tmp_path, children, capsys):
+    # the load fails first; the lingering child is killed at once and
+    # reaped, without waiting out the close timeout, and the missing file is
+    # the error reported
+    assert models._CLOSE_TIMEOUT_S >= 2
+    start = time.perf_counter()
     code, out, err = run([
         "predict-aspects", "--data", str(tmp_path / "missing.csv"),
         "--model", child_spec("linger"), "--row", "0", "--cutoff", "0.6",
     ], capsys)
+    assert time.perf_counter() - start < 2
     assert (code, out) == (1, "")
     assert "No such file" in err and "killed" not in err
     assert len(children) == 1
@@ -234,6 +234,7 @@ def test_unloadable_data_with_a_child_model_is_exit_1(command, kind, tmp_path, c
     (None, "ASPECTRA_MODEL_CMD is unset"),
     ("cmd:'x", "cannot split model command"),
     ("cmd:", "empty argv"),
+    ("cmd:/no/such/binary", "cannot start"),
 ])
 def test_a_bad_child_spec_is_reported_before_unloadable_data(spec, message, tmp_path,
                                                              capsys, monkeypatch):

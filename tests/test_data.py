@@ -10,7 +10,6 @@ from aspectra.data import (
     RngStream,
     _rekey,
     sampled_row_ids,
-    save_table,
     validate_partition,
 )
 from aspectra.errors import (
@@ -26,7 +25,7 @@ from aspectra.errors import (
     UnknownColumn,
 )
 
-from conftest import member_set_key
+from conftest import member_set_key, save_table, singletons
 
 
 # ---------------------------------------------------------------- RngStream
@@ -256,7 +255,7 @@ def test_partition_from_name_dict_roundtrip():
 
 
 def test_partition_singletons():
-    part = AspectPartition.singletons(("a", "b"))
+    part = singletons(("a", "b"))
     assert part.m == 2
     assert part.member_sets == ((0,), (1,))
 

@@ -26,7 +26,7 @@ from aspectra.global_importance import (
 from aspectra.models import KnnModel, LinearModel, ModelAdapter, loss, predict
 from aspectra.triplot import TriplotConfig, model_triplot
 
-from conftest import CountingModel, make_six_variable, permutation_stream
+from conftest import CountingModel, make_six_variable, permutation_stream, singletons
 
 
 def small_table(seed=0, n=80, p=4):
@@ -368,7 +368,7 @@ def test_non_finite_target_raises_before_any_model_call(bad):
     with pytest.raises(AspectraError, match=r"target y\[5\]"):
         ImportanceContext(model, table, y, cfg)
     with pytest.raises(AspectraError, match=r"target y\[5\]"):
-        group_importance(model, table, y, AspectPartition.singletons(table.column_names), cfg)
+        group_importance(model, table, y, singletons(table.column_names), cfg)
     with pytest.raises(AspectraError, match=r"target y\[5\]"):
         model_triplot(model, table, y, TriplotConfig(mode="global", permutation=cfg))
     assert model.calls == 0
@@ -400,7 +400,7 @@ def test_config_takes_numpy_integers_as_int(integer):
     assert all(type(v) is int for v in (cfg.B, cfg.N, cfg.seed))
     table, y = small_table(n=40, p=3)
     res = group_importance(ConstantModel(0.0), table, y,
-                           AspectPartition.singletons(table.column_names), cfg)
+                           singletons(table.column_names), cfg)
     assert json.loads(res.to_json())["metadata"] == {"loss": "rmse", "B": 2, "N": 30, "seed": 3}
 
 
@@ -409,7 +409,7 @@ def test_config_takes_numpy_integers_as_int(integer):
 
 def test_constant_model_importances_zero():
     table, y = small_table()
-    part = AspectPartition.singletons(table.column_names)
+    part = singletons(table.column_names)
     res = group_importance(ConstantModel(1.0), table, y, part,
                            PermutationConfig(loss="rmse", B=2, seed=0))
     for row in res.groups:
@@ -422,7 +422,7 @@ def test_informative_group_beats_noise_group():
     y = 3.0 * X[:, 0] + 0.01 * rng.standard_normal(300)
     table = NumericTable(("signal", "noise"), X)
     model = LinearModel(0.0, [3.0, 0.0])
-    part = AspectPartition.singletons(table.column_names)
+    part = singletons(table.column_names)
     res = group_importance(model, table, y, part, PermutationConfig(loss="rmse", B=5, seed=1))
     by_name = {row.name: row.importance for row in res.groups}
     assert by_name["signal"] > 10 * abs(by_name["noise"])
@@ -442,7 +442,7 @@ def test_grouped_vs_singleton_rows():
 def test_result_serialization_roundtrip():
     table, y = small_table()
     model = fit_linear(table, y)
-    part = AspectPartition.singletons(table.column_names)
+    part = singletons(table.column_names)
     res = group_importance(model, table, y, part, PermutationConfig(loss="rmse", seed=0))
 
     tsv = res.to_tsv()

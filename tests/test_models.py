@@ -1,4 +1,6 @@
 import re
+import subprocess
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 
@@ -372,7 +374,7 @@ def test_subprocess_child_dies():
 
 def test_subprocess_short_output():
     with SubprocessModel(child_cmd("short")) as m:
-        with pytest.raises(SubprocessFailure, match="EOF"):
+        with pytest.raises(SubprocessFailure, match="got 1 before EOF"):
             m.predict(table_of([[1.0], [2.0]]))
 
 
@@ -401,7 +403,7 @@ def test_subprocess_rejects_protocol_breaking_column_names(name):
         # rejected before anything was sent: the child is still alive and
         # in step, so the next batch gets its own answer
         assert m._proc.poll() is None
-        assert m._failure is None
+        assert m._stop_reason is None
         assert m.predict(table_of([[7.0]])).tolist() == [7.0]
 
 
@@ -419,11 +421,62 @@ def test_subprocess_close_kills_a_child_that_ignores_eof(monkeypatch):
 
 
 def test_subprocess_missing_binary():
-    m = SubprocessModel(["/no/such/binary"])  # the failed start is not raised here
     with pytest.raises(SubprocessFailure, match="cannot start"):
-        m.predict(table_of([[1.0]]))
-    assert m._proc is None
-    m.close()  # nothing was started, so nothing to close
+        SubprocessModel(["/no/such/binary"])  # fails when built, not at the first predict
+
+
+@pytest.fixture
+def popens(monkeypatch):
+    """Every process that subprocess.Popen starts during the test."""
+    started = []
+    real = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(models.subprocess, "Popen", recording)
+    return started
+
+
+@pytest.mark.parametrize("end, mode, message", [
+    ("close", "sum", "the model is closed"),
+    ("failed batch", "garbage", "stopped after a failed batch: .*non-numeric"),
+    ("child exit", "once", "stopped after a failed batch: .*got 0 before EOF"),
+])
+def test_subprocess_never_starts_a_second_child(end, mode, message, popens):
+    with SubprocessModel(child_cmd(mode)) as m:
+        if end == "failed batch":
+            with pytest.raises(SubprocessFailure):
+                m.predict(table_of([[1.0, 2.0]]))
+        else:
+            assert m.predict(table_of([[1.0, 2.0]])).tolist() == [3.0]
+        if end == "close":
+            m.close()
+        elif end == "child exit":  # the child answered one batch and exited 0
+            with pytest.raises(SubprocessFailure, match="got 0 before EOF"):
+                m.predict(table_of([[1.0, 2.0]]))
+        for _ in range(2):
+            with pytest.raises(SubprocessFailure, match=message):
+                m.predict(table_of([[1.0, 2.0]]))
+    assert len(popens) == 1
+    assert popens[0].returncode is not None  # reaped
+    assert popens[0].stdout.closed and popens[0].stdin.closed
+
+
+def test_subprocess_an_error_in_its_with_block_kills_the_child_at_once(popens):
+    assert models._CLOSE_TIMEOUT_S >= 2  # a close would wait longer than the bound below
+    start = time.perf_counter()
+    with pytest.raises(KeyError):
+        with SubprocessModel(child_cmd("linger")) as m:
+            assert m.predict(table_of([[1.0, 2.0]])).tolist() == [3.0]
+            raise KeyError("the caller's own error")
+    assert time.perf_counter() - start < 2
+    assert len(popens) == 1
+    assert popens[0].returncode is not None
+    assert popens[0].stdout.closed and popens[0].stdin.closed
+    with pytest.raises(SubprocessFailure, match="the model is closed"):
+        m.predict(table_of([[1.0, 2.0]]))
 
 
 def test_subprocess_rejects_shell_string():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from aspectra import (
-    AspectPartition,
     NumericTable,
     PermutationConfig,
     TriplotConfig,
@@ -21,7 +20,7 @@ from aspectra.errors import AspectraError
 from aspectra.models import LinearModel
 from aspectra.render import RenderSpec, _escape
 
-from conftest import make_six_variable
+from conftest import make_six_variable, singletons
 
 
 def count_class(svg: str, cls: str) -> int:
@@ -98,7 +97,7 @@ def test_aspects_svg_structure():
     rng = np.random.default_rng(0)
     t = NumericTable(tuple("abcd"), rng.uniform(0, 1, (300, 4)))
     model = LinearModel(0.0, [3.0, -2.0, 1.0, 0.5])
-    expl = predict_aspects(model, t, t.row(0), AspectPartition.singletons(t.column_names),
+    expl = predict_aspects(model, t, t.row(0), singletons(t.column_names),
                            N=1000, seed=1)
     svg = render_aspects(expl)
     ET.fromstring(svg)
@@ -113,7 +112,7 @@ def test_aspects_limit_caps_visible_bars():
     rng = np.random.default_rng(1)
     t = NumericTable(tuple(f"v{i}" for i in range(9)), rng.uniform(0, 1, (400, 9)))
     model = LinearModel(0.0, [5, 4, 3, 2, 1, 0.5, 0.2, 0.1, 0.05])
-    expl = predict_aspects(model, t, t.row(2), AspectPartition.singletons(t.column_names),
+    expl = predict_aspects(model, t, t.row(2), singletons(t.column_names),
                            N=5000, seed=2, limit=4)
     svg = render_aspects(expl)
     widths = [float(w) for w in re.findall(r'class="bar"[^>]*width="([0-9.]+)"', svg)]
@@ -135,7 +134,7 @@ def test_aspects_lambda_in_title():
     rng = np.random.default_rng(3)
     t = NumericTable(tuple("abc"), rng.uniform(0, 1, (200, 3)))
     model = LinearModel(0.0, [1.0, 2.0, 3.0])
-    part = AspectPartition.singletons(t.column_names)
+    part = singletons(t.column_names)
     with_limit = render_aspects(predict_aspects(model, t, t.row(0), part, N=500, seed=0, limit=1))
     without = render_aspects(predict_aspects(model, t, t.row(0), part, N=500, seed=0))
     assert "lambda=" in with_limit
