@@ -2,12 +2,13 @@
 
 Distances are 1 - |r|, so complete linkage guarantees that every pair inside
 a cluster cut at height h satisfies |r| >= 1 - h. Node ids follow the usual
-convention: leaves 0..p-1, the t-th merge creates node p+t.
+convention: leaves 0..p-1, the t-th merge creates node p+t. One function cuts
+a tree, partition_after_merges: cut_tree and every level of a local triplot
+take their partitions from it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,30 +210,17 @@ def _named_partition(clusters, column_names) -> AspectPartition:
     smallest member, named after their members; a repeated name gets a
     suffix _2, _3, ..."""
     ordered = sorted(clusters, key=lambda ms: ms[0])
-    names = []
+    names, taken = [], set()
     for ms in ordered:
         name = _group_name(ms, column_names)
         k = 2
         base = name
-        while name in names:
+        while name in taken:
             name = f"{base}_{k}"
             k += 1
         names.append(name)
+        taken.add(name)
     return AspectPartition(tuple(zip(names, ordered)))
-
-
-def _clusters_along(tree: MergeTree):
-    """The clusters, keyed by their smallest member, before the first merge
-    and after each merge in turn; one dict, updated in place."""
-    clusters = {i: (i,) for i in range(tree.p)}
-    yield clusters
-    for m in tree.merges:
-        # each merge lists its whole cluster, so it covers both children,
-        # whose keys are among its members
-        for i in m.members:
-            clusters.pop(i, None)
-        clusters[m.members[0]] = m.members
-        yield clusters
 
 
 def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectPartition:
@@ -241,15 +229,16 @@ def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectP
         raise AspectraError(
             f"merge count must be in [0, {len(tree.merges)}], got {count}"
         )
-    clusters = next(itertools.islice(_clusters_along(tree), count, None))
-    return _named_partition(clusters.values(), column_names)
-
-
-def _partitions_along(tree: MergeTree, column_names):
-    """partition_after_merges(tree, count, column_names) for count = 0, 1,
-    ..., p - 1 in turn, applying each merge once."""
-    for clusters in _clusters_along(tree):
-        yield _named_partition(clusters.values(), column_names)
+    # each merge lists its whole cluster, so labelling every member with the
+    # cluster's smallest index applies the merge
+    label = list(range(tree.p))
+    for m in tree.merges[:count]:
+        for i in m.members:
+            label[i] = m.members[0]
+    clusters = {}
+    for i in range(tree.p):
+        clusters.setdefault(label[i], []).append(i)
+    return _named_partition(map(tuple, clusters.values()), column_names)
 
 
 def cut_tree(tree: MergeTree, h: float, column_names) -> AspectPartition:

@@ -96,6 +96,7 @@ class SchemaMismatch(AspectraError):
 class SubprocessFailure(AspectraError):
     def __init__(self, detail: str):
         super().__init__(f"external model failed: {detail}")
+        self.detail = detail
 
 
 class LengthMismatch(AspectraError):

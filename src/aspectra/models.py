@@ -237,7 +237,8 @@ class SubprocessModel(ModelAdapter):
             # an interrupt mid-batch leaves the pipe in the same unknown state
             proc.kill()
             writer.join()  # the kill ends a blocked write; only then may the pipes close
-            self._stop(f"child was stopped after a failed batch: {str(exc) or type(exc).__name__}")
+            detail = exc.detail if isinstance(exc, SubprocessFailure) else str(exc)
+            self._stop(f"child was stopped after a failed batch: {detail or type(exc).__name__}")
             raise
         return out
 

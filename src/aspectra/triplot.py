@@ -3,8 +3,9 @@
 Global mode scores every tree node by block-permutation importance of its
 member set; permuting a set needs no surrounding partition. Local mode walks
 the coarsening trajectory the dendrogram defines: each merge step is scored
-inside the tree-cut partition at that step, and all steps share one sampled
-row set so differences between levels come from the grouping, not sampling.
+inside the tree-cut partition at that step, which partition_after_merges
+gives, and all steps share one sampled row set so differences between levels
+come from the grouping, not sampling.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from .aspects import _DesignSampler, _fit_surrogate
 from .cluster import (
     MergeTree,
     VALID_LINKAGES,
-    _partitions_along,
     _round12,
     agglomerative,
     cor_distance,
     correlation_matrix,
+    partition_after_merges,
 )
 from .data import NumericTable, Observation, RngStream, _finite_float, _integer_fields
 from .errors import AspectraError
@@ -180,7 +181,8 @@ def predict_triplot(
     # every level scores the same sampled rows; only the flags differ
     sampler = _DesignSampler(table, x_star, cfg.N, RngStream(cfg.seed))
     levels = []
-    for part in _partitions_along(tree, table.column_names):
+    for t in range(table.p):
+        part = partition_after_merges(tree, t, table.column_names)
         fit = _fit_surrogate(model, sampler.design(part), cfg.limit)
         levels.append(dict(zip(part.member_sets, fit.gamma)))
     leaf_imp = np.array([levels[0][(j,)] for j in range(table.p)])

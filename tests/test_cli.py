@@ -510,6 +510,28 @@ def test_computation_error_is_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+_ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_ASPECTS, "--model", "linear"], "--model linear needs --target to fit"),
+    ([*_ASPECTS, "--target", "y", "--model", "knn:x"], "bad knn spec 'knn:x', expected knn:K"),
+    ([*_ASPECTS, "--target", "y", "--model", "forest"], "unknown model spec 'forest'"),
+    (["predict-aspects", "--data", "{data}", "--target", "y", "--model", "linear",
+      "--obs", "{obs}", "--cutoff", "0.6"], "--obs file must have exactly 1 data row, got 2"),
+    (["triplot", "--mode", "global", "--data", "{data}", "--model", child_spec("sum")],
+     "global triplot needs --target"),
+], ids=["linear-without-target", "bad-knn-spec", "unknown-model", "two-row-obs",
+        "global-cmd-without-target"])
+def test_bad_model_or_observation_is_exit_1(argv, message, six_csv, tmp_path, children, capsys):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("a,b,c,d,e,f\n" + "0.1,0.2,0.3,0.4,0.5,0.6\n" * 2)
+    code, out, err = run([arg.format(data=six_csv, obs=obs) for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+    assert all(proc.returncode is not None for proc in children)  # the child was stopped
+
+
 def _unreadable_file_cases(csv, tmp):
     missing = str(tmp / "missing")
     broken = tmp / "broken.json"

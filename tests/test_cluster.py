@@ -8,14 +8,13 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 from scipy.stats import pearsonr, rankdata, spearmanr
 
-from aspectra import NumericTable, correlation_matrix, group_variables
+from aspectra import AspectPartition, NumericTable, correlation_matrix, group_variables
 from aspectra.cluster import (
     VALID_LINKAGES,
     MergeRecord,
     MergeTree,
     _average_ranks,
     _group_name,
-    _partitions_along,
     agglomerative,
     cor_distance,
     cut_tree,
@@ -333,6 +332,28 @@ def test_partition_after_merges_counts():
         partition_after_merges(tree, 5, t.column_names)
 
 
+def _oracle_partitions_along(tree: MergeTree, column_names):
+    """The partition before the first merge and after each merge in turn,
+    from one pass over the merges, named by a scan of the names taken so
+    far: an independent reference for partition_after_merges."""
+    clusters = {i: (i,) for i in range(tree.p)}
+    for m in (None, *tree.merges):
+        if m is not None:
+            # each merge lists its whole cluster, so it covers both children,
+            # whose keys are among its members
+            for i in m.members:
+                clusters.pop(i, None)
+            clusters[m.members[0]] = m.members
+        names = []
+        ordered = sorted(clusters.values())
+        for ms in ordered:
+            base = name = _group_name(ms, column_names)
+            k = 2
+            while name in names:
+                name, k = f"{base}_{k}", k + 1
+            names.append(name)
+        yield AspectPartition(tuple(zip(names, ordered)))
+
 
 @pytest.mark.parametrize("method", ["complete", "single", "average"])
 @pytest.mark.parametrize("seed", range(4))
@@ -341,9 +362,10 @@ def test_partitions_along_the_tree_match_each_cut(method, seed):
     t = random_table(seed, p=9)
     names = tuple("v" * 40 + str(j) for j in range(t.p))
     tree = agglomerative(cor_distance(correlation_matrix(t, "pearson")), method)
-    along = list(_partitions_along(tree, names))
-    assert along == [partition_after_merges(tree, count, names) for count in range(t.p)]
-    assert any(name.endswith("_2") for part in along for name in part.names)
+    cuts = [partition_after_merges(tree, count, names) for count in range(t.p)]
+    assert cuts == list(_oracle_partitions_along(tree, names))
+    assert any(name.endswith("_2") for part in cuts for name in part.names)
+
 
 def test_cut_tree_heights():
     t = random_table(7, p=5)

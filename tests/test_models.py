@@ -441,8 +441,9 @@ def popens(monkeypatch):
 
 @pytest.mark.parametrize("end, mode, message", [
     ("close", "sum", "the model is closed"),
-    ("failed batch", "garbage", "stopped after a failed batch: .*non-numeric"),
-    ("child exit", "once", "stopped after a failed batch: .*got 0 before EOF"),
+    ("failed batch", "garbage", "stopped after a failed batch: non-numeric prediction line"),
+    ("child exit", "once",
+     "stopped after a failed batch: expected 1 prediction lines, got 0 before EOF"),
 ])
 def test_subprocess_never_starts_a_second_child(end, mode, message, popens):
     with SubprocessModel(child_cmd(mode)) as m:
@@ -457,8 +458,9 @@ def test_subprocess_never_starts_a_second_child(end, mode, message, popens):
             with pytest.raises(SubprocessFailure, match="got 0 before EOF"):
                 m.predict(table_of([[1.0, 2.0]]))
         for _ in range(2):
-            with pytest.raises(SubprocessFailure, match=message):
+            with pytest.raises(SubprocessFailure, match=message) as failure:
                 m.predict(table_of([[1.0, 2.0]]))
+            assert str(failure.value).count("external model failed:") == 1
     assert len(popens) == 1
     assert popens[0].returncode is not None  # reaped
     assert popens[0].stdout.closed and popens[0].stdin.closed

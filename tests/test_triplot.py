@@ -17,7 +17,6 @@ from aspectra import (
 from aspectra import aspects, global_importance
 from aspectra.aspects import SampleDesign, build_design, delta_predictions, fit_lasso, fit_ols
 from aspectra.cluster import (
-    _partitions_along,
     agglomerative,
     cor_distance,
     correlation_matrix,
@@ -265,7 +264,8 @@ def test_shared_sampler_designs_match_per_level_designs(six_table):
     x_star = table.row(4)
     tree = agglomerative(cor_distance(correlation_matrix(table, "spearman")), "complete")
     sampler = aspects._DesignSampler(table, x_star, 601, RngStream(9))
-    for part in _partitions_along(tree, table.column_names):
+    for count in range(table.p):
+        part = partition_after_merges(tree, count, table.column_names)
         shared = sampler.design(part)
         for other in (build_design(table, x_star, part, 601, RngStream(9)),
                       _oracle_build_design(table, x_star, part, 601, RngStream(9))):
