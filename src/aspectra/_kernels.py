@@ -1,8 +1,8 @@
 """Hot numeric kernels: lasso coordinate descent and exhaustive k-NN scoring.
 
 Both are plain numpy and coerce their inputs to float64. `fit_lasso` calls
-`lasso_cd` once per capped fit, at the lambda its search settles on (the
-search itself reads the exact lasso path), and `KnnModel.predict` calls
+`lasso_cd` once per capped fit with a nonzero answer, at the knot of the
+exact lasso path where the cap first breaks, and `KnnModel.predict` calls
 `knn_predict` once per batch. `knn_predict` screens neighbours with one
 matrix product of augmented operands and a per-row error bound, then
 computes exact distances only for the training rows that can be among the k

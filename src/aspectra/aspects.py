@@ -4,8 +4,8 @@ The explainer samples N rows, flags one or two aspects per sampled row, and
 overwrites the flagged aspects' columns with the explained observation's
 values. The difference between modified and unmodified predictions is then
 regressed on the binary flag matrix; the coefficients are the aspect
-contributions. An L1-limited variant caps how many aspects stay nonzero by
-searching for the smallest regularization strength that honours the cap.
+contributions. An L1-limited variant caps how many aspects stay nonzero, at
+the knot of the exact lasso path where the cap first breaks.
 
 The sampled rows do not depend on the grouping: a `_DesignSampler` draws
 them once, and each partition it is asked for draws only its flags. A local
@@ -16,9 +16,7 @@ once is scored once: f(A) is taken on A's distinct rows.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,9 @@ from .data import (
     RngStream,
     _check_tsv_names,
     _finite_float,
+    _json_text,
     _rekey,
+    _typed,
     sampled_row_ids,
     validate_partition,
 )
@@ -44,7 +44,6 @@ _K_FLAGS = 0xF1A6
 
 LASSO_MAX_SWEEPS = 100_000
 LASSO_TOL = 1e-10
-BISECT_REL_TOL = 1e-6
 _TIE = 1e-9  # relative: path events this close happen at one knot
 _MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
@@ -96,8 +95,8 @@ class SurrogateFit:
     Z: np.ndarray
     residual_norm: float
     lam: float | None = None
-    # (lambda, nonzero count) per bisection step, the count read off the exact
-    # lasso path; gamma is one coordinate descent solve at `lam`
+    # (lambda, nonzero count) at each knot of the exact lasso path walked,
+    # the last at `lam`; gamma is one coordinate descent solve there
     path: tuple = ()
 
 
@@ -146,7 +145,7 @@ class AspectExplanation:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2)
+        return _json_text(self.to_json_doc())
 
     @staticmethod
     def from_json_doc(doc: dict) -> "AspectExplanation":
@@ -155,16 +154,19 @@ class AspectExplanation:
         lambda are ignored."""
         try:
             meta = dict(doc.get("metadata", {}))
-            N = meta.get("N", 0)
-            seed = meta.get("seed", 0)
+            N = _typed(meta.get("N", 0), int, "an integer N")
+            seed = _typed(meta.get("seed", 0), int, "an integer seed")
             lam = meta.get("lambda", None)
             rows = tuple(
                 AspectRow(
-                    name=str(a["name"]),
-                    members=tuple(str(c) for c in a["members"]),
+                    name=_typed(a["name"], str, "a string name"),
+                    members=tuple(
+                        _typed(c, str, "a string member")
+                        for c in _typed(a["members"], list, "a list of members")
+                    ),
                     contribution=_finite_float(a["contribution"]),
                     min_abs_cor=_finite_float(a["min_abs_cor"]),
-                    sign_consistent=bool(a["sign_consistent"]),
+                    sign_consistent=_typed(a["sign_consistent"], bool, "true or false"),
                 )
                 for a in doc["aspects"]
             )
@@ -440,17 +442,16 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
     """Smallest-lambda L1 fit keeping at most `limit` nonzero contributions.
 
     Lasso on the raw binary design (no standardization, no intercept);
-    lambda found by bisection on [0, lambda_max] where
-    lambda_max = max_j |Z[j]| / N zeroes every coefficient. limit = m takes
-    the plain least-squares path.
-
-    Each bisection step reads its nonzero count off the exact lasso path on
-    W = X'^T X' and Z = X'^T Y, which is walked only as far down as the
-    lowest step asks. The bracket arithmetic is that of a bisection that
-    solves at every step, so lambda and `path` are the same. One coordinate
-    descent solve at the returned lambda gives gamma, with the coefficients
-    the path has at 0 kept at 0; if it spends all LASSO_MAX_SWEEPS sweeps,
-    LassoNotConverged is raised.
+    limit = m takes the plain least-squares path. Otherwise the exact lasso
+    path on W = X'^T X' and Z = X'^T Y is walked down from
+    lambda_max = max_j |Z[j]| / N, where every coefficient is 0, and stops at
+    the first segment with more than `limit` nonzero coefficients (the lasso
+    variant of LARS). The knot on top of it is the returned lambda, the
+    smallest at which the cap holds for every larger lambda too: lambda_max
+    if limit = 0 or the cap breaks at the top, 0 if it holds along the whole
+    path. One coordinate descent solve over the active set above the knot
+    gives gamma; if it spends all LASSO_MAX_SWEEPS sweeps, LassoNotConverged
+    is raised.
     """
     m = design.m
     if not 0 <= limit <= m:
@@ -463,50 +464,27 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
             lam=0.0, path=((0.0, nnz),),
         )
     X, y, W, Z = _design_matrices(design, ym)
-    lam_max = float(np.max(np.abs(Z)) / design.N)
-    segments = _lasso_path(W, Z)
-    # negated segment bottoms, ascending for bisect, and their active sets
-    neg_knots, actives = [], []
-
-    def active_set(t):
-        while not neg_knots or -neg_knots[-1] >= t:  # the last segment ends at 0 < t
-            t_low, P = next(segments)
-            neg_knots.append(-t_low)
-            actives.append(P)
-        # the first segment whose bottom lies below t
-        return actives[bisect.bisect_right(neg_knots, -t)]
-
-    lo = 0.0
-    hi = lam_max
-    trace = [(lam_max, 0)]
-    # stop once the bracket is tiny relative to the answer, so that shrinking
-    # the returned lambda by even 0.1% drops below the true crossing point;
-    # the absolute floor ends the search when the crossing is at 0
-    # limit = 0 is met at lam_max, and lam_max = 0 leaves no bracket: both
-    # skip the loop and return gamma = 0
-    floor = 1e-12 * lam_max
-    while limit > 0 and hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        nnz = active_set(design.N * mid).shape[0]
-        trace.append((mid, nnz))
-        if nnz <= limit:
-            hi = mid
-        else:
-            lo = mid
-    if hi == lam_max:
-        gamma = np.zeros(m)
-    else:
-        gamma, sweeps = _kernels.lasso_cd(W, Z, design.N * hi, LASSO_MAX_SWEEPS, LASSO_TOL)
-        if sweeps >= LASSO_MAX_SWEEPS:
-            raise LassoNotConverged(hi, sweeps)
-        # within about LASSO_TOL of a knot the solve can leave a rounding-level
-        # coefficient where the path has 0; the cap counts the path's
-        inactive = np.ones(m, dtype=bool)
-        inactive[active_set(design.N * hi)] = False
-        gamma[inactive] = 0.0
+    t = float(np.max(np.abs(Z)))  # the knot reached, in t = N * lambda
+    trace = [(t / design.N, 0)]
+    gamma = np.zeros(m)
+    # Z = 0 has no path to walk, and limit = 0 holds only at the top
+    if limit > 0 and t > 0.0:
+        kept = None  # the active set above t
+        for t_low, P in _lasso_path(W, Z):
+            if P.shape[0] > limit:
+                break
+            t, kept = t_low, np.sort(P)
+            trace.append((t / design.N, P.shape[0]))
+        if kept is not None:
+            sub, sweeps = _kernels.lasso_cd(
+                W[np.ix_(kept, kept)], Z[kept], t, LASSO_MAX_SWEEPS, LASSO_TOL
+            )
+            if sweeps >= LASSO_MAX_SWEEPS:
+                raise LassoNotConverged(t / design.N, sweeps)
+            gamma[kept] = sub
     residual = float(np.linalg.norm(X @ gamma - y))
     return SurrogateFit(
-        gamma=gamma, W=W, Z=Z, residual_norm=residual, lam=hi, path=tuple(trace)
+        gamma=gamma, W=W, Z=Z, residual_norm=residual, lam=trace[-1][0], path=tuple(trace)
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AspectPartition, NumericTable, _finite_float
+from .data import AspectPartition, NumericTable, _finite_float, _typed
 from .errors import AspectraError, ZeroVarianceColumn
 
 VALID_LINKAGES = ("complete", "single", "average")
@@ -83,8 +83,13 @@ class MergeTree:
         """Rebuild a tree from to_json_doc's output; a malformed one raises AspectraError."""
         try:
             merges = tuple(
-                MergeRecord(int(d["left"]), int(d["right"]), _finite_float(d["height"]),
-                            tuple(int(i) for i in d["members"]))
+                MergeRecord(
+                    _typed(d["left"], int, "an integer cluster id"),
+                    _typed(d["right"], int, "an integer cluster id"),
+                    _finite_float(d["height"]),
+                    tuple(_typed(i, int, "an integer member")
+                          for i in _typed(d["members"], list, "a list of members")),
+                )
                 for d in doc
             )
         except (KeyError, TypeError, ValueError) as e:

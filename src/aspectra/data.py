@@ -10,6 +10,7 @@ scanned again.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -267,12 +268,38 @@ def validate_partition(partition: AspectPartition, p: int) -> None:
         raise NotCovering(missing)
 
 
+def _typed(value, kind, expected: str):
+    """`value` for a document reader if it has the JSON type `kind`, else TypeError.
+
+    `expected` names the type in the message. A bool passes only as bool:
+    JSON's true is no number.
+    """
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"expected {expected}, got {value!r}")
+    return value
+
+
 def _finite_float(value) -> float:
-    """float(value) for a document reader; NaN and infinities raise ValueError."""
-    x = float(value)
+    """A JSON number as a float for a document reader; another type raises
+    TypeError, and NaN, an infinity or an integer past the float range ValueError."""
+    try:
+        x = float(_typed(value, (int, float), "a number"))
+    except OverflowError:
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {x!r}")
     return x
+
+
+def _json_text(doc) -> str:
+    """A result document as indented JSON; NaN or an infinity raises AspectraError.
+
+    The standard has no token for either, and a reader may reject one.
+    """
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise AspectraError(f"cannot write a non-finite number to a JSON document: {e}") from None
 
 
 def _integer_fields(config, names, optional=()) -> None:

@@ -120,6 +120,15 @@ class SingularDesign(AspectraError):
         )
 
 
+class NonFiniteLoss(AspectraError):
+    def __init__(self, kind: str):
+        self.kind = kind
+        super().__init__(
+            f"the {kind} loss overflows to a non-finite number; "
+            "rescale the target and the model's predictions"
+        )
+
+
 class LassoNotConverged(AspectraError):
     def __init__(self, lam: float, sweeps: int):
         self.lam = lam

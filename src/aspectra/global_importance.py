@@ -28,7 +28,6 @@ multiple of 4 (see its docstring).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +39,13 @@ from .data import (
     RngStream,
     _check_tsv_names,
     _integer_fields,
+    _json_text,
     _mix64,
     _rekey,
     validate_partition,
 )
 from .errors import AspectraError, BadIndex, EmptyGroup
-from .models import LOSS_KINDS, ModelAdapter, _finite_targets, _row_losses, predict
+from .models import LOSS_KINDS, ModelAdapter, _finite_losses, _finite_targets, _row_losses, predict
 
 _K_SUBSAMPLE = 0x5AB5
 _K_PERM = 0x9E47
@@ -125,7 +125,7 @@ class GlobalImportance:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2)
+        return _json_text(self.to_json_doc())
 
 
 def _checked_members(group, p: int) -> np.ndarray:
@@ -274,7 +274,9 @@ class ImportanceContext:
         if not keys[0]:
             self._cache[keys.pop(0)] = float(job_losses[0])
         per_set = job_losses[len(jobs) - len(keys) * self.cfg.B:].reshape(len(keys), self.cfg.B)
-        self._cache.update(zip(keys, np.mean(per_set, axis=1).tolist()))
+        with np.errstate(over="ignore"):  # B finite losses may sum past the float64 range
+            means = np.mean(per_set, axis=1)
+        self._cache.update(zip(keys, _finite_losses(self.cfg.loss, means).tolist()))
 
     @property
     def baseline_loss(self) -> float:

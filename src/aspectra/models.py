@@ -19,6 +19,7 @@ from .errors import (
     AspectraError,
     BadK,
     LengthMismatch,
+    NonFiniteLoss,
     RankDeficient,
     SchemaMismatch,
     SubprocessFailure,
@@ -333,12 +334,23 @@ def _row_losses(kind: str, y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     """The loss of each row of the (k, n) predictions `yhat` against the n targets `y`.
 
     Each row is reduced on its own, so a row's loss is the same for every k.
-    `kind`, the shapes and the float64 dtype are the caller's to check.
+    `kind`, the shapes and the float64 dtype are the caller's to check. A
+    loss that overflows, such as an RMSE whose squared errors pass the
+    float64 range, raises NonFiniteLoss.
     """
-    err = y - yhat
-    if kind == "rmse":
-        return np.sqrt(np.mean(err * err, axis=1))
-    return np.mean(np.abs(err), axis=1)
+    with np.errstate(over="ignore"):
+        err = y - yhat
+        if kind == "rmse":
+            losses = np.sqrt(np.mean(err * err, axis=1))
+        else:
+            losses = np.mean(np.abs(err), axis=1)
+    return _finite_losses(kind, losses)
+
+
+def _finite_losses(kind: str, losses: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(losses)):
+        raise NonFiniteLoss(kind)
+    return losses
 
 
 def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:

@@ -10,7 +10,6 @@ come from the grouping, not sampling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,15 @@ from .cluster import (
     correlation_matrix,
     partition_after_merges,
 )
-from .data import NumericTable, Observation, RngStream, _finite_float, _integer_fields
+from .data import (
+    NumericTable,
+    Observation,
+    RngStream,
+    _finite_float,
+    _integer_fields,
+    _json_text,
+    _typed,
+)
 from .errors import AspectraError
 from .global_importance import ImportanceContext, PermutationConfig
 from .models import ModelAdapter
@@ -95,7 +102,7 @@ class TriplotResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2)
+        return _json_text(self.to_json_doc())
 
     @staticmethod
     def from_json_doc(doc: dict) -> "TriplotResult":
@@ -111,7 +118,7 @@ class TriplotResult:
             result = TriplotResult(
                 mode=doc["mode"],
                 tree=tree,
-                leaf_names=tuple(str(leaf["name"]) for leaf in doc["leaves"]),
+                leaf_names=tuple(_typed(leaf["name"], str, "a string name") for leaf in doc["leaves"]),
                 leaf_importance=np.array([finite(leaf["importance"]) for leaf in doc["leaves"]]),
                 node_importance=np.array([finite(node["importance"]) for node in doc["nodes"]]),
                 full_model_loss=None if full is None else finite(full),

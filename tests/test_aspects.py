@@ -25,7 +25,6 @@ from aspectra import _kernels
 from aspectra.aspects import (
     _MAX_TIED,
     _TIE,
-    BISECT_REL_TOL,
     LASSO_TOL,
     AspectExplanation,
     SampleDesign,
@@ -304,8 +303,8 @@ def test_lasso_limit_zero_all_zero_at_lam_max():
     fit = fit_lasso(design, ym, limit=0)
     assert np.count_nonzero(fit.gamma) == 0
     assert fit.lam == pytest.approx(np.max(np.abs(fit.Z)) / design.N)
-    for seed in range(1, 20):  # the oracle returns early; fit_lasso skips its search
-        assert_fit_matches_oracle(*lasso_instance(seed), limit=0)
+    for seed in range(1, 20):  # the cap breaks at the top: no knot below it is walked
+        assert_fit_at_first_crossing(*lasso_instance(seed), limit=0)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4])
@@ -346,7 +345,7 @@ def test_lasso_zero_response_short_circuits():
     assert np.count_nonzero(fit.gamma) == 0
     assert fit.lam == 0.0
     for limit in range(design.m):
-        assert_fit_matches_oracle(design, np.zeros(design.N), limit)
+        assert_fit_at_first_crossing(design, np.zeros(design.N), limit)
 
 
 def test_lasso_non_convergence_is_an_error(monkeypatch):
@@ -364,6 +363,7 @@ def test_lasso_non_convergence_is_an_error(monkeypatch):
 # near 0) is skipped rather than waited for. Solves that finish run the same
 # sweeps either way.
 LASSO_MAX_SWEEPS = 5_000
+BISECT_REL_TOL = 1e-6
 
 
 def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
@@ -457,13 +457,53 @@ def _collinear(W):
     return np.linalg.matrix_rank(W[np.ix_(sampled, sampled)]) < sampled.size
 
 
-def assert_fit_matches_oracle(design, ym, limit):
-    ref = _oracle_fit_lasso(design, ym, limit)
+def assert_fit_at_first_crossing(design, ym, limit):
+    """Check fit_lasso against the exact path and the bisection oracle.
+
+    Walking the path down from t = max|Z|, the returned lambda is the first
+    knot below which more than `limit` columns are active, exactly: N lambda
+    is a knot the walk yields (or max|Z|), every segment above it holds at
+    most `limit` columns and the one below it more. `path` holds each knot
+    walked with the active count above it. gamma is nonzero only on the
+    active set above the knot and meets the lasso's optimality conditions
+    there. Where the oracle's bisection found the same crossing, its lambda
+    lies at most 2 BISECT_REL_TOL above, and a tight solve at the knot gives
+    gamma.
+    """
     fit = fit_lasso(design, ym, limit)
-    assert fit.lam == ref.lam
-    assert fit.path == ref.path
-    assert np.array_equal(fit.gamma, ref.gamma)
-    assert fit.residual_norm == ref.residual_norm
+    N, W, Z = design.N, fit.W, fit.Z
+    knots, counts, active = [float(np.max(np.abs(Z)))], [0], []
+    if knots[0] > 0.0:  # Z = 0 has no path
+        for t_low, P in _lasso_path(W, Z):
+            if knots[-1] / N == fit.lam:
+                assert P.shape[0] > limit  # the segment below the answer
+                break
+            assert P.shape[0] <= limit  # a segment above the answer
+            knots.append(t_low)
+            counts.append(P.shape[0])
+            active = P.tolist()
+    t = knots[-1]
+    assert fit.lam == t / N
+    assert fit.path == tuple((k / N, c) for k, c in zip(knots, counts))
+    assert set(np.flatnonzero(fit.gamma).tolist()) <= set(active)
+    # c = Z - W gamma: c_j = t sign(gamma_j) where gamma_j != 0, |c_j| <= t elsewhere
+    c = Z - W @ fit.gamma
+    tol = 1e-7 * max(1.0, knots[0])
+    on = fit.gamma != 0.0
+    assert np.all(np.abs(c[on] - t * np.sign(fit.gamma[on])) <= tol)
+    assert np.all(np.abs(c[~on]) <= t + tol)
+    assert fit.residual_norm == float(np.linalg.norm(
+        design.X_prime.astype(np.float64) @ fit.gamma - np.asarray(ym, dtype=np.float64)))
+    try:
+        ref = _oracle_fit_lasso(design, ym, limit)
+    except LassoNotConverged:
+        return fit
+    if ref.lam >= fit.lam:  # the oracle's bisection found the same crossing
+        assert ref.lam <= fit.lam * (1.0 + 2.0 * BISECT_REL_TOL) + 2e-12 * knots[0] / N
+        w, sweeps = _kernels.lasso_cd(W, Z, t, 100_000, 1e-14)
+        # at t = 0 collinear columns leave many least-squares solutions
+        if sweeps < 100_000 and (t > 0.0 or not _collinear(W)):
+            assert np.allclose(fit.gamma, w, rtol=0.0, atol=1e-8 * max(1.0, np.abs(w).max()))
     return fit
 
 
@@ -473,43 +513,28 @@ def test_lasso_path_search_matches_bisection_oracle(problem):
     design, ym = manual_design(*problem)
     for limit in range(1, design.m):
         try:
-            ref = _oracle_fit_lasso(design, ym, limit)
-        except LassoNotConverged:
-            assume(False)
-        try:
-            fit = fit_lasso(design, ym, limit)
+            fit = assert_fit_at_first_crossing(design, ym, limit)
         except SingularDesign:
             # only where copied or otherwise collinear flag columns leave the
             # lasso solution, and so the oracle's count, to rounding
-            assert _collinear(ref.W)
+            assert _collinear(_design_matrices(design, ym)[2])
             continue
         assert np.count_nonzero(fit.gamma) <= limit
-        parting = next(((f, r) for f, r in zip(fit.path, ref.path) if f != r), None)
-        if parting is not None:
-            # the oracle's solve stops once no coefficient moves by LASSO_TOL,
-            # so within about that of a knot its count can be off; there a
-            # tighter solve at the same lambda must give the path's count
-            (lam, count), (lam_ref, _) = parting
-            assert lam == lam_ref
-            w, sweeps = _kernels.lasso_cd(ref.W, ref.Z, design.N * lam, 20_000, 1e-14)
-            assume(sweeps < 20_000)
-            assert np.count_nonzero(w) == count
-            continue
-        assert fit.lam == ref.lam
-        assert np.array_equal(fit.gamma, ref.gamma)
 
 
 def test_lasso_path_with_a_drop_event():
     # in t = N * lambda: w_1 joins at 2.9, w_0 at 2.1 and w_2 at 1.35; w_0
-    # returns to 0 at 1.1 and joins again at 0.22. So "at most 2 nonzero"
-    # holds down to t = 0.22; a walk that misses the drop stops at 1.35
+    # returns to 0 at 1.1 and joins again at 0.22. "At most 2 nonzero" holds
+    # above 1.35 and again on [0.22, 1.1]; the first crossing, walking down,
+    # is the knot at 1.35, where the lower one at 0.22 needs the whole path
     X = np.array([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     design, ym = manual_design(X, [0.9, 2.0, 1.6])
-    fit = assert_fit_matches_oracle(design, ym, limit=2)
+    fit = assert_fit_at_first_crossing(design, ym, limit=2)
     knots, actives = zip(*_lasso_path(fit.W, fit.Z))
     assert [P.tolist() for P in actives] == [[1], [1, 0], [1, 0, 2], [1, 2], [1, 2, 0]]
     assert np.allclose(knots, [2.1, 1.35, 1.1, 0.22, 0.0])
-    assert fit.lam == pytest.approx(0.22 / 3, rel=1e-5)
+    assert fit.lam == knots[1] / 3
+    assert fit.path == ((2.9 / 3, 0), (knots[0] / 3, 1), (knots[1] / 3, 2))
 
 
 def test_lasso_never_sampled_aspect_stays_zero():
@@ -518,7 +543,7 @@ def test_lasso_never_sampled_aspect_stays_zero():
     X[:, 2] = 0
     design, ym = manual_design(X, ym)
     for limit in range(1, 4):
-        fit = assert_fit_matches_oracle(design, ym, limit)
+        fit = assert_fit_at_first_crossing(design, ym, limit)
         assert fit.gamma[2] == 0.0
 
 
@@ -529,8 +554,19 @@ def test_lasso_collinear_column_that_never_ties():
                   [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]])
     design, ym = manual_design(X, [-0.5, -0.3, 0.4, 1.0, -0.1, 1.4, -0.7, 0.4])
     for limit in range(1, 4):
-        fit = assert_fit_matches_oracle(design, ym, limit)
+        fit = assert_fit_at_first_crossing(design, ym, limit)
         assert fit.gamma[2] == 0.0
+
+
+def test_lasso_cap_held_down_to_lambda_zero_on_a_rank_deficient_design():
+    # column 2 is columns 0 + 1, so least squares has a line of solutions;
+    # the path keeps 2 active down to t = 0, and gamma is the one on its
+    # active set {0, 2}, not a solve over all three columns cut down after
+    X = np.array([[0, 1, 1], [1, 0, 1], [1, 0, 1], [0, 1, 1]])
+    design, ym = manual_design(X, [-0.2, -1.2, -0.7, -0.5])
+    fit = assert_fit_at_first_crossing(design, ym, limit=2)
+    assert fit.lam == 0.0
+    assert np.allclose(fit.gamma, [-0.6, 0.0, -0.35], rtol=0.0, atol=1e-9)
 
 
 def test_lasso_copied_column_is_singular():
@@ -548,9 +584,9 @@ def test_lasso_columns_joining_at_one_knot():
     # reach the top together at t = 3, the fourth at t = 1
     X = np.repeat(np.eye(4, dtype=np.int8), 2, axis=0)
     design, ym = manual_design(X, [1.5, 1.5, 1.0, 2.0, -1.0, -2.0, 0.25, 0.75])
-    fits = [assert_fit_matches_oracle(design, ym, limit) for limit in (1, 2, 3)]
+    fits = [assert_fit_at_first_crossing(design, ym, limit) for limit in (1, 2, 3)]
     assert [f.lam for f in fits[:2]] == [3 / 8, 3 / 8]  # no lambda keeps 1 or 2
-    assert fits[2].lam == pytest.approx(1 / 8, rel=1e-5)
+    assert fits[2].lam == 1 / 8
     assert np.count_nonzero(fits[2].gamma) == 3
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from aspectra import NumericTable, cli, correlation_matrix, models
+from aspectra.aspects import AspectExplanation
 from aspectra.cli import cli_main
 
 from conftest import CHILD, make_six_variable, package_env, save_table
@@ -468,6 +469,20 @@ _MALFORMED = {
     "nan-contribution": ("aspects", lambda d: d["aspects"][0].update(contribution=math.nan)),
     "inf-min-abs-cor": ("aspects", lambda d: d["aspects"][0].update(min_abs_cor=math.inf)),
     "nan-lambda": ("aspects", lambda d: d["metadata"].update({"lambda": math.nan})),
+    "string-n": ("aspects", lambda d: d["metadata"].update(N="lots")),
+    "list-seed": ("aspects", lambda d: d["metadata"].update(seed=[1, 2])),
+    "string-members": ("aspects", lambda d: d["aspects"][0].update(members="abc")),
+    "numeric-member": ("aspects", lambda d: d["aspects"][0].update(members=[1])),
+    "numeric-aspect-name": ("aspects", lambda d: d["aspects"][0].update(name=7)),
+    "string-sign-consistent": ("aspects", lambda d: d["aspects"][0].update(sign_consistent="no")),
+    "numeric-string-contribution": ("aspects", lambda d: d["aspects"][0].update(contribution="1.5")),
+    "boolean-min-abs-cor": ("aspects", lambda d: d["aspects"][0].update(min_abs_cor=True)),
+    "integer-past-float-range": ("aspects", lambda d: d["aspects"][0].update(contribution=10**400)),
+    "fractional-merge-id": ("triplot", lambda d: d["tree"][0].update(left=d["tree"][0]["left"] + 0.5)),
+    "string-merge-id": ("triplot", lambda d: d["tree"][0].update(right=str(d["tree"][0]["right"]))),
+    "string-merge-members": ("triplot", lambda d: d["tree"][0].update(
+        members=[str(i) for i in d["tree"][0]["members"]])),
+    "numeric-leaf-name": ("triplot", lambda d: d["leaves"][0].update(name=3)),
 }
 
 
@@ -508,6 +523,45 @@ def test_computation_error_is_exit_1(tmp_path, capsys):
     code, _, err = run(["group-vars", "--data", str(bad), "--cutoff", "0.5"], capsys)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.fixture
+def huge_target_csv(tmp_path):
+    # a target near 1e300: the RMSE's squared errors pass the float64 range
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    path = str(tmp_path / "huge.csv")
+    save_table(NumericTable(("a", "b", "c"), X), path, target_name="y",
+               target=1e300 * (X @ [1.0, -2.0, 0.5]))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["global-importance", "--cutoff", "0.5", "--format", "json"],
+    ["global-importance", "--cutoff", "0.5"],
+    ["triplot", "--mode", "global"],
+], ids=["global-importance-json", "global-importance-tsv", "triplot-global"])
+def test_overflowing_loss_is_exit_1(argv, huge_target_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run(argv[:1] + ["--data", huge_target_csv, "--target", "y",
+                                        "--model", "linear", "--out", str(out)] + argv[1:],
+                            capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: the rmse loss overflows") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_json_documents_hold_no_non_finite_number(six_csv, tmp_path, monkeypatch, capsys):
+    # whatever computed it, NaN never reaches a document: writing one is an error
+    nan_lambda = AspectExplanation(aspects=(), N=200, seed=0, lam=math.nan)
+    monkeypatch.setattr(cli, "predict_aspects", lambda *args, **kwargs: nan_lambda)
+    out = tmp_path / "pa.json"
+    code, stdout, err = run(["predict-aspects", "--data", six_csv, "--target", "y",
+                             "--model", "linear", "--row", "0", "--cutoff", "0.6",
+                             "--format", "json", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: cannot write a non-finite number") and err.count("\n") == 1
+    assert not out.exists()
 
 
 _ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]

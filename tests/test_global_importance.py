@@ -16,7 +16,7 @@ from aspectra import (
 )
 from aspectra import global_importance
 from aspectra.data import RngStream
-from aspectra.errors import AspectraError, BadIndex, EmptyGroup, NonNumericCell
+from aspectra.errors import AspectraError, BadIndex, EmptyGroup, NonFiniteLoss, NonNumericCell
 from aspectra.global_importance import (
     ImportanceContext,
     _checked_members,
@@ -163,6 +163,15 @@ def test_full_set_importance_equals_baseline_exactly():
     ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", B=3, seed=5))
     full = ctx.mean_permuted_loss(range(table.p))
     assert full == ctx.baseline_loss  # bit-identical, not approx
+
+
+def test_mean_of_finite_losses_that_overflows_is_an_error():
+    # each repetition's mae is 1.5e308, finite, but two of them sum past the range
+    table = NumericTable(("a", "b"), np.random.default_rng(0).standard_normal((20, 2)))
+    cfg = PermutationConfig(loss="mae", B=2, seed=0)
+    with pytest.raises(NonFiniteLoss, match="the mae loss overflows"):
+        group_importance(ConstantModel(-5e307), table, np.full(20, 1e308),
+                         singletons(table.column_names), cfg)
 
 
 def test_empty_member_set_is_full_model_loss():

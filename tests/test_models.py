@@ -20,7 +20,7 @@ from aspectra import (
     fit_linear,
 )
 from aspectra import models
-from aspectra.errors import AspectraError, BadK, LengthMismatch, RankDeficient
+from aspectra.errors import AspectraError, BadK, LengthMismatch, NonFiniteLoss, RankDeficient
 from aspectra.models import KnnModel, LinearModel, _row_losses, loss, predict
 
 from conftest import child_cmd
@@ -201,6 +201,15 @@ def test_loss_validation():
         loss("mse", np.ones(2), np.ones(2))
     with pytest.raises(LengthMismatch):
         loss("rmse", np.ones(2), np.ones(3))
+
+
+@pytest.mark.parametrize("kind, y, yhat", [
+    ("rmse", [1e200, 0.0], [0.0, 0.0]),  # the squared error passes the float64 range
+    ("mae", [1e308, 0.0], [-1e308, 0.0]),  # the error itself does
+])
+def test_overflowing_loss_is_an_error(kind, y, yhat):
+    with pytest.raises(NonFiniteLoss, match=f"the {kind} loss overflows"):
+        loss(kind, np.array(y), np.array(yhat))
 
 
 # ----------------------------------------------------------------- predict
