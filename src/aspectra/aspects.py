@@ -10,8 +10,14 @@ the knot of the exact lasso path where the cap first breaks.
 The sampled rows do not depend on the grouping: a `_DesignSampler` draws
 them once, and each partition it is asked for draws only its flags. A local
 triplot takes every tree level's design from one sampler, and
-`build_design` is one sampler asked for one partition. A row drawn more than
-once is scored once: f(A) is taken on A's distinct rows.
+`build_design` is one sampler asked for one partition. Each distinct row is
+scored once: f(A) on A's distinct rows, and f(A') once per distinct (sampled
+row, replaced columns) pair, by the first partition that draws it, because
+the sampler plans the modified rows of all its partitions before any is
+scored. A local triplot over p columns so makes at most 2p calls, one fewer
+for each level that draws no new pair, and scores the distinct pairs of all
+its levels plus A's distinct rows at every level. Scoring f(A) once for all
+levels waits for the benchmark's tracer test, which relies on that repeat.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cluster import _group_variables, correlation_matrix
+from .cluster import MergeTree, _group_variables, correlation_matrix
 from .data import (
     AspectPartition,
     NumericTable,
@@ -32,11 +38,18 @@ from .data import (
     _finite_float,
     _json_text,
     _rekey,
+    _tsv_number,
     _typed,
     sampled_row_ids,
     validate_partition,
 )
-from .errors import AspectraError, LassoNotConverged, SchemaMismatch, SingularDesign
+from .errors import (
+    AspectraError,
+    LassoNotConverged,
+    NonFiniteShift,
+    SchemaMismatch,
+    SingularDesign,
+)
 from .models import ModelAdapter, predict
 
 _K_ROWS = 0xA001
@@ -44,25 +57,34 @@ _K_FLAGS = 0xF1A6
 
 LASSO_MAX_SWEEPS = 100_000
 LASSO_TOL = 1e-10
+_SORT_BITS = 63  # an int64 sort key holds a draw's key and position in this many bits
 _TIE = 1e-9  # relative: path events this close happen at one knot
 _MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
 
 @dataclass(frozen=True)
 class SampleDesign:
-    """Sampled rows A, binary flag matrix, and the modified rows A'.
+    """Sampled rows A, binary flag matrix, and the modified rows A' to score.
 
     Every row of the flag matrix has one or two entries set: the two aspect
     indices are drawn with replacement, so they may coincide (probability
-    1/m). A'[i, j] equals the explained observation at j when column j's
-    aspect is flagged in row i, otherwise A[i, j].
+    1/m). Draw i's modified row A'[i] equals the explained observation at
+    column j when column j's aspect is flagged in row i, otherwise A[i, j].
 
     The model scores two read-only tables under the explained table's column
     names. `distinct` holds each distinct sampled row once, in ascending row
     id, and `inverse` maps A onto it: A[i] = distinct[inverse[i]], so f(A)
-    is f(distinct)[inverse]. `modified` holds the N x p rows A'. Designs
-    from one `_DesignSampler` share `row_ids`, `distinct` and `inverse`, all
-    read-only.
+    is f(distinct)[inverse]. Designs from one `_DesignSampler` share
+    `row_ids`, `distinct` and `inverse`, all read-only.
+
+    A' is scored once per distinct modified row: two draws share a row when
+    they replace the same columns of the same sampled row, or when they
+    replace every column, which makes the row the observation itself. The
+    designs that one `_DesignSampler.designs` call plans share
+    `predictions`, one slot per distinct modified row of them all, NaN until
+    scored. `modified` holds the rows this design draws first, in draw
+    order, and their predictions go to predictions[fills]; f(A'[i]) is
+    predictions[slots[i]]. So the designs of one plan are scored in order.
     """
 
     row_ids: np.ndarray
@@ -71,6 +93,9 @@ class SampleDesign:
     inverse: np.ndarray
     modified: NumericTable
     partition: AspectPartition
+    slots: np.ndarray  # N, each draw's slot in `predictions`
+    fills: np.ndarray  # modified.n, the slots that `modified` scores
+    predictions: np.ndarray  # shared by the designs of one plan
 
     @property
     def N(self) -> int:
@@ -120,12 +145,13 @@ class AspectExplanation:
 
     def to_tsv(self) -> str:
         _check_tsv_names((a.name, a.members) for a in self.aspects)
-        lines = [f"# N\t{self.N}", f"# seed\t{self.seed}", f"# lambda\t{self.lam!r}"]
+        num = _tsv_number
+        lines = [f"# N\t{self.N}", f"# seed\t{self.seed}", f"# lambda\t{num(self.lam)}"]
         lines.append("aspect\tmembers\tcontribution\tmin_abs_cor\tsign_consistent")
         for a in self.aspects:
             lines.append(
-                f"{a.name}\t{','.join(a.members)}\t{a.contribution!r}"
-                f"\t{a.min_abs_cor!r}\t{a.sign_consistent}"
+                f"{a.name}\t{','.join(a.members)}\t{num(a.contribution)}"
+                f"\t{num(a.min_abs_cor)}\t{a.sign_consistent}"
             )
         return "\n".join(lines) + "\n"
 
@@ -177,7 +203,7 @@ class AspectExplanation:
 
 
 class _DesignSampler:
-    """The rows A sampled once, and a design for any partition over them.
+    """The rows A sampled once, and designs for any partitions over them.
 
     The rows come from the stream `rng.child(_K_ROWS)` and each design's
     flags from `rng.child(_K_FLAGS)`, restarted per design, so every
@@ -206,26 +232,74 @@ class _DesignSampler:
         self._flag_stream = rng.child(_K_FLAGS)
         self._flags = self._flag_stream.generator()
 
-    def design(self, partition: AspectPartition) -> SampleDesign:
-        """Flag one or two of the partition's aspects per sampled row."""
-        p = self.table.p
-        validate_partition(partition, p)
+    def _draw_flags(self, partition: AspectPartition) -> np.ndarray:
+        """The N x 2 aspect indices that `partition`'s design flags."""
         N, m = self.N, partition.m
         if N < m:
             raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
         stream = self._flag_stream
         _rekey(self._flags.bit_generator, stream.seed, stream.stream_id)
-        kl = self._flags.integers(0, m, size=(N, 2))
+        return self._flags.integers(0, m, size=(N, 2))
+
+    def designs(self, partitions, tree: MergeTree | None = None):
+        """Yield one design per partition, their modified rows planned together.
+
+        A modified row is keyed by its sampled row and the columns it
+        replaces, which `_hierarchy` codes from the two flagged aspects as
+        nodes of `tree`: two siblings count as their parent, and the root,
+        every column, makes the row x* whatever the sampled row. Each key is
+        scored by the first design that draws it (see `_first_draws`).
+
+        Without a tree there must be one partition, which is validated; the
+        cuts of a tree are partitions by construction. Every partition's
+        flags are drawn before the first design is yielded.
+        """
+        N, L, p, n_rows = self.N, len(partitions), self.table.p, self.distinct.n
+        if tree is None:
+            validate_partition(partitions[0], p)
+        nodes, codes = _hierarchy(partitions, p, tree)
+        whole = codes[-1, -1]  # the root's code: every column
+        m = np.array([part.m for part in partitions])
+        flags = np.empty((L, N, 2), dtype=np.min_scalar_type(m.max()))  # aspect indices
+        for k, part in enumerate(partitions):
+            flags[k] = self._draw_flags(part)
+        # each partition's m x m pair codes, one block after another, and
+        # the cell of each draw's flag pair there
+        pair_codes = np.concatenate(
+            [codes.take(ids, axis=0).take(ids, axis=1).reshape(-1) for ids in nodes])
+        cells = flags[:, :, 0] * m[:, None]
+        cells += flags[:, :, 1]
+        cells += (np.cumsum(m * m) - m * m)[:, None]
+        keys = (pair_codes * n_rows).take(cells)
+        keys += self.inverse
+        for k in np.flatnonzero(m <= 2):  # the only partitions with a pair covering every column
+            keys[k][pair_codes.take(cells[k]) == whole] = whole * n_rows
+        del cells
+        # every key is below (largest code + 1) * n_rows
+        slots, drawn_first, n_slots = _first_draws(keys.reshape(-1), (int(codes.max()) + 1) * n_rows)
+        del keys
+        predictions = np.full(n_slots, np.nan)
+
+        # each design's rows are built when it is asked for, so that they are
+        # still in cache when it is scored
+        for k, (part, kl) in enumerate(zip(partitions, flags)):
+            span = slice(k * N, (k + 1) * N)
+            yield self._design(part, kl, slots[span], np.flatnonzero(drawn_first[span]), predictions)
+
+    def _design(self, part, kl, slots, new, predictions) -> SampleDesign:
+        """The design flagging `kl` of `part`, which scores the draws `new`."""
+        N, m = self.N, part.m
         X_prime = np.zeros((N, m), dtype=np.int8)
-        rows = np.arange(N)
-        X_prime[rows, kl[:, 0]] = 1
-        X_prime[rows, kl[:, 1]] = 1
-        aspect_of = [0] * p  # column -> its aspect
-        for j, members in enumerate(partition.member_sets):
+        flat, at = X_prime.reshape(-1), np.arange(N) * m
+        flat[at + kl[:, 0]] = 1
+        flat[at + kl[:, 1]] = 1
+        aspect_of = [0] * self.table.p  # column -> its aspect
+        for j, members in enumerate(part.member_sets):
             for i in members:
                 aspect_of[i] = j
-        bits = self._diff * X_prime[:, aspect_of]
-        bits ^= self._bits
+        bits = self._diff.take(new, axis=0)
+        np.multiply(bits, X_prime.take(new, axis=0).take(aspect_of, axis=1), out=bits)
+        bits ^= self._bits.take(new, axis=0)
         # A' mixes rows of the validated table with the validated observation
         return SampleDesign(
             row_ids=self.row_ids,
@@ -233,8 +307,78 @@ class _DesignSampler:
             distinct=self.distinct,
             inverse=self.inverse,
             modified=NumericTable._from_validated(self.table.column_names, bits.view(np.float64)),
-            partition=partition,
+            partition=part,
+            slots=slots,
+            fills=slots.take(new),
+            predictions=predictions,
         )
+
+
+def _first_draws(keys: np.ndarray, bound: int):
+    """Each draw's slot, the same for equal keys, whether it is the first
+    draw of its key, and the slot count; `keys` are below `bound` and are
+    overwritten.
+
+    Slots are numbered in key order. The keys are sorted once, as one int64
+    per draw with the key above the draw's position; when that does not fit
+    in _SORT_BITS, a stable argsort orders them instead.
+    """
+    draws = keys.shape[0]
+    index = np.int32 if draws < 1 << 31 else np.int64  # positions and slots, kept small
+    shift = max(draws - 1, 1).bit_length()
+    if bound.bit_length() + shift <= _SORT_BITS:
+        order = np.arange(draws, dtype=index)
+        keys <<= shift
+        keys |= order
+        keys.sort()
+        np.bitwise_and(keys, (1 << shift) - 1, out=order, casting="same_kind")
+        keys >>= shift
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys.take(order)
+    # the first of each run of equal keys is the key's first draw
+    first = np.empty(draws, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    drawn_first = np.empty(draws, dtype=bool)
+    drawn_first[order] = first
+    runs = keys  # the sorted keys are not needed again
+    runs[:] = first
+    runs[0] = 0  # so that the runs count from 0
+    np.cumsum(runs, out=runs)
+    slots = np.empty(draws, dtype=index)
+    slots[order] = runs
+    slots.setflags(write=False)
+    return slots, drawn_first, int(runs[-1]) + 1
+
+
+def _hierarchy(partitions, p: int, tree: MergeTree | None):
+    """Node ids of each partition's aspects, and the code of every node pair.
+
+    Node ids are the tree's (see `cluster`), so the root, every column, is
+    the last of the M nodes. The code of nodes a and b names the columns
+    they cover together: min(a, b) * M + max(a, b), or c * (M + 1), the code
+    of c with itself, when a and b are the two children of c. Without a
+    tree, the one partition's m aspects are nodes 0..m-1 under a root m,
+    siblings when m = 2; a single aspect is the root itself.
+    """
+    if tree is None:
+        (part,) = partitions
+        m = part.m
+        nodes, M = [np.arange(m)], m + 1 if m > 1 else 1
+        families = [(0, 1, 2)] if m == 2 else []
+    else:
+        node_of = {(j,): j for j in range(p)}
+        node_of.update((merge.members, p + t) for t, merge in enumerate(tree.merges))
+        nodes = [np.array([node_of[ms] for ms in part.member_sets]) for part in partitions]
+        M = 2 * p - 1
+        families = [(merge.left, merge.right, p + t) for t, merge in enumerate(tree.merges)]
+    codes = np.arange(M * M).reshape(M, M)
+    codes = np.minimum(codes, codes.T)
+    if families:
+        left, right, parent = np.array(families).T
+        codes[left, right] = codes[right, left] = parent * (M + 1)
+    return nodes, codes
 
 
 def build_design(
@@ -250,20 +394,30 @@ def build_design(
     built from the same rng share the same sampled rows A across different
     groupings; only the flags and replacements differ. This is one
     `_DesignSampler` asked for one partition; a local triplot keeps its
-    sampler and asks it for every tree level.
+    sampler and asks it for every tree level at once.
     """
-    return _DesignSampler(table, x_star, N, rng).design(partition)
+    return next(_DesignSampler(table, x_star, N, rng).designs([partition]))
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
-    """The prediction shifts f(A') - f(A), from two adapter calls.
+    """The prediction shifts f(A') - f(A), from at most two adapter calls.
 
-    The first call scores the N rows of A'. The second scores each distinct
-    row of A once, `design.distinct`, and `design.inverse` expands its
-    predictions to A's N rows. Under the row-independence contract of
-    `ModelAdapter` that equals scoring all N rows of A.
+    The first call scores `design.modified`, the modified rows that this
+    design is the first of its plan to draw; it is skipped when there are
+    none, and every other draw takes the prediction an earlier design of
+    the plan scored. The second call scores each distinct row of A once,
+    `design.distinct`, and `design.inverse` expands its predictions to A's N
+    rows. Under the row-independence contract of `ModelAdapter` that equals
+    scoring all N rows of A' and of A. A shift that overflows comes out
+    infinite, for `_design_matrices` to reject.
     """
-    return predict(model, design.modified) - predict(model, design.distinct)[design.inverse]
+    if design.modified.n:
+        design.predictions[design.fills] = predict(model, design.modified)
+    f_modified = design.predictions.take(design.slots)
+    if np.isnan(f_modified.min()):  # predict returns only finite values
+        raise AspectraError("a design was scored before the designs planned ahead of it")
+    with np.errstate(over="ignore"):
+        return f_modified - predict(model, design.distinct)[design.inverse]
 
 
 def _design_matrices(design: SampleDesign, ym: np.ndarray):
@@ -272,8 +426,24 @@ def _design_matrices(design: SampleDesign, ym: np.ndarray):
     if y.shape[0] != design.N:
         raise AspectraError(f"expected {design.N} prediction shifts, got {y.shape[0]}")
     W = X.T @ X
-    Z = X.T @ y
+    # every row flags an aspect, so a shift that overflowed makes Z non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = X.T @ y
+    if not np.isfinite(Z).all():
+        raise NonFiniteShift()
     return X, y, W, Z
+
+
+def _residual_norm(X: np.ndarray, gamma: np.ndarray, y: np.ndarray) -> float:
+    """||X gamma - y||, scaled when the squares of large shifts pass the
+    float64 range; a residual past it is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = X @ gamma - y
+        norm = float(np.linalg.norm(r))
+    if norm == np.inf and np.isfinite(r).all():
+        scale = float(np.abs(r).max())
+        norm = scale * float(np.linalg.norm(r / scale))
+    return norm
 
 
 def _check_nonsingular(W: np.ndarray, partition: AspectPartition) -> None:
@@ -289,7 +459,7 @@ def fit_ols(design: SampleDesign, ym: np.ndarray) -> SurrogateFit:
     X, y, W, Z = _design_matrices(design, ym)
     _check_nonsingular(W, design.partition)
     gamma = np.linalg.solve(W, Z)
-    residual = float(np.linalg.norm(X @ gamma - y))
+    residual = _residual_norm(X, gamma, y)
     return SurrogateFit(gamma=gamma, W=W, Z=Z, residual_norm=residual)
 
 
@@ -482,7 +652,7 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
             if sweeps >= LASSO_MAX_SWEEPS:
                 raise LassoNotConverged(t / design.N, sweeps)
             gamma[kept] = sub
-    residual = float(np.linalg.norm(X @ gamma - y))
+    residual = _residual_norm(X, gamma, y)
     return SurrogateFit(
         gamma=gamma, W=W, Z=Z, residual_norm=residual, lam=trace[-1][0], path=tuple(trace)
     )

@@ -302,6 +302,14 @@ def _json_text(doc) -> str:
         raise AspectraError(f"cannot write a non-finite number to a JSON document: {e}") from None
 
 
+def _tsv_number(x) -> str:
+    """A TSV document's number as its repr; NaN or an infinity raises
+    AspectraError, as in a JSON document (see _json_text)."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise AspectraError(f"cannot write a non-finite number to a TSV document: {x!r}")
+    return repr(x)
+
+
 def _integer_fields(config, names, optional=()) -> None:
     """Check that the named fields of a frozen config are integers.
 

@@ -129,6 +129,14 @@ class NonFiniteLoss(AspectraError):
         )
 
 
+class NonFiniteShift(AspectraError):
+    def __init__(self):
+        super().__init__(
+            "the prediction shifts f(A') - f(A) or their sums overflow to a non-finite "
+            "number; rescale the model's predictions"
+        )
+
+
 class LassoNotConverged(AspectraError):
     def __init__(self, lam: float, sweeps: int):
         self.lam = lam

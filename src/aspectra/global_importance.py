@@ -42,6 +42,7 @@ from .data import (
     _json_text,
     _mix64,
     _rekey,
+    _tsv_number,
     validate_partition,
 )
 from .errors import AspectraError, BadIndex, EmptyGroup
@@ -96,16 +97,17 @@ class GlobalImportance:
         _check_tsv_names(
             (g.name, [self.column_names[i] for i in g.members]) for g in self.groups
         )
+        num = _tsv_number
         lines = [
-            f"# full_model_loss\t{self.full_model_loss!r}",
-            f"# baseline_loss\t{self.baseline_loss!r}",
+            f"# full_model_loss\t{num(self.full_model_loss)}",
+            f"# baseline_loss\t{num(self.baseline_loss)}",
         ]
         for k, v in self.metadata.items():
             lines.append(f"# {k}\t{v}")
         lines.append("group\tmembers\timportance\tmean_permuted_loss")
         for g in self.groups:
             names = ",".join(self.column_names[i] for i in g.members)
-            lines.append(f"{g.name}\t{names}\t{g.importance!r}\t{g.mean_permuted_loss!r}")
+            lines.append(f"{g.name}\t{names}\t{num(g.importance)}\t{num(g.mean_permuted_loss)}")
         return "\n".join(lines) + "\n"
 
     def to_json_doc(self) -> dict:

@@ -40,9 +40,12 @@ class ModelAdapter:
     depend on the other rows in the batch: global importance stacks several
     permuted copies of the table into one call, up to 2**19 values, and a
     local explanation scores each distinct sampled row once and uses that
-    prediction for every draw of the row. The table is read-only and may be
-    a view of a buffer that the caller rewrites for its next call, so a
-    model must neither keep the table nor write to it.
+    prediction for every draw of the row. Likewise it scores each distinct
+    (sampled row, replaced columns) pair once, and a local triplot scores
+    such a pair at the first tree level that draws it, for every later
+    level too. The table is read-only and may be a view of a buffer that
+    the caller rewrites for its next call, so a model must neither keep the
+    table nor write to it.
     """
 
     label: str = "model"
@@ -63,8 +66,9 @@ class LinearModel(ModelAdapter):
     its position in the batch: the last n mod 4 rows of an n-row table
     stacked with others, like a row subset of a table, may differ by one
     rounding from the table scored alone. Likewise a local explanation's
-    f(A), scored on the distinct sampled rows, may differ in a row's last
-    bit from scoring all N draws. Results stay deterministic.
+    f(A) and f(A'), scored on their distinct rows, and a triplot level's
+    predictions taken from an earlier level's call, may differ in a row's
+    last bit from scoring all N draws. Results stay deterministic.
     """
 
     def __init__(self, intercept, coefficients, column_names=None, label="linear"):

@@ -5,7 +5,8 @@ member set; permuting a set needs no surrounding partition. Local mode walks
 the coarsening trajectory the dendrogram defines: each merge step is scored
 inside the tree-cut partition at that step, which partition_after_merges
 gives, and all steps share one sampled row set so differences between levels
-come from the grouping, not sampling.
+come from the grouping, not sampling. A modified row that several levels
+draw is scored once, by the first of them.
 """
 
 from __future__ import annotations
@@ -185,13 +186,14 @@ def predict_triplot(
     if cfg.mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")
     tree = _build_tree(table, cfg)
-    # every level scores the same sampled rows; only the flags differ
+    # every level scores the same sampled rows; only the flags differ, and
+    # a modified row an earlier level scored is not scored again
     sampler = _DesignSampler(table, x_star, cfg.N, RngStream(cfg.seed))
+    parts = [partition_after_merges(tree, t, table.column_names) for t in range(table.p)]
     levels = []
-    for t in range(table.p):
-        part = partition_after_merges(tree, t, table.column_names)
-        fit = _fit_surrogate(model, sampler.design(part), cfg.limit)
-        levels.append(dict(zip(part.member_sets, fit.gamma)))
+    for design in sampler.designs(parts, tree):
+        fit = _fit_surrogate(model, design, cfg.limit)
+        levels.append(dict(zip(design.partition.member_sets, fit.gamma)))
     leaf_imp = np.array([levels[0][(j,)] for j in range(table.p)])
     node_imp = np.array([levels[t + 1][m.members] for t, m in enumerate(tree.merges)])
     return TriplotResult(

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import sys
 
@@ -8,9 +9,14 @@ import pytest
 
 import aspectra
 from aspectra import AspectPartition, NumericTable
-from aspectra.data import _MEMBER_KEY_START, RngStream, _mix64
+from aspectra import aspects
+from aspectra.aspects import AspectExplanation, SampleDesign, delta_predictions, fit_lasso, fit_ols
+from aspectra.cluster import agglomerative, cor_distance, correlation_matrix, partition_after_merges
+from aspectra.data import _MEMBER_KEY_START, RngStream, _mix64, sampled_row_ids, validate_partition
+from aspectra.errors import AspectraError, SchemaMismatch
 from aspectra.global_importance import _K_PERM
 from aspectra.models import ModelAdapter
+from aspectra.triplot import TriplotResult
 
 CHILD = os.path.join(os.path.dirname(__file__), "child_model.py")
 
@@ -94,6 +100,131 @@ class CountingModel(ModelAdapter):
         self.rows += table.n
         self.writeable.append(table.values.flags.writeable)
         return self.model.predict(table)
+
+
+class RowwiseModel(ModelAdapter):
+    """Scores each row on its own, in Python floats."""
+
+    def predict(self, table):
+        return np.array([sum(math.sin(j + v) * v for j, v in enumerate(row))
+                         for row in table.values.tolist()])
+
+
+# ------------------------------------------------- per-level scoring oracle
+
+
+def oracle_build_design(table, x_star, partition, N, rng):
+    """build_design as it was before designs shared one row sample or planned
+    their modified rows: every call draws A again, builds all N rows of A'
+    with np.where, and gives every draw a slot of its own, so that
+    delta_predictions scores all N rows of A'."""
+    validate_partition(partition, table.p)
+    if x_star.p != table.p:
+        raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
+    m = partition.m
+    if N < m:
+        raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
+    row_ids = sampled_row_ids(table, N, rng.child(aspects._K_ROWS))
+    A = table.values[row_ids]
+    kl = rng.child(aspects._K_FLAGS).generator().integers(0, m, size=(N, 2))
+    X_prime = np.zeros((N, m), dtype=np.int8)
+    X_prime[np.arange(N), kl[:, 0]] = 1
+    X_prime[np.arange(N), kl[:, 1]] = 1
+    aspect_of = np.empty(table.p, dtype=np.intp)  # column -> its aspect
+    for j, members in enumerate(partition.member_sets):
+        aspect_of[list(members)] = j
+    A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
+    ids, inverse = np.unique(row_ids, return_inverse=True)
+    names = table.column_names
+    return SampleDesign(
+        row_ids=row_ids,
+        X_prime=X_prime,
+        distinct=NumericTable._from_validated(names, table.values[ids]),
+        inverse=inverse,
+        modified=NumericTable._from_validated(names, A_prime),
+        partition=partition,
+        slots=np.arange(N),
+        fills=np.arange(N),
+        predictions=np.full(N, np.nan),
+    )
+
+
+def planned_modified(designs):
+    """Each design's N rows of A', gathered from the rows that the designs of
+    one plan score."""
+    scored = np.empty((designs[0].predictions.shape[0], designs[0].modified.p))
+    for d in designs:
+        scored[d.fills] = d.modified.values
+    return [scored[d.slots] for d in designs]
+
+
+def oracle_fit(model, design, limit):
+    ym = delta_predictions(model, design)
+    if limit is None:
+        return fit_ols(design, ym)
+    return fit_lasso(design, ym, min(limit, design.m))
+
+
+def oracle_tree_partitions(table, cfg):
+    """The local triplot's tree and the partition at each of its p levels."""
+    tree = agglomerative(cor_distance(correlation_matrix(table, cfg.cor_method)), cfg.linkage)
+    return tree, [partition_after_merges(tree, t, table.column_names) for t in range(table.p)]
+
+
+def oracle_predict_triplot(model, table, x_star, cfg):
+    """The local triplot as p independent explanations: per tree level its
+    own partition, sampled design and surrogate fit, scoring all N rows of
+    A' and each distinct sampled row."""
+    tree, parts = oracle_tree_partitions(table, cfg)
+    levels = []
+    for part in parts:
+        design = oracle_build_design(table, x_star, part, cfg.N, RngStream(cfg.seed))
+        levels.append(dict(zip(part.member_sets, oracle_fit(model, design, cfg.limit).gamma)))
+    return TriplotResult(
+        mode="local",
+        tree=tree,
+        leaf_names=tuple(table.column_names),
+        leaf_importance=np.array([levels[0][(j,)] for j in range(table.p)]),
+        node_importance=np.array([levels[t + 1][m.members] for t, m in enumerate(tree.merges)]),
+        x_star=x_star.values,
+        metadata={"N": cfg.N, "seed": cfg.seed, "limit": cfg.limit,
+                  "cor_method": cfg.cor_method, "linkage": cfg.linkage},
+    )
+
+
+def oracle_predict_aspects(model, table, x_star, partition, N, seed, limit=None):
+    """predict_aspects for a given partition, scoring all N rows of A'."""
+    design = oracle_build_design(table, x_star, partition, N, RngStream(seed))
+    fit = oracle_fit(model, design, limit)
+    rows = aspects._aspect_rows(partition, fit.gamma, table, "spearman", None)
+    return AspectExplanation(aspects=rows, N=N, seed=seed, lam=fit.lam)
+
+
+def oracle_modified_keys(table, x_star, partition, N, seed):
+    """Per draw, what fixes its modified row: the sampled row id and the set
+    of columns replaced, or the full column set alone, since a row with every
+    column replaced is x* itself."""
+    design = oracle_build_design(table, x_star, partition, N, RngStream(seed))
+    keys = []
+    for i in range(N):
+        cols = frozenset(c for j in np.flatnonzero(design.X_prime[i])
+                         for c in partition.member_sets[j])
+        keys.append(cols if len(cols) == table.p else (int(design.row_ids[i]), cols))
+    return keys
+
+
+def planned_calls_and_rows(table, x_star, partitions, N, seed):
+    """Model calls and rows when one plan scores the partitions in order:
+    per partition, its modified rows that no earlier partition drew (a call
+    skipped when there are none), then A's distinct rows."""
+    distinct = np.unique(sampled_row_ids(table, N, RngStream(seed).child(aspects._K_ROWS))).size
+    seen, calls, rows = set(), 0, 0
+    for part in partitions:
+        new = set(oracle_modified_keys(table, x_star, part, N, seed)) - seen
+        seen |= new
+        calls += 1 + bool(new)
+        rows += len(new) + distinct
+    return calls, rows
 
 
 def make_six_variable(n: int = 400, seed: int = 11):

@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -38,9 +37,22 @@ from aspectra.aspects import (
 )
 from aspectra.data import RngStream
 from aspectra.errors import AspectraError, LassoNotConverged
-from aspectra.models import LinearModel, ModelAdapter, predict
+from aspectra.models import LinearModel
 
-from conftest import CountingModel, child_cmd, make_six_variable, singletons
+from conftest import (
+    CountingModel,
+    RowwiseModel,
+    child_cmd,
+    make_six_variable,
+    oracle_build_design,
+    oracle_modified_keys,
+    oracle_predict_aspects,
+    oracle_predict_triplot,
+    oracle_tree_partitions,
+    planned_calls_and_rows,
+    planned_modified,
+    singletons,
+)
 
 
 def uniform_table(seed=0, n=500, p=4):
@@ -60,7 +72,11 @@ def test_design_shapes_and_flag_counts():
     part = singleton_partition(t)
     d = build_design(t, t.row(0), part, N=300, rng=RngStream(0))
     assert d.X_prime.shape == (300, 4)
-    assert d.modified.values.shape == (300, 4) and d.inverse.shape == (300,)
+    assert d.slots.shape == d.inverse.shape == (300,)
+    # each distinct modified row once, in a slot of its own
+    assert d.modified.values.shape == (d.predictions.shape[0], 4)
+    assert np.array_equal(np.sort(d.fills), np.arange(d.modified.n))
+    assert np.array_equal(np.unique(d.slots), np.arange(d.modified.n))
     assert d.distinct.values.shape == (np.unique(d.row_ids).size, 4)
     counts = d.X_prime.sum(axis=1)
     assert np.all((counts == 1) | (counts == 2))
@@ -86,6 +102,7 @@ def test_design_tables_are_read_only():
         with pytest.raises(ValueError):
             table.values[0, 0] = 1.0
     assert not d.row_ids.flags.writeable and not d.inverse.flags.writeable
+    assert not d.slots.flags.writeable
 
 
 def test_design_replacement_semantics():
@@ -94,7 +111,7 @@ def test_design_replacement_semantics():
     part = AspectPartition((("g01", (0, 1)), ("g2", (2,)), ("g3", (3,))))
     d = build_design(t, x_star, part, N=200, rng=RngStream(2))
     star = x_star.values
-    A, A_prime = d.distinct.values[d.inverse], d.modified.values
+    A, (A_prime,) = d.distinct.values[d.inverse], planned_modified([d])
     for n in range(200):
         for j, members in enumerate(part.member_sets):
             for c in members:
@@ -140,27 +157,11 @@ def test_delta_predictions_linear():
     d = build_design(t, t.row(0), singleton_partition(t), N=80, rng=RngStream(3))
     ym = delta_predictions(model, d)
     A = d.distinct.values[d.inverse]
-    expected = (d.modified.values - A) @ np.array([1.0, 2.0, 3.0, 4.0])
+    expected = (planned_modified([d])[0] - A) @ np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(ym, expected, atol=1e-12)
 
 
 # --------------------------------------------------- distinct-row scoring
-
-
-def _oracle_delta_predictions(model, design):
-    """delta_predictions before distinct-row scoring: f(A) scores all N rows of A."""
-    A = NumericTable._from_validated(
-        design.modified.column_names, design.distinct.values[design.inverse]
-    )
-    return predict(model, design.modified) - predict(model, A)
-
-
-class RowwiseModel(ModelAdapter):
-    """Scores each row on its own, in Python floats."""
-
-    def predict(self, table):
-        return np.array([sum(math.sin(j + v) * v for j, v in enumerate(row))
-                         for row in table.values.tolist()])
 
 
 def _explained_table(case, train):
@@ -174,28 +175,57 @@ def _explained_table(case, train):
 
 @pytest.mark.parametrize("model_kind", ["knn", "rowwise"])
 @pytest.mark.parametrize("case", ["one-row", "few-repeats", "triplot"])
-def test_distinct_row_scoring_matches_scoring_every_row(case, model_kind, monkeypatch):
+def test_distinct_row_scoring_matches_scoring_every_row(case, model_kind):
     train, y = make_six_variable()
     model = CountingModel(fit_knn(train, y, 5) if model_kind == "knn" else RowwiseModel())
     table = _explained_table(case, train)
     part = singleton_partition(table)
     x_star, N, seed = train.row(3), 300, 8
-    levels = train.p if case == "triplot" else 1
+    cfg = TriplotConfig(mode="local", N=N, seed=seed, limit=2)
+    parts = oracle_tree_partitions(table, cfg)[1] if case == "triplot" else [part]
 
-    def explain():
+    def explain(triplot, aspects_of):
         if case == "triplot":
-            cfg = TriplotConfig(mode="local", N=N, seed=seed, limit=2)
-            return predict_triplot(model, table, x_star, cfg).to_json()
-        return predict_aspects(model, table, x_star, part, N=N, seed=seed, limit=2).to_json()
+            return triplot(model, table, x_star, cfg).to_json()
+        return aspects_of(model, table, x_star, part, N=N, seed=seed, limit=2).to_json()
 
-    ours = explain()
+    ours = explain(predict_triplot, predict_aspects)
     distinct = np.unique(build_design(table, x_star, part, N, RngStream(seed)).row_ids).size
     assert {"one-row": distinct == 1, "few-repeats": 0 < N - distinct < 20,
             "triplot": distinct < N}[case]
-    assert (model.calls, model.rows) == (2 * levels, levels * (N + distinct))
-    monkeypatch.setattr(aspectra.aspects, "delta_predictions", _oracle_delta_predictions)
-    assert explain() == ours
-    assert model.rows == levels * (N + distinct) + levels * 2 * N
+    planned = planned_calls_and_rows(table, x_star, parts, N, seed)
+    assert (model.calls, model.rows) == planned
+    # the oracle scores all N rows of A' at every level
+    assert explain(oracle_predict_triplot, oracle_predict_aspects) == ours
+    assert model.rows == planned[1] + len(parts) * (N + distinct)
+
+
+@pytest.mark.parametrize("kind", ["knn", "rowwise", "cmd"])
+@pytest.mark.parametrize("shape", ["six", "repeated-rows"])
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_planned_explanation_is_byte_identical_to_scoring_every_row(m, shape, kind):
+    # at m = 1 every draw replaces every column and is x*; at m = 2 so is
+    # every draw that flags both aspects
+    table, y = make_six_variable()
+    if shape == "repeated-rows":
+        table, y = table.take_rows(np.repeat(np.arange(50), 3)), np.repeat(y[:50], 3)
+    part = {1: AspectPartition((("all", tuple(range(6))),)),
+            2: AspectPartition((("abc", (0, 1, 2)), ("def", (3, 4, 5)))),
+            3: AspectPartition((("ab", (0, 1)), ("cd", (2, 3)), ("ef", (4, 5)))),
+            6: singleton_partition(table)}[m]
+    x_star = table.row(5)
+    for limit in (None, 1):
+        args = (table, x_star, part)
+        kwargs = dict(N=201, seed=3, limit=limit)
+        if kind == "cmd":
+            with SubprocessModel(child_cmd("sum")) as model:
+                ours = predict_aspects(model, *args, **kwargs).to_json()
+                oracle = oracle_predict_aspects(model, *args, **kwargs).to_json()
+        else:
+            model = fit_knn(table, y, 5) if kind == "knn" else RowwiseModel()
+            ours = predict_aspects(model, *args, **kwargs).to_json()
+            oracle = oracle_predict_aspects(model, *args, **kwargs).to_json()
+        assert ours == oracle
 
 
 def test_f_of_A_request_holds_each_distinct_row_once(tmp_path):
@@ -204,9 +234,16 @@ def test_f_of_A_request_holds_each_distinct_row_once(tmp_path):
     record = tmp_path / "request.bin"
     with SubprocessModel(child_cmd("record") + [str(record)]) as m:
         predict_aspects(m, t, t.row(2), part, N=120, seed=4)
-    # A' first, then f(A)'s rows, each distinct sampled row once in ascending row id
+    # A' first, each distinct modified row once in the order of its first
+    # draw, then f(A)'s rows, each distinct sampled row once in ascending row id
     first, second = record.read_bytes().decode().split("PREDICT ")[1:]
-    assert first.startswith("120 3\nx0,x1,x2\n")
+    A_prime = oracle_build_design(t, t.row(2), part, 120, RngStream(4)).modified.values
+    keys = oracle_modified_keys(t, t.row(2), part, 120, 4)
+    drawn_first = sorted({key: i for i, key in reversed(list(enumerate(keys)))}.values())
+    assert len(drawn_first) < 120
+    assert first == f"{len(drawn_first)} 3\nx0,x1,x2\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in A_prime[drawn_first].tolist()
+    )
     ids = np.unique(build_design(t, t.row(2), part, 120, RngStream(4)).row_ids)
     assert ids.size < 120
     assert second == f"{ids.size} 3\nx0,x1,x2\n" + "".join(
@@ -229,6 +266,9 @@ def manual_design(X_prime, y):
             inverse=np.arange(N),
             modified=zeros,
             partition=part,
+            slots=np.arange(N),
+            fills=slice(0, N),
+            predictions=np.full(N, np.nan),
         ),
         np.asarray(y, dtype=float),
     )

@@ -4,13 +4,15 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from aspectra import NumericTable, cli, correlation_matrix, models
-from aspectra.aspects import AspectExplanation
+from aspectra.aspects import AspectExplanation, AspectRow
+from aspectra.global_importance import GlobalImportance
 from aspectra.cli import cli_main
 
 from conftest import CHILD, make_six_variable, package_env, save_table
@@ -562,6 +564,81 @@ def test_json_documents_hold_no_non_finite_number(six_csv, tmp_path, monkeypatch
     assert (code, stdout) == (1, "")
     assert err.startswith("error: cannot write a non-finite number") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("subcommand", ["predict-aspects", "global-importance"])
+def test_tsv_documents_hold_no_non_finite_number(subcommand, value, six_csv, tmp_path,
+                                                 monkeypatch, capsys):
+    # TSV has the same backstop as JSON: a non-finite number is an error
+    if subcommand == "predict-aspects":
+        row = AspectRow(name="a", members=("a",), contribution=value, min_abs_cor=1.0,
+                        sign_consistent=True)
+        result = AspectExplanation(aspects=(row,), N=200, seed=0, lam=None)
+        monkeypatch.setattr(cli, "predict_aspects", lambda *args, **kwargs: result)
+        extra = ["--row", "0"]
+    else:
+        result = GlobalImportance(groups=(), full_model_loss=1.0, baseline_loss=value,
+                                  column_names=("a",))
+        monkeypatch.setattr(cli, "group_importance", lambda *args, **kwargs: result)
+        extra = []
+    out = tmp_path / "out.tsv"
+    code, stdout, err = run([subcommand, "--data", six_csv, "--target", "y", "--model", "linear",
+                             "--cutoff", "0.6", *extra, "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == f"error: cannot write a non-finite number to a TSV document: {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.fixture
+def overflowing_shift_csv(tmp_path):
+    # a target near 1e307: the linear model's prediction shifts are finite,
+    # but their sums Z = X'^T Y pass the float64 range
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    path = str(tmp_path / "huge.csv")
+    save_table(NumericTable(("a", "b", "c"), X), path, target_name="y",
+               target=1e307 * (X @ [1.0, -2.0, 0.5]))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict-aspects", "--cutoff", "0.5", "--format", "tsv"],
+    ["predict-aspects", "--cutoff", "0.5", "--format", "json"],
+    ["triplot", "--mode", "local"],
+], ids=["predict-aspects-tsv", "predict-aspects-json", "triplot-local"])
+def test_overflowing_prediction_shift_is_exit_1(argv, overflowing_shift_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        code, stdout, err = run(argv[:1] + ["--data", overflowing_shift_csv, "--target", "y",
+                                            "--model", "linear", "--row", "0",
+                                            "--out", str(out)] + argv[1:], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: the prediction shifts") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict-aspects", "--cutoff", "0.5", "--format", "tsv"],
+    ["predict-aspects", "--cutoff", "0.5", "--format", "json", "--limit", "1"],
+    ["triplot", "--mode", "local"],
+], ids=["predict-aspects-tsv", "predict-aspects-json-limit", "triplot-local"])
+def test_large_prediction_shifts_explain_without_a_warning(argv, tmp_path, capsys):
+    # a target near 1e200: the shifts and their sums are finite, but their
+    # squares in the surrogate's residual norm are not
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    data, out = str(tmp_path / "large.csv"), tmp_path / "out"
+    save_table(NumericTable(("a", "b", "c"), X), data, target_name="y",
+               target=1e200 * (X @ [1.0, -2.0, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(argv[:1] + ["--data", data, "--target", "y", "--model", "linear",
+                                       "--row", "0", "--out", str(out)] + argv[1:], capsys)
+    assert (code, err) == (0, "")
+    text = out.read_text()
+    assert "nan" not in text.lower() and "inf" not in text.lower()
 
 
 _ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]

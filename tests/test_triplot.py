@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspectra import (
     ConstantModel,
@@ -14,20 +16,26 @@ from aspectra import (
     predict_aspects,
     predict_triplot,
 )
-from aspectra import aspects, global_importance
-from aspectra.aspects import SampleDesign, build_design, delta_predictions, fit_lasso, fit_ols
-from aspectra.cluster import (
-    agglomerative,
-    cor_distance,
-    correlation_matrix,
-    partition_after_merges,
-)
-from aspectra.data import NumericTable, RngStream, sampled_row_ids, validate_partition
-from aspectra.errors import AspectraError, SchemaMismatch
+from aspectra import SubprocessModel, aspects, global_importance
+from aspectra.aspects import build_design, delta_predictions
+from aspectra.cluster import partition_after_merges
+from aspectra.data import NumericTable, RngStream, sampled_row_ids
+from aspectra.errors import AspectraError
 from aspectra.global_importance import ImportanceContext
 from aspectra.triplot import TriplotResult
 
-from conftest import CountingModel, make_six_variable
+from conftest import (
+    CountingModel,
+    RowwiseModel,
+    child_cmd,
+    make_six_variable,
+    oracle_build_design,
+    oracle_modified_keys,
+    oracle_predict_triplot,
+    oracle_tree_partitions,
+    planned_calls_and_rows,
+    planned_modified,
+)
 
 
 def global_cfg(**kw):
@@ -153,97 +161,47 @@ def test_local_leaves_match_singleton_predict_aspects(six_table):
 
 
 def test_local_node_is_new_cluster_at_its_level(six_table):
+    # exact for a row-independent model; a level takes some predictions from
+    # the calls of earlier levels, where LinearModel's BLAS product may round
+    # a row differently in the last bit (see its docstring)
     table, y = six_table
-    model = fit_linear(table, y)
-    for limit in (None, 2):
-        cfg = TriplotConfig(mode="local", N=600, seed=3, limit=limit)
-        res = predict_triplot(model, table, table.row(1), cfg)
-        for t, merge in enumerate(res.tree.merges):
-            part = partition_after_merges(res.tree, t + 1, table.column_names)
-            expl = predict_aspects(model, table, table.row(1), part, N=600, seed=3,
-                                   limit=limit)
-            row = next(a for a in expl.aspects
-                       if tuple(table.column_index(n) for n in a.members) == merge.members)
-            assert res.node_importance[t] == row.contribution
+    for model, exact in ((fit_knn(table, y, 5), True), (fit_linear(table, y), False)):
+        for limit in (None, 2):
+            cfg = TriplotConfig(mode="local", N=600, seed=3, limit=limit)
+            res = predict_triplot(model, table, table.row(1), cfg)
+            for t, merge in enumerate(res.tree.merges):
+                part = partition_after_merges(res.tree, t + 1, table.column_names)
+                expl = predict_aspects(model, table, table.row(1), part, N=600, seed=3,
+                                       limit=limit)
+                row = next(a for a in expl.aspects
+                           if tuple(table.column_index(n) for n in a.members) == merge.members)
+                if exact:
+                    assert res.node_importance[t] == row.contribution
+                else:
+                    assert res.node_importance[t] == pytest.approx(row.contribution, rel=1e-12)
 
 
 @pytest.mark.parametrize("limit", [None, 2])
 @pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
 def test_local_model_calls(six_table, fit, limit):
-    # each of the p levels scores its own A' and the distinct rows of the one A
+    # each of the p levels scores the modified rows that no earlier level
+    # drew, a call it skips when there are none, and the distinct rows of
+    # the one A
     table, y = six_table
     model = CountingModel(fit(table, y))
-    predict_triplot(model, table, table.row(5), TriplotConfig(mode="local", N=300, seed=6,
-                                                             limit=limit))
+    cfg = TriplotConfig(mode="local", N=300, seed=6, limit=limit)
+    predict_triplot(model, table, table.row(5), cfg)
+    planned = planned_calls_and_rows(table, table.row(5), oracle_tree_partitions(table, cfg)[1],
+                                     300, 6)
+    assert (model.calls, model.rows) == planned
+    # the last level, m = 1, draws only x*, which the m = 2 level drew already
     row_ids = sampled_row_ids(table, 300, RngStream(6).child(aspects._K_ROWS))
     distinct = np.unique(row_ids).size
-    assert distinct < 300
-    assert (model.calls, model.rows) == (2 * table.p, table.p * 300 + table.p * distinct)
+    assert model.calls == 2 * table.p - 1
+    assert model.rows < table.p * 300 + table.p * distinct
 
 
 # ------------------------------------------------------- local triplot oracle
-
-
-def _oracle_build_design(table, x_star, partition, N, rng):
-    """build_design as it was before designs shared one row sample: every
-    call draws A again and builds A' with np.where."""
-    validate_partition(partition, table.p)
-    if x_star.p != table.p:
-        raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
-    m = partition.m
-    if N < m:
-        raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
-    row_ids = sampled_row_ids(table, N, rng.child(aspects._K_ROWS))
-    A = table.values[row_ids]
-    kl = rng.child(aspects._K_FLAGS).generator().integers(0, m, size=(N, 2))
-    X_prime = np.zeros((N, m), dtype=np.int8)
-    X_prime[np.arange(N), kl[:, 0]] = 1
-    X_prime[np.arange(N), kl[:, 1]] = 1
-    aspect_of = np.empty(table.p, dtype=np.intp)  # column -> its aspect
-    for j, members in enumerate(partition.member_sets):
-        aspect_of[list(members)] = j
-    A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
-    ids, inverse = np.unique(row_ids, return_inverse=True)
-    names = table.column_names
-    return SampleDesign(
-        row_ids=row_ids,
-        X_prime=X_prime,
-        distinct=NumericTable._from_validated(names, table.values[ids]),
-        inverse=inverse,
-        modified=NumericTable._from_validated(names, A_prime),
-        partition=partition,
-    )
-
-
-def _oracle_predict_triplot(model, table, x_star, cfg):
-    """The local triplot as p independent explanations: per tree level its
-    own partition, sampled design and surrogate fit."""
-    tree = agglomerative(cor_distance(correlation_matrix(table, cfg.cor_method)), cfg.linkage)
-
-    def contributions_at(level):
-        part = partition_after_merges(tree, level, table.column_names)
-        design = _oracle_build_design(table, x_star, part, cfg.N, RngStream(cfg.seed))
-        ym = delta_predictions(model, design)
-        if cfg.limit is None:
-            fit = fit_ols(design, ym)
-        else:
-            fit = fit_lasso(design, ym, min(cfg.limit, part.m))
-        return dict(zip(part.member_sets, fit.gamma))
-
-    leaf_level = contributions_at(0)
-    node_imp = np.empty(len(tree.merges))
-    for t, merge in enumerate(tree.merges):
-        node_imp[t] = contributions_at(t + 1)[merge.members]
-    return TriplotResult(
-        mode="local",
-        tree=tree,
-        leaf_names=tuple(table.column_names),
-        leaf_importance=np.array([leaf_level[(j,)] for j in range(table.p)]),
-        node_importance=node_imp,
-        x_star=x_star.values,
-        metadata={"N": cfg.N, "seed": cfg.seed, "limit": cfg.limit,
-                  "cor_method": cfg.cor_method, "linkage": cfg.linkage},
-    )
 
 
 @pytest.mark.parametrize("limit", [None, 0, 2, 6, 9])
@@ -256,32 +214,135 @@ def test_local_triplot_matches_per_level_oracle(six_table, fit, limit):
     for seed, row in ((5, 0), (8, 3)):
         cfg = TriplotConfig(mode="local", N=601, seed=seed, limit=limit)
         ours = predict_triplot(model, table, table.row(row), cfg)
-        assert ours.to_json() == _oracle_predict_triplot(model, table, table.row(row), cfg).to_json()
+        assert ours.to_json() == oracle_predict_triplot(model, table, table.row(row), cfg).to_json()
+
+
+def _repeated_rows(table):
+    """The table with every row three times, so that draws of different row
+    ids share their values."""
+    return table.take_rows(np.repeat(np.arange(table.n), 3))
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+@pytest.mark.parametrize("kind", ["knn", "rowwise", "cmd"])
+@pytest.mark.parametrize("shape", ["six", "repeated-rows"])
+def test_planned_triplot_is_byte_identical_to_per_level_scoring(six_table, shape, kind, limit):
+    # every triplot ends with its m = 2 and m = 1 levels, whose draws collapse
+    # onto x* when they replace every column
+    table, y = six_table
+    if shape == "repeated-rows":
+        table = _repeated_rows(table.take_rows(range(60)))
+    cfg = TriplotConfig(mode="local", N=301, seed=7, limit=limit)
+    if kind == "cmd":
+        with SubprocessModel(child_cmd("sum")) as model:
+            ours = predict_triplot(model, table, table.row(4), cfg)
+            oracle = oracle_predict_triplot(model, table, table.row(4), cfg)
+    else:
+        model = fit_knn(table, y[:table.n], 5) if kind == "knn" else RowwiseModel()
+        ours = predict_triplot(model, table, table.row(4), cfg)
+        oracle = oracle_predict_triplot(model, table, table.row(4), cfg)
+    assert ours.to_json() == oracle.to_json()
+
+
+def _plan(table, x_star, cfg):
+    tree, parts = oracle_tree_partitions(table, cfg)
+    sampler = aspects._DesignSampler(table, x_star, cfg.N, RngStream(cfg.seed))
+    return parts, list(sampler.designs(parts, tree))
 
 
 def test_shared_sampler_designs_match_per_level_designs(six_table):
     table, _ = six_table
     x_star = table.row(4)
-    tree = agglomerative(cor_distance(correlation_matrix(table, "spearman")), "complete")
-    sampler = aspects._DesignSampler(table, x_star, 601, RngStream(9))
-    for count in range(table.p):
-        part = partition_after_merges(tree, count, table.column_names)
-        shared = sampler.design(part)
+    cfg = TriplotConfig(mode="local", N=601, seed=9)
+    parts, designs = _plan(table, x_star, cfg)
+    fills = []
+    for part, shared, A_prime in zip(parts, designs, planned_modified(designs)):
         for other in (build_design(table, x_star, part, 601, RngStream(9)),
-                      _oracle_build_design(table, x_star, part, 601, RngStream(9))):
+                      oracle_build_design(table, x_star, part, 601, RngStream(9))):
             assert np.array_equal(shared.row_ids, other.row_ids)
             assert np.array_equal(shared.X_prime, other.X_prime)
             assert shared.X_prime.dtype == np.int8
             assert np.array_equal(shared.inverse, other.inverse)
-            for ours, theirs in ((shared.distinct, other.distinct),
-                                 (shared.modified, other.modified)):
-                assert ours.values.tobytes() == theirs.values.tobytes()
-                assert ours.column_names == theirs.column_names
-                assert ours.values.dtype == np.float64
-                assert ours.values.flags.c_contiguous and not ours.values.flags.writeable
+            assert shared.distinct.values.tobytes() == other.distinct.values.tobytes()
+        assert A_prime.tobytes() == other.modified.values.tobytes()
+        for ours in (shared.distinct, shared.modified):
+            assert ours.column_names == table.column_names
+            assert ours.values.dtype == np.float64
+            assert ours.values.flags.c_contiguous and not ours.values.flags.writeable
         assert shared.partition == part
-        assert shared.distinct is sampler.distinct and shared.inverse is sampler.inverse
+        assert shared.distinct is designs[0].distinct and shared.inverse is designs[0].inverse
+        assert shared.predictions is designs[0].predictions
+        # the rows a level scores are the ones it draws first
+        fills.append(shared.fills)
+        drawn_before = np.concatenate(fills[:-1] or [np.empty(0, np.int64)])
+        assert np.array_equal(np.unique(shared.slots), np.union1d(
+            np.intersect1d(shared.slots, drawn_before), shared.fills))
+        assert not np.isin(shared.fills, drawn_before).any()
         assert not shared.row_ids.flags.writeable and not shared.inverse.flags.writeable
+        assert not shared.slots.flags.writeable
+    # every slot is scored by exactly one design
+    assert np.array_equal(np.sort(np.concatenate(fills)), np.arange(designs[0].predictions.shape[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    p=st.integers(1, 5),
+    extra=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+    linkage=st.sampled_from(["complete", "single", "average"]),
+    data=st.data(),
+)
+def test_draws_share_a_slot_exactly_when_their_modified_rows_agree(n, p, extra, seed, linkage,
+                                                                 data):
+    # values from a small set, so that rows repeat and x* may equal a
+    # sampled row in some columns; two last rows of 0 and 1 make every
+    # column vary, as the correlation needs
+    values = data.draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=n * p,
+                                max_size=n * p))
+    X = np.vstack([np.array(values).reshape(n, p), np.zeros(p), np.ones(p)])
+    table = NumericTable(tuple(f"x{j}" for j in range(p)), X)
+    x_star = table.row(data.draw(st.integers(0, table.n - 1)))
+    cfg = TriplotConfig(mode="local", N=p + extra, seed=seed, linkage=linkage, cor_method="pearson")
+    parts, designs = _plan(table, x_star, cfg)
+    slots = np.concatenate([d.slots for d in designs])
+    A_prime = np.concatenate(planned_modified(designs))
+    keys = [key for part in parts
+            for key in oracle_modified_keys(table, x_star, part, cfg.N, cfg.seed)]
+    oracle = np.concatenate([oracle_build_design(table, x_star, part, cfg.N, RngStream(seed))
+                             .modified.values for part in parts])
+    # each draw's planned row is its own A' row, bit for bit
+    assert A_prime.tobytes() == oracle.tobytes()
+    # and draws share a slot exactly when their sampled row and replaced
+    # columns agree, or both replace every column
+    by_key = {}
+    for key, slot in zip(keys, slots.tolist()):
+        assert by_key.setdefault(key, slot) == slot
+    assert len(by_key) == len(set(slots.tolist())) == designs[0].predictions.shape[0]
+
+
+@pytest.mark.parametrize("sort_bits", [63, 0], ids=["packed", "argsort"])
+def test_plan_is_the_same_with_either_sort(six_table, sort_bits, monkeypatch):
+    # keys too wide to pack above the draw positions in an int64 take a
+    # stable argsort instead
+    table, _ = six_table
+    cfg = TriplotConfig(mode="local", N=300, seed=2)
+    reference = _plan(table, table.row(1), cfg)[1]
+    monkeypatch.setattr(aspects, "_SORT_BITS", sort_bits)
+    for ours, theirs in zip(_plan(table, table.row(1), cfg)[1], reference):
+        assert np.array_equal(ours.slots, theirs.slots)
+        assert np.array_equal(ours.fills, theirs.fills)
+        assert ours.modified.values.tobytes() == theirs.modified.values.tobytes()
+
+
+def test_designs_scored_out_of_plan_order_are_rejected(six_table):
+    table, y = six_table
+    _, designs = _plan(table, table.row(1), TriplotConfig(mode="local", N=300, seed=2))
+    model = fit_knn(table, y, 5)
+    with pytest.raises(AspectraError, match="scored before"):
+        delta_predictions(model, designs[3])
+    for design in designs:
+        delta_predictions(model, design)
 
 
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
