@@ -246,37 +246,46 @@ class _DesignSampler:
 
         A modified row is keyed by its sampled row and the columns it
         replaces, which `_hierarchy` codes from the two flagged aspects as
-        nodes of `tree`: two siblings count as their parent, and the root,
-        every column, makes the row x* whatever the sampled row. Each key is
-        scored by the first design that draws it (see `_first_draws`).
+        nodes of `tree`: two siblings replace their parent's columns, and the
+        root, every column, makes the row x* whatever the sampled row. Each
+        key is scored by the first design that draws it (see `_first_draws`).
 
         Without a tree there must be one partition, which is validated; the
         cuts of a tree are partitions by construction. Every partition's
         flags are drawn before the first design is yielded.
         """
-        N, L, p, n_rows = self.N, len(partitions), self.table.p, self.distinct.n
+        N, L, n_rows = self.N, len(partitions), self.distinct.n
         if tree is None:
-            validate_partition(partitions[0], p)
-        nodes, codes = _hierarchy(partitions, p, tree)
-        whole = codes[-1, -1]  # the root's code: every column
-        m = np.array([part.m for part in partitions])
-        flags = np.empty((L, N, 2), dtype=np.min_scalar_type(m.max()))  # aspect indices
-        for k, part in enumerate(partitions):
-            flags[k] = self._draw_flags(part)
-        # each partition's m x m pair codes, one block after another, and
-        # the cell of each draw's flag pair there
-        pair_codes = np.concatenate(
-            [codes.take(ids, axis=0).take(ids, axis=1).reshape(-1) for ids in nodes])
-        cells = flags[:, :, 0] * m[:, None]
-        cells += flags[:, :, 1]
-        cells += (np.cumsum(m * m) - m * m)[:, None]
-        keys = (pair_codes * n_rows).take(cells)
-        keys += self.inverse
-        for k in np.flatnonzero(m <= 2):  # the only partitions with a pair covering every column
-            keys[k][pair_codes.take(cells[k]) == whole] = whole * n_rows
-        del cells
-        # every key is below (largest code + 1) * n_rows
-        slots, drawn_first, n_slots = _first_draws(keys.reshape(-1), (int(codes.max()) + 1) * n_rows)
+            validate_partition(partitions[0], self.table.p)
+        nodes, codes = _hierarchy(partitions, self.table.p, tree)
+        M = codes.shape[0]
+        # a draw's sort key: its code, its sampled row, then its position
+        # among all draws when that fits in _SORT_BITS; otherwise positions
+        # are left out and a stable sort keeps equal keys in draw order
+        shift = max(L * N - 1, 1).bit_length()
+        if (M * M * n_rows).bit_length() + shift > _SORT_BITS:
+            shift = 0
+        codes *= n_rows << shift
+        row_key = self.inverse << shift
+        if shift:
+            row_key += np.arange(N)
+        keys = np.empty((L, N), dtype=np.int64)
+        flags = np.empty((L, N, 2), dtype=np.min_scalar_type(max(part.m for part in partitions)))
+        for k, (part, ids) in enumerate(zip(partitions, nodes)):
+            kl = self._draw_flags(part)
+            flags[k] = kl
+            m, key, offset = part.m, keys[k], k * N if shift else 0
+            # the level's m x m pair codes, no larger than the W its fit builds
+            pairs = codes.take(ids, axis=0).take(ids, axis=1)
+            pairs += offset
+            cell = kl[:, 0] * m
+            cell += kl[:, 1]
+            pairs.take(cell, out=key)
+            key += row_key
+            if m <= 2:  # the only partitions with a pair covering every column
+                covered = (pairs == codes[-1, -1] + offset).reshape(-1).take(cell)
+                key[covered] -= self.inverse[covered] << shift
+        slots, drawn_first, n_slots = _first_draws(keys.reshape(-1), shift)
         del keys
         predictions = np.full(n_slots, np.nan)
 
@@ -314,24 +323,18 @@ class _DesignSampler:
         )
 
 
-def _first_draws(keys: np.ndarray, bound: int):
+def _first_draws(keys: np.ndarray, shift: int):
     """Each draw's slot, the same for equal keys, whether it is the first
-    draw of its key, and the slot count; `keys` are below `bound` and are
-    overwritten.
+    draw of its key, and the slot count. `keys` hold each draw's position in
+    their low `shift` bits, or none when `shift` is 0; they are overwritten.
 
-    Slots are numbered in key order. The keys are sorted once, as one int64
-    per draw with the key above the draw's position; when that does not fit
-    in _SORT_BITS, a stable argsort orders them instead.
+    Slots are numbered in key order. With positions the keys are sorted as
+    they are; without them a stable argsort orders them instead.
     """
     draws = keys.shape[0]
-    index = np.int32 if draws < 1 << 31 else np.int64  # positions and slots, kept small
-    shift = max(draws - 1, 1).bit_length()
-    if bound.bit_length() + shift <= _SORT_BITS:
-        order = np.arange(draws, dtype=index)
-        keys <<= shift
-        keys |= order
+    if shift:
         keys.sort()
-        np.bitwise_and(keys, (1 << shift) - 1, out=order, casting="same_kind")
+        order = keys & ((1 << shift) - 1)
         keys >>= shift
     else:
         order = np.argsort(keys, kind="stable")
@@ -342,11 +345,9 @@ def _first_draws(keys: np.ndarray, bound: int):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     drawn_first = np.empty(draws, dtype=bool)
     drawn_first[order] = first
-    runs = keys  # the sorted keys are not needed again
-    runs[:] = first
-    runs[0] = 0  # so that the runs count from 0
-    np.cumsum(runs, out=runs)
-    slots = np.empty(draws, dtype=index)
+    first[0] = False  # so that the runs count from 0
+    runs = np.cumsum(first, out=keys)  # the sorted keys are not needed again
+    slots = np.empty(draws, dtype=np.int32 if draws < 1 << 31 else np.int64)
     slots[order] = runs
     slots.setflags(write=False)
     return slots, drawn_first, int(runs[-1]) + 1
@@ -360,7 +361,8 @@ def _hierarchy(partitions, p: int, tree: MergeTree | None):
     they cover together: min(a, b) * M + max(a, b), or c * (M + 1), the code
     of c with itself, when a and b are the two children of c. Without a
     tree, the one partition's m aspects are nodes 0..m-1 under a root m,
-    siblings when m = 2; a single aspect is the root itself.
+    siblings when m = 2; a single aspect is the root itself. The M x M
+    codes are no larger than the first partition's W times 4.
     """
     if tree is None:
         (part,) = partitions
@@ -368,9 +370,12 @@ def _hierarchy(partitions, p: int, tree: MergeTree | None):
         nodes, M = [np.arange(m)], m + 1 if m > 1 else 1
         families = [(0, 1, 2)] if m == 2 else []
     else:
-        node_of = {(j,): j for j in range(p)}
-        node_of.update((merge.members, p + t) for t, merge in enumerate(tree.merges))
-        nodes = [np.array([node_of[ms] for ms in part.member_sets]) for part in partitions]
+        # a node of the tree is fixed by its first column and its size
+        node_of = {(j, 1): j for j in range(p)}
+        node_of.update(((merge.members[0], len(merge.members)), p + t)
+                       for t, merge in enumerate(tree.merges))
+        nodes = [np.array([node_of[ms[0], len(ms)] for _, ms in part.groups])
+                 for part in partitions]
         M = 2 * p - 1
         families = [(merge.left, merge.right, p + t) for t, merge in enumerate(tree.merges)]
     codes = np.arange(M * M).reshape(M, M)
@@ -409,15 +414,13 @@ def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
     `design.distinct`, and `design.inverse` expands its predictions to A's N
     rows. Under the row-independence contract of `ModelAdapter` that equals
     scoring all N rows of A' and of A. A shift that overflows comes out
-    infinite, for `_design_matrices` to reject.
+    infinite, and one whose row no design scored yet comes out NaN, for
+    `_design_matrices` to reject.
     """
     if design.modified.n:
         design.predictions[design.fills] = predict(model, design.modified)
-    f_modified = design.predictions.take(design.slots)
-    if np.isnan(f_modified.min()):  # predict returns only finite values
-        raise AspectraError("a design was scored before the designs planned ahead of it")
     with np.errstate(over="ignore"):
-        return f_modified - predict(model, design.distinct)[design.inverse]
+        return design.predictions.take(design.slots) - predict(model, design.distinct)[design.inverse]
 
 
 def _design_matrices(design: SampleDesign, ym: np.ndarray):
@@ -426,7 +429,8 @@ def _design_matrices(design: SampleDesign, ym: np.ndarray):
     if y.shape[0] != design.N:
         raise AspectraError(f"expected {design.N} prediction shifts, got {y.shape[0]}")
     W = X.T @ X
-    # every row flags an aspect, so a shift that overflowed makes Z non-finite
+    # every row flags an aspect, so a shift that overflowed, or was taken
+    # from a design not yet scored, makes Z non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         Z = X.T @ y
     if not np.isfinite(Z).all():
@@ -435,15 +439,10 @@ def _design_matrices(design: SampleDesign, ym: np.ndarray):
 
 
 def _residual_norm(X: np.ndarray, gamma: np.ndarray, y: np.ndarray) -> float:
-    """||X gamma - y||, scaled when the squares of large shifts pass the
-    float64 range; a residual past it is inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = X @ gamma - y
-        norm = float(np.linalg.norm(r))
-    if norm == np.inf and np.isfinite(r).all():
-        scale = float(np.abs(r).max())
-        norm = scale * float(np.linalg.norm(r / scale))
-    return norm
+    """||X gamma - y||, inf when the squares of large shifts pass the float64
+    range."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(X @ gamma - y))
 
 
 def _check_nonsingular(W: np.ndarray, partition: AspectPartition) -> None:

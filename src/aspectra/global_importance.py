@@ -22,8 +22,8 @@ This rests on the model contract in `models.ModelAdapter`: a row's
 prediction must not depend on the other rows in the batch, and a model must
 neither keep nor write to the table it is given. Under that contract the
 losses equal those of scoring each copy alone, bit for bit; `LinearModel`'s
-BLAS product is the known exception, off by a rounding when n is not a
-multiple of 4 (see its docstring).
+BLAS product is the known exception where OpenBLAS splits a large product
+across threads (see its docstring).
 """
 
 from __future__ import annotations

@@ -62,13 +62,15 @@ class LinearModel(ModelAdapter):
     """Exact linear predictor: intercept + x . coefficients.
 
     The product is numpy's BLAS matrix-vector product. OpenBLAS (seen with
-    0.3.31) computes rows in blocks of 4, so a row's last bit can depend on
-    its position in the batch: the last n mod 4 rows of an n-row table
-    stacked with others, like a row subset of a table, may differ by one
-    rounding from the table scored alone. Likewise a local explanation's
-    f(A) and f(A'), scored on their distinct rows, and a triplot level's
-    predictions taken from an earlier level's call, may differ in a row's
-    last bit from scoring all N draws. Results stay deterministic.
+    0.3.31) computes rows in blocks of 4 and the last n mod 4 rows of an
+    n-row table with another kernel, which may round them differently in the
+    last bit. So predict scores those last rows again as a zero-padded block
+    of 4, and a row's prediction does not depend on its position in the
+    batch: a local explanation's distinct rows, and a triplot level's
+    predictions taken from an earlier level's call, equal scoring every row
+    of the design. A product large enough for OpenBLAS to split across
+    threads (seen from 3000 rows of 200 values with two threads) may still
+    round a row by its position. Results stay deterministic.
     """
 
     def __init__(self, intercept, coefficients, column_names=None, label="linear"):
@@ -81,7 +83,15 @@ class LinearModel(ModelAdapter):
         return self.coefficients.shape[0]
 
     def predict(self, table: NumericTable) -> np.ndarray:
-        return self.intercept + table.values @ self.coefficients
+        values = table.values
+        out = values @ self.coefficients
+        tail = values.shape[0] % 4
+        if tail:
+            block = np.zeros((4, values.shape[1]))
+            block[:tail] = values[-tail:]
+            out[-tail:] = (block @ self.coefficients)[:tail]
+        out += self.intercept
+        return out
 
 
 class KnnModel(ModelAdapter):

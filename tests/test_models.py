@@ -41,6 +41,21 @@ def test_linear_model_predicts_affine():
     assert m.predict(t).tolist() == [0.0, -5.0]
 
 
+@pytest.mark.parametrize("p", [1, 3, 6, 24])
+def test_linear_model_row_does_not_depend_on_its_batch_position(p):
+    # BLAS may round the last n mod 4 rows of a batch differently; predict
+    # scores those through the 4-row kernel too
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((41, p))
+    m = LinearModel(0.25, rng.standard_normal(p))
+    whole = m.predict(table_of(X))
+    for i in range(X.shape[0]):
+        assert m.predict(table_of(X[i:i + 1])).tobytes() == whole[i:i + 1].tobytes()
+    for n in range(1, 12):
+        rows = rng.choice(X.shape[0], n)
+        assert m.predict(table_of(X[rows])).tobytes() == whole[rows].tobytes()
+
+
 def test_fit_linear_recovers_coefficients():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((100, 3))

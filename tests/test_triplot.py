@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from aspectra import (
     predict_triplot,
 )
 from aspectra import SubprocessModel, aspects, global_importance
-from aspectra.aspects import build_design, delta_predictions
+from aspectra.aspects import build_design, delta_predictions, fit_ols
 from aspectra.cluster import partition_after_merges
 from aspectra.data import NumericTable, RngStream, sampled_row_ids
-from aspectra.errors import AspectraError
+from aspectra.errors import AspectraError, NonFiniteShift
 from aspectra.global_importance import ImportanceContext
 from aspectra.triplot import TriplotResult
 
@@ -161,11 +162,8 @@ def test_local_leaves_match_singleton_predict_aspects(six_table):
 
 
 def test_local_node_is_new_cluster_at_its_level(six_table):
-    # exact for a row-independent model; a level takes some predictions from
-    # the calls of earlier levels, where LinearModel's BLAS product may round
-    # a row differently in the last bit (see its docstring)
     table, y = six_table
-    for model, exact in ((fit_knn(table, y, 5), True), (fit_linear(table, y), False)):
+    for model in (fit_linear(table, y), fit_knn(table, y, 5)):
         for limit in (None, 2):
             cfg = TriplotConfig(mode="local", N=600, seed=3, limit=limit)
             res = predict_triplot(model, table, table.row(1), cfg)
@@ -175,10 +173,7 @@ def test_local_node_is_new_cluster_at_its_level(six_table):
                                        limit=limit)
                 row = next(a for a in expl.aspects
                            if tuple(table.column_index(n) for n in a.members) == merge.members)
-                if exact:
-                    assert res.node_importance[t] == row.contribution
-                else:
-                    assert res.node_importance[t] == pytest.approx(row.contribution, rel=1e-12)
+                assert res.node_importance[t] == row.contribution
 
 
 @pytest.mark.parametrize("limit", [None, 2])
@@ -197,6 +192,7 @@ def test_local_model_calls(six_table, fit, limit):
     # the last level, m = 1, draws only x*, which the m = 2 level drew already
     row_ids = sampled_row_ids(table, 300, RngStream(6).child(aspects._K_ROWS))
     distinct = np.unique(row_ids).size
+    assert distinct < 300
     assert model.calls == 2 * table.p - 1
     assert model.rows < table.p * 300 + table.p * distinct
 
@@ -335,14 +331,40 @@ def test_plan_is_the_same_with_either_sort(six_table, sort_bits, monkeypatch):
         assert ours.modified.values.tobytes() == theirs.modified.values.tobytes()
 
 
+def test_plan_memory_is_linear_in_the_draws():
+    # a wide table with N = p, where the plan's node-pair codes are as large
+    # as they get against its p * N draws: the plan and the first design
+    # hold a bounded number of bytes per draw, not one code per flag pair of
+    # every level (about p^3 / 3)
+    p = N = 240
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((60, 1)) + 0.5 * rng.standard_normal((60, p))
+    table = NumericTable(tuple(f"x{j}" for j in range(p)), X)
+    cfg = TriplotConfig(mode="local", N=N, seed=1, cor_method="pearson")
+    tree, parts = oracle_tree_partitions(table, cfg)
+    sampler = aspects._DesignSampler(table, table.row(0), N, RngStream(1))
+    tracemalloc.start()
+    try:
+        design = next(sampler.designs(parts, tree))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.m == p
+    assert peak < 160 * p * N
+
+
 def test_designs_scored_out_of_plan_order_are_rejected(six_table):
+    # a design's draws that an earlier design scores come out NaN until it
+    # has, and the surrogate fit rejects them
     table, y = six_table
     _, designs = _plan(table, table.row(1), TriplotConfig(mode="local", N=300, seed=2))
     model = fit_knn(table, y, 5)
-    with pytest.raises(AspectraError, match="scored before"):
-        delta_predictions(model, designs[3])
+    early = delta_predictions(model, designs[3])
+    assert np.isnan(early).any()
+    with pytest.raises(NonFiniteShift):
+        fit_ols(designs[3], early)
     for design in designs:
-        delta_predictions(model, design)
+        assert np.isfinite(delta_predictions(model, design)).all()
 
 
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
