@@ -23,7 +23,7 @@ levels waits for the benchmark's tracer test, which relies on that repeat.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,10 @@ class SampleDesign:
     scored. `modified` holds the rows this design draws first, in draw
     order, and their predictions go to predictions[fills]; f(A'[i]) is
     predictions[slots[i]]. So the designs of one plan are scored in order.
+
+    `W` is X'^T X', read-only: the count of draws flagging each aspect
+    (diagonal) and each pair of aspects, which the sampler counts from the
+    flags instead of multiplying the N x m flag matrix by itself.
     """
 
     row_ids: np.ndarray
@@ -96,6 +100,7 @@ class SampleDesign:
     slots: np.ndarray  # N, each draw's slot in `predictions`
     fills: np.ndarray  # modified.n, the slots that `modified` scores
     predictions: np.ndarray  # shared by the designs of one plan
+    W: np.ndarray  # m x m, float
 
     @property
     def N(self) -> int:
@@ -112,17 +117,26 @@ class SurrogateFit:
 
     W = X'^T X' counts how often single aspects (diagonal) and aspect pairs
     (off-diagonal) were flagged together; Z = X'^T Y accumulates the shift
-    per aspect. gamma solves W gamma = Z; there is no intercept term.
+    per aspect. gamma solves W gamma = Z; there is no intercept term. X and
+    y are the flag matrix as floats and the shifts, kept for the residual.
     """
 
     gamma: np.ndarray
     W: np.ndarray
     Z: np.ndarray
-    residual_norm: float
+    X: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
     lam: float | None = None
     # (lambda, nonzero count) at each knot of the exact lasso path walked,
     # the last at `lam`; gamma is one coordinate descent solve there
     path: tuple = ()
+
+    @property
+    def residual_norm(self) -> float:
+        """||X gamma - y||, computed when read; inf when the squares of large
+        shifts pass the float64 range."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.X @ self.gamma - self.y))
 
 
 @dataclass(frozen=True)
@@ -309,6 +323,12 @@ class _DesignSampler:
         bits = self._diff.take(new, axis=0)
         np.multiply(bits, X_prime.take(new, axis=0).take(aspect_of, axis=1), out=bits)
         bits ^= self._bits.take(new, axis=0)
+        cell = kl[:, 0].astype(np.intp) * m
+        cell += kl[:, 1]
+        pairs = np.bincount(cell, minlength=m * m).reshape(m, m)
+        W = (pairs + pairs.T).astype(np.float64)
+        W[np.diag_indices(m)] = pairs.sum(axis=0) + pairs.sum(axis=1) - pairs.diagonal()
+        W.setflags(write=False)
         # A' mixes rows of the validated table with the validated observation
         return SampleDesign(
             row_ids=self.row_ids,
@@ -320,6 +340,7 @@ class _DesignSampler:
             slots=slots,
             fills=slots.take(new),
             predictions=predictions,
+            W=W,
         )
 
 
@@ -428,7 +449,7 @@ def _design_matrices(design: SampleDesign, ym: np.ndarray):
     y = np.asarray(ym, dtype=np.float64).reshape(-1)
     if y.shape[0] != design.N:
         raise AspectraError(f"expected {design.N} prediction shifts, got {y.shape[0]}")
-    W = X.T @ X
+    W = design.W
     # every row flags an aspect, so a shift that overflowed, or was taken
     # from a design not yet scored, makes Z non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,13 +457,6 @@ def _design_matrices(design: SampleDesign, ym: np.ndarray):
     if not np.isfinite(Z).all():
         raise NonFiniteShift()
     return X, y, W, Z
-
-
-def _residual_norm(X: np.ndarray, gamma: np.ndarray, y: np.ndarray) -> float:
-    """||X gamma - y||, inf when the squares of large shifts pass the float64
-    range."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(X @ gamma - y))
 
 
 def _check_nonsingular(W: np.ndarray, partition: AspectPartition) -> None:
@@ -458,8 +472,7 @@ def fit_ols(design: SampleDesign, ym: np.ndarray) -> SurrogateFit:
     X, y, W, Z = _design_matrices(design, ym)
     _check_nonsingular(W, design.partition)
     gamma = np.linalg.solve(W, Z)
-    residual = _residual_norm(X, gamma, y)
-    return SurrogateFit(gamma=gamma, W=W, Z=Z, residual_norm=residual)
+    return SurrogateFit(gamma=gamma, W=W, Z=Z, X=X, y=y)
 
 
 def _sign(v: float) -> float:
@@ -629,8 +642,7 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
         fit = fit_ols(design, ym)
         nnz = int(np.count_nonzero(fit.gamma))
         return SurrogateFit(
-            gamma=fit.gamma, W=fit.W, Z=fit.Z, residual_norm=fit.residual_norm,
-            lam=0.0, path=((0.0, nnz),),
+            gamma=fit.gamma, W=fit.W, Z=fit.Z, X=fit.X, y=fit.y, lam=0.0, path=((0.0, nnz),),
         )
     X, y, W, Z = _design_matrices(design, ym)
     t = float(np.max(np.abs(Z)))  # the knot reached, in t = N * lambda
@@ -651,10 +663,7 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
             if sweeps >= LASSO_MAX_SWEEPS:
                 raise LassoNotConverged(t / design.N, sweeps)
             gamma[kept] = sub
-    residual = _residual_norm(X, gamma, y)
-    return SurrogateFit(
-        gamma=gamma, W=W, Z=Z, residual_norm=residual, lam=trace[-1][0], path=tuple(trace)
-    )
+    return SurrogateFit(gamma=gamma, W=W, Z=Z, X=X, y=y, lam=trace[-1][0], path=tuple(trace))
 
 
 def _fit_surrogate(model: ModelAdapter, design: SampleDesign, limit: int | None) -> SurrogateFit:

@@ -146,6 +146,7 @@ def oracle_build_design(table, x_star, partition, N, rng):
         slots=np.arange(N),
         fills=np.arange(N),
         predictions=np.full(N, np.nan),
+        W=X_prime.T.astype(np.float64) @ X_prime.astype(np.float64),
     )
 
 

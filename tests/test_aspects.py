@@ -269,6 +269,7 @@ def manual_design(X_prime, y):
             slots=np.arange(N),
             fills=slice(0, N),
             predictions=np.full(N, np.nan),
+            W=np.asarray(X_prime, dtype=np.float64).T @ np.asarray(X_prime, dtype=np.float64),
         ),
         np.asarray(y, dtype=float),
     )
@@ -428,7 +429,7 @@ def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> Surro
         fit = fit_ols(design, ym)
         nnz = int(np.count_nonzero(fit.gamma))
         return SurrogateFit(
-            gamma=fit.gamma, W=fit.W, Z=fit.Z, residual_norm=fit.residual_norm,
+            gamma=fit.gamma, W=fit.W, Z=fit.Z, X=fit.X, y=fit.y,
             lam=0.0, path=((0.0, nnz),),
         )
     X, y, W, Z = _design_matrices(design, ym)
@@ -436,13 +437,13 @@ def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> Surro
     if lam_max == 0.0:
         gamma = np.zeros(m)
         return SurrogateFit(
-            gamma=gamma, W=W, Z=Z, residual_norm=float(np.linalg.norm(y)),
+            gamma=gamma, W=W, Z=Z, X=X, y=y,
             lam=0.0, path=((0.0, 0),),
         )
     if limit == 0:
         gamma = np.zeros(m)
         return SurrogateFit(
-            gamma=gamma, W=W, Z=Z, residual_norm=float(np.linalg.norm(y)),
+            gamma=gamma, W=W, Z=Z, X=X, y=y,
             lam=lam_max, path=((lam_max, 0),),
         )
     lo = 0.0
@@ -465,9 +466,8 @@ def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> Surro
             gamma_hi = w
         else:
             lo = mid
-    residual = float(np.linalg.norm(X @ gamma_hi - y))
     return SurrogateFit(
-        gamma=gamma_hi, W=W, Z=Z, residual_norm=residual, lam=hi, path=tuple(trace)
+        gamma=gamma_hi, W=W, Z=Z, X=X, y=y, lam=hi, path=tuple(trace)
     )
 
 

@@ -258,6 +258,8 @@ def test_shared_sampler_designs_match_per_level_designs(six_table):
             assert np.array_equal(shared.row_ids, other.row_ids)
             assert np.array_equal(shared.X_prime, other.X_prime)
             assert shared.X_prime.dtype == np.int8
+            # W counted from the flags is X'^T X', bit for bit
+            assert shared.W.tobytes() == other.W.tobytes()
             assert np.array_equal(shared.inverse, other.inverse)
             assert shared.distinct.values.tobytes() == other.distinct.values.tobytes()
         assert A_prime.tobytes() == other.modified.values.tobytes()
