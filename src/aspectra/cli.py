@@ -16,7 +16,7 @@ import sys
 
 from .aspects import AspectExplanation, predict_aspects
 from .cluster import group_variables
-from .data import AspectPartition, NumericTable, Observation, load_table
+from .data import AspectPartition, Observation, _json_text, load_table
 from .errors import AspectraError, SchemaMismatch
 from .global_importance import PermutationConfig, group_importance
 from .models import SubprocessModel, fit_knn, fit_linear
@@ -110,7 +110,7 @@ def _emit(text, out_path):
 def _cmd_group_vars(args) -> int:
     table, _ = load_table(args.data, target=args.target)
     partition = group_variables(table, args.cutoff, args.method)
-    print(json.dumps(partition.to_name_dict(table.column_names), indent=2))
+    _emit(_json_text(partition.to_name_dict(table.column_names)) + "\n", None)
     return 0
 
 

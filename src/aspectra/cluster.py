@@ -144,8 +144,15 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndar
     X = table.values
     if method == "spearman":
         X = _average_ranks(X)
-    Xc = X - X.mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc = X - X.mean(axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
+    if not np.all(np.isfinite(norms)):
+        # sums of squares past the float64 range; a correlation does not
+        # change with a column's scale, so take it from columns scaled to |x| <= 1
+        scale = np.max(np.abs(X), axis=0)
+        scaled = NumericTable(table.column_names, X / np.where(scale > 0.0, scale, 1.0))
+        return correlation_matrix(scaled, "pearson")
     for j, s in enumerate(norms):
         if s == 0.0:
             raise ZeroVarianceColumn(table.column_names[j])

@@ -7,6 +7,10 @@ group's association with everything else is broken. The baseline permutes all
 columns jointly; with the full-member group it is the same permutation stream,
 so full-group importance equals baseline_loss - full_model_loss exactly.
 
+`ImportanceContext.mean_permuted_losses` is the query: it takes a list of
+member sets and returns their mean permuted losses in order, scoring every
+set not cached yet in one pass; `mean_permuted_loss` is its one-set case.
+
 Scoring is batched. Every (member set, repetition) job gets its own
 permuted copy of the table, and copies are stacked into one `predict` call
 of up to _BATCH_VALUES (2**19) values, in a buffer reused across calls. The
@@ -224,13 +228,21 @@ class ImportanceContext:
         return self.mean_permuted_loss(())
 
     def mean_permuted_loss(self, members) -> float:
-        key = frozenset(int(i) for i in members)
-        if key not in self._cache:
-            self._score([key])
-        return self._cache[key]
+        return self.mean_permuted_losses([members])[0]
 
-    def _score(self, member_sets) -> None:
-        """Cache the mean permuted loss of every member set not cached yet.
+    def mean_permuted_losses(self, member_sets) -> list:
+        """The mean permuted loss of each member set, in order.
+
+        The sets not cached yet are scored together, in one pass of batched
+        model calls with the unpermuted table first.
+        """
+        keys = [frozenset(int(i) for i in members) for members in member_sets]
+        self._score(keys)
+        return [self._cache[key] for key in keys]
+
+    def _score(self, keys) -> None:
+        """Cache the mean permuted loss of every member set (a frozenset of
+        column indices) not cached yet.
 
         Every set is checked once, before the first model call, and its
         stream id derived once. Each (set, repetition) job permutes its
@@ -242,8 +254,7 @@ class ImportanceContext:
         slot keeps the tiled values.
         """
         jobs, members_of = [], {}
-        for group in [(), *member_sets]:
-            key = frozenset(int(i) for i in group)
+        for key in [frozenset(), *keys]:
             if key in self._cache or key in members_of:
                 continue
             members_of[key] = _checked_members(key, self.table.p) if key else _NO_MEMBERS
@@ -295,17 +306,15 @@ def group_importance(
     """Block-permutation importance of every group in the partition."""
     validate_partition(groups, table.p)
     ctx = ImportanceContext(model, table, y, cfg)
-    ctx._score([members for _, members in groups.groups] + [range(table.p)])
-    rows = []
-    for name, members in groups.groups:
-        mean_loss = ctx.mean_permuted_loss(members)
-        rows.append(
-            GroupImportanceRow(name, members, mean_loss, mean_loss - ctx.full_model_loss)
-        )
+    full, *losses, baseline = ctx.mean_permuted_losses([(), *groups.member_sets, range(table.p)])
+    rows = tuple(
+        GroupImportanceRow(name, members, mean_loss, mean_loss - full)
+        for (name, members), mean_loss in zip(groups.groups, losses)
+    )
     return GlobalImportance(
-        groups=tuple(rows),
-        full_model_loss=ctx.full_model_loss,
-        baseline_loss=ctx.baseline_loss,
+        groups=rows,
+        full_model_loss=full,
+        baseline_loss=baseline,
         column_names=tuple(table.column_names),
         metadata={"loss": cfg.loss, "B": cfg.B, "N": cfg.N, "seed": cfg.seed},
     )

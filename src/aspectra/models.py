@@ -8,6 +8,7 @@ over a line protocol on stdin/stdout.
 
 from __future__ import annotations
 
+import contextlib
 import subprocess
 import threading
 
@@ -258,41 +259,40 @@ class SubprocessModel(ModelAdapter):
         return out
 
     def _stop(self, reason):
-        """Kill the child, reap it and close its pipes; later predicts raise `reason`."""
+        """Kill the child, reap it and close its pipes; later predicts raise `reason`.
+
+        This is the one place a child ends. A child already reaped gets no
+        signal, so one that exited on its own keeps its exit code.
+        """
         proc, self._proc = self._proc, None
         self._stop_reason = reason
         if proc is None:
             return
         proc.kill()
         proc.wait()
-        try:
+        with contextlib.suppress(OSError):  # the flush of a write the kill cut short
             proc.stdin.close()
-        except OSError:
-            pass  # the flush of a write the kill cut short
         proc.stdout.close()
 
     def close(self):
         proc = self._proc
         if proc is None:
             return
-        try:
-            proc.stdin.close()
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            proc.stdin.close()  # the end of its input asks the child to exit
         # Popen.wait with a timeout sleep-polls, which adds up to the last
         # sleep to every close; a blocking wait in a thread returns at the
         # exit, and the join bounds it
         waiter = threading.Thread(target=proc.wait, daemon=True)
         waiter.start()
         waiter.join(_CLOSE_TIMEOUT_S)
-        if waiter.is_alive():
-            self._stop("the model is closed")
+        timed_out = waiter.is_alive()
+        self._stop("the model is closed")
+        if timed_out:
             raise SubprocessFailure(
                 f"child did not exit within {_CLOSE_TIMEOUT_S:g} s of its input "
                 "closing, so it was killed"
             )
-        self._proc, self._stop_reason = None, "the model is closed"
-        proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -155,11 +155,10 @@ def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfi
         raise AspectraError("model_triplot needs a global-mode config")
     tree = _build_tree(table, cfg)
     ctx = ImportanceContext(model, table, y, cfg.permutation)
-    leaves = [(j,) for j in range(table.p)]
-    ctx._score(leaves + [m.members for m in tree.merges] + [range(table.p)])
-    full = ctx.full_model_loss
-    leaf_imp = np.array([ctx.mean_permuted_loss(leaf) - full for leaf in leaves])
-    node_imp = np.array([ctx.mean_permuted_loss(m.members) - full for m in tree.merges])
+    sets = [(j,) for j in range(table.p)] + [m.members for m in tree.merges]
+    full, *losses, baseline = ctx.mean_permuted_losses([(), *sets, range(table.p)])
+    leaf_imp = np.array(losses[:table.p]) - full
+    node_imp = np.array(losses[table.p:]) - full
     return TriplotResult(
         mode="global",
         tree=tree,
@@ -167,7 +166,7 @@ def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfi
         leaf_importance=leaf_imp,
         node_importance=node_imp,
         full_model_loss=full,
-        baseline_loss=ctx.baseline_loss,
+        baseline_loss=baseline,
         metadata={
             "loss": cfg.permutation.loss,
             "B": cfg.permutation.B,

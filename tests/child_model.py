@@ -17,10 +17,16 @@ Usage: python3 child_model.py MODE [PATH]
   record    predict the row sum, and append every byte read to PATH
   stream    predict the row sum, answering and flushing each row as soon
             as it is read
+  slow      predict the row sum after a pause of SLOW_S per batch, and exit
+            0 a pause after EOF
+  partial-then-garbage  read a batch's first row only, answer it with the
+            row sum and then "garbage", and sleep without reading more
 """
 
 import sys
 import time
+
+SLOW_S = 0.2
 
 
 def main() -> int:
@@ -41,6 +47,8 @@ def main() -> int:
         if head == "":
             if mode == "linger":
                 time.sleep(60)
+            if mode == "slow":
+                time.sleep(SLOW_S)
             return 0
         parts = head.split()
         assert parts[0] == "PREDICT", head
@@ -50,9 +58,17 @@ def main() -> int:
             for _ in range(n):
                 print(repr(sum(float(tok) for tok in readline().split(","))), flush=True)
             continue
+        if mode == "partial-then-garbage":
+            row = readline()
+            print(repr(sum(float(tok) for tok in row.split(","))))
+            print("garbage", flush=True)
+            time.sleep(60)  # the rest of the request stays unread
+            return 0
         rows = [readline() for _ in range(n)]
         if mode == "die":
             return 3
+        if mode == "slow":
+            time.sleep(SLOW_S)
         batch += 1
         for i, line in enumerate(rows):
             if mode == "short" and i == n - 1:
@@ -64,7 +80,7 @@ def main() -> int:
                 print("oops")
                 continue
             values = [float(tok) for tok in line.strip().split(",")]
-            if mode in ("sum", "garbage-first", "linger", "record", "short", "once"):
+            if mode in ("sum", "garbage-first", "linger", "record", "short", "once", "slow"):
                 print(repr(sum(values)))
             elif mode == "first":
                 print(repr(values[0]))

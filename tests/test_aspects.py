@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aspectra.aspects
@@ -24,7 +24,6 @@ from aspectra import _kernels
 from aspectra.aspects import (
     _MAX_TIED,
     _TIE,
-    LASSO_TOL,
     AspectExplanation,
     SampleDesign,
     SurrogateFit,
@@ -401,10 +400,14 @@ def test_lasso_non_convergence_is_an_error(monkeypatch):
 
 # The oracle gives up after this many sweeps, where fit_lasso allows
 # aspects.LASSO_MAX_SWEEPS: a stalled oracle solve (copied columns at lambda
-# near 0) is skipped rather than waited for. Solves that finish run the same
-# sweeps either way.
+# near 0) is skipped rather than waited for.
 LASSO_MAX_SWEEPS = 5_000
 BISECT_REL_TOL = 1e-6
+# The oracle counts nonzeros from each solve, so it solves more tightly than
+# aspects.LASSO_TOL (1e-10). Near a knot as small as t/N = 1.3e-5, a solve
+# stopped at 1e-10 counts a column that is not yet active there, and the
+# bisection lands 4.2e-6 relative above the crossing; at 1e-12 it is 3.5e-7.
+ORACLE_LASSO_TOL = 1e-12
 
 
 def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
@@ -456,7 +459,7 @@ def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> Surro
     floor = 1e-12 * lam_max
     while hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        w, sweeps = _kernels.lasso_cd(W, Z, design.N * mid, LASSO_MAX_SWEEPS, LASSO_TOL)
+        w, sweeps = _kernels.lasso_cd(W, Z, design.N * mid, LASSO_MAX_SWEEPS, ORACLE_LASSO_TOL)
         if sweeps >= LASSO_MAX_SWEEPS:
             raise LassoNotConverged(mid, sweeps)
         nnz = int(np.count_nonzero(w))
@@ -549,6 +552,13 @@ def assert_fit_at_first_crossing(design, ym, limit):
 
 @settings(max_examples=150, deadline=None)
 @given(problem=capped_flag_designs())
+# knots within 1e-6 relative of each other (6, 5, 5, 6 active columns), and
+# at limit 5 a crossing at t/N = 1.29e-5
+@example(problem=(
+    np.array([[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 1],
+              [0, 1, 0, 1, 0, 0], [0, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 0]]),
+    np.array([-0.61134257, -0.9303291, -0.47773684, -0.64198877, -0.62658558, -0.33408004]),
+))
 def test_lasso_path_search_matches_bisection_oracle(problem):
     design, ym = manual_design(*problem)
     for limit in range(1, design.m):

@@ -641,6 +641,36 @@ def test_large_prediction_shifts_explain_without_a_warning(argv, tmp_path, capsy
     assert "nan" not in text.lower() and "inf" not in text.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["group-vars", "--cutoff", "0.5", "--method", "pearson"],
+    ["triplot", "--mode", "global", "--model", "knn:3", "--cor-method", "pearson"],
+], ids=["group-vars", "triplot-global"])
+def test_columns_near_1e300_correlate_as_their_scaled_copies(argv, tmp_path, capsys):
+    # the Pearson sums of squares of a column near 1e300 pass the float64
+    # range; they gave NaN correlations with an overflow warning, and then
+    # an error or a tree of NaN heights (found by tests/test_cli_fuzz.py)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 3))
+    X[:, 1] = X[:, 0] + 0.3 * rng.standard_normal(30)
+    docs = []
+    for scale in (1.0, 1e300):
+        data = str(tmp_path / f"scaled-{scale:g}.csv")
+        save_table(NumericTable(("a", "b", "c"), X * [scale, scale, 1.0]), data,
+                   target_name="y", target=X @ [1.0, -0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv[:1] + ["--data", data, "--target", "y"] + argv[1:], capsys)
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    if argv[0] == "group-vars":
+        assert docs[0] == docs[1] == {"a_b": ["a", "b"], "c": ["c"]}
+    else:
+        small, huge = (doc["tree"] for doc in docs)
+        assert [m["members"] for m in huge] == [m["members"] for m in small]
+        assert [m["height"] for m in huge] == pytest.approx([m["height"] for m in small],
+                                                           abs=1e-12)
+
+
 _ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]
 
 

@@ -297,7 +297,7 @@ def test_batched_scoring_matches_per_set_oracle(case):
     global_importance._BATCH_VALUES = budget
     try:
         together = ImportanceContext(CountingModel(model), table, y, cfg)
-        together._score(sets)
+        batched = together.mean_permuted_losses(sets)
         one_at_a_time = ImportanceContext(CountingModel(model), table, y, cfg)
         for members in sets:
             one_at_a_time.mean_permuted_loss(members)
@@ -306,6 +306,8 @@ def test_batched_scoring_matches_per_set_oracle(case):
     assert np.array_equal(table.values, before)
     for ctx in (together, one_at_a_time):
         assert not any(ctx.model.writeable)
+    # in the order asked, the same floats that each set's own query returns
+    assert batched == [together.mean_permuted_loss(members) for members in sets]
     for members in [(), *sets]:
         want = _oracle_mean_permuted_loss(together, members)
         for ctx in (together, one_at_a_time):
@@ -326,7 +328,7 @@ def test_many_repetitions_match_per_set_oracle(kind, monkeypatch):
     table, y = small_table(seed=5, n=30, p=4)
     ctx = ImportanceContext(RowByRowModel(4), table, y, PermutationConfig(kind, B=11, seed=2))
     sets = [(0,), (1, 2), (3, 0, 2), range(4)]
-    ctx._score(sets)
+    ctx.mean_permuted_losses(sets)
     for members in [(), *sets]:
         assert ctx.mean_permuted_loss(members) == _oracle_mean_permuted_loss(ctx, members)
 
@@ -357,7 +359,7 @@ def test_bad_member_index_raises_before_any_model_call(monkeypatch):
     ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", B=2))
     assert model.calls == 0  # the unpermuted table waits for the first batch
     with pytest.raises(BadIndex):
-        ctx._score([(0,), (1, 2), (0, 3)])
+        ctx.mean_permuted_losses([(0,), (1, 2), (0, 3)])
     with pytest.raises(BadIndex):
         ctx.mean_permuted_loss((-1,))
     assert model.calls == 0

@@ -1,6 +1,8 @@
+import gc
 import re
 import subprocess
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 
@@ -442,6 +444,36 @@ def test_subprocess_close_kills_a_child_that_ignores_eof(monkeypatch):
     assert proc.stdout.closed
     assert m._proc is None
     m.close()  # nothing left to close
+
+
+def test_subprocess_bad_line_while_the_request_is_still_being_written():
+    # ~3 MB of rows fill the pipe many times over and the child reads one,
+    # so the writer thread is blocked in a write when "garbage" arrives: the
+    # failed batch must kill the child before it waits for the writer
+    X = np.random.default_rng(7).standard_normal((20_000, 8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with SubprocessModel(child_cmd("partial-then-garbage")) as m:
+            proc = m._proc
+            with pytest.raises(SubprocessFailure, match="non-numeric prediction line: 'garbage'"):
+                _predict_in_time(m, table_of(X))
+            assert proc.returncode is not None
+            assert proc.stdin.closed and proc.stdout.closed
+            with pytest.raises(SubprocessFailure, match="stopped after a failed batch") as failure:
+                m.predict(table_of(X[:2]))
+            assert str(failure.value).count("external model failed:") == 1
+        del m, proc, failure
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_subprocess_close_waits_for_a_slow_child_and_kills_nothing(popens):
+    # the child exits 0 a pause after its input ends; close must wait for
+    # that exit, and then end it without a kill
+    with SubprocessModel(child_cmd("slow")) as m:
+        assert m.predict(table_of([[1.0, 2.0]])).tolist() == [3.0]
+    assert popens[0].returncode == 0
+    assert popens[0].stdout.closed and popens[0].stdin.closed
 
 
 def test_subprocess_missing_binary():
