@@ -7,12 +7,15 @@ exact lasso path where the cap first breaks, and `KnnModel.predict` calls
 matrix product of augmented operands and a per-row error bound, then
 computes exact distances only for the training rows that can be among the k
 nearest; its result is bit-identical to a stable sort of every exact
-distance.
+distance, and a row whose k nearest distances overflow raises
+NonFiniteDistance.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NonFiniteDistance
 
 # --- lasso coordinate descent ----------------------------------------------
 #
@@ -121,6 +124,12 @@ def lasso_cd(W, Z, thresh, max_sweeps=100_000, tol=1e-10):
 # targets in that order adds them up exactly as a per-row mean does, so the
 # result is bit-identical to scoring one row at a time with a stable sort of
 # every exact distance.
+#
+# A screened row's distances stay below 2^1002. A fallback row whose k-th
+# smallest distance overflows cannot be ranked: infinite distances tie, and
+# the stable sort would take the lowest indices. That raises
+# NonFiniteDistance. A mean of k targets that overflows comes out infinite,
+# or NaN when its sum overflows both ways, which `models.predict` rejects.
 
 _KNN_SCREEN_VALUES = 2**15
 _KNN_BLOCK_VALUES = 2**17
@@ -168,8 +177,13 @@ def knn_predict(train, targets, query, k):
         rest = np.flatnonzero(~screened)
         for sub in range(0, rest.size, full_block):
             rows = rest[sub:sub + full_block]
-            diff = train - q[rows, None, :]
-            d = np.einsum("qij,qij->qi", diff, diff)
-            order[rows] = np.argsort(d, axis=1, kind="stable")[:, :k]
-        out[start:start + b] = targets[order].mean(axis=1)
+            with np.errstate(over="ignore"):
+                diff = train - q[rows, None, :]
+                d = np.einsum("qij,qij->qi", diff, diff)
+            ranks = np.argsort(d, axis=1, kind="stable")[:, :k]
+            if not np.isfinite(np.take_along_axis(d, ranks[:, -1:], axis=1)).all():
+                raise NonFiniteDistance()
+            order[rows] = ranks
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[start:start + b] = targets[order].mean(axis=1)
     return out

@@ -7,17 +7,18 @@ regressed on the binary flag matrix; the coefficients are the aspect
 contributions. An L1-limited variant caps how many aspects stay nonzero, at
 the knot of the exact lasso path where the cap first breaks.
 
-The sampled rows do not depend on the grouping: a `_DesignSampler` draws
-them once, and each partition it is asked for draws only its flags. A local
-triplot takes every tree level's design from one sampler, and
-`build_design` is one sampler asked for one partition. Each distinct row is
+The sampled rows do not depend on the grouping: the generator `_designs`
+draws them once, and each partition it plans draws only its flags. A local
+triplot takes every tree level's design from one `_designs` run, and
+`build_design` is its first design for one partition. Each distinct row is
 scored once: f(A) on A's distinct rows, and f(A') once per distinct (sampled
 row, replaced columns) pair, by the first partition that draws it, because
-the sampler plans the modified rows of all its partitions before any is
-scored. A local triplot over p columns so makes at most 2p calls, one fewer
-for each level that draws no new pair, and scores the distinct pairs of all
-its levels plus A's distinct rows at every level. Scoring f(A) once for all
-levels waits for the benchmark's tracer test, which relies on that repeat.
+`_designs` keys the modified rows of all its partitions before it yields
+the first design. A local triplot over p columns so makes at most 2p calls,
+one fewer for each level that draws no new pair, and scores the distinct
+pairs of all its levels plus A's distinct rows at every level. Scoring f(A)
+once for all levels waits for the benchmark's tracer test, which relies on
+that repeat.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ _K_FLAGS = 0xF1A6
 
 LASSO_MAX_SWEEPS = 100_000
 LASSO_TOL = 1e-10
-_SORT_BITS = 63  # an int64 sort key holds a draw's key and position in this many bits
 _TIE = 1e-9  # relative: path events this close happen at one knot
 _MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
@@ -74,20 +74,20 @@ class SampleDesign:
     The model scores two read-only tables under the explained table's column
     names. `distinct` holds each distinct sampled row once, in ascending row
     id, and `inverse` maps A onto it: A[i] = distinct[inverse[i]], so f(A)
-    is f(distinct)[inverse]. Designs from one `_DesignSampler` share
+    is f(distinct)[inverse]. Designs from one `_designs` run share
     `row_ids`, `distinct` and `inverse`, all read-only.
 
     A' is scored once per distinct modified row: two draws share a row when
     they replace the same columns of the same sampled row, or when they
     replace every column, which makes the row the observation itself. The
-    designs that one `_DesignSampler.designs` call plans share
+    designs that one `_designs` run plans share
     `predictions`, one slot per distinct modified row of them all, NaN until
     scored. `modified` holds the rows this design draws first, in draw
     order, and their predictions go to predictions[fills]; f(A'[i]) is
     predictions[slots[i]]. So the designs of one plan are scored in order.
 
     `W` is X'^T X', read-only: the count of draws flagging each aspect
-    (diagonal) and each pair of aspects, which the sampler counts from the
+    (diagonal) and each pair of aspects, which `_designs` counts from the
     flags instead of multiplying the N x m flag matrix by itself.
     """
 
@@ -216,113 +216,83 @@ class AspectExplanation:
         return AspectExplanation(aspects=rows, N=N, seed=seed, lam=lam)
 
 
-class _DesignSampler:
-    """The rows A sampled once, and designs for any partitions over them.
+def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, partitions,
+             tree: MergeTree | None = None):
+    """Yield a design per partition over one sample A, their modified rows planned together.
 
-    The rows come from the stream `rng.child(_K_ROWS)` and each design's
-    flags from `rng.child(_K_FLAGS)`, restarted per design, so every
+    The rows come from the stream `rng.child(_K_ROWS)` and each partition's
+    flags from `rng.child(_K_FLAGS)`, restarted per partition, so every
     partition sees the same rows A and the flags that `build_design` draws
-    for it with the same rng. `distinct`, the read-only table of A's
-    distinct rows, and `inverse`, which expands it to A, are computed once
-    and shared by every design.
+    for it with the same rng. The designs share `row_ids`, `distinct` and
+    `inverse`.
+
+    A modified row is keyed by the columns it replaces and its sampled row.
+    `_hierarchy` codes the columns from the two flagged aspects as nodes of
+    `tree`: two siblings replace their parent's columns, and the root, every
+    column, has the largest code and makes the row x* whatever the sampled
+    row. Each key is scored by the first design that draws it (see
+    `_first_draws`).
+
+    Without a tree there must be one partition, which is validated; the
+    cuts of a tree are partitions by construction. Every partition's flags
+    are drawn before the first design is yielded, and each design's rows
+    are built when it is asked for, so that they are still in cache when it
+    is scored.
     """
+    if x_star.p != table.p:
+        raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
+    row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
+    row_ids.setflags(write=False)
+    ids, inverse = np.unique(row_ids, return_inverse=True)
+    inverse.setflags(write=False)
+    # rows of the validated table need no checking again
+    distinct = NumericTable._from_validated(table.column_names, table.values[ids])
+    if tree is None:
+        validate_partition(partitions[0], table.p)
+    nodes, codes = _hierarchy(partitions, table.p, tree)
+    M, n_rows = codes.shape[0], distinct.n
+    codes = codes.reshape(-1)
 
-    def __init__(self, table: NumericTable, x_star: Observation, N: int, rng: RngStream):
-        if x_star.p != table.p:
-            raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
-        self.table = table
-        self.N = N
-        self.row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
-        self.row_ids.setflags(write=False)
-        ids, self.inverse = np.unique(self.row_ids, return_inverse=True)
-        self.inverse.setflags(write=False)
-        # rows of the validated table need no checking again
-        self.distinct = NumericTable._from_validated(table.column_names, table.values[ids])
-        A = table.values[self.row_ids]
-        # A' takes each cell from A or from x*; with D = bits(A) ^ bits(x*),
-        # bits(A') = bits(A) ^ (D * flag) selects between them exactly
-        self._bits = A.view(np.int64)
-        self._diff = self._bits ^ x_star.values.view(np.int64)
-        self._flag_stream = rng.child(_K_FLAGS)
-        self._flags = self._flag_stream.generator()
+    stream = rng.child(_K_FLAGS)
+    gen = stream.generator()
+    keys = np.empty((len(partitions), N), dtype=np.int64)
+    flags = np.empty((len(partitions), N, 2),
+                     dtype=np.min_scalar_type(max(part.m for part in partitions)))
+    for part, node, kl, key in zip(partitions, nodes, flags, keys):
+        if N < part.m:
+            raise AspectraError(f"need N >= m sampled rows, got N={N}, m={part.m}")
+        _rekey(gen.bit_generator, stream.seed, stream.stream_id)
+        drawn = gen.integers(0, part.m, size=(N, 2))
+        kl[...] = drawn
+        pair = node.take(drawn[:, 0]) * M
+        pair += node.take(drawn[:, 1])
+        codes.take(pair, out=key)
+    keys *= n_rows
+    keys += inverse
+    # a draw that replaces every column is x*: its key drops its sampled row
+    np.minimum(keys, (M * M - 1) * n_rows, out=keys)
+    slots, drawn_first, n_slots = _first_draws(keys.reshape(-1))
+    del keys
+    predictions = np.full(n_slots, np.nan)
 
-    def _draw_flags(self, partition: AspectPartition) -> np.ndarray:
-        """The N x 2 aspect indices that `partition`'s design flags."""
-        N, m = self.N, partition.m
-        if N < m:
-            raise AspectraError(f"need N >= m sampled rows, got N={N}, m={m}")
-        stream = self._flag_stream
-        _rekey(self._flags.bit_generator, stream.seed, stream.stream_id)
-        return self._flags.integers(0, m, size=(N, 2))
-
-    def designs(self, partitions, tree: MergeTree | None = None):
-        """Yield one design per partition, their modified rows planned together.
-
-        A modified row is keyed by its sampled row and the columns it
-        replaces, which `_hierarchy` codes from the two flagged aspects as
-        nodes of `tree`: two siblings replace their parent's columns, and the
-        root, every column, makes the row x* whatever the sampled row. Each
-        key is scored by the first design that draws it (see `_first_draws`).
-
-        Without a tree there must be one partition, which is validated; the
-        cuts of a tree are partitions by construction. Every partition's
-        flags are drawn before the first design is yielded.
-        """
-        N, L, n_rows = self.N, len(partitions), self.distinct.n
-        if tree is None:
-            validate_partition(partitions[0], self.table.p)
-        nodes, codes = _hierarchy(partitions, self.table.p, tree)
-        M = codes.shape[0]
-        # a draw's sort key: its code, its sampled row, then its position
-        # among all draws when that fits in _SORT_BITS; otherwise positions
-        # are left out and a stable sort keeps equal keys in draw order
-        shift = max(L * N - 1, 1).bit_length()
-        if (M * M * n_rows).bit_length() + shift > _SORT_BITS:
-            shift = 0
-        codes *= n_rows << shift
-        row_key = self.inverse << shift
-        if shift:
-            row_key += np.arange(N)
-        keys = np.empty((L, N), dtype=np.int64)
-        flags = np.empty((L, N, 2), dtype=np.min_scalar_type(max(part.m for part in partitions)))
-        for k, (part, ids) in enumerate(zip(partitions, nodes)):
-            kl = self._draw_flags(part)
-            flags[k] = kl
-            m, key, offset = part.m, keys[k], k * N if shift else 0
-            # the level's m x m pair codes, no larger than the W its fit builds
-            pairs = codes.take(ids, axis=0).take(ids, axis=1)
-            pairs += offset
-            cell = kl[:, 0] * m
-            cell += kl[:, 1]
-            pairs.take(cell, out=key)
-            key += row_key
-            if m <= 2:  # the only partitions with a pair covering every column
-                covered = (pairs == codes[-1, -1] + offset).reshape(-1).take(cell)
-                key[covered] -= self.inverse[covered] << shift
-        slots, drawn_first, n_slots = _first_draws(keys.reshape(-1), shift)
-        del keys
-        predictions = np.full(n_slots, np.nan)
-
-        # each design's rows are built when it is asked for, so that they are
-        # still in cache when it is scored
-        for k, (part, kl) in enumerate(zip(partitions, flags)):
-            span = slice(k * N, (k + 1) * N)
-            yield self._design(part, kl, slots[span], np.flatnonzero(drawn_first[span]), predictions)
-
-    def _design(self, part, kl, slots, new, predictions) -> SampleDesign:
-        """The design flagging `kl` of `part`, which scores the draws `new`."""
-        N, m = self.N, part.m
+    # A' takes each cell from A or from x*; with D = bits(A) ^ bits(x*),
+    # bits(A') = bits(A) ^ (D * flag) selects between them exactly
+    A_bits = table.values[row_ids].view(np.int64)
+    diff = A_bits ^ x_star.values.view(np.int64)
+    for k, (part, kl) in enumerate(zip(partitions, flags)):
+        m, own = part.m, slots[k * N:(k + 1) * N]
+        new = np.flatnonzero(drawn_first[k * N:(k + 1) * N])
         X_prime = np.zeros((N, m), dtype=np.int8)
         flat, at = X_prime.reshape(-1), np.arange(N) * m
         flat[at + kl[:, 0]] = 1
         flat[at + kl[:, 1]] = 1
-        aspect_of = [0] * self.table.p  # column -> its aspect
+        aspect_of = [0] * table.p  # column -> its aspect
         for j, members in enumerate(part.member_sets):
             for i in members:
                 aspect_of[i] = j
-        bits = self._diff.take(new, axis=0)
+        bits = diff.take(new, axis=0)
         np.multiply(bits, X_prime.take(new, axis=0).take(aspect_of, axis=1), out=bits)
-        bits ^= self._bits.take(new, axis=0)
+        bits ^= A_bits.take(new, axis=0)
         cell = kl[:, 0].astype(np.intp) * m
         cell += kl[:, 1]
         pairs = np.bincount(cell, minlength=m * m).reshape(m, m)
@@ -330,30 +300,34 @@ class _DesignSampler:
         W[np.diag_indices(m)] = pairs.sum(axis=0) + pairs.sum(axis=1) - pairs.diagonal()
         W.setflags(write=False)
         # A' mixes rows of the validated table with the validated observation
-        return SampleDesign(
-            row_ids=self.row_ids,
+        yield SampleDesign(
+            row_ids=row_ids,
             X_prime=X_prime,
-            distinct=self.distinct,
-            inverse=self.inverse,
-            modified=NumericTable._from_validated(self.table.column_names, bits.view(np.float64)),
+            distinct=distinct,
+            inverse=inverse,
+            modified=NumericTable._from_validated(table.column_names, bits.view(np.float64)),
             partition=part,
-            slots=slots,
-            fills=slots.take(new),
+            slots=own,
+            fills=own.take(new),
             predictions=predictions,
             W=W,
         )
 
 
-def _first_draws(keys: np.ndarray, shift: int):
+def _first_draws(keys: np.ndarray):
     """Each draw's slot, the same for equal keys, whether it is the first
-    draw of its key, and the slot count. `keys` hold each draw's position in
-    their low `shift` bits, or none when `shift` is 0; they are overwritten.
+    draw of its key, and the slot count. `keys` are nonnegative and are
+    overwritten.
 
-    Slots are numbered in key order. With positions the keys are sorted as
-    they are; without them a stable argsort orders them instead.
+    Slots are numbered in key order. When a key and the draw's position fit
+    in an int64 together, the position goes in the low bits and one sort
+    orders both; otherwise a stable argsort orders the keys.
     """
     draws = keys.shape[0]
-    if shift:
+    shift = (draws - 1).bit_length()
+    if (int(keys.max()) + 1).bit_length() + shift <= 63:
+        keys <<= shift
+        keys += np.arange(draws)
         keys.sort()
         order = keys & ((1 << shift) - 1)
         keys >>= shift
@@ -380,10 +354,11 @@ def _hierarchy(partitions, p: int, tree: MergeTree | None):
     Node ids are the tree's (see `cluster`), so the root, every column, is
     the last of the M nodes. The code of nodes a and b names the columns
     they cover together: min(a, b) * M + max(a, b), or c * (M + 1), the code
-    of c with itself, when a and b are the two children of c. Without a
-    tree, the one partition's m aspects are nodes 0..m-1 under a root m,
-    siblings when m = 2; a single aspect is the root itself. The M x M
-    codes are no larger than the first partition's W times 4.
+    of c with itself, when a and b are the two children of c; the root's
+    code, (M - 1) * (M + 1), is the largest. Without a tree, the one
+    partition's m aspects are nodes 0..m-1 under a root m, siblings when
+    m = 2; a single aspect is the root itself. The M x M codes are no larger
+    than the first partition's W times 4.
     """
     if tree is None:
         (part,) = partitions
@@ -418,11 +393,11 @@ def build_design(
 
     The row stream is derived independently of the partition, so designs
     built from the same rng share the same sampled rows A across different
-    groupings; only the flags and replacements differ. This is one
-    `_DesignSampler` asked for one partition; a local triplot keeps its
-    sampler and asks it for every tree level at once.
+    groupings; only the flags and replacements differ. This is the first
+    design `_designs` plans for the one partition; a local triplot plans
+    every tree level at once.
     """
-    return next(_DesignSampler(table, x_star, N, rng).designs([partition]))
+    return next(_designs(table, x_star, N, rng, [partition]))
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:

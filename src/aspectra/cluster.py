@@ -146,13 +146,17 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndar
         X = _average_ranks(X)
     with np.errstate(over="ignore", invalid="ignore"):
         Xc = X - X.mean(axis=0)
-        norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
-    if not np.all(np.isfinite(norms)):
-        # sums of squares past the float64 range; a correlation does not
-        # change with a column's scale, so take it from columns scaled to |x| <= 1
+        squares = np.einsum("ij,ij->j", Xc, Xc)
+    # a sum of squares past the float64 range, or a non-constant column's
+    # below 2^-970, where squares and products that underflow (each off by
+    # up to 2^-1075) are no longer lost in its rounding; a correlation does
+    # not change with a column's scale, so take it from columns scaled to
+    # |x| <= 1, whose sums of squares are 0 or above 2^-110
+    if not np.all(squares < np.inf) or np.any(Xc[:, squares < 2.0**-970]):
         scale = np.max(np.abs(X), axis=0)
         scaled = NumericTable(table.column_names, X / np.where(scale > 0.0, scale, 1.0))
         return correlation_matrix(scaled, "pearson")
+    norms = np.sqrt(squares)
     for j, s in enumerate(norms):
         if s == 0.0:
             raise ZeroVarianceColumn(table.column_names[j])

@@ -129,6 +129,14 @@ class NonFiniteLoss(AspectraError):
         )
 
 
+class NonFiniteDistance(AspectraError):
+    def __init__(self):
+        super().__init__(
+            "a squared k-NN distance overflows to a non-finite number, so the nearest "
+            "neighbours cannot be ranked; rescale the columns"
+        )
+
+
 class NonFiniteShift(AspectraError):
     def __init__(self):
         super().__init__(

@@ -85,13 +85,16 @@ class LinearModel(ModelAdapter):
 
     def predict(self, table: NumericTable) -> np.ndarray:
         values = table.values
-        out = values @ self.coefficients
-        tail = values.shape[0] % 4
-        if tail:
-            block = np.zeros((4, values.shape[1]))
-            block[:tail] = values[-tail:]
-            out[-tail:] = (block @ self.coefficients)[:tail]
-        out += self.intercept
+        # a product that overflows, or adds infinities of both signs, comes
+        # out non-finite, which `predict` rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = values @ self.coefficients
+            tail = values.shape[0] % 4
+            if tail:
+                block = np.zeros((4, values.shape[1]))
+                block[:tail] = values[-tail:]
+                out[-tail:] = (block @ self.coefficients)[:tail]
+            out += self.intercept
         return out
 
 
@@ -107,7 +110,10 @@ class KnnModel(ModelAdapter):
     against every training row (see `_kernels.knn_predict`). The result is
     bit-identical to sorting each row's exact distances.
     The training rows must form a non-empty 2-D array of finite values, with
-    one finite target per row.
+    one finite target per row. A query row whose k nearest squared distances
+    pass the float64 range (columns spread by more than about 1e154) cannot
+    be ranked and raises NonFiniteDistance; a mean of the k targets that
+    overflows comes out infinite, which `predict` rejects.
     """
 
     def __init__(self, k, train_values, train_targets, column_names=None, label=None):

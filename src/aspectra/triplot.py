@@ -4,9 +4,10 @@ Global mode scores every tree node by block-permutation importance of its
 member set; permuting a set needs no surrounding partition. Local mode walks
 the coarsening trajectory the dendrogram defines: each merge step is scored
 inside the tree-cut partition at that step, which partition_after_merges
-gives, and all steps share one sampled row set so differences between levels
-come from the grouping, not sampling. A modified row that several levels
-draw is scored once, by the first of them.
+gives, and all steps share one sampled row set, planned by
+`aspects._designs`, so differences between levels come from the grouping,
+not sampling. A modified row that several levels draw is scored once, by
+the first of them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aspects import _DesignSampler, _fit_surrogate
+from .aspects import _designs, _fit_surrogate
 from .cluster import (
     MergeTree,
     VALID_LINKAGES,
@@ -181,16 +182,18 @@ def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfi
 def predict_triplot(
     model: ModelAdapter, table: NumericTable, x_star: Observation, cfg: TriplotConfig
 ) -> TriplotResult:
-    """Single-prediction triplot: aspect contributions across all merge levels."""
+    """Single-prediction triplot: aspect contributions across all merge levels.
+
+    Level t is the cut after t merges. One `aspects._designs` run plans the
+    designs of all p levels over one sample A: only the flags differ, and a
+    modified row that an earlier level scored is not scored again.
+    """
     if cfg.mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")
     tree = _build_tree(table, cfg)
-    # every level scores the same sampled rows; only the flags differ, and
-    # a modified row an earlier level scored is not scored again
-    sampler = _DesignSampler(table, x_star, cfg.N, RngStream(cfg.seed))
     parts = [partition_after_merges(tree, t, table.column_names) for t in range(table.p)]
     levels = []
-    for design in sampler.designs(parts, tree):
+    for design in _designs(table, x_star, cfg.N, RngStream(cfg.seed), parts, tree):
         fit = _fit_surrogate(model, design, cfg.limit)
         levels.append(dict(zip(design.partition.member_sets, fit.gamma)))
     leaf_imp = np.array([levels[0][(j,)] for j in range(table.p)])

@@ -643,12 +643,13 @@ def test_large_prediction_shifts_explain_without_a_warning(argv, tmp_path, capsy
 
 @pytest.mark.parametrize("argv", [
     ["group-vars", "--cutoff", "0.5", "--method", "pearson"],
-    ["triplot", "--mode", "global", "--model", "knn:3", "--cor-method", "pearson"],
+    ["triplot", "--mode", "global", "--model", child_spec("constant"), "--cor-method", "pearson"],
 ], ids=["group-vars", "triplot-global"])
 def test_columns_near_1e300_correlate_as_their_scaled_copies(argv, tmp_path, capsys):
     # the Pearson sums of squares of a column near 1e300 pass the float64
     # range; they gave NaN correlations with an overflow warning, and then
-    # an error or a tree of NaN heights (found by tests/test_cli_fuzz.py)
+    # an error or a tree of NaN heights (found by tests/test_cli_fuzz.py).
+    # The model ignores the columns: k-NN distances this large overflow
     rng = np.random.default_rng(0)
     X = rng.standard_normal((30, 3))
     X[:, 1] = X[:, 0] + 0.3 * rng.standard_normal(30)
@@ -669,6 +670,30 @@ def test_columns_near_1e300_correlate_as_their_scaled_copies(argv, tmp_path, cap
         assert [m["members"] for m in huge] == [m["members"] for m in small]
         assert [m["height"] for m in huge] == pytest.approx([m["height"] for m in small],
                                                            abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["triplot", "--mode", "global", "--model", "knn:5"],
+     "error: a squared k-NN distance overflows"),
+    (["triplot", "--mode", "local", "--model", "linear", "--obs", "{obs}"],
+     "error: model 'linear' returned non-finite predictions"),
+], ids=["knn-1e200-column", "linear-1.7e308-observation"])
+def test_model_arithmetic_past_the_float64_range_is_exit_1(argv, message, tmp_path, capsys):
+    # the k-NN distances of a column near 1e200 overflow, and so does the
+    # linear prediction of an observation near the float64 maximum
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    scale = [1e200, 1.0, 1.0] if "knn:5" in argv else 1.0
+    data, obs, out = str(tmp_path / "data.csv"), tmp_path / "obs.csv", tmp_path / "out.json"
+    save_table(NumericTable(("a", "b", "c"), X * scale), data, target_name="y",
+               target=X @ [3.0, -2.0, 0.5])
+    obs.write_text(f"a,b,c\n{1.7e308!r},-0.5,0.25\n")
+    code, stdout, err = run([*argv[:1], "--data", data, "--target", "y", "--out", str(out),
+                             *(arg.format(obs=obs) for arg in argv[1:])], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
 
 
 _ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]

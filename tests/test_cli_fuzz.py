@@ -3,8 +3,9 @@
 Each example writes a small CSV, a `--groups` file and an `--obs` file, and
 runs every subcommand on them in-process through `cli_main`, with the
 `linear` or a `knn:K` model. The CSVs hold normal, constant, copied,
-quantised, huge (near 1e300) and subnormal (near 1e-310) columns, p down to
-1 and n down to 2; the groups and observation files are sometimes wrong.
+quantised, huge (near 1e300), maximal (1.7e308 U(-1, 1)), tiny (near
+1e-200, whose squares underflow) and subnormal (near 1e-310) columns, p down
+to 1 and n down to 2; the groups and observation files are sometimes wrong.
 Every run must end in one of two ways:
 
 - exit 0 with a document that parses as strict JSON or TSV, holds only
@@ -12,11 +13,10 @@ Every run must end in one of two ways:
 - exit 1 with exactly one `error:` line on stderr, no traceback and
   nothing on stdout.
 
-No run may warn. Values near the float64 maximum are not drawn: there the
-models' own arithmetic overflows and warns (the k-NN distances and target
-means, the linear product). The example count is small, so tier-1 stays
-fast; an input that breaks the contract becomes a fixed case in
-tests/test_cli.py.
+No run may warn, not even where the models' own arithmetic overflows (the
+k-NN distances and target means, the linear product). The example count is
+small, so tier-1 stays fast; an input that breaks the contract becomes a
+fixed case in tests/test_cli.py.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from hypothesis import strategies as st
 
 from aspectra.cli import cli_main
 
-_COLUMN_KINDS = ("normal", "constant", "copy", "quantised", "huge", "tiny")
-_TARGET_KINDS = ("linear", "constant", "huge", "tiny")
+_COLUMN_KINDS = ("normal", "constant", "copy", "quantised", "huge", "max", "tiny", "subnormal")
+_TARGET_KINDS = ("linear", "constant", "huge", "max", "tiny", "subnormal")
 
 
 def _column(kind, rng, n, columns):
@@ -49,7 +49,11 @@ def _column(kind, rng, n, columns):
         return np.round(2 * rng.standard_normal(n)) / 2
     if kind == "huge":
         return 1e300 * rng.standard_normal(n)
-    if kind == "tiny":  # subnormal
+    if kind == "max":
+        return 1.7e308 * rng.uniform(-1.0, 1.0, n)
+    if kind == "tiny":
+        return 1e-200 * rng.standard_normal(n)
+    if kind == "subnormal":
         return 1e-310 * rng.standard_normal(n)
     return rng.standard_normal(n)
 

@@ -164,6 +164,23 @@ def test_zero_variance_column_rejected():
         correlation_matrix(t)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-310])
+def test_pearson_of_tiny_columns_equals_that_of_their_exact_rescaling(scale):
+    # the squares of values this small underflow: the correlation drifted in
+    # the 5th digit, or a column that varies was taken for a constant one
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((20, 3))
+    X[:, 1] += X[:, 0]
+    X *= scale
+    names = ("a", "b", "c")
+    C = correlation_matrix(NumericTable(names, X), "pearson")
+    ref = correlation_matrix(NumericTable(names, X * 2.0**600), "pearson")
+    assert np.allclose(C, ref, rtol=0.0, atol=1e-12)
+    constant = np.column_stack([X[:, :2], np.full(20, scale)])
+    with pytest.raises(ZeroVarianceColumn):
+        correlation_matrix(NumericTable(names, constant), "pearson")
+
+
 def test_bad_method():
     with pytest.raises(AspectraError):
         correlation_matrix(random_table(0), "kendall")

@@ -6,6 +6,7 @@ from scipy.spatial.distance import cdist
 
 from aspectra import _kernels
 from aspectra._kernels import knn_predict, lasso_cd
+from aspectra.errors import NonFiniteDistance
 
 
 def _oracle_lasso_cd(X, y, lam, max_sweeps=100_000, tol=1e-10):
@@ -168,6 +169,8 @@ def _oracle_knn_predict(train, targets, query, k):
         diff = train - query[q]
         d = np.einsum("ij,ij->i", diff, diff)
         order = np.argsort(d, kind="stable")
+        if not np.isfinite(d[order[k - 1]]):
+            raise NonFiniteDistance()
         out[q] = targets[order[:k]].mean()
     return out
 
@@ -311,7 +314,9 @@ def screened_knn_problems(draw):
     """Rows on which the screen's margin decides. Grid values tie exactly,
     near-duplicates sit a few ulps apart, and rows offset by 1e5 or 1e6
     make |q|^2 + |t|^2 dwarf their distances. Every kind is scaled from
-    subnormal (1e-320, where squares underflow) to past overflow (1e160).
+    subnormal (1e-320, where squares underflow) to past overflow (1e160),
+    where the k nearest distances of a row may overflow and cannot be
+    ranked.
     Training rows are duplicated, queries copy training rows, k is any
     value from 1 to n, and screen blocks and fallback sub-blocks hold 1 to 8
     query rows each."""
@@ -348,10 +353,14 @@ def screened_knn_problems(draw):
 @given(problem=screened_knn_problems())
 def test_knn_screen_matches_oracle_across_scales(problem):
     train, targets, query, k, blocks = problem
-    got = knn_at_blocks(train, targets, query, k, blocks)
-    with np.errstate(over="ignore"):
-        want = _oracle_knn_predict(train, targets, query, k)
-    assert np.array_equal(got, want)
+    try:
+        with np.errstate(over="ignore"):
+            want = _oracle_knn_predict(train, targets, query, k)
+    except NonFiniteDistance:
+        with pytest.raises(NonFiniteDistance):
+            knn_at_blocks(train, targets, query, k, blocks)
+        return
+    assert np.array_equal(knn_at_blocks(train, targets, query, k, blocks), want)
 
 
 def test_knn_screen_overflow_falls_back_to_exact_distances():

@@ -22,7 +22,14 @@ from aspectra import (
     fit_linear,
 )
 from aspectra import models
-from aspectra.errors import AspectraError, BadK, LengthMismatch, NonFiniteLoss, RankDeficient
+from aspectra.errors import (
+    AspectraError,
+    BadK,
+    LengthMismatch,
+    NonFiniteDistance,
+    NonFiniteLoss,
+    RankDeficient,
+)
 from aspectra.models import KnnModel, LinearModel, _row_losses, loss, predict
 
 from conftest import child_cmd
@@ -165,6 +172,35 @@ def test_knn_keeps_its_own_copy_of_the_training_data():
     train[1, 0] = np.nan
     targets[1] = 20.0
     assert m.predict(table_of([[1.0]])).tolist() == [2.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1.7e308])
+def test_knn_distances_past_the_float64_range_are_an_error(scale):
+    # squared distances this large overflow to inf, and a stable sort breaks
+    # their ties by row index: every prediction came out wrong, silently
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1.0, 1.0, (40, 3)) * scale
+    m = KnnModel(5, X, rng.standard_normal(40))
+    with pytest.raises(NonFiniteDistance):
+        predict(m, table_of(X))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("targets", [[1.7e308, 1.7e308, 0.0, 0.0],  # the sum overflows
+                                     [1.7e308, 1.7e308, -1.7e308, -1.7e308]])  # both ways
+def test_knn_target_mean_past_the_float64_range_is_an_error(targets):
+    m = KnnModel(4, [[0.0], [1.0], [2.0], [3.0]], targets)
+    with pytest.raises(AspectraError, match="non-finite predictions"):
+        predict(m, table_of([[0.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [3, 40], ids=["tail-block", "product"])
+def test_linear_predictions_past_the_float64_range_are_an_error(n):
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, (n, 3)) * 1.7e308
+    with pytest.raises(AspectraError, match="non-finite predictions"):
+        predict(LinearModel(0.5, [1.0, -2.0, 0.5]), table_of(values))
 
 
 def test_constant_model():

@@ -242,8 +242,7 @@ def test_planned_triplot_is_byte_identical_to_per_level_scoring(six_table, shape
 
 def _plan(table, x_star, cfg):
     tree, parts = oracle_tree_partitions(table, cfg)
-    sampler = aspects._DesignSampler(table, x_star, cfg.N, RngStream(cfg.seed))
-    return parts, list(sampler.designs(parts, tree))
+    return parts, list(aspects._designs(table, x_star, cfg.N, RngStream(cfg.seed), parts, tree))
 
 
 def test_shared_sampler_designs_match_per_level_designs(six_table):
@@ -319,18 +318,18 @@ def test_draws_share_a_slot_exactly_when_their_modified_rows_agree(n, p, extra, 
     assert len(by_key) == len(set(slots.tolist())) == designs[0].predictions.shape[0]
 
 
-@pytest.mark.parametrize("sort_bits", [63, 0], ids=["packed", "argsort"])
-def test_plan_is_the_same_with_either_sort(six_table, sort_bits, monkeypatch):
-    # keys too wide to pack above the draw positions in an int64 take a
-    # stable argsort instead
-    table, _ = six_table
-    cfg = TriplotConfig(mode="local", N=300, seed=2)
-    reference = _plan(table, table.row(1), cfg)[1]
-    monkeypatch.setattr(aspects, "_SORT_BITS", sort_bits)
-    for ours, theirs in zip(_plan(table, table.row(1), cfg)[1], reference):
-        assert np.array_equal(ours.slots, theirs.slots)
-        assert np.array_equal(ours.fills, theirs.fills)
-        assert ours.modified.values.tobytes() == theirs.modified.values.tobytes()
+def test_first_draws_packs_positions_or_sorts_stably():
+    # keys with many repeats fit in an int64 above the draw positions; the
+    # same keys shifted by 2^60 do not, and take a stable argsort instead
+    keys = np.random.default_rng(3).integers(0, 40, size=5000)
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    drawn_first = np.zeros(keys.size, dtype=bool)
+    drawn_first[first] = True
+    for case in (keys.copy(), keys + (1 << 60)):
+        slots, ours, n_slots = aspects._first_draws(case)
+        assert np.array_equal(slots, inverse.reshape(-1))
+        assert np.array_equal(ours, drawn_first)
+        assert n_slots == unique.size
 
 
 def test_plan_memory_is_linear_in_the_draws():
@@ -344,10 +343,10 @@ def test_plan_memory_is_linear_in_the_draws():
     table = NumericTable(tuple(f"x{j}" for j in range(p)), X)
     cfg = TriplotConfig(mode="local", N=N, seed=1, cor_method="pearson")
     tree, parts = oracle_tree_partitions(table, cfg)
-    sampler = aspects._DesignSampler(table, table.row(0), N, RngStream(1))
+    designs = aspects._designs(table, table.row(0), N, RngStream(1), parts, tree)
     tracemalloc.start()
     try:
-        design = next(sampler.designs(parts, tree))
+        design = next(designs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
