@@ -332,6 +332,31 @@ def test_first_draws_packs_positions_or_sorts_stably():
         assert n_slots == unique.size
 
 
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "argsort"])
+def test_plan_is_the_same_with_either_sort(six_table, packed, monkeypatch):
+    # keys too wide to pack above the draw positions in an int64 take a
+    # stable argsort instead; raising every key by the same offset keeps
+    # their order and pushes them past the packing width
+    table, _ = six_table
+    cfg = TriplotConfig(mode="local", N=300, seed=2)
+    first_draws = aspects._first_draws
+
+    def forced(keys):
+        shift = (keys.shape[0] - 1).bit_length()
+        fits = (int(keys.max()) + 1).bit_length() + shift <= 63
+        assert fits
+        if not packed:
+            keys += 1 << (63 - shift)
+        return first_draws(keys)
+
+    reference = _plan(table, table.row(1), cfg)[1]
+    monkeypatch.setattr(aspects, "_first_draws", forced)
+    for ours, theirs in zip(_plan(table, table.row(1), cfg)[1], reference):
+        assert np.array_equal(ours.slots, theirs.slots)
+        assert np.array_equal(ours.fills, theirs.fills)
+        assert ours.modified.values.tobytes() == theirs.modified.values.tobytes()
+
+
 def test_plan_memory_is_linear_in_the_draws():
     # a wide table with N = p, where the plan's node-pair codes are as large
     # as they get against its p * N draws: the plan and the first design
