@@ -275,10 +275,6 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     del keys
     predictions = np.full(n_slots, np.nan)
 
-    # A' takes each cell from A or from x*; with D = bits(A) ^ bits(x*),
-    # bits(A') = bits(A) ^ (D * flag) selects between them exactly
-    A_bits = table.values[row_ids].view(np.int64)
-    diff = A_bits ^ x_star.values.view(np.int64)
     for k, (part, kl) in enumerate(zip(partitions, flags)):
         m, own = part.m, slots[k * N:(k + 1) * N]
         new = np.flatnonzero(drawn_first[k * N:(k + 1) * N])
@@ -290,22 +286,23 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
         for j, members in enumerate(part.member_sets):
             for i in members:
                 aspect_of[i] = j
-        bits = diff.take(new, axis=0)
-        np.multiply(bits, X_prime.take(new, axis=0).take(aspect_of, axis=1), out=bits)
-        bits ^= A_bits.take(new, axis=0)
+        # A' takes each cell of a new draw from x* where its aspect is
+        # flagged and from the draw's sampled row elsewhere: copied values,
+        # so exact and already validated
+        flagged = X_prime.take(new, axis=0).take(aspect_of, axis=1).view(bool)
+        rows = np.where(flagged, x_star.values, table.values.take(row_ids.take(new), axis=0))
         cell = kl[:, 0].astype(np.intp) * m
         cell += kl[:, 1]
         pairs = np.bincount(cell, minlength=m * m).reshape(m, m)
         W = (pairs + pairs.T).astype(np.float64)
         W[np.diag_indices(m)] = pairs.sum(axis=0) + pairs.sum(axis=1) - pairs.diagonal()
         W.setflags(write=False)
-        # A' mixes rows of the validated table with the validated observation
         yield SampleDesign(
             row_ids=row_ids,
             X_prime=X_prime,
             distinct=distinct,
             inverse=inverse,
-            modified=NumericTable._from_validated(table.column_names, bits.view(np.float64)),
+            modified=NumericTable._from_validated(table.column_names, rows),
             partition=part,
             slots=own,
             fills=own.take(new),

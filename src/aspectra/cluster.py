@@ -137,29 +137,26 @@ def _average_ranks(X: np.ndarray) -> np.ndarray:
 def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndarray:
     """Sample correlation of all column pairs, as a p x p array.
 
-    Spearman is Pearson on average ranks (ties get the mean rank).
+    Spearman is Pearson on average ranks (ties get the mean rank). A column
+    whose values are all equal raises ZeroVarianceColumn, the first such
+    column by index. Each column is then scaled by the power of two that
+    brings its largest |x| into [1/2, 1). That is exact and commutes with
+    every rounding of the mean, the products and the square root, so the
+    result keeps the bits of the unscaled computation wherever that neither
+    overflows nor underflows, and is the same at every scale.
     """
     if method not in ("pearson", "spearman"):
         raise AspectraError(f"correlation method must be pearson|spearman, got {method!r}")
     X = table.values
     if method == "spearman":
         X = _average_ranks(X)
-    with np.errstate(over="ignore", invalid="ignore"):
-        Xc = X - X.mean(axis=0)
-        squares = np.einsum("ij,ij->j", Xc, Xc)
-    # a sum of squares past the float64 range, or a non-constant column's
-    # below 2^-970, where squares and products that underflow (each off by
-    # up to 2^-1075) are no longer lost in its rounding; a correlation does
-    # not change with a column's scale, so take it from columns scaled to
-    # |x| <= 1, whose sums of squares are 0 or above 2^-110
-    if not np.all(squares < np.inf) or np.any(Xc[:, squares < 2.0**-970]):
-        scale = np.max(np.abs(X), axis=0)
-        scaled = NumericTable(table.column_names, X / np.where(scale > 0.0, scale, 1.0))
-        return correlation_matrix(scaled, "pearson")
-    norms = np.sqrt(squares)
-    for j, s in enumerate(norms):
-        if s == 0.0:
-            raise ZeroVarianceColumn(table.column_names[j])
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    constant = np.flatnonzero(lo == hi)
+    if constant.size:
+        raise ZeroVarianceColumn(table.column_names[constant[0]])
+    Xc = np.ldexp(X, -np.frexp(np.maximum(hi, -lo))[1])
+    Xc -= Xc.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
     C = (Xc.T @ Xc) / np.outer(norms, norms)
     C = np.clip((C + C.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(C, 1.0)

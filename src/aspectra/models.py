@@ -322,14 +322,29 @@ def _finite_targets(y, n: int) -> np.ndarray:
 
 
 def fit_linear(table: NumericTable, y) -> LinearModel:
-    """Ordinary least squares with intercept, via orthogonal decomposition."""
+    """Ordinary least squares with intercept, via orthogonal decomposition.
+
+    lstsq's rank tolerance grows with the largest singular value, so one
+    column far larger than the others makes a full-rank design look short.
+    Such a design is solved again with each column scaled by the power of
+    two that brings its largest |x| into [1/2, 1), and the coefficients are
+    scaled back; only a rank short there too, or a coefficient scaled back
+    past the float64 range, raises RankDeficient.
+    """
     y = _finite_targets(y, table.n)
     if table.n <= table.p:
         raise RankDeficient(f"need n > p rows, got n={table.n}, p={table.p}")
     design = np.column_stack([np.ones(table.n), table.values])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < table.p + 1:
+        exponents = np.frexp(np.max(np.abs(design), axis=0))[1]
+        coef, _, rank, _ = np.linalg.lstsq(np.ldexp(design, -exponents), y, rcond=None)
+        with np.errstate(over="ignore"):  # rejected below
+            coef = np.ldexp(coef, -exponents)
+    if rank < table.p + 1:
         raise RankDeficient(f"design rank {rank} < {table.p + 1} columns")
+    if not np.all(np.isfinite(coef)):
+        raise RankDeficient("a coefficient is past the float64 range")
     return LinearModel(coef[0], coef[1:], column_names=table.column_names)
 
 

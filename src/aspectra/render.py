@@ -1,6 +1,6 @@
 """Deterministic SVG rendering of triplots and aspect bar charts.
 
-Pure functions of (result, spec): fixed float formatting, no timestamps, so
+Pure functions of the result: fixed float formatting, no timestamps, so
 identical inputs give byte-identical documents. Structural elements carry
 stable class names (bar, node-label, junction, trajectory, zero-line) that
 tests and downstream tooling can count.
@@ -8,15 +8,14 @@ tests and downstream tooling can count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .aspects import AspectExplanation
-from .errors import AspectraError
 from .triplot import TriplotResult
 
 
+_WIDTH = 1200
+_HEIGHT = 500
 _MARGIN = 42
 _FONT_SIZE = 11
 _PANEL_GAP = 10
@@ -24,27 +23,17 @@ _BAR_COLOR = "#4477aa"
 _STROKE_COLOR = "#333333"
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    width: int = 1200
-    height: int = 500
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise AspectraError("render dimensions must be positive")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _svg_open(spec: RenderSpec) -> list:
+def _svg_open() -> list:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
 
 
@@ -78,16 +67,16 @@ def _value_scale(values, lo_px, hi_px):
     return to_px
 
 
-def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> str:
+def render_triplot(result: TriplotResult) -> str:
     """Three aligned panels: leaf bars, group-importance trajectories, dendrogram."""
     p = result.p
     tree = result.tree
-    out = _svg_open(spec)
+    out = _svg_open()
     out.append(_text(_MARGIN, _MARGIN - 18, f"{result.mode} importance triplot", "title"))
 
-    panel_w = (spec.width - 2 * _MARGIN - 2 * _PANEL_GAP) / 3.0
+    panel_w = (_WIDTH - 2 * _MARGIN - 2 * _PANEL_GAP) / 3.0
     top = _MARGIN + 14
-    bottom = spec.height - _MARGIN - 18
+    bottom = _HEIGHT - _MARGIN - 18
     leaf_order = tree.leaf_order()
     row_h = (bottom - top) / p
     row_y = {}
@@ -182,7 +171,7 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
 
     if result.mode == "global":
         out.append(_text(
-            _MARGIN, spec.height - _MARGIN + 26,
+            _MARGIN, _HEIGHT - _MARGIN + 26,
             f"full model loss {result.full_model_loss:.3f}  "
             f"baseline loss {result.baseline_loss:.3f}",
             "footer",
@@ -191,10 +180,10 @@ def render_triplot(result: TriplotResult, spec: RenderSpec = RenderSpec()) -> st
     return "\n".join(out) + "\n"
 
 
-def render_aspects(expl: AspectExplanation, spec: RenderSpec = RenderSpec()) -> str:
+def render_aspects(expl: AspectExplanation) -> str:
     """Diverging bar chart of aspect contributions, largest magnitude on top."""
     rows = expl.aspects
-    out = _svg_open(spec)
+    out = _svg_open()
     title = f"aspect contributions (N={expl.N}, seed={expl.seed}"
     if expl.lam is not None:
         title += f", lambda={expl.lam:.6g}"
@@ -202,12 +191,12 @@ def render_aspects(expl: AspectExplanation, spec: RenderSpec = RenderSpec()) -> 
     out.append(_text(_MARGIN, _MARGIN - 18, title, "title"))
 
     top = _MARGIN + 10
-    bottom = spec.height - _MARGIN
+    bottom = _HEIGHT - _MARGIN
     n_rows = max(len(rows), 1)
     row_h = (bottom - top) / n_rows
     name_w = 180.0
     bar_lo = _MARGIN + name_w
-    bar_hi = spec.width - _MARGIN - 70
+    bar_hi = _WIDTH - _MARGIN - 70
     contribs = np.array([r.contribution for r in rows]) if rows else np.zeros(1)
     to_px = _value_scale(contribs, bar_lo, bar_hi)
     zero_x = to_px(0.0)

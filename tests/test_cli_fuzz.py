@@ -6,7 +6,8 @@ runs every subcommand on them in-process through `cli_main`, with the
 quantised, huge (near 1e300), maximal (1.7e308 U(-1, 1)), tiny (near
 1e-200, whose squares underflow) and subnormal (near 1e-310) columns, p down
 to 1 and n down to 2; the groups and observation files are sometimes wrong.
-Every run must end in one of two ways:
+Every run must end in one of two ways, and `group-vars` in the second
+whenever a feature column is constant:
 
 - exit 0 with a document that parses as strict JSON or TSV, holds only
   finite numbers and, for a triplot or an aspect document, renders as SVG;
@@ -64,7 +65,8 @@ def _csv(names, rows):
 
 @st.composite
 def _inputs(draw):
-    """The data, groups and observation files' text, and each run's options."""
+    """The data, groups and observation files' text, each run's options, and
+    whether a feature column is constant."""
     n = draw(st.integers(2, 12))
     p = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -120,7 +122,8 @@ def _inputs(draw):
         "format": draw(st.sampled_from(["tsv", "json"])),
         "linkage": draw(st.sampled_from(["complete", "single", "average"])),
     }
-    return data, json.dumps(groups), obs, opts
+    constant = bool(np.any(X.max(axis=0) == X.min(axis=0)))
+    return data, json.dumps(groups), obs, opts, constant
 
 
 def _run(argv, out=None):
@@ -185,7 +188,7 @@ def _check_renders(doc_path, svg_path):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_inputs())
 def test_every_subcommand_exits_0_with_a_finite_document_or_1_with_one_error(case):
-    data_text, groups_text, obs_text, o = case
+    data_text, groups_text, obs_text, o, constant = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data, groups, obs = tmp / "data.csv", tmp / "groups.json", tmp / "obs.csv"
@@ -200,6 +203,8 @@ def test_every_subcommand_exits_0_with_a_finite_document_or_1_with_one_error(cas
 
         doc = _run(["group-vars", "--data", str(data), "--target", "y",
                     "--cutoff", o["cutoff"], "--method", o["method"]])
+        # a constant column has no correlation, whatever its mean rounds to
+        assert doc is None or not constant
         if doc is not None:
             _check_json(doc)
 

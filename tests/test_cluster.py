@@ -181,6 +181,35 @@ def test_pearson_of_tiny_columns_equals_that_of_their_exact_rescaling(scale):
         correlation_matrix(NumericTable(names, constant), "pearson")
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=30), p=st.integers(min_value=1, max_value=5),
+       seed=st.integers(0, 2**32 - 1),
+       ks=st.lists(st.integers(-1000, 1000), min_size=5, max_size=5))
+def test_pearson_is_bit_identical_under_power_of_two_column_scaling(n, p, seed, ks):
+    # squares and cross products of columns scaled this far overflow or
+    # underflow unscaled; a correlation must not see the scale at all
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p)) + rng.uniform(-3.0, 3.0, p)
+    scaled = np.ldexp(X, ks[:p])
+    assume(np.all(np.abs(scaled) >= np.finfo(np.float64).tiny) and np.all(np.isfinite(scaled)))
+    names = tuple(f"x{j}" for j in range(p))
+    C = correlation_matrix(NumericTable(names, X), "pearson")
+    ref = correlation_matrix(NumericTable(names, scaled), "pearson")
+    assert C.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("method", ["pearson", "spearman"])
+@pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3])
+def test_constant_column_raises_whatever_its_mean_rounds_to(method, value):
+    # the mean of n copies of these values is not the value itself, so a
+    # constant column must be told by its values, not by its centred ones
+    x = np.array([1.0, 2.0, 4.0])
+    t = NumericTable(("x", "c", "d"), np.column_stack([x, np.full(3, value), np.full(3, 2.5)]))
+    with pytest.raises(ZeroVarianceColumn) as caught:
+        correlation_matrix(t, method)
+    assert caught.value.name == "c"
+
+
 def test_bad_method():
     with pytest.raises(AspectraError):
         correlation_matrix(random_table(0), "kendall")

@@ -92,6 +92,34 @@ def test_fit_linear_rank_deficient():
         fit_linear(table_of(np.ones((3, 3))), np.ones(3))  # n <= p
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
+def test_fit_linear_of_a_huge_column_fits_like_the_unscaled_table(scale):
+    # lstsq's rank tolerance grows with the largest singular value, so the
+    # raw design reads rank 1; the retry on power-of-two-scaled columns fits
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    y = X @ np.array([3.0, -2.0, 0.5])
+    ref = fit_linear(table_of(X), y)
+    huge = X * [scale, 1.0, 1.0]
+    m = fit_linear(table_of(huge), y)
+    assert m.intercept == pytest.approx(ref.intercept, abs=1e-12)
+    assert np.allclose(m.coefficients * [scale, 1.0, 1.0], ref.coefficients, rtol=1e-12, atol=0.0)
+    assert np.allclose(m.predict(table_of(huge)), ref.predict(table_of(X)), rtol=1e-12, atol=1e-12)
+    with pytest.raises(RankDeficient):
+        fit_linear(table_of(np.column_stack([huge, huge[:, 1]])), y)
+
+
+def test_fit_linear_of_a_subnormal_column_raises_without_a_warning():
+    # the retry fits, but a's coefficient, near 3e310, is past the float64 range
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 3))
+    y = X @ np.array([3.0, -2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient, match="past the float64 range"):
+            fit_linear(table_of(X * [1e-310, 1.0, 1.0]), y)
+
+
 def test_fit_linear_length_mismatch():
     with pytest.raises(LengthMismatch):
         fit_linear(table_of(np.ones((5, 1))), np.ones(4))

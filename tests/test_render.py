@@ -16,9 +16,8 @@ from aspectra import (
     render_aspects,
     render_triplot,
 )
-from aspectra.errors import AspectraError
 from aspectra.models import LinearModel
-from aspectra.render import RenderSpec, _escape
+from aspectra.render import _escape
 
 from conftest import make_six_variable, singletons
 
@@ -80,17 +79,6 @@ def test_triplot_axis_in_correlation_units(global_result):
     # axis end labels: correlation 1.00 at height 0 down to 1 - h_max
     assert ">1.00<" in svg
     assert "correlation" in svg
-
-
-def test_triplot_custom_dimensions(global_result):
-    svg = render_triplot(global_result, RenderSpec(width=640, height=320))
-    assert 'width="640"' in svg and 'height="320"' in svg
-    ET.fromstring(svg)
-
-
-def test_renderspec_validation():
-    with pytest.raises(AspectraError):
-        RenderSpec(width=0)
 
 
 def test_aspects_svg_structure():
