@@ -2,10 +2,13 @@
 
 The explainer samples N rows, flags one or two aspects per sampled row, and
 overwrites the flagged aspects' columns with the explained observation's
-values. The difference between modified and unmodified predictions is then
-regressed on the binary flag matrix; the coefficients are the aspect
-contributions. An L1-limited variant caps how many aspects stay nonzero, at
-the knot of the exact lasso path where the cap first breaks.
+values. A design holds each draw's two flags, not the N x m binary design
+X' they define. The difference between modified and unmodified predictions
+is regressed on X' through its normal equations alone: `_normal_equations`
+forms W = X'^T X' and Z = X'^T Y, the solvers' only inputs. The
+coefficients are the aspect contributions. An L1-limited variant caps how
+many aspects stay nonzero, at the knot of the exact lasso path where the
+cap first breaks.
 
 The sampled rows do not depend on the grouping: the generator `_designs`
 draws them once, and each partition it plans draws only its flags. A local
@@ -24,7 +27,7 @@ that repeat.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,12 +67,13 @@ _MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
 @dataclass(frozen=True)
 class SampleDesign:
-    """Sampled rows A, binary flag matrix, and the modified rows A' to score.
+    """Sampled rows A, each draw's aspect flags, and the modified rows A' to score.
 
-    Every row of the flag matrix has one or two entries set: the two aspect
-    indices are drawn with replacement, so they may coincide (probability
-    1/m). Draw i's modified row A'[i] equals the explained observation at
-    column j when column j's aspect is flagged in row i, otherwise A[i, j].
+    Draw i flags aspects flags[i, 0] and flags[i, 1], drawn with replacement
+    (they coincide with probability 1/m), so row i of the binary design X'
+    has one or two entries set; `_normal_equations` reads X' off the flags.
+    Draw i's modified row A'[i] equals the explained observation at column j
+    when column j's aspect is flagged in draw i, otherwise A[i, j].
 
     The model scores two read-only tables under the explained table's column
     names. `distinct` holds each distinct sampled row once, in ascending row
@@ -80,19 +84,15 @@ class SampleDesign:
     A' is scored once per distinct modified row: two draws share a row when
     they replace the same columns of the same sampled row, or when they
     replace every column, which makes the row the observation itself. The
-    designs that one `_designs` run plans share
-    `predictions`, one slot per distinct modified row of them all, NaN until
-    scored. `modified` holds the rows this design draws first, in draw
-    order, and their predictions go to predictions[fills]; f(A'[i]) is
-    predictions[slots[i]]. So the designs of one plan are scored in order.
-
-    `W` is X'^T X', read-only: the count of draws flagging each aspect
-    (diagonal) and each pair of aspects, which `_designs` counts from the
-    flags instead of multiplying the N x m flag matrix by itself.
+    designs that one `_designs` run plans share `predictions`, one slot per
+    distinct modified row of them all, NaN until scored. `modified` holds
+    the rows this design draws first, in draw order, and their predictions
+    go to predictions[fills]; f(A'[i]) is predictions[slots[i]]. So the
+    designs of one plan are scored in order.
     """
 
     row_ids: np.ndarray
-    X_prime: np.ndarray  # N x m, int8
+    flags: np.ndarray  # N x 2, read-only: the two aspects each draw flags
     distinct: NumericTable
     inverse: np.ndarray
     modified: NumericTable
@@ -100,43 +100,33 @@ class SampleDesign:
     slots: np.ndarray  # N, each draw's slot in `predictions`
     fills: np.ndarray  # modified.n, the slots that `modified` scores
     predictions: np.ndarray  # shared by the designs of one plan
-    W: np.ndarray  # m x m, float
 
     @property
     def N(self) -> int:
-        return self.X_prime.shape[0]
+        return self.flags.shape[0]
 
     @property
     def m(self) -> int:
-        return self.X_prime.shape[1]
+        return self.partition.m
 
 
 @dataclass(frozen=True)
 class SurrogateFit:
-    """Least-squares surrogate of the prediction shifts on the flag matrix.
+    """Surrogate of the prediction shifts on the binary design X'.
 
     W = X'^T X' counts how often single aspects (diagonal) and aspect pairs
     (off-diagonal) were flagged together; Z = X'^T Y accumulates the shift
-    per aspect. gamma solves W gamma = Z; there is no intercept term. X and
-    y are the flag matrix as floats and the shifts, kept for the residual.
+    per aspect. The fit reads nothing else: gamma solves W gamma = Z, or the
+    capped lasso on them; there is no intercept term.
     """
 
     gamma: np.ndarray
     W: np.ndarray
     Z: np.ndarray
-    X: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
     lam: float | None = None
     # (lambda, nonzero count) at each knot of the exact lasso path walked,
     # the last at `lam`; gamma is one coordinate descent solve there
     path: tuple = ()
-
-    @property
-    def residual_norm(self) -> float:
-        """||X gamma - y||, computed when read; inf when the squares of large
-        shifts pass the float64 range."""
-        with np.errstate(over="ignore"):
-            return float(np.linalg.norm(self.X @ self.gamma - self.y))
 
 
 @dataclass(frozen=True)
@@ -267,6 +257,7 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
         pair = node.take(drawn[:, 0]) * M
         pair += node.take(drawn[:, 1])
         codes.take(pair, out=key)
+    flags.setflags(write=False)
     keys *= n_rows
     keys += inverse
     # a draw that replaces every column is x*: its key drops its sampled row
@@ -276,30 +267,22 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     predictions = np.full(n_slots, np.nan)
 
     for k, (part, kl) in enumerate(zip(partitions, flags)):
-        m, own = part.m, slots[k * N:(k + 1) * N]
+        own = slots[k * N:(k + 1) * N]
         new = np.flatnonzero(drawn_first[k * N:(k + 1) * N])
-        X_prime = np.zeros((N, m), dtype=np.int8)
-        flat, at = X_prime.reshape(-1), np.arange(N) * m
-        flat[at + kl[:, 0]] = 1
-        flat[at + kl[:, 1]] = 1
         aspect_of = [0] * table.p  # column -> its aspect
         for j, members in enumerate(part.member_sets):
             for i in members:
                 aspect_of[i] = j
-        # A' takes each cell of a new draw from x* where its aspect is
-        # flagged and from the draw's sampled row elsewhere: copied values,
-        # so exact and already validated
-        flagged = X_prime.take(new, axis=0).take(aspect_of, axis=1).view(bool)
+        aspect_of = np.array(aspect_of, dtype=kl.dtype)
+        # A' takes each cell of a new draw from x* where its aspect is one
+        # of the draw's two flags and from the draw's sampled row elsewhere:
+        # copied values, so exact and already validated
+        new_flags = kl.take(new, axis=0)
+        flagged = (new_flags[:, :1] == aspect_of) | (new_flags[:, 1:] == aspect_of)
         rows = np.where(flagged, x_star.values, table.values.take(row_ids.take(new), axis=0))
-        cell = kl[:, 0].astype(np.intp) * m
-        cell += kl[:, 1]
-        pairs = np.bincount(cell, minlength=m * m).reshape(m, m)
-        W = (pairs + pairs.T).astype(np.float64)
-        W[np.diag_indices(m)] = pairs.sum(axis=0) + pairs.sum(axis=1) - pairs.diagonal()
-        W.setflags(write=False)
         yield SampleDesign(
             row_ids=row_ids,
-            X_prime=X_prime,
+            flags=kl,
             distinct=distinct,
             inverse=inverse,
             modified=NumericTable._from_validated(table.column_names, rows),
@@ -307,7 +290,6 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
             slots=own,
             fills=own.take(new),
             predictions=predictions,
-            W=W,
         )
 
 
@@ -355,7 +337,7 @@ def _hierarchy(partitions, p: int, tree: MergeTree | None):
     code, (M - 1) * (M + 1), is the largest. Without a tree, the one
     partition's m aspects are nodes 0..m-1 under a root m, siblings when
     m = 2; a single aspect is the root itself. The M x M codes are no larger
-    than the first partition's W times 4.
+    than 4 m^2 for the first partition's m.
     """
     if tree is None:
         (part,) = partitions
@@ -408,7 +390,7 @@ def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
     rows. Under the row-independence contract of `ModelAdapter` that equals
     scoring all N rows of A' and of A. A shift that overflows comes out
     infinite, and one whose row no design scored yet comes out NaN, for
-    `_design_matrices` to reject.
+    `_normal_equations` to reject.
     """
     if design.modified.n:
         design.predictions[design.fills] = predict(model, design.modified)
@@ -416,19 +398,33 @@ def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
         return design.predictions.take(design.slots) - predict(model, design.distinct)[design.inverse]
 
 
-def _design_matrices(design: SampleDesign, ym: np.ndarray):
-    X = design.X_prime.astype(np.float64)
+def _normal_equations(design: SampleDesign, ym: np.ndarray):
+    """W = X'^T X' and Z = X'^T Y from the design's flags and the shifts Y.
+
+    W counts the draws flagging each aspect (diagonal) and each aspect pair
+    by one bincount; a draw whose flags coincide counts once. Z multiplies
+    Y by X' built as floats, so that BLAS sums it as it always has.
+    """
+    N, m = design.N, design.m
     y = np.asarray(ym, dtype=np.float64).reshape(-1)
-    if y.shape[0] != design.N:
-        raise AspectraError(f"expected {design.N} prediction shifts, got {y.shape[0]}")
-    W = design.W
+    if y.shape[0] != N:
+        raise AspectraError(f"expected {N} prediction shifts, got {y.shape[0]}")
+    first, second = design.flags[:, 0], design.flags[:, 1]
+    cell = first.astype(np.intp) * m + second
+    pairs = np.bincount(cell, minlength=m * m).reshape(m, m)
+    W = (pairs + pairs.T).astype(np.float64)
+    W[np.diag_indices(m)] = pairs.sum(axis=0) + pairs.sum(axis=1) - pairs.diagonal()
+    X = np.zeros((N, m))
+    flat, at = X.reshape(-1), np.arange(0, N * m, m)
+    flat[at + first] = 1.0
+    flat[at + second] = 1.0
     # every row flags an aspect, so a shift that overflowed, or was taken
     # from a design not yet scored, makes Z non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         Z = X.T @ y
     if not np.isfinite(Z).all():
         raise NonFiniteShift()
-    return X, y, W, Z
+    return W, Z
 
 
 def _check_nonsingular(W: np.ndarray, partition: AspectPartition) -> None:
@@ -439,12 +435,10 @@ def _check_nonsingular(W: np.ndarray, partition: AspectPartition) -> None:
         raise SingularDesign("aspect flag columns are collinear")
 
 
-def fit_ols(design: SampleDesign, ym: np.ndarray) -> SurrogateFit:
-    """Closed-form surrogate coefficients from the normal equations."""
-    X, y, W, Z = _design_matrices(design, ym)
-    _check_nonsingular(W, design.partition)
-    gamma = np.linalg.solve(W, Z)
-    return SurrogateFit(gamma=gamma, W=W, Z=Z, X=X, y=y)
+def fit_ols(W, Z, partition: AspectPartition) -> SurrogateFit:
+    """Closed-form coefficients solving W gamma = Z; `partition` names unflagged aspects."""
+    _check_nonsingular(W, partition)
+    return SurrogateFit(gamma=np.linalg.solve(W, Z), W=W, Z=Z)
 
 
 def _sign(v: float) -> float:
@@ -592,12 +586,13 @@ def _knot_active_set(W, rhs_rows, kept, tied, joining, signs):
     raise SingularDesign("no active set continues the lasso path")
 
 
-def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
+def fit_lasso(W, Z, N: int, partition: AspectPartition, limit: int) -> SurrogateFit:
     """Smallest-lambda L1 fit keeping at most `limit` nonzero contributions.
 
-    Lasso on the raw binary design (no standardization, no intercept);
-    limit = m takes the plain least-squares path. Otherwise the exact lasso
-    path on W = X'^T X' and Z = X'^T Y is walked down from
+    Lasso on the raw binary design of N draws (no standardization, no
+    intercept), given by W = X'^T X' and Z = X'^T Y alone (see
+    `_normal_equations`); limit = m takes the plain least-squares path.
+    Otherwise the exact lasso path on (W, Z) is walked down from
     lambda_max = max_j |Z[j]| / N, where every coefficient is 0, and stops at
     the first segment with more than `limit` nonzero coefficients (the lasso
     variant of LARS). The knot on top of it is the returned lambda, the
@@ -607,18 +602,15 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
     gives gamma; if it spends all LASSO_MAX_SWEEPS sweeps, LassoNotConverged
     is raised.
     """
-    m = design.m
+    m = partition.m
     if not 0 <= limit <= m:
         raise AspectraError(f"limit must be in [0, {m}], got {limit}")
     if limit >= m:
-        fit = fit_ols(design, ym)
-        nnz = int(np.count_nonzero(fit.gamma))
-        return SurrogateFit(
-            gamma=fit.gamma, W=fit.W, Z=fit.Z, X=fit.X, y=fit.y, lam=0.0, path=((0.0, nnz),),
-        )
-    X, y, W, Z = _design_matrices(design, ym)
+        gamma = fit_ols(W, Z, partition).gamma
+        return SurrogateFit(gamma=gamma, W=W, Z=Z, lam=0.0,
+                            path=((0.0, int(np.count_nonzero(gamma))),))
     t = float(np.max(np.abs(Z)))  # the knot reached, in t = N * lambda
-    trace = [(t / design.N, 0)]
+    trace = [(t / N, 0)]
     gamma = np.zeros(m)
     # Z = 0 has no path to walk, and limit = 0 holds only at the top
     if limit > 0 and t > 0.0:
@@ -627,28 +619,28 @@ def fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
             if P.shape[0] > limit:
                 break
             t, kept = t_low, np.sort(P)
-            trace.append((t / design.N, P.shape[0]))
+            trace.append((t / N, P.shape[0]))
         if kept is not None:
             sub, sweeps = _kernels.lasso_cd(
                 W[np.ix_(kept, kept)], Z[kept], t, LASSO_MAX_SWEEPS, LASSO_TOL
             )
             if sweeps >= LASSO_MAX_SWEEPS:
-                raise LassoNotConverged(t / design.N, sweeps)
+                raise LassoNotConverged(t / N, sweeps)
             gamma[kept] = sub
-    return SurrogateFit(gamma=gamma, W=W, Z=Z, X=X, y=y, lam=trace[-1][0], path=tuple(trace))
+    return SurrogateFit(gamma=gamma, W=W, Z=Z, lam=trace[-1][0], path=tuple(trace))
 
 
 def _fit_surrogate(model: ModelAdapter, design: SampleDesign, limit: int | None) -> SurrogateFit:
-    """Score a design and fit the surrogate.
+    """Score a design and fit the surrogate on its normal equations.
 
     gamma is aligned to `design.partition.member_sets`; limit=None fits by
     OLS. A limit at or above the aspect count is the uncapped fit, so a
     coarse partition takes min(limit, m).
     """
-    ym = delta_predictions(model, design)
+    W, Z = _normal_equations(design, delta_predictions(model, design))
     if limit is None:
-        return fit_ols(design, ym)
-    return fit_lasso(design, ym, min(limit, design.m))
+        return fit_ols(W, Z, design.partition)
+    return fit_lasso(W, Z, design.N, design.partition, min(limit, design.m))
 
 
 def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str, C):
@@ -695,8 +687,11 @@ def predict_aspects(
     [0, 1]; a cutoff delegates the grouping to group_variables. With `limit`
     set, at most that many aspects keep a nonzero contribution; a limit at or
     above the number of aspects the grouping gives fits without a cap, as
-    limit = m does. A negative limit raises AspectraError.
+    limit = m does. A negative limit raises AspectraError before the model
+    is called.
     """
+    if limit is not None and limit < 0:
+        raise AspectraError(f"limit must be >= 0, got {limit}")
     if isinstance(grouping, AspectPartition):
         partition, C = grouping, None
     else:

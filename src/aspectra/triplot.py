@@ -60,6 +60,10 @@ class TriplotConfig:
         if self.mode == "local" and self.N is None:
             raise AspectraError("local mode needs a sample size N")
         _integer_fields(self, ("seed",), optional=("N", "limit"))
+        if self.N is not None and self.N < 1:
+            raise AspectraError(f"N must be >= 1, got {self.N}")
+        if self.limit is not None and self.limit < 0:
+            raise AspectraError(f"limit must be >= 0, got {self.limit}")
 
 
 @dataclass(frozen=True)

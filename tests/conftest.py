@@ -113,11 +113,30 @@ class RowwiseModel(ModelAdapter):
 # ------------------------------------------------- per-level scoring oracle
 
 
+def x_prime(flags, m: int) -> np.ndarray:
+    """The N x m binary design X' that a design's N x 2 flags define: row i
+    is 1 in columns flags[i, 0] and flags[i, 1], one column when they
+    coincide. The dense oracle for what `aspects._normal_equations` reads
+    off the flags."""
+    X = np.zeros((flags.shape[0], m), dtype=np.int8)
+    X[np.arange(flags.shape[0]), flags[:, 0]] = 1
+    X[np.arange(flags.shape[0]), flags[:, 1]] = 1
+    return X
+
+
+def dense_normal_equations(design, ym):
+    """W = X'^T X' and Z = X'^T Y on the dense X' as floats: the products
+    that the surrogate was once solved from, and the bits that
+    `aspects._normal_equations` must give."""
+    X = x_prime(design.flags, design.m).astype(np.float64)
+    return X.T @ X, X.T @ np.asarray(ym, dtype=np.float64)
+
+
 def oracle_build_design(table, x_star, partition, N, rng):
     """build_design as it was before designs shared one row sample or planned
     their modified rows: every call draws A again, builds all N rows of A'
-    with np.where, and gives every draw a slot of its own, so that
-    delta_predictions scores all N rows of A'."""
+    with np.where on the dense X', and gives every draw a slot of its own,
+    so that delta_predictions scores all N rows of A'."""
     validate_partition(partition, table.p)
     if x_star.p != table.p:
         raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
@@ -127,9 +146,7 @@ def oracle_build_design(table, x_star, partition, N, rng):
     row_ids = sampled_row_ids(table, N, rng.child(aspects._K_ROWS))
     A = table.values[row_ids]
     kl = rng.child(aspects._K_FLAGS).generator().integers(0, m, size=(N, 2))
-    X_prime = np.zeros((N, m), dtype=np.int8)
-    X_prime[np.arange(N), kl[:, 0]] = 1
-    X_prime[np.arange(N), kl[:, 1]] = 1
+    X_prime = x_prime(kl, m)
     aspect_of = np.empty(table.p, dtype=np.intp)  # column -> its aspect
     for j, members in enumerate(partition.member_sets):
         aspect_of[list(members)] = j
@@ -138,7 +155,7 @@ def oracle_build_design(table, x_star, partition, N, rng):
     names = table.column_names
     return SampleDesign(
         row_ids=row_ids,
-        X_prime=X_prime,
+        flags=kl,
         distinct=NumericTable._from_validated(names, table.values[ids]),
         inverse=inverse,
         modified=NumericTable._from_validated(names, A_prime),
@@ -146,7 +163,6 @@ def oracle_build_design(table, x_star, partition, N, rng):
         slots=np.arange(N),
         fills=np.arange(N),
         predictions=np.full(N, np.nan),
-        W=X_prime.T.astype(np.float64) @ X_prime.astype(np.float64),
     )
 
 
@@ -160,10 +176,11 @@ def planned_modified(designs):
 
 
 def oracle_fit(model, design, limit):
-    ym = delta_predictions(model, design)
+    """The surrogate fit, solved from the dense X' oracle's W and Z."""
+    W, Z = dense_normal_equations(design, delta_predictions(model, design))
     if limit is None:
-        return fit_ols(design, ym)
-    return fit_lasso(design, ym, min(limit, design.m))
+        return fit_ols(W, Z, design.partition)
+    return fit_lasso(W, Z, design.N, design.partition, min(limit, design.m))
 
 
 def oracle_tree_partitions(table, cfg):
@@ -206,9 +223,10 @@ def oracle_modified_keys(table, x_star, partition, N, seed):
     of columns replaced, or the full column set alone, since a row with every
     column replaced is x* itself."""
     design = oracle_build_design(table, x_star, partition, N, RngStream(seed))
+    X_prime = x_prime(design.flags, design.m)
     keys = []
     for i in range(N):
-        cols = frozenset(c for j in np.flatnonzero(design.X_prime[i])
+        cols = frozenset(c for j in np.flatnonzero(X_prime[i])
                          for c in partition.member_sets[j])
         keys.append(cols if len(cols) == table.p else (int(design.row_ids[i]), cols))
     return keys

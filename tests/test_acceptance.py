@@ -32,14 +32,14 @@ from aspectra import (
     render_aspects,
     render_triplot,
 )
-from aspectra.aspects import build_design, delta_predictions, fit_lasso, fit_ols
+from aspectra.aspects import _normal_equations, build_design, delta_predictions, fit_lasso, fit_ols
 from aspectra.cli import cli_main
 from aspectra.data import RngStream
 from aspectra.errors import SingularDesign
 from aspectra.global_importance import ImportanceContext
 from aspectra.models import LinearModel
 
-from conftest import make_six_variable, singletons
+from conftest import make_six_variable, singletons, x_prime
 
 
 class Budget:
@@ -104,7 +104,7 @@ def test_criterion_01_closed_form_equivalence():
         ym = rng.standard_normal(N)
 
         # independent oracle: element-wise sums of sigma products
-        Xp = design.X_prime
+        Xp = x_prime(design.flags, design.m)
         W = [
             [sum(int(Xp[n, i]) * int(Xp[n, j]) for n in range(N)) for j in range(m)]
             for i in range(m)
@@ -116,7 +116,7 @@ def test_criterion_01_closed_form_equivalence():
         if expected is None:
             continue
 
-        fit = fit_ols(design, ym)
+        fit = fit_ols(*_normal_equations(design, ym), design.partition)
         dev = float(np.max(np.abs(fit.gamma - np.array(expected))))
         worst = max(worst, dev)
         assert dev <= 1e-10, f"instance {collected}: deviation {dev}"
@@ -299,11 +299,12 @@ def test_criterion_07_lasso_contract():
         N = 300
         design = random_design(rng, m, N)
         gamma_true = rng.standard_normal(m) * np.array([4.0, 3.0, 2.0, 1.2, 0.7, 0.4])
-        ym = design.X_prime.astype(float) @ gamma_true + 0.05 * rng.standard_normal(N)
-        ols = fit_ols(design, ym)
+        ym = x_prime(design.flags, m).astype(float) @ gamma_true + 0.05 * rng.standard_normal(N)
+        W, Z = _normal_equations(design, ym)
+        ols = fit_ols(W, Z, design.partition)
         support = int(np.count_nonzero(ols.gamma))
         for limit in range(m + 1):
-            fit = fit_lasso(design, ym, limit)
+            fit = fit_lasso(W, Z, N, design.partition, limit)
             nnz = int(np.count_nonzero(fit.gamma))
             assert nnz <= limit, f"instance {instance} limit {limit}: {nnz} nonzeros"
             if limit == m:
@@ -415,7 +416,7 @@ def test_criterion_11_average_observation_small_Z():
     part = singletons(table.column_names)
     design = build_design(table, x_star, part, N=20_000, rng=RngStream(0))
     ym = delta_predictions(model, design)
-    Z = design.X_prime.astype(float).T @ ym
+    Z = x_prime(design.flags, design.m).astype(float).T @ ym
     mean_z = float(np.mean(np.abs(Z)) / design.N)
     sd_ym = float(np.std(ym))
     assert sd_ym > 0.0

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,23 +26,23 @@ from aspectra.aspects import (
     _MAX_TIED,
     _TIE,
     AspectExplanation,
-    SampleDesign,
     SurrogateFit,
-    _design_matrices,
     _lasso_path,
+    _normal_equations,
     build_design,
     delta_predictions,
     fit_lasso,
     fit_ols,
 )
 from aspectra.data import RngStream
-from aspectra.errors import AspectraError, LassoNotConverged
+from aspectra.errors import AspectraError, LassoNotConverged, NonFiniteShift
 from aspectra.models import LinearModel
 
 from conftest import (
     CountingModel,
     RowwiseModel,
     child_cmd,
+    dense_normal_equations,
     make_six_variable,
     oracle_build_design,
     oracle_modified_keys,
@@ -51,6 +52,7 @@ from conftest import (
     planned_calls_and_rows,
     planned_modified,
     singletons,
+    x_prime,
 )
 
 
@@ -70,14 +72,15 @@ def test_design_shapes_and_flag_counts():
     t = uniform_table()
     part = singleton_partition(t)
     d = build_design(t, t.row(0), part, N=300, rng=RngStream(0))
-    assert d.X_prime.shape == (300, 4)
+    assert d.flags.shape == (300, 2) and d.m == 4
+    X_prime = x_prime(d.flags, d.m)
     assert d.slots.shape == d.inverse.shape == (300,)
     # each distinct modified row once, in a slot of its own
     assert d.modified.values.shape == (d.predictions.shape[0], 4)
     assert np.array_equal(np.sort(d.fills), np.arange(d.modified.n))
     assert np.array_equal(np.unique(d.slots), np.arange(d.modified.n))
     assert d.distinct.values.shape == (np.unique(d.row_ids).size, 4)
-    counts = d.X_prime.sum(axis=1)
+    counts = X_prime.sum(axis=1)
     assert np.all((counts == 1) | (counts == 2))
     assert np.any(counts == 1) and np.any(counts == 2)  # both draw types occur
 
@@ -101,7 +104,7 @@ def test_design_tables_are_read_only():
         with pytest.raises(ValueError):
             table.values[0, 0] = 1.0
     assert not d.row_ids.flags.writeable and not d.inverse.flags.writeable
-    assert not d.slots.flags.writeable
+    assert not d.slots.flags.writeable and not d.flags.flags.writeable
 
 
 def test_design_replacement_semantics():
@@ -111,10 +114,11 @@ def test_design_replacement_semantics():
     d = build_design(t, x_star, part, N=200, rng=RngStream(2))
     star = x_star.values
     A, (A_prime,) = d.distinct.values[d.inverse], planned_modified([d])
+    X_prime = x_prime(d.flags, d.m)
     for n in range(200):
         for j, members in enumerate(part.member_sets):
             for c in members:
-                if d.X_prime[n, j]:
+                if X_prime[n, j]:
                     assert A_prime[n, c] == star[c]
                 else:
                     assert A_prime[n, c] == A[n, c]
@@ -126,7 +130,7 @@ def test_design_deterministic_and_seed_sensitive():
     d1 = build_design(t, t.row(0), part, N=50, rng=RngStream(7))
     d2 = build_design(t, t.row(0), part, N=50, rng=RngStream(7))
     d3 = build_design(t, t.row(0), part, N=50, rng=RngStream(8))
-    assert np.array_equal(d1.X_prime, d2.X_prime)
+    assert np.array_equal(d1.flags, d2.flags)
     assert np.array_equal(d1.row_ids, d2.row_ids)
     assert not np.array_equal(d1.row_ids, d3.row_ids)
 
@@ -253,34 +257,49 @@ def test_f_of_A_request_holds_each_distinct_row_once(tmp_path):
 # -------------------------------------------------------------------- OLS
 
 
-def manual_design(X_prime, y):
-    N, m = X_prime.shape
-    part = AspectPartition(tuple((f"a{j}", (j,)) for j in range(m)))
-    zeros = NumericTable(tuple(f"a{j}" for j in range(m)), np.zeros((N, m)))
-    return (
-        SampleDesign(
-            row_ids=np.zeros(N, dtype=np.int64),
-            X_prime=np.asarray(X_prime, dtype=np.int8),
-            distinct=zeros,
-            inverse=np.arange(N),
-            modified=zeros,
-            partition=part,
-            slots=np.arange(N),
-            fills=slice(0, N),
-            predictions=np.full(N, np.nan),
-            W=np.asarray(X_prime, dtype=np.float64).T @ np.asarray(X_prime, dtype=np.float64),
-        ),
-        np.asarray(y, dtype=float),
-    )
+@dataclass(frozen=True)
+class Problem:
+    """A dense flag matrix X, the shifts y, and what the solvers take: the
+    normal equations W = X^T X and Z = X^T y, N and a partition naming the
+    aspects. X may have rows of 0 or 3 flags, which no sampled design has."""
+
+    X: np.ndarray  # N x m, float
+    y: np.ndarray
+    W: np.ndarray
+    Z: np.ndarray
+    partition: AspectPartition
+
+    @property
+    def N(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.X.shape[1]
+
+
+def manual_design(X_prime, y) -> Problem:
+    X = np.asarray(X_prime, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    part = AspectPartition(tuple((f"a{j}", (j,)) for j in range(X.shape[1])))
+    return Problem(X, y, X.T @ X, X.T @ y, part)
+
+
+def ols(problem: Problem) -> SurrogateFit:
+    return fit_ols(problem.W, problem.Z, problem.partition)
+
+
+def lasso(problem: Problem, limit: int) -> SurrogateFit:
+    return fit_lasso(problem.W, problem.Z, problem.N, problem.partition, limit)
 
 
 def test_ols_exact_on_identifiable_design():
     X = np.array([[1, 0], [0, 1], [1, 1], [1, 0]])
     gamma_true = np.array([2.0, -1.0])
-    design, ym = manual_design(X, X @ gamma_true)
-    fit = fit_ols(design, ym)
+    problem = manual_design(X, X @ gamma_true)
+    fit = ols(problem)
     assert np.allclose(fit.gamma, gamma_true, atol=1e-12)
-    assert fit.residual_norm == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.norm(problem.X @ fit.gamma - problem.y) == pytest.approx(0.0, abs=1e-12)
     assert np.array_equal(fit.W, X.T @ X)
 
 
@@ -289,31 +308,77 @@ def test_ols_matches_lstsq_on_noisy_response():
     X = rng.integers(0, 2, size=(50, 3))
     X[np.arange(50), rng.integers(0, 3, 50)] = 1  # no all-zero rows
     y = rng.standard_normal(50)
-    design, ym = manual_design(X, y)
-    fit = fit_ols(design, ym)
+    fit = ols(manual_design(X, y))
     ref, *_ = np.linalg.lstsq(X.astype(float), y, rcond=None)
     assert np.allclose(fit.gamma, ref, atol=1e-10)
 
 
 def test_never_sampled_aspect_is_reported():
     X = np.array([[1, 0], [1, 0], [1, 0]])  # aspect a1 never flagged
-    design, ym = manual_design(X, np.ones(3))
     with pytest.raises(SingularDesign, match="a1"):
-        fit_ols(design, ym)
+        ols(manual_design(X, np.ones(3)))
 
 
 def test_collinear_flags_rejected():
     X = np.array([[1, 1], [1, 1], [1, 1]])  # identical columns
-    design, ym = manual_design(X, np.ones(3))
     with pytest.raises(SingularDesign, match="collinear"):
-        fit_ols(design, ym)
+        ols(manual_design(X, np.ones(3)))
 
 
 def test_singular_design_message_suggests_larger_n():
     X = np.array([[1, 0], [1, 0], [1, 0]])
-    design, ym = manual_design(X, np.ones(3))
     with pytest.raises(SingularDesign, match="[Nn]"):
-        fit_ols(design, ym)
+        ols(manual_design(X, np.ones(3)))
+
+
+# ------------------------------------------------------- normal equations
+
+
+def _normal_equation_designs():
+    """The planned levels of a local triplot over six columns (m = 6 down to
+    1), and single designs at m = 1, where every draw's two flags coincide,
+    m = 2 and m = 3."""
+    table, _ = make_six_variable()
+    x_star, N = table.row(4), 301
+    tree, parts = oracle_tree_partitions(table, TriplotConfig(mode="local", N=N, seed=5))
+    designs = list(aspectra.aspects._designs(table, x_star, N, RngStream(5), parts, tree))
+    for groups in ((("all", range(6)),),
+                   (("abc", (0, 1, 2)), ("def", (3, 4, 5))),
+                   (("ab", (0, 1)), ("cd", (2, 3)), ("ef", (4, 5)))):
+        designs.append(build_design(table, x_star, AspectPartition(groups), N, RngStream(7)))
+    return designs
+
+
+def test_normal_equations_match_the_dense_oracle():
+    rng = np.random.default_rng(12)
+    designs = _normal_equation_designs()
+    assert [d.m for d in designs] == [6, 5, 4, 3, 2, 1, 1, 2, 3]
+    for design in designs:
+        # some draws flag one aspect twice, and X' has a single 1 in their row
+        assert np.any(design.flags[:, 0] == design.flags[:, 1])
+        # shifts over twelve orders of magnitude, so that Z summed in any
+        # other order than X'^T y's differs in its last bits
+        ym = rng.standard_normal(design.N) * 10.0 ** rng.uniform(-6.0, 6.0, design.N)
+        W, Z = _normal_equations(design, ym)
+        W_dense, Z_dense = dense_normal_equations(design, ym)
+        assert W.dtype == Z.dtype == np.float64
+        assert W.tobytes() == W_dense.tobytes()
+        assert Z.tobytes() == Z_dense.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_normal_equations_reject_a_non_finite_shift(bad):
+    for design in _normal_equation_designs()[-4:]:
+        for at in (0, design.N - 1):
+            ym = np.ones(design.N)
+            if bad == "overflow":  # finite shifts whose sum passes the float64 range
+                ym[:] = 1e308
+            else:
+                ym[at] = bad
+            with pytest.raises(NonFiniteShift):
+                _normal_equations(design, ym)
+        with pytest.raises(AspectraError, match="prediction shifts"):
+            _normal_equations(design, np.ones(design.N - 1))
 
 
 # ------------------------------------------------------------------- lasso
@@ -331,33 +396,30 @@ def lasso_instance(seed, N=120, m=5):
 
 
 def test_lasso_limit_m_equals_ols():
-    design, ym = lasso_instance(0)
-    ols = fit_ols(design, ym)
-    lasso = fit_lasso(design, ym, limit=5)
-    assert lasso.lam == 0.0
-    assert np.allclose(lasso.gamma, ols.gamma, atol=1e-10)
+    problem = lasso_instance(0)
+    uncapped = lasso(problem, limit=5)
+    assert uncapped.lam == 0.0
+    assert np.allclose(uncapped.gamma, ols(problem).gamma, atol=1e-10)
 
 
 def test_lasso_limit_zero_all_zero_at_lam_max():
-    design, ym = lasso_instance(1)
-    fit = fit_lasso(design, ym, limit=0)
+    problem = lasso_instance(1)
+    fit = lasso(problem, limit=0)
     assert np.count_nonzero(fit.gamma) == 0
-    assert fit.lam == pytest.approx(np.max(np.abs(fit.Z)) / design.N)
+    assert fit.lam == pytest.approx(np.max(np.abs(fit.Z)) / problem.N)
     for seed in range(1, 20):  # the cap breaks at the top: no knot below it is walked
-        assert_fit_at_first_crossing(*lasso_instance(seed), limit=0)
+        assert_fit_at_first_crossing(lasso_instance(seed), limit=0)
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4])
 def test_lasso_respects_limit(limit):
-    design, ym = lasso_instance(2)
-    fit = fit_lasso(design, ym, limit=limit)
+    fit = lasso(lasso_instance(2), limit=limit)
     assert np.count_nonzero(fit.gamma) <= limit
     assert fit.lam is not None and fit.lam >= 0.0
 
 
 def test_lasso_search_trace_brackets_the_answer():
-    design, ym = lasso_instance(3)
-    fit = fit_lasso(design, ym, limit=2)
+    fit = lasso(lasso_instance(3), limit=2)
     assert any(lam == fit.lam and nnz <= 2 for lam, nnz in fit.path)
     for lam, nnz in fit.path:
         if lam < fit.lam:
@@ -365,35 +427,34 @@ def test_lasso_search_trace_brackets_the_answer():
 
 
 def test_lasso_keeps_strongest_aspects():
-    design, ym = lasso_instance(4)
-    fit = fit_lasso(design, ym, limit=2)
+    fit = lasso(lasso_instance(4), limit=2)
     kept = set(np.flatnonzero(fit.gamma))
     assert kept <= {0, 1}  # the two largest true coefficients
 
 
 def test_lasso_limit_out_of_range():
-    design, ym = lasso_instance(5)
+    problem = lasso_instance(5)
     with pytest.raises(AspectraError):
-        fit_lasso(design, ym, limit=-1)
+        lasso(problem, limit=-1)
     with pytest.raises(AspectraError):
-        fit_lasso(design, ym, limit=6)
+        lasso(problem, limit=6)
 
 
 def test_lasso_zero_response_short_circuits():
-    design, _ = lasso_instance(6)
-    fit = fit_lasso(design, np.zeros(design.N), limit=3)
+    X = lasso_instance(6).X
+    problem = manual_design(X, np.zeros(X.shape[0]))
+    fit = lasso(problem, limit=3)
     assert np.count_nonzero(fit.gamma) == 0
     assert fit.lam == 0.0
-    for limit in range(design.m):
-        assert_fit_at_first_crossing(design, np.zeros(design.N), limit)
+    for limit in range(problem.m):
+        assert_fit_at_first_crossing(problem, limit)
 
 
 def test_lasso_non_convergence_is_an_error(monkeypatch):
     # one sweep is never enough to see the coefficients settle
     monkeypatch.setattr(aspectra.aspects, "LASSO_MAX_SWEEPS", 1)
-    design, ym = lasso_instance(7)
     with pytest.raises(LassoNotConverged, match="did not converge"):
-        fit_lasso(design, ym, limit=2)
+        lasso(lasso_instance(7), limit=2)
 
 
 # ------------------------------------------------------------ lasso oracle
@@ -410,7 +471,7 @@ BISECT_REL_TOL = 1e-6
 ORACLE_LASSO_TOL = 1e-12
 
 
-def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> SurrogateFit:
+def _oracle_fit_lasso(W, Z, N: int, partition: AspectPartition, limit: int) -> SurrogateFit:
     """Smallest-lambda L1 fit keeping at most `limit` nonzero contributions.
 
     Coordinate descent on the raw binary design (no standardization, no
@@ -424,29 +485,29 @@ def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> Surro
     LassoNotConverged.
     """
     # Bisection with one coordinate descent solve per step: the search
-    # fit_lasso replaced, copied verbatim.
-    m = design.m
+    # fit_lasso replaced, copied verbatim but for taking (W, Z), N and the
+    # partition as fit_lasso now does.
+    m = partition.m
     if not 0 <= limit <= m:
         raise AspectraError(f"limit must be in [0, {m}], got {limit}")
     if limit >= m:
-        fit = fit_ols(design, ym)
+        fit = fit_ols(W, Z, partition)
         nnz = int(np.count_nonzero(fit.gamma))
         return SurrogateFit(
-            gamma=fit.gamma, W=fit.W, Z=fit.Z, X=fit.X, y=fit.y,
+            gamma=fit.gamma, W=fit.W, Z=fit.Z,
             lam=0.0, path=((0.0, nnz),),
         )
-    X, y, W, Z = _design_matrices(design, ym)
-    lam_max = float(np.max(np.abs(Z)) / design.N)
+    lam_max = float(np.max(np.abs(Z)) / N)
     if lam_max == 0.0:
         gamma = np.zeros(m)
         return SurrogateFit(
-            gamma=gamma, W=W, Z=Z, X=X, y=y,
+            gamma=gamma, W=W, Z=Z,
             lam=0.0, path=((0.0, 0),),
         )
     if limit == 0:
         gamma = np.zeros(m)
         return SurrogateFit(
-            gamma=gamma, W=W, Z=Z, X=X, y=y,
+            gamma=gamma, W=W, Z=Z,
             lam=lam_max, path=((lam_max, 0),),
         )
     lo = 0.0
@@ -459,7 +520,7 @@ def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> Surro
     floor = 1e-12 * lam_max
     while hi - lo > floor and hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        w, sweeps = _kernels.lasso_cd(W, Z, design.N * mid, LASSO_MAX_SWEEPS, ORACLE_LASSO_TOL)
+        w, sweeps = _kernels.lasso_cd(W, Z, N * mid, LASSO_MAX_SWEEPS, ORACLE_LASSO_TOL)
         if sweeps >= LASSO_MAX_SWEEPS:
             raise LassoNotConverged(mid, sweeps)
         nnz = int(np.count_nonzero(w))
@@ -470,7 +531,7 @@ def _oracle_fit_lasso(design: SampleDesign, ym: np.ndarray, limit: int) -> Surro
         else:
             lo = mid
     return SurrogateFit(
-        gamma=gamma_hi, W=W, Z=Z, X=X, y=y, lam=hi, path=tuple(trace)
+        gamma=gamma_hi, W=W, Z=Z, lam=hi, path=tuple(trace)
     )
 
 
@@ -500,7 +561,7 @@ def _collinear(W):
     return np.linalg.matrix_rank(W[np.ix_(sampled, sampled)]) < sampled.size
 
 
-def assert_fit_at_first_crossing(design, ym, limit):
+def assert_fit_at_first_crossing(problem, limit):
     """Check fit_lasso against the exact path and the bisection oracle.
 
     Walking the path down from t = max|Z|, the returned lambda is the first
@@ -513,8 +574,8 @@ def assert_fit_at_first_crossing(design, ym, limit):
     lies at most 2 BISECT_REL_TOL above, and a tight solve at the knot gives
     gamma.
     """
-    fit = fit_lasso(design, ym, limit)
-    N, W, Z = design.N, fit.W, fit.Z
+    fit = lasso(problem, limit)
+    N, W, Z = problem.N, fit.W, fit.Z
     knots, counts, active = [float(np.max(np.abs(Z)))], [0], []
     if knots[0] > 0.0:  # Z = 0 has no path
         for t_low, P in _lasso_path(W, Z):
@@ -535,10 +596,8 @@ def assert_fit_at_first_crossing(design, ym, limit):
     on = fit.gamma != 0.0
     assert np.all(np.abs(c[on] - t * np.sign(fit.gamma[on])) <= tol)
     assert np.all(np.abs(c[~on]) <= t + tol)
-    assert fit.residual_norm == float(np.linalg.norm(
-        design.X_prime.astype(np.float64) @ fit.gamma - np.asarray(ym, dtype=np.float64)))
     try:
-        ref = _oracle_fit_lasso(design, ym, limit)
+        ref = _oracle_fit_lasso(problem.W, problem.Z, N, problem.partition, limit)
     except LassoNotConverged:
         return fit
     if ref.lam >= fit.lam:  # the oracle's bisection found the same crossing
@@ -560,14 +619,14 @@ def assert_fit_at_first_crossing(design, ym, limit):
     np.array([-0.61134257, -0.9303291, -0.47773684, -0.64198877, -0.62658558, -0.33408004]),
 ))
 def test_lasso_path_search_matches_bisection_oracle(problem):
-    design, ym = manual_design(*problem)
-    for limit in range(1, design.m):
+    problem = manual_design(*problem)
+    for limit in range(1, problem.m):
         try:
-            fit = assert_fit_at_first_crossing(design, ym, limit)
+            fit = assert_fit_at_first_crossing(problem, limit)
         except SingularDesign:
             # only where copied or otherwise collinear flag columns leave the
             # lasso solution, and so the oracle's count, to rounding
-            assert _collinear(_design_matrices(design, ym)[2])
+            assert _collinear(problem.W)
             continue
         assert np.count_nonzero(fit.gamma) <= limit
 
@@ -578,8 +637,7 @@ def test_lasso_path_with_a_drop_event():
     # above 1.35 and again on [0.22, 1.1]; the first crossing, walking down,
     # is the knot at 1.35, where the lower one at 0.22 needs the whole path
     X = np.array([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
-    design, ym = manual_design(X, [0.9, 2.0, 1.6])
-    fit = assert_fit_at_first_crossing(design, ym, limit=2)
+    fit = assert_fit_at_first_crossing(manual_design(X, [0.9, 2.0, 1.6]), limit=2)
     knots, actives = zip(*_lasso_path(fit.W, fit.Z))
     assert [P.tolist() for P in actives] == [[1], [1, 0], [1, 0, 2], [1, 2], [1, 2, 0]]
     assert np.allclose(knots, [2.1, 1.35, 1.1, 0.22, 0.0])
@@ -588,12 +646,12 @@ def test_lasso_path_with_a_drop_event():
 
 
 def test_lasso_never_sampled_aspect_stays_zero():
-    design, ym = lasso_instance(8, N=60, m=4)
-    X = design.X_prime.copy()
+    problem = lasso_instance(8, N=60, m=4)
+    X = problem.X.copy()
     X[:, 2] = 0
-    design, ym = manual_design(X, ym)
+    problem = manual_design(X, problem.y)
     for limit in range(1, 4):
-        fit = assert_fit_at_first_crossing(design, ym, limit)
+        fit = assert_fit_at_first_crossing(problem, limit)
         assert fit.gamma[2] == 0.0
 
 
@@ -602,9 +660,9 @@ def test_lasso_collinear_column_that_never_ties():
     # inside (-t, t), so the walk goes on without it
     X = np.array([[1, 0, 1, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 1, 0],
                   [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]])
-    design, ym = manual_design(X, [-0.5, -0.3, 0.4, 1.0, -0.1, 1.4, -0.7, 0.4])
+    problem = manual_design(X, [-0.5, -0.3, 0.4, 1.0, -0.1, 1.4, -0.7, 0.4])
     for limit in range(1, 4):
-        fit = assert_fit_at_first_crossing(design, ym, limit)
+        fit = assert_fit_at_first_crossing(problem, limit)
         assert fit.gamma[2] == 0.0
 
 
@@ -613,8 +671,7 @@ def test_lasso_cap_held_down_to_lambda_zero_on_a_rank_deficient_design():
     # the path keeps 2 active down to t = 0, and gamma is the one on its
     # active set {0, 2}, not a solve over all three columns cut down after
     X = np.array([[0, 1, 1], [1, 0, 1], [1, 0, 1], [0, 1, 1]])
-    design, ym = manual_design(X, [-0.2, -1.2, -0.7, -0.5])
-    fit = assert_fit_at_first_crossing(design, ym, limit=2)
+    fit = assert_fit_at_first_crossing(manual_design(X, [-0.2, -1.2, -0.7, -0.5]), limit=2)
     assert fit.lam == 0.0
     assert np.allclose(fit.gamma, [-0.6, 0.0, -0.35], rtol=0.0, atol=1e-9)
 
@@ -623,18 +680,18 @@ def test_lasso_copied_column_is_singular():
     # columns 0 and 1 are flagged on the same rows, so any split of their
     # joint coefficient is a solution
     X = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1], [1, 1, 0]])
-    design, ym = manual_design(X, [2.0, 2.5, 0.3, -0.2, 1.8])
+    problem = manual_design(X, [2.0, 2.5, 0.3, -0.2, 1.8])
     for limit in (1, 2):
         with pytest.raises(SingularDesign, match="collinear"):
-            fit_lasso(design, ym, limit)
+            lasso(problem, limit)
 
 
 def test_lasso_columns_joining_at_one_knot():
     # one flag per row and two rows per aspect: W = 2I, and three aspects
     # reach the top together at t = 3, the fourth at t = 1
     X = np.repeat(np.eye(4, dtype=np.int8), 2, axis=0)
-    design, ym = manual_design(X, [1.5, 1.5, 1.0, 2.0, -1.0, -2.0, 0.25, 0.75])
-    fits = [assert_fit_at_first_crossing(design, ym, limit) for limit in (1, 2, 3)]
+    problem = manual_design(X, [1.5, 1.5, 1.0, 2.0, -1.0, -2.0, 0.25, 0.75])
+    fits = [assert_fit_at_first_crossing(problem, limit) for limit in (1, 2, 3)]
     assert [f.lam for f in fits[:2]] == [3 / 8, 3 / 8]  # no lambda keeps 1 or 2
     assert fits[2].lam == 1 / 8
     assert np.count_nonzero(fits[2].gamma) == 3
@@ -659,9 +716,8 @@ def test_lasso_path_tie_where_one_column_joins():
 def test_lasso_too_many_columns_tied_at_one_knot():
     m = aspectra.aspects._MAX_TIED + 1
     X = np.repeat(np.eye(m, dtype=np.int8), 2, axis=0)
-    design, ym = manual_design(X, np.ones(2 * m))
     with pytest.raises(SingularDesign, match="tie"):
-        fit_lasso(design, ym, limit=1)
+        lasso(manual_design(X, np.ones(2 * m)), limit=1)
 
 
 def test_lasso_path_that_revisits_an_active_set_stops(monkeypatch):
@@ -674,9 +730,8 @@ def test_lasso_path_that_revisits_an_active_set_stops(monkeypatch):
         return first[-1]
 
     monkeypatch.setattr(aspectra.aspects, "_knot_active_set", stuck)
-    design, ym = lasso_instance(9)
     with pytest.raises(SingularDesign, match="revisits"):
-        fit_lasso(design, ym, limit=3)
+        lasso(lasso_instance(9), limit=3)
 
 
 # ------------------------------------------------------------- walk oracle
@@ -817,14 +872,13 @@ def assert_walk_matches_oracle(W, Z):
 @settings(max_examples=300, deadline=None)
 @given(problem=capped_flag_designs())
 def test_lasso_walk_matches_array_walk_oracle(problem):
-    design, ym = manual_design(*problem)
-    _, _, W, Z = _design_matrices(design, ym)
-    assert_walk_matches_oracle(W, Z)
+    problem = manual_design(*problem)
+    assert_walk_matches_oracle(problem.W, problem.Z)
 
 
 def _gram(X, y):
-    _, _, W, Z = _design_matrices(*manual_design(np.asarray(X), y))
-    return W, Z
+    problem = manual_design(np.asarray(X), y)
+    return problem.W, problem.Z
 
 
 @pytest.mark.parametrize("X, y, error", [
@@ -932,6 +986,17 @@ def test_limit_at_or_above_aspect_count_is_uncapped():
         assert predict_aspects(model, t, t.row(0), 0.5, N=500, seed=3, limit=limit) == at_m
     with pytest.raises(AspectraError, match="limit"):
         predict_aspects(model, t, t.row(0), 0.5, N=500, seed=3, limit=-1)
+
+
+def test_negative_limit_is_rejected_before_any_model_call():
+    table, _ = make_six_variable()
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    for grouping in (0.5, singletons(table.column_names)):
+        with pytest.raises(AspectraError, match="limit must be >= 0"):
+            predict_aspects(model, table, table.row(0), grouping, N=300, limit=-1)
+    with pytest.raises(AspectraError, match="limit must be >= 0"):
+        predict_triplot(model, table, table.row(0), TriplotConfig(mode="local", N=300, limit=-1))
+    assert model.calls == 0
 
 
 def test_explanation_serialization_roundtrip():

@@ -160,7 +160,7 @@ def child_spec(mode):
     (["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200"], 0),
     (["triplot", "--mode", "global"], 0),
     (["triplot", "--mode", "local", "--row", "0", "--N", "200"], 0),
-    # fails after the child has answered: the cap is negative
+    # fails before the child is asked to score a row: the cap is negative
     (["predict-aspects", "--row", "0", "--cutoff", "0.6", "--N", "200", "--limit", "-1"], 1),
 ])
 def test_cli_closes_the_model_it_builds(argv, exit_code, six_csv, children, capsys):
@@ -170,6 +170,23 @@ def test_cli_closes_the_model_it_builds(argv, exit_code, six_csv, children, caps
     assert len(children) == 1
     assert children[0].returncode is not None  # exited and reaped
     assert children[0].stdout.closed
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict-aspects", "--cutoff", "0.6"],
+    ["triplot", "--mode", "local"],
+])
+def test_negative_limit_exits_1_before_the_model_is_called(argv, six_csv, tmp_path, capsys):
+    record = tmp_path / "requests.bin"
+    code, out, err = run(argv[:1] + [
+        "--data", six_csv, "--target", "y", "--model",
+        f"{child_spec('record')} {shlex.quote(str(record))}",
+        "--row", "0", "--N", "200", "--limit", "-1",
+    ] + argv[1:], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: limit must be >= 0, got -1") and "Traceback" not in err
+    # the child started with the model, but was sent no request
+    assert not record.exists() or b"PREDICT" not in record.read_bytes()
 
 
 def test_model_that_outlives_its_input_is_exit_1(six_csv, children, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from aspectra import (
     predict_triplot,
 )
 from aspectra import SubprocessModel, aspects, global_importance
-from aspectra.aspects import build_design, delta_predictions, fit_ols
+from aspectra.aspects import _normal_equations, build_design, delta_predictions
 from aspectra.cluster import partition_after_merges
 from aspectra.data import NumericTable, RngStream, sampled_row_ids
 from aspectra.errors import AspectraError, NonFiniteShift
@@ -29,6 +29,7 @@ from conftest import (
     CountingModel,
     RowwiseModel,
     child_cmd,
+    dense_normal_equations,
     make_six_variable,
     oracle_build_design,
     oracle_modified_keys,
@@ -56,6 +57,13 @@ def test_config_validation():
         TriplotConfig(mode="local")  # no N
     with pytest.raises(AspectraError):
         TriplotConfig(mode="local", N=100, linkage="ward")
+    # as PermutationConfig takes N, and before any model call
+    for N in (0, -1):
+        with pytest.raises(AspectraError, match="N must be >= 1"):
+            TriplotConfig(mode="local", N=N)
+    with pytest.raises(AspectraError, match="limit must be >= 0"):
+        TriplotConfig(mode="local", N=100, limit=-1)
+    assert TriplotConfig(mode="local", N=1, limit=0).limit == 0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -252,13 +260,15 @@ def test_shared_sampler_designs_match_per_level_designs(six_table):
     parts, designs = _plan(table, x_star, cfg)
     fills = []
     for part, shared, A_prime in zip(parts, designs, planned_modified(designs)):
+        # W counted from the flags is X'^T X', bit for bit
+        W, _ = _normal_equations(shared, np.zeros(601))
         for other in (build_design(table, x_star, part, 601, RngStream(9)),
                       oracle_build_design(table, x_star, part, 601, RngStream(9))):
             assert np.array_equal(shared.row_ids, other.row_ids)
-            assert np.array_equal(shared.X_prime, other.X_prime)
-            assert shared.X_prime.dtype == np.int8
-            # W counted from the flags is X'^T X', bit for bit
-            assert shared.W.tobytes() == other.W.tobytes()
+            # the flags in the smallest type that holds every level's aspects
+            assert shared.flags.dtype == np.uint8
+            assert shared.flags.tobytes() == other.flags.astype(np.uint8).tobytes()
+            assert W.tobytes() == dense_normal_equations(other, np.zeros(601))[0].tobytes()
             assert np.array_equal(shared.inverse, other.inverse)
             assert shared.distinct.values.tobytes() == other.distinct.values.tobytes()
         assert A_prime.tobytes() == other.modified.values.tobytes()
@@ -388,7 +398,7 @@ def test_designs_scored_out_of_plan_order_are_rejected(six_table):
     early = delta_predictions(model, designs[3])
     assert np.isnan(early).any()
     with pytest.raises(NonFiniteShift):
-        fit_ols(designs[3], early)
+        _normal_equations(designs[3], early)
     for design in designs:
         assert np.isfinite(delta_predictions(model, design)).all()
 
