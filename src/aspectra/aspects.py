@@ -17,11 +17,14 @@ triplot takes every tree level's design from one `_designs` run, and
 scored once: f(A) on A's distinct rows, and f(A') once per distinct (sampled
 row, replaced columns) pair, by the first partition that draws it, because
 `_designs` keys the modified rows of all its partitions before it yields
-the first design. A local triplot over p columns so makes at most 2p calls,
-one fewer for each level that draws no new pair, and scores the distinct
-pairs of all its levels plus A's distinct rows at every level. Scoring f(A)
-once for all levels waits for the benchmark's tracer test, which relies on
-that repeat.
+the first design. `_scored_designs` stacks the new A' rows of consecutive
+designs into one model call of at most _STACK_VALUES (2**17) values, and a
+design whose rows alone pass that budget into a call of its own. A local
+triplot over p columns so makes p calls for f(A), one per level, plus its
+stacked A' calls, no more than the levels that draw a new pair; it scores
+the distinct pairs of all its levels plus A's distinct rows at every level.
+Scoring f(A) once for all levels waits for the benchmark's tracer test,
+which relies on that repeat.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .data import (
     RngStream,
     _check_tsv_names,
     _finite_float,
+    _integer,
     _json_text,
     _rekey,
     _tsv_number,
@@ -64,6 +68,10 @@ LASSO_TOL = 1e-10
 _TIE = 1e-9  # relative: path events this close happen at one knot
 _MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
+# at most this many values (rows x columns) of stacked A' rows per model
+# call, unless one design's rows alone are more
+_STACK_VALUES = 1 << 17
+
 
 @dataclass(frozen=True)
 class SampleDesign:
@@ -72,33 +80,36 @@ class SampleDesign:
     Draw i flags aspects flags[i, 0] and flags[i, 1], drawn with replacement
     (they coincide with probability 1/m), so row i of the binary design X'
     has one or two entries set; `_normal_equations` reads X' off the flags.
-    Draw i's modified row A'[i] equals the explained observation at column j
-    when column j's aspect is flagged in draw i, otherwise A[i, j].
+    Draw i's modified row A'[i] equals the explained observation `x_star` at
+    column j when column j's aspect is flagged in draw i, otherwise A[i, j].
 
-    The model scores two read-only tables under the explained table's column
+    The model scores read-only tables under the explained table's column
     names. `distinct` holds each distinct sampled row once, in ascending row
     id, and `inverse` maps A onto it: A[i] = distinct[inverse[i]], so f(A)
     is f(distinct)[inverse]. Designs from one `_designs` run share
-    `row_ids`, `distinct` and `inverse`, all read-only.
+    `row_ids`, `distinct`, `inverse` and `x_star`, all read-only.
 
     A' is scored once per distinct modified row: two draws share a row when
     they replace the same columns of the same sampled row, or when they
     replace every column, which makes the row the observation itself. The
     designs that one `_designs` run plans share `predictions`, one slot per
-    distinct modified row of them all, NaN until scored. `modified` holds
-    the rows this design draws first, in draw order, and their predictions
-    go to predictions[fills]; f(A'[i]) is predictions[slots[i]]. So the
-    designs of one plan are scored in order.
+    distinct modified row of them all, NaN until scored. The draws `new`
+    are the ones whose rows this design is the first of its plan to draw;
+    `_modified_rows` builds those rows, in draw order, and their
+    predictions go to predictions[fills]. f(A'[i]) is
+    predictions[slots[i]]. A design holds no A' rows itself:
+    `_scored_designs` writes the new rows of several designs into one
+    buffer and scores them together, in plan order.
     """
 
     row_ids: np.ndarray
     flags: np.ndarray  # N x 2, read-only: the two aspects each draw flags
     distinct: NumericTable
     inverse: np.ndarray
-    modified: NumericTable
+    x_star: np.ndarray  # p, read-only: the explained observation's values
     partition: AspectPartition
     slots: np.ndarray  # N, each draw's slot in `predictions`
-    fills: np.ndarray  # modified.n, the slots that `modified` scores
+    new: np.ndarray  # the draws whose rows this design scores, ascending
     predictions: np.ndarray  # shared by the designs of one plan
 
     @property
@@ -108,6 +119,33 @@ class SampleDesign:
     @property
     def m(self) -> int:
         return self.partition.m
+
+    @property
+    def fills(self) -> np.ndarray:
+        """The slots of the `new` draws, which this design's rows score."""
+        return self.slots.take(self.new)
+
+    def _modified_rows(self, out: np.ndarray) -> np.ndarray:
+        """Write the `new` draws' rows of A' into `out`, a C-contiguous
+        float64 array of their shape, and return it.
+
+        A' takes each cell of a new draw from x* where its aspect is one of
+        the draw's two flags and from the draw's sampled row elsewhere:
+        copied values, so exact and already validated.
+        """
+        aspect_of = [0] * self.x_star.shape[0]  # column -> its aspect
+        for j, members in enumerate(self.partition.member_sets):
+            for i in members:
+                aspect_of[i] = j
+        aspect_of = np.array(aspect_of, dtype=self.flags.dtype)
+        new_flags = self.flags.take(self.new, axis=0)
+        flagged = (new_flags[:, :1] == aspect_of) | (new_flags[:, 1:] == aspect_of)
+        # indices in range: "clip" only spares `take` a buffered copy of out
+        self.distinct.values.take(self.inverse.take(self.new), axis=0, out=out, mode="clip")
+        # putmask repeats x* over out's cells, p to a row, so a flagged cell
+        # takes x*'s value at its column
+        np.putmask(out, flagged, self.x_star)
+        return out
 
 
 @dataclass(frozen=True)
@@ -225,9 +263,8 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
 
     Without a tree there must be one partition, which is validated; the
     cuts of a tree are partitions by construction. Every partition's flags
-    are drawn before the first design is yielded, and each design's rows
-    are built when it is asked for, so that they are still in cache when it
-    is scored.
+    are drawn before the first design is yielded; no design builds its A'
+    rows (see `_scored_designs`).
     """
     if x_star.p != table.p:
         raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
@@ -248,7 +285,8 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     keys = np.empty((len(partitions), N), dtype=np.int64)
     flags = np.empty((len(partitions), N, 2),
                      dtype=np.min_scalar_type(max(part.m for part in partitions)))
-    for part, node, kl, key in zip(partitions, nodes, flags, keys):
+    # no view of `keys` outlives the loop, so that `del keys` frees it
+    for k, (part, node, kl) in enumerate(zip(partitions, nodes, flags)):
         if N < part.m:
             raise AspectraError(f"need N >= m sampled rows, got N={N}, m={part.m}")
         _rekey(gen.bit_generator, stream.seed, stream.stream_id)
@@ -256,7 +294,7 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
         kl[...] = drawn
         pair = node.take(drawn[:, 0]) * M
         pair += node.take(drawn[:, 1])
-        codes.take(pair, out=key)
+        codes.take(pair, out=keys[k])
     flags.setflags(write=False)
     keys *= n_rows
     keys += inverse
@@ -267,30 +305,69 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     predictions = np.full(n_slots, np.nan)
 
     for k, (part, kl) in enumerate(zip(partitions, flags)):
-        own = slots[k * N:(k + 1) * N]
         new = np.flatnonzero(drawn_first[k * N:(k + 1) * N])
-        aspect_of = [0] * table.p  # column -> its aspect
-        for j, members in enumerate(part.member_sets):
-            for i in members:
-                aspect_of[i] = j
-        aspect_of = np.array(aspect_of, dtype=kl.dtype)
-        # A' takes each cell of a new draw from x* where its aspect is one
-        # of the draw's two flags and from the draw's sampled row elsewhere:
-        # copied values, so exact and already validated
-        new_flags = kl.take(new, axis=0)
-        flagged = (new_flags[:, :1] == aspect_of) | (new_flags[:, 1:] == aspect_of)
-        rows = np.where(flagged, x_star.values, table.values.take(row_ids.take(new), axis=0))
+        new.setflags(write=False)
         yield SampleDesign(
             row_ids=row_ids,
             flags=kl,
             distinct=distinct,
             inverse=inverse,
-            modified=NumericTable._from_validated(table.column_names, rows),
+            x_star=x_star.values,
             partition=part,
-            slots=own,
-            fills=own.take(new),
+            slots=slots[k * N:(k + 1) * N],
+            new=new,
             predictions=predictions,
         )
+
+
+def _scored_designs(model: ModelAdapter, table: NumericTable, x_star: Observation, N: int,
+                    rng: RngStream, partitions, tree: MergeTree | None = None):
+    """Yield `_designs`' designs, each once the model has scored its new A' rows.
+
+    The new rows of consecutive designs are written one after another into
+    one buffer of at most _STACK_VALUES values. When the next design's rows
+    would not fit, or the plan ends, the buffer is scored in one call, its
+    predictions go to each design's `fills`, and those designs are yielded.
+    A design's rows are never split across calls: one whose rows alone pass
+    the budget is scored in a call of its own. So a plan makes no more A'
+    calls than it has designs with new rows. No design keeps a view into the
+    buffer, which the next call's rows overwrite. Under the row-independence
+    contract of `ModelAdapter` the predictions equal those of scoring each
+    design's rows alone.
+    """
+    budget = _STACK_VALUES // table.p  # rows per stacked call
+    buffer, pending, used = None, [], 0
+    for design in _designs(table, x_star, N, rng, partitions, tree):
+        k = design.new.shape[0]
+        if used + k > budget:
+            if used:
+                _score_modified(model, pending, buffer[:used])
+            yield from pending
+            pending, used = [], 0
+        if k > budget:
+            _score_modified(model, [design], design._modified_rows(np.empty((k, table.p))))
+            yield design
+            continue
+        if buffer is None:  # no larger than the plan's rows
+            buffer = np.empty((min(budget, design.predictions.shape[0]), table.p))
+        design._modified_rows(buffer[used:used + k])
+        used += k
+        pending.append(design)
+    if used:
+        _score_modified(model, pending, buffer[:used])
+    del buffer  # not needed while the last designs are fitted
+    yield from pending
+
+
+def _score_modified(model: ModelAdapter, designs, rows: np.ndarray) -> None:
+    """Score `rows`, the designs' new A' rows in order, in one call, and
+    write each design's predictions to its `fills`."""
+    scored = predict(model, NumericTable._from_validated(designs[0].distinct.column_names, rows))
+    start = 0
+    for design in designs:
+        stop = start + design.new.shape[0]
+        design.predictions[design.fills] = scored[start:stop]
+        start = stop
 
 
 def _first_draws(keys: np.ndarray):
@@ -380,20 +457,16 @@ def build_design(
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
-    """The prediction shifts f(A') - f(A), from at most two adapter calls.
+    """The prediction shifts f(A') - f(A), from one adapter call for f(A).
 
-    The first call scores `design.modified`, the modified rows that this
-    design is the first of its plan to draw; it is skipped when there are
-    none, and every other draw takes the prediction an earlier design of
-    the plan scored. The second call scores each distinct row of A once,
-    `design.distinct`, and `design.inverse` expands its predictions to A's N
-    rows. Under the row-independence contract of `ModelAdapter` that equals
-    scoring all N rows of A' and of A. A shift that overflows comes out
-    infinite, and one whose row no design scored yet comes out NaN, for
+    f(A') is read from `design.predictions`, which `_scored_designs` fills
+    before it yields the design. The call scores each distinct row of A
+    once, `design.distinct`, and `design.inverse` expands its predictions to
+    A's N rows. Under the row-independence contract of `ModelAdapter` that
+    equals scoring all N rows of A' and of A. A shift that overflows comes
+    out infinite, and one whose row is not scored yet comes out NaN, for
     `_normal_equations` to reject.
     """
-    if design.modified.n:
-        design.predictions[design.fills] = predict(model, design.modified)
     with np.errstate(over="ignore"):
         return design.predictions.take(design.slots) - predict(model, design.distinct)[design.inverse]
 
@@ -687,16 +760,19 @@ def predict_aspects(
     [0, 1]; a cutoff delegates the grouping to group_variables. With `limit`
     set, at most that many aspects keep a nonzero contribution; a limit at or
     above the number of aspects the grouping gives fits without a cap, as
-    limit = m does. A negative limit raises AspectraError before the model
-    is called.
+    limit = m does. An N, seed or limit that is not an integer, or a
+    negative limit, raises AspectraError before the model is called.
     """
-    if limit is not None and limit < 0:
-        raise AspectraError(f"limit must be >= 0, got {limit}")
+    N, seed = _integer("N", N), _integer("seed", seed)
+    if limit is not None:
+        limit = _integer("limit", limit)
+        if limit < 0:
+            raise AspectraError(f"limit must be >= 0, got {limit}")
     if isinstance(grouping, AspectPartition):
         partition, C = grouping, None
     else:
         partition, C = _group_variables(table, float(grouping), method)
-    design = build_design(table, x_star, partition, N, RngStream(seed))
+    design = next(_scored_designs(model, table, x_star, N, RngStream(seed), [partition]))
     fit = _fit_surrogate(model, design, limit)
     return AspectExplanation(
         aspects=_aspect_rows(partition, fit.gamma, table, method, C),

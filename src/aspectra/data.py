@@ -318,9 +318,15 @@ def _integer_fields(config, names, optional=()) -> None:
         value = getattr(config, name)
         if value is None and name in optional:
             continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise AspectraError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(config, name, int(value))
+        object.__setattr__(config, name, _integer(name, value))
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int: a Python or numpy integer passes; a bool, a float
+    or anything else raises AspectraError naming it `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise AspectraError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_tsv_names(groups) -> None:

@@ -44,7 +44,8 @@ class ModelAdapter:
     prediction for every draw of the row. Likewise it scores each distinct
     (sampled row, replaced columns) pair once, and a local triplot scores
     such a pair at the first tree level that draws it, for every later
-    level too. The table is read-only and may be a view of a buffer that
+    level too, and stacks the new pairs of consecutive levels into one
+    call of up to 2**17 values. The table is read-only and may be a view of a buffer that
     the caller rewrites for its next call, so a model must neither keep the
     table nor write to it.
     """
@@ -68,8 +69,8 @@ class LinearModel(ModelAdapter):
     last bit. So predict scores those last rows again as a zero-padded block
     of 4, and a row's prediction does not depend on its position in the
     batch: a local explanation's distinct rows, and a triplot level's
-    predictions taken from an earlier level's call, equal scoring every row
-    of the design. A product large enough for OpenBLAS to split across
+    modified rows, stacked with other levels' or taken from an earlier
+    level's call, equal scoring every row of the design. A product large enough for OpenBLAS to split across
     threads (seen from 3000 rows of 200 values with two threads) may still
     round a row by its position. Results stay deterministic.
     """

@@ -7,7 +7,10 @@ inside the tree-cut partition at that step, which partition_after_merges
 gives, and all steps share one sampled row set, planned by
 `aspects._designs`, so differences between levels come from the grouping,
 not sampling. A modified row that several levels draw is scored once, by
-the first of them.
+the first of them, and the new modified rows of consecutive levels are
+scored together, in calls of at most `aspects._STACK_VALUES` (2**17)
+values. A local triplot over p columns so makes p calls for f(A), one per
+level, plus its few stacked calls for A'.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aspects import _designs, _fit_surrogate
+from .aspects import _fit_surrogate, _scored_designs
 from .cluster import (
     MergeTree,
     VALID_LINKAGES,
@@ -191,13 +194,15 @@ def predict_triplot(
     Level t is the cut after t merges. One `aspects._designs` run plans the
     designs of all p levels over one sample A: only the flags differ, and a
     modified row that an earlier level scored is not scored again.
+    `aspects._scored_designs` scores the levels' new modified rows in
+    stacked calls before it yields their designs.
     """
     if cfg.mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")
     tree = _build_tree(table, cfg)
     parts = [partition_after_merges(tree, t, table.column_names) for t in range(table.p)]
     levels = []
-    for design in _designs(table, x_star, cfg.N, RngStream(cfg.seed), parts, tree):
+    for design in _scored_designs(model, table, x_star, cfg.N, RngStream(cfg.seed), parts, tree):
         fit = _fit_surrogate(model, design, cfg.limit)
         levels.append(dict(zip(design.partition.member_sets, fit.gamma)))
     leaf_imp = np.array([levels[0][(j,)] for j in range(table.p)])

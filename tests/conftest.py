@@ -3,6 +3,7 @@ import io
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ import pytest
 import aspectra
 from aspectra import AspectPartition, NumericTable
 from aspectra import aspects
-from aspectra.aspects import AspectExplanation, SampleDesign, delta_predictions, fit_lasso, fit_ols
+from aspectra.aspects import AspectExplanation, fit_lasso, fit_ols
 from aspectra.cluster import agglomerative, cor_distance, correlation_matrix, partition_after_merges
 from aspectra.data import _MEMBER_KEY_START, RngStream, _mix64, sampled_row_ids, validate_partition
 from aspectra.errors import AspectraError, SchemaMismatch
 from aspectra.global_importance import _K_PERM
-from aspectra.models import ModelAdapter
+from aspectra.models import ModelAdapter, predict
 from aspectra.triplot import TriplotResult
 
 CHILD = os.path.join(os.path.dirname(__file__), "child_model.py")
@@ -132,11 +133,31 @@ def dense_normal_equations(design, ym):
     return X.T @ X, X.T @ np.asarray(ym, dtype=np.float64)
 
 
+@dataclass(frozen=True)
+class OracleDesign:
+    """A design as it was before designs shared one row sample or planned
+    their modified rows: all N rows of A', and A as its distinct rows."""
+
+    row_ids: np.ndarray
+    flags: np.ndarray
+    distinct: NumericTable
+    inverse: np.ndarray
+    modified: NumericTable  # all N rows of A'
+    partition: AspectPartition
+
+    @property
+    def N(self) -> int:
+        return self.flags.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.partition.m
+
+
 def oracle_build_design(table, x_star, partition, N, rng):
     """build_design as it was before designs shared one row sample or planned
-    their modified rows: every call draws A again, builds all N rows of A'
-    with np.where on the dense X', and gives every draw a slot of its own,
-    so that delta_predictions scores all N rows of A'."""
+    their modified rows: every call draws A again and builds all N rows of A'
+    with np.where on the dense X'."""
     validate_partition(partition, table.p)
     if x_star.p != table.p:
         raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
@@ -153,31 +174,37 @@ def oracle_build_design(table, x_star, partition, N, rng):
     A_prime = np.where(X_prime[:, aspect_of] == 1, x_star.values, A)
     ids, inverse = np.unique(row_ids, return_inverse=True)
     names = table.column_names
-    return SampleDesign(
+    return OracleDesign(
         row_ids=row_ids,
         flags=kl,
         distinct=NumericTable._from_validated(names, table.values[ids]),
         inverse=inverse,
         modified=NumericTable._from_validated(names, A_prime),
         partition=partition,
-        slots=np.arange(N),
-        fills=np.arange(N),
-        predictions=np.full(N, np.nan),
     )
+
+
+def modified_rows(design) -> np.ndarray:
+    """The rows of A' that a design is the first of its plan to draw, in
+    draw order, as `aspects._scored_designs` writes them for the model."""
+    return design._modified_rows(np.empty((design.new.shape[0], design.x_star.shape[0])))
 
 
 def planned_modified(designs):
     """Each design's N rows of A', gathered from the rows that the designs of
     one plan score."""
-    scored = np.empty((designs[0].predictions.shape[0], designs[0].modified.p))
+    scored = np.empty((designs[0].predictions.shape[0], designs[0].x_star.shape[0]))
     for d in designs:
-        scored[d.fills] = d.modified.values
+        scored[d.fills] = modified_rows(d)
     return [scored[d.slots] for d in designs]
 
 
 def oracle_fit(model, design, limit):
-    """The surrogate fit, solved from the dense X' oracle's W and Z."""
-    W, Z = dense_normal_equations(design, delta_predictions(model, design))
+    """The surrogate fit, solved from the dense X' oracle's W and Z, on the
+    shifts of all N rows of A' against each distinct sampled row's."""
+    with np.errstate(over="ignore"):
+        ym = predict(model, design.modified) - predict(model, design.distinct)[design.inverse]
+    W, Z = dense_normal_equations(design, ym)
     if limit is None:
         return fit_ols(W, Z, design.partition)
     return fit_lasso(W, Z, design.N, design.partition, min(limit, design.m))
@@ -232,18 +259,32 @@ def oracle_modified_keys(table, x_star, partition, N, seed):
     return keys
 
 
-def planned_calls_and_rows(table, x_star, partitions, N, seed):
-    """Model calls and rows when one plan scores the partitions in order:
-    per partition, its modified rows that no earlier partition drew (a call
-    skipped when there are none), then A's distinct rows."""
+def planned_calls_and_rows(table, x_star, partitions, N, seed, stack_values=None):
+    """Model calls and rows when one plan scores the partitions in order.
+
+    Each partition scores its modified rows that no earlier partition drew,
+    and A's distinct rows in a call of its own. The modified rows of
+    consecutive partitions share a call while their values fit in
+    `stack_values` (aspects._STACK_VALUES when None); a partition whose
+    rows alone pass it takes a call of its own, and a plan that draws no
+    new row makes no such call.
+    """
+    budget = (aspects._STACK_VALUES if stack_values is None else stack_values) // table.p
     distinct = np.unique(sampled_row_ids(table, N, RngStream(seed).child(aspects._K_ROWS))).size
-    seen, calls, rows = set(), 0, 0
+    seen, calls, rows, stacked = set(), 0, 0, 0
     for part in partitions:
         new = set(oracle_modified_keys(table, x_star, part, N, seed)) - seen
         seen |= new
-        calls += 1 + bool(new)
+        if stacked + len(new) > budget:
+            calls += stacked > 0
+            stacked = 0
+        if len(new) > budget:
+            calls += 1
+        else:
+            stacked += len(new)
+        calls += 1
         rows += len(new) + distinct
-    return calls, rows
+    return calls + (stacked > 0), rows
 
 
 def make_six_variable(n: int = 400, seed: int = 11):

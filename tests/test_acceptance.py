@@ -32,7 +32,14 @@ from aspectra import (
     render_aspects,
     render_triplot,
 )
-from aspectra.aspects import _normal_equations, build_design, delta_predictions, fit_lasso, fit_ols
+from aspectra.aspects import (
+    _normal_equations,
+    _scored_designs,
+    build_design,
+    delta_predictions,
+    fit_lasso,
+    fit_ols,
+)
 from aspectra.cli import cli_main
 from aspectra.data import RngStream
 from aspectra.errors import SingularDesign
@@ -414,7 +421,7 @@ def test_criterion_11_average_observation_small_Z():
     model = LinearModel(1.0, coef)
     x_star = Observation(table.values.mean(axis=0))
     part = singletons(table.column_names)
-    design = build_design(table, x_star, part, N=20_000, rng=RngStream(0))
+    design = next(_scored_designs(model, table, x_star, 20_000, RngStream(0), [part]))
     ym = delta_predictions(model, design)
     Z = x_prime(design.flags, design.m).astype(float).T @ ym
     mean_z = float(np.mean(np.abs(Z)) / design.N)

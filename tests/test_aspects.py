@@ -29,6 +29,7 @@ from aspectra.aspects import (
     SurrogateFit,
     _lasso_path,
     _normal_equations,
+    _scored_designs,
     build_design,
     delta_predictions,
     fit_lasso,
@@ -44,6 +45,7 @@ from conftest import (
     child_cmd,
     dense_normal_equations,
     make_six_variable,
+    modified_rows,
     oracle_build_design,
     oracle_modified_keys,
     oracle_predict_aspects,
@@ -76,9 +78,10 @@ def test_design_shapes_and_flag_counts():
     X_prime = x_prime(d.flags, d.m)
     assert d.slots.shape == d.inverse.shape == (300,)
     # each distinct modified row once, in a slot of its own
-    assert d.modified.values.shape == (d.predictions.shape[0], 4)
-    assert np.array_equal(np.sort(d.fills), np.arange(d.modified.n))
-    assert np.array_equal(np.unique(d.slots), np.arange(d.modified.n))
+    n_rows = modified_rows(d).shape[0]
+    assert n_rows == d.predictions.shape[0]
+    assert np.array_equal(np.sort(d.fills), np.arange(n_rows))
+    assert np.array_equal(np.unique(d.slots), np.arange(n_rows))
     assert d.distinct.values.shape == (np.unique(d.row_ids).size, 4)
     counts = X_prime.sum(axis=1)
     assert np.all((counts == 1) | (counts == 2))
@@ -91,20 +94,24 @@ def test_design_rows_come_from_table():
     # each distinct sampled row once, in ascending row id, and expanded to A
     assert np.array_equal(d.distinct.values, t.values[np.unique(d.row_ids)])
     assert np.array_equal(d.distinct.values[d.inverse], t.values[d.row_ids])
-    assert d.distinct.column_names == d.modified.column_names == t.column_names
+    assert d.distinct.column_names == t.column_names
 
 
 def test_design_tables_are_read_only():
-    # the tables are wrapped without re-validation, so nothing may rewrite them
+    # the tables are wrapped without re-validation, so nothing may rewrite
+    # them: the distinct sampled rows, and every stacked table of A' rows
     t = uniform_table(n=40)
     d = build_design(t, t.row(3), singleton_partition(t), N=100, rng=RngStream(5))
-    for table in (d.distinct, d.modified):
-        assert table.values.dtype == np.float64 and table.values.flags.c_contiguous
-        assert not table.values.flags.writeable
-        with pytest.raises(ValueError):
-            table.values[0, 0] = 1.0
+    assert d.distinct.values.dtype == np.float64 and d.distinct.values.flags.c_contiguous
+    assert not d.distinct.values.flags.writeable
+    with pytest.raises(ValueError):
+        d.distinct.values[0, 0] = 1.0
     assert not d.row_ids.flags.writeable and not d.inverse.flags.writeable
     assert not d.slots.flags.writeable and not d.flags.flags.writeable
+    assert not d.new.flags.writeable and not d.x_star.flags.writeable
+    model = CountingModel(LinearModel(0.0, [1.0, 2.0, 3.0, 4.0]))
+    predict_triplot(model, t, t.row(3), TriplotConfig(mode="local", N=100, seed=5))
+    assert model.calls == t.p + 1 and not any(model.writeable)
 
 
 def test_design_replacement_semantics():
@@ -157,7 +164,7 @@ def test_design_validation():
 def test_delta_predictions_linear():
     t = uniform_table(5)
     model = LinearModel(1.0, [1.0, 2.0, 3.0, 4.0])
-    d = build_design(t, t.row(0), singleton_partition(t), N=80, rng=RngStream(3))
+    d = next(_scored_designs(model, t, t.row(0), 80, RngStream(3), [singleton_partition(t)]))
     ym = delta_predictions(model, d)
     A = d.distinct.values[d.inverse]
     expected = (planned_modified([d])[0] - A) @ np.array([1.0, 2.0, 3.0, 4.0])
@@ -198,6 +205,8 @@ def test_distinct_row_scoring_matches_scoring_every_row(case, model_kind):
             "triplot": distinct < N}[case]
     planned = planned_calls_and_rows(table, x_star, parts, N, seed)
     assert (model.calls, model.rows) == planned
+    # f(A) per level, and one stacked call for every level's A' rows
+    assert model.calls == len(parts) + 1
     # the oracle scores all N rows of A' at every level
     assert explain(oracle_predict_triplot, oracle_predict_aspects) == ours
     assert model.rows == planned[1] + len(parts) * (N + distinct)
@@ -997,6 +1006,33 @@ def test_negative_limit_is_rejected_before_any_model_call():
     with pytest.raises(AspectraError, match="limit must be >= 0"):
         predict_triplot(model, table, table.row(0), TriplotConfig(mode="local", N=300, limit=-1))
     assert model.calls == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("N", 300.5), ("N", True), ("N", "300"), ("seed", 1.5), ("seed", False),
+    ("limit", 1.5), ("limit", True),
+])
+def test_non_integer_arguments_are_rejected_before_any_model_call(name, value):
+    # as TriplotConfig takes them; a float or a bool limit would otherwise
+    # run as a cap of 1, and a float N or seed fail inside numpy
+    table, _ = make_six_variable()
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    kwargs = dict(N=300, seed=2, limit=2)
+    kwargs[name] = value
+    for grouping in (0.5, singletons(table.column_names)):
+        with pytest.raises(AspectraError, match=f"{name} must be an integer"):
+            predict_aspects(model, table, table.row(0), grouping, **kwargs)
+    assert model.calls == 0
+
+
+def test_numpy_integer_arguments_are_stored_as_int():
+    table, _ = make_six_variable()
+    model = LinearModel(0.0, [1.0] * 6)
+    ours = predict_aspects(model, table, table.row(0), 0.5, N=np.int64(300), seed=np.uint8(2),
+                           limit=np.int32(1))
+    assert type(ours.N) is int and type(ours.seed) is int
+    assert ours.to_json() == predict_aspects(model, table, table.row(0), 0.5, N=300, seed=2,
+                                             limit=1).to_json()
 
 
 def test_explanation_serialization_roundtrip():

@@ -31,12 +31,14 @@ from conftest import (
     child_cmd,
     dense_normal_equations,
     make_six_variable,
+    modified_rows,
     oracle_build_design,
     oracle_modified_keys,
     oracle_predict_triplot,
     oracle_tree_partitions,
     planned_calls_and_rows,
     planned_modified,
+    singletons,
 )
 
 
@@ -187,9 +189,8 @@ def test_local_node_is_new_cluster_at_its_level(six_table):
 @pytest.mark.parametrize("limit", [None, 2])
 @pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
 def test_local_model_calls(six_table, fit, limit):
-    # each of the p levels scores the modified rows that no earlier level
-    # drew, a call it skips when there are none, and the distinct rows of
-    # the one A
+    # each of the p levels scores the distinct rows of the one A, and the
+    # modified rows that no earlier level drew are stacked into one call
     table, y = six_table
     model = CountingModel(fit(table, y))
     cfg = TriplotConfig(mode="local", N=300, seed=6, limit=limit)
@@ -197,11 +198,10 @@ def test_local_model_calls(six_table, fit, limit):
     planned = planned_calls_and_rows(table, table.row(5), oracle_tree_partitions(table, cfg)[1],
                                      300, 6)
     assert (model.calls, model.rows) == planned
-    # the last level, m = 1, draws only x*, which the m = 2 level drew already
     row_ids = sampled_row_ids(table, 300, RngStream(6).child(aspects._K_ROWS))
     distinct = np.unique(row_ids).size
     assert distinct < 300
-    assert model.calls == 2 * table.p - 1
+    assert model.calls == table.p + 1
     assert model.rows < table.p * 300 + table.p * distinct
 
 
@@ -272,10 +272,10 @@ def test_shared_sampler_designs_match_per_level_designs(six_table):
             assert np.array_equal(shared.inverse, other.inverse)
             assert shared.distinct.values.tobytes() == other.distinct.values.tobytes()
         assert A_prime.tobytes() == other.modified.values.tobytes()
-        for ours in (shared.distinct, shared.modified):
-            assert ours.column_names == table.column_names
-            assert ours.values.dtype == np.float64
-            assert ours.values.flags.c_contiguous and not ours.values.flags.writeable
+        assert shared.distinct.column_names == table.column_names
+        assert shared.distinct.values.dtype == np.float64
+        assert shared.distinct.values.flags.c_contiguous
+        assert not shared.distinct.values.flags.writeable
         assert shared.partition == part
         assert shared.distinct is designs[0].distinct and shared.inverse is designs[0].inverse
         assert shared.predictions is designs[0].predictions
@@ -364,7 +364,7 @@ def test_plan_is_the_same_with_either_sort(six_table, packed, monkeypatch):
     for ours, theirs in zip(_plan(table, table.row(1), cfg)[1], reference):
         assert np.array_equal(ours.slots, theirs.slots)
         assert np.array_equal(ours.fills, theirs.fills)
-        assert ours.modified.values.tobytes() == theirs.modified.values.tobytes()
+        assert modified_rows(ours).tobytes() == modified_rows(theirs).tobytes()
 
 
 def test_plan_memory_is_linear_in_the_draws():
@@ -390,17 +390,127 @@ def test_plan_memory_is_linear_in_the_draws():
 
 
 def test_designs_scored_out_of_plan_order_are_rejected(six_table):
-    # a design's draws that an earlier design scores come out NaN until it
-    # has, and the surrogate fit rejects them
+    # a design's draws come out NaN until `_scored_designs` has scored the
+    # rows that it and the designs before it draw, and the surrogate fit
+    # rejects them
     table, y = six_table
-    _, designs = _plan(table, table.row(1), TriplotConfig(mode="local", N=300, seed=2))
+    cfg = TriplotConfig(mode="local", N=300, seed=2)
+    parts, designs = _plan(table, table.row(1), cfg)
     model = fit_knn(table, y, 5)
     early = delta_predictions(model, designs[3])
     assert np.isnan(early).any()
     with pytest.raises(NonFiniteShift):
         _normal_equations(designs[3], early)
-    for design in designs:
+    tree = oracle_tree_partitions(table, cfg)[0]
+    for design in aspects._scored_designs(model, table, table.row(1), cfg.N, RngStream(cfg.seed),
+                                          parts, tree):
         assert np.isfinite(delta_predictions(model, design)).all()
+
+
+# ---------------------------------------------------- stacked A' scoring
+
+
+class RecordingModel(CountingModel):
+    """Counts like CountingModel and keeps a copy of every table it scores."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.tables = []
+
+    def predict(self, table):
+        self.tables.append(table.values.copy())
+        return super().predict(table)
+
+
+def _stacked_triplot(model, table, x_star, cfg, budget, monkeypatch):
+    monkeypatch.setattr(aspects, "_STACK_VALUES", budget)
+    return predict_triplot(model, table, x_star, cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 6 * 40, 6 * 150, 6 * 400, 6 * 1500])
+def test_stacked_calls_hold_the_budget_and_never_split_a_level(six_table, budget, monkeypatch):
+    # each A' call holds consecutive levels' rows, in plan order and whole,
+    # within the budget unless it is one level's rows alone; the f(A) calls
+    # stay one per level
+    table, y = six_table
+    cfg = TriplotConfig(mode="local", N=300, seed=6)
+    x_star = table.row(5)
+    model = RecordingModel(fit_knn(table, y, 5))
+    ours = _stacked_triplot(model, table, x_star, cfg, budget, monkeypatch)
+    parts, designs = _plan(table, x_star, cfg)
+    distinct = designs[0].distinct.values
+    stacked = [v for v in model.tables
+               if not (v.shape == distinct.shape and np.array_equal(v, distinct))]
+    assert len(model.tables) - len(stacked) == table.p
+    sizes = [d.new.shape[0] for d in designs]
+    assert np.concatenate(stacked).tobytes() == np.concatenate(
+        [modified_rows(d) for d in designs]).tobytes()
+    # every call ends where a level's rows end
+    ends = set(np.cumsum(sizes).tolist())
+    assert set(np.cumsum([v.shape[0] for v in stacked]).tolist()) <= ends
+    for v in stacked:
+        assert v.size <= budget or v.shape[0] in sizes
+    assert (model.calls, model.rows) == planned_calls_and_rows(
+        table, x_star, parts, cfg.N, cfg.seed, stack_values=budget)
+    if budget == 6 * 400:  # several levels share a call, and not all of them do
+        assert 1 < len(stacked) < sum(n > 0 for n in sizes)
+    assert ours.to_json() == oracle_predict_triplot(fit_knn(table, y, 5), table, x_star,
+                                                    cfg).to_json()
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+@pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
+def test_stacked_levels_equal_predict_aspects_bit_for_bit(six_table, fit, limit, monkeypatch):
+    # a budget of 800 rows makes the plan take three stacked calls, the
+    # first of them the first level's rows alone
+    table, y = six_table
+    model = fit(table, y)
+    cfg = TriplotConfig(mode="local", N=600, seed=3, limit=limit)
+    res = _stacked_triplot(model, table, table.row(1), cfg, 6 * 800, monkeypatch)
+    levels = [res.leaf_importance] + [[v] for v in res.node_importance]
+    for t, gammas in enumerate(levels):
+        part = partition_after_merges(res.tree, t, table.column_names)
+        expl = predict_aspects(model, table, table.row(1), part, N=600, seed=3, limit=limit)
+        by_members = {tuple(table.column_index(n) for n in a.members): a.contribution
+                      for a in expl.aspects}
+        if t == 0:
+            assert np.array_equal(gammas, [by_members[(j,)] for j in range(table.p)])
+        else:
+            assert gammas[0] == by_members[res.tree.merges[t - 1].members]
+
+
+def test_one_design_over_the_budget_makes_one_call(six_table, monkeypatch):
+    table, y = six_table
+    monkeypatch.setattr(aspects, "_STACK_VALUES", 6 * 10)
+    model = RecordingModel(fit_knn(table, y, 5))
+    part = singletons(table.column_names)
+    predict_aspects(model, table, table.row(2), part, N=300, seed=4)
+    assert model.calls == 2
+    design = next(aspects._designs(table, table.row(2), 300, RngStream(4), [part]))
+    assert model.tables[0].tobytes() == modified_rows(design).tobytes()
+    assert model.tables[0].size > 6 * 10
+
+
+def test_non_finite_first_stacked_call_fails_before_any_level_is_fitted(six_table, monkeypatch):
+    table, y = six_table
+
+    class NanFirst(CountingModel):
+        def predict(self, table):
+            out = super().predict(table)
+            return np.full(table.n, np.nan) if self.calls == 1 else out
+
+    def fitted(*args):
+        raise AssertionError("a level was fitted")
+
+    monkeypatch.setattr(aspects, "_normal_equations", fitted)
+    model = NanFirst(fit_linear(table, y))
+    cfg = TriplotConfig(mode="local", N=300, seed=2)
+    with pytest.raises(AspectraError, match="^model 'model' returned non-finite predictions$"):
+        _stacked_triplot(model, table, table.row(0), cfg, 6 * 600, monkeypatch)
+    assert model.calls == 1
+    # the first call held the A' rows of more than one level
+    _, designs = _plan(table, table.row(0), cfg)
+    assert model.rows > designs[0].new.shape[0]
 
 
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
