@@ -69,7 +69,11 @@ _TIE = 1e-9  # relative: path events this close happen at one knot
 _MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
 # at most this many values (rows x columns) of stacked A' rows per model
-# call, unless one design's rows alone are more
+# call, unless one design's rows alone are more. Below it `LinearModel`
+# rounds no row by its position with OpenBLAS 0.3.31 on one thread or two,
+# so a triplot level equals `predict_aspects` bit for bit; with two threads
+# some products round rows by position from about 4.6e5 values. More
+# threads are untested.
 _STACK_VALUES = 1 << 17
 
 
@@ -451,7 +455,9 @@ def build_design(
     built from the same rng share the same sampled rows A across different
     groupings; only the flags and replacements differ. This is the first
     design `_designs` plans for the one partition; a local triplot plans
-    every tree level at once.
+    every tree level at once. Its A' rows are not scored:
+    `delta_predictions` on it comes out NaN, and only the designs that
+    `_scored_designs` yields carry f(A'). Nothing in the package calls it.
     """
     return next(_designs(table, x_star, N, rng, [partition]))
 

@@ -103,6 +103,20 @@ class CountingModel(ModelAdapter):
         return self.model.predict(table)
 
 
+class RecordingModel(CountingModel):
+    """Counts like CountingModel, and keeps every table it is given as well
+    as a copy of its values, which a reused buffer may overwrite later."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.given, self.tables = [], []
+
+    def predict(self, table):
+        self.given.append(table)
+        self.tables.append(table.values.copy())
+        return super().predict(table)
+
+
 class RowwiseModel(ModelAdapter):
     """Scores each row on its own, in Python floats."""
 

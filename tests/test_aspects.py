@@ -41,6 +41,7 @@ from aspectra.models import LinearModel
 
 from conftest import (
     CountingModel,
+    RecordingModel,
     RowwiseModel,
     child_cmd,
     dense_normal_equations,
@@ -97,21 +98,34 @@ def test_design_rows_come_from_table():
     assert d.distinct.column_names == t.column_names
 
 
-def test_design_tables_are_read_only():
+def test_design_tables_are_read_only(monkeypatch):
     # the tables are wrapped without re-validation, so nothing may rewrite
-    # them: the distinct sampled rows, and every stacked table of A' rows
+    # them: the distinct sampled rows, and every table the model is handed,
+    # A's distinct rows and the A' rows in a reused buffer, stacked or, past
+    # a budget of 10 rows, one level's alone
     t = uniform_table(n=40)
     d = build_design(t, t.row(3), singleton_partition(t), N=100, rng=RngStream(5))
-    assert d.distinct.values.dtype == np.float64 and d.distinct.values.flags.c_contiguous
-    assert not d.distinct.values.flags.writeable
-    with pytest.raises(ValueError):
-        d.distinct.values[0, 0] = 1.0
     assert not d.row_ids.flags.writeable and not d.inverse.flags.writeable
     assert not d.slots.flags.writeable and not d.flags.flags.writeable
     assert not d.new.flags.writeable and not d.x_star.flags.writeable
-    model = CountingModel(LinearModel(0.0, [1.0, 2.0, 3.0, 4.0]))
-    predict_triplot(model, t, t.row(3), TriplotConfig(mode="local", N=100, seed=5))
-    assert model.calls == t.p + 1 and not any(model.writeable)
+    given, calls = [d.distinct], []
+    for budget in (aspectra.aspects._STACK_VALUES, 4 * 10):
+        monkeypatch.setattr(aspectra.aspects, "_STACK_VALUES", budget)
+        model = RecordingModel(LinearModel(0.0, [1.0, 2.0, 3.0, 4.0]))
+        predict_triplot(model, t, t.row(3), TriplotConfig(mode="local", N=100, seed=5))
+        predict_aspects(model, t, t.row(3), singleton_partition(t), N=100, seed=5)
+        given += model.given
+        calls.append(model.calls)
+    # the triplot's p + 1 calls and predict_aspects' 2; past 10 rows, levels
+    # whose A' rows pass the budget take a call each
+    assert calls[0] == (t.p + 1) + 2 and calls[1] > calls[0]
+    assert max(table.values.size for table in model.given) > 4 * 10
+    for table in given:
+        assert table.column_names == t.column_names
+        assert table.values.dtype == np.float64 and table.values.flags.c_contiguous
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 1.0
 
 
 def test_design_replacement_semantics():

@@ -27,6 +27,7 @@ from aspectra.triplot import TriplotResult
 
 from conftest import (
     CountingModel,
+    RecordingModel,
     RowwiseModel,
     child_cmd,
     dense_normal_equations,
@@ -410,18 +411,6 @@ def test_designs_scored_out_of_plan_order_are_rejected(six_table):
 # ---------------------------------------------------- stacked A' scoring
 
 
-class RecordingModel(CountingModel):
-    """Counts like CountingModel and keeps a copy of every table it scores."""
-
-    def __init__(self, model):
-        super().__init__(model)
-        self.tables = []
-
-    def predict(self, table):
-        self.tables.append(table.values.copy())
-        return super().predict(table)
-
-
 def _stacked_triplot(model, table, x_star, cfg, budget, monkeypatch):
     monkeypatch.setattr(aspects, "_STACK_VALUES", budget)
     return predict_triplot(model, table, x_star, cfg)
@@ -458,6 +447,19 @@ def test_stacked_calls_hold_the_budget_and_never_split_a_level(six_table, budget
                                                     cfg).to_json()
 
 
+def _assert_levels_equal_predict_aspects(model, table, x_star, res, cfg):
+    levels = [res.leaf_importance] + [[v] for v in res.node_importance]
+    for t, gammas in enumerate(levels):
+        part = partition_after_merges(res.tree, t, table.column_names)
+        expl = predict_aspects(model, table, x_star, part, N=cfg.N, seed=cfg.seed, limit=cfg.limit)
+        by_members = {tuple(table.column_index(n) for n in a.members): a.contribution
+                      for a in expl.aspects}
+        if t == 0:
+            assert np.array_equal(gammas, [by_members[(j,)] for j in range(table.p)])
+        else:
+            assert gammas[0] == by_members[res.tree.merges[t - 1].members]
+
+
 @pytest.mark.parametrize("limit", [None, 2])
 @pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
 def test_stacked_levels_equal_predict_aspects_bit_for_bit(six_table, fit, limit, monkeypatch):
@@ -467,16 +469,23 @@ def test_stacked_levels_equal_predict_aspects_bit_for_bit(six_table, fit, limit,
     model = fit(table, y)
     cfg = TriplotConfig(mode="local", N=600, seed=3, limit=limit)
     res = _stacked_triplot(model, table, table.row(1), cfg, 6 * 800, monkeypatch)
-    levels = [res.leaf_importance] + [[v] for v in res.node_importance]
-    for t, gammas in enumerate(levels):
-        part = partition_after_merges(res.tree, t, table.column_names)
-        expl = predict_aspects(model, table, table.row(1), part, N=600, seed=3, limit=limit)
-        by_members = {tuple(table.column_index(n) for n in a.members): a.contribution
-                      for a in expl.aspects}
-        if t == 0:
-            assert np.array_equal(gammas, [by_members[(j,)] for j in range(table.p)])
-        else:
-            assert gammas[0] == by_members[res.tree.merges[t - 1].members]
+    _assert_levels_equal_predict_aspects(model, table, table.row(1), res, cfg)
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+def test_stacked_levels_equal_predict_aspects_at_the_full_budget(limit):
+    # 24 columns in four correlated blocks and N = 1500 fill stacked calls
+    # of up to _STACK_VALUES values, products that a BLAS running on more
+    # than one thread may split; each level still equals predict_aspects
+    rng = np.random.default_rng(8)
+    X = np.repeat(rng.standard_normal((800, 4)), 6, axis=1) + 0.5 * rng.standard_normal((800, 24))
+    table = NumericTable(tuple(f"x{j}" for j in range(24)), X)
+    model = RecordingModel(fit_linear(table, X @ rng.standard_normal(24)))
+    cfg = TriplotConfig(mode="local", N=1500, seed=3, limit=limit)
+    res = predict_triplot(model, table, table.row(7), cfg)
+    largest = max(v.size for v in model.tables)
+    assert aspects._STACK_VALUES // 2 < largest <= aspects._STACK_VALUES
+    _assert_levels_equal_predict_aspects(model.model, table, table.row(7), res, cfg)
 
 
 def test_one_design_over_the_budget_makes_one_call(six_table, monkeypatch):
