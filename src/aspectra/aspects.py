@@ -18,24 +18,22 @@ scored once: f(A) on A's distinct rows, and f(A') once per distinct (sampled
 row, replaced columns) pair, by the first partition that draws it, because
 `_designs` keys the modified rows of all its partitions before it yields
 the first design. `_scored_designs` stacks the new A' rows of consecutive
-designs into one model call of at most _STACK_VALUES (2**17) values, and a
-design whose rows alone pass that budget into a call of its own. A local
+designs into shared calls (see `models._stacked_predictions`). A local
 triplot over p columns so makes p calls for f(A), one per level, plus its
-stacked A' calls, no more than the levels that draw a new pair; it scores
-the distinct pairs of all its levels plus A's distinct rows at every level.
-Scoring f(A) once for all levels waits for the benchmark's tracer test,
-which relies on that repeat.
+stacked A' calls. Scoring f(A) once for all levels waits for the
+benchmark's tracer test, which relies on that repeat.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .cluster import MergeTree, _group_variables, correlation_matrix
+from .cluster import MergeTree, _check_method, _group_variables, correlation_matrix
 from .data import (
     AspectPartition,
     NumericTable,
@@ -58,7 +56,7 @@ from .errors import (
     SchemaMismatch,
     SingularDesign,
 )
-from .models import ModelAdapter, predict
+from .models import ModelAdapter, _stacked_predictions, predict
 
 _K_ROWS = 0xA001
 _K_FLAGS = 0xF1A6
@@ -101,9 +99,8 @@ class SampleDesign:
     are the ones whose rows this design is the first of its plan to draw;
     `_modified_rows` builds those rows, in draw order, and their
     predictions go to predictions[fills]. f(A'[i]) is
-    predictions[slots[i]]. A design holds no A' rows itself:
-    `_scored_designs` writes the new rows of several designs into one
-    buffer and scores them together, in plan order.
+    predictions[slots[i]]. A design holds no A' rows itself; see
+    `_scored_designs`.
     """
 
     row_ids: np.ndarray
@@ -328,50 +325,19 @@ def _scored_designs(model: ModelAdapter, table: NumericTable, x_star: Observatio
                     rng: RngStream, partitions, tree: MergeTree | None = None):
     """Yield `_designs`' designs, each once the model has scored its new A' rows.
 
-    The new rows of consecutive designs are written one after another into
-    one buffer of at most _STACK_VALUES values. When the next design's rows
-    would not fit, or the plan ends, the buffer is scored in one call, its
-    predictions go to each design's `fills`, and those designs are yielded.
-    A design's rows are never split across calls: one whose rows alone pass
-    the budget is scored in a call of its own. So a plan makes no more A'
-    calls than it has designs with new rows. No design keeps a view into the
-    buffer, which the next call's rows overwrite. Under the row-independence
-    contract of `ModelAdapter` the predictions equal those of scoring each
-    design's rows alone.
+    `models._stacked_predictions` stacks the new rows of consecutive designs
+    into calls of at most _STACK_VALUES values, and each call's predictions
+    go to its designs' `fills`.
     """
-    budget = _STACK_VALUES // table.p  # rows per stacked call
-    buffer, pending, used = None, [], 0
-    for design in _designs(table, x_star, N, rng, partitions, tree):
-        k = design.new.shape[0]
-        if used + k > budget:
-            if used:
-                _score_modified(model, pending, buffer[:used])
-            yield from pending
-            pending, used = [], 0
-        if k > budget:
-            _score_modified(model, [design], design._modified_rows(np.empty((k, table.p))))
-            yield design
-            continue
-        if buffer is None:  # no larger than the plan's rows
-            buffer = np.empty((min(budget, design.predictions.shape[0]), table.p))
-        design._modified_rows(buffer[used:used + k])
-        used += k
-        pending.append(design)
-    if used:
-        _score_modified(model, pending, buffer[:used])
-    del buffer  # not needed while the last designs are fitted
-    yield from pending
-
-
-def _score_modified(model: ModelAdapter, designs, rows: np.ndarray) -> None:
-    """Score `rows`, the designs' new A' rows in order, in one call, and
-    write each design's predictions to its `fills`."""
-    scored = predict(model, NumericTable._from_validated(designs[0].distinct.column_names, rows))
-    start = 0
-    for design in designs:
-        stop = start + design.new.shape[0]
-        design.predictions[design.fills] = scored[start:stop]
-        start = stop
+    designs = _designs(table, x_star, N, rng, partitions, tree)
+    first = next(designs)
+    # no larger than the plan's rows
+    buffer = np.empty((min(_STACK_VALUES // table.p, first.predictions.shape[0]), table.p))
+    items = ((d, d.new.shape[0], d._modified_rows) for d in itertools.chain([first], designs))
+    for batch, scored in _stacked_predictions(model, table.column_names, buffer, items):
+        # the designs of one plan share `predictions`
+        batch[0].predictions[np.concatenate([d.fills for d in batch])] = scored
+        yield from batch
 
 
 def _first_draws(keys: np.ndarray):
@@ -766,18 +732,23 @@ def predict_aspects(
     [0, 1]; a cutoff delegates the grouping to group_variables. With `limit`
     set, at most that many aspects keep a nonzero contribution; a limit at or
     above the number of aspects the grouping gives fits without a cap, as
-    limit = m does. An N, seed or limit that is not an integer, or a
-    negative limit, raises AspectraError before the model is called.
+    limit = m does. An N, seed or limit that is not an integer, a negative
+    limit, a grouping that is neither a partition nor a real number (a bool
+    is not one), or a `method` outside `cluster.CORRELATION_METHODS` raises
+    AspectraError before the model is called.
     """
     N, seed = _integer("N", N), _integer("seed", seed)
     if limit is not None:
         limit = _integer("limit", limit)
         if limit < 0:
             raise AspectraError(f"limit must be >= 0, got {limit}")
+    _check_method(method)
     if isinstance(grouping, AspectPartition):
         partition, C = grouping, None
+    elif isinstance(grouping, numbers.Real) and not isinstance(grouping, bool):
+        partition, C = _group_variables(table, grouping, method)
     else:
-        partition, C = _group_variables(table, float(grouping), method)
+        raise AspectraError(f"grouping must be an AspectPartition or a cutoff, got {grouping!r}")
     design = next(_scored_designs(model, table, x_star, N, RngStream(seed), [partition]))
     fit = _fit_surrogate(model, design, limit)
     return AspectExplanation(

@@ -15,7 +15,7 @@ import shlex
 import sys
 
 from .aspects import AspectExplanation, predict_aspects
-from .cluster import group_variables
+from .cluster import CORRELATION_METHODS, group_variables
 from .data import AspectPartition, Observation, _json_text, load_table
 from .errors import AspectraError, SchemaMismatch
 from .global_importance import PermutationConfig, group_importance
@@ -195,7 +195,7 @@ def _add_grouping_flags(sub):
                      help="JSON file mapping group name to column names")
     grp.add_argument("--cutoff", type=float, default=None,
                      help="correlation cutoff for automatic grouping")
-    sub.add_argument("--method", choices=("pearson", "spearman"), default="spearman",
+    sub.add_argument("--method", choices=CORRELATION_METHODS, default="spearman",
                      help="correlation method for --cutoff grouping")
 
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     gv.add_argument("--data", required=True)
     gv.add_argument("--target", default=None)
     gv.add_argument("--cutoff", type=float, required=True)
-    gv.add_argument("--method", choices=("pearson", "spearman"), default="spearman")
+    gv.add_argument("--method", choices=CORRELATION_METHODS, default="spearman")
     gv.set_defaults(func=_cmd_group_vars)
 
     gi = subs.add_parser("global-importance", help="block-permutation group importance")
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--seed", type=int, default=0)
     tp.add_argument("--loss", choices=("rmse", "mae"), default="rmse")
     tp.add_argument("--limit", type=int, default=None)
-    tp.add_argument("--cor-method", choices=("pearson", "spearman"), default="spearman")
+    tp.add_argument("--cor-method", choices=CORRELATION_METHODS, default="spearman")
     tp.add_argument("--linkage", choices=("complete", "single", "average"), default="complete")
     tp.add_argument("--out", default=None)
     tp.set_defaults(func=_cmd_triplot)

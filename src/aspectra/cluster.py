@@ -17,6 +17,7 @@ from .data import AspectPartition, NumericTable, _finite_float, _typed
 from .errors import AspectraError, ZeroVarianceColumn
 
 VALID_LINKAGES = ("complete", "single", "average")
+CORRELATION_METHODS = ("pearson", "spearman")
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,6 +135,11 @@ def _average_ranks(X: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def _check_method(method) -> None:
+    if method not in CORRELATION_METHODS:
+        raise AspectraError(f"correlation method must be {'|'.join(CORRELATION_METHODS)}, got {method!r}")
+
+
 def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndarray:
     """Sample correlation of all column pairs, as a p x p array.
 
@@ -145,8 +151,7 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndar
     result keeps the bits of the unscaled computation wherever that neither
     overflows nor underflows, and is the same at every scale.
     """
-    if method not in ("pearson", "spearman"):
-        raise AspectraError(f"correlation method must be pearson|spearman, got {method!r}")
+    _check_method(method)
     X = table.values
     if method == "spearman":
         X = _average_ranks(X)
@@ -301,4 +306,4 @@ def _group_variables(table: NumericTable, cutoff: float, method: str):
         raise AspectraError(f"cutoff must be in [0, 1], got {cutoff}")
     C = correlation_matrix(table, method)
     tree = agglomerative(cor_distance(C), "complete")
-    return cut_tree(tree, 1.0 - cutoff, table.column_names), C
+    return cut_tree(tree, 1.0 - float(cutoff), table.column_names), C

@@ -11,26 +11,17 @@ so full-group importance equals baseline_loss - full_model_loss exactly.
 member sets and returns their mean permuted losses in order, scoring every
 set not cached yet in one pass; `mean_permuted_loss` is its one-set case.
 
-Scoring is batched. Every (member set, repetition) job gets its own
-permuted copy of the table, and copies are stacked into one `predict` call
-of up to _BATCH_VALUES (2**19) values, in a buffer reused across calls. The
-unpermuted table is one more job, first in the first call, so one batch may
-hold it as well as permuted copies. Per-set work is done once per scorer
-call: each member set is checked once, as one sorted index array, before
-any model call, and its stream id derived once. Per job, the call's one
-Philox is re-keyed to the job's stream instead of building a generator,
-the group's columns are permuted into the job's slot and, after the call,
-written back from the table; a one-column group moves through a basic
-column index, any other through a fancy one. Each call's losses are taken
-row-wise at once. Streams and losses are bit-identical to a new generator
-per job on the stream that `_PermutationStreams` describes, and to
-`models.loss` per job.
-This rests on the model contract in `models.ModelAdapter`: a row's
-prediction must not depend on the other rows in the batch, and a model must
-neither keep nor write to the table it is given. Under that contract the
-losses equal those of scoring each copy alone, bit for bit; `LinearModel`'s
-BLAS product is the known exception where OpenBLAS splits a large product
-across threads (see its docstring).
+Scoring is batched. Every (member set, repetition) job permutes the
+group's columns into its own n-row slot of a buffer of tiled copies of the
+table, and `models._stacked_predictions` scores the slots in shared calls of
+up to _BATCH_VALUES values; the unpermuted table is one more job, first.
+Each member set is checked once, before any model call, and its stream id
+derived once; the one Philox is re-keyed to each job's stream right before
+its permutation is drawn. Streams and losses are bit-identical to a new
+generator per job on the stream that `_PermutationStreams` describes, and,
+under the model contract in `models.ModelAdapter`, to `models.loss` on each
+copy alone; `LinearModel`'s BLAS product is the known exception where
+OpenBLAS splits a large product across threads (see its docstring).
 """
 
 from __future__ import annotations
@@ -53,16 +44,14 @@ from .data import (
     validate_partition,
 )
 from .errors import AspectraError, BadIndex, EmptyGroup
-from .models import LOSS_KINDS, ModelAdapter, _finite_losses, _finite_targets, _row_losses, predict
+from .models import (LOSS_KINDS, ModelAdapter, _finite_losses, _finite_targets, _row_losses,
+                     _stacked_predictions)
 
 _K_SUBSAMPLE = 0x5AB5
 _K_PERM = 0x9E47
 
 # at most this many values (rows x columns) of permuted tables per model call
 _BATCH_VALUES = 1 << 19
-
-# the unpermuted table's job writes back no columns
-_NO_MEMBERS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -263,52 +252,45 @@ class ImportanceContext:
         """Cache the mean permuted loss of every member set (a frozenset of
         column indices) not cached yet.
 
-        Every set is checked once, before the first model call, and its
-        stream id derived once. Each (set, repetition) job permutes its
-        group's columns into its own n-row slot of one buffer of tiled
-        copies of the table; a model call scores as many slots as
-        _BATCH_VALUES allows, the call's losses are taken row-wise at once,
-        and then the group's columns are written back from the table. The
-        empty set, the unpermuted table, goes first as a single job whose
-        slot keeps the tiled values.
+        The jobs are drawn one at a time, so B costs time, not memory. After
+        each call its losses are taken row-wise at once, and each slot's
+        group columns are written back from the table; a one-column group
+        moves through a basic column index, any other through a fancy one.
         """
-        jobs, members_of = [], {}
-        for key in [frozenset(), *keys]:
-            if key in self._cache or key in members_of:
-                continue
-            members_of[key] = _checked_members(key, self.table.p) if key else _NO_MEMBERS
-            jobs += [(key, b) for b in range(self.cfg.B if key else 1)]
-        if not jobs:
+        full = frozenset() not in self._cache  # the unpermuted table, one job
+        members_of = {key: _checked_members(key, self.table.p)
+                      for key in dict.fromkeys(keys) if key and key not in self._cache}
+        if not (full or members_of):
             return
-        n, p = self.table.n, self.table.p
+        n, p, B = self.table.n, self.table.p, self.cfg.B
         values = self.table.values
-        streams = _PermutationStreams(self.cfg.seed, p, self.cfg.B)
-        set_ids = {key: streams.set_id(members) for key, members in members_of.items() if key}
-        job_losses = np.empty(len(jobs))
-        k = min(max(1, _BATCH_VALUES // (n * p)), len(jobs))
-        buf = np.tile(values, (k, 1))
-        for start in range(0, len(jobs), k):
-            chunk = jobs[start:start + k]
-            for slot, (key, b) in enumerate(chunk):
-                if key:
-                    gen = streams.generator(set_ids[key], b)
-                    permute_group(self.table, members_of[key], gen, buf[slot * n:(slot + 1) * n])
-            stacked = NumericTable._from_validated(
-                self.table.column_names, buf[:len(chunk) * n]
-            )
-            yhat = predict(self.model, stacked).reshape(len(chunk), n)
-            job_losses[start:start + len(chunk)] = _row_losses(self.cfg.loss, self.y, yhat)
-            for slot, (key, _) in enumerate(chunk):
-                columns = _columns(members_of[key])
-                buf[slot * n:(slot + 1) * n, columns] = values[:, columns]
+        streams = _PermutationStreams(self.cfg.seed, p, B)
+
+        def jobs():
+            if full:  # its slot keeps the tiled values
+                yield None, n, lambda out: None
+            for members in members_of.values():
+                set_id, columns = streams.set_id(members), _columns(members)
+                for b in range(B):
+                    yield columns, n, lambda out, b=b: permute_group(
+                        self.table, members, streams.generator(set_id, b), out)
+
+        job_losses = np.empty(full + B * len(members_of))
+        buf = np.tile(values, (min(max(1, _BATCH_VALUES // (n * p)), job_losses.shape[0]), 1))
+        done = 0
+        for batch, yhat in _stacked_predictions(self.model, self.table.column_names, buf, jobs()):
+            job_losses[done:done + len(batch)] = _row_losses(
+                self.cfg.loss, self.y, yhat.reshape(len(batch), n))
+            for slot, columns in enumerate(batch):
+                if columns is not None:
+                    buf[slot * n:(slot + 1) * n, columns] = values[:, columns]
+            done += len(batch)
+        if full:
+            self._cache[frozenset()] = float(job_losses[0])
         # each set's B jobs are adjacent, after the unpermuted table's one
-        keys = list(members_of)
-        if not keys[0]:
-            self._cache[keys.pop(0)] = float(job_losses[0])
-        per_set = job_losses[len(jobs) - len(keys) * self.cfg.B:].reshape(len(keys), self.cfg.B)
         with np.errstate(over="ignore"):  # B finite losses may sum past the float64 range
-            means = np.mean(per_set, axis=1)
-        self._cache.update(zip(keys, _finite_losses(self.cfg.loss, means).tolist()))
+            means = np.mean(job_losses[full:].reshape(len(members_of), B), axis=1)
+        self._cache.update(zip(members_of, _finite_losses(self.cfg.loss, means).tolist()))
 
     @property
     def baseline_loss(self) -> float:

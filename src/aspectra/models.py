@@ -38,14 +38,11 @@ class ModelAdapter:
     """Base contract: deterministic predict, finite real outputs, fixed schema.
 
     predict is called on batches of rows, and a row's prediction must not
-    depend on the other rows in the batch: global importance stacks several
-    permuted copies of the table into one call, up to 2**19 values, and a
-    local explanation scores each distinct sampled row once and uses that
-    prediction for every draw of the row. Likewise it scores each distinct
-    (sampled row, replaced columns) pair once, and a local triplot scores
-    such a pair at the first tree level that draws it, for every later
-    level too, and stacks the new pairs of consecutive levels into one
-    call of up to 2**17 values. The table is read-only and may be a view of a buffer that
+    depend on the other rows in the batch: global importance stacks permuted
+    copies of the table into shared calls, and a local explanation scores each
+    distinct sampled row, and each distinct (sampled row, replaced columns)
+    pair, once for every draw of it; `_stacked_predictions` says which rows
+    share a call. The table is read-only and may be a view of a buffer that
     the caller rewrites for its next call, so a model must neither keep the
     table nor write to it.
     """
@@ -67,12 +64,11 @@ class LinearModel(ModelAdapter):
     0.3.31) computes rows in blocks of 4 and the last n mod 4 rows of an
     n-row table with another kernel, which may round them differently in the
     last bit. So predict scores those last rows again as a zero-padded block
-    of 4, and a row's prediction does not depend on its position in the
-    batch: a local explanation's distinct rows, and a triplot level's
-    modified rows, stacked with other levels' or taken from an earlier
-    level's call, equal scoring every row of the design. A product large enough for OpenBLAS to split across
-    threads (seen from 3000 rows of 200 values with two threads) may still
-    round a row by its position. Results stay deterministic.
+    of 4, and a row's prediction does not depend on its position in a
+    stacked batch (see `_stacked_predictions`). A product large enough for
+    OpenBLAS to split across threads (seen from 3000 rows of 200 values with
+    two threads) may still round a row by its position. Results stay
+    deterministic.
     """
 
     def __init__(self, intercept, coefficients, column_names=None, label="linear"):
@@ -418,3 +414,51 @@ def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise AspectraError(f"model {model.label!r} returned non-finite predictions")
     return out
+
+
+def _stacked_predictions(model: ModelAdapter, column_names: tuple, buffer: np.ndarray, items):
+    """Score the rows of many items in shared `predict` calls, and yield
+    each call's items, in order, with their predictions.
+
+    `items` yields (item, k, write): `write(out)` writes the item's k rows,
+    validated values under `column_names` (see `NumericTable._from_validated`),
+    into `out`, a C-contiguous float64 array, before the next item is drawn.
+    `buffer`, the caller's, takes the rows of consecutive items; its row
+    count is one call's budget, set by the caller (see `aspects._STACK_VALUES`
+    and `global_importance._BATCH_VALUES`). The stacking rules, the same for
+    every batched model call:
+
+    - The buffer's rows are scored in one call when the next item's rows
+      would not fit, or the items end.
+    - No item's rows are split across calls: an item with more rows than the
+      buffer gets a call of its own, in a new array, after the pending items.
+    - An item with no rows waits for the pending call.
+    - A call's predictions follow its rows, in the order they were written.
+      A call with no rows makes no model call and yields no predictions.
+
+    The next call rewrites the buffer, so the caller takes what it needs and
+    restores what its writes rely on before it asks for the next call, and
+    keeps no view into the buffer. Under the row-independence contract of
+    `ModelAdapter` an item's predictions equal those of scoring its rows alone.
+    """
+    def scored(rows):  # no rows make no call
+        if not len(rows):
+            return np.empty(0)
+        return predict(model, NumericTable._from_validated(column_names, rows))
+
+    budget = buffer.shape[0]
+    pending, used = [], 0
+    for item, k, write in items:
+        if pending and used + k > budget:
+            yield pending, scored(buffer[:used])
+            pending, used = [], 0
+        if k > budget:
+            out = np.empty((k, buffer.shape[1]))
+            write(out)
+            yield [item], scored(out)
+        else:
+            write(buffer[used:used + k])
+            used += k
+            pending.append(item)
+    if pending:
+        yield pending, scored(buffer[:used])

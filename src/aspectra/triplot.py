@@ -7,10 +7,8 @@ inside the tree-cut partition at that step, which partition_after_merges
 gives, and all steps share one sampled row set, planned by
 `aspects._designs`, so differences between levels come from the grouping,
 not sampling. A modified row that several levels draw is scored once, by
-the first of them, and the new modified rows of consecutive levels are
-scored together, in calls of at most `aspects._STACK_VALUES` (2**17)
-values. A local triplot over p columns so makes p calls for f(A), one per
-level, plus its few stacked calls for A'.
+the first of them, and the new modified rows of consecutive levels share
+calls (see `models._stacked_predictions`).
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from .aspects import _fit_surrogate, _scored_designs
 from .cluster import (
     MergeTree,
     VALID_LINKAGES,
+    _check_method,
     _round12,
     agglomerative,
     cor_distance,
@@ -58,6 +57,7 @@ class TriplotConfig:
             raise AspectraError(f"mode must be global|local, got {self.mode!r}")
         if self.linkage not in VALID_LINKAGES:
             raise AspectraError(f"linkage must be one of {VALID_LINKAGES}")
+        _check_method(self.cor_method)
         if self.mode == "global" and self.permutation is None:
             raise AspectraError("global mode needs a PermutationConfig")
         if self.mode == "local" and self.N is None:
@@ -194,8 +194,6 @@ def predict_triplot(
     Level t is the cut after t merges. One `aspects._designs` run plans the
     designs of all p levels over one sample A: only the flags differ, and a
     modified row that an earlier level scored is not scored again.
-    `aspects._scored_designs` scores the levels' new modified rows in
-    stacked calls before it yields their designs.
     """
     if cfg.mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")

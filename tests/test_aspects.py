@@ -35,6 +35,7 @@ from aspectra.aspects import (
     fit_lasso,
     fit_ols,
 )
+from aspectra.cluster import CORRELATION_METHODS
 from aspectra.data import RngStream
 from aspectra.errors import AspectraError, LassoNotConverged, NonFiniteShift
 from aspectra.models import LinearModel
@@ -1038,6 +1039,36 @@ def test_non_integer_arguments_are_rejected_before_any_model_call(name, value):
             predict_aspects(model, table, table.row(0), grouping, **kwargs)
     assert model.calls == 0
 
+
+
+@pytest.mark.parametrize("grouping", ["abc", None, True, np.bool_(True), "0.5", [0.5]])
+def test_a_grouping_that_is_no_partition_or_number_is_rejected_before_any_model_call(grouping):
+    # a bool or a numeric string once ran as a cutoff, and the rest raised
+    # a bare ValueError or TypeError
+    table, _ = make_six_variable()
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    with pytest.raises(AspectraError, match="grouping must be"):
+        predict_aspects(model, table, table.row(0), grouping, N=300)
+    assert model.calls == 0
+
+
+def test_an_integer_past_the_float_range_is_a_cutoff_outside_the_unit_interval():
+    table, _ = make_six_variable()
+    with pytest.raises(AspectraError, match="cutoff must be in"):
+        predict_aspects(LinearModel(0.0, [1.0] * 6), table, table.row(0), 10**400, N=300)
+
+
+def test_an_unknown_correlation_method_is_rejected_before_any_model_call():
+    # singleton groups never need a correlation, and a partition's multi-
+    # column group once needed it only after the model calls
+    table, _ = make_six_variable()
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    pairs = AspectPartition((("ab", (0, 1)), ("cd", (2, 3)), ("e", (4,)), ("f", (5,))))
+    for grouping in (0.5, singletons(table.column_names), pairs):
+        with pytest.raises(AspectraError, match="correlation method"):
+            predict_aspects(model, table, table.row(0), grouping, N=300, method="kendall")
+    assert model.calls == 0
+    assert CORRELATION_METHODS == ("pearson", "spearman")
 
 def test_numpy_integer_arguments_are_stored_as_int():
     table, _ = make_six_variable()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,26 @@ def test_group_importance_model_calls(budget, monkeypatch):
     group_importance(model, table, y, part, PermutationConfig(loss="rmse", B=3, seed=1))
     assert (model.calls, model.rows) == _calls_and_rows(60, 4, 3, 4, budget)
 
+
+
+def test_scorer_memory_holds_no_python_object_per_job(monkeypatch):
+    # 4 sets at B = 2500 are 10001 jobs in calls of 100 slots: the jobs are
+    # drawn one at a time, so past the buffer only a loss per job is kept,
+    # not a (set, repetition) tuple per job, about 115 bytes
+    monkeypatch.setattr(global_importance, "_BATCH_VALUES", 5 * 3 * 100)
+    rng = np.random.default_rng(0)
+    table = NumericTable(("a", "b", "c"), rng.standard_normal((5, 3)))
+    y = rng.standard_normal(5)
+    B = 2500
+    ctx = ImportanceContext(LinearModel(0.0, [1.0, 2.0, 3.0]), table, y,
+                            PermutationConfig(loss="rmse", B=B))
+    tracemalloc.start()
+    try:
+        ctx.mean_permuted_losses([(0,), (1,), (2,), (0, 1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * (1 + 4 * B)
 
 def test_bad_member_index_raises_before_any_model_call(monkeypatch):
     # one table per call, so a set checked only when its turn came would

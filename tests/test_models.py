@@ -30,9 +30,16 @@ from aspectra.errors import (
     NonFiniteLoss,
     RankDeficient,
 )
-from aspectra.models import KnnModel, LinearModel, _row_losses, loss, predict
+from aspectra.models import (
+    KnnModel,
+    LinearModel,
+    _row_losses,
+    _stacked_predictions,
+    loss,
+    predict,
+)
 
-from conftest import child_cmd
+from conftest import RecordingModel, child_cmd
 
 
 def table_of(values, names=None):
@@ -609,3 +616,80 @@ def test_subprocess_rejects_shell_string():
 def test_subprocess_rejects_an_empty_argv():
     with pytest.raises(AspectraError, match="empty argv"):
         SubprocessModel([])
+
+
+# ------------------------------------------------------ stacked model calls
+
+
+def stack(sizes, budget):
+    """Run `_stacked_predictions` over items 0, 1, ... with `sizes[i]` rows
+    each, row r of item i being (i, r), under a model scoring 1000 i + r.
+    Returns the model, each call's items and a copy of its predictions."""
+    model = RecordingModel(LinearModel(0.0, [1000.0, 1.0]))
+
+    def item(i, k):
+        def write(out):
+            assert out.shape == (k, 2) and out.flags.c_contiguous
+            out[:, 0] = i
+            out[:, 1] = np.arange(k)
+        return i, k, write
+
+    items = (item(i, k) for i, k in enumerate(sizes))
+    calls = [(list(batch), scored.copy()) for batch, scored
+             in _stacked_predictions(model, ("i", "r"), np.empty((budget, 2)), items)]
+    return model, calls
+
+
+def expected(batch, sizes):
+    return np.concatenate([1000.0 * i + np.arange(sizes[i]) for i in batch] + [np.empty(0)])
+
+
+def test_stacking_keeps_zero_row_items_in_order_with_the_pending_call():
+    sizes = [2, 0, 1, 0]
+    model, calls = stack(sizes, budget=4)
+    assert [batch for batch, _ in calls] == [[0, 1, 2, 3]]
+    assert model.calls == 1 and model.rows == 3
+    np.testing.assert_array_equal(calls[0][1], [0.0, 1.0, 2000.0])
+
+
+def test_stacking_gives_an_oversized_item_its_own_call_after_the_pending_ones():
+    sizes = [1, 0, 5, 1]
+    model, calls = stack(sizes, budget=3)
+    assert [batch for batch, _ in calls] == [[0, 1], [2], [3]]
+    assert [t.shape[0] for t in model.tables] == [1, 5, 1]
+    for batch, scored in calls:
+        np.testing.assert_array_equal(scored, expected(batch, sizes))
+
+
+def test_stacking_with_no_rows_calls_no_model():
+    model, calls = stack([0, 0], budget=2)
+    assert model.calls == 0
+    assert [batch for batch, _ in calls] == [[0, 1]] and calls[0][1].shape == (0,)
+    # zero-row items ahead of an oversized one come out without a call
+    model, calls = stack([0, 3], budget=2)
+    assert [batch for batch, _ in calls] == [[0], [1]] and model.calls == 1
+    assert stack([], budget=2)[1] == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stacking_never_splits_an_item_and_fills_each_call(seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, 7, size=rng.integers(1, 12)).tolist()
+    budget = int(rng.integers(1, 9))
+    model, calls = stack(sizes, budget)
+    # every item comes out once, in order, and each model call is one
+    # yielded call's rows in item order, with its predictions
+    assert [i for batch, _ in calls for i in batch] == list(range(len(sizes)))
+    scored = [(batch, got) for batch, got in calls if got.shape[0]]
+    assert len(scored) == model.calls
+    for (batch, got), table in zip(scored, model.tables):
+        np.testing.assert_array_equal(got, expected(batch, sizes))
+        np.testing.assert_array_equal(table[:, 0], np.repeat(batch, [sizes[i] for i in batch]))
+    for batch, _ in calls:
+        rows = sum(sizes[i] for i in batch)
+        # a call passes the budget only as one item's own, and a call is
+        # made before the last item only when the next item's rows would
+        # not fit
+        assert rows <= budget or len(batch) == 1
+        if batch[-1] + 1 < len(sizes):
+            assert rows + sizes[batch[-1] + 1] > budget

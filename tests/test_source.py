@@ -1,4 +1,5 @@
-"""Source checks that no linter runs here: every import in the package is used."""
+"""Source checks that no linter runs here: every import in the package is
+used, and every private name the package defines is read somewhere in it."""
 
 from __future__ import annotations
 
@@ -41,3 +42,55 @@ def test_the_check_sees_an_unread_import():
     tree = ast.parse("from dataclasses import dataclass\nimport numpy as np\n"
                      "import os.path\nx = np.zeros(1)\n__all__ = ['x']\n")
     assert _unread_imports(tree) == ["dataclass (line 1)", "os (line 3)"]
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """The private module-level names and methods a module defines, with
+    their lines; dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, node.lineno) for t in targets
+                           if isinstance(t, ast.Name) and private(t.id))
+        if isinstance(node, ast.ClassDef):
+            defined.update((f"{node.name}.{item.name}", item.lineno) for item in node.body
+                           if isinstance(item, ast.FunctionDef) and private(item.name))
+    return defined
+
+
+def _unread_private_names(modules: dict) -> list:
+    """Private names and methods that no module of `modules` (name -> tree)
+    reads, as a name or as an attribute."""
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}: {name} (line {line})"
+                  for module, tree in modules.items()
+                  for name, line in _private_definitions(tree).items()
+                  if name.rpartition(".")[2] not in read)
+
+
+def test_every_private_name_is_read():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+               for path in MODULES}
+    assert _unread_private_names(modules) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    a = ast.parse("_LIMIT = 3\n_UNUSED = 4\n\ndef _helper():\n    return _LIMIT\n\n"
+                  "def _stale():\n    pass\n\nclass Box:\n    def __len__(self):\n"
+                  "        return 0\n\n    def _fill(self):\n        pass\n\n"
+                  "    def _drop(self):\n        pass\n")
+    b = ast.parse("from a import Box, _helper\n_helper()\nBox()._fill()\n")
+    assert _unread_private_names({"a.py": a, "b.py": b}) == [
+        "a.py: Box._drop (line 17)", "a.py: _UNUSED (line 2)", "a.py: _stale (line 7)"]

@@ -60,6 +60,11 @@ def test_config_validation():
         TriplotConfig(mode="local")  # no N
     with pytest.raises(AspectraError):
         TriplotConfig(mode="local", N=100, linkage="ward")
+    # rejected when built, not when the triplot runs
+    for mode in ("local", "global"):
+        with pytest.raises(AspectraError, match="correlation method"):
+            TriplotConfig(mode=mode, N=100, permutation=PermutationConfig("rmse"),
+                          cor_method="kendall")
     # as PermutationConfig takes N, and before any model call
     for N in (0, -1):
         with pytest.raises(AspectraError, match="N must be >= 1"):
