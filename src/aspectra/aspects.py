@@ -10,24 +10,23 @@ coefficients are the aspect contributions. An L1-limited variant caps how
 many aspects stay nonzero, at the knot of the exact lasso path where the
 cap first breaks.
 
-The sampled rows do not depend on the grouping: the generator `_designs`
-draws them once, and each partition it plans draws only its flags. A local
-triplot takes every tree level's design from one `_designs` run, and
-`build_design` is its first design for one partition. Each distinct row is
-scored once: f(A) on A's distinct rows, and f(A') once per distinct (sampled
-row, replaced columns) pair, by the first partition that draws it, because
-`_designs` keys the modified rows of all its partitions before it yields
-the first design. `_scored_designs` stacks the new A' rows of consecutive
-designs into shared calls (see `models._stacked_predictions`). A local
-triplot over p columns so makes p calls for f(A), one per level, plus its
-stacked A' calls. Scoring f(A) once for all levels waits for the
-benchmark's tracer test, which relies on that repeat.
+The sampled rows do not depend on the grouping: `_designs` draws them
+once, and each partition it plans draws only its flags. A local triplot
+takes every tree level's design from one `_designs` run, and
+`build_design` is its design for one partition. Each distinct row is
+scored once: f(A) on A's distinct rows, and f(A') once per slot of the
+plan, a distinct (sampled row, replaced columns) pair of any level.
+`_scored_designs` scores the K slots in slot order, in calls of at most
+_STACK_VALUES values (see `models._stacked_predictions`), before it returns
+any design. A local triplot over p columns so makes its A' calls, then p
+calls for f(A), one per level. Scoring f(A) once for all levels waits for
+the benchmark's tracer test, which relies on that repeat.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,51 +65,45 @@ LASSO_TOL = 1e-10
 _TIE = 1e-9  # relative: path events this close happen at one knot
 _MAX_TIED = 12  # columns tied at one knot; the active set search is 2^tied
 
-# at most this many values (rows x columns) of stacked A' rows per model
-# call, unless one design's rows alone are more. Below it `LinearModel`
-# rounds no row by its position with OpenBLAS 0.3.31 on one thread or two,
-# so a triplot level equals `predict_aspects` bit for bit; with two threads
-# some products round rows by position from about 4.6e5 values. More
-# threads are untested.
+# at most this many values (rows x columns) of A' rows per model call, or
+# one row when a row alone is more. Below it `LinearModel` rounds no row by
+# its position with OpenBLAS 0.3.31 on one thread or two, so a triplot level
+# equals `predict_aspects` bit for bit; with two threads some products round
+# rows by position from about 4.6e5 values. More threads are untested.
 _STACK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
 class SampleDesign:
-    """Sampled rows A, each draw's aspect flags, and the modified rows A' to score.
+    """Sampled rows A, each draw's aspect flags, and where its A' row is scored.
 
     Draw i flags aspects flags[i, 0] and flags[i, 1], drawn with replacement
     (they coincide with probability 1/m), so row i of the binary design X'
     has one or two entries set; `_normal_equations` reads X' off the flags.
-    Draw i's modified row A'[i] equals the explained observation `x_star` at
+    Draw i's modified row A'[i] equals the explained observation x* at
     column j when column j's aspect is flagged in draw i, otherwise A[i, j].
 
     The model scores read-only tables under the explained table's column
     names. `distinct` holds each distinct sampled row once, in ascending row
     id, and `inverse` maps A onto it: A[i] = distinct[inverse[i]], so f(A)
     is f(distinct)[inverse]. Designs from one `_designs` run share
-    `row_ids`, `distinct`, `inverse` and `x_star`, all read-only.
+    `row_ids`, `distinct` and `inverse`, all read-only.
 
     A' is scored once per distinct modified row: two draws share a row when
     they replace the same columns of the same sampled row, or when they
     replace every column, which makes the row the observation itself. The
     designs that one `_designs` run plans share `predictions`, one slot per
-    distinct modified row of them all, NaN until scored. The draws `new`
-    are the ones whose rows this design is the first of its plan to draw;
-    `_modified_rows` builds those rows, in draw order, and their
-    predictions go to predictions[fills]. f(A'[i]) is
-    predictions[slots[i]]. A design holds no A' rows itself; see
-    `_scored_designs`.
+    distinct modified row of them all, NaN until `_scored_designs` scores
+    it. f(A'[i]) is predictions[slots[i]]. A design holds no A' rows; the
+    plan's writer builds them (see `_designs`).
     """
 
     row_ids: np.ndarray
     flags: np.ndarray  # N x 2, read-only: the two aspects each draw flags
     distinct: NumericTable
     inverse: np.ndarray
-    x_star: np.ndarray  # p, read-only: the explained observation's values
     partition: AspectPartition
     slots: np.ndarray  # N, each draw's slot in `predictions`
-    new: np.ndarray  # the draws whose rows this design scores, ascending
     predictions: np.ndarray  # shared by the designs of one plan
 
     @property
@@ -120,33 +113,6 @@ class SampleDesign:
     @property
     def m(self) -> int:
         return self.partition.m
-
-    @property
-    def fills(self) -> np.ndarray:
-        """The slots of the `new` draws, which this design's rows score."""
-        return self.slots.take(self.new)
-
-    def _modified_rows(self, out: np.ndarray) -> np.ndarray:
-        """Write the `new` draws' rows of A' into `out`, a C-contiguous
-        float64 array of their shape, and return it.
-
-        A' takes each cell of a new draw from x* where its aspect is one of
-        the draw's two flags and from the draw's sampled row elsewhere:
-        copied values, so exact and already validated.
-        """
-        aspect_of = [0] * self.x_star.shape[0]  # column -> its aspect
-        for j, members in enumerate(self.partition.member_sets):
-            for i in members:
-                aspect_of[i] = j
-        aspect_of = np.array(aspect_of, dtype=self.flags.dtype)
-        new_flags = self.flags.take(self.new, axis=0)
-        flagged = (new_flags[:, :1] == aspect_of) | (new_flags[:, 1:] == aspect_of)
-        # indices in range: "clip" only spares `take` a buffered copy of out
-        self.distinct.values.take(self.inverse.take(self.new), axis=0, out=out, mode="clip")
-        # putmask repeats x* over out's cells, p to a row, so a flagged cell
-        # takes x*'s value at its column
-        np.putmask(out, flagged, self.x_star)
-        return out
 
 
 @dataclass(frozen=True)
@@ -247,7 +213,7 @@ class AspectExplanation:
 
 def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, partitions,
              tree: MergeTree | None = None):
-    """Yield a design per partition over one sample A, their modified rows planned together.
+    """A design per partition over one sample A, and the writer of their planned A' rows.
 
     The rows come from the stream `rng.child(_K_ROWS)` and each partition's
     flags from `rng.child(_K_FLAGS)`, restarted per partition, so every
@@ -259,13 +225,18 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     `_hierarchy` codes the columns from the two flagged aspects as nodes of
     `tree`: two siblings replace their parent's columns, and the root, every
     column, has the largest code and makes the row x* whatever the sampled
-    row. Each key is scored by the first design that draws it (see
-    `_first_draws`).
+    row. Each key is one slot of `predictions` (see `_first_draws`).
+
+    `write(start, out)` writes the A' rows of slots start, start + 1, ...
+    into `out`, a C-contiguous float64 array of as many rows and p columns:
+    each slot's row is its first draw's. A cell takes x*'s value where its
+    column's aspect is one of the draw's two flags at the draw's level, and
+    the draw's sampled row elsewhere: copied values, so exact and already
+    validated. The plan keeps only each slot's first draw; a call's levels,
+    sampled rows and flags are looked up as it writes.
 
     Without a tree there must be one partition, which is validated; the
-    cuts of a tree are partitions by construction. Every partition's flags
-    are drawn before the first design is yielded; no design builds its A'
-    rows (see `_scored_designs`).
+    cuts of a tree are partitions by construction.
     """
     if x_star.p != table.p:
         raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
@@ -284,12 +255,15 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     stream = rng.child(_K_FLAGS)
     gen = stream.generator()
     keys = np.empty((len(partitions), N), dtype=np.int64)
-    flags = np.empty((len(partitions), N, 2),
-                     dtype=np.min_scalar_type(max(part.m for part in partitions)))
+    flag_type = np.min_scalar_type(max(part.m for part in partitions))
+    flags = np.empty((len(partitions), N, 2), dtype=flag_type)
+    aspect_of = np.empty((len(partitions), table.p), dtype=flag_type)  # per level: column -> aspect
     # no view of `keys` outlives the loop, so that `del keys` frees it
     for k, (part, node, kl) in enumerate(zip(partitions, nodes, flags)):
         if N < part.m:
             raise AspectraError(f"need N >= m sampled rows, got N={N}, m={part.m}")
+        for j, members in enumerate(part.member_sets):
+            aspect_of[k, members] = j
         _rekey(gen.bit_generator, stream.seed, stream.stream_id)
         drawn = gen.integers(0, part.m, size=(N, 2))
         kl[...] = drawn
@@ -301,53 +275,65 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     keys += inverse
     # a draw that replaces every column is x*: its key drops its sampled row
     np.minimum(keys, (M * M - 1) * n_rows, out=keys)
-    slots, drawn_first, n_slots = _first_draws(keys.reshape(-1))
+    slots, firsts = _first_draws(keys.reshape(-1))
     del keys
-    predictions = np.full(n_slots, np.nan)
+    predictions = np.full(firsts.shape[0], np.nan)
 
-    for k, (part, kl) in enumerate(zip(partitions, flags)):
-        new = np.flatnonzero(drawn_first[k * N:(k + 1) * N])
-        new.setflags(write=False)
-        yield SampleDesign(
+    def write(start: int, out: np.ndarray) -> None:
+        level, draw = np.divmod(firsts[start:start + out.shape[0]], N)
+        drawn, columns = flags[level, draw], aspect_of.take(level, axis=0)
+        flagged = (drawn[:, :1] == columns) | (drawn[:, 1:] == columns)
+        # indices in range: "clip" only spares `take` a buffered copy of out
+        distinct.values.take(inverse.take(draw), axis=0, out=out, mode="clip")
+        # putmask repeats x* over out's cells, p to a row, so a flagged cell
+        # takes x*'s value at its column
+        np.putmask(out, flagged, x_star.values)
+
+    designs = [
+        SampleDesign(
             row_ids=row_ids,
             flags=kl,
             distinct=distinct,
             inverse=inverse,
-            x_star=x_star.values,
             partition=part,
             slots=slots[k * N:(k + 1) * N],
-            new=new,
             predictions=predictions,
         )
+        for k, (part, kl) in enumerate(zip(partitions, flags))
+    ]
+    return designs, write
 
 
 def _scored_designs(model: ModelAdapter, table: NumericTable, x_star: Observation, N: int,
                     rng: RngStream, partitions, tree: MergeTree | None = None):
-    """Yield `_designs`' designs, each once the model has scored its new A' rows.
+    """`_designs`' designs, once the model has scored every slot of their plan.
 
-    `models._stacked_predictions` stacks the new rows of consecutive designs
-    into calls of at most _STACK_VALUES values, and each call's predictions
-    go to its designs' `fills`.
+    `models._stacked_predictions` scores the slots in slot order, at most
+    _STACK_VALUES // p of them (at least one) to a call, and each call's
+    predictions fill their slots of the shared, then read-only,
+    `predictions` before any design is returned.
     """
-    designs = _designs(table, x_star, N, rng, partitions, tree)
-    first = next(designs)
-    # no larger than the plan's rows
-    buffer = np.empty((min(_STACK_VALUES // table.p, first.predictions.shape[0]), table.p))
-    items = ((d, d.new.shape[0], d._modified_rows) for d in itertools.chain([first], designs))
-    for batch, scored in _stacked_predictions(model, table.column_names, buffer, items):
-        # the designs of one plan share `predictions`
-        batch[0].predictions[np.concatenate([d.fills for d in batch])] = scored
-        yield from batch
+    designs, write = _designs(table, x_star, N, rng, partitions, tree)
+    predictions = designs[0].predictions
+    n_slots, rows = predictions.shape[0], max(1, _STACK_VALUES // table.p)
+    buffer = np.empty((min(rows, n_slots), table.p))
+    chunks = ((start, min(rows, n_slots - start), functools.partial(write, start))
+              for start in range(0, n_slots, rows))
+    # every chunk fills the buffer, so each call scores one chunk
+    for (start,), scored in _stacked_predictions(model, table.column_names, buffer, chunks):
+        predictions[start:start + scored.shape[0]] = scored
+    predictions.setflags(write=False)
+    return designs
 
 
 def _first_draws(keys: np.ndarray):
-    """Each draw's slot, the same for equal keys, whether it is the first
-    draw of its key, and the slot count. `keys` are nonnegative and are
-    overwritten.
+    """Each draw's slot, the same for equal keys, and each slot's first
+    draw, in slot order. `keys` are nonnegative and are overwritten.
 
     Slots are numbered in key order. When a key and the draw's position fit
     in an int64 together, the position goes in the low bits and one sort
-    orders both; otherwise a stable argsort orders the keys.
+    orders both; otherwise a stable argsort orders the keys. Either way the
+    first of each run of equal keys is the key's first draw.
     """
     draws = keys.shape[0]
     shift = (draws - 1).bit_length()
@@ -360,18 +346,17 @@ def _first_draws(keys: np.ndarray):
     else:
         order = np.argsort(keys, kind="stable")
         keys = keys.take(order)
-    # the first of each run of equal keys is the key's first draw
     first = np.empty(draws, dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    drawn_first = np.empty(draws, dtype=bool)
-    drawn_first[order] = first
+    firsts = order[first]
+    firsts.setflags(write=False)
     first[0] = False  # so that the runs count from 0
     runs = np.cumsum(first, out=keys)  # the sorted keys are not needed again
     slots = np.empty(draws, dtype=np.int32 if draws < 1 << 31 else np.int64)
     slots[order] = runs
     slots.setflags(write=False)
-    return slots, drawn_first, int(runs[-1]) + 1
+    return slots, firsts
 
 
 def _hierarchy(partitions, p: int, tree: MergeTree | None):
@@ -423,16 +408,16 @@ def build_design(
     design `_designs` plans for the one partition; a local triplot plans
     every tree level at once. Its A' rows are not scored:
     `delta_predictions` on it comes out NaN, and only the designs that
-    `_scored_designs` yields carry f(A'). Nothing in the package calls it.
+    `_scored_designs` returns carry f(A'). Nothing in the package calls it.
     """
-    return next(_designs(table, x_star, N, rng, [partition]))
+    return _designs(table, x_star, N, rng, [partition])[0][0]
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
     """The prediction shifts f(A') - f(A), from one adapter call for f(A).
 
     f(A') is read from `design.predictions`, which `_scored_designs` fills
-    before it yields the design. The call scores each distinct row of A
+    before it returns the design. The call scores each distinct row of A
     once, `design.distinct`, and `design.inverse` expands its predictions to
     A's N rows. Under the row-independence contract of `ModelAdapter` that
     equals scoring all N rows of A' and of A. A shift that overflows comes
@@ -745,11 +730,9 @@ def predict_aspects(
     _check_method(method)
     if isinstance(grouping, AspectPartition):
         partition, C = grouping, None
-    elif isinstance(grouping, numbers.Real) and not isinstance(grouping, bool):
-        partition, C = _group_variables(table, grouping, method)
     else:
-        raise AspectraError(f"grouping must be an AspectPartition or a cutoff, got {grouping!r}")
-    design = next(_scored_designs(model, table, x_star, N, RngStream(seed), [partition]))
+        partition, C = _group_variables(table, grouping, method, "grouping")
+    (design,) = _scored_designs(model, table, x_star, N, RngStream(seed), [partition])
     fit = _fit_surrogate(model, design, limit)
     return AspectExplanation(
         aspects=_aspect_rows(partition, fit.gamma, table, method, C),

@@ -9,6 +9,7 @@ take their partitions from it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,13 +296,21 @@ def group_variables(table: NumericTable, cutoff: float, method: str = "spearman"
     """Group columns so every within-group pair satisfies |r| >= cutoff.
 
     Complete-linkage clustering of the 1 - |r| distances, cut at 1 - cutoff;
-    complete linkage makes the within-group bound exact.
+    complete linkage makes the within-group bound exact. A cutoff that is
+    not a real number in [0, 1] (a bool is not one) raises AspectraError.
     """
     return _group_variables(table, cutoff, method)[0]
 
 
-def _group_variables(table: NumericTable, cutoff: float, method: str):
-    """group_variables, also returning the correlation matrix it clustered."""
+def _group_variables(table: NumericTable, cutoff: float, method: str, name: str = "cutoff"):
+    """group_variables, also returning the correlation matrix it clustered.
+
+    A cutoff that is not a real number (a bool is not one) raises
+    AspectraError naming it `name`, and one outside [0, 1] raises
+    AspectraError too.
+    """
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real):
+        raise AspectraError(f"{name} must be a real number, got {cutoff!r}")
     if not 0.0 <= cutoff <= 1.0:
         raise AspectraError(f"cutoff must be in [0, 1], got {cutoff}")
     C = correlation_matrix(table, method)

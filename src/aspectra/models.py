@@ -15,7 +15,7 @@ import threading
 import numpy as np
 
 from . import _kernels
-from .data import NumericTable
+from .data import NumericTable, _integer
 from .errors import (
     AspectraError,
     BadK,
@@ -106,6 +106,7 @@ class KnnModel(ModelAdapter):
     row the screen cannot settle (a tie across the k-th place) is scored
     against every training row (see `_kernels.knn_predict`). The result is
     bit-identical to sorting each row's exact distances.
+    k must be an integer (a bool is not one) from 1 to the training rows.
     The training rows must form a non-empty 2-D array of finite values, with
     one finite target per row. A query row whose k nearest squared distances
     pass the float64 range (columns spread by more than about 1e154) cannot
@@ -114,7 +115,7 @@ class KnnModel(ModelAdapter):
     """
 
     def __init__(self, k, train_values, train_targets, column_names=None, label=None):
-        self.k = int(k)
+        self.k = _integer("k", k)
         # copies, so a caller's later writes cannot undo the checks below
         self.train_values = np.array(train_values, dtype=np.float64)
         self.train_targets = np.array(train_targets, dtype=np.float64).reshape(-1)

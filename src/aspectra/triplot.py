@@ -6,9 +6,9 @@ the coarsening trajectory the dendrogram defines: each merge step is scored
 inside the tree-cut partition at that step, which partition_after_merges
 gives, and all steps share one sampled row set, planned by
 `aspects._designs`, so differences between levels come from the grouping,
-not sampling. A modified row that several levels draw is scored once, by
-the first of them, and the new modified rows of consecutive levels share
-calls (see `models._stacked_predictions`).
+not sampling. A modified row that several levels draw is one slot of the
+plan, and every slot is scored, in slot order and in shared calls, before
+any level is fitted (see `aspects._scored_designs`).
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def predict_triplot(
 
     Level t is the cut after t merges. One `aspects._designs` run plans the
     designs of all p levels over one sample A: only the flags differ, and a
-    modified row that an earlier level scored is not scored again.
+    modified row that several levels draw is scored once.
     """
     if cfg.mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")

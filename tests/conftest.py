@@ -198,19 +198,25 @@ def oracle_build_design(table, x_star, partition, N, rng):
     )
 
 
-def modified_rows(design) -> np.ndarray:
-    """The rows of A' that a design is the first of its plan to draw, in
-    draw order, as `aspects._scored_designs` writes them for the model."""
-    return design._modified_rows(np.empty((design.new.shape[0], design.x_star.shape[0])))
+def modified_rows(designs, write) -> np.ndarray:
+    """A plan's K distinct rows of A', in slot order, as
+    `aspects._scored_designs` writes them for the model; `designs, write`
+    is what `aspects._designs` returns."""
+    rows = np.empty((designs[0].predictions.shape[0], designs[0].distinct.p))
+    write(0, rows)
+    return rows
 
 
-def planned_modified(designs):
-    """Each design's N rows of A', gathered from the rows that the designs of
-    one plan score."""
-    scored = np.empty((designs[0].predictions.shape[0], designs[0].x_star.shape[0]))
-    for d in designs:
-        scored[d.fills] = modified_rows(d)
-    return [scored[d.slots] for d in designs]
+def planned_modified(designs, write):
+    """Each design's N rows of A', gathered from the rows of its plan's slots."""
+    rows = modified_rows(designs, write)
+    return [rows[d.slots] for d in designs]
+
+
+def slot_first_draws(designs) -> np.ndarray:
+    """Each slot's first draw, in slot order, as a position in the plan's
+    draws: level k's draw i is draw k * N + i."""
+    return np.unique(np.concatenate([d.slots for d in designs]), return_index=True)[1]
 
 
 def oracle_fit(model, design, limit):
@@ -274,31 +280,21 @@ def oracle_modified_keys(table, x_star, partition, N, seed):
 
 
 def planned_calls_and_rows(table, x_star, partitions, N, seed, stack_values=None):
-    """Model calls and rows when one plan scores the partitions in order.
+    """Model calls and rows when one plan scores the partitions.
 
-    Each partition scores its modified rows that no earlier partition drew,
-    and A's distinct rows in a call of its own. The modified rows of
-    consecutive partitions share a call while their values fit in
-    `stack_values` (aspects._STACK_VALUES when None); a partition whose
-    rows alone pass it takes a call of its own, and a plan that draws no
-    new row makes no such call.
+    The plan scores its K distinct modified rows, the distinct (sampled row,
+    replaced columns) pairs of all partitions, in calls of
+    max(1, budget // p) rows for p columns, where the budget is
+    `stack_values` values (aspects._STACK_VALUES when None). Then each of
+    the L partitions scores A's d distinct rows in a call of its own:
+    L + ceil(K / max(1, budget // p)) calls and K + L * d rows.
     """
-    budget = (aspects._STACK_VALUES if stack_values is None else stack_values) // table.p
+    budget = aspects._STACK_VALUES if stack_values is None else stack_values
     distinct = np.unique(sampled_row_ids(table, N, RngStream(seed).child(aspects._K_ROWS))).size
-    seen, calls, rows, stacked = set(), 0, 0, 0
-    for part in partitions:
-        new = set(oracle_modified_keys(table, x_star, part, N, seed)) - seen
-        seen |= new
-        if stacked + len(new) > budget:
-            calls += stacked > 0
-            stacked = 0
-        if len(new) > budget:
-            calls += 1
-        else:
-            stacked += len(new)
-        calls += 1
-        rows += len(new) + distinct
-    return calls + (stacked > 0), rows
+    K = len({key for part in partitions
+             for key in oracle_modified_keys(table, x_star, part, N, seed)})
+    per_call = max(1, budget // table.p)
+    return len(partitions) + -(-K // per_call), K + len(partitions) * distinct
 
 
 def make_six_variable(n: int = 400, seed: int = 11):

@@ -47,7 +47,6 @@ from conftest import (
     child_cmd,
     dense_normal_equations,
     make_six_variable,
-    modified_rows,
     oracle_build_design,
     oracle_modified_keys,
     oracle_predict_aspects,
@@ -56,6 +55,7 @@ from conftest import (
     planned_calls_and_rows,
     planned_modified,
     singletons,
+    slot_first_draws,
     x_prime,
 )
 
@@ -79,10 +79,10 @@ def test_design_shapes_and_flag_counts():
     assert d.flags.shape == (300, 2) and d.m == 4
     X_prime = x_prime(d.flags, d.m)
     assert d.slots.shape == d.inverse.shape == (300,)
-    # each distinct modified row once, in a slot of its own
-    n_rows = modified_rows(d).shape[0]
-    assert n_rows == d.predictions.shape[0]
-    assert np.array_equal(np.sort(d.fills), np.arange(n_rows))
+    # each distinct modified row once, in a slot of its own, not yet scored
+    n_rows = len(set(oracle_modified_keys(t, t.row(0), part, 300, 0)))
+    assert n_rows < 300 and d.predictions.shape == (n_rows,)
+    assert np.isnan(d.predictions).all()
     assert np.array_equal(np.unique(d.slots), np.arange(n_rows))
     assert d.distinct.values.shape == (np.unique(d.row_ids).size, 4)
     counts = X_prime.sum(axis=1)
@@ -102,13 +102,16 @@ def test_design_rows_come_from_table():
 def test_design_tables_are_read_only(monkeypatch):
     # the tables are wrapped without re-validation, so nothing may rewrite
     # them: the distinct sampled rows, and every table the model is handed,
-    # A's distinct rows and the A' rows in a reused buffer, stacked or, past
-    # a budget of 10 rows, one level's alone
+    # A's distinct rows and the A' rows in a reused buffer, all in one call
+    # or, at a budget of 10 rows, 10 to a call; nor may anything rewrite the
+    # predictions once every slot is scored
     t = uniform_table(n=40)
     d = build_design(t, t.row(3), singleton_partition(t), N=100, rng=RngStream(5))
     assert not d.row_ids.flags.writeable and not d.inverse.flags.writeable
     assert not d.slots.flags.writeable and not d.flags.flags.writeable
-    assert not d.new.flags.writeable and not d.x_star.flags.writeable
+    (scored,) = _scored_designs(LinearModel(0.0, [1.0] * 4), t, t.row(3), 100, RngStream(5),
+                                [singleton_partition(t)])
+    assert not scored.predictions.flags.writeable
     given, calls = [d.distinct], []
     for budget in (aspectra.aspects._STACK_VALUES, 4 * 10):
         monkeypatch.setattr(aspectra.aspects, "_STACK_VALUES", budget)
@@ -117,10 +120,10 @@ def test_design_tables_are_read_only(monkeypatch):
         predict_aspects(model, t, t.row(3), singleton_partition(t), N=100, seed=5)
         given += model.given
         calls.append(model.calls)
-    # the triplot's p + 1 calls and predict_aspects' 2; past 10 rows, levels
-    # whose A' rows pass the budget take a call each
+    # the triplot's p + 1 calls and predict_aspects' 2; at 10 rows a call,
+    # the A' rows take several calls, all but f(A)'s of at most 10 rows
     assert calls[0] == (t.p + 1) + 2 and calls[1] > calls[0]
-    assert max(table.values.size for table in model.given) > 4 * 10
+    assert max(table.n for table in model.given if table.n != d.distinct.n) == 10
     for table in given:
         assert table.column_names == t.column_names
         assert table.values.dtype == np.float64 and table.values.flags.c_contiguous
@@ -133,9 +136,9 @@ def test_design_replacement_semantics():
     t = uniform_table(1)
     x_star = Observation(np.array([10.0, 20.0, 30.0, 40.0]))
     part = AspectPartition((("g01", (0, 1)), ("g2", (2,)), ("g3", (3,))))
-    d = build_design(t, x_star, part, N=200, rng=RngStream(2))
-    star = x_star.values
-    A, (A_prime,) = d.distinct.values[d.inverse], planned_modified([d])
+    designs, write = aspectra.aspects._designs(t, x_star, 200, RngStream(2), [part])
+    d, star = designs[0], x_star.values
+    A, (A_prime,) = d.distinct.values[d.inverse], planned_modified(designs, write)
     X_prime = x_prime(d.flags, d.m)
     for n in range(200):
         for j, members in enumerate(part.member_sets):
@@ -179,10 +182,12 @@ def test_design_validation():
 def test_delta_predictions_linear():
     t = uniform_table(5)
     model = LinearModel(1.0, [1.0, 2.0, 3.0, 4.0])
-    d = next(_scored_designs(model, t, t.row(0), 80, RngStream(3), [singleton_partition(t)]))
+    args = (t, t.row(0), 80, RngStream(3), [singleton_partition(t)])
+    (d,) = _scored_designs(model, *args)
     ym = delta_predictions(model, d)
     A = d.distinct.values[d.inverse]
-    expected = (planned_modified([d])[0] - A) @ np.array([1.0, 2.0, 3.0, 4.0])
+    (A_prime,) = planned_modified(*aspectra.aspects._designs(*args))
+    expected = (A_prime - A) @ np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(ym, expected, atol=1e-12)
 
 
@@ -261,17 +266,21 @@ def test_f_of_A_request_holds_each_distinct_row_once(tmp_path):
     record = tmp_path / "request.bin"
     with SubprocessModel(child_cmd("record") + [str(record)]) as m:
         predict_aspects(m, t, t.row(2), part, N=120, seed=4)
-    # A' first, each distinct modified row once in the order of its first
-    # draw, then f(A)'s rows, each distinct sampled row once in ascending row id
+    # A' first, each distinct modified row once in slot order, as its
+    # slot's first draw has it; then f(A)'s rows, each distinct sampled row
+    # once in ascending row id
     first, second = record.read_bytes().decode().split("PREDICT ")[1:]
     A_prime = oracle_build_design(t, t.row(2), part, 120, RngStream(4)).modified.values
+    design = build_design(t, t.row(2), part, 120, RngStream(4))
+    # draws share a slot exactly when the oracle's keys of their rows agree
     keys = oracle_modified_keys(t, t.row(2), part, 120, 4)
-    drawn_first = sorted({key: i for i, key in reversed(list(enumerate(keys)))}.values())
-    assert len(drawn_first) < 120
-    assert first == f"{len(drawn_first)} 3\nx0,x1,x2\n" + "".join(
-        ",".join(map(repr, row)) + "\n" for row in A_prime[drawn_first].tolist()
+    assert len(set(keys)) == len(set(zip(keys, design.slots.tolist()))) == design.predictions.size
+    firsts = slot_first_draws([design])
+    assert firsts.size < 120
+    assert first == f"{firsts.size} 3\nx0,x1,x2\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in A_prime[firsts].tolist()
     )
-    ids = np.unique(build_design(t, t.row(2), part, 120, RngStream(4)).row_ids)
+    ids = np.unique(design.row_ids)
     assert ids.size < 120
     assert second == f"{ids.size} 3\nx0,x1,x2\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in t.values[ids].tolist()
@@ -365,7 +374,7 @@ def _normal_equation_designs():
     table, _ = make_six_variable()
     x_star, N = table.row(4), 301
     tree, parts = oracle_tree_partitions(table, TriplotConfig(mode="local", N=N, seed=5))
-    designs = list(aspectra.aspects._designs(table, x_star, N, RngStream(5), parts, tree))
+    designs, _ = aspectra.aspects._designs(table, x_star, N, RngStream(5), parts, tree)
     for groups in ((("all", range(6)),),
                    (("abc", (0, 1, 2)), ("def", (3, 4, 5))),
                    (("ab", (0, 1)), ("cd", (2, 3)), ("ef", (4, 5)))):

@@ -8,7 +8,14 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 from scipy.stats import pearsonr, rankdata, spearmanr
 
-from aspectra import AspectPartition, NumericTable, correlation_matrix, group_variables
+from aspectra import (
+    AspectPartition,
+    ConstantModel,
+    NumericTable,
+    correlation_matrix,
+    group_variables,
+    predict_aspects,
+)
 from aspectra.cluster import (
     VALID_LINKAGES,
     MergeRecord,
@@ -525,6 +532,24 @@ def test_group_variables_cutoff_extremes():
     assert group_variables(t, cutoff=0.0).m == 1  # everything merges
     with pytest.raises(AspectraError):
         group_variables(t, cutoff=1.5)
+
+
+@pytest.mark.parametrize("cutoff", [True, False, "0.5", None, [0.5]])
+def test_a_cutoff_that_is_not_a_real_number_is_rejected(cutoff):
+    # True once cut at 1.0, and a string or None raised a bare TypeError;
+    # group_variables and predict_aspects share the check
+    t = random_table(9, p=4)
+    with pytest.raises(AspectraError, match="cutoff must be a real number"):
+        group_variables(t, cutoff)
+    with pytest.raises(AspectraError, match="grouping must be a real number"):
+        predict_aspects(ConstantModel(0.0), t, t.row(0), cutoff, N=50)
+
+
+def test_a_numpy_float_cutoff_is_a_cutoff():
+    t = random_table(9, p=4)
+    assert group_variables(t, np.float32(0.5)) == group_variables(t, 0.5)
+    ours = predict_aspects(ConstantModel(1.0), t, t.row(0), np.float32(0.5), N=50)
+    assert ours.to_json() == predict_aspects(ConstantModel(1.0), t, t.row(0), 0.5, N=50).to_json()
 
 
 def test_group_names_are_joined_and_unique():

@@ -178,6 +178,23 @@ def test_bad_k():
         KnnModel(5, t, np.ones(4))
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "3", None])
+def test_a_k_that_is_not_an_integer_is_rejected(k):
+    # int() once ran k = 2.5 as 2, True as 1 and "3" as 3
+    table = table_of(np.arange(8.0).reshape(4, 2))
+    for build in (lambda: KnnModel(k, table.values, np.ones(4)),
+                  lambda: fit_knn(table, np.ones(4), k)):
+        with pytest.raises(AspectraError, match="k must be an integer"):
+            build()
+
+
+def test_a_numpy_integer_k_is_stored_as_an_int():
+    table = table_of(np.arange(8.0).reshape(4, 2))
+    for k in (np.int64(2), np.uint8(2)):
+        model = fit_knn(table, np.arange(4.0), k)
+        assert type(model.k) is int and model.label == "knn(k=2)"
+
+
 def test_knn_rejects_a_target_count_unlike_the_rows():
     t = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(LengthMismatch):

@@ -40,6 +40,7 @@ from conftest import (
     planned_calls_and_rows,
     planned_modified,
     singletons,
+    slot_first_draws,
 )
 
 
@@ -195,8 +196,8 @@ def test_local_node_is_new_cluster_at_its_level(six_table):
 @pytest.mark.parametrize("limit", [None, 2])
 @pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
 def test_local_model_calls(six_table, fit, limit):
-    # each of the p levels scores the distinct rows of the one A, and the
-    # modified rows that no earlier level drew are stacked into one call
+    # the plan's distinct modified rows of every level in one call, then
+    # each of the p levels scores the distinct rows of the one A
     table, y = six_table
     model = CountingModel(fit(table, y))
     cfg = TriplotConfig(mode="local", N=300, seed=6, limit=limit)
@@ -255,17 +256,17 @@ def test_planned_triplot_is_byte_identical_to_per_level_scoring(six_table, shape
 
 
 def _plan(table, x_star, cfg):
+    """The partitions of every level, their designs and the plan's A' writer."""
     tree, parts = oracle_tree_partitions(table, cfg)
-    return parts, list(aspects._designs(table, x_star, cfg.N, RngStream(cfg.seed), parts, tree))
+    return (parts, *aspects._designs(table, x_star, cfg.N, RngStream(cfg.seed), parts, tree))
 
 
 def test_shared_sampler_designs_match_per_level_designs(six_table):
     table, _ = six_table
     x_star = table.row(4)
     cfg = TriplotConfig(mode="local", N=601, seed=9)
-    parts, designs = _plan(table, x_star, cfg)
-    fills = []
-    for part, shared, A_prime in zip(parts, designs, planned_modified(designs)):
+    parts, designs, write = _plan(table, x_star, cfg)
+    for part, shared, A_prime in zip(parts, designs, planned_modified(designs, write)):
         # W counted from the flags is X'^T X', bit for bit
         W, _ = _normal_equations(shared, np.zeros(601))
         for other in (build_design(table, x_star, part, 601, RngStream(9)),
@@ -285,16 +286,11 @@ def test_shared_sampler_designs_match_per_level_designs(six_table):
         assert shared.partition == part
         assert shared.distinct is designs[0].distinct and shared.inverse is designs[0].inverse
         assert shared.predictions is designs[0].predictions
-        # the rows a level scores are the ones it draws first
-        fills.append(shared.fills)
-        drawn_before = np.concatenate(fills[:-1] or [np.empty(0, np.int64)])
-        assert np.array_equal(np.unique(shared.slots), np.union1d(
-            np.intersect1d(shared.slots, drawn_before), shared.fills))
-        assert not np.isin(shared.fills, drawn_before).any()
         assert not shared.row_ids.flags.writeable and not shared.inverse.flags.writeable
         assert not shared.slots.flags.writeable
-    # every slot is scored by exactly one design
-    assert np.array_equal(np.sort(np.concatenate(fills)), np.arange(designs[0].predictions.shape[0]))
+    # the levels' draws use every slot of the plan
+    slots = np.concatenate([d.slots for d in designs])
+    assert np.array_equal(np.unique(slots), np.arange(designs[0].predictions.shape[0]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,9 +313,9 @@ def test_draws_share_a_slot_exactly_when_their_modified_rows_agree(n, p, extra, 
     table = NumericTable(tuple(f"x{j}" for j in range(p)), X)
     x_star = table.row(data.draw(st.integers(0, table.n - 1)))
     cfg = TriplotConfig(mode="local", N=p + extra, seed=seed, linkage=linkage, cor_method="pearson")
-    parts, designs = _plan(table, x_star, cfg)
+    parts, designs, write = _plan(table, x_star, cfg)
     slots = np.concatenate([d.slots for d in designs])
-    A_prime = np.concatenate(planned_modified(designs))
+    A_prime = np.concatenate(planned_modified(designs, write))
     keys = [key for part in parts
             for key in oracle_modified_keys(table, x_star, part, cfg.N, cfg.seed)]
     oracle = np.concatenate([oracle_build_design(table, x_star, part, cfg.N, RngStream(seed))
@@ -338,14 +334,13 @@ def test_first_draws_packs_positions_or_sorts_stably():
     # keys with many repeats fit in an int64 above the draw positions; the
     # same keys shifted by 2^60 do not, and take a stable argsort instead
     keys = np.random.default_rng(3).integers(0, 40, size=5000)
-    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    drawn_first = np.zeros(keys.size, dtype=bool)
-    drawn_first[first] = True
+    first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
     for case in (keys.copy(), keys + (1 << 60)):
-        slots, ours, n_slots = aspects._first_draws(case)
+        slots, firsts = aspects._first_draws(case)
         assert np.array_equal(slots, inverse.reshape(-1))
-        assert np.array_equal(ours, drawn_first)
-        assert n_slots == unique.size
+        # each slot's first draw, in slot order
+        assert np.array_equal(firsts, first)
+        assert not slots.flags.writeable and not firsts.flags.writeable
 
 
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "argsort"])
@@ -365,12 +360,12 @@ def test_plan_is_the_same_with_either_sort(six_table, packed, monkeypatch):
             keys += 1 << (63 - shift)
         return first_draws(keys)
 
-    reference = _plan(table, table.row(1), cfg)[1]
+    reference = _plan(table, table.row(1), cfg)[1:]
     monkeypatch.setattr(aspects, "_first_draws", forced)
-    for ours, theirs in zip(_plan(table, table.row(1), cfg)[1], reference):
-        assert np.array_equal(ours.slots, theirs.slots)
-        assert np.array_equal(ours.fills, theirs.fills)
-        assert modified_rows(ours).tobytes() == modified_rows(theirs).tobytes()
+    ours = _plan(table, table.row(1), cfg)[1:]
+    for d, theirs in zip(ours[0], reference[0]):
+        assert np.array_equal(d.slots, theirs.slots)
+    assert modified_rows(*ours).tobytes() == modified_rows(*reference).tobytes()
 
 
 def test_plan_memory_is_linear_in_the_draws():
@@ -384,27 +379,25 @@ def test_plan_memory_is_linear_in_the_draws():
     table = NumericTable(tuple(f"x{j}" for j in range(p)), X)
     cfg = TriplotConfig(mode="local", N=N, seed=1, cor_method="pearson")
     tree, parts = oracle_tree_partitions(table, cfg)
-    designs = aspects._designs(table, table.row(0), N, RngStream(1), parts, tree)
     tracemalloc.start()
     try:
-        design = next(designs)
+        designs, _ = aspects._designs(table, table.row(0), N, RngStream(1), parts, tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert design.m == p
+    assert designs[0].m == p
     assert peak < 160 * p * N
 
 
 def test_designs_scored_out_of_plan_order_are_rejected(six_table):
-    # a design's draws come out NaN until `_scored_designs` has scored the
-    # rows that it and the designs before it draw, and the surrogate fit
-    # rejects them
+    # a design's draws come out NaN until `_scored_designs` has scored its
+    # plan, and the surrogate fit rejects them
     table, y = six_table
     cfg = TriplotConfig(mode="local", N=300, seed=2)
-    parts, designs = _plan(table, table.row(1), cfg)
+    parts, designs, _ = _plan(table, table.row(1), cfg)
     model = fit_knn(table, y, 5)
     early = delta_predictions(model, designs[3])
-    assert np.isnan(early).any()
+    assert np.isnan(early).all()
     with pytest.raises(NonFiniteShift):
         _normal_equations(designs[3], early)
     tree = oracle_tree_partitions(table, cfg)[0]
@@ -422,32 +415,29 @@ def _stacked_triplot(model, table, x_star, cfg, budget, monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [1, 6 * 40, 6 * 150, 6 * 400, 6 * 1500])
-def test_stacked_calls_hold_the_budget_and_never_split_a_level(six_table, budget, monkeypatch):
-    # each A' call holds consecutive levels' rows, in plan order and whole,
-    # within the budget unless it is one level's rows alone; the f(A) calls
-    # stay one per level
+def test_stacked_calls_hold_the_budget_in_slot_order(six_table, budget, monkeypatch):
+    # the A' calls come first and hold the plan's slots in order, as many
+    # rows to a call as the budget allows and at least one; then one f(A)
+    # call per level
     table, y = six_table
     cfg = TriplotConfig(mode="local", N=300, seed=6)
     x_star = table.row(5)
     model = RecordingModel(fit_knn(table, y, 5))
     ours = _stacked_triplot(model, table, x_star, cfg, budget, monkeypatch)
-    parts, designs = _plan(table, x_star, cfg)
-    distinct = designs[0].distinct.values
-    stacked = [v for v in model.tables
-               if not (v.shape == distinct.shape and np.array_equal(v, distinct))]
-    assert len(model.tables) - len(stacked) == table.p
-    sizes = [d.new.shape[0] for d in designs]
-    assert np.concatenate(stacked).tobytes() == np.concatenate(
-        [modified_rows(d) for d in designs]).tobytes()
-    # every call ends where a level's rows end
-    ends = set(np.cumsum(sizes).tolist())
-    assert set(np.cumsum([v.shape[0] for v in stacked]).tolist()) <= ends
-    for v in stacked:
-        assert v.size <= budget or v.shape[0] in sizes
+    parts, designs, write = _plan(table, x_star, cfg)
+    stacked, f_of_A = model.tables[:-table.p], model.tables[-table.p:]
+    assert all(v.tobytes() == designs[0].distinct.values.tobytes() for v in f_of_A)
+    # every A' call fits the budget
+    assert all(v.shape[0] <= max(1, budget // table.p) for v in stacked)
+    # the calls concatenate to the K slot rows in order
+    rows = modified_rows(designs, write)
+    assert np.concatenate(stacked).tobytes() == rows.tobytes()
+    # each slot's row is its first draw's row of the dense oracle's A'
+    oracle = np.concatenate([oracle_build_design(table, x_star, part, cfg.N, RngStream(cfg.seed))
+                             .modified.values for part in parts])
+    assert rows.tobytes() == oracle[slot_first_draws(designs)].tobytes()
     assert (model.calls, model.rows) == planned_calls_and_rows(
         table, x_star, parts, cfg.N, cfg.seed, stack_values=budget)
-    if budget == 6 * 400:  # several levels share a call, and not all of them do
-        assert 1 < len(stacked) < sum(n > 0 for n in sizes)
     assert ours.to_json() == oracle_predict_triplot(fit_knn(table, y, 5), table, x_star,
                                                     cfg).to_json()
 
@@ -468,8 +458,8 @@ def _assert_levels_equal_predict_aspects(model, table, x_star, res, cfg):
 @pytest.mark.parametrize("limit", [None, 2])
 @pytest.mark.parametrize("fit", [fit_linear, lambda t, y: fit_knn(t, y, 5)], ids=["linear", "knn"])
 def test_stacked_levels_equal_predict_aspects_bit_for_bit(six_table, fit, limit, monkeypatch):
-    # a budget of 800 rows makes the plan take three stacked calls, the
-    # first of them the first level's rows alone
+    # a budget of 800 rows splits the plan's slots over several calls, whose
+    # bounds fall where the slot order puts them, not where a level's rows end
     table, y = six_table
     model = fit(table, y)
     cfg = TriplotConfig(mode="local", N=600, seed=3, limit=limit)
@@ -493,16 +483,29 @@ def test_stacked_levels_equal_predict_aspects_at_the_full_budget(limit):
     _assert_levels_equal_predict_aspects(model.model, table, table.row(7), res, cfg)
 
 
-def test_one_design_over_the_budget_makes_one_call(six_table, monkeypatch):
+def test_a_level_over_the_budget_is_split_across_calls(six_table, monkeypatch):
+    # at 10 rows a call the A' rows of predict_aspects, one level, take
+    # several calls, and so do those of every triplot level; the results
+    # equal predict_aspects at the full budget bit for bit
     table, y = six_table
-    monkeypatch.setattr(aspects, "_STACK_VALUES", 6 * 10)
-    model = RecordingModel(fit_knn(table, y, 5))
     part = singletons(table.column_names)
-    predict_aspects(model, table, table.row(2), part, N=300, seed=4)
-    assert model.calls == 2
-    design = next(aspects._designs(table, table.row(2), 300, RngStream(4), [part]))
-    assert model.tables[0].tobytes() == modified_rows(design).tobytes()
-    assert model.tables[0].size > 6 * 10
+    for model in (fit_linear(table, y), fit_knn(table, y, 5)):
+        full = predict_aspects(model, table, table.row(2), part, N=300, seed=4).to_json()
+        cfg = TriplotConfig(mode="local", N=300, seed=4, limit=2)
+        with monkeypatch.context() as patched:
+            recorded = RecordingModel(model)
+            split = _stacked_triplot(recorded, table, table.row(2), cfg, 6 * 10, patched)
+            ours = predict_aspects(recorded, table, table.row(2), part, N=300, seed=4).to_json()
+        assert ours == full
+        _assert_levels_equal_predict_aspects(model, table, table.row(2), split, cfg)
+        designs, write = aspects._designs(table, table.row(2), 300, RngStream(4), [part])
+        rows = modified_rows(designs, write)
+        calls = -(-rows.shape[0] // 10)
+        assert calls > 1
+        # predict_aspects' A' calls, before its f(A) call
+        tables = recorded.tables[-1 - calls:-1]
+        assert all(v.shape[0] <= 10 for v in tables)
+        assert np.concatenate(tables).tobytes() == rows.tobytes()
 
 
 def test_non_finite_first_stacked_call_fails_before_any_level_is_fitted(six_table, monkeypatch):
@@ -523,8 +526,9 @@ def test_non_finite_first_stacked_call_fails_before_any_level_is_fitted(six_tabl
         _stacked_triplot(model, table, table.row(0), cfg, 6 * 600, monkeypatch)
     assert model.calls == 1
     # the first call held the A' rows of more than one level
-    _, designs = _plan(table, table.row(0), cfg)
-    assert model.rows > designs[0].new.shape[0]
+    designs = _plan(table, table.row(0), cfg)[1]
+    levels = slot_first_draws(designs)[:model.rows] // cfg.N
+    assert np.unique(levels).size > 1
 
 
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
