@@ -32,15 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cluster import MergeTree, _check_method, _group_variables, correlation_matrix
+from .cluster import CORRELATION_METHODS, MergeTree, _group_variables, correlation_matrix
 from .data import (
     AspectPartition,
     NumericTable,
     Observation,
     RngStream,
     _check_tsv_names,
+    _choice,
     _finite_float,
+    _instance,
     _integer,
+    _real,
     _json_text,
     _rekey,
     _tsv_number,
@@ -717,21 +720,21 @@ def predict_aspects(
     [0, 1]; a cutoff delegates the grouping to group_variables. With `limit`
     set, at most that many aspects keep a nonzero contribution; a limit at or
     above the number of aspects the grouping gives fits without a cap, as
-    limit = m does. An N, seed or limit that is not an integer, a negative
-    limit, a grouping that is neither a partition nor a real number (a bool
-    is not one), or a `method` outside `cluster.CORRELATION_METHODS` raises
-    AspectraError before the model is called.
+    limit = m does. An N, seed or limit that is not an integer (a numpy
+    integer is stored as int), an N below 1, a negative limit, a cutoff
+    outside [0, 1], a `method` outside `cluster.CORRELATION_METHODS` or an
+    argument of another type raises AspectraError before any model call.
     """
-    N, seed = _integer("N", N), _integer("seed", seed)
+    _instance("table", table, NumericTable)
+    _instance("x_star", x_star, Observation)
+    N, seed = _integer("N", N, 1), _integer("seed", seed)
     if limit is not None:
-        limit = _integer("limit", limit)
-        if limit < 0:
-            raise AspectraError(f"limit must be >= 0, got {limit}")
-    _check_method(method)
+        limit = _integer("limit", limit, 0)
+    _choice("correlation method", method, CORRELATION_METHODS)
     if isinstance(grouping, AspectPartition):
         partition, C = grouping, None
     else:
-        partition, C = _group_variables(table, grouping, method, "grouping")
+        partition, C = _group_variables(table, _real("grouping", grouping), method)
     (design,) = _scored_designs(model, table, x_star, N, RngStream(seed), [partition])
     fit = _fit_surrogate(model, design, limit)
     return AspectExplanation(

@@ -15,11 +15,11 @@ import shlex
 import sys
 
 from .aspects import AspectExplanation, predict_aspects
-from .cluster import CORRELATION_METHODS, group_variables
-from .data import AspectPartition, Observation, _json_text, load_table
+from .cluster import CORRELATION_METHODS, VALID_LINKAGES, group_variables
+from .data import AspectPartition, Observation, _instance, _json_text, load_table
 from .errors import AspectraError, SchemaMismatch
 from .global_importance import PermutationConfig, group_importance
-from .models import SubprocessModel, fit_knn, fit_linear
+from .models import LOSS_KINDS, SubprocessModel, fit_knn, fit_linear
 from .render import render_aspects, render_triplot
 from .triplot import TriplotConfig, TriplotResult, model_triplot, predict_triplot
 
@@ -169,9 +169,7 @@ def _cmd_triplot(args) -> int:
 def _cmd_render(args) -> int:
     with open(args.infile, "r", encoding="utf-8-sig") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise AspectraError("unrecognized result document: expected a JSON object")
-    if "tree" in doc and "leaves" in doc:
+    if "tree" in _instance("unrecognized result document", doc, dict) and "leaves" in doc:
         svg = render_triplot(TriplotResult.from_json_doc(doc))
     elif "aspects" in doc:
         svg = render_aspects(AspectExplanation.from_json_doc(doc))
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     gi.add_argument("--B", type=int, default=1, help="permutation repetitions")
     gi.add_argument("--N", type=int, default=None, help="row subsample size")
     gi.add_argument("--seed", type=int, default=0)
-    gi.add_argument("--loss", choices=("rmse", "mae"), default="rmse")
+    gi.add_argument("--loss", choices=LOSS_KINDS, default="rmse")
     gi.add_argument("--format", choices=("tsv", "json"), default="tsv")
     gi.add_argument("--out", default=None)
     gi.set_defaults(func=_cmd_global_importance)
@@ -246,10 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--B", type=int, default=1)
     tp.add_argument("--N", type=int, default=None)
     tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--loss", choices=("rmse", "mae"), default="rmse")
+    tp.add_argument("--loss", choices=LOSS_KINDS, default="rmse")
     tp.add_argument("--limit", type=int, default=None)
     tp.add_argument("--cor-method", choices=CORRELATION_METHODS, default="spearman")
-    tp.add_argument("--linkage", choices=("complete", "single", "average"), default="complete")
+    tp.add_argument("--linkage", choices=VALID_LINKAGES, default="complete")
     tp.add_argument("--out", default=None)
     tp.set_defaults(func=_cmd_triplot)
 

@@ -9,12 +9,12 @@ take their partitions from it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AspectPartition, NumericTable, _finite_float, _typed
+from .data import (AspectPartition, NumericTable, _choice, _finite_float, _instance, _integer,
+                   _real, _typed)
 from .errors import AspectraError, ZeroVarianceColumn
 
 VALID_LINKAGES = ("complete", "single", "average")
@@ -136,11 +136,6 @@ def _average_ranks(X: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _check_method(method) -> None:
-    if method not in CORRELATION_METHODS:
-        raise AspectraError(f"correlation method must be {'|'.join(CORRELATION_METHODS)}, got {method!r}")
-
-
 def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndarray:
     """Sample correlation of all column pairs, as a p x p array.
 
@@ -152,8 +147,8 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndar
     result keeps the bits of the unscaled computation wherever that neither
     overflows nor underflows, and is the same at every scale.
     """
-    _check_method(method)
-    X = table.values
+    _choice("correlation method", method, CORRELATION_METHODS)
+    X = _instance("table", table, NumericTable).values
     if method == "spearman":
         X = _average_ranks(X)
     lo, hi = X.min(axis=0), X.max(axis=0)
@@ -191,8 +186,7 @@ def agglomerative(D: np.ndarray, linkage: str = "complete") -> MergeTree:
     merge only when it and its mirror are the only entries equal to it;
     otherwise every (left, right) node pair at that distance is compared.
     """
-    if linkage not in VALID_LINKAGES:
-        raise AspectraError(f"linkage must be one of {VALID_LINKAGES}, got {linkage!r}")
+    _choice("linkage", linkage, VALID_LINKAGES)
     D = np.asarray(D, dtype=np.float64)
     p = D.shape[0]
     if D.shape != (p, p) or not np.all(np.isfinite(D)):
@@ -270,6 +264,7 @@ def _named_partition(clusters, column_names) -> AspectPartition:
 
 def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectPartition:
     """Partition induced by applying the first `count` merges of the tree."""
+    count = _integer("merge count", count)
     if not 0 <= count <= len(tree.merges):
         raise AspectraError(
             f"merge count must be in [0, {len(tree.merges)}], got {count}"
@@ -288,7 +283,7 @@ def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectP
 
 def cut_tree(tree: MergeTree, h: float, column_names) -> AspectPartition:
     """Clusters formed by all merges with height <= h."""
-    count = int(np.searchsorted(tree.heights, h, side="right"))
+    count = int(np.searchsorted(tree.heights, _real("height", h), side="right"))
     return partition_after_merges(tree, count, column_names)
 
 
@@ -296,23 +291,16 @@ def group_variables(table: NumericTable, cutoff: float, method: str = "spearman"
     """Group columns so every within-group pair satisfies |r| >= cutoff.
 
     Complete-linkage clustering of the 1 - |r| distances, cut at 1 - cutoff;
-    complete linkage makes the within-group bound exact. A cutoff that is
-    not a real number in [0, 1] (a bool is not one) raises AspectraError.
+    complete linkage makes the within-group bound exact. A table that is no
+    NumericTable, a cutoff that is not a real number in [0, 1] (a bool is
+    not one) or a method outside CORRELATION_METHODS raises AspectraError.
     """
     return _group_variables(table, cutoff, method)[0]
 
 
-def _group_variables(table: NumericTable, cutoff: float, method: str, name: str = "cutoff"):
-    """group_variables, also returning the correlation matrix it clustered.
-
-    A cutoff that is not a real number (a bool is not one) raises
-    AspectraError naming it `name`, and one outside [0, 1] raises
-    AspectraError too.
-    """
-    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real):
-        raise AspectraError(f"{name} must be a real number, got {cutoff!r}")
-    if not 0.0 <= cutoff <= 1.0:
-        raise AspectraError(f"cutoff must be in [0, 1], got {cutoff}")
+def _group_variables(table: NumericTable, cutoff: float, method: str):
+    """group_variables, also returning the correlation matrix it clustered."""
+    cutoff = _real("cutoff", cutoff, 0.0, 1.0)
     C = correlation_matrix(table, method)
     tree = agglomerative(cor_distance(C), "complete")
-    return cut_tree(tree, 1.0 - float(cutoff), table.column_names), C
+    return cut_tree(tree, 1.0 - cutoff, table.column_names), C

@@ -1,4 +1,6 @@
-"""Numeric tables, aspect partitions and reproducible random streams.
+"""Numeric tables, aspect partitions, reproducible random streams, and the
+argument checkers (`_integer` to `_reals`) every public entry point applies
+to its arguments at entry, so that a bad one raises AspectraError naming it.
 
 All datasets are dense float64 matrices with named columns. Missing values,
 infinities and non-numeric cells are rejected at ingestion; callers must
@@ -13,6 +15,7 @@ import csv
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +99,8 @@ class NumericTable:
     __slots__ = ("column_names", "values")
 
     def __init__(self, column_names, values):
-        names = [str(c) for c in column_names]
-        vals = np.ascontiguousarray(values, dtype=np.float64)
+        names = [str(c) for c in _instance("column_names", column_names, (list, tuple))]
+        vals = np.ascontiguousarray(_reals("values", values))
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise EmptyTable(f"expected a non-empty 2-d matrix, got shape {vals.shape}")
         if vals.shape[1] != len(names):
@@ -180,7 +183,7 @@ class Observation:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        vals = _reals("observation values", self.values).reshape(-1)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise NonNumericCell(1, str(bad), "non-finite")
@@ -201,12 +204,12 @@ class AspectPartition:
     def __post_init__(self):
         norm = []
         names = set()
-        for name, members in self.groups:
+        for name, members in _instance("groups", self.groups, (list, tuple)):
             name = str(name)
             if name in names:
                 raise DuplicateColumn(f"group name {name}")
             names.add(name)
-            norm.append((name, tuple(sorted(int(i) for i in members))))
+            norm.append((name, tuple(sorted(_integer("member index", i) for i in members))))
         object.__setattr__(self, "groups", tuple(norm))
 
     @property
@@ -224,18 +227,9 @@ class AspectPartition:
     @staticmethod
     def from_name_dict(mapping, table: NumericTable) -> "AspectPartition":
         """Build a partition from {group name: [column names]}."""
-        if not isinstance(mapping, dict):
-            raise AspectraError(
-                f"groups must map group names to column names, got {type(mapping).__name__}"
-            )
         groups = []
-        for gname, cols in mapping.items():
-            if isinstance(cols, str):
-                cols = [cols]
-            if not isinstance(cols, (list, tuple)):
-                raise AspectraError(
-                    f"group {gname!r} must be a column name or a list of them, got {cols!r}"
-                )
+        for gname, cols in _instance("groups", mapping, dict).items():
+            cols = [cols] if isinstance(cols, str) else _instance(f"group {gname!r}", cols, (list, tuple))
             groups.append((gname, tuple(table.column_index(c) for c in cols)))
         part = AspectPartition(tuple(groups))
         validate_partition(part, table.p)
@@ -307,26 +301,63 @@ def _tsv_number(x) -> str:
     return repr(x)
 
 
-def _integer_fields(config, names, optional=()) -> None:
-    """Check that the named fields of a frozen config are integers.
-
-    The `optional` fields may also be None. Python and numpy integers pass
-    and are stored as int, so a document records them as JSON numbers; a
-    bool, a float or anything else raises AspectraError.
-    """
-    for name in (*names, *optional):
+def _integer_fields(config, lows: dict, optional=()) -> None:
+    """Store the config fields that `lows` names as `_integer` gives them, each
+    checked against its low bound there; the `optional` fields may be None."""
+    for name, low in lows.items():
         value = getattr(config, name)
-        if value is None and name in optional:
-            continue
-        object.__setattr__(config, name, _integer(name, value))
+        if value is not None or name not in optional:
+            object.__setattr__(config, name, _integer(name, value, low))
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int: a Python or numpy integer passes; a bool, a float
-    or anything else raises AspectraError naming it `name`."""
+def _integer(name: str, value, low: int | None = None) -> int:
+    """`value` as an int: a Python or numpy integer, at least `low` if given,
+    passes; a bool, a float or anything else raises."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise AspectraError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise AspectraError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """`value` as a float, an integer past its range as an infinity; a bool,
+    a str, anything else, NaN or a value outside [low, high] raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise AspectraError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if not low <= x <= high:
+        raise AspectraError(f"{name} must be in [{low:g}, {high:g}], got {value!r}")
+    return x
+
+
+def _choice(name: str, value, choices: tuple) -> None:
+    """Raise unless `value` is one of the strings `choices`."""
+    if not isinstance(value, str) or value not in choices:
+        raise AspectraError(f"{name} must be one of {'|'.join(choices)}, got {value!r}")
+
+
+def _instance(name: str, value, kind):
+    """`value` if it is an instance of `kind`, a class or a tuple of them."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise AspectraError(f"{name} must be {names}, got {type(value).__name__}")
+    return value
+
+
+def _reals(name: str, values) -> np.ndarray:
+    """`values` as a float64 array, the same array if it is one already; booleans and
+    integers convert, and strings, complex numbers, objects or a ragged list raise."""
+    try:
+        array = np.asarray(values)
+    except ValueError as e:  # a ragged list
+        raise AspectraError(f"{name} are unreadable: {e}") from None
+    if array.dtype.kind not in "biuf":
+        raise AspectraError(f"{name} must be real numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 def _check_tsv_names(groups) -> None:
@@ -356,7 +387,7 @@ def load_table(path, target: str | None = None):
     the table. A leading byte-order mark is skipped, so it does not become
     part of the first column's name.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(_instance("path", path, (str, os.PathLike)), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -36,6 +36,8 @@ from .data import (
     NumericTable,
     RngStream,
     _check_tsv_names,
+    _choice,
+    _instance,
     _integer_fields,
     _json_text,
     _mix64,
@@ -43,7 +45,7 @@ from .data import (
     _tsv_number,
     validate_partition,
 )
-from .errors import AspectraError, BadIndex, EmptyGroup
+from .errors import BadIndex, EmptyGroup
 from .models import (LOSS_KINDS, ModelAdapter, _finite_losses, _finite_targets, _row_losses,
                      _stacked_predictions)
 
@@ -56,7 +58,10 @@ _BATCH_VALUES = 1 << 19
 
 @dataclass(frozen=True)
 class PermutationConfig:
-    """Loss is explicit by design; B repetitions re-permute a fixed subsample."""
+    """Loss is explicit by design; B repetitions re-permute a fixed subsample.
+
+    `loss` is one of `models.LOSS_KINDS`; B >= 1, seed and N >= 1 (None for
+    every row) are integers, stored as int; else the build raises AspectraError."""
 
     loss: str
     B: int = 1
@@ -64,13 +69,8 @@ class PermutationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in LOSS_KINDS:
-            raise AspectraError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        _integer_fields(self, ("B", "seed"), optional=("N",))
-        if self.B < 1:
-            raise AspectraError(f"B must be >= 1, got {self.B}")
-        if self.N is not None and self.N < 1:
-            raise AspectraError(f"N must be >= 1, got {self.N}")
+        _choice("loss", self.loss, LOSS_KINDS)
+        _integer_fields(self, {"B": 1, "seed": None, "N": 1}, optional=("N",))
 
 
 @dataclass(frozen=True)
@@ -181,17 +181,16 @@ class _PermutationStreams:
     as the oracle `permutation_stream` (tests/conftest.py).
 
     The stream ids equal the oracle's, bit for bit, derived in parts: the
-    seed's `_K_PERM` child once per call, `_mix64` of each column index and
-    of each repetition once per call, the member-set key and its fold into
-    the child once per set, and the repetition once per job. One Philox,
-    re-keyed per job, draws every job's permutation.
+    seed's `_K_PERM` child and `_mix64` of each column index once per call,
+    the member-set key and its fold into the child once per set, and the
+    repetition's `_mix64` and its fold once per job, so no part grows with
+    B. One Philox, re-keyed per job, draws every job's permutation.
     """
 
-    def __init__(self, seed: int, p: int, B: int):
+    def __init__(self, seed: int, p: int):
         self._seed = seed
         self._base = RngStream(seed).child(_K_PERM).stream_id
         self._mixed_columns = [_mix64(i) for i in range(p)]
-        self._mixed_reps = [_mix64(b) for b in range(B)]
         self._bitgen = np.random.Philox(0)  # re-keyed before every draw
         self._gen = np.random.Generator(self._bitgen)
 
@@ -204,7 +203,7 @@ class _PermutationStreams:
 
     def generator(self, set_id: int, b: int) -> np.random.Generator:
         """The one generator, re-keyed to repetition b of the set's stream."""
-        _rekey(self._bitgen, self._seed, _mix64(set_id ^ self._mixed_reps[b]))
+        _rekey(self._bitgen, self._seed, _mix64(set_id ^ _mix64(b)))
         return self._gen
 
 
@@ -252,10 +251,10 @@ class ImportanceContext:
         """Cache the mean permuted loss of every member set (a frozenset of
         column indices) not cached yet.
 
-        The jobs are drawn one at a time, so B costs time, not memory. After
-        each call its losses are taken row-wise at once, and each slot's
-        group columns are written back from the table; a one-column group
-        moves through a basic column index, any other through a fancy one.
+        The jobs are drawn one at a time, so B costs time and one loss per
+        job, the first allocation B sizes. After each call its losses are
+        taken row-wise at once, and each slot's group columns are written
+        back; a one-column group moves through a basic column index.
         """
         full = frozenset() not in self._cache  # the unpermuted table, one job
         members_of = {key: _checked_members(key, self.table.p)
@@ -264,7 +263,7 @@ class ImportanceContext:
             return
         n, p, B = self.table.n, self.table.p, self.cfg.B
         values = self.table.values
-        streams = _PermutationStreams(self.cfg.seed, p, B)
+        streams = _PermutationStreams(self.cfg.seed, p)
 
         def jobs():
             if full:  # its slot keeps the tiled values
@@ -304,8 +303,11 @@ def group_importance(
     groups: AspectPartition,
     cfg: PermutationConfig,
 ) -> GlobalImportance:
-    """Block-permutation importance of every group in the partition."""
-    validate_partition(groups, table.p)
+    """Block-permutation importance of every group in the partition; each
+    argument is checked before any model call."""
+    _instance("table", table, NumericTable)
+    _instance("cfg", cfg, PermutationConfig)
+    validate_partition(_instance("groups", groups, AspectPartition), table.p)
     ctx = ImportanceContext(model, table, y, cfg)
     full, *losses, baseline = ctx.mean_permuted_losses([(), *groups.member_sets, range(table.p)])
     rows = tuple(

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 
 from . import _kernels
-from .data import NumericTable, _integer
+from .data import NumericTable, _choice, _instance, _integer, _real, _reals
 from .errors import (
     AspectraError,
     BadK,
@@ -72,8 +72,8 @@ class LinearModel(ModelAdapter):
     """
 
     def __init__(self, intercept, coefficients, column_names=None, label="linear"):
-        self.intercept = float(intercept)
-        self.coefficients = np.asarray(coefficients, dtype=np.float64).reshape(-1)
+        self.intercept = _real("intercept", intercept)
+        self.coefficients = _reals("coefficients", coefficients).reshape(-1)
         self.column_names = list(column_names) if column_names is not None else None
         self.label = label
 
@@ -106,30 +106,25 @@ class KnnModel(ModelAdapter):
     row the screen cannot settle (a tie across the k-th place) is scored
     against every training row (see `_kernels.knn_predict`). The result is
     bit-identical to sorting each row's exact distances.
-    k must be an integer (a bool is not one) from 1 to the training rows.
-    The training rows must form a non-empty 2-D array of finite values, with
-    one finite target per row. A query row whose k nearest squared distances
-    pass the float64 range (columns spread by more than about 1e154) cannot
-    be ranked and raises NonFiniteDistance; a mean of the k targets that
-    overflows comes out infinite, which `predict` rejects.
+    k must be an integer from 1 to the training rows (a numpy integer is
+    stored as int). The training rows must form a non-empty 2-D array of
+    finite reals, with one finite real target per row (`_finite_targets`);
+    anything else raises AspectraError. A query row whose k nearest squared
+    distances pass the float64 range (columns spread by more than about
+    1e154) cannot be ranked and raises NonFiniteDistance; a mean of the k
+    targets that overflows comes out infinite, which `predict` rejects.
     """
 
     def __init__(self, k, train_values, train_targets, column_names=None, label=None):
         self.k = _integer("k", k)
         # copies, so a caller's later writes cannot undo the checks below
-        self.train_values = np.array(train_values, dtype=np.float64)
-        self.train_targets = np.array(train_targets, dtype=np.float64).reshape(-1)
+        self.train_values = np.array(_reals("training values", train_values))
         if self.train_values.ndim != 2 or self.train_values.shape[1] < 1:
-            raise AspectraError(
-                f"training values must be a 2-D array with at least one column, "
-                f"got shape {self.train_values.shape}"
-            )
-        if self.train_targets.shape[0] != self.train_values.shape[0]:
-            raise LengthMismatch(self.train_values.shape[0], self.train_targets.shape[0])
+            raise AspectraError(f"training values must be a 2-D array with at least one column, "
+                                f"got shape {self.train_values.shape}")
         if not np.all(np.isfinite(self.train_values)):
             raise AspectraError("training values must be finite")
-        if not np.all(np.isfinite(self.train_targets)):
-            raise AspectraError("training targets must be finite")
+        self.train_targets = _finite_targets(train_targets, self.train_values.shape[0]).copy()
         if not 1 <= self.k <= self.train_values.shape[0]:
             raise BadK(self.k, self.train_values.shape[0])
         self.column_names = list(column_names) if column_names is not None else None
@@ -146,7 +141,7 @@ class ConstantModel(ModelAdapter):
     """Predicts one fixed value for every row; handy for tests and baselines."""
 
     def __init__(self, value, column_names=None, label="constant"):
-        self.value = float(value)
+        self.value = _real("value", value)
         self.column_names = list(column_names) if column_names is not None else None
         self.label = label
 
@@ -182,9 +177,7 @@ class SubprocessModel(ModelAdapter):
     """
 
     def __init__(self, command, label=None):
-        if isinstance(command, str):
-            raise AspectraError("SubprocessModel takes an argv list, not a shell string")
-        self.command = list(command)
+        self.command = list(_instance("command", command, (list, tuple)))
         if not self.command:
             raise AspectraError("SubprocessModel needs a command, got an empty argv")
         self.label = label or " ".join(self.command)
@@ -309,8 +302,8 @@ class SubprocessModel(ModelAdapter):
 
 
 def _finite_targets(y, n: int) -> np.ndarray:
-    """y as a float64 vector of n finite values; raise otherwise."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    """y as a float64 vector of n finite reals (see `data._reals`); raise otherwise."""
+    y = _reals("targets", y).reshape(-1)
     if y.shape[0] != n:
         raise LengthMismatch(n, y.shape[0])
     bad = np.flatnonzero(~np.isfinite(y))
@@ -329,7 +322,7 @@ def fit_linear(table: NumericTable, y) -> LinearModel:
     scaled back; only a rank short there too, or a coefficient scaled back
     past the float64 range, raises RankDeficient.
     """
-    y = _finite_targets(y, table.n)
+    y = _finite_targets(y, _instance("table", table, NumericTable).n)
     if table.n <= table.p:
         raise RankDeficient(f"need n > p rows, got n={table.n}, p={table.p}")
     design = np.column_stack([np.ones(table.n), table.values])
@@ -347,15 +340,14 @@ def fit_linear(table: NumericTable, y) -> LinearModel:
 
 
 def fit_knn(table: NumericTable, y, k: int) -> KnnModel:
-    return KnnModel(k, table.values, y, column_names=table.column_names)
+    return KnnModel(k, _instance("table", table, NumericTable).values, y,
+                    column_names=table.column_names)
 
 
 def loss(kind: str, y, yhat) -> float:
     """rmse = sqrt(mean((y - yhat)^2)); mae = mean(|y - yhat|)."""
-    if kind not in LOSS_KINDS:
-        raise AspectraError(f"loss must be one of {LOSS_KINDS}, got {kind!r}")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    yhat = np.asarray(yhat, dtype=np.float64).reshape(-1)
+    _choice("loss", kind, LOSS_KINDS)
+    y, yhat = _reals("targets", y).reshape(-1), _reals("predictions", yhat).reshape(-1)
     if y.shape[0] != yhat.shape[0]:
         raise LengthMismatch(y.shape[0], yhat.shape[0])
     if y.shape[0] < 1:
@@ -387,7 +379,10 @@ def _finite_losses(kind: str, losses: np.ndarray) -> np.ndarray:
 
 
 def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
-    """Call the model with schema and output-contract checks."""
+    """Call the model with schema and output-contract checks. Models are duck-typed:
+    an object without a callable predict raises AspectraError, not AttributeError."""
+    if not callable(getattr(model, "predict", None)):
+        raise AspectraError(f"model must have a callable predict, got {type(model).__name__}")
     if model.column_names is not None and list(model.column_names) != list(table.column_names):
         raise SchemaMismatch(
             f"model was trained on columns {model.column_names}, got {table.column_names}"
@@ -395,23 +390,14 @@ def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
     expected = model.expected_p()
     if expected is not None and expected != table.p:
         raise SchemaMismatch(f"model expects p={expected} columns, got p={table.p}")
-    raw = model.predict(table)
-    try:
-        out = np.asarray(raw)
-    except ValueError as e:  # a ragged list
-        raise AspectraError(f"model {model.label!r} returned unreadable predictions: {e}") from None
-    # booleans and integers convert; strings, complex numbers and objects do not
-    if out.dtype.kind not in "biuf":
-        raise AspectraError(
-            f"model {model.label!r} returned predictions of dtype {out.dtype}, not real numbers"
-        )
+    out = _reals(f"model {model.label!r} predictions", model.predict(table))
     # one value per row, as a vector or a column; a flattened (2, 2) would
     # pass for 4 rows
     if out.shape not in ((table.n,), (table.n, 1)):
         raise SchemaMismatch(
             f"model {model.label!r} returned predictions of shape {out.shape} for {table.n} rows"
         )
-    out = out.astype(np.float64, copy=False).reshape(-1)
+    out = out.reshape(-1)
     if not np.all(np.isfinite(out)):
         raise AspectraError(f"model {model.label!r} returned non-finite predictions")
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .aspects import AspectExplanation
+from .data import _instance
 from .triplot import TriplotResult
 
 
@@ -69,7 +70,7 @@ def _value_scale(values, lo_px, hi_px):
 
 def render_triplot(result: TriplotResult) -> str:
     """Three aligned panels: leaf bars, group-importance trajectories, dendrogram."""
-    p = result.p
+    p = _instance("result", result, TriplotResult).p
     tree = result.tree
     out = _svg_open()
     out.append(_text(_MARGIN, _MARGIN - 18, f"{result.mode} importance triplot", "title"))
@@ -182,7 +183,7 @@ def render_triplot(result: TriplotResult) -> str:
 
 def render_aspects(expl: AspectExplanation) -> str:
     """Diverging bar chart of aspect contributions, largest magnitude on top."""
-    rows = expl.aspects
+    rows = _instance("expl", expl, AspectExplanation).aspects
     out = _svg_open()
     title = f"aspect contributions (N={expl.N}, seed={expl.seed}"
     if expl.lam is not None:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .aspects import _fit_surrogate, _scored_designs
 from .cluster import (
-    MergeTree,
+    CORRELATION_METHODS,
     VALID_LINKAGES,
-    _check_method,
+    MergeTree,
     _round12,
     agglomerative,
     cor_distance,
@@ -32,7 +32,9 @@ from .data import (
     NumericTable,
     Observation,
     RngStream,
+    _choice,
     _finite_float,
+    _instance,
     _integer_fields,
     _json_text,
     _typed,
@@ -44,6 +46,10 @@ from .models import ModelAdapter
 
 @dataclass(frozen=True)
 class TriplotConfig:
+    """Global mode needs a PermutationConfig and local mode an N. N >= 1,
+    seed and limit >= 0 are integers, stored as int; a field of any other
+    value raises AspectraError when the config is built."""
+
     mode: str  # "global" | "local"
     cor_method: str = "spearman"
     linkage: str = "complete"
@@ -53,20 +59,13 @@ class TriplotConfig:
     limit: int | None = None  # local mode
 
     def __post_init__(self):
-        if self.mode not in ("global", "local"):
-            raise AspectraError(f"mode must be global|local, got {self.mode!r}")
-        if self.linkage not in VALID_LINKAGES:
-            raise AspectraError(f"linkage must be one of {VALID_LINKAGES}")
-        _check_method(self.cor_method)
-        if self.mode == "global" and self.permutation is None:
-            raise AspectraError("global mode needs a PermutationConfig")
-        if self.mode == "local" and self.N is None:
-            raise AspectraError("local mode needs a sample size N")
-        _integer_fields(self, ("seed",), optional=("N", "limit"))
-        if self.N is not None and self.N < 1:
-            raise AspectraError(f"N must be >= 1, got {self.N}")
-        if self.limit is not None and self.limit < 0:
-            raise AspectraError(f"limit must be >= 0, got {self.limit}")
+        _choice("mode", self.mode, ("global", "local"))
+        _choice("linkage", self.linkage, VALID_LINKAGES)
+        _choice("correlation method", self.cor_method, CORRELATION_METHODS)
+        if self.mode == "global":
+            _instance("global mode's permutation", self.permutation, PermutationConfig)
+        _integer_fields(self, {"seed": None, "N": 1, "limit": 0},
+                        optional=("N", "limit") if self.mode == "global" else ("limit",))
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,9 @@ def _build_tree(table: NumericTable, cfg: TriplotConfig) -> MergeTree:
 
 
 def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfig) -> TriplotResult:
-    """Dataset-level triplot: permutation importance across all merge levels."""
-    if cfg.mode != "global":
+    """Dataset-level triplot: permutation importance across all merge levels;
+    each argument is checked before any model call."""
+    if _instance("cfg", cfg, TriplotConfig).mode != "global":
         raise AspectraError("model_triplot needs a global-mode config")
     tree = _build_tree(table, cfg)
     ctx = ImportanceContext(model, table, y, cfg.permutation)
@@ -193,9 +193,10 @@ def predict_triplot(
 
     Level t is the cut after t merges. One `aspects._designs` run plans the
     designs of all p levels over one sample A: only the flags differ, and a
-    modified row that several levels draw is scored once.
-    """
-    if cfg.mode != "local":
+    modified row that several levels draw is scored once. Each argument is
+    checked before any model call."""
+    _instance("x_star", x_star, Observation)
+    if _instance("cfg", cfg, TriplotConfig).mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")
     tree = _build_tree(table, cfg)
     parts = [partition_after_merges(tree, t, table.column_names) for t in range(table.p)]

@@ -1,5 +1,6 @@
 import json
 import math
+import resource
 import shlex
 import subprocess
 import sys
@@ -743,6 +744,27 @@ def test_out_of_memory_is_exit_1_with_one_error_line(argv, module, site, message
                              *argv[1:]], capsys)
     assert (code, stdout) == (1, "")
     assert err == f"error: out of memory: {shown}\n"
+
+
+def _address_space_of_4_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))
+
+
+@pytest.mark.parametrize("command", [["global-importance", "--cutoff", "0.5"],
+                                     ["triplot", "--mode", "global"]],
+                         ids=["global-importance", "triplot-global"])
+def test_a_huge_B_runs_out_of_memory_at_once(command, six_csv):
+    # the scorer once listed one mixed key per repetition before its first
+    # allocation, so --B 100000000000 hung; the child's address space is
+    # capped, so the refused loss array fails here whatever the overcommit
+    done = subprocess.run(
+        [sys.executable, "-m", "aspectra.cli", *command, "--data", six_csv, "--target", "y",
+         "--model", "linear", "--B", "100000000000"],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+        preexec_fn=_address_space_of_4_gb)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: out of memory: ")
+    assert done.stderr.count("\n") == 1
 
 
 _ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]

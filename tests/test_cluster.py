@@ -462,6 +462,10 @@ def test_partition_after_merges_counts():
     assert partition_after_merges(tree, 4, t.column_names).m == 1
     with pytest.raises(AspectraError):
         partition_after_merges(tree, 5, t.column_names)
+    # True once applied one merge, and 1.5 raised a bare TypeError
+    for count in (True, 1.5, "1"):
+        with pytest.raises(AspectraError, match="merge count must be an integer"):
+            partition_after_merges(tree, count, t.column_names)
 
 
 def _oracle_partitions_along(tree: MergeTree, column_names):
@@ -537,12 +541,15 @@ def test_group_variables_cutoff_extremes():
 @pytest.mark.parametrize("cutoff", [True, False, "0.5", None, [0.5]])
 def test_a_cutoff_that_is_not_a_real_number_is_rejected(cutoff):
     # True once cut at 1.0, and a string or None raised a bare TypeError;
-    # group_variables and predict_aspects share the check
+    # group_variables, predict_aspects and cut_tree's height share the check
     t = random_table(9, p=4)
     with pytest.raises(AspectraError, match="cutoff must be a real number"):
         group_variables(t, cutoff)
     with pytest.raises(AspectraError, match="grouping must be a real number"):
         predict_aspects(ConstantModel(0.0), t, t.row(0), cutoff, N=50)
+    tree = agglomerative(cor_distance(correlation_matrix(t)))
+    with pytest.raises(AspectraError, match="height must be a real number"):
+        cut_tree(tree, cutoff, t.column_names)
 
 
 def test_a_numpy_float_cutoff_is_a_cutoff():

@@ -158,6 +158,8 @@ def test_table_rejects_non_finite():
         NumericTable(("x",), [[np.nan]])
     with pytest.raises(AspectraError):
         NumericTable(("x",), [[np.inf]])
+    with pytest.raises(AspectraError, match="values must be real numbers"):
+        NumericTable(["a"], [["1.5"]])  # once parsed as 1.5
 
 
 def test_table_values_immutable():
@@ -183,6 +185,8 @@ def test_take_rows_and_equality():
 def test_observation_validation():
     with pytest.raises(AspectraError):
         Observation(np.array([1.0, np.nan]))
+    with pytest.raises(AspectraError, match="must be real numbers"):
+        Observation(["1", "2"])  # once parsed as numbers
     obs = Observation(np.array([1.0, 2.0]))
     assert obs.p == 2
 
@@ -289,6 +293,7 @@ def test_partition_singletons():
         ((("g", (0, 5)), ("h", (1,))), BadIndex),
         ((("g", (0, 1)), ("h", (1,))), OverlappingGroups),
         ((("g", (0,)),), NotCovering),
+        ((("g", (0.0, 1)),), AspectraError),  # once read as index 0
     ],
 )
 def test_validate_partition_errors(groups, err):

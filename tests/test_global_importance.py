@@ -12,6 +12,7 @@ from aspectra import (
     ConstantModel,
     NumericTable,
     PermutationConfig,
+    fit_knn,
     fit_linear,
     group_importance,
 )
@@ -184,7 +185,7 @@ def test_derived_stream_ids_equal_permutation_stream(data):
     p = data.draw(st.integers(1, 300))
     B = data.draw(st.integers(1, 4))
     seed = data.draw(st.one_of(st.integers(-2**70, 2**70), st.integers(0, 1000)))
-    streams = _PermutationStreams(seed, p, B)
+    streams = _PermutationStreams(seed, p)
     for _ in range(data.draw(st.integers(1, 4))):
         if data.draw(st.booleans()):
             raw = list(range(p))[::-1]  # every column, unsorted
@@ -198,6 +199,17 @@ def test_derived_stream_ids_equal_permutation_stream(data):
             key = gen.bit_generator.state["state"]["key"].tolist()
             assert key == [seed % 2**64, want.stream_id]
             assert np.array_equal(gen.permutation(9), want.generator().permutation(9))
+
+
+def test_stream_ids_need_no_work_per_repetition():
+    # one list of B mixed repetitions once hung --B 100000000000 before any
+    # model call; each job now mixes its own
+    streams = _PermutationStreams(7, 5)
+    members = _checked_members(frozenset({3, 1}), 5)
+    set_id = streams.set_id(members)
+    for b in (0, 1, 2**40, 2**62, 2**64 - 1):
+        key = streams.generator(set_id, b).bit_generator.state["state"]["key"].tolist()
+        assert key == [7, permutation_stream(7, (1, 3), b).stream_id]
 
 
 # ---------------------------------------------------------------- context
@@ -435,19 +447,26 @@ def test_bad_member_index_raises_before_any_model_call(monkeypatch):
     assert model.calls == 0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_target_raises_before_any_model_call(bad):
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, r"target y\[5\]"),
+    (np.inf, r"target y\[5\]"),
+    ("x", "targets must be real numbers"),  # once fitted as 1.5, or a bare ValueError
+], ids=["nan", "inf", "str"])
+def test_non_finite_target_raises_before_any_model_call(bad, message):
     table, y = small_table(n=20, p=3)
     model = CountingModel(fit_linear(table, y))
-    y = y.copy()
+    y = y.tolist()
     y[5] = bad
     cfg = PermutationConfig(loss="rmse", B=2)
-    with pytest.raises(AspectraError, match=r"target y\[5\]"):
+    with pytest.raises(AspectraError, match=message):
         ImportanceContext(model, table, y, cfg)
-    with pytest.raises(AspectraError, match=r"target y\[5\]"):
+    with pytest.raises(AspectraError, match=message):
         group_importance(model, table, y, singletons(table.column_names), cfg)
-    with pytest.raises(AspectraError, match=r"target y\[5\]"):
+    with pytest.raises(AspectraError, match=message):
         model_triplot(model, table, y, TriplotConfig(mode="global", permutation=cfg))
+    for fit in (fit_linear, lambda t, y: fit_knn(t, y, 3)):
+        with pytest.raises(AspectraError, match=message):
+            fit(table, y)
     assert model.calls == 0
 
 

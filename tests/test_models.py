@@ -211,7 +211,10 @@ def test_knn_rejects_a_target_count_unlike_the_rows():
     ([[0.0], [np.inf], [2.0]], np.ones(3)),
     (np.zeros((3, 1)), [1.0, np.nan, 2.0]),
     (np.zeros((3, 1)), [1.0, -np.inf, 2.0]),
-], ids=["1-d", "3-d", "no-columns", "nan-row", "inf-row", "nan-target", "inf-target"])
+    ([["0"], ["1"], ["2"]], np.ones(3)),
+    (np.zeros((3, 1)), ["1.5"] * 3),
+], ids=["1-d", "3-d", "no-columns", "nan-row", "inf-row", "nan-target", "inf-target",
+        "str-row", "str-target"])
 def test_knn_rejects_bad_training_data(train, targets):
     with pytest.raises(AspectraError):
         KnnModel(1, train, targets)
@@ -258,6 +261,9 @@ def test_linear_predictions_past_the_float64_range_are_an_error(n):
 def test_constant_model():
     m = ConstantModel(2.5)
     assert m.predict(table_of(np.zeros((3, 2)))).tolist() == [2.5, 2.5, 2.5]
+    for value in ("3", True, None):  # float() once took "3" and True
+        with pytest.raises(AspectraError, match="value must be a real number"):
+            ConstantModel(value)
 
 
 # -------------------------------------------------------------------- loss

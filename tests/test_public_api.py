@@ -1,14 +1,23 @@
 """The package root's exports and the README's Python quick start."""
 
+import functools
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import aspectra
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import package_env
+import aspectra
+from aspectra import (AspectraError, ConstantModel, PermutationConfig, TriplotConfig,
+                      predict_aspects, predict_triplot)
+from aspectra.models import LinearModel
+
+from conftest import CountingModel, make_six_variable, package_env, singletons
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -65,3 +74,96 @@ def test_import_loads_no_scipy_or_network_modules():
     added = json.loads(done.stdout)
     assert "aspectra.cli" in added
     assert [m for m in added if m.split(".")[0] in SLOW_IMPORTS] == []
+
+
+# ------------------------------------------------------ the argument contract
+
+SIX_CSV = str(Path(__file__).resolve().parent / "corpus" / "six.csv")
+ERRORS = {"AspectraError", "SchemaMismatch", "SingularDesign", "SubprocessFailure"}
+# one value of each kind that an argument below refuses, unless its case says so
+BAD = {"bool": True, "float": 2.5, "str": "2", "None": None,
+       "numpy float": np.float64(2.5), "object": object()}
+ONE_VALUE = {"bool", "float", "numpy float"}  # a scalar is a one-value vector
+
+
+@functools.cache
+def _contract():
+    """A call-counting model, and each root callable's name with valid
+    arguments and the bad kinds that an argument takes after all."""
+    table, y = make_six_variable(n=60)
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    x_star, part = table.row(0), singletons(table.column_names)
+    perm = PermutationConfig("rmse")
+    local = TriplotConfig(mode="local", N=50)
+    cases = [
+        ("NumericTable", dict(column_names=table.column_names, values=table.values), {}),
+        ("Observation", dict(values=x_star.values), {"values": ONE_VALUE}),
+        ("AspectPartition", dict(groups=part.groups), {}),
+        ("load_table", dict(path=SIX_CSV, target="y"), {"path": {"str"}, "target": {"None"}}),
+        ("fit_linear", dict(table=table, y=y), {}),
+        ("fit_knn", dict(table=table, y=y, k=3), {}),
+        ("ConstantModel", dict(value=1.0), {"value": {"float", "numpy float"}}),
+        ("SubprocessModel", dict(command=[sys.executable]), {}),
+        ("correlation_matrix", dict(table=table, method="spearman"), {}),
+        ("group_variables", dict(table=table, cutoff=0.5, method="spearman"), {}),
+        ("group_importance", dict(model=model, table=table, y=y, groups=part, cfg=perm), {}),
+        ("PermutationConfig", dict(loss="rmse", B=1, N=None, seed=0), {"N": {"None"}}),
+        ("predict_aspects", dict(model=model, table=table, x_star=x_star, grouping=0.5, N=50,
+                                 seed=0, limit=None, method="spearman"), {"limit": {"None"}}),
+        ("TriplotConfig", dict(mode="global", cor_method="spearman", linkage="complete",
+                               permutation=perm, N=None, seed=0, limit=None),
+         {"N": {"None"}, "limit": {"None"}}),
+        ("model_triplot", dict(model=model, table=table, y=y,
+                               cfg=TriplotConfig(mode="global", permutation=perm)), {}),
+        ("predict_triplot", dict(model=model, table=table, x_star=x_star, cfg=local), {}),
+        ("render_triplot", dict(result=predict_triplot(ConstantModel(1.0), table, x_star, local)), {}),
+        ("render_aspects", dict(expl=predict_aspects(ConstantModel(1.0), table, x_star, part, N=50)),
+         {}),
+    ]
+    # two aspects, so that every N drawn flags both
+    halves = aspectra.AspectPartition((("abc", (0, 1, 2)), ("def", (3, 4, 5))))
+    explain = dict(model=ConstantModel(1.0), table=table, x_star=x_star, grouping=halves)
+    # integer fields: (root callable, valid arguments, field, lowest, highest)
+    integers = [
+        ("PermutationConfig", dict(loss="rmse"), "B", 1, None),
+        ("PermutationConfig", dict(loss="rmse"), "N", 1, None),
+        ("PermutationConfig", dict(loss="rmse"), "seed", None, None),
+        ("TriplotConfig", dict(mode="local", N=50), "N", 1, None),
+        ("TriplotConfig", dict(mode="local", N=50), "seed", None, None),
+        ("TriplotConfig", dict(mode="local", N=50), "limit", 0, None),
+        ("fit_knn", dict(table=table, y=y), "k", 1, table.n),
+        ("predict_aspects", dict(explain, N=50), "seed", None, None),
+        ("predict_aspects", explain, "N", 20, 60),
+    ]
+    return model, cases, integers
+
+
+@st.composite
+def _integers(draw, low, high):
+    """A numpy integer in [low, high] that its dtype holds, or, with no
+    bounds (a seed), a Python int past int64 too."""
+    if low is None and draw(st.booleans()):
+        return draw(st.integers(2**63, 2**70) | st.integers(-2**70, -2**63 - 1))
+    info = np.iinfo(draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint64])))
+    lo = info.min if low is None else max(low, info.min)
+    hi = info.max if high is None else min(high, info.max)
+    return info.dtype.type(draw(st.integers(lo, hi)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_every_root_callable_refuses_each_bad_kind_before_any_model_call(data):
+    model, cases, integers = _contract()
+    assert {name for name, _, _ in cases} == set(aspectra.__all__) - ERRORS
+    name, kwargs, takes = data.draw(st.sampled_from(cases))
+    arg = data.draw(st.sampled_from(sorted(kwargs)))
+    kind = data.draw(st.sampled_from(sorted(set(BAD) - takes.get(arg, set()))))
+    with pytest.raises(AspectraError):
+        getattr(aspectra, name)(**{**kwargs, arg: BAD[kind]})
+    assert model.calls == 0
+    # an integer field stores a numpy integer as an int; a seed past int64
+    # stays valid, and its stream folds it mod 2**64
+    name, kwargs, field, low, high = data.draw(st.sampled_from(integers))
+    value = data.draw(_integers(low, high))
+    stored = getattr(getattr(aspectra, name)(**{**kwargs, field: value}), field)
+    assert type(stored) is int and stored == value

@@ -1,5 +1,6 @@
 """Source checks that no linter runs here: every import in the package is
-used, and every private name the package defines is read somewhere in it."""
+used, every private name the package defines is read somewhere in it, and
+argument checks live in data.py alone."""
 
 from __future__ import annotations
 
@@ -94,3 +95,41 @@ def test_the_check_sees_an_unread_private_name():
     b = ast.parse("from a import Box, _helper\n_helper()\nBox()._fill()\n")
     assert _unread_private_names({"a.py": a, "b.py": b}) == [
         "a.py: Box._drop (line 17)", "a.py: _UNUSED (line 2)", "a.py: _stale (line 7)"]
+
+
+CHOICES = {"LOSS_KINDS", "VALID_LINKAGES", "CORRELATION_METHODS"}
+
+
+def _argument_checks(tree: ast.Module) -> list:
+    """Lines that check an argument outside data.py's checkers: an import of
+    `numbers`, or a membership test against one of the CHOICES tuples."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+            found.append(f"import numbers (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found.append(f"from numbers import (line {node.lineno})")
+        elif isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                name = getattr(right, "id", getattr(right, "attr", None))
+                if isinstance(op, (ast.In, ast.NotIn)) and name in CHOICES:
+                    found.append(f"in {name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "data.py"],
+                         ids=[p.name for p in MODULES if p.name != "data.py"])
+def test_arguments_are_checked_by_the_data_checkers_alone(path):
+    # data._integer, _real, _choice, _instance and _reals are the one
+    # argument contract; a second check would drift from them
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _argument_checks(tree) == []
+
+
+def test_the_check_sees_an_argument_check():
+    tree = ast.parse("import numbers\nfrom numbers import Real\n"
+                     "if kind not in LOSS_KINDS or m.linkage in VALID_LINKAGES:\n    pass\n"
+                     "ok = method in METHODS\n")
+    assert _argument_checks(tree) == [
+        "import numbers (line 1)", "from numbers import (line 2)",
+        "in LOSS_KINDS (line 3)", "in VALID_LINKAGES (line 3)"]
