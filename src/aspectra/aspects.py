@@ -38,16 +38,17 @@ from .data import (
     NumericTable,
     Observation,
     RngStream,
+    _FINITE,
     _check_tsv_names,
     _choice,
-    _finite_float,
     _instance,
     _integer,
     _real,
     _json_text,
+    _malformed,
+    _names,
     _rekey,
     _tsv_number,
-    _typed,
     sampled_row_ids,
     validate_partition,
 )
@@ -187,31 +188,31 @@ class AspectExplanation:
 
     @staticmethod
     def from_json_doc(doc: dict) -> "AspectExplanation":
-        """Rebuild an explanation from to_json_doc's output; a malformed
-        document raises AspectraError; metadata keys other than N, seed and
-        lambda are ignored."""
+        """Rebuild an explanation from to_json_doc's output; a document that is
+        not a dict, a missing field, or a field not of its kind (see the
+        checks below) raises AspectraError. Other metadata keys are ignored."""
         try:
-            meta = dict(doc.get("metadata", {}))
-            N = _typed(meta.get("N", 0), int, "an integer N")
-            seed = _typed(meta.get("seed", 0), int, "an integer seed")
+            meta = _instance("metadata", _instance("document", doc, dict).get("metadata", {}), dict)
             lam = meta.get("lambda", None)
-            rows = tuple(
-                AspectRow(
-                    name=_typed(a["name"], str, "a string name"),
-                    members=tuple(
-                        _typed(c, str, "a string member")
-                        for c in _typed(a["members"], list, "a list of members")
-                    ),
-                    contribution=_finite_float(a["contribution"]),
-                    min_abs_cor=_finite_float(a["min_abs_cor"]),
-                    sign_consistent=_typed(a["sign_consistent"], bool, "true or false"),
-                )
-                for a in doc["aspects"]
+            aspects = [_instance("aspect", a, dict)
+                       for a in _instance("aspects", doc["aspects"], list)]
+            return AspectExplanation(
+                aspects=tuple(
+                    AspectRow(
+                        name=_instance("aspect name", a["name"], str),
+                        members=tuple(_names("aspect members", a["members"])),
+                        contribution=_real("contribution", a["contribution"], *_FINITE),
+                        min_abs_cor=_real("min_abs_cor", a["min_abs_cor"], *_FINITE),
+                        sign_consistent=_instance("sign_consistent", a["sign_consistent"], bool),
+                    )
+                    for a in aspects
+                ),
+                N=_integer("N", meta.get("N", 0)),
+                seed=_integer("seed", meta.get("seed", 0)),
+                lam=None if lam is None else _real("lambda", lam, *_FINITE),
             )
-            lam = None if lam is None else _finite_float(lam)
-        except (KeyError, TypeError, ValueError) as e:
-            raise AspectraError(f"malformed aspect document: {type(e).__name__}: {e}") from None
-        return AspectExplanation(aspects=rows, N=N, seed=seed, lam=lam)
+        except (KeyError, AspectraError) as e:
+            raise _malformed("aspect document", e) from None
 
 
 def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, partitions,
@@ -624,7 +625,8 @@ def fit_lasso(W, Z, N: int, partition: AspectPartition, limit: int) -> Surrogate
 
     Lasso on the raw binary design of N draws (no standardization, no
     intercept), given by W = X'^T X' and Z = X'^T Y alone (see
-    `_normal_equations`); limit = m takes the plain least-squares path.
+    `_normal_equations`). `limit` must be an integer in [0, m]; limit = m
+    takes the plain least-squares path.
     Otherwise the exact lasso path on (W, Z) is walked down from
     lambda_max = max_j |Z[j]| / N, where every coefficient is 0, and stops at
     the first segment with more than `limit` nonzero coefficients (the lasso
@@ -635,10 +637,10 @@ def fit_lasso(W, Z, N: int, partition: AspectPartition, limit: int) -> Surrogate
     gives gamma; if it spends all LASSO_MAX_SWEEPS sweeps, LassoNotConverged
     is raised.
     """
-    m = partition.m
-    if not 0 <= limit <= m:
+    m, limit = partition.m, _integer("limit", limit, 0)
+    if limit > m:
         raise AspectraError(f"limit must be in [0, {m}], got {limit}")
-    if limit >= m:
+    if limit == m:
         gamma = fit_ols(W, Z, partition).gamma
         return SurrogateFit(gamma=gamma, W=W, Z=Z, lam=0.0,
                             path=((0.0, int(np.count_nonzero(gamma))),))

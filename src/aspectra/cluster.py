@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (AspectPartition, NumericTable, _choice, _finite_float, _instance, _integer,
-                   _real, _typed)
+from .data import (_FINITE, AspectPartition, NumericTable, _choice, _instance, _integer, _malformed,
+                   _real)
 from .errors import AspectraError, ZeroVarianceColumn
 
 VALID_LINKAGES = ("complete", "single", "average")
@@ -82,20 +82,21 @@ class MergeTree:
 
     @staticmethod
     def from_json_doc(doc) -> "MergeTree":
-        """Rebuild a tree from to_json_doc's output; a malformed one raises AspectraError."""
+        """Rebuild a tree from to_json_doc's output, a list of merge dicts; a
+        malformed one, or a field not of its kind, raises AspectraError."""
         try:
+            merges = [_instance("merge", d, dict) for d in _instance("tree", doc, list)]
             merges = tuple(
                 MergeRecord(
-                    _typed(d["left"], int, "an integer cluster id"),
-                    _typed(d["right"], int, "an integer cluster id"),
-                    _finite_float(d["height"]),
-                    tuple(_typed(i, int, "an integer member")
-                          for i in _typed(d["members"], list, "a list of members")),
+                    _integer("left", d["left"]),
+                    _integer("right", d["right"]),
+                    _real("height", d["height"], *_FINITE),
+                    tuple(_integer("member", i) for i in _instance("members", d["members"], list)),
                 )
-                for d in doc
+                for d in merges
             )
-        except (KeyError, TypeError, ValueError) as e:
-            raise AspectraError(f"malformed merge tree: {type(e).__name__}: {e}") from None
+        except (KeyError, AspectraError) as e:
+            raise _malformed("merge tree", e) from None
         p = len(merges) + 1
         live = {i: (i,) for i in range(p)}  # cluster id -> members, for unmerged clusters
         for t, m in enumerate(merges):

@@ -1,6 +1,7 @@
 """Numeric tables, aspect partitions, reproducible random streams, and the
-argument checkers (`_integer` to `_reals`) every public entry point applies
-to its arguments at entry, so that a bad one raises AspectraError naming it.
+checkers (`_integer` to `_names`) of every value from outside the program:
+public arguments and their elements at entry, and the fields of a result
+document read back. A bad one raises AspectraError naming it.
 
 All datasets are dense float64 matrices with named columns. Missing values,
 infinities and non-numeric cells are rejected at ingestion; callers must
@@ -16,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,7 @@ from .errors import (
 )
 
 _MASK64 = (1 << 64) - 1
+_FINITE = (-sys.float_info.max, sys.float_info.max)  # `_real`'s bounds that refuse NaN and inf
 
 
 def _mix64(z: int) -> int:
@@ -99,7 +102,7 @@ class NumericTable:
     __slots__ = ("column_names", "values")
 
     def __init__(self, column_names, values):
-        names = [str(c) for c in _instance("column_names", column_names, (list, tuple))]
+        names = tuple(_names("column_names", column_names))
         vals = np.ascontiguousarray(_reals("values", values))
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise EmptyTable(f"expected a non-empty 2-d matrix, got shape {vals.shape}")
@@ -107,16 +110,12 @@ class NumericTable:
             raise EmptyTable(
                 f"{len(names)} column names for {vals.shape[1]} columns"
             )
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise DuplicateColumn(name)
-            seen.add(name)
+        _unique(names, DuplicateColumn)
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
             raise NonNumericCell(int(bad[0]) + 1, names[int(bad[1])], str(vals[bad[0], bad[1]]))
         vals.setflags(write=False)
-        object.__setattr__(self, "column_names", tuple(names))
+        object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -197,20 +196,24 @@ class Observation:
 
 @dataclass(frozen=True)
 class AspectPartition:
-    """Named, disjoint groups of 0-based column indices covering {0..p-1}."""
+    """Named, disjoint groups of 0-based column indices covering {0..p-1}.
+
+    Each group is a (str name, members) pair, its members a list, tuple or
+    range of integers; they are stored sorted, as a tuple of int."""
 
     groups: tuple = field(default_factory=tuple)  # tuple of (name, tuple of indices)
 
     def __post_init__(self):
-        norm = []
-        names = set()
-        for name, members in _instance("groups", self.groups, (list, tuple)):
-            name = str(name)
-            if name in names:
-                raise DuplicateColumn(f"group name {name}")
-            names.add(name)
-            norm.append((name, tuple(sorted(_integer("member index", i) for i in members))))
-        object.__setattr__(self, "groups", tuple(norm))
+        groups = _instance("groups", self.groups, (list, tuple))
+        for group in groups:
+            if not isinstance(group, (list, tuple)) or len(group) != 2:
+                raise AspectraError(f"each group must be a (name, members) pair, got {group!r}")
+        names = _names("group names", [name for name, _ in groups])
+        _unique(names, lambda name: DuplicateColumn(f"group name {name}"))
+        object.__setattr__(self, "groups", tuple(
+            (name, tuple(sorted(_integer("member index", i) for i in
+                                _instance("group members", members, (list, tuple, range)))))
+            for name, (_, members) in zip(names, groups)))
 
     @property
     def m(self) -> int:
@@ -259,29 +262,6 @@ def validate_partition(partition: AspectPartition, p: int) -> None:
         raise NotCovering(missing)
 
 
-def _typed(value, kind, expected: str):
-    """`value` for a document reader if it has the JSON type `kind`, else TypeError.
-
-    `expected` names the type in the message. A bool passes only as bool:
-    JSON's true is no number.
-    """
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise TypeError(f"expected {expected}, got {value!r}")
-    return value
-
-
-def _finite_float(value) -> float:
-    """A JSON number as a float for a document reader; another type raises
-    TypeError, and NaN, an infinity or an integer past the float range ValueError."""
-    try:
-        x = float(_typed(value, (int, float), "a number"))
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {x!r}")
-    return x
-
-
 def _json_text(doc) -> str:
     """A result document as indented JSON; NaN or an infinity raises AspectraError.
 
@@ -291,6 +271,12 @@ def _json_text(doc) -> str:
         return json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as e:
         raise AspectraError(f"cannot write a non-finite number to a JSON document: {e}") from None
+
+
+def _malformed(what: str, error: Exception) -> AspectraError:
+    """A document reader's error for a missing field's KeyError or a checker's error."""
+    reason = f"missing field {error}" if isinstance(error, KeyError) else str(error)
+    return AspectraError(f"malformed {what}: {reason}")
 
 
 def _tsv_number(x) -> str:
@@ -330,7 +316,8 @@ def _real(name: str, value, low: float = -math.inf, high: float = math.inf) -> f
     except OverflowError:
         x = math.inf if value > 0 else -math.inf
     if not low <= x <= high:
-        raise AspectraError(f"{name} must be in [{low:g}, {high:g}], got {value!r}")
+        got = repr(value) if math.isfinite(x) else f"non-finite {x!r}"
+        raise AspectraError(f"{name} must be in [{low:g}, {high:g}], got {got}")
     return x
 
 
@@ -346,6 +333,23 @@ def _instance(name: str, value, kind):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise AspectraError(f"{name} must be {names}, got {type(value).__name__}")
     return value
+
+
+def _names(name: str, values):
+    """`values` if it is a list or tuple of str; anything else raises."""
+    for i, value in enumerate(_instance(name, values, (list, tuple))):
+        if not isinstance(value, str):
+            raise AspectraError(f"{name}[{i}] must be str, got {type(value).__name__}")
+    return values
+
+
+def _unique(values, error) -> None:
+    """Raise error(value) for the first value that repeats an earlier one."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise error(value)
+        seen.add(value)
 
 
 def _reals(name: str, values) -> np.ndarray:
@@ -394,11 +398,7 @@ def load_table(path, target: str | None = None):
         except StopIteration:
             raise EmptyTable("file has no header row") from None
         header = [h.strip() for h in header]
-        seen = set()
-        for name in header:
-            if name in seen:
-                raise DuplicateColumn(name)
-            seen.add(name)
+        _unique(header, DuplicateColumn)
         rows = []
         for rownum, rec in enumerate(reader, start=1):
             if not rec:

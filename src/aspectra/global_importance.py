@@ -230,10 +230,6 @@ class ImportanceContext:
         self.model = model
         self._cache = {}
 
-    @property
-    def full_model_loss(self) -> float:
-        return self.mean_permuted_loss(())
-
     def mean_permuted_loss(self, members) -> float:
         return self.mean_permuted_losses([members])[0]
 
@@ -290,10 +286,6 @@ class ImportanceContext:
         with np.errstate(over="ignore"):  # B finite losses may sum past the float64 range
             means = np.mean(job_losses[full:].reshape(len(members_of), B), axis=1)
         self._cache.update(zip(members_of, _finite_losses(self.cfg.loss, means).tolist()))
-
-    @property
-    def baseline_loss(self) -> float:
-        return self.mean_permuted_loss(range(self.table.p))
 
 
 def group_importance(

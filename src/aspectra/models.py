@@ -15,7 +15,7 @@ import threading
 import numpy as np
 
 from . import _kernels
-from .data import NumericTable, _choice, _instance, _integer, _real, _reals
+from .data import NumericTable, _choice, _instance, _integer, _names, _real, _reals
 from .errors import (
     AspectraError,
     BadK,
@@ -45,10 +45,20 @@ class ModelAdapter:
     share a call. The table is read-only and may be a view of a buffer that
     the caller rewrites for its next call, so a model must neither keep the
     table nor write to it.
+
+    `column_names`, a list or tuple of str, is the training schema that
+    `predict` checks each table's names against; None skips the check. The
+    str `label` names the model in messages.
     """
 
     label: str = "model"
-    column_names = None  # training schema; None skips the name check
+    column_names = None
+
+    def __init__(self, column_names=None, label="model"):
+        if column_names is not None:
+            column_names = list(_names("column_names", column_names))
+        self.column_names = column_names
+        self.label = _instance("label", label, str)
 
     def predict(self, table: NumericTable) -> np.ndarray:
         raise NotImplementedError
@@ -74,8 +84,7 @@ class LinearModel(ModelAdapter):
     def __init__(self, intercept, coefficients, column_names=None, label="linear"):
         self.intercept = _real("intercept", intercept)
         self.coefficients = _reals("coefficients", coefficients).reshape(-1)
-        self.column_names = list(column_names) if column_names is not None else None
-        self.label = label
+        super().__init__(column_names, label)
 
     def expected_p(self):
         return self.coefficients.shape[0]
@@ -127,8 +136,7 @@ class KnnModel(ModelAdapter):
         self.train_targets = _finite_targets(train_targets, self.train_values.shape[0]).copy()
         if not 1 <= self.k <= self.train_values.shape[0]:
             raise BadK(self.k, self.train_values.shape[0])
-        self.column_names = list(column_names) if column_names is not None else None
-        self.label = label or f"knn(k={self.k})"
+        super().__init__(column_names, f"knn(k={self.k})" if label is None else label)
 
     def expected_p(self):
         return self.train_values.shape[1]
@@ -142,8 +150,7 @@ class ConstantModel(ModelAdapter):
 
     def __init__(self, value, column_names=None, label="constant"):
         self.value = _real("value", value)
-        self.column_names = list(column_names) if column_names is not None else None
-        self.label = label
+        super().__init__(column_names, label)
 
     def predict(self, table: NumericTable) -> np.ndarray:
         return np.full(table.n, self.value)
@@ -177,11 +184,10 @@ class SubprocessModel(ModelAdapter):
     """
 
     def __init__(self, command, label=None):
-        self.command = list(_instance("command", command, (list, tuple)))
+        self.command = list(_names("command", command))
         if not self.command:
             raise AspectraError("SubprocessModel needs a command, got an empty argv")
-        self.label = label or " ".join(self.command)
-        self.column_names = None
+        super().__init__(None, " ".join(self.command) if label is None else label)
         self._stop_reason = None  # why predict raises, once the child no longer runs
         try:
             self._proc = subprocess.Popen(

@@ -29,15 +29,17 @@ from .cluster import (
     partition_after_merges,
 )
 from .data import (
+    _FINITE,
     NumericTable,
     Observation,
     RngStream,
     _choice,
-    _finite_float,
     _instance,
     _integer_fields,
     _json_text,
-    _typed,
+    _malformed,
+    _names,
+    _real,
 )
 from .errors import AspectraError
 from .global_importance import ImportanceContext, PermutationConfig
@@ -114,42 +116,38 @@ class TriplotResult:
 
     @staticmethod
     def from_json_doc(doc: dict) -> "TriplotResult":
-        """Rebuild a result from to_json_doc's output; a malformed document
-        raises AspectraError."""
+        """Rebuild a result from to_json_doc's output; a malformed document, or
+        a field not of its kind, raises AspectraError. A global result reads
+        no x_star, and a local one no losses."""
         try:
-            tree = MergeTree.from_json_doc(doc["tree"])
-            metadata = dict(doc.get("metadata", {}))
-            x_star = metadata.pop("x_star", None)
-            full = metadata.pop("full_model_loss", None)
-            baseline = metadata.pop("baseline_loss", None)
-            finite = _finite_float
-            result = TriplotResult(
-                mode=doc["mode"],
-                tree=tree,
-                leaf_names=tuple(_typed(leaf["name"], str, "a string name") for leaf in doc["leaves"]),
-                leaf_importance=np.array([finite(leaf["importance"]) for leaf in doc["leaves"]]),
-                node_importance=np.array([finite(node["importance"]) for node in doc["nodes"]]),
-                full_model_loss=None if full is None else finite(full),
-                baseline_loss=None if baseline is None else finite(baseline),
-                x_star=None if x_star is None else np.array([finite(v) for v in x_star]),
-                metadata=metadata,
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise AspectraError(f"malformed triplot document: {type(e).__name__}: {e}") from None
-        if result.mode not in ("global", "local"):
-            raise AspectraError(f"triplot document has mode {result.mode!r}, not global|local")
-        if result.mode == "global" and (full is None or baseline is None):
-            raise AspectraError("global triplot document lacks its model and baseline losses")
-        if result.p != tree.p or result.node_importance.shape[0] != len(tree.merges):
-            raise AspectraError(
-                f"triplot document has {result.p} leaves and {result.node_importance.shape[0]} "
-                f"nodes for a tree over {tree.p} leaves"
-            )
-        if result.mode == "local" and (result.x_star is None or result.x_star.shape != (result.p,)):
-            raise AspectraError(
-                f"local triplot document needs metadata.x_star with {result.p} values"
-            )
-        return result
+            mode, tree = _instance("document", doc, dict)["mode"], doc["tree"]
+            _choice("mode", mode, ("global", "local"))
+            metadata = dict(_instance("metadata", doc.get("metadata", {}), dict))
+            keys = ("full_model_loss", "baseline_loss")
+            x_star, losses = metadata.pop("x_star", None), [metadata.pop(k, None) for k in keys]
+            if mode == "global":
+                x_star, losses = None, [_real(k, v, *_FINITE) for k, v in zip(keys, losses)]
+            else:
+                x_star = [_real("x_star value", v, *_FINITE)
+                          for v in _instance("x_star", x_star, list)]
+                x_star, losses = np.array(x_star), [None, None]
+            leaves = [_instance("leaf", d, dict) for d in _instance("leaves", doc["leaves"], list)]
+            nodes = [_instance("node", d, dict) for d in _instance("nodes", doc["nodes"], list)]
+            names = tuple(_names("leaf names", [d["name"] for d in leaves]))
+            leaf_imp, node_imp = (np.array([_real("importance", d["importance"], *_FINITE)
+                                            for d in ds]) for ds in (leaves, nodes))
+        except (KeyError, AspectraError) as e:
+            raise _malformed("triplot document", e) from None
+        tree = MergeTree.from_json_doc(tree)
+        if len(names) != tree.p or node_imp.shape[0] != len(tree.merges):
+            raise AspectraError(f"triplot document has {len(names)} leaves and {node_imp.shape[0]} "
+                                f"nodes for a tree over {tree.p} leaves")
+        if mode == "local" and x_star.shape != (tree.p,):
+            raise AspectraError("local triplot document needs metadata.x_star with "
+                                f"{tree.p} values")
+        return TriplotResult(mode=mode, tree=tree, leaf_names=names, leaf_importance=leaf_imp,
+                             node_importance=node_imp, full_model_loss=losses[0],
+                             baseline_loss=losses[1], x_star=x_star, metadata=metadata)
 
 
 def _build_tree(table: NumericTable, cfg: TriplotConfig) -> MergeTree:

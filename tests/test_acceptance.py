@@ -244,7 +244,7 @@ def test_criterion_04_group_variables_correctness():
 
 
 def _importance(ctx, members):
-    return ctx.mean_permuted_loss(members) - ctx.full_model_loss
+    return ctx.mean_permuted_loss(members) - ctx.mean_permuted_loss(())
 
 
 def test_criterion_05_permutation_importance_sanity():
@@ -258,7 +258,7 @@ def test_criterion_05_permutation_importance_sanity():
         table = NumericTable(("u", "v", "ignored"), X)
         model = LinearModel(0.0, [1.0, 2.0, 0.0])
         ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", B=20, seed=seed))
-        ratio = abs(_importance(ctx, (2,))) / ctx.full_model_loss
+        ratio = abs(_importance(ctx, (2,))) / ctx.mean_permuted_loss(())
         worst_ratio = max(worst_ratio, ratio)
         assert ratio < 0.02
     # (b) importance ordering follows |coefficient| * sd
@@ -289,7 +289,8 @@ def test_criterion_06_baseline_identity():
         model = LinearModel(0.1, rng.standard_normal(6))
         cfg = PermutationConfig(loss=loss_kind, B=B, seed=seed)
         ctx = ImportanceContext(model, table, y, cfg)
-        gap = abs(_importance(ctx, range(6)) - (ctx.baseline_loss - ctx.full_model_loss))
+        baseline, full = ctx.mean_permuted_loss(range(6)), ctx.mean_permuted_loss(())
+        gap = abs(_importance(ctx, range(6)) - (baseline - full))
         worst = max(worst, gap)
         assert gap <= 1e-12
     budget.check()

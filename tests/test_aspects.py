@@ -1101,6 +1101,10 @@ def test_explanation_serialization_roundtrip():
 
     doc = json.loads(expl.to_json())
     doc["metadata"]["unknown"] = "ignored"
+    # a document of another JSON type once raised a bare AttributeError
+    for other in ([], "aspects", None, 5):
+        with pytest.raises(AspectraError, match="^malformed aspect document: document must be dict"):
+            AspectExplanation.from_json_doc(other)
     back = AspectExplanation.from_json_doc(doc)
     assert back == expl
     assert back.N == expl.N and back.seed == expl.seed and back.lam == expl.lam

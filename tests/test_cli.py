@@ -505,6 +505,60 @@ _MALFORMED = {
         members=[str(i) for i in d["tree"][0]["members"]])),
     "numeric-leaf-name": ("triplot", lambda d: d["leaves"][0].update(name=3)),
 }
+# one value of each kind; JSON writes NaN and Infinity, and reads 10**400 as an int
+_FIELD_VALUES = {"bool": True, "str": "x", "None": None, "list": [1], "float": 1.5,
+                 "nan": math.nan, "infinity": math.inf, "huge": 10**400}
+# every field of every reader: the document, the field's path in it and the
+# kinds of value it takes; the rest of _FIELD_VALUES must be refused
+_FIELDS = [
+    ("aspects", ("metadata",), ()),
+    ("aspects", ("metadata", "N"), ("huge",)),
+    ("aspects", ("metadata", "seed"), ("huge",)),
+    ("aspects", ("metadata", "lambda"), ("None", "float")),
+    ("aspects", ("aspects",), ()),
+    ("aspects", ("aspects", 0), ()),
+    ("aspects", ("aspects", 0, "name"), ("str",)),
+    ("aspects", ("aspects", 0, "members"), ()),
+    ("aspects", ("aspects", 0, "members", 0), ("str",)),
+    ("aspects", ("aspects", 0, "contribution"), ("float",)),
+    ("aspects", ("aspects", 0, "min_abs_cor"), ("float",)),
+    ("aspects", ("aspects", 0, "sign_consistent"), ("bool",)),
+    ("triplot", ("mode",), ()),
+    ("triplot", ("metadata",), ()),
+    ("triplot", ("metadata", "full_model_loss"), ("float",)),
+    ("triplot", ("metadata", "baseline_loss"), ("float",)),
+    ("local", ("metadata", "x_star"), ()),
+    ("local", ("metadata", "x_star", 0), ("float",)),
+    ("triplot", ("leaves",), ()),
+    ("triplot", ("leaves", 0), ()),
+    ("triplot", ("leaves", 0, "name"), ("str",)),
+    ("triplot", ("leaves", 0, "importance"), ("float",)),
+    ("triplot", ("nodes",), ()),
+    ("triplot", ("nodes", 0), ()),
+    ("triplot", ("nodes", 0, "importance"), ("float",)),
+    ("triplot", ("tree",), ()),
+    ("triplot", ("tree", 0), ()),
+    ("triplot", ("tree", 0, "left"), ()),
+    ("triplot", ("tree", 0, "right"), ()),
+    ("triplot", ("tree", 0, "height"), ("float",)),
+    ("triplot", ("tree", 0, "members"), ()),
+    ("triplot", ("tree", 0, "members", 0), ()),
+]
+
+
+def _set_field(path, value):
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return corrupt
+
+
+_MALFORMED.update(
+    (f"{kind}-{'.'.join(map(str, path))}-{name}", (kind, _set_field(path, value)))
+    for kind, path, takes in _FIELDS
+    for name, value in _FIELD_VALUES.items() if name not in takes
+)
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))

@@ -294,6 +294,9 @@ def test_partition_singletons():
         ((("g", (0, 1)), ("h", (1,))), OverlappingGroups),
         ((("g", (0,)),), NotCovering),
         ((("g", (0.0, 1)),), AspectraError),  # once read as index 0
+        ((("g", 5),), AspectraError),  # once a bare TypeError
+        ((("g",),), AspectraError),  # once a bare ValueError
+        (((5, (0, 1)),), AspectraError),  # once named "5"
     ],
 )
 def test_validate_partition_errors(groups, err):

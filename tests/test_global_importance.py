@@ -220,7 +220,9 @@ def test_full_set_importance_equals_baseline_exactly():
     model = fit_linear(table, y)
     ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", B=3, seed=5))
     full = ctx.mean_permuted_loss(range(table.p))
-    assert full == ctx.baseline_loss  # bit-identical, not approx
+    # the baseline, asked of a new context in another order: bit-identical, not approx
+    baseline = ImportanceContext(model, table, y, ctx.cfg).mean_permuted_loss(range(table.p)[::-1])
+    assert full == baseline
 
 
 def test_mean_of_finite_losses_that_overflows_is_an_error():
@@ -236,8 +238,7 @@ def test_empty_member_set_is_full_model_loss():
     table, y = small_table()
     model = fit_linear(table, y)
     ctx = ImportanceContext(model, table, y, PermutationConfig(loss="rmse", seed=1))
-    assert ctx.mean_permuted_loss(()) == ctx.full_model_loss
-    assert ctx.full_model_loss == loss("rmse", y, predict(model, table))
+    assert ctx.mean_permuted_loss(()) == loss("rmse", y, predict(model, table))
 
 
 def test_mean_over_reps_matches_manual_loop():
@@ -371,7 +372,7 @@ def test_batched_scoring_matches_per_set_oracle(case):
         for ctx in (together, one_at_a_time):
             got = ctx.mean_permuted_loss(members)
             if members == ():
-                assert got == ctx.full_model_loss
+                assert got == together.mean_permuted_loss(())
             if kind == "linear":
                 # BLAS may round a row differently inside a stacked table
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)

@@ -264,6 +264,10 @@ def test_constant_model():
     for value in ("3", True, None):  # float() once took "3" and True
         with pytest.raises(AspectraError, match="value must be a real number"):
             ConstantModel(value)
+    # "ab" was once taken as the columns a and b
+    for build in (ConstantModel, lambda value, **names: LinearModel(value, [1.0, 2.0], **names)):
+        with pytest.raises(AspectraError, match="column_names must be list or tuple, got str"):
+            build(1.0, column_names="ab")
 
 
 # -------------------------------------------------------------------- loss
@@ -634,6 +638,10 @@ def test_subprocess_an_error_in_its_with_block_kills_the_child_at_once(popens):
 def test_subprocess_rejects_shell_string():
     with pytest.raises(AspectraError):
         SubprocessModel("python3 child.py sum")
+    # an argument that is not a str once raised a bare TypeError from the label's join
+    for command in ([5], ["/bin/true", 3]):
+        with pytest.raises(AspectraError, match=r"command\[\d\] must be str, got int"):
+            SubprocessModel(command)
 
 
 def test_subprocess_rejects_an_empty_argv():

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import aspectra
 from aspectra import (AspectraError, ConstantModel, PermutationConfig, TriplotConfig,
                       predict_aspects, predict_triplot)
-from aspectra.models import LinearModel
+from aspectra.models import KnnModel, LinearModel
 
 from conftest import CountingModel, make_six_variable, package_env, singletons
 
@@ -84,12 +85,19 @@ ERRORS = {"AspectraError", "SchemaMismatch", "SingularDesign", "SubprocessFailur
 BAD = {"bool": True, "float": 2.5, "str": "2", "None": None,
        "numpy float": np.float64(2.5), "object": object()}
 ONE_VALUE = {"bool", "float", "numpy float"}  # a scalar is a one-value vector
+# one element of each kind that a list argument refuses, unless its case says so
+BAD_ELEMENTS = {**BAD, "int": 5, "list": ["a"]}
+# a partition's group that is no (name, members) pair
+NOT_PAIRS = {"one": ("g",), "three": ("g", (0,), (1,)), "str": "g0", "dict": {"g": (0,)}}
 
 
 @functools.cache
 def _contract():
-    """A call-counting model, and each root callable's name with valid
-    arguments and the bad kinds that an argument takes after all."""
+    """A call-counting model; each root callable's name with valid arguments
+    and the bad kinds that an argument takes after all; the integer fields;
+    and each callable with a list argument, its valid arguments, the path to
+    an element (the list, and in a group its name, members or one member)
+    and the element kinds it takes."""
     table, y = make_six_variable(n=60)
     model = CountingModel(LinearModel(0.0, [1.0] * 6))
     x_star, part = table.row(0), singletons(table.column_names)
@@ -135,7 +143,24 @@ def _contract():
         ("predict_aspects", dict(explain, N=50), "seed", None, None),
         ("predict_aspects", explain, "N", 20, 60),
     ]
-    return model, cases, integers
+    names = list(table.column_names)
+    groups = dict(groups=[list(group) for group in part.groups])
+    lists = [
+        (aspectra.NumericTable, dict(column_names=names, values=table.values), ("column_names",),
+         {"str"}),
+        (ConstantModel, dict(value=1.0, column_names=names), ("column_names",), {"str"}),
+        (LinearModel, dict(intercept=0.0, coefficients=[1.0] * 6, column_names=names),
+         ("column_names",), {"str"}),
+        (KnnModel, dict(k=3, train_values=table.values, train_targets=y, column_names=names),
+         ("column_names",), {"str"}),
+        (aspectra.SubprocessModel, dict(command=[sys.executable, "-c", "pass"]), ("command",),
+         {"str"}),
+        (aspectra.AspectPartition, groups, ("groups",), set()),
+        (aspectra.AspectPartition, groups, ("groups", "name"), {"str"}),
+        (aspectra.AspectPartition, groups, ("groups", "members"), {"list"}),
+        (aspectra.AspectPartition, groups, ("groups", "members", "index"), {"int"}),
+    ]
+    return model, cases, integers, lists
 
 
 @st.composite
@@ -153,7 +178,7 @@ def _integers(draw, low, high):
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_every_root_callable_refuses_each_bad_kind_before_any_model_call(data):
-    model, cases, integers = _contract()
+    model, cases, integers, lists = _contract()
     assert {name for name, _, _ in cases} == set(aspectra.__all__) - ERRORS
     name, kwargs, takes = data.draw(st.sampled_from(cases))
     arg = data.draw(st.sampled_from(sorted(kwargs)))
@@ -167,3 +192,19 @@ def test_every_root_callable_refuses_each_bad_kind_before_any_model_call(data):
     value = data.draw(_integers(low, high))
     stored = getattr(getattr(aspectra, name)(**{**kwargs, field: value}), field)
     assert type(stored) is int and stored == value
+    # one element of a list argument of a kind it refuses; no child starts
+    build, kwargs, path, takes = data.draw(st.sampled_from(lists))
+    values = [list(v) if isinstance(v, list) else v for v in kwargs[path[0]]]
+    i = data.draw(st.integers(0, len(values) - 1))
+    kinds = {**BAD_ELEMENTS, **NOT_PAIRS} if path == ("groups",) else BAD_ELEMENTS
+    bad = kinds[data.draw(st.sampled_from(sorted(set(kinds) - takes)))]
+    if len(path) == 1:
+        values[i] = bad
+    elif path[1] == "name":
+        values[i][0] = bad
+    else:
+        values[i][1] = bad if path[2:] == () else (bad,)
+    with mock.patch("subprocess.Popen", side_effect=AssertionError("a child started")):
+        with pytest.raises(AspectraError):
+            build(**{**kwargs, path[0]: values})
+    assert model.calls == 0

@@ -1,6 +1,6 @@
 """Source checks that no linter runs here: every import in the package is
 used, every private name the package defines is read somewhere in it, and
-argument checks live in data.py alone."""
+the checks of values from outside the program live in data.py alone."""
 
 from __future__ import annotations
 
@@ -102,13 +102,19 @@ CHOICES = {"LOSS_KINDS", "VALID_LINKAGES", "CORRELATION_METHODS"}
 
 def _argument_checks(tree: ast.Module) -> list:
     """Lines that check an argument outside data.py's checkers: an import of
-    `numbers`, or a membership test against one of the CHOICES tuples."""
+    `numbers`, an isinstance test against bool, or a membership test
+    against one of the CHOICES tuples."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
             found.append(f"import numbers (line {node.lineno})")
         elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
             found.append(f"from numbers import (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                found.append(f"isinstance bool (line {node.lineno})")
         elif isinstance(node, ast.Compare):
             for op, right in zip(node.ops, node.comparators):
                 name = getattr(right, "id", getattr(right, "attr", None))
@@ -129,7 +135,40 @@ def test_arguments_are_checked_by_the_data_checkers_alone(path):
 def test_the_check_sees_an_argument_check():
     tree = ast.parse("import numbers\nfrom numbers import Real\n"
                      "if kind not in LOSS_KINDS or m.linkage in VALID_LINKAGES:\n    pass\n"
-                     "ok = method in METHODS\n")
+                     "ok = method in METHODS\n"
+                     "if isinstance(x, bool) or isinstance(y, (int, bool)):\n    pass\n"
+                     "ok = isinstance(x, int) and isinstance(y, (str, bytes))\n")
     assert _argument_checks(tree) == [
         "import numbers (line 1)", "from numbers import (line 2)",
-        "in LOSS_KINDS (line 3)", "in VALID_LINKAGES (line 3)"]
+        "in LOSS_KINDS (line 3)", "in VALID_LINKAGES (line 3)",
+        "isinstance bool (line 6)", "isinstance bool (line 6)"]
+
+
+BARE = {"TypeError", "ValueError"}
+
+
+def _bare_raises(tree: ast.Module) -> list:
+    """Lines that raise a bare TypeError or ValueError, with or without
+    arguments; a bad value raises AspectraError, naming it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) in BARE:
+                found.append(f"raise {exc.id} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_bare_type_or_value_error_is_raised(path):
+    # a caller catches AspectraError; data.py's checkers raise it, and the
+    # document readers re-raise a checker's error with their prefix
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _bare_raises(tree) == []
+
+
+def test_the_check_sees_a_bare_raise():
+    tree = ast.parse("raise TypeError(f'expected {x}')\nraise ValueError\n"
+                     "raise KeyError('k')\ntry:\n    pass\nexcept ValueError:\n    raise\n"
+                     "raise AspectraError('bad') from None\n")
+    assert _bare_raises(tree) == ["raise TypeError (line 1)", "raise ValueError (line 2)"]

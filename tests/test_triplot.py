@@ -134,9 +134,9 @@ def test_global_nodes_match_direct_context(six_table):
     res = model_triplot(model, table, y, TriplotConfig(mode="global", permutation=perm))
     ctx = ImportanceContext(model, table, y, perm)
     for merge, imp in zip(res.tree.merges, res.node_importance):
-        assert imp == ctx.mean_permuted_loss(merge.members) - ctx.full_model_loss
+        assert imp == ctx.mean_permuted_loss(merge.members) - ctx.mean_permuted_loss(())
     for j, imp in enumerate(res.leaf_importance):
-        assert imp == ctx.mean_permuted_loss((j,)) - ctx.full_model_loss
+        assert imp == ctx.mean_permuted_loss((j,)) - ctx.mean_permuted_loss(())
 
 
 def test_global_constant_model_all_zero(six_table):
