@@ -109,12 +109,15 @@ class KnnModel(ModelAdapter):
 
     Predicts the mean target of the k training rows nearest to each query
     row; distance ties resolve to the lower training-row index. Query rows
-    are scored in blocks: one matrix product of augmented operands and a
-    per-row error bound screen out the training rows that cannot be among
-    the k nearest, and exact distances are computed only for the rest. A
-    row the screen cannot settle (a tie across the k-th place) is scored
-    against every training row (see `_kernels.knn_predict`). The result is
-    bit-identical to sorting each row's exact distances.
+    are scored in blocks, centred on the middle training value of each
+    column and scaled by a power of two: one single-precision matrix product
+    and a per-row error bound pick the training rows that can be among the
+    k nearest. Where the bound also tells those candidates apart it gives
+    their order; otherwise their exact distances are computed. A row the screen cannot settle (a tie
+    across the k-th place, or neighbours nearer than single precision can
+    tell apart) is scored against every training row (see
+    `_kernels.knn_predict`). The result is bit-identical to sorting each
+    row's exact float64 distances.
     k must be an integer from 1 to the training rows (a numpy integer is
     stored as int). The training rows must form a non-empty 2-D array of
     finite reals, with one finite real target per row (`_finite_targets`);
@@ -386,26 +389,31 @@ def _finite_losses(kind: str, losses: np.ndarray) -> np.ndarray:
 
 def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
     """Call the model with schema and output-contract checks. Models are duck-typed:
-    an object without a callable predict raises AspectraError, not AttributeError."""
+    an object without a callable predict raises AspectraError, not AttributeError,
+    and `column_names`, `expected_p()` and `label` are read only where the model
+    has them, with `ModelAdapter`'s defaults otherwise."""
     if not callable(getattr(model, "predict", None)):
         raise AspectraError(f"model must have a callable predict, got {type(model).__name__}")
-    if model.column_names is not None and list(model.column_names) != list(table.column_names):
+    column_names = getattr(model, "column_names", None)
+    if column_names is not None and list(column_names) != list(table.column_names):
         raise SchemaMismatch(
-            f"model was trained on columns {model.column_names}, got {table.column_names}"
+            f"model was trained on columns {column_names}, got {table.column_names}"
         )
-    expected = model.expected_p()
+    expected_p = getattr(model, "expected_p", None)
+    expected = None if expected_p is None else expected_p()
     if expected is not None and expected != table.p:
         raise SchemaMismatch(f"model expects p={expected} columns, got p={table.p}")
-    out = _reals(f"model {model.label!r} predictions", model.predict(table))
+    label = getattr(model, "label", ModelAdapter.label)
+    out = _reals(f"model {label!r} predictions", model.predict(table))
     # one value per row, as a vector or a column; a flattened (2, 2) would
     # pass for 4 rows
     if out.shape not in ((table.n,), (table.n, 1)):
         raise SchemaMismatch(
-            f"model {model.label!r} returned predictions of shape {out.shape} for {table.n} rows"
+            f"model {label!r} returned predictions of shape {out.shape} for {table.n} rows"
         )
     out = out.reshape(-1)
     if not np.all(np.isfinite(out)):
-        raise AspectraError(f"model {model.label!r} returned non-finite predictions")
+        raise AspectraError(f"model {label!r} returned non-finite predictions")
     return out
 
 

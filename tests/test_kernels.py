@@ -226,14 +226,14 @@ def test_knn_matches_oracle_bit_for_bit(problem):
 
 @pytest.mark.parametrize("k", [1, 129, 300])
 def test_knn_matches_oracle_at_the_default_block(k):
-    # k past 128 rows sums the mean in pairwise blocks; 300 query rows span
-    # two default screen blocks of max(1, 2**15 // 300) = 109 rows and a
+    # k past 128 rows sums the mean in pairwise blocks; 1050 query rows span
+    # two default screen blocks of max(1, 2**17 // 300) = 436 rows and a
     # rest, and the fallback's sub-blocks hold max(1, 2**17 // (300 * 3)) =
     # 145 rows
     rng = np.random.default_rng(11)
     train = rng.integers(0, 3, size=(300, 3)) * 0.1
     targets = rng.standard_normal(300)
-    query = np.vstack([rng.integers(0, 3, size=(150, 3)) * 0.1, train[:150]])
+    query = np.vstack([rng.integers(0, 3, size=(750, 3)) * 0.1, train])
     assert np.array_equal(knn_predict(train, targets, query, k),
                           _oracle_knn_predict(train, targets, query, k))
 
@@ -254,6 +254,76 @@ def test_knn_block_holds_screened_and_fallback_rows(blocks):
     assert np.array_equal(got, _oracle_knn_predict(train, targets, query, 2))
 
 
+def exact_distance_shapes(call):
+    """call()'s result, and the shape of each array of differences whose
+    exact distances knn_predict computed in it: (rows, k, p) for candidates
+    ranked by distance, (rows, n, p) for the full scan."""
+    shapes = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts.startswith("qij"):
+            shapes.append(operands[0].shape)
+        return einsum(subscripts, *operands, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "einsum", spy)
+        return call(), shapes
+
+
+def test_knn_block_holds_all_three_row_paths():
+    # k = 2, one default block of four query rows. 0.4 and 19 have two
+    # candidates whose distances differ by far more than the margin, so
+    # approx orders them; 0.5 is equally far from 0 and 1 and has exactly
+    # those two candidates, so their two distances are computed and sorted
+    # stably; 7.5 has 7 nearest and ties 5 and 10 across the 2nd place,
+    # three candidates, so it takes the full scan, which keeps 5, the lower
+    # index
+    train = np.array([[0.0], [1.0], [5.0], [10.0], [20.0], [7.0]])
+    targets = 2.0 ** np.arange(6)
+    query = np.array([[0.4], [0.5], [7.5], [19.0]])
+    got, shapes = exact_distance_shapes(lambda: knn_predict(train, targets, query, 2))
+    assert shapes == [(1, 2, 1), (1, 6, 1)]
+    assert got.tolist() == [1.5, 1.5, 18.0, 12.0]
+    assert np.array_equal(got, _oracle_knn_predict(train, targets, query, 2))
+
+
+def test_knn_margin_covers_training_rows_far_from_a_query_at_the_median():
+    # the training rows are the origin and pairs t and -t, so the middle
+    # value of every column is 0, and the pairs lie on a shell about 1 from
+    # it, with radii a few 2^-26 apart; the query rows sit within a few
+    # 2^-40 of the origin, so |q'|^2 is about 0: float32 rounding reorders
+    # their distances to the shell, and the margin must grow with kth, not
+    # only with |q'|^2 (a margin without the kth term picks wrong neighbours
+    # at k = 5, 13 and 19)
+    rng = np.random.default_rng(4)
+    directions = rng.standard_normal((30, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    shell = directions * (1.0 + rng.integers(-4, 5, size=(30, 1)) * 2.0**-26)
+    train = np.vstack([shell, -shell, np.zeros((1, 3))])
+    query = rng.integers(-2, 3, size=(20, 3)) * 2.0**-40
+    targets = rng.standard_normal(61)
+    for k in range(1, 22):
+        assert np.array_equal(knn_predict(train, targets, query, k),
+                              _oracle_knn_predict(train, targets, query, k))
+
+
+def test_knn_matches_oracle_on_a_workload_sized_problem():
+    # global-knn's shape: 500 correlated training rows, p = 12, k = 10, and
+    # 3000 query rows that permute one block of columns each, as the global
+    # scorer's stacked calls do
+    rng = np.random.default_rng(21)
+    train = rng.standard_normal((500, 12)) @ (np.eye(12) + 0.5 * rng.standard_normal((12, 12)))
+    targets = train[:, 0] + np.sin(2 * train[:, 3]) + 0.3 * rng.standard_normal(500)
+    blocks = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9,), (10,), (11,)]
+    query = np.tile(train, (len(blocks), 1))
+    for i, cols in enumerate(blocks):
+        rows = slice(500 * i, 500 * (i + 1))
+        query[rows, cols] = train[rng.permutation(500)][:, cols]
+    assert np.array_equal(knn_predict(train, targets, query, 10),
+                          _oracle_knn_predict(train, targets, query, 10))
+
+
 @pytest.mark.parametrize("blocks", [(1, 1), (3, 2), (8, 8)])
 def test_knn_k_equal_to_n_orders_every_training_row(blocks):
     # the bound is the largest approx plus twice the margin, so all n rows
@@ -269,19 +339,19 @@ def test_knn_k_equal_to_n_orders_every_training_row(blocks):
 @pytest.mark.parametrize("offset", [1e6, 1e7])
 @pytest.mark.parametrize("k", [1, 4])
 def test_knn_screen_with_offset_rows_and_a_far_training_row(k, offset):
-    # |q|^2 is about 3 offset^2 and dwarfs the distances (about 6 on
-    # average), so each row's margin decides: at 1e6 it is about 0.08, of
-    # which the training row at twice the offset, never a neighbour, adds
-    # 0.05 through max |t|^2, and a third to a half of the query rows keep
-    # exactly k candidates; at 1e7 the screen's own rounding is as wide as
-    # the gaps between the nearest distances, so every row falls back, and
-    # a screen without its margin picks wrong neighbours
+    # |q|^2 would be about 3 offset^2 and dwarf the distances (about 6 on
+    # average), but centring on the middle training values takes the common
+    # offset out. The training row at twice the offset, never a neighbour,
+    # sets the power of two that scales every row, but it is not near any
+    # query row, so it widens no margin: at both offsets every row is
+    # screened, and none takes the full scan
     rng = np.random.default_rng(8)
     train = np.vstack([offset + rng.standard_normal((60, 3)), np.full((1, 3), 2 * offset)])
     query = offset + rng.standard_normal((40, 3))
     targets = rng.standard_normal(61)
-    got = knn_at_blocks(train, targets, query, k, (8, 3))
+    got, shapes = exact_distance_shapes(lambda: knn_at_blocks(train, targets, query, k, (8, 3)))
     assert np.array_equal(got, _oracle_knn_predict(train, targets, query, k))
+    assert all(shape[1] == k for shape in shapes)
 
 
 def knn_oracle(train, targets, query, k):
@@ -312,24 +382,27 @@ def test_knn_dispatcher():
 @st.composite
 def screened_knn_problems(draw):
     """Rows on which the screen's margin decides. Grid values tie exactly,
-    near-duplicates sit a few ulps apart, and rows offset by 1e5 or 1e6
-    make |q|^2 + |t|^2 dwarf their distances. Every kind is scaled from
-    subnormal (1e-320, where squares underflow) to past overflow (1e160),
-    where the k nearest distances of a row may overflow and cannot be
-    ranked.
+    near-duplicates sit a few ulps apart, grid rows moved by a few 2^-30
+    have gaps that float64 resolves and float32 does not, and rows offset by
+    1e5 to 1e9, with a spread down to 1e-3, make |q|^2 + |t|^2 dwarf their
+    distances until centring removes the offset. Every kind is scaled from
+    subnormal (1e-320, where squares underflow) to past overflow (1e160 and
+    1e165), where the k nearest distances of a row may overflow and cannot
+    be ranked; at 1e-155 einsum's squares are subnormal while the centred,
+    scaled rows are not.
     Training rows are duplicated, queries copy training rows, k is any
     value from 1 to n, and screen blocks and fallback sub-blocks hold 1 to 8
     query rows each."""
     n = draw(st.integers(min_value=1, max_value=120))
     p = draw(st.integers(min_value=1, max_value=20))
     k = draw(st.integers(min_value=1, max_value=n))
-    kind = draw(st.sampled_from(["grid", "near", "offset"]))
-    scale = draw(st.sampled_from([1.0, 1e-160, 1e-320, 1e150, 1e160]))
+    kind = draw(st.sampled_from(["grid", "near", "fine", "offset"]))
+    scale = draw(st.sampled_from([1.0, 1e-155, 1e-160, 1e-320, 1e150, 1e160, 1e165]))
     blocks = draw(block_sizes)
     m = draw(st.integers(min_value=0, max_value=3 * blocks[0] + 1))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     base = rng.standard_normal(p)
-    offset = draw(st.sampled_from([1e5, 1e6]))
+    offset = draw(st.sampled_from([1e5, 1e6, 1e9]))
     spread = draw(st.sampled_from([1e-3, 0.1, 1.0]))
 
     def rows(count):
@@ -337,6 +410,9 @@ def screened_knn_problems(draw):
             return rng.integers(0, 3, size=(count, p)) * 0.5
         if kind == "near":
             return base * (1.0 + rng.integers(-4, 5, size=(count, p)) * 2.0**-52)
+        if kind == "fine":
+            return (rng.integers(0, 3, size=(count, p)) * 0.5
+                    + base * rng.integers(-4, 5, size=(count, p)) * 2.0**-30)
         return offset + rng.standard_normal((count, p)) * spread
 
     train = rows(n) * scale
@@ -364,8 +440,10 @@ def test_knn_screen_matches_oracle_across_scales(problem):
 
 
 def test_knn_screen_overflow_falls_back_to_exact_distances():
-    # |q|^2 + |t|^2 is about 1e310 and overflows, so the screen reads inf and
-    # nan; the distances themselves are below 1e302 and finite
+    # |q|^2 + |t|^2 would be about 1e310 and overflow; centred on the middle
+    # training values the rows differ by up to about 3e150, so e = 500, and
+    # the screen's unscaled-distance limit sends every row to the full scan,
+    # where the distances, below 1e302, are finite
     train = 1e155 * (1.0 + np.array([[0.0, 0.0], [3e-5, 0.0], [0.0, 1e-5], [2e-5, 2e-5]]))
     targets = np.array([1.0, 2.0, 4.0, 8.0])
     query = 1e155 * (1.0 + np.array([[2.9e-5, 0.0], [0.0, 1.1e-5], [1e-6, 1e-6]]))
@@ -376,10 +454,11 @@ def test_knn_screen_overflow_falls_back_to_exact_distances():
 
 
 def test_knn_screen_floor_covers_underflowed_products():
-    # scaled by 1e-160, the squares (about 1e-310) and the distances (1e-322
-    # to 1e-320) are subnormal: each product rounds by up to 2^-1075, while
-    # rel * (|q|^2 + |t|^2) is a few subnormal steps, so only the floor keeps
-    # the margin above the screen's error
+    # scaled by 1e-160, einsum's distances (1e-322 to 1e-320) are subnormal
+    # and each of its squares rounds by up to 2^-1075, a large share of a
+    # distance; centred and scaled, the screen's own values are not small,
+    # so only the floor's 2^(-1070 - 2e) term keeps the margin above
+    # einsum's error
     rng = np.random.default_rng(5)
     for _ in range(100):
         n = int(rng.integers(20, 121))

@@ -13,13 +13,17 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from aspectra import (
+    AspectPartition,
     ConstantModel,
     NumericTable,
+    PermutationConfig,
     SchemaMismatch,
     SubprocessFailure,
     SubprocessModel,
     fit_knn,
     fit_linear,
+    group_importance,
+    predict_aspects,
 )
 from aspectra import models
 from aspectra.errors import (
@@ -336,6 +340,32 @@ def test_predict_checks_schema():
         predict(m, table_of(np.ones((2, 1)), names=("b",)))
     with pytest.raises(SchemaMismatch):
         predict(LinearModel(0.0, [1.0, 2.0]), table_of(np.ones((2, 1))))
+
+
+def test_a_model_with_only_predict_explains_like_its_adapter():
+    # column_names, expected_p() and label are optional: a class with only a
+    # callable predict is a model, and zeros from it explain the same as
+    # ConstantModel(0.0); its messages name it 'model'
+    class Zeros:
+        def predict(self, table):
+            return np.zeros(table.n)
+
+    class Nans:
+        def predict(self, table):
+            return np.full(table.n, np.nan)
+
+    rng = np.random.default_rng(2)
+    table = table_of(rng.standard_normal((30, 3)))
+    y = rng.standard_normal(30)
+    part = AspectPartition((("a", (0, 1)), ("b", (2,))))
+
+    def documents(model):
+        return (predict_aspects(model, table, table.row(0), 0.5, N=50).to_json(),
+                group_importance(model, table, y, part, PermutationConfig("rmse", B=2)).to_json())
+
+    assert documents(Zeros()) == documents(ConstantModel(0.0))
+    with pytest.raises(AspectraError, match="model 'model' returned non-finite"):
+        predict(Nans(), table)
 
 
 def test_predict_rejects_non_finite_output():
