@@ -4,14 +4,15 @@ Both are plain numpy and coerce their inputs to float64. `fit_lasso` calls
 `lasso_cd` once per capped fit with a nonzero answer, at the knot of the
 exact lasso path where the cap first breaks, and `KnnModel.predict` calls
 `knn_predict` once per batch. `knn_predict` screens neighbours in single
-precision: it centres every row on the training mean, scales it by one power
-of two, and forms one float32 matrix product per block of query rows. A
-per-row error bound on that product picks the training rows that can be
-among the k nearest and, for most rows, their order as well. Only rows whose
-order the bound cannot settle get exact float64 distances for their
-candidates, and only rows the screen cannot settle get every distance. The
-result is bit-identical to a stable sort of every exact distance, and a row
-whose k nearest distances overflow raises NonFiniteDistance.
+precision: it centres each column on its middle training value (the upper
+median), scales every row by one power of two, and forms one float32 matrix
+product per block of query rows. A per-row error bound on that product picks
+the training rows that can be among the k nearest and, for most rows, their
+order as well. Only rows whose order the bound cannot settle get exact
+float64 distances for their candidates, and only rows the screen cannot
+settle get every distance. The result is bit-identical to a stable sort of
+every exact distance, and a row whose k nearest distances overflow raises
+NonFiniteDistance.
 """
 
 from __future__ import annotations

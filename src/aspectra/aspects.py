@@ -625,8 +625,8 @@ def fit_lasso(W, Z, N: int, partition: AspectPartition, limit: int) -> Surrogate
 
     Lasso on the raw binary design of N draws (no standardization, no
     intercept), given by W = X'^T X' and Z = X'^T Y alone (see
-    `_normal_equations`). `limit` must be an integer in [0, m]; limit = m
-    takes the plain least-squares path.
+    `_normal_equations`). `limit` must be an integer >= 0; a limit of m or
+    more caps nothing and takes the plain least-squares path.
     Otherwise the exact lasso path on (W, Z) is walked down from
     lambda_max = max_j |Z[j]| / N, where every coefficient is 0, and stops at
     the first segment with more than `limit` nonzero coefficients (the lasso
@@ -638,9 +638,7 @@ def fit_lasso(W, Z, N: int, partition: AspectPartition, limit: int) -> Surrogate
     is raised.
     """
     m, limit = partition.m, _integer("limit", limit, 0)
-    if limit > m:
-        raise AspectraError(f"limit must be in [0, {m}], got {limit}")
-    if limit == m:
+    if limit >= m:
         gamma = fit_ols(W, Z, partition).gamma
         return SurrogateFit(gamma=gamma, W=W, Z=Z, lam=0.0,
                             path=((0.0, int(np.count_nonzero(gamma))),))
@@ -669,13 +667,12 @@ def _fit_surrogate(model: ModelAdapter, design: SampleDesign, limit: int | None)
     """Score a design and fit the surrogate on its normal equations.
 
     gamma is aligned to `design.partition.member_sets`; limit=None fits by
-    OLS. A limit at or above the aspect count is the uncapped fit, so a
-    coarse partition takes min(limit, m).
+    OLS, and a limit at or above the aspect count is the uncapped fit.
     """
     W, Z = _normal_equations(design, delta_predictions(model, design))
     if limit is None:
         return fit_ols(W, Z, design.partition)
-    return fit_lasso(W, Z, design.N, design.partition, min(limit, design.m))
+    return fit_lasso(W, Z, design.N, design.partition, limit)
 
 
 def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str, C):

@@ -84,8 +84,6 @@ def _parse_grouping(args, table):
 
 def _parse_observation(args, table):
     if args.row is not None:
-        if not 0 <= args.row < table.n:
-            raise AspectraError(f"--row {args.row} out of range for {table.n} rows")
         return table.row(args.row)
     obs_table, _ = load_table(args.obs)
     if obs_table.n != 1:

@@ -156,13 +156,15 @@ class NumericTable:
             raise UnknownColumn(name) from None
 
     def take_rows(self, indices) -> "NumericTable":
-        return NumericTable(self.column_names, self.values[np.asarray(indices, dtype=np.intp)])
+        """The rows at `indices`, in order (see `_row_ids`)."""
+        return NumericTable(self.column_names, self.values[_row_ids(indices, self.n)])
 
     def with_values(self, values) -> "NumericTable":
         return NumericTable(self.column_names, values)
 
     def row(self, i: int) -> "Observation":
-        return Observation(self.values[i].copy())
+        """Row i, a Python or numpy integer in [0, n)."""
+        return Observation(self.values[_row_ids([i], self.n)[0]].copy())
 
     def __eq__(self, other):
         return (
@@ -211,8 +213,7 @@ class AspectPartition:
         names = _names("group names", [name for name, _ in groups])
         _unique(names, lambda name: DuplicateColumn(f"group name {name}"))
         object.__setattr__(self, "groups", tuple(
-            (name, tuple(sorted(_integer("member index", i) for i in
-                                _instance("group members", members, (list, tuple, range)))))
+            (name, tuple(sorted(_members(members))))
             for name, (_, members) in zip(names, groups)))
 
     @property
@@ -299,11 +300,32 @@ def _integer_fields(config, lows: dict, optional=()) -> None:
 def _integer(name: str, value, low: int | None = None) -> int:
     """`value` as an int: a Python or numpy integer, at least `low` if given,
     passes; a bool, a float or anything else raises."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise AspectraError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise AspectraError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _members(members) -> list:
+    """A member set, a list, tuple or range of integer column indices, as ints."""
+    return [_integer("member index", i)
+            for i in _instance("group members", members, (list, tuple, range))]
+
+
+def _row_ids(indices, n: int) -> np.ndarray:
+    """`indices` as an intp array of row indices: a 1-d integer array, checked
+    at once, or a list, tuple or range of Python or numpy integers. Any other
+    index, or one outside [0, n), raises AspectraError."""
+    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
+        outside = indices[(indices < 0) | (indices >= n)]
+    else:
+        indices = [_integer("row index", i)
+                   for i in _instance("row indices", indices, (list, tuple, range))]
+        outside = [i for i in indices if not 0 <= i < n]
+    if len(outside):
+        raise AspectraError(f"row {outside[0]} out of range for {n} rows")
+    return np.asarray(indices, dtype=np.intp)
 
 
 def _real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:

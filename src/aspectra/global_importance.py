@@ -40,6 +40,7 @@ from .data import (
     _instance,
     _integer_fields,
     _json_text,
+    _members,
     _mix64,
     _rekey,
     _tsv_number,
@@ -127,23 +128,14 @@ class GlobalImportance:
 
 
 def _checked_members(group, p: int) -> np.ndarray:
-    """The group's column indices as one sorted intp array, checked against p.
-
-    A bad index raises BadIndex for the smallest index outside [0, p), the
-    first that a walk over the sorted members would meet.
-    """
-    try:
-        members = np.fromiter(group, dtype=np.intp, count=len(group))
-    except OverflowError:  # an index past the intp range is out of range
-        raise BadIndex(min(i for i in group if not 0 <= i < p), p) from None
-    if not members.size:
+    """A set of int column indices as one sorted intp array. An empty set raises
+    EmptyGroup, and one with an index outside [0, p) BadIndex for the smallest."""
+    members = sorted(group)
+    if not members:
         raise EmptyGroup("<anonymous>")
-    members.sort()
-    if members[0] < 0:
-        raise BadIndex(int(members[0]), p)
-    if members[-1] >= p:
-        raise BadIndex(int(members[np.searchsorted(members, p)]), p)
-    return members
+    if members[0] < 0 or members[-1] >= p:
+        raise BadIndex(next(i for i in members if not 0 <= i < p), p)
+    return np.array(members, dtype=np.intp)
 
 
 def _columns(members: np.ndarray):
@@ -217,8 +209,8 @@ class ImportanceContext:
     """
 
     def __init__(self, model: ModelAdapter, table: NumericTable, y, cfg: PermutationConfig):
-        y = _finite_targets(y, table.n)
-        self.cfg = cfg
+        y = _finite_targets(y, _instance("table", table, NumericTable).n)
+        self.cfg = _instance("cfg", cfg, PermutationConfig)
         base = RngStream(cfg.seed)
         if cfg.N is not None and cfg.N < table.n:
             idx = base.child(_K_SUBSAMPLE).generator().choice(table.n, size=cfg.N, replace=False)
@@ -236,10 +228,13 @@ class ImportanceContext:
     def mean_permuted_losses(self, member_sets) -> list:
         """The mean permuted loss of each member set, in order.
 
-        The sets not cached yet are scored together, in one pass of batched
+        `member_sets` is a list or tuple of member sets, each checked as a
+        partition's members are, and against p, before any model call. The
+        sets not cached yet are scored together, in one pass of batched
         model calls with the unpermuted table first.
         """
-        keys = [frozenset(map(int, members)) for members in member_sets]
+        keys = [frozenset(_members(members))
+                for members in _instance("member sets", member_sets, (list, tuple))]
         self._score(keys)
         return [self._cache[key] for key in keys]
 
@@ -297,10 +292,8 @@ def group_importance(
 ) -> GlobalImportance:
     """Block-permutation importance of every group in the partition; each
     argument is checked before any model call."""
-    _instance("table", table, NumericTable)
-    _instance("cfg", cfg, PermutationConfig)
-    validate_partition(_instance("groups", groups, AspectPartition), table.p)
     ctx = ImportanceContext(model, table, y, cfg)
+    validate_partition(_instance("groups", groups, AspectPartition), table.p)
     full, *losses, baseline = ctx.mean_permuted_losses([(), *groups.member_sets, range(table.p)])
     rows = tuple(
         GroupImportanceRow(name, members, mean_loss, mean_loss - full)

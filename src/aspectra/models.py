@@ -426,40 +426,28 @@ def _stacked_predictions(model: ModelAdapter, column_names: tuple, buffer: np.nd
     into `out`, a C-contiguous float64 array, before the next item is drawn.
     `buffer`, the caller's, takes the rows of consecutive items; its row
     count is one call's budget, set by the caller (see `aspects._STACK_VALUES`
-    and `global_importance._BATCH_VALUES`). The stacking rules, the same for
-    every batched model call:
-
-    - The buffer's rows are scored in one call when the next item's rows
-      would not fit, or the items end.
-    - No item's rows are split across calls: an item with more rows than the
-      buffer gets a call of its own, in a new array, after the pending items.
-    - An item with no rows waits for the pending call.
-    - A call's predictions follow its rows, in the order they were written.
-      A call with no rows makes no model call and yields no predictions.
+    and `global_importance._BATCH_VALUES`), and every item has 1 to
+    `buffer.shape[0]` rows. The stacking rule, the same for every batched
+    model call: the buffer's rows are scored in one call when the next
+    item's rows would not fit, or the items end, so no item is split across
+    calls; a call's predictions follow its rows, in the order written.
 
     The next call rewrites the buffer, so the caller takes what it needs and
     restores what its writes rely on before it asks for the next call, and
     keeps no view into the buffer. Under the row-independence contract of
     `ModelAdapter` an item's predictions equal those of scoring its rows alone.
     """
-    def scored(rows):  # no rows make no call
-        if not len(rows):
-            return np.empty(0)
+    def scored(rows):
         return predict(model, NumericTable._from_validated(column_names, rows))
 
     budget = buffer.shape[0]
     pending, used = [], 0
     for item, k, write in items:
-        if pending and used + k > budget:
+        if used + k > budget:  # k <= budget, so some items are pending
             yield pending, scored(buffer[:used])
             pending, used = [], 0
-        if k > budget:
-            out = np.empty((k, buffer.shape[1]))
-            write(out)
-            yield [item], scored(out)
-        else:
-            write(buffer[used:used + k])
-            used += k
-            pending.append(item)
+        write(buffer[used:used + k])
+        used += k
+        pending.append(item)
     if pending:
         yield pending, scored(buffer[:used])

@@ -8,6 +8,7 @@ Usage: python3 child_model.py MODE [PATH]
   first     echo column 1
   constant  always 3.25
   garbage   answer "not-a-number" lines
+  nan       answer "nan" lines, which parse as a float but are not finite
   garbage-first  answer the first batch's first row with "oops", then
             row sums for every other row of every batch
   short     answer the first batch's first n-1 rows with row sums, then exit 0
@@ -75,6 +76,9 @@ def main() -> int:
                 break
             if mode == "garbage":
                 print("not-a-number")
+                continue
+            if mode == "nan":
+                print("nan")
                 continue
             if mode == "garbage-first" and batch == 1 and i == 0:
                 print("oops")

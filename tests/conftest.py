@@ -227,7 +227,7 @@ def oracle_fit(model, design, limit):
     W, Z = dense_normal_equations(design, ym)
     if limit is None:
         return fit_ols(W, Z, design.partition)
-    return fit_lasso(W, Z, design.N, design.partition, min(limit, design.m))
+    return fit_lasso(W, Z, design.N, design.partition, limit)
 
 
 def oracle_tree_partitions(table, cfg):

@@ -469,8 +469,10 @@ def test_lasso_limit_out_of_range():
     problem = lasso_instance(5)
     with pytest.raises(AspectraError):
         lasso(problem, limit=-1)
-    with pytest.raises(AspectraError):
-        lasso(problem, limit=6)
+    # a limit past m caps nothing: it is the limit-m fit, bit for bit
+    capped, uncapped = lasso(problem, limit=6), lasso(problem, limit=5)
+    assert capped.gamma.tobytes() == uncapped.gamma.tobytes()
+    assert (capped.lam, capped.path) == (uncapped.lam, uncapped.path)
 
 
 def test_lasso_zero_response_short_circuits():

@@ -182,6 +182,45 @@ def test_take_rows_and_equality():
     assert sub != t
 
 
+@pytest.mark.parametrize("index", [True, 1.7, "1", None, np.float64(1.0)])
+def test_a_row_index_that_is_no_integer_raises(index):
+    # once True and 1.7 picked row 1, a bool gave a 10-value observation,
+    # and 1.7 raised a bare IndexError from row()
+    t = NumericTable(("x", "y"), np.arange(10.0).reshape(5, 2))
+    with pytest.raises(AspectraError, match="row index must be an integer"):
+        t.row(index)
+    with pytest.raises(AspectraError, match="row index must be an integer"):
+        t.take_rows([0, index])
+
+
+@pytest.mark.parametrize("index", [5, 9, -1])
+def test_a_row_index_outside_the_table_raises(index):
+    t = NumericTable(("x", "y"), np.arange(10.0).reshape(5, 2))
+    message = f"row {index} out of range for 5 rows"
+    with pytest.raises(AspectraError, match=message):
+        t.row(index)
+    with pytest.raises(AspectraError, match=message):
+        t.take_rows([0, index])
+    with pytest.raises(AspectraError, match=message):
+        t.take_rows(np.array([0, index]))
+
+
+def test_row_indices_take_python_and_numpy_integers_alone():
+    t = NumericTable(("x", "y"), np.arange(10.0).reshape(5, 2))
+    assert t.row(np.int64(1)).values.tolist() == [2.0, 3.0]
+    for indices in ([4, np.int32(1)], (4, 1), np.array([4, 1], dtype=np.uint8)):
+        assert t.take_rows(indices).values.tolist() == [[8.0, 9.0], [2.0, 3.0]]
+    assert t.take_rows(range(1, 3)) == NumericTable(("x", "y"), [[2.0, 3.0], [4.0, 5.0]])
+    with pytest.raises(AspectraError, match=f"row {2**70} out of range"):
+        t.take_rows([2**70])
+    with pytest.raises(AspectraError, match=f"row {2**63} out of range"):
+        t.take_rows(np.array([2**63], dtype=np.uint64))
+    # a float or a 2-d array, or a str, is not a list of row indices
+    for indices in (np.array([1.0]), np.array([[1, 2]]), "1", {1}):
+        with pytest.raises(AspectraError, match="row indices must be"):
+            t.take_rows(indices)
+
+
 def test_observation_validation():
     with pytest.raises(AspectraError):
         Observation(np.array([1.0, np.nan]))
@@ -250,6 +289,14 @@ def test_load_table_errors(tmp_path):
     f.write_text("x,y\n1,2\n")
     with pytest.raises(MissingTarget):
         load_table(f, target="z")
+
+    f.write_text("")
+    with pytest.raises(EmptyTable, match="no header row"):
+        load_table(f)
+
+    f.write_text("y\n1\n2\n")
+    with pytest.raises(EmptyTable, match="no feature columns left"):
+        load_table(f, target="y")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])

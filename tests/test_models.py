@@ -538,6 +538,15 @@ def test_subprocess_garbage_output():
             m.predict(table_of([[1.0]]))
 
 
+def test_subprocess_nan_answer_fails_the_batch():
+    # "nan" parses as a float, so only the finiteness check catches it
+    with SubprocessModel(child_cmd("nan")) as m:
+        with pytest.raises(SubprocessFailure, match="non-finite prediction value"):
+            m.predict(table_of([[1.0], [2.0]]))
+        with pytest.raises(SubprocessFailure, match="stopped after a failed batch: non-finite"):
+            m.predict(table_of([[0.0]]))
+
+
 @pytest.mark.parametrize("mode", ["garbage-first", "garbage", "short", "die"])
 def test_subprocess_failed_batch_stops_the_child(mode):
     # garbage-first leaves the answers 20.0 and 200.0 in the pipe; a later
@@ -702,55 +711,27 @@ def stack(sizes, budget):
 
 
 def expected(batch, sizes):
-    return np.concatenate([1000.0 * i + np.arange(sizes[i]) for i in batch] + [np.empty(0)])
-
-
-def test_stacking_keeps_zero_row_items_in_order_with_the_pending_call():
-    sizes = [2, 0, 1, 0]
-    model, calls = stack(sizes, budget=4)
-    assert [batch for batch, _ in calls] == [[0, 1, 2, 3]]
-    assert model.calls == 1 and model.rows == 3
-    np.testing.assert_array_equal(calls[0][1], [0.0, 1.0, 2000.0])
-
-
-def test_stacking_gives_an_oversized_item_its_own_call_after_the_pending_ones():
-    sizes = [1, 0, 5, 1]
-    model, calls = stack(sizes, budget=3)
-    assert [batch for batch, _ in calls] == [[0, 1], [2], [3]]
-    assert [t.shape[0] for t in model.tables] == [1, 5, 1]
-    for batch, scored in calls:
-        np.testing.assert_array_equal(scored, expected(batch, sizes))
-
-
-def test_stacking_with_no_rows_calls_no_model():
-    model, calls = stack([0, 0], budget=2)
-    assert model.calls == 0
-    assert [batch for batch, _ in calls] == [[0, 1]] and calls[0][1].shape == (0,)
-    # zero-row items ahead of an oversized one come out without a call
-    model, calls = stack([0, 3], budget=2)
-    assert [batch for batch, _ in calls] == [[0], [1]] and model.calls == 1
-    assert stack([], budget=2)[1] == []
+    return np.concatenate([1000.0 * i + np.arange(sizes[i]) for i in batch])
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_stacking_never_splits_an_item_and_fills_each_call(seed):
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(0, 7, size=rng.integers(1, 12)).tolist()
     budget = int(rng.integers(1, 9))
+    # the contract: every item has 1 to budget rows
+    sizes = rng.integers(1, budget + 1, size=rng.integers(1, 12)).tolist()
     model, calls = stack(sizes, budget)
-    # every item comes out once, in order, and each model call is one
-    # yielded call's rows in item order, with its predictions
+    # every item comes out once, in order, and each yielded call is one
+    # model call of its items' rows in item order, with its predictions
     assert [i for batch, _ in calls for i in batch] == list(range(len(sizes)))
-    scored = [(batch, got) for batch, got in calls if got.shape[0]]
-    assert len(scored) == model.calls
-    for (batch, got), table in zip(scored, model.tables):
+    assert len(calls) == model.calls
+    for (batch, got), table in zip(calls, model.tables):
         np.testing.assert_array_equal(got, expected(batch, sizes))
         np.testing.assert_array_equal(table[:, 0], np.repeat(batch, [sizes[i] for i in batch]))
     for batch, _ in calls:
         rows = sum(sizes[i] for i in batch)
-        # a call passes the budget only as one item's own, and a call is
-        # made before the last item only when the next item's rows would
-        # not fit
-        assert rows <= budget or len(batch) == 1
+        # a call holds at most the budget, and a call is made before the
+        # last item only when the next item's rows would not fit
+        assert rows <= budget
         if batch[-1] + 1 < len(sizes):
             assert rows + sizes[batch[-1] + 1] > budget

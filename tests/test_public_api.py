@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import aspectra
 from aspectra import (AspectraError, ConstantModel, PermutationConfig, TriplotConfig,
                       predict_aspects, predict_triplot)
+from aspectra.global_importance import ImportanceContext
 from aspectra.models import KnnModel, LinearModel
 
 from conftest import CountingModel, make_six_variable, package_env, singletons
@@ -208,3 +209,39 @@ def test_every_root_callable_refuses_each_bad_kind_before_any_model_call(data):
         with pytest.raises(AspectraError):
             build(**{**kwargs, path[0]: values})
     assert model.calls == 0
+
+
+# member sets that once scored column 1 ((1.7,), (True,), ("1",)) or raised
+# a bare TypeError ((None,), 5) or ValueError ("ab"), and sets whose kind or
+# index is bad otherwise
+BAD_MEMBER_SETS = [(1.7,), (True,), ("1",), (None,), 5, "ab", {1}, np.array([1]), (0, 6),
+                   (-1,), (0, 2**70)]
+
+
+@pytest.mark.parametrize("bad", BAD_MEMBER_SETS, ids=repr)
+def test_importance_context_refuses_a_bad_member_set_before_any_model_call(bad):
+    table, y = make_six_variable(n=60)
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    ctx = ImportanceContext(model, table, y, PermutationConfig("rmse"))
+    for member_sets in ([bad], [(0,), bad], (bad, (2, 3))):
+        with pytest.raises(AspectraError):
+            ctx.mean_permuted_losses(member_sets)
+    with pytest.raises(AspectraError):
+        ctx.mean_permuted_loss(bad)
+    assert model.calls == 0
+
+
+def test_importance_context_checks_its_arguments_and_takes_numpy_integers():
+    table, y = make_six_variable(n=60)
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    cfg = PermutationConfig("rmse")
+    for args in ((model, "table", y, cfg), (model, table, y, None), (model, table, y, "rmse")):
+        with pytest.raises(AspectraError):
+            ImportanceContext(*args)
+    ctx = ImportanceContext(model, table, y, cfg)
+    for member_sets in (5, "ab", iter([(1,)])):  # not a list or tuple of member sets
+        with pytest.raises(AspectraError, match="member sets must be"):
+            ctx.mean_permuted_losses(member_sets)
+    assert model.calls == 0
+    numpy_ints = ctx.mean_permuted_losses([(np.int64(1),), [np.uint8(2), 1]])
+    assert numpy_ints == ctx.mean_permuted_losses([(1,), range(1, 3)])
