@@ -244,6 +244,8 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     """
     if x_star.p != table.p:
         raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
+    if 8 * N * max(2, len(partitions)) > np.iinfo(np.intp).max:  # row ids, draws, keys
+        raise AspectraError(f"N={N} sampled rows need arrays past numpy's size limit")
     row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
     row_ids.setflags(write=False)
     ids, inverse = np.unique(row_ids, return_inverse=True)

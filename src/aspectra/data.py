@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,20 +246,14 @@ class AspectPartition:
 
 def validate_partition(partition: AspectPartition, p: int) -> None:
     """Check that the groups form a partition of {0..p-1}; raise otherwise."""
-    seen = {}
-    overlap = set()
     for name, members in partition.groups:
-        if len(members) == 0:
+        if not _column_ids(members, p):
             raise EmptyGroup(name)
-        for i in members:
-            if i < 0 or i >= p:
-                raise BadIndex(i, p)
-            if i in seen:
-                overlap.add(i)
-            seen[i] = name
+    counts = Counter(i for members in partition.member_sets for i in members)
+    overlap = {i for i, count in counts.items() if count > 1}
     if overlap:
         raise OverlappingGroups(overlap)
-    missing = set(range(p)) - set(seen)
+    missing = set(range(p)) - set(counts)
     if missing:
         raise NotCovering(missing)
 
@@ -311,6 +306,15 @@ def _members(members) -> list:
     """A member set, a list, tuple or range of integer column indices, as ints."""
     return [_integer("member index", i)
             for i in _instance("group members", members, (list, tuple, range))]
+
+
+def _column_ids(members, p: int) -> tuple:
+    """Int column indices as a sorted tuple of distinct ones; BadIndex for the smallest
+    outside [0, p). Every column-index range check is this one."""
+    ids = sorted(set(members))
+    if ids and (ids[0] < 0 or ids[-1] >= p):
+        raise BadIndex(next(i for i in ids if not 0 <= i < p), p)
+    return tuple(ids)
 
 
 def _row_ids(indices, n: int) -> np.ndarray:

@@ -15,13 +15,16 @@ Scoring is batched. Every (member set, repetition) job permutes the
 group's columns into its own n-row slot of a buffer of tiled copies of the
 table, and `models._stacked_predictions` scores the slots in shared calls of
 up to _BATCH_VALUES values; the unpermuted table is one more job, first.
-Each member set is checked once, before any model call, and its stream id
-derived once; the one Philox is re-keyed to each job's stream right before
-its permutation is drawn. Streams and losses are bit-identical to a new
-generator per job on the stream that `_PermutationStreams` describes, and,
-under the model contract in `models.ModelAdapter`, to `models.loss` on each
-copy alone; `LinearModel`'s BLAS product is the known exception where
-OpenBLAS splits a large product across threads (see its docstring).
+A member set is checked once, where it enters, before any model call (a
+caller's by `mean_permuted_losses`, a partition's by `validate_partition`;
+a tree is built checked); past that it is its sorted tuple of distinct
+indices in [0, p), the cache's key. Its stream id is derived once, and the
+one Philox is re-keyed to each job's stream right before its permutation is
+drawn. Streams and losses are bit-identical to a new generator per job on
+the stream that `_PermutationStreams` describes, and, under the model
+contract in `models.ModelAdapter`, to `models.loss` on each copy alone;
+`LinearModel`'s BLAS product is the known exception where OpenBLAS splits a
+large product across threads (see its docstring).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .data import (
     RngStream,
     _check_tsv_names,
     _choice,
+    _column_ids,
     _instance,
     _integer_fields,
     _json_text,
@@ -46,7 +50,6 @@ from .data import (
     _tsv_number,
     validate_partition,
 )
-from .errors import BadIndex, EmptyGroup
 from .models import (LOSS_KINDS, ModelAdapter, _finite_losses, _finite_targets, _row_losses,
                      _stacked_predictions)
 
@@ -127,17 +130,6 @@ class GlobalImportance:
         return _json_text(self.to_json_doc())
 
 
-def _checked_members(group, p: int) -> np.ndarray:
-    """A set of int column indices as one sorted intp array. An empty set raises
-    EmptyGroup, and one with an index outside [0, p) BadIndex for the smallest."""
-    members = sorted(group)
-    if not members:
-        raise EmptyGroup("<anonymous>")
-    if members[0] < 0 or members[-1] >= p:
-        raise BadIndex(next(i for i in members if not 0 <= i < p), p)
-    return np.array(members, dtype=np.intp)
-
-
 def _columns(members: np.ndarray):
     """A one-column group's index as an int, a basic index that moves the
     column without fancy indexing; any other group's sorted array."""
@@ -149,13 +141,11 @@ def permute_group(
 ) -> None:
     """Apply one shared row permutation, drawn from `gen`, to the group's columns.
 
-    `members` holds the group's sorted, checked column indices, as
-    `_checked_members` returns them; the scorer checks each member set once
-    per call, so they are not checked again here. `gen` is the scorer's one
-    generator, whose Philox is re-keyed to the job's stream (see
-    `_PermutationStreams`) before each call. `out` is an n x p array
-    already holding the table's values; only the group's columns are
-    written there.
+    `members` holds a checked member set as an intp array (see the module
+    docstring), not checked again here. `gen` is the scorer's one generator,
+    whose Philox is re-keyed to the job's stream (see `_PermutationStreams`)
+    before each call. `out` is an n x p array already holding the table's
+    values; only the group's columns are written there.
     """
     perm = gen.permutation(table.n)
     columns = _columns(members)
@@ -186,10 +176,10 @@ class _PermutationStreams:
         self._bitgen = np.random.Philox(0)  # re-keyed before every draw
         self._gen = np.random.Generator(self._bitgen)
 
-    def set_id(self, members: np.ndarray) -> int:
+    def set_id(self, members) -> int:
         """The stream id shared by a checked member set's repetitions."""
         h = _MEMBER_KEY_START
-        for i in members.tolist():
+        for i in members:
             h = _mix64(h ^ self._mixed_columns[i])
         return _mix64(self._base ^ _mix64(h))
 
@@ -204,8 +194,8 @@ class ImportanceContext:
 
     One context per call keeps every group, repetition and the baseline on
     the same rows, so level-to-level comparisons are paired. Member sets are
-    cached by value; asking for the same set twice returns the same floats.
-    The empty set is the unpermuted table, whose loss is the full model's.
+    cached by their checked tuple; the same set twice, in any order, returns
+    the same floats. The empty set is the unpermuted table, the full model's.
     """
 
     def __init__(self, model: ModelAdapter, table: NumericTable, y, cfg: PermutationConfig):
@@ -233,25 +223,27 @@ class ImportanceContext:
         sets not cached yet are scored together, in one pass of batched
         model calls with the unpermuted table first.
         """
-        keys = [frozenset(_members(members))
-                for members in _instance("member sets", member_sets, (list, tuple))]
-        self._score(keys)
-        return [self._cache[key] for key in keys]
+        sets = [_members(m) for m in _instance("member sets", member_sets, (list, tuple))]
+        return self._score([_column_ids(members, self.table.p) for members in sets])
 
-    def _score(self, keys) -> None:
-        """Cache the mean permuted loss of every member set (a frozenset of
-        column indices) not cached yet.
+    def _query(self, sets) -> tuple:
+        """The full model's, each checked set's and the baseline's loss, in one pass."""
+        full, *losses, baseline = self._score([(), *sets, tuple(range(self.table.p))])
+        return full, losses, baseline
+
+    def _score(self, keys) -> list:
+        """The mean permuted loss of each checked member set, caching those not cached yet.
 
         The jobs are drawn one at a time, so B costs time and one loss per
         job, the first allocation B sizes. After each call its losses are
         taken row-wise at once, and each slot's group columns are written
         back; a one-column group moves through a basic column index.
         """
-        full = frozenset() not in self._cache  # the unpermuted table, one job
-        members_of = {key: _checked_members(key, self.table.p)
+        full = () not in self._cache  # the unpermuted table, one job
+        members_of = {key: np.array(key, dtype=np.intp)
                       for key in dict.fromkeys(keys) if key and key not in self._cache}
         if not (full or members_of):
-            return
+            return [self._cache[key] for key in keys]
         n, p, B = self.table.n, self.table.p, self.cfg.B
         values = self.table.values
         streams = _PermutationStreams(self.cfg.seed, p)
@@ -259,8 +251,8 @@ class ImportanceContext:
         def jobs():
             if full:  # its slot keeps the tiled values
                 yield None, n, lambda out: None
-            for members in members_of.values():
-                set_id, columns = streams.set_id(members), _columns(members)
+            for key, members in members_of.items():
+                set_id, columns = streams.set_id(key), _columns(members)
                 for b in range(B):
                     yield columns, n, lambda out, b=b: permute_group(
                         self.table, members, streams.generator(set_id, b), out)
@@ -276,11 +268,12 @@ class ImportanceContext:
                     buf[slot * n:(slot + 1) * n, columns] = values[:, columns]
             done += len(batch)
         if full:
-            self._cache[frozenset()] = float(job_losses[0])
+            self._cache[()] = float(job_losses[0])
         # each set's B jobs are adjacent, after the unpermuted table's one
         with np.errstate(over="ignore"):  # B finite losses may sum past the float64 range
             means = np.mean(job_losses[full:].reshape(len(members_of), B), axis=1)
         self._cache.update(zip(members_of, _finite_losses(self.cfg.loss, means).tolist()))
+        return [self._cache[key] for key in keys]
 
 
 def group_importance(
@@ -294,7 +287,7 @@ def group_importance(
     argument is checked before any model call."""
     ctx = ImportanceContext(model, table, y, cfg)
     validate_partition(_instance("groups", groups, AspectPartition), table.p)
-    full, *losses, baseline = ctx.mean_permuted_losses([(), *groups.member_sets, range(table.p)])
+    full, losses, baseline = ctx._query(groups.member_sets)
     rows = tuple(
         GroupImportanceRow(name, members, mean_loss, mean_loss - full)
         for (name, members), mean_loss in zip(groups.groups, losses)

@@ -162,7 +162,7 @@ def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfi
     tree = _build_tree(table, cfg)
     ctx = ImportanceContext(model, table, y, cfg.permutation)
     sets = [(j,) for j in range(table.p)] + [m.members for m in tree.merges]
-    full, *losses, baseline = ctx.mean_permuted_losses([(), *sets, range(table.p)])
+    full, losses, baseline = ctx._query(sets)
     leaf_imp = np.array(losses[:table.p]) - full
     node_imp = np.array(losses[table.p:]) - full
     return TriplotResult(

@@ -821,6 +821,20 @@ def test_a_huge_B_runs_out_of_memory_at_once(command, six_csv):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["predict-aspects", "--cutoff", "0.5"],
+                                     ["triplot", "--mode", "local"]],
+                         ids=["predict-aspects", "triplot-local"])
+def test_an_N_past_the_array_size_limit_is_exit_1(command, six_csv, monkeypatch, capsys):
+    # N = 2**62 sampled row ids alone are 2**65 bytes, past what numpy can
+    # index; numpy once raised its own "array is too big" with a traceback.
+    # The plan's sizes are checked before its first draw
+    monkeypatch.setattr(aspects, "sampled_row_ids", _out_of_memory("rows were drawn"))
+    code, stdout, err = run([*command, "--data", six_csv, "--target", "y", "--model", "linear",
+                             "--row", "0", "--N", str(2**62)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: N={2**62} ") and err.count("\n") == 1
+
+
 _ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]
 
 

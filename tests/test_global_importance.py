@@ -17,14 +17,9 @@ from aspectra import (
     group_importance,
 )
 from aspectra import global_importance
-from aspectra.data import RngStream
+from aspectra.data import RngStream, _column_ids
 from aspectra.errors import AspectraError, BadIndex, EmptyGroup, NonFiniteLoss, NonNumericCell
-from aspectra.global_importance import (
-    ImportanceContext,
-    _checked_members,
-    _PermutationStreams,
-    permute_group,
-)
+from aspectra.global_importance import ImportanceContext, _PermutationStreams, permute_group
 from aspectra.models import KnnModel, LinearModel, ModelAdapter, loss, predict
 from aspectra.triplot import TriplotConfig, model_triplot
 
@@ -44,7 +39,7 @@ def small_table(seed=0, n=80, p=4):
 def _permuted(table, group, rng):
     """The table with the group permuted, written into a copy of its values."""
     values = table.values.copy()
-    permute_group(table, _checked_members(group, table.p), rng.generator(), values)
+    permute_group(table, np.array(sorted(set(group)), dtype=np.intp), rng.generator(), values)
     return table.with_values(values)
 
 
@@ -65,19 +60,19 @@ def test_permute_group_deterministic():
 
 
 def test_checked_members_errors():
-    # the check permute_group's callers make once per member set
-    with pytest.raises(EmptyGroup):
-        _checked_members([], 1)
+    # the one column-index range rule, which a member set passes once, where
+    # it enters; an empty set is the unpermuted table, not an error
     with pytest.raises(BadIndex):
-        _checked_members([1], 1)
+        _column_ids([1], 1)
     with pytest.raises(BadIndex):
-        _checked_members([0, -1], 3)
-    got = _checked_members(frozenset({2, 0}), 3)
-    assert got.dtype == np.intp and got.tolist() == [0, 2]
+        _column_ids([0, -1], 3)
+    assert _column_ids(frozenset({2, 0}), 3) == (0, 2)
+    assert _column_ids([2, 0, 2], 3) == (0, 2)
+    assert _column_ids([], 1) == ()
 
 
 def _oracle_checked_members(group, p):
-    """The per-member loop _checked_members replaced."""
+    """The per-member loop that the member-set check replaced."""
     members = sorted(int(i) for i in group)
     if not members:
         raise EmptyGroup("<anonymous>")
@@ -87,23 +82,30 @@ def _oracle_checked_members(group, p):
     return np.array(members, dtype=np.intp)
 
 
-def _outcome(check, group, p):
-    try:
-        got = check(group, p)
-    except (EmptyGroup, BadIndex) as e:
-        return type(e), str(e)
-    return got.dtype, got.tolist()
-
-
 @settings(max_examples=300, deadline=None)
 @given(p=st.integers(1, 40),
        group=st.lists(st.one_of(st.integers(-3, 45), st.integers(-2**70, 2**70)), max_size=12),
        as_set=st.booleans())
 def test_checked_members_raises_what_the_loop_raised(p, group, as_set):
-    # the same sorted array, or the same EmptyGroup, or a BadIndex naming
-    # the same first bad index
-    group = frozenset(group) if as_set else group
-    assert _outcome(_checked_members, group, p) == _outcome(_oracle_checked_members, group, p)
+    # the public query raises a BadIndex naming the same first bad index,
+    # before any model call, or keys the set by the loop's sorted members;
+    # an empty set is the unpermuted table
+    group = tuple(set(group)) if as_set else group
+    table = NumericTable(tuple(f"c{j}" for j in range(p)), np.arange(3.0 * p).reshape(3, p))
+    model = CountingModel(ConstantModel(0.0))
+    ctx = ImportanceContext(model, table, np.zeros(3), PermutationConfig("rmse"))
+    try:
+        want = _oracle_checked_members(group, p)
+    except EmptyGroup:
+        assert ctx.mean_permuted_losses([group]) == [0.0]
+        return
+    except BadIndex as e:
+        with pytest.raises(BadIndex) as got:
+            ctx.mean_permuted_losses([group])
+        assert str(got.value) == str(e) and model.calls == 0
+        return
+    ctx.mean_permuted_losses([group])
+    assert tuple(dict.fromkeys(want.tolist())) in ctx._cache  # its distinct members
 
 
 def test_one_column_group_writes_what_the_fancy_index_writes():
@@ -111,7 +113,7 @@ def test_one_column_group_writes_what_the_fancy_index_writes():
     # row block of its tiled buffer
     table, _ = small_table(n=30, p=5)
     for j in range(table.p):
-        members = _checked_members([j], table.p)
+        members = np.array([j], dtype=np.intp)
         got = np.tile(table.values, (3, 1))
         permute_group(table, members, RngStream(4, j).generator(), got[30:60])
         want = np.tile(table.values, (3, 1))
@@ -156,7 +158,7 @@ def test_permute_group_matches_oracle(case):
     table, group, rng = case
     before = table.values.copy()
     got = table.values.copy()
-    members = _checked_members(group, table.p)
+    members = np.array(sorted(set(group)), dtype=np.intp)
     assert permute_group(table, members, rng.generator(), got) is None
     want = _oracle_permute_group(table, group, rng)
     assert np.array_equal(got, want.values)
@@ -190,9 +192,9 @@ def test_derived_stream_ids_equal_permutation_stream(data):
         if data.draw(st.booleans()):
             raw = list(range(p))[::-1]  # every column, unsorted
         else:
-            # unsorted, with repeats; the scorer keys a set by its frozenset
+            # unsorted, with repeats; the scorer keys a set by its sorted distinct indices
             raw = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=40))
-        set_id = streams.set_id(_checked_members(frozenset(raw), p))
+        set_id = streams.set_id(np.array(sorted(set(raw)), dtype=np.intp))
         for b in range(B):
             want = permutation_stream(seed, frozenset(raw), b)
             gen = streams.generator(set_id, b)
@@ -205,7 +207,7 @@ def test_stream_ids_need_no_work_per_repetition():
     # one list of B mixed repetitions once hung --B 100000000000 before any
     # model call; each job now mixes its own
     streams = _PermutationStreams(7, 5)
-    members = _checked_members(frozenset({3, 1}), 5)
+    members = np.array(sorted({3, 1}), dtype=np.intp)
     set_id = streams.set_id(members)
     for b in (0, 1, 2**40, 2**62, 2**64 - 1):
         key = streams.generator(set_id, b).bit_generator.state["state"]["key"].tolist()
@@ -428,6 +430,28 @@ def test_scorer_memory_holds_no_python_object_per_job(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 40 * (1 + 4 * B)
+
+
+def test_checked_member_sets_are_not_checked_again(monkeypatch):
+    # a validated partition's sets and a built tree's reach the scorer as
+    # they are; only a caller's own sets pass the member check
+    table, y = small_table(n=30, p=4)
+    model = fit_linear(table, y)
+    part = AspectPartition((("pair", (0, 1)), ("x2", (2,)), ("x3", (3,))))
+    cfg = PermutationConfig(loss="rmse", B=2, seed=1)
+    checked = []
+
+    def spy(members):
+        checked.append(members)
+        return list(members)
+
+    monkeypatch.setattr(global_importance, "_members", spy)
+    group_importance(model, table, y, part, cfg)
+    model_triplot(model, table, y, TriplotConfig(mode="global", permutation=cfg))
+    assert checked == []
+    ImportanceContext(model, table, y, cfg).mean_permuted_losses([(0,), [3, 1]])
+    assert checked == [(0,), [3, 1]]
+
 
 def test_bad_member_index_raises_before_any_model_call(monkeypatch):
     # one table per call, so a set checked only when its turn came would
