@@ -11,10 +11,10 @@ many aspects stay nonzero, at the knot of the exact lasso path where the
 cap first breaks.
 
 The sampled rows do not depend on the grouping: `_designs` draws them
-once, and each partition it plans draws only its flags. A local triplot
-takes every tree level's design from one `_designs` run, and
-`build_design` is its design for one partition. Each distinct row is
-scored once: f(A) on A's distinct rows, and f(A') once per slot of the
+once, and each level it plans draws only its flags. A local triplot hands
+its tree to one `_designs` run, which takes every level from one walk of
+it, and `build_design` is its design for one partition. Each distinct row
+is scored once: f(A) on A's distinct rows, and f(A') once per slot of the
 plan, a distinct (sampled row, replaced columns) pair of any level.
 `_scored_designs` scores the K slots in slot order, in calls of at most
 _STACK_VALUES values (see `models._stacked_predictions`), before it returns
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cluster import CORRELATION_METHODS, MergeTree, _group_variables, correlation_matrix
+from .cluster import CORRELATION_METHODS, MergeTree, _group_variables, _levels, correlation_matrix
 from .data import (
     AspectPartition,
     NumericTable,
@@ -106,7 +106,7 @@ class SampleDesign:
     flags: np.ndarray  # N x 2, read-only: the two aspects each draw flags
     distinct: NumericTable
     inverse: np.ndarray
-    partition: AspectPartition
+    partition: AspectPartition  # the design's level: one cut of a tree, or the one partition
     slots: np.ndarray  # N, each draw's slot in `predictions`
     predictions: np.ndarray  # shared by the designs of one plan
 
@@ -215,19 +215,19 @@ class AspectExplanation:
             raise _malformed("aspect document", e) from None
 
 
-def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, partitions,
-             tree: MergeTree | None = None):
-    """A design per partition over one sample A, and the writer of their planned A' rows.
+def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, grouping):
+    """A design per level over one sample A, and the writer of their planned A' rows.
 
-    The rows come from the stream `rng.child(_K_ROWS)` and each partition's
-    flags from `rng.child(_K_FLAGS)`, restarted per partition, so every
-    partition sees the same rows A and the flags that `build_design` draws
-    for it with the same rng. The designs share `row_ids`, `distinct` and
-    `inverse`.
+    The levels are the p cuts of the table's MergeTree `grouping`, or the one
+    AspectPartition it is (see `_hierarchy`). The rows come from the stream
+    `rng.child(_K_ROWS)` and each level's flags from `rng.child(_K_FLAGS)`,
+    restarted per level, so every level sees the same rows A and the flags
+    that `build_design` draws for it with the same rng. The designs share
+    `row_ids`, `distinct` and `inverse`.
 
     A modified row is keyed by the columns it replaces and its sampled row.
-    `_hierarchy` codes the columns from the two flagged aspects as nodes of
-    `tree`: two siblings replace their parent's columns, and the root, every
+    `_hierarchy` codes the columns from the two flagged aspects as tree
+    nodes: two siblings replace their parent's columns, and the root, every
     column, has the largest code and makes the row x* whatever the sampled
     row. Each key is one slot of `predictions` (see `_first_draws`).
 
@@ -238,12 +238,10 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     the draw's sampled row elsewhere: copied values, so exact and already
     validated. The plan keeps only each slot's first draw; a call's levels,
     sampled rows and flags are looked up as it writes.
-
-    Without a tree there must be one partition, which is validated; the
-    cuts of a tree are partitions by construction.
     """
     if x_star.p != table.p:
         raise SchemaMismatch(f"observation has {x_star.p} values, table has p={table.p}")
+    partitions, nodes, codes = _hierarchy(grouping, table)
     if 8 * N * max(2, len(partitions)) > np.iinfo(np.intp).max:  # row ids, draws, keys
         raise AspectraError(f"N={N} sampled rows need arrays past numpy's size limit")
     row_ids = sampled_row_ids(table, N, rng.child(_K_ROWS))
@@ -252,9 +250,6 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
     inverse.setflags(write=False)
     # rows of the validated table need no checking again
     distinct = NumericTable._from_validated(table.column_names, table.values[ids])
-    if tree is None:
-        validate_partition(partitions[0], table.p)
-    nodes, codes = _hierarchy(partitions, table.p, tree)
     M, n_rows = codes.shape[0], distinct.n
     codes = codes.reshape(-1)
 
@@ -273,8 +268,8 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
         _rekey(gen.bit_generator, stream.seed, stream.stream_id)
         drawn = gen.integers(0, part.m, size=(N, 2))
         kl[...] = drawn
-        pair = node.take(drawn[:, 0]) * M
-        pair += node.take(drawn[:, 1])
+        pair = np.take(node, drawn[:, 0]) * M
+        pair += np.take(node, drawn[:, 1])
         codes.take(pair, out=keys[k])
     flags.setflags(write=False)
     keys *= n_rows
@@ -311,7 +306,7 @@ def _designs(table: NumericTable, x_star: Observation, N: int, rng: RngStream, p
 
 
 def _scored_designs(model: ModelAdapter, table: NumericTable, x_star: Observation, N: int,
-                    rng: RngStream, partitions, tree: MergeTree | None = None):
+                    rng: RngStream, grouping):
     """`_designs`' designs, once the model has scored every slot of their plan.
 
     `models._stacked_predictions` scores the slots in slot order, at most
@@ -319,7 +314,7 @@ def _scored_designs(model: ModelAdapter, table: NumericTable, x_star: Observatio
     predictions fill their slots of the shared, then read-only,
     `predictions` before any design is returned.
     """
-    designs, write = _designs(table, x_star, N, rng, partitions, tree)
+    designs, write = _designs(table, x_star, N, rng, grouping)
     predictions = designs[0].predictions
     n_slots, rows = predictions.shape[0], max(1, _STACK_VALUES // table.p)
     buffer = np.empty((min(rows, n_slots), table.p))
@@ -365,38 +360,32 @@ def _first_draws(keys: np.ndarray):
     return slots, firsts
 
 
-def _hierarchy(partitions, p: int, tree: MergeTree | None):
-    """Node ids of each partition's aspects, and the code of every node pair.
+def _hierarchy(grouping, table: NumericTable):
+    """Each level's partition, its aspects' node ids, and the code of every node pair.
 
-    Node ids are the tree's (see `cluster`), so the root, every column, is
-    the last of the M nodes. The code of nodes a and b names the columns
-    they cover together: min(a, b) * M + max(a, b), or c * (M + 1), the code
-    of c with itself, when a and b are the two children of c; the root's
-    code, (M - 1) * (M + 1), is the largest. Without a tree, the one
-    partition's m aspects are nodes 0..m-1 under a root m, siblings when
-    m = 2; a single aspect is the root itself. The M x M codes are no larger
-    than 4 m^2 for the first partition's m.
+    A MergeTree's levels are its cuts (`cluster._levels`) under its node ids,
+    so the root, every column, is the last of the M nodes. An AspectPartition
+    is validated and is the one level: its m aspects are nodes 0..m-1 under a
+    root m, siblings when m = 2; a single aspect is the root itself. Nodes a
+    and b have the code min(a, b) * M + max(a, b), naming the columns they
+    cover, or c * (M + 1) as the two children of c. The root's code,
+    (M - 1) * (M + 1), is the largest, below 4 m^2 for the first level's m.
     """
-    if tree is None:
-        (part,) = partitions
-        m = part.m
+    if isinstance(grouping, MergeTree):
+        nodes, partitions = zip(*_levels(grouping, table.column_names))
+        M = 2 * grouping.p - 1
+        families = [(m.left, m.right, grouping.p + t) for t, m in enumerate(grouping.merges)]
+    else:
+        validate_partition(grouping, table.p)
+        m, partitions = grouping.m, [grouping]
         nodes, M = [np.arange(m)], m + 1 if m > 1 else 1
         families = [(0, 1, 2)] if m == 2 else []
-    else:
-        # a node of the tree is fixed by its first column and its size
-        node_of = {(j, 1): j for j in range(p)}
-        node_of.update(((merge.members[0], len(merge.members)), p + t)
-                       for t, merge in enumerate(tree.merges))
-        nodes = [np.array([node_of[ms[0], len(ms)] for _, ms in part.groups])
-                 for part in partitions]
-        M = 2 * p - 1
-        families = [(merge.left, merge.right, p + t) for t, merge in enumerate(tree.merges)]
     codes = np.arange(M * M).reshape(M, M)
     codes = np.minimum(codes, codes.T)
     if families:
         left, right, parent = np.array(families).T
         codes[left, right] = codes[right, left] = parent * (M + 1)
-    return nodes, codes
+    return partitions, nodes, codes
 
 
 def build_design(
@@ -416,7 +405,7 @@ def build_design(
     `delta_predictions` on it comes out NaN, and only the designs that
     `_scored_designs` returns carry f(A'). Nothing in the package calls it.
     """
-    return _designs(table, x_star, N, rng, [partition])[0][0]
+    return _designs(table, x_star, N, rng, partition)[0][0]
 
 
 def delta_predictions(model: ModelAdapter, design: SampleDesign) -> np.ndarray:
@@ -736,7 +725,7 @@ def predict_aspects(
         partition, C = grouping, None
     else:
         partition, C = _group_variables(table, _real("grouping", grouping), method)
-    (design,) = _scored_designs(model, table, x_star, N, RngStream(seed), [partition])
+    (design,) = _scored_designs(model, table, x_star, N, RngStream(seed), partition)
     fit = _fit_surrogate(model, design, limit)
     return AspectExplanation(
         aspects=_aspect_rows(partition, fit.gamma, table, method, C),

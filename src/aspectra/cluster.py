@@ -2,13 +2,14 @@
 
 Distances are 1 - |r|, so complete linkage guarantees that every pair inside
 a cluster cut at height h satisfies |r| >= 1 - h. Node ids follow the usual
-convention: leaves 0..p-1, the t-th merge creates node p+t. One function cuts
-a tree, partition_after_merges: cut_tree and every level of a local triplot
-take their partitions from it.
+convention: leaves 0..p-1, the t-th merge creates node p+t. A tree is checked
+when it is built, and one walk of it (`_cuts`) gives every cut: cut_tree names
+one through partition_after_merges, and a local triplot all through `_levels`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,11 @@ class MergeRecord:
 
 @dataclass(frozen=True)
 class MergeTree:
-    """Agglomerative clustering result: p-1 merges in non-decreasing height order."""
+    """Agglomerative clustering result: p-1 merges in non-decreasing height order.
+
+    Checked when it is built, else AspectraError: heights from 0 up, and p - 1
+    merges (none for p <= 1), each joining two nodes not merged yet into the
+    sorted union of their members."""
 
     p: int
     merges: tuple  # tuple of MergeRecord
@@ -43,31 +48,25 @@ class MergeTree:
         for a, b in zip(heights, heights[1:]):
             if b < a:
                 raise AspectraError(f"merge heights decrease: {a} -> {b}")
+        if len(self.merges) != max(self.p - 1, 0):
+            raise AspectraError(f"{len(self.merges)} merges over {self.p} leaves, not p - 1")
+        live = {i: (i,) for i in range(self.p)}  # node id -> members, for unmerged nodes
+        for t, m in enumerate(self.merges):
+            a, b = live.pop(m.left, None), live.pop(m.right, None)
+            if a is None or b is None or m.members != tuple(sorted(a + b)):
+                raise AspectraError(f"merge {t} does not join two clusters of the tree")
+            live[self.p + t] = m.members
 
     @property
     def heights(self) -> np.ndarray:
         return np.array([m.height for m in self.merges])
 
     def leaf_order(self):
-        """Left-to-right leaf ordering for dendrogram layout."""
-        children = {self.p + t: (m.left, m.right) for t, m in enumerate(self.merges)}
-        merged_into = set()
-        for m in self.merges:
-            merged_into.add(m.left)
-            merged_into.add(m.right)
-        roots = [i for i in range(self.p + len(self.merges)) if i not in merged_into]
-        # depth-first, left subtree first; an explicit stack, because single
-        # linkage can make the tree a chain as deep as p
-        order = []
-        stack = roots[::-1]
-        while stack:
-            node = stack.pop()
-            if node < self.p:
-                order.append(node)
-            else:
-                left, right = children[node]
-                stack.extend((right, left))
-        return order
+        """Left-to-right leaf ordering for dendrogram layout, each merge's left node first."""
+        order = {j: [j] for j in range(self.p)}  # each unmerged node's leaves
+        for t, m in enumerate(self.merges):
+            order[self.p + t] = order.pop(m.left) + order.pop(m.right)
+        return [leaf for leaves in order.values() for leaf in leaves]
 
     def to_json_doc(self):
         return [
@@ -97,14 +96,7 @@ class MergeTree:
             )
         except (KeyError, AspectraError) as e:
             raise _malformed("merge tree", e) from None
-        p = len(merges) + 1
-        live = {i: (i,) for i in range(p)}  # cluster id -> members, for unmerged clusters
-        for t, m in enumerate(merges):
-            a, b = live.pop(m.left, None), live.pop(m.right, None)
-            if a is None or b is None or m.members != tuple(sorted(a + b)):
-                raise AspectraError(f"merge {t} does not join two clusters of the tree")
-            live[p + t] = m.members
-        return MergeTree(p, merges)
+        return MergeTree(len(merges) + 1, merges)
 
 
 def _round12(x: float) -> float:
@@ -241,45 +233,57 @@ def agglomerative(D: np.ndarray, linkage: str = "complete") -> MergeTree:
 
 
 def _group_name(members, column_names) -> str:
-    name = "_".join(column_names[i] for i in members)
-    return name[:40]
+    return "_".join(column_names[i] for i in members)[:40]
 
 
-def _named_partition(clusters, column_names) -> AspectPartition:
-    """A partition of the clusters (sorted member tuples) in order of their
-    smallest member, named after their members; a repeated name gets a
-    suffix _2, _3, ..."""
-    ordered = sorted(clusters, key=lambda ms: ms[0])
-    names, taken = [], set()
-    for ms in ordered:
-        name = _group_name(ms, column_names)
+def _node_members(tree: MergeTree) -> list:
+    """The members of every node, by node id: the leaves, then the merges."""
+    return [(j,) for j in range(tree.p)] + [m.members for m in tree.merges]
+
+
+def _cuts(tree: MergeTree):
+    """The node ids of each cut, after 0, 1, ..., p - 1 merges, by smallest member:
+    a merge's node takes its first child's place, and the other's is removed."""
+    cut = list(range(tree.p))
+    yield tuple(cut)
+    for t, m in enumerate(tree.merges):
+        first, other = sorted((cut.index(m.left), cut.index(m.right)))
+        cut[first] = tree.p + t
+        del cut[other]
+        yield tuple(cut)
+
+
+def _named_cut(cut, members, names) -> AspectPartition:
+    """The partition of a cut's nodes: node n covers members[n] and is named
+    names[n], a name repeated in the cut with a suffix _2, _3, ... A cut of a
+    checked tree is a partition, so it is not checked again."""
+    groups, taken = [], set()
+    for n in cut:
+        name = base = names[n]
         k = 2
-        base = name
         while name in taken:
             name = f"{base}_{k}"
             k += 1
-        names.append(name)
+        groups.append((name, members[n]))
         taken.add(name)
-    return AspectPartition(tuple(zip(names, ordered)))
+    return AspectPartition._from_validated(tuple(groups))
+
+
+def _levels(tree: MergeTree, column_names) -> list:
+    """Each cut's node ids and partition, from one walk; each node is named once."""
+    members = _node_members(tree)
+    names = [_group_name(ms, column_names) for ms in members]
+    return [(cut, _named_cut(cut, members, names)) for cut in _cuts(tree)]
 
 
 def partition_after_merges(tree: MergeTree, count: int, column_names) -> AspectPartition:
     """Partition induced by applying the first `count` merges of the tree."""
     count = _integer("merge count", count)
     if not 0 <= count <= len(tree.merges):
-        raise AspectraError(
-            f"merge count must be in [0, {len(tree.merges)}], got {count}"
-        )
-    # each merge lists its whole cluster, so labelling every member with the
-    # cluster's smallest index applies the merge
-    label = list(range(tree.p))
-    for m in tree.merges[:count]:
-        for i in m.members:
-            label[i] = m.members[0]
-    clusters = {}
-    for i in range(tree.p):
-        clusters.setdefault(label[i], []).append(i)
-    return _named_partition(map(tuple, clusters.values()), column_names)
+        raise AspectraError(f"merge count must be in [0, {len(tree.merges)}], got {count}")
+    members = _node_members(tree)
+    cut = next(itertools.islice(_cuts(tree), count, None))
+    return _named_cut(cut, members, {n: _group_name(members[n], column_names) for n in cut})
 
 
 def cut_tree(tree: MergeTree, h: float, column_names) -> AspectPartition:

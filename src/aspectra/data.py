@@ -217,6 +217,13 @@ class AspectPartition:
             (name, tuple(sorted(_members(members))))
             for name, (_, members) in zip(names, groups)))
 
+    @classmethod
+    def _from_validated(cls, groups: tuple) -> "AspectPartition":
+        """Wrap (name, sorted member tuple) pairs known to pass the checks, such as a tree's cut."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "groups", groups)
+        return part
+
     @property
     def m(self) -> int:
         return len(self.groups)

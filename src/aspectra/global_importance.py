@@ -50,6 +50,7 @@ from .data import (
     _tsv_number,
     validate_partition,
 )
+from .errors import AspectraError
 from .models import (LOSS_KINDS, ModelAdapter, _finite_losses, _finite_targets, _row_losses,
                      _stacked_predictions)
 
@@ -257,6 +258,8 @@ class ImportanceContext:
                     yield columns, n, lambda out, b=b: permute_group(
                         self.table, members, streams.generator(set_id, b), out)
 
+        if 8 * (full + B * len(members_of)) > np.iinfo(np.intp).max:
+            raise AspectraError(f"B={B} permutations need arrays past numpy's size limit")
         job_losses = np.empty(full + B * len(members_of))
         buf = np.tile(values, (min(max(1, _BATCH_VALUES // (n * p)), job_losses.shape[0]), 1))
         done = 0

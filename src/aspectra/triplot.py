@@ -3,12 +3,11 @@
 Global mode scores every tree node by block-permutation importance of its
 member set; permuting a set needs no surrounding partition. Local mode walks
 the coarsening trajectory the dendrogram defines: each merge step is scored
-inside the tree-cut partition at that step, which partition_after_merges
-gives, and all steps share one sampled row set, planned by
-`aspects._designs`, so differences between levels come from the grouping,
-not sampling. A modified row that several levels draw is one slot of the
-plan, and every slot is scored, in slot order and in shared calls, before
-any level is fitted (see `aspects._scored_designs`).
+inside the tree-cut partition at that step. `aspects._designs` takes every
+step from one walk of the tree, and all share one sampled row set, so that
+levels differ by the grouping, not by sampling. A modified row that several
+levels draw is one slot of the plan, and every slot is scored, in slot order
+and in shared calls, before any level is fitted (see `aspects._scored_designs`).
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from .cluster import (
     CORRELATION_METHODS,
     VALID_LINKAGES,
     MergeTree,
+    _node_members,
     _round12,
     agglomerative,
     cor_distance,
     correlation_matrix,
-    partition_after_merges,
 )
 from .data import (
     _FINITE,
@@ -161,8 +160,7 @@ def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfi
         raise AspectraError("model_triplot needs a global-mode config")
     tree = _build_tree(table, cfg)
     ctx = ImportanceContext(model, table, y, cfg.permutation)
-    sets = [(j,) for j in range(table.p)] + [m.members for m in tree.merges]
-    full, losses, baseline = ctx._query(sets)
+    full, losses, baseline = ctx._query(_node_members(tree))
     leaf_imp = np.array(losses[:table.p]) - full
     node_imp = np.array(losses[table.p:]) - full
     return TriplotResult(
@@ -197,9 +195,8 @@ def predict_triplot(
     if _instance("cfg", cfg, TriplotConfig).mode != "local":
         raise AspectraError("predict_triplot needs a local-mode config")
     tree = _build_tree(table, cfg)
-    parts = [partition_after_merges(tree, t, table.column_names) for t in range(table.p)]
     levels = []
-    for design in _scored_designs(model, table, x_star, cfg.N, RngStream(cfg.seed), parts, tree):
+    for design in _scored_designs(model, table, x_star, cfg.N, RngStream(cfg.seed), tree):
         fit = _fit_surrogate(model, design, cfg.limit)
         levels.append(dict(zip(design.partition.member_sets, fit.gamma)))
     leaf_imp = np.array([levels[0][(j,)] for j in range(table.p)])

@@ -422,7 +422,7 @@ def test_criterion_11_average_observation_small_Z():
     model = LinearModel(1.0, coef)
     x_star = Observation(table.values.mean(axis=0))
     part = singletons(table.column_names)
-    (design,) = _scored_designs(model, table, x_star, 20_000, RngStream(0), [part])
+    (design,) = _scored_designs(model, table, x_star, 20_000, RngStream(0), part)
     ym = delta_predictions(model, design)
     Z = x_prime(design.flags, design.m).astype(float).T @ ym
     mean_z = float(np.mean(np.abs(Z)) / design.N)

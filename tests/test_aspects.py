@@ -110,7 +110,7 @@ def test_design_tables_are_read_only(monkeypatch):
     assert not d.row_ids.flags.writeable and not d.inverse.flags.writeable
     assert not d.slots.flags.writeable and not d.flags.flags.writeable
     (scored,) = _scored_designs(LinearModel(0.0, [1.0] * 4), t, t.row(3), 100, RngStream(5),
-                                [singleton_partition(t)])
+                                singleton_partition(t))
     assert not scored.predictions.flags.writeable
     given, calls = [d.distinct], []
     for budget in (aspectra.aspects._STACK_VALUES, 4 * 10):
@@ -136,7 +136,7 @@ def test_design_replacement_semantics():
     t = uniform_table(1)
     x_star = Observation(np.array([10.0, 20.0, 30.0, 40.0]))
     part = AspectPartition((("g01", (0, 1)), ("g2", (2,)), ("g3", (3,))))
-    designs, write = aspectra.aspects._designs(t, x_star, 200, RngStream(2), [part])
+    designs, write = aspectra.aspects._designs(t, x_star, 200, RngStream(2), part)
     d, star = designs[0], x_star.values
     A, (A_prime,) = d.distinct.values[d.inverse], planned_modified(designs, write)
     X_prime = x_prime(d.flags, d.m)
@@ -182,7 +182,7 @@ def test_design_validation():
 def test_delta_predictions_linear():
     t = uniform_table(5)
     model = LinearModel(1.0, [1.0, 2.0, 3.0, 4.0])
-    args = (t, t.row(0), 80, RngStream(3), [singleton_partition(t)])
+    args = (t, t.row(0), 80, RngStream(3), singleton_partition(t))
     (d,) = _scored_designs(model, *args)
     ym = delta_predictions(model, d)
     A = d.distinct.values[d.inverse]
@@ -373,8 +373,8 @@ def _normal_equation_designs():
     m = 2 and m = 3."""
     table, _ = make_six_variable()
     x_star, N = table.row(4), 301
-    tree, parts = oracle_tree_partitions(table, TriplotConfig(mode="local", N=N, seed=5))
-    designs, _ = aspectra.aspects._designs(table, x_star, N, RngStream(5), parts, tree)
+    tree, _ = oracle_tree_partitions(table, TriplotConfig(mode="local", N=N, seed=5))
+    designs, _ = aspectra.aspects._designs(table, x_star, N, RngStream(5), tree)
     for groups in ((("all", range(6)),),
                    (("abc", (0, 1, 2)), ("def", (3, 4, 5))),
                    (("ab", (0, 1)), ("cd", (2, 3)), ("ef", (4, 5)))):

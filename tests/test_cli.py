@@ -835,6 +835,23 @@ def test_an_N_past_the_array_size_limit_is_exit_1(command, six_csv, monkeypatch,
     assert err.startswith(f"error: N={2**62} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("B", [2**62, 2**58])
+@pytest.mark.parametrize("command", [["global-importance", "--cutoff", "0.5"],
+                                     ["triplot", "--mode", "global"]],
+                         ids=["global-importance", "triplot-global"])
+def test_a_B_past_the_array_size_limit_is_exit_1(command, B, six_csv, monkeypatch, capsys):
+    # one float64 loss per job: B = 2**62 jobs passed the largest array size
+    # numpy takes ("Maximum allowed dimension exceeded"), and B = 2**58 jobs
+    # of each of the scored sets passed its byte limit ("array is too big"),
+    # both with a traceback. The job count is checked before any model call
+    monkeypatch.setattr(global_importance, "_stacked_predictions",
+                        _out_of_memory("the model was called"))
+    code, stdout, err = run([*command, "--data", six_csv, "--target", "y", "--model", "linear",
+                             "--B", str(B)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: B={B} ") and err.count("\n") == 1
+
+
 _ASPECTS = ["predict-aspects", "--data", "{data}", "--row", "0", "--cutoff", "0.6"]
 
 

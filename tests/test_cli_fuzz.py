@@ -76,7 +76,9 @@ def _inputs(draw):
     X = np.column_stack(columns)
     target = draw(st.sampled_from(_TARGET_KINDS))
     if target == "linear":
-        with np.errstate(over="ignore"):  # an infinite target is the loader's to reject
+        # an infinite or NaN target (two huge columns' products of opposite
+        # signs) is the loader's to reject
+        with np.errstate(over="ignore", invalid="ignore"):
             y = X @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
     else:
         y = _column(target, rng, n, [])

@@ -16,6 +16,7 @@ from aspectra import (
     group_variables,
     predict_aspects,
 )
+from aspectra.aspects import _hierarchy
 from aspectra.cluster import (
     VALID_LINKAGES,
     MergeRecord,
@@ -406,6 +407,43 @@ def test_heights_nondecreasing_enforced():
         MergeTree(3, bad)
 
 
+_MALFORMED_TREES = {
+    # merge 1 names node 4, the node it makes itself
+    "node-not-made-yet": ((MergeRecord(0, 1, 0.1, (0, 1)), MergeRecord(2, 4, 0.2, (0, 1, 2))),
+                          "merge 1 does not join"),
+    "node-beyond-the-tree": ((MergeRecord(0, 1, 0.1, (0, 1)), MergeRecord(2, 7, 0.2, (0, 1, 2))),
+                             "merge 1 does not join"),
+    "node-merged-twice": ((MergeRecord(0, 1, 0.1, (0, 1)), MergeRecord(1, 2, 0.2, (1, 2))),
+                          "merge 1 does not join"),
+    "node-merged-with-itself": ((MergeRecord(0, 0, 0.1, (0,)), MergeRecord(1, 2, 0.2, (1, 2))),
+                                "merge 0 does not join"),
+    "wrong-members": ((MergeRecord(0, 1, 0.1, (0, 1)), MergeRecord(2, 3, 0.2, (0, 2))),
+                      "merge 1 does not join"),
+    "unsorted-members": ((MergeRecord(0, 1, 0.1, (1, 0)), MergeRecord(2, 3, 0.2, (0, 1, 2))),
+                         "merge 0 does not join"),
+    "too-few-merges": ((MergeRecord(0, 1, 0.1, (0, 1)),), "1 merges over 3 leaves"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_TREES))
+def test_a_malformed_tree_is_refused_when_it_is_built(case):
+    # such trees were once taken, and leaf_order, partition_after_merges
+    # and render_triplot gave wrong answers from them or failed with a bare
+    # KeyError or IndexError; now no such tree exists to reach them
+    merges, message = _MALFORMED_TREES[case]
+    with pytest.raises(AspectraError, match=message):
+        MergeTree(3, merges)
+
+
+def test_trees_of_no_leaf_or_one_leaf_have_no_merges():
+    assert MergeTree(0, ()).leaf_order() == []
+    assert partition_after_merges(MergeTree(0, ()), 0, ()).m == 0
+    assert MergeTree(1, ()).leaf_order() == [0]
+    for p in (0, 1):
+        with pytest.raises(AspectraError, match=f"1 merges over {p} leaves"):
+            MergeTree(p, (MergeRecord(0, 1, 0.1, (0, 1)),))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=9))
 def test_heights_nondecreasing_property(seed, p):
@@ -491,16 +529,44 @@ def _oracle_partitions_along(tree: MergeTree, column_names):
         yield AspectPartition(tuple(zip(names, ordered)))
 
 
+def _assert_cuts_match_the_oracle(tree: MergeTree, table: NumericTable):
+    """partition_after_merges at every count, and the local triplot's levels
+    with their node ids from `aspects._hierarchy`, equal the oracle's cuts;
+    returns the cuts."""
+    oracle = list(_oracle_partitions_along(tree, table.column_names))
+    cuts = [partition_after_merges(tree, count, table.column_names) for count in range(tree.p)]
+    assert cuts == oracle
+    levels, nodes, _ = _hierarchy(tree, table)
+    assert list(levels) == oracle
+    node_of = {(j,): j for j in range(tree.p)}
+    node_of.update((m.members, tree.p + t) for t, m in enumerate(tree.merges))
+    assert ([tuple(level_nodes) for level_nodes in nodes]
+            == [tuple(node_of[ms] for ms in part.member_sets) for part in oracle])
+    return cuts
+
+
 @pytest.mark.parametrize("method", ["complete", "single", "average"])
 @pytest.mark.parametrize("seed", range(4))
 def test_partitions_along_the_tree_match_each_cut(method, seed):
     # long names cut at 40 characters collide, so suffixes are assigned too
     t = random_table(seed, p=9)
-    names = tuple("v" * 40 + str(j) for j in range(t.p))
+    table = NumericTable(tuple("v" * 40 + str(j) for j in range(t.p)), t.values)
     tree = agglomerative(cor_distance(correlation_matrix(t, "pearson")), method)
-    cuts = [partition_after_merges(tree, count, names) for count in range(t.p)]
-    assert cuts == list(_oracle_partitions_along(tree, names))
+    cuts = _assert_cuts_match_the_oracle(tree, table)
     assert any(name.endswith("_2") for part in cuts for name in part.names)
+
+
+@pytest.mark.parametrize("method", ["complete", "single", "average"])
+def test_cuts_name_groups_whose_joined_names_collide_like_the_oracle(method):
+    # a_b with c, and a with b_c, both join to a_b_c, well short of the
+    # 40-character cut
+    rng = np.random.default_rng(3)
+    u, v, noise = rng.standard_normal(80), rng.standard_normal(80), rng.standard_normal((2, 80))
+    X = np.column_stack([u, u + 0.1 * noise[0], v, v + 0.1 * noise[1]])
+    table = NumericTable(("a_b", "c", "a", "b_c"), X)
+    tree = agglomerative(cor_distance(correlation_matrix(table, "pearson")), method)
+    cuts = _assert_cuts_match_the_oracle(tree, table)
+    assert cuts[2].groups == (("a_b_c", (0, 1)), ("a_b_c_2", (2, 3)))
 
 
 def test_cut_tree_heights():

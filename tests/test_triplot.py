@@ -17,12 +17,13 @@ from aspectra import (
     predict_aspects,
     predict_triplot,
 )
-from aspectra import SubprocessModel, aspects, global_importance
+from aspectra import AspectPartition, SubprocessModel, aspects, cluster, global_importance
 from aspectra.aspects import _normal_equations, build_design, delta_predictions
 from aspectra.cluster import partition_after_merges
 from aspectra.data import NumericTable, RngStream, sampled_row_ids
-from aspectra.errors import AspectraError, NonFiniteShift
+from aspectra.errors import AspectraError, NonFiniteShift, SingularDesign
 from aspectra.global_importance import ImportanceContext
+from aspectra.models import LinearModel
 from aspectra.triplot import TriplotResult
 
 from conftest import (
@@ -258,7 +259,7 @@ def test_planned_triplot_is_byte_identical_to_per_level_scoring(six_table, shape
 def _plan(table, x_star, cfg):
     """The partitions of every level, their designs and the plan's A' writer."""
     tree, parts = oracle_tree_partitions(table, cfg)
-    return (parts, *aspects._designs(table, x_star, cfg.N, RngStream(cfg.seed), parts, tree))
+    return (parts, *aspects._designs(table, x_star, cfg.N, RngStream(cfg.seed), tree))
 
 
 def test_shared_sampler_designs_match_per_level_designs(six_table):
@@ -378,10 +379,10 @@ def test_plan_memory_is_linear_in_the_draws():
     X = rng.standard_normal((60, 1)) + 0.5 * rng.standard_normal((60, p))
     table = NumericTable(tuple(f"x{j}" for j in range(p)), X)
     cfg = TriplotConfig(mode="local", N=N, seed=1, cor_method="pearson")
-    tree, parts = oracle_tree_partitions(table, cfg)
+    tree, _ = oracle_tree_partitions(table, cfg)
     tracemalloc.start()
     try:
-        designs, _ = aspects._designs(table, table.row(0), N, RngStream(1), parts, tree)
+        designs, _ = aspects._designs(table, table.row(0), N, RngStream(1), tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,8 +403,55 @@ def test_designs_scored_out_of_plan_order_are_rejected(six_table):
         _normal_equations(designs[3], early)
     tree = oracle_tree_partitions(table, cfg)[0]
     for design in aspects._scored_designs(model, table, table.row(1), cfg.N, RngStream(cfg.seed),
-                                          parts, tree):
+                                          tree):
         assert np.isfinite(delta_predictions(model, design)).all()
+
+
+def test_a_local_triplot_builds_no_checked_partition(six_table, monkeypatch):
+    # the levels are the cuts of the tree, checked once when it was built and
+    # named in one walk of it: no level is cut again or checked again
+    calls = []
+    check, cut = AspectPartition.__post_init__, cluster.partition_after_merges
+
+    def spy_check(self):
+        calls.append("AspectPartition.__post_init__")
+        check(self)
+
+    def spy_cut(*args):
+        calls.append("partition_after_merges")
+        return cut(*args)
+
+    monkeypatch.setattr(AspectPartition, "__post_init__", spy_check)
+    monkeypatch.setattr(cluster, "partition_after_merges", spy_cut)
+    table, y = six_table
+    cfg = TriplotConfig(mode="local", N=300, seed=1)
+    result = predict_triplot(fit_linear(table, y), table, table.row(3), cfg)
+    assert calls == []
+    # the spies see the calls they watch for
+    cluster.cut_tree(result.tree, 0.5, table.column_names)
+    singletons(table.column_names)
+    assert calls == ["partition_after_merges", "AspectPartition.__post_init__"]
+
+
+def test_a_level_that_never_flags_an_aspect_names_it_as_its_cut_does():
+    # column a_b and the group of columns a and b share a name, so at level 1
+    # the column is a_b_2; six draws flag every column at level 0 but never
+    # a_b_2 at level 1, the first level whose fit fails
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((80, 6))
+    X[:, 1] = X[:, 0] + 0.1 * X[:, 1]
+    table = NumericTable(("a", "b", "a_b", "c", "d", "e"), X)
+    model = LinearModel(0.5, [1.0, -2.0, 0.5, 3.0, 1.0, 1.0])
+    cfg = TriplotConfig(mode="local", N=6, seed=200)
+    with pytest.raises(SingularDesign) as raised:
+        predict_triplot(model, table, table.row(0), cfg)
+    _, parts = oracle_tree_partitions(table, cfg)
+    flagged = [set(build_design(table, table.row(0), part, cfg.N, RngStream(cfg.seed)).flags.flat)
+               for part in parts[:2]]
+    assert flagged[0] == set(range(6))
+    never = [name for j, name in enumerate(parts[1].names) if j not in flagged[1]]
+    assert never == ["a_b_2"]
+    assert "(aspects never sampled: a_b_2)" in str(raised.value)
 
 
 # ---------------------------------------------------- stacked A' scoring
@@ -498,7 +546,7 @@ def test_a_level_over_the_budget_is_split_across_calls(six_table, monkeypatch):
             ours = predict_aspects(recorded, table, table.row(2), part, N=300, seed=4).to_json()
         assert ours == full
         _assert_levels_equal_predict_aspects(model, table, table.row(2), split, cfg)
-        designs, write = aspects._designs(table, table.row(2), 300, RngStream(4), [part])
+        designs, write = aspects._designs(table, table.row(2), 300, RngStream(4), part)
         rows = modified_rows(designs, write)
         calls = -(-rows.shape[0] // 10)
         assert calls > 1
