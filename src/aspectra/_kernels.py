@@ -37,7 +37,7 @@ from .errors import NonFiniteDistance
 # below tol, or after max_sweeps sweeps.
 
 
-def lasso_cd(W, Z, thresh, max_sweeps=100_000, tol=1e-10):
+def lasso_cd(W, Z, thresh, max_sweeps, tol):
     """Returns (coefficients, sweeps used); sweeps == max_sweeps may mean
     the solve did not converge."""
     W = np.asarray(W, dtype=np.float64)

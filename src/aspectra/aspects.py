@@ -16,16 +16,15 @@ its tree to one `_designs` run, which takes every level from one walk of
 it, and `build_design` is its design for one partition. Each distinct row
 is scored once: f(A) on A's distinct rows, and f(A') once per slot of the
 plan, a distinct (sampled row, replaced columns) pair of any level.
-`_scored_designs` scores the K slots in slot order, in calls of at most
-_STACK_VALUES values (see `models._stacked_predictions`), before it returns
-any design. A local triplot over p columns so makes its A' calls, then p
-calls for f(A), one per level. Scoring f(A) once for all levels waits for
-the benchmark's tracer test, which relies on that repeat.
+`_scored_designs` scores the K slots in slot order, one row each, in calls
+of _STACK_VALUES // p rows (at least one; see `models._stacked_predictions`),
+before it returns any design. A local triplot over p columns so makes its
+A' calls, then p calls for f(A), one per level. Scoring f(A) once for all
+levels waits for the benchmark's tracer test, which relies on that repeat.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -309,19 +308,16 @@ def _scored_designs(model: ModelAdapter, table: NumericTable, x_star: Observatio
                     rng: RngStream, grouping):
     """`_designs`' designs, once the model has scored every slot of their plan.
 
-    `models._stacked_predictions` scores the slots in slot order, at most
-    _STACK_VALUES // p of them (at least one) to a call, and each call's
-    predictions fill their slots of the shared, then read-only,
+    `models._stacked_predictions` scores the slots in slot order, one row
+    each, _STACK_VALUES // p of them (at least one) to a call, and each
+    call's predictions fill their slots of the shared, then read-only,
     `predictions` before any design is returned.
     """
     designs, write = _designs(table, x_star, N, rng, grouping)
     predictions = designs[0].predictions
-    n_slots, rows = predictions.shape[0], max(1, _STACK_VALUES // table.p)
-    buffer = np.empty((min(rows, n_slots), table.p))
-    chunks = ((start, min(rows, n_slots - start), functools.partial(write, start))
-              for start in range(0, n_slots, rows))
-    # every chunk fills the buffer, so each call scores one chunk
-    for (start,), scored in _stacked_predictions(model, table.column_names, buffer, chunks):
+    n_slots = predictions.shape[0]
+    buffer = np.empty((min(max(1, _STACK_VALUES // table.p), n_slots), table.p))
+    for start, scored in _stacked_predictions(model, table.column_names, buffer, n_slots, write):
         predictions[start:start + scored.shape[0]] = scored
     predictions.setflags(write=False)
     return designs

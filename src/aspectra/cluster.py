@@ -34,28 +34,39 @@ class MergeRecord:
 class MergeTree:
     """Agglomerative clustering result: p-1 merges in non-decreasing height order.
 
-    Checked when it is built, else AspectraError: heights from 0 up, and p - 1
-    merges (none for p <= 1), each joining two nodes not merged yet into the
-    sorted union of their members."""
+    Checked when it is built, else AspectraError: p an integer >= 0, finite
+    heights from 0 up, and p - 1 MergeRecords (none for p <= 1), each joining
+    two integer node ids not merged yet into the sorted union of their
+    members, a tuple.
+    Node ids are stored as int, heights as float and members as the ints of
+    the union."""
 
     p: int
     merges: tuple  # tuple of MergeRecord
 
     def __post_init__(self):
-        heights = [m.height for m in self.merges]
+        p = _integer("p", self.p, 0)
+        given = [_instance("merge", m, MergeRecord) for m in self.merges]
+        heights = [_real("height", m.height, *_FINITE) for m in given]
         if heights and heights[0] < 0.0:
             raise AspectraError(f"negative merge height: {heights[0]}")
         for a, b in zip(heights, heights[1:]):
             if b < a:
                 raise AspectraError(f"merge heights decrease: {a} -> {b}")
-        if len(self.merges) != max(self.p - 1, 0):
-            raise AspectraError(f"{len(self.merges)} merges over {self.p} leaves, not p - 1")
-        live = {i: (i,) for i in range(self.p)}  # node id -> members, for unmerged nodes
-        for t, m in enumerate(self.merges):
-            a, b = live.pop(m.left, None), live.pop(m.right, None)
-            if a is None or b is None or m.members != tuple(sorted(a + b)):
+        if len(given) != max(p - 1, 0):
+            raise AspectraError(f"{len(given)} merges over {p} leaves, not p - 1")
+        live = {i: (i,) for i in range(p)}  # node id -> members, for unmerged nodes
+        merges = []
+        for t, (m, height) in enumerate(zip(given, heights)):
+            left, right = _integer("left", m.left), _integer("right", m.right)
+            members = _instance("members", m.members, tuple)
+            a, b = live.pop(left, None), live.pop(right, None)
+            if a is None or b is None or members != tuple(sorted(a + b)):
                 raise AspectraError(f"merge {t} does not join two clusters of the tree")
-            live[self.p + t] = m.members
+            live[p + t] = tuple(sorted(a + b))
+            merges.append(MergeRecord(left, right, height, live[p + t]))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "merges", tuple(merges))
 
     @property
     def heights(self) -> np.ndarray:
@@ -85,18 +96,13 @@ class MergeTree:
         malformed one, or a field not of its kind, raises AspectraError."""
         try:
             merges = [_instance("merge", d, dict) for d in _instance("tree", doc, list)]
-            merges = tuple(
-                MergeRecord(
-                    _integer("left", d["left"]),
-                    _integer("right", d["right"]),
-                    _real("height", d["height"], *_FINITE),
-                    tuple(_integer("member", i) for i in _instance("members", d["members"], list)),
-                )
+            return MergeTree(len(merges) + 1, tuple(
+                MergeRecord(d["left"], d["right"], d["height"],
+                            tuple(_instance("members", d["members"], list)))
                 for d in merges
-            )
+            ))
         except (KeyError, AspectraError) as e:
             raise _malformed("merge tree", e) from None
-        return MergeTree(len(merges) + 1, merges)
 
 
 def _round12(x: float) -> float:

@@ -11,10 +11,12 @@ so full-group importance equals baseline_loss - full_model_loss exactly.
 member sets and returns their mean permuted losses in order, scoring every
 set not cached yet in one pass; `mean_permuted_loss` is its one-set case.
 
-Scoring is batched. Every (member set, repetition) job permutes the
-group's columns into its own n-row slot of a buffer of tiled copies of the
-table, and `models._stacked_predictions` scores the slots in shared calls of
-up to _BATCH_VALUES values; the unpermuted table is one more job, first.
+Scoring is batched. The unpermuted table, first, and every (member set,
+repetition) pair are n-row jobs of one stacked table, and
+`models._stacked_predictions` scores them in calls of whole jobs,
+_BATCH_VALUES // (n p) of them (at least one) to a call. Each job of a call
+permutes its group's columns into its own slot of a buffer of tiled copies
+of the table.
 A member set is checked once, where it enters, before any model call (a
 caller's by `mean_permuted_losses`, a partition's by `validate_partition`;
 a tree is built checked); past that it is its sorted tuple of distinct
@@ -235,10 +237,12 @@ class ImportanceContext:
     def _score(self, keys) -> list:
         """The mean permuted loss of each checked member set, caching those not cached yet.
 
-        The jobs are drawn one at a time, so B costs time and one loss per
-        job, the first allocation B sizes. After each call its losses are
-        taken row-wise at once, and each slot's group columns are written
-        back; a one-column group moves through a basic column index.
+        Job j owns rows j*n ... (j + 1)*n - 1 of one stacked table: the
+        unpermuted table is job 0 when it is not cached, then each set's B
+        repetitions. A call's jobs are found from its rows, so B costs time
+        and one loss per job, the first allocation B sizes. After each call
+        its losses are taken row-wise at once, and each slot's group columns
+        are written back; a one-column group moves through a basic column index.
         """
         full = () not in self._cache  # the unpermuted table, one job
         members_of = {key: np.array(key, dtype=np.intp)
@@ -248,33 +252,34 @@ class ImportanceContext:
         n, p, B = self.table.n, self.table.p, self.cfg.B
         values = self.table.values
         streams = _PermutationStreams(self.cfg.seed, p)
-
-        def jobs():
-            if full:  # its slot keeps the tiled values
-                yield None, n, lambda out: None
-            for key, members in members_of.items():
-                set_id, columns = streams.set_id(key), _columns(members)
-                for b in range(B):
-                    yield columns, n, lambda out, b=b: permute_group(
-                        self.table, members, streams.generator(set_id, b), out)
-
-        if 8 * (full + B * len(members_of)) > np.iinfo(np.intp).max:
+        sets = [(members, _columns(members), streams.set_id(key))
+                for key, members in members_of.items()]
+        if 8 * (full + B * len(sets)) > np.iinfo(np.intp).max:
             raise AspectraError(f"B={B} permutations need arrays past numpy's size limit")
-        job_losses = np.empty(full + B * len(members_of))
+        job_losses = np.empty(full + B * len(sets))
         buf = np.tile(values, (min(max(1, _BATCH_VALUES // (n * p)), job_losses.shape[0]), 1))
-        done = 0
-        for batch, yhat in _stacked_predictions(self.model, self.table.column_names, buf, jobs()):
-            job_losses[done:done + len(batch)] = _row_losses(
-                self.cfg.loss, self.y, yhat.reshape(len(batch), n))
-            for slot, columns in enumerate(batch):
-                if columns is not None:
-                    buf[slot * n:(slot + 1) * n, columns] = values[:, columns]
-            done += len(batch)
+
+        def write(start, out):
+            # the unpermuted table's slot keeps the tiled values
+            for slot, job in enumerate(range(start // n, (start + out.shape[0]) // n)):
+                if job >= full:
+                    set_no, b = divmod(job - full, B)
+                    members, _, set_id = sets[set_no]
+                    permute_group(self.table, members, streams.generator(set_id, b),
+                                  out[slot * n:(slot + 1) * n])
+
+        for start, yhat in _stacked_predictions(self.model, self.table.column_names, buf,
+                                                n * job_losses.shape[0], write):
+            first, k = start // n, yhat.shape[0] // n
+            job_losses[first:first + k] = _row_losses(self.cfg.loss, self.y, yhat.reshape(k, n))
+            for job in range(max(first, full), first + k):
+                columns = sets[(job - full) // B][1]
+                buf[(job - first) * n:(job - first + 1) * n, columns] = values[:, columns]
         if full:
             self._cache[()] = float(job_losses[0])
         # each set's B jobs are adjacent, after the unpermuted table's one
         with np.errstate(over="ignore"):  # B finite losses may sum past the float64 range
-            means = np.mean(job_losses[full:].reshape(len(members_of), B), axis=1)
+            means = np.mean(job_losses[full:].reshape(len(sets), B), axis=1)
         self._cache.update(zip(members_of, _finite_losses(self.cfg.loss, means).tolist()))
         return [self._cache[key] for key in keys]
 

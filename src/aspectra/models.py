@@ -41,10 +41,10 @@ class ModelAdapter:
     depend on the other rows in the batch: global importance stacks permuted
     copies of the table into shared calls, and a local explanation scores each
     distinct sampled row, and each distinct (sampled row, replaced columns)
-    pair, once for every draw of it; `_stacked_predictions` says which rows
-    share a call. The table is read-only and may be a view of a buffer that
-    the caller rewrites for its next call, so a model must neither keep the
-    table nor write to it.
+    pair, once for every draw of it; `_stacked_predictions` scores such
+    rows in calls of a fixed row count. The table is read-only and may be a
+    view of a buffer that the caller rewrites for its next call, so a model
+    must neither keep the table nor write to it.
 
     `column_names`, a list or tuple of str, is the training schema that
     `predict` checks each table's names against; None skips the check. The
@@ -417,37 +417,26 @@ def predict(model: ModelAdapter, table: NumericTable) -> np.ndarray:
     return out
 
 
-def _stacked_predictions(model: ModelAdapter, column_names: tuple, buffer: np.ndarray, items):
-    """Score the rows of many items in shared `predict` calls, and yield
-    each call's items, in order, with their predictions.
+def _stacked_predictions(model: ModelAdapter, column_names: tuple, buffer: np.ndarray, count: int,
+                         write):
+    """Score rows 0 ... count - 1 of one stacked table in calls of
+    `buffer.shape[0]` rows, and yield each call's first row and predictions.
 
-    `items` yields (item, k, write): `write(out)` writes the item's k rows,
+    `write(start, out)` writes rows start, start + 1, ... of the table,
     validated values under `column_names` (see `NumericTable._from_validated`),
-    into `out`, a C-contiguous float64 array, before the next item is drawn.
-    `buffer`, the caller's, takes the rows of consecutive items; its row
-    count is one call's budget, set by the caller (see `aspects._STACK_VALUES`
-    and `global_importance._BATCH_VALUES`), and every item has 1 to
-    `buffer.shape[0]` rows. The stacking rule, the same for every batched
-    model call: the buffer's rows are scored in one call when the next
-    item's rows would not fit, or the items end, so no item is split across
-    calls; a call's predictions follow its rows, in the order written.
+    into `out`, a C-contiguous float64 array of as many rows: the first rows
+    of `buffer`, the caller's. Every call but the last holds exactly the
+    buffer's rows, and a call's predictions follow its rows. A caller sizes
+    the buffer in whole items, so no item is split across calls: a local
+    plan's items are one slot row each, and global importance's buffer is
+    slots x n rows, one permuted table to a slot.
 
     The next call rewrites the buffer, so the caller takes what it needs and
     restores what its writes rely on before it asks for the next call, and
     keeps no view into the buffer. Under the row-independence contract of
-    `ModelAdapter` an item's predictions equal those of scoring its rows alone.
+    `ModelAdapter` a row's prediction equals that of scoring it alone.
     """
-    def scored(rows):
-        return predict(model, NumericTable._from_validated(column_names, rows))
-
-    budget = buffer.shape[0]
-    pending, used = [], 0
-    for item, k, write in items:
-        if used + k > budget:  # k <= budget, so some items are pending
-            yield pending, scored(buffer[:used])
-            pending, used = [], 0
-        write(buffer[used:used + k])
-        used += k
-        pending.append(item)
-    if pending:
-        yield pending, scored(buffer[:used])
+    for start in range(0, count, buffer.shape[0]):
+        rows = buffer[:count - start]
+        write(start, rows)
+        yield start, predict(model, NumericTable._from_validated(column_names, rows))

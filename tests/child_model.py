@@ -22,6 +22,8 @@ Usage: python3 child_model.py MODE [PATH]
             0 a pause after EOF
   partial-then-garbage  read a batch's first row only, answer it with the
             row sum and then "garbage", and sleep without reading more
+  answer-unread  answer a batch's n lines with 0.0 as soon as its header
+            is read, and exit 0 without reading its rows
 """
 
 import sys
@@ -55,6 +57,9 @@ def main() -> int:
         assert parts[0] == "PREDICT", head
         n = int(parts[1])
         readline()  # column names, unused here
+        if mode == "answer-unread":
+            print("0.0\n" * n, end="", flush=True)
+            return 0
         if mode == "stream":
             for _ in range(n):
                 print(repr(sum(float(tok) for tok in readline().split(","))), flush=True)

@@ -33,6 +33,8 @@ from aspectra import (
     render_triplot,
 )
 from aspectra.aspects import (
+    LASSO_MAX_SWEEPS,
+    LASSO_TOL,
     _normal_equations,
     _scored_designs,
     build_design,
@@ -321,7 +323,8 @@ def test_criterion_07_lasso_contract():
                 # minimality: nudging lambda down must break the cap
                 from aspectra._kernels import lasso_cd
 
-                w, _ = lasso_cd(fit.W, fit.Z, design.N * fit.lam * (1 - 1e-3))
+                w, _ = lasso_cd(fit.W, fit.Z, design.N * fit.lam * (1 - 1e-3),
+                                LASSO_MAX_SWEEPS, LASSO_TOL)
                 assert np.count_nonzero(w) > limit, (
                     f"instance {instance} limit {limit}: lambda not minimal"
                 )

@@ -769,6 +769,88 @@ def test_lasso_path_that_revisits_an_active_set_stops(monkeypatch):
         lasso(lasso_instance(9), limit=3)
 
 
+def _knot_oracle(W, kept, tied, signs):
+    """Every active set kept + S, S a subset of `tied`, that continues the
+    path below a knot by `_knot_active_set`'s two conditions, by brute force:
+    each column of S moves away from 0 in its sign, and each tied column
+    left out has its correlation fall at least as fast as t."""
+    found = []
+    for S in itertools.chain.from_iterable(
+            itertools.combinations(tied, n) for n in range(len(tied) + 1)):
+        P = kept + list(S)
+        if not P:
+            continue
+        b = np.linalg.solve(W[np.ix_(P, P)], [signs[j] for j in P])
+        moves = all(signs[j] * bj > 0.0 for j, bj in zip(S, b[len(kept):]))
+        falls = all(signs[j] * (W[j, P] @ b) >= 1.0 - _TIE for j in tied if j not in S)
+        if moves and falls:
+            found.append(P)
+    return found
+
+
+_KNOTS = {
+    # (W, kept, tied, joining, signs)
+    "two-tied-join-together": ([[1.0, 0.5], [0.5, 1.0]], [], [0, 1], [], [1.0, 1.0]),
+    # the joining column 1 would move toward 0 (b_1 < 0): the sign test
+    # refuses it before the subsets are searched
+    "joining-column-refused": ([[1.0, 2.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 2.0]],
+                               [0], [1, 2], [1], [1.0, 1.0, 1.0]),
+    "three-tied-mixed-signs": ([[2.0, 1.0, 0.5, 0.0], [1.0, 2.0, 1.0, 0.5],
+                                [0.5, 1.0, 2.0, 1.0], [0.0, 0.5, 1.0, 2.0]],
+                               [3], [0, 1, 2], [2], [1.0, -1.0, 1.0, -1.0]),
+    "four-tied": ([[2.0, 1.0, 0.0, 0.5], [1.0, 2.0, 1.0, 0.0],
+                   [0.0, 1.0, 2.0, 1.0], [0.5, 0.0, 1.0, 2.0]],
+                  [], [0, 1, 2, 3], [], [1.0, -1.0, 1.0, 1.0]),
+    "four-tied-one-joining": ([[3.0, 2.5, 0.0, 1.0], [2.5, 3.0, 0.5, 0.0],
+                               [0.0, 0.5, 1.0, 0.2], [1.0, 0.0, 0.2, 2.0]],
+                              [], [0, 1, 2, 3], [1], [1.0, 1.0, -1.0, 1.0]),
+}
+
+
+def _knot(W, kept, tied, joining, signs):
+    W = np.array(W)
+    rhs_rows = np.column_stack((np.zeros(W.shape[0]), np.arange(W.shape[0]), W))
+    P, sol = aspectra.aspects._knot_active_set(W, rhs_rows, kept, tied, joining, signs)
+    rhs = rhs_rows[P]
+    rhs[:, 0] = [signs[j] for j in P]
+    np.testing.assert_array_equal(sol, np.linalg.solve(W[np.ix_(P, P)], rhs))
+    return P.tolist()
+
+
+@pytest.mark.parametrize("case", list(_KNOTS))
+def test_knot_active_set_is_the_one_the_oracle_finds(case):
+    W, kept, tied, joining, signs = _KNOTS[case]
+    assert np.all(np.linalg.eigvalsh(W) > 0.0)
+    # W is positive definite, so exactly one subset continues the path
+    (expected,) = _knot_oracle(np.array(W), kept, tied, signs)
+    assert _knot(W, kept, tied, joining, signs) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_knot_active_set_matches_the_oracle_on_random_ties(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n_tied, n_kept = int(rng.integers(2, 5)), int(rng.integers(0, 3))
+        m = n_tied + n_kept
+        X = rng.standard_normal((m + 2, m))
+        W = X.T @ X
+        columns = rng.permutation(m).tolist()
+        kept, tied = columns[:n_kept], columns[n_kept:]
+        joining = [tied[int(rng.integers(n_tied))]] if rng.random() < 0.5 else []
+        signs = rng.choice([-1.0, 1.0], size=m).tolist()
+        (expected,) = _knot_oracle(W, kept, tied, signs)
+        assert _knot(W, kept, tied, joining, signs) == expected
+
+
+def test_knot_active_set_without_a_continuation_raises():
+    # W is not positive definite: every single column's correlation rises
+    # with t falling, and both together move toward 0, so no subset holds
+    W = [[1.0, -2.0], [-2.0, 1.0]]
+    assert _knot_oracle(np.array(W), [], [0, 1], [1.0, 1.0]) == []
+    with pytest.raises(SingularDesign, match="no active set continues the lasso path"):
+        _knot(W, [], [0, 1], [], [1.0, 1.0])
+
+
 # ------------------------------------------------------------- walk oracle
 
 # The walk _lasso_path replaced, which ran its event search as numpy array

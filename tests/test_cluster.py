@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -433,6 +434,42 @@ def test_a_malformed_tree_is_refused_when_it_is_built(case):
     merges, message = _MALFORMED_TREES[case]
     with pytest.raises(AspectraError, match=message):
         MergeTree(3, merges)
+
+
+@pytest.mark.parametrize("merge, message", [
+    # a float or bool node id was once taken, and a cut of the tree held
+    # the numpy integer member as given
+    (MergeRecord(0.0, True, 0.1, (np.int64(0), 1)), "left must be an integer, got 0.0"),
+    (MergeRecord(0, True, 0.1, (0, 1)), "right must be an integer, got True"),
+    # these once raised a bare ValueError and AttributeError
+    (MergeRecord(0, 1, 0.1, np.array([0, 1])), "members must be tuple, got ndarray"),
+    ({"left": 0, "right": 1, "height": 0.1, "members": (0, 1)}, "merge must be MergeRecord"),
+], ids=["float-left", "bool-right", "array-members", "dict-merge"])
+def test_a_merge_of_the_wrong_kind_is_refused(merge, message):
+    with pytest.raises(AspectraError, match=message):
+        MergeTree(2, (merge,))
+
+
+def test_a_tree_stores_numpy_node_ids_and_members_as_int():
+    merges = (MergeRecord(np.int64(0), np.int64(1), np.float32(0.5), (np.int64(0), np.int64(1))),)
+    (merge,) = MergeTree(np.int64(2), merges).merges
+    assert merge == MergeRecord(0, 1, 0.5, (0, 1))
+    assert [type(v) for v in (merge.left, merge.right, merge.height, *merge.members)] == \
+        [int, int, float, int, int]
+
+
+@pytest.mark.parametrize("p", [2.5, "2", True, None, -1])
+def test_a_tree_whose_p_is_not_a_leaf_count_is_refused(p):
+    # 2.5 once read "0 merges over 2.5 leaves, not p - 1"
+    with pytest.raises(AspectraError, match=r"^p must be"):
+        MergeTree(p, ())
+
+
+@pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf, "0.1", None])
+def test_a_merge_height_that_is_not_a_finite_real_is_refused(height):
+    # a NaN height once rendered a junction path reading "L nan 152.00"
+    with pytest.raises(AspectraError, match=r"^height must be"):
+        MergeTree(2, (MergeRecord(0, 1, height, (0, 1)),))
 
 
 def test_trees_of_no_leaf_or_one_leaf_have_no_merges():

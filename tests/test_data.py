@@ -162,6 +162,13 @@ def test_table_rejects_non_finite():
         NumericTable(["a"], [["1.5"]])  # once parsed as 1.5
 
 
+def test_table_rejects_names_and_columns_of_different_counts():
+    with pytest.raises(EmptyTable, match="2 column names for 3 columns"):
+        NumericTable(("x", "y"), [[1.0, 2.0, 3.0]])
+    with pytest.raises(EmptyTable, match="3 column names for 2 columns"):
+        NumericTable(("x", "y", "z"), [[1.0, 2.0]])
+
+
 def test_table_values_immutable():
     t = NumericTable(("x",), [[1.0]])
     with pytest.raises((ValueError, AttributeError)):
@@ -241,6 +248,14 @@ def test_load_table_roundtrip(tmp_path):
     t2, y2 = load_table(path, target="out")
     assert t2 == t
     assert y2.tolist() == y.tolist()
+
+
+def test_load_table_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,y\n\n1.5,2\n\n\n-3,4\n\n")
+    t, y = load_table(path, target="y")
+    assert t == NumericTable(("a",), [[1.5], [-3.0]])
+    assert y.tolist() == [2.0, 4.0]
 
 
 @pytest.mark.parametrize("name", ["a\rb", "a\r\nb", 'q"\rx', "c,\rd", "a\r\rb"])
@@ -384,6 +399,13 @@ def test_sample_rows_deterministic():
     a = sampled_row_ids(t, 10, RngStream(9))
     b = sampled_row_ids(t, 10, RngStream(9))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_sample_rows_needs_one_row_at_least(N):
+    t = NumericTable(("x",), np.zeros((7, 1)))
+    with pytest.raises(EmptyTable, match=f"cannot sample {N} rows"):
+        sampled_row_ids(t, N, RngStream(0))
 
 
 @settings(max_examples=25)

@@ -413,9 +413,9 @@ def test_group_importance_model_calls(budget, monkeypatch):
 
 
 def test_scorer_memory_holds_no_python_object_per_job(monkeypatch):
-    # 4 sets at B = 2500 are 10001 jobs in calls of 100 slots: the jobs are
-    # drawn one at a time, so past the buffer only a loss per job is kept,
-    # not a (set, repetition) tuple per job, about 115 bytes
+    # 4 sets at B = 2500 are 10001 jobs in calls of 100 slots: each call's
+    # jobs are found from its rows, so past the buffer only a loss per job
+    # is kept, not a (set, repetition) tuple per job, about 115 bytes
     monkeypatch.setattr(global_importance, "_BATCH_VALUES", 5 * 3 * 100)
     rng = np.random.default_rng(0)
     table = NumericTable(("a", "b", "c"), rng.standard_normal((5, 3)))

@@ -6,6 +6,7 @@ from scipy.spatial.distance import cdist
 
 from aspectra import _kernels
 from aspectra._kernels import knn_predict, lasso_cd
+from aspectra.aspects import LASSO_MAX_SWEEPS, LASSO_TOL
 from aspectra.errors import NonFiniteDistance
 
 
@@ -54,9 +55,10 @@ def lasso_problem(seed, n=200, m=8):
     return X, y
 
 
-def gram_lasso(X, y, lam, max_sweeps=100_000):
-    """lasso_cd on the covariance form of (X, y) at penalty lam."""
-    return lasso_cd(X.T @ X, X.T @ y, X.shape[0] * lam, max_sweeps)
+def gram_lasso(X, y, lam, max_sweeps=LASSO_MAX_SWEEPS):
+    """lasso_cd on the covariance form of (X, y) at penalty lam, with
+    `fit_lasso`'s tolerance."""
+    return lasso_cd(X.T @ X, X.T @ y, X.shape[0] * lam, max_sweeps, LASSO_TOL)
 
 
 # ------------------------------------------------------------------- lasso

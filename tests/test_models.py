@@ -320,6 +320,9 @@ def test_loss_validation():
         loss("mse", np.ones(2), np.ones(2))
     with pytest.raises(LengthMismatch):
         loss("rmse", np.ones(2), np.ones(3))
+    for kind in ("rmse", "mae"):
+        with pytest.raises(LengthMismatch, match="expected 1, got 0"):
+            loss(kind, np.ones(0), np.ones(0))
 
 
 @pytest.mark.parametrize("kind, y, yhat", [
@@ -604,6 +607,27 @@ def test_subprocess_bad_line_while_the_request_is_still_being_written():
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_subprocess_request_the_child_never_reads_is_a_write_failure():
+    # all n answers arrive, but the child exits with ~1 MB of the request,
+    # far more than a pipe holds, still unwritten: the batch fails
+    X = np.random.default_rng(8).standard_normal((6000, 8))
+    with SubprocessModel(child_cmd("answer-unread")) as m:
+        with pytest.raises(SubprocessFailure, match="write failed: .*Broken pipe"):
+            _predict_in_time(m, table_of(X))
+        with pytest.raises(SubprocessFailure, match="stopped after a failed batch: write failed"):
+            m.predict(table_of(X[:1]))
+
+
+def test_subprocess_with_block_left_by_an_exception_after_close():
+    with pytest.raises(RuntimeError, match="after close"):
+        with SubprocessModel(child_cmd("sum")) as m:
+            m.close()
+            raise RuntimeError("after close")
+    assert m._proc is None
+    with pytest.raises(SubprocessFailure, match="the model is closed"):
+        m.predict(table_of([[1.0]]))
+
+
 def test_subprocess_close_waits_for_a_slow_child_and_kills_nothing(popens):
     # the child exits 0 a pause after its input ends; close must wait for
     # that exit, and then end it without a kill
@@ -691,47 +715,53 @@ def test_subprocess_rejects_an_empty_argv():
 # ------------------------------------------------------ stacked model calls
 
 
-def stack(sizes, budget):
-    """Run `_stacked_predictions` over items 0, 1, ... with `sizes[i]` rows
-    each, row r of item i being (i, r), under a model scoring 1000 i + r.
-    Returns the model, each call's items and a copy of its predictions."""
+def stack(count, budget):
+    """Run `_stacked_predictions` over rows 0 ... count - 1, row r being
+    (r, r mod 3), under a model scoring 1000 r + r mod 3. Returns the model,
+    each write's start and row count, and each call's start and a copy of
+    its predictions."""
     model = RecordingModel(LinearModel(0.0, [1000.0, 1.0]))
+    buffer = np.empty((budget, 2))
+    writes = []
 
-    def item(i, k):
-        def write(out):
-            assert out.shape == (k, 2) and out.flags.c_contiguous
-            out[:, 0] = i
-            out[:, 1] = np.arange(k)
-        return i, k, write
+    def write(start, out):
+        # the buffer's first rows, C-contiguous
+        assert out.flags.c_contiguous and out.dtype == np.float64
+        assert out.base is buffer and out.ctypes.data == buffer.ctypes.data
+        writes.append((start, out.shape[0]))
+        rows = np.arange(start, start + out.shape[0])
+        out[:, 0], out[:, 1] = rows, rows % 3
 
-    items = (item(i, k) for i, k in enumerate(sizes))
-    calls = [(list(batch), scored.copy()) for batch, scored
-             in _stacked_predictions(model, ("i", "r"), np.empty((budget, 2)), items)]
-    return model, calls
-
-
-def expected(batch, sizes):
-    return np.concatenate([1000.0 * i + np.arange(sizes[i]) for i in batch])
+    calls = [(start, scored.copy()) for start, scored
+             in _stacked_predictions(model, ("r", "m"), buffer, count, write)]
+    return model, writes, calls
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_stacking_never_splits_an_item_and_fills_each_call(seed):
     rng = np.random.default_rng(seed)
     budget = int(rng.integers(1, 9))
-    # the contract: every item has 1 to budget rows
-    sizes = rng.integers(1, budget + 1, size=rng.integers(1, 12)).tolist()
-    model, calls = stack(sizes, budget)
-    # every item comes out once, in order, and each yielded call is one
-    # model call of its items' rows in item order, with its predictions
-    assert [i for batch, _ in calls for i in batch] == list(range(len(sizes)))
-    assert len(calls) == model.calls
-    for (batch, got), table in zip(calls, model.tables):
-        np.testing.assert_array_equal(got, expected(batch, sizes))
-        np.testing.assert_array_equal(table[:, 0], np.repeat(batch, [sizes[i] for i in batch]))
-    for batch, _ in calls:
-        rows = sum(sizes[i] for i in batch)
-        # a call holds at most the budget, and a call is made before the
-        # last item only when the next item's rows would not fit
-        assert rows <= budget
-        if batch[-1] + 1 < len(sizes):
-            assert rows + sizes[batch[-1] + 1] > budget
+    # every third seed takes fewer rows than a budget of at least 2, the
+    # next an exact multiple of the budget, the next any count
+    if seed % 3 == 0:
+        budget = int(rng.integers(2, 9))
+        count = int(rng.integers(1, budget))
+    elif seed % 3 == 1:
+        count = budget * int(rng.integers(1, 5))
+    else:
+        count = int(rng.integers(1, 40))
+    model, writes, calls = stack(count, budget)
+    n_calls = -(-count // budget)
+    assert len(calls) == len(writes) == model.calls == n_calls
+    # every call but the last holds exactly the budget, and the last the rest
+    sizes = [budget] * (n_calls - 1) + [count - budget * (n_calls - 1)]
+    assert writes == [(k * budget, size) for k, size in enumerate(sizes)]
+    assert [start for start, _ in calls] == [k * budget for k in range(n_calls)]
+    assert [table.shape[0] for table in model.tables] == sizes
+    # the calls concatenate to rows 0 ... count - 1, in order, and each
+    # call's predictions follow its rows
+    rows = np.arange(count)
+    np.testing.assert_array_equal(np.concatenate(model.tables),
+                                  np.column_stack([rows, rows % 3]))
+    np.testing.assert_array_equal(np.concatenate([got for _, got in calls]),
+                                  1000.0 * rows + rows % 3)

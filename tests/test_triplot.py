@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -19,7 +20,7 @@ from aspectra import (
 )
 from aspectra import AspectPartition, SubprocessModel, aspects, cluster, global_importance
 from aspectra.aspects import _normal_equations, build_design, delta_predictions
-from aspectra.cluster import partition_after_merges
+from aspectra.cluster import MergeRecord, partition_after_merges
 from aspectra.data import NumericTable, RngStream, sampled_row_ids
 from aspectra.errors import AspectraError, NonFiniteShift, SingularDesign
 from aspectra.global_importance import ImportanceContext
@@ -628,6 +629,16 @@ def test_json_roundtrip(six_table, mode):
     assert np.array_equal(back.leaf_importance, res.leaf_importance)
     assert np.array_equal(back.node_importance, res.node_importance)
     assert back.to_json() == res.to_json()  # serialization is a fixed point
+
+
+def test_a_tree_of_numpy_node_ids_serialises_as_the_int_tree(six_table):
+    # numpy node ids and members once made to_json raise a bare TypeError
+    table, y = six_table
+    res = model_triplot(fit_linear(table, y), table, y, global_cfg(seed=5))
+    merges = tuple(MergeRecord(np.int64(m.left), np.int64(m.right), np.float64(m.height),
+                               tuple(np.int64(i) for i in m.members)) for m in res.tree.merges)
+    tree = cluster.MergeTree(np.int64(table.p), merges)
+    assert dataclasses.replace(res, tree=tree).to_json() == res.to_json()
 
 
 def test_json_doc_with_non_finite_x_star_is_rejected(six_table):
