@@ -188,7 +188,8 @@ class Observation:
         vals = _reals("observation values", self.values).reshape(-1)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise NonNumericCell(1, str(bad), "non-finite")
+            raise AspectraError(
+                f"observation value {bad} is not a finite number: {float(vals[bad])!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -254,8 +255,12 @@ class AspectPartition:
 def validate_partition(partition: AspectPartition, p: int) -> None:
     """Check that the groups form a partition of {0..p-1}; raise otherwise."""
     for name, members in partition.groups:
-        if not _column_ids(members, p):
+        ids = _column_ids(members, p)
+        if not ids:
             raise EmptyGroup(name)
+        if len(ids) < len(members):
+            repeated = min(i for i, count in Counter(members).items() if count > 1)
+            raise AspectraError(f"group {name!r} lists column index {repeated} more than once")
     counts = Counter(i for members in partition.member_sets for i in members)
     overlap = {i for i, count in counts.items() if count > 1}
     if overlap:

@@ -16,7 +16,10 @@ repetition) pair are n-row jobs of one stacked table, and
 `models._stacked_predictions` scores them in calls of whole jobs,
 _BATCH_VALUES // (n p) of them (at least one) to a call. Each job of a call
 permutes its group's columns into its own slot of a buffer of tiled copies
-of the table.
+of the table. The all-columns set, the baseline's, is no job: permuting
+every column reorders the table's rows, so each repetition's loss comes
+from the unpermuted table's predictions f(X), kept on the context,
+reordered by the same permutation.
 A member set is checked once, where it enters, before any model call (a
 caller's by `mean_permuted_losses`, a partition's by `validate_partition`;
 a tree is built checked); past that it is its sorted tuple of distinct
@@ -214,6 +217,7 @@ class ImportanceContext:
             self.y = y
         self.model = model
         self._cache = {}
+        self._predictions = None  # f(X) of the unpermuted table, once scored
 
     def mean_permuted_loss(self, members) -> float:
         return self.mean_permuted_losses([members])[0]
@@ -243,21 +247,29 @@ class ImportanceContext:
         and one loss per job, the first allocation B sizes. After each call
         its losses are taken row-wise at once, and each slot's group columns
         are written back; a one-column group moves through a basic column index.
+
+        The all-columns set is no job (see the module docstring): under the
+        row-independence contract of `models.ModelAdapter`, repetition b's
+        loss is that of f(X)[perm], perm drawn from the set's stream as a
+        job's would be. A pass left with no job makes no model call.
         """
-        full = () not in self._cache  # the unpermuted table, one job
-        members_of = {key: np.array(key, dtype=np.intp)
-                      for key in dict.fromkeys(keys) if key and key not in self._cache}
-        if not (full or members_of):
-            return [self._cache[key] for key in keys]
         n, p, B = self.table.n, self.table.p, self.cfg.B
+        full = () not in self._cache  # the unpermuted table, one job
+        every = tuple(range(p))
+        members_of = {key: np.array(key, dtype=np.intp) for key in dict.fromkeys(keys)
+                      if key and key != every and key not in self._cache}
+        reordered = every in keys and every not in self._cache
+        if not (full or members_of or reordered):
+            return [self._cache[key] for key in keys]
         values = self.table.values
         streams = _PermutationStreams(self.cfg.seed, p)
         sets = [(members, _columns(members), streams.set_id(key))
                 for key, members in members_of.items()]
-        if 8 * (full + B * len(sets)) > np.iinfo(np.intp).max:
+        jobs = full + B * len(sets)
+        if 8 * (jobs + B * reordered) > np.iinfo(np.intp).max:
             raise AspectraError(f"B={B} permutations need arrays past numpy's size limit")
-        job_losses = np.empty(full + B * len(sets))
-        buf = np.tile(values, (min(max(1, _BATCH_VALUES // (n * p)), job_losses.shape[0]), 1))
+        # every job's loss, then the B losses of all columns, if asked
+        job_losses = np.empty(jobs + B * reordered)
 
         def write(start, out):
             # the unpermuted table's slot keeps the tiled values
@@ -268,19 +280,30 @@ class ImportanceContext:
                     permute_group(self.table, members, streams.generator(set_id, b),
                                   out[slot * n:(slot + 1) * n])
 
-        for start, yhat in _stacked_predictions(self.model, self.table.column_names, buf,
-                                                n * job_losses.shape[0], write):
-            first, k = start // n, yhat.shape[0] // n
-            job_losses[first:first + k] = _row_losses(self.cfg.loss, self.y, yhat.reshape(k, n))
-            for job in range(max(first, full), first + k):
-                columns = sets[(job - full) // B][1]
-                buf[(job - first) * n:(job - first + 1) * n, columns] = values[:, columns]
+        if jobs:
+            buf = np.tile(values, (min(max(1, _BATCH_VALUES // (n * p)), jobs), 1))
+            for start, yhat in _stacked_predictions(self.model, self.table.column_names, buf,
+                                                    n * jobs, write):
+                first, k = start // n, yhat.shape[0] // n
+                if first < full:
+                    self._predictions = yhat[:n].copy()
+                job_losses[first:first + k] = _row_losses(self.cfg.loss, self.y, yhat.reshape(k, n))
+                for job in range(max(first, full), first + k):
+                    columns = sets[(job - full) // B][1]
+                    buf[(job - first) * n:(job - first + 1) * n, columns] = values[:, columns]
+        if reordered:
+            set_id = streams.set_id(every)
+            for b in range(B):
+                perm = streams.generator(set_id, b).permutation(n)
+                job_losses[jobs + b] = _row_losses(self.cfg.loss, self.y,
+                                                   self._predictions[perm].reshape(1, n))[0]
         if full:
             self._cache[()] = float(job_losses[0])
-        # each set's B jobs are adjacent, after the unpermuted table's one
+        # each set's B losses are adjacent, after the unpermuted table's one
+        scored = [*members_of, every] if reordered else list(members_of)
         with np.errstate(over="ignore"):  # B finite losses may sum past the float64 range
-            means = np.mean(job_losses[full:].reshape(len(sets), B), axis=1)
-        self._cache.update(zip(members_of, _finite_losses(self.cfg.loss, means).tolist()))
+            means = np.mean(job_losses[full:].reshape(len(scored), B), axis=1)
+        self._cache.update(zip(scored, _finite_losses(self.cfg.loss, means).tolist()))
         return [self._cache[key] for key in keys]
 
 

@@ -410,6 +410,29 @@ def test_triplot_global_to_file(six_csv, tmp_path, capsys):
     assert len(doc["leaves"]) == 6 and len(doc["nodes"]) == 5
 
 
+@pytest.mark.parametrize("command", ["global-importance", "triplot"])
+def test_the_baseline_sends_a_child_model_no_rows(command, six_csv, tmp_path, capsys):
+    # a global run sends the unpermuted table once and B = 2 permuted copies
+    # of it per member set; permuting every column reorders the unpermuted
+    # table's rows, so the baseline's losses come from its predictions
+    record = tmp_path / "requests.bin"
+    if command == "global-importance":
+        gfile = tmp_path / "groups.json"
+        gfile.write_text(json.dumps({"ab": ["a", "b"], "cd": ["c", "d"], "ef": ["e", "f"]}))
+        argv, jobs = [command, "--groups", str(gfile)], 1 + 2 * 3
+    else:
+        # the p = 6 leaves and p - 2 merges; the root is the baseline's set
+        argv, jobs = [command, "--mode", "global"], 1 + 2 * (2 * 6 - 2)
+    code, _, err = run(argv + [
+        "--data", six_csv, "--target", "y", "--B", "2",
+        "--model", f"{child_spec('record')} {shlex.quote(str(record))}",
+    ], capsys)
+    assert code == 0, err
+    heads = [line.split() for line in record.read_text().splitlines()
+             if line.startswith("PREDICT")]
+    assert sum(int(head[1]) for head in heads) == 400 * jobs
+
+
 def test_triplot_local_stdout(six_csv, capsys):
     code, out, _ = run([
         "triplot", "--mode", "local", "--data", six_csv, "--target", "y",

@@ -229,8 +229,11 @@ def test_row_indices_take_python_and_numpy_integers_alone():
 
 
 def test_observation_validation():
-    with pytest.raises(AspectraError):
-        Observation(np.array([1.0, np.nan]))
+    # once "cell at data row 1, column '1' ... : 'non-finite'"
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(AspectraError,
+                           match=f"^observation value 1 is not a finite number: {bad!r}$"):
+            Observation([1.0, bad, 2.0])
     with pytest.raises(AspectraError, match="must be real numbers"):
         Observation(["1", "2"])  # once parsed as numbers
     obs = Observation(np.array([1.0, 2.0]))
@@ -364,6 +367,18 @@ def test_partition_singletons():
 def test_validate_partition_errors(groups, err):
     with pytest.raises(err):
         validate_partition(AspectPartition(groups), p=2)
+
+
+def test_a_column_listed_twice_in_one_group_is_not_an_overlap():
+    # once "column indices appear in more than one group: [0]"
+    t = NumericTable(("a", "b", "c"), np.zeros((1, 3)))
+    message = "^group 'g' lists column index 0 more than once$"
+    with pytest.raises(AspectraError, match=message):
+        validate_partition(AspectPartition((("g", (0, 0, 1)), ("h", (2,)))), t.p)
+    with pytest.raises(AspectraError, match=message):
+        AspectPartition.from_name_dict({"g": ["a", "a", "b"], "h": ["c"]}, t)
+    with pytest.raises(OverlappingGroups):
+        AspectPartition.from_name_dict({"g": ["a", "b"], "h": ["a", "c"]}, t)
 
 
 def test_partition_name_dict_unknown_column():

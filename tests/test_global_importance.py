@@ -336,6 +336,8 @@ def _scoring_cases(draw):
         sets.append(sets[0][::-1] + sets[0])  # the same set again, reordered
     # from a budget below one table (k = 1) to several tables per call
     budget = draw(st.integers(1, 4 * n * p))
+    # the unpermuted table scored by an earlier pass of the same context
+    warm = draw(st.booleans())
     kind = draw(st.sampled_from(["knn", "constant", "row-by-row", "linear"]))
     if kind == "knn":
         train = rng.integers(-2, 3, size=(8, p)) / 2.0
@@ -346,18 +348,20 @@ def _scoring_cases(draw):
         model = RowByRowModel(p)
     else:
         model = LinearModel(0.5, rng.standard_normal(p))
-    return table, y, cfg, sets, budget, kind, model
+    return table, y, cfg, sets, budget, warm, kind, model
 
 
 @settings(max_examples=200, deadline=None)
 @given(_scoring_cases())
 def test_batched_scoring_matches_per_set_oracle(case):
-    table, y, cfg, sets, budget, kind, model = case
+    table, y, cfg, sets, budget, warm, kind, model = case
     before = table.values.copy()
     saved = global_importance._BATCH_VALUES
     global_importance._BATCH_VALUES = budget
     try:
         together = ImportanceContext(CountingModel(model), table, y, cfg)
+        if warm:
+            together.mean_permuted_loss(())
         batched = together.mean_permuted_losses(sets)
         one_at_a_time = ImportanceContext(CountingModel(model), table, y, cfg)
         for members in sets:
@@ -394,6 +398,20 @@ def test_many_repetitions_match_per_set_oracle(kind, monkeypatch):
         assert ctx.mean_permuted_loss(members) == _oracle_mean_permuted_loss(ctx, members)
 
 
+@pytest.mark.parametrize("kind", ["rmse", "mae"])
+def test_all_columns_after_the_unpermuted_table_makes_no_model_call(kind):
+    # the full set is the unpermuted predictions reordered, so a later pass
+    # that asks for it alone has no job: no model call, no buffer
+    table, y = small_table(seed=3, n=30, p=4)
+    model = CountingModel(RowByRowModel(4))
+    ctx = ImportanceContext(model, table, y, PermutationConfig(kind, B=11, seed=2))
+    ctx.mean_permuted_loss(())
+    assert (model.calls, model.rows) == (1, 30)
+    baseline = ctx.mean_permuted_loss([3, 1, 0, 2])
+    assert (model.calls, model.rows) == (1, 30)
+    assert baseline == _oracle_mean_permuted_loss(ctx, range(4))
+
+
 def _calls_and_rows(n, p, B, sets, budget):
     # the unpermuted table is one job, scored in the first call
     k = max(1, budget // (n * p))
@@ -402,20 +420,23 @@ def _calls_and_rows(n, p, B, sets, budget):
 
 @pytest.mark.parametrize("budget", [1, 240, 1000, 1 << 19])
 def test_group_importance_model_calls(budget, monkeypatch):
-    # 3 groups and the full set, scored once each per repetition
+    # 3 groups, scored once each per repetition; the baseline's full set is
+    # the unpermuted predictions reordered and costs no model row
     monkeypatch.setattr(global_importance, "_BATCH_VALUES", budget)
     table, y = small_table(n=60, p=4)
     model = CountingModel(fit_linear(table, y))
     part = AspectPartition((("pair", (0, 1)), ("x2", (2,)), ("x3", (3,))))
     group_importance(model, table, y, part, PermutationConfig(loss="rmse", B=3, seed=1))
-    assert (model.calls, model.rows) == _calls_and_rows(60, 4, 3, 4, budget)
+    assert (model.calls, model.rows) == _calls_and_rows(60, 4, 3, 3, budget)
 
 
 
 def test_scorer_memory_holds_no_python_object_per_job(monkeypatch):
-    # 4 sets at B = 2500 are 10001 jobs in calls of 100 slots: each call's
-    # jobs are found from its rows, so past the buffer only a loss per job
-    # is kept, not a (set, repetition) tuple per job, about 115 bytes
+    # 4 sets at B = 2500 are 7501 jobs in calls of 100 slots and 2500 losses
+    # of all columns from the unpermuted predictions: each call's jobs are
+    # found from its rows, so past the buffer only a loss per job is kept,
+    # not a (set, repetition) tuple per job, about 115 bytes, nor a
+    # reordered copy of the predictions per repetition
     monkeypatch.setattr(global_importance, "_BATCH_VALUES", 5 * 3 * 100)
     rng = np.random.default_rng(0)
     table = NumericTable(("a", "b", "c"), rng.standard_normal((5, 3)))

@@ -326,6 +326,23 @@ def test_knn_matches_oracle_on_a_workload_sized_problem():
                           _oracle_knn_predict(train, targets, query, 10))
 
 
+@pytest.mark.parametrize("shift", [30.0, 300.0, 3000.0, 1e5])
+def test_knn_matches_oracle_on_two_far_clusters(shift):
+    # global-knn's shape, with every other training and query row shifted
+    # in every column: one centre cannot put both clusters' gaps into
+    # float32's 24 bits, so about half the 2000 query rows, each near a
+    # training row of its own cluster, take the full scan
+    rng = np.random.default_rng(22)
+    train = rng.standard_normal((500, 12)) @ (np.eye(12) + 0.5 * rng.standard_normal((12, 12)))
+    targets = train[:, 0] + np.sin(2 * train[:, 3]) + 0.3 * rng.standard_normal(500)
+    source = 2 * rng.integers(0, 250, size=2000) + np.arange(2000) % 2
+    query = train[source] + 0.1 * rng.standard_normal((2000, 12))
+    train[::2] += shift
+    query[::2] += shift
+    assert np.array_equal(knn_predict(train, targets, query, 10),
+                          _oracle_knn_predict(train, targets, query, 10))
+
+
 @pytest.mark.parametrize("blocks", [(1, 1), (3, 2), (8, 8)])
 def test_knn_k_equal_to_n_orders_every_training_row(blocks):
     # the bound is the largest approx plus twice the margin, so all n rows

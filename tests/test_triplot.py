@@ -583,13 +583,14 @@ def test_non_finite_first_stacked_call_fails_before_any_level_is_fitted(six_tabl
 @pytest.mark.parametrize("budget", [1, 2400, 6000, 1 << 19])
 @pytest.mark.parametrize("B", [1, 2])
 def test_global_model_calls(six_table, B, budget, monkeypatch):
-    # the unpermuted table once, then p leaves and p - 1 merges (the root is
-    # the baseline's full set), B repetitions each, stacked k tables per call
+    # the unpermuted table once, then p leaves and p - 2 merges, B
+    # repetitions each, stacked k tables per call; the root, the baseline's
+    # full set, is the unpermuted predictions reordered and costs no row
     monkeypatch.setattr(global_importance, "_BATCH_VALUES", budget)
     table, y = six_table
     model = CountingModel(fit_linear(table, y))
     model_triplot(model, table, y, global_cfg(B=B, seed=2))
-    jobs = 1 + B * (2 * table.p - 1)
+    jobs = 1 + B * (2 * table.p - 2)
     k = max(1, budget // (table.n * table.p))
     assert (model.calls, model.rows) == (math.ceil(jobs / k), table.n * jobs)
 
