@@ -5,6 +5,11 @@ a cluster cut at height h satisfies |r| >= 1 - h. Node ids follow the usual
 convention: leaves 0..p-1, the t-th merge creates node p+t. A tree is checked
 when it is built, and one walk of it (`_cuts`) gives every cut: cut_tree names
 one through partition_after_merges, and a local triplot all through `_levels`.
+
+The hierarchy belongs to the data: a table's correlation matrix is computed
+once per method, and its tree (`_tree`) once per (method, linkage), on first
+request, and both are kept on the table. Every triplot and every
+cutoff-based grouping of one table so shares one tree.
 """
 
 from __future__ import annotations
@@ -138,6 +143,10 @@ def _average_ranks(X: np.ndarray) -> np.ndarray:
 def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndarray:
     """Sample correlation of all column pairs, as a p x p array.
 
+    The matrix is the table's own: it is computed on the first request for
+    each method, kept on the table, returned to every later request and
+    read-only.
+
     Spearman is Pearson on average ranks (ties get the mean rank). A column
     whose values are all equal raises ZeroVarianceColumn, the first such
     column by index. Each column is then scaled by the power of two that
@@ -147,7 +156,10 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndar
     overflows nor underflows, and is the same at every scale.
     """
     _choice("correlation method", method, CORRELATION_METHODS)
-    X = _instance("table", table, NumericTable).values
+    memo = _instance("table", table, NumericTable)._memo
+    if method in memo:
+        return memo[method]
+    X = table.values
     if method == "spearman":
         X = _average_ranks(X)
     lo, hi = X.min(axis=0), X.max(axis=0)
@@ -160,6 +172,8 @@ def correlation_matrix(table: NumericTable, method: str = "spearman") -> np.ndar
     C = (Xc.T @ Xc) / np.outer(norms, norms)
     C = np.clip((C + C.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(C, 1.0)
+    C.setflags(write=False)
+    memo[method] = C
     return C
 
 
@@ -238,6 +252,16 @@ def agglomerative(D: np.ndarray, linkage: str = "complete") -> MergeTree:
     return MergeTree(p, tuple(merges))
 
 
+def _tree(table: NumericTable, method: str, linkage: str, C: np.ndarray) -> MergeTree:
+    """The table's `linkage` tree of its `method` correlation distances, C
+    being `correlation_matrix(table, method)`; built on the first request for
+    each (method, linkage) and kept on the table."""
+    key = (method, linkage)
+    if key not in table._memo:
+        table._memo[key] = agglomerative(cor_distance(C), linkage)
+    return table._memo[key]
+
+
 def _group_name(members, column_names) -> str:
     return "_".join(column_names[i] for i in members)[:40]
 
@@ -313,5 +337,4 @@ def _group_variables(table: NumericTable, cutoff: float, method: str):
     """group_variables, also returning the correlation matrix it clustered."""
     cutoff = _real("cutoff", cutoff, 0.0, 1.0)
     C = correlation_matrix(table, method)
-    tree = agglomerative(cor_distance(C), "complete")
-    return cut_tree(tree, 1.0 - cutoff, table.column_names), C
+    return cut_tree(_tree(table, method, "complete", C), 1.0 - cutoff, table.column_names), C

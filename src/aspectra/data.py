@@ -98,13 +98,21 @@ _MEMBER_KEY_START = 0x5D0_F00D
 
 
 class NumericTable:
-    """Immutable n x p matrix of finite reals with unique column names."""
+    """Immutable n x p matrix of finite reals with unique column names.
 
-    __slots__ = ("column_names", "values")
+    The table owns a read-only copy of the values it is given, so a later
+    write to the caller's array changes neither the table nor what is
+    derived from it. Derived data that depends on the values alone (each
+    correlation matrix, each merge tree; see `cluster`) is computed on first
+    request and kept in a private memo; a pickled or copied table is rebuilt
+    from its names and values, with an empty memo.
+    """
+
+    __slots__ = ("column_names", "values", "_memo")
 
     def __init__(self, column_names, values):
         names = tuple(_names("column_names", column_names))
-        vals = np.ascontiguousarray(_reals("values", values))
+        vals = np.array(_reals("values", values), order="C")
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise EmptyTable(f"expected a non-empty 2-d matrix, got shape {vals.shape}")
         if vals.shape[1] != len(names):
@@ -118,6 +126,7 @@ class NumericTable:
         vals.setflags(write=False)
         object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def _from_validated(cls, column_names: tuple, values: np.ndarray) -> "NumericTable":
@@ -131,16 +140,21 @@ class NumericTable:
         same width, as in a local design's modified rows. Every check above
         then already holds. It is made read-only in place; a view keeps its
         base array writable, so the caller may rewrite a reused buffer once
-        the table is out of use.
+        the table is out of use. The values are not copied, and the table
+        starts with an empty memo.
         """
         table = object.__new__(cls)
         values.setflags(write=False)
         object.__setattr__(table, "column_names", column_names)
         object.__setattr__(table, "values", values)
+        object.__setattr__(table, "_memo", {})
         return table
 
     def __setattr__(self, name, value):
         raise AttributeError("NumericTable is immutable")
+
+    def __reduce__(self):
+        return NumericTable, (self.column_names, self.values)
 
     @property
     def n(self) -> int:
@@ -165,7 +179,7 @@ class NumericTable:
 
     def row(self, i: int) -> "Observation":
         """Row i, a Python or numpy integer in [0, n)."""
-        return Observation(self.values[_row_ids([i], self.n)[0]].copy())
+        return Observation(self.values[_row_ids([i], self.n)[0]])
 
     def __eq__(self, other):
         return (
@@ -180,12 +194,13 @@ class NumericTable:
 
 @dataclass(frozen=True)
 class Observation:
-    """A single length-p row vector aligned to a table's columns."""
+    """A single length-p row vector aligned to a table's columns; it holds a
+    read-only copy of the values it is given."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _reals("observation values", self.values).reshape(-1)
+        vals = _reals("observation values", self.values).reshape(-1).copy()
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise AspectraError(
@@ -346,13 +361,16 @@ def _row_ids(indices, n: int) -> np.ndarray:
 
 def _real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
     """`value` as a float, an integer past its range as an infinity; a bool,
-    a str, anything else, NaN or a value outside [low, high] raises."""
+    a str, anything else, NaN or a value outside [low, high] raises. Without
+    bounds, NaN is reported as no real number, not as out of range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise AspectraError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
         x = math.inf if value > 0 else -math.inf
+    if math.isnan(x) and (low, high) == (-math.inf, math.inf):
+        raise AspectraError(f"{name} must be a real number, got {x!r}")
     if not low <= x <= high:
         got = repr(value) if math.isfinite(x) else f"non-finite {x!r}"
         raise AspectraError(f"{name} must be in [{low:g}, {high:g}], got {got}")

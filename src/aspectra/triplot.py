@@ -23,8 +23,7 @@ from .cluster import (
     MergeTree,
     _node_members,
     _round12,
-    agglomerative,
-    cor_distance,
+    _tree,
     correlation_matrix,
 )
 from .data import (
@@ -150,7 +149,8 @@ class TriplotResult:
 
 
 def _build_tree(table: NumericTable, cfg: TriplotConfig) -> MergeTree:
-    return agglomerative(cor_distance(correlation_matrix(table, cfg.cor_method)), cfg.linkage)
+    C = correlation_matrix(table, cfg.cor_method)
+    return _tree(table, cfg.cor_method, cfg.linkage, C)
 
 
 def model_triplot(model: ModelAdapter, table: NumericTable, y, cfg: TriplotConfig) -> TriplotResult:

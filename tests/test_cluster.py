@@ -641,12 +641,16 @@ def test_group_variables_cutoff_extremes():
         group_variables(t, cutoff=1.5)
 
 
-@pytest.mark.parametrize("cutoff", [True, False, "0.5", None, [0.5]])
+@pytest.mark.parametrize("cutoff", [True, False, "0.5", None, [0.5], math.nan, np.float64(math.nan)])
 def test_a_cutoff_that_is_not_a_real_number_is_rejected(cutoff):
     # True once cut at 1.0, and a string or None raised a bare TypeError;
-    # group_variables, predict_aspects and cut_tree's height share the check
+    # group_variables, predict_aspects and cut_tree's height share the check.
+    # NaN once read "must be in [-inf, inf]" where no bound is set; the
+    # cutoff's own bounds still name the range it is outside
     t = random_table(9, p=4)
-    with pytest.raises(AspectraError, match="cutoff must be a real number"):
+    nan = isinstance(cutoff, float) and math.isnan(cutoff)
+    with pytest.raises(AspectraError, match=r"cutoff must be in \[0, 1\], got non-finite nan$"
+                       if nan else "cutoff must be a real number"):
         group_variables(t, cutoff)
     with pytest.raises(AspectraError, match="grouping must be a real number"):
         predict_aspects(ConstantModel(0.0), t, t.row(0), cutoff, N=50)

@@ -175,6 +175,18 @@ def test_table_values_immutable():
         t.values[0, 0] = 2.0
 
 
+def test_table_owns_a_copy_of_its_values():
+    # a view kept its base array writable, so a write to the base once
+    # changed the table; a whole array was made read-only under its caller
+    base = np.arange(6.0).reshape(3, 2)
+    for source in (base, base[:, :]):
+        t = NumericTable(("x", "y"), source)
+        assert base.flags.writeable
+        base[0, 0] = 42.0
+        assert t.values.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        base[0, 0] = 0.0
+
+
 def test_unknown_column():
     t = NumericTable(("x",), [[1.0]])
     with pytest.raises(UnknownColumn):
@@ -238,6 +250,15 @@ def test_observation_validation():
         Observation(["1", "2"])  # once parsed as numbers
     obs = Observation(np.array([1.0, 2.0]))
     assert obs.p == 2
+
+
+def test_observation_owns_a_copy_of_its_values():
+    # the observation once aliased its caller's array
+    a = np.array([1.0, 2.0, 3.0])
+    o = Observation(a)
+    a[0] = 99.0
+    assert o.values.tolist() == [1.0, 2.0, 3.0]
+    assert a.flags.writeable and not o.values.flags.writeable
 
 
 # ------------------------------------------------------------------ loading

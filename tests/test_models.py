@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import subprocess
 import time
@@ -265,9 +266,12 @@ def test_linear_predictions_past_the_float64_range_are_an_error(n):
 def test_constant_model():
     m = ConstantModel(2.5)
     assert m.predict(table_of(np.zeros((3, 2)))).tolist() == [2.5, 2.5, 2.5]
-    for value in ("3", True, None):  # float() once took "3" and True
+    for value in ("3", True, None, math.nan):  # float() once took "3" and True
         with pytest.raises(AspectraError, match="value must be a real number"):
             ConstantModel(value)
+    # NaN once read "must be in [-inf, inf], got non-finite nan"
+    with pytest.raises(AspectraError, match="^intercept must be a real number, got nan$"):
+        LinearModel(math.nan, [1.0, 2.0])
     # "ab" was once taken as the columns a and b
     for build in (ConstantModel, lambda value, **names: LinearModel(value, [1.0, 2.0], **names)):
         with pytest.raises(AspectraError, match="column_names must be list or tuple, got str"):

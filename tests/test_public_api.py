@@ -1,7 +1,9 @@
 """The package root's exports and the README's Python quick start."""
 
+import copy
 import functools
 import json
+import pickle
 import re
 import subprocess
 import sys
@@ -14,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aspectra
-from aspectra import (AspectraError, ConstantModel, PermutationConfig, TriplotConfig,
-                      predict_aspects, predict_triplot)
+from aspectra import (AspectraError, AspectPartition, ConstantModel, Observation,
+                      PermutationConfig, TriplotConfig, correlation_matrix, fit_knn, fit_linear,
+                      group_importance, group_variables, model_triplot, predict_aspects,
+                      predict_triplot)
 from aspectra.global_importance import ImportanceContext
 from aspectra.models import KnnModel, LinearModel
 
@@ -245,3 +249,30 @@ def test_importance_context_checks_its_arguments_and_takes_numpy_integers():
     assert model.calls == 0
     numpy_ints = ctx.mean_permuted_losses([(np.int64(1),), [np.uint8(2), 1]])
     assert numpy_ints == ctx.mean_permuted_losses([(1,), range(1, 3)])
+
+
+def test_every_public_value_type_survives_a_pickle_round_trip():
+    # a table once raised "NumericTable is immutable" when unpickled or
+    # deep-copied, so it could not reach a worker process
+    table, y = make_six_variable(n=60)
+    correlation_matrix(table)  # a filled memo is not carried
+    local = TriplotConfig(mode="local", N=100, seed=1)
+    glob = TriplotConfig(mode="global", permutation=PermutationConfig("rmse", B=2, seed=1))
+    model = fit_linear(table, y)
+    results = [predict_aspects(model, table, table.row(0), 0.5, N=100),
+               group_importance(model, table, y, group_variables(table, 0.5),
+                                PermutationConfig("rmse", B=2, seed=1)),
+               predict_triplot(model, table, table.row(0), local),
+               model_triplot(model, table, y, glob)]
+    for move in (lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy, copy.copy):
+        back = move(table)
+        assert back == table and back._memo == {} and not back.values.flags.writeable
+        obs = move(table.row(3))
+        assert isinstance(obs, Observation) and obs.values.tolist() == table.values[3].tolist()
+        for value in (group_variables(table, 0.5), AspectPartition((("all", range(6)),)),
+                      results[-1].tree, local, glob):
+            assert move(value) == value
+        for m in (model, fit_knn(table, y, 3), ConstantModel(2.0)):
+            assert np.array_equal(move(m).predict(table), m.predict(table))
+        for result in results:
+            assert move(result).to_json() == result.to_json()

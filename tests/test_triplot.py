@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,7 +14,9 @@ from aspectra import (
     PermutationConfig,
     TriplotConfig,
     fit_knn,
+    correlation_matrix,
     fit_linear,
+    group_variables,
     model_triplot,
     predict_aspects,
     predict_triplot,
@@ -688,3 +691,100 @@ def test_same_seed_identical_json(six_table):
     c = predict_triplot(model, table, table.row(0), cfg).to_json()
     d = predict_triplot(model, table, table.row(0), cfg).to_json()
     assert c == d
+
+
+# ------------------------------------------------- one clustering per table
+
+
+def _counted(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls, original = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _explanations(model, y) -> list:
+    """Functions from a table to one explanation's text, over both methods
+    and two linkages; a change of method moves every height, so a tree
+    taken under the wrong method shows in the text."""
+    runs = []
+    for method, linkage in itertools.product(("spearman", "pearson"), ("complete", "average")):
+        local = TriplotConfig(mode="local", N=300, seed=4, cor_method=method, linkage=linkage)
+        glob = global_cfg(cor_method=method, linkage=linkage)
+        runs += [lambda t, cfg=local, row=row: predict_triplot(model, t, t.row(row), cfg).to_json()
+                 for row in (0, 1)]
+        runs.append(lambda t, cfg=glob: model_triplot(model, t, y, cfg).to_json())
+    for method in ("spearman", "pearson"):
+        runs.append(lambda t, m=method: predict_aspects(model, t, t.row(2), 0.6, N=300,
+                                                        method=m).to_json())
+        runs.append(lambda t, m=method: repr(group_variables(t, 0.3, m)))
+    return runs
+
+
+def test_one_table_ranks_correlates_and_clusters_once(monkeypatch):
+    table, y = make_six_variable(n=120)
+    model = fit_linear(table, y)
+    ranks = _counted(monkeypatch, cluster, "_average_ranks")
+    trees = _counted(monkeypatch, cluster, "agglomerative")
+    local = TriplotConfig(mode="local", N=300, seed=4)
+    for row in (0, 1):
+        predict_triplot(model, table, table.row(row), local)
+    model_triplot(model, table, y, global_cfg())
+    predict_aspects(model, table, table.row(2), 0.6, N=300)
+    group_variables(table, 0.3)
+    spearman = correlation_matrix(table)
+    assert len(ranks) == 1 and [args[1] for args in trees] == ["complete"]
+    assert correlation_matrix(table, "spearman") is spearman
+    # Pearson and average linkage each get their own entry, built once
+    for _ in range(2):
+        predict_triplot(model, table, table.row(0),
+                        TriplotConfig(mode="local", N=300, seed=4, cor_method="pearson"))
+        model_triplot(model, table, y, global_cfg(linkage="average"))
+        group_variables(table, 0.3, "pearson")
+    assert len(ranks) == 1 and [args[1] for args in trees] == ["complete", "complete", "average"]
+    pearson = correlation_matrix(table, "pearson")
+    assert pearson is correlation_matrix(table, "pearson") and not np.array_equal(pearson, spearman)
+    # a table of its rows and a table of its values each start with an empty memo
+    for other in (table.take_rows(range(table.n)), NumericTable(table.column_names, table.values)):
+        assert correlation_matrix(other) is not spearman
+    assert len(ranks) == 3
+
+
+def test_every_explanation_equals_that_of_a_fresh_table():
+    table, y = make_six_variable(n=120)
+    runs = _explanations(fit_linear(table, y), y)
+    shared = [run(table) for run in runs]
+    assert [run(table) for run in runs] == shared  # each entry now taken from the memo
+    assert [run(NumericTable(table.column_names, table.values)) for run in runs] == shared
+
+
+def test_a_write_to_the_source_array_reaches_neither_the_table_nor_its_memo():
+    table, y = make_six_variable(n=120)
+    runs = _explanations(fit_linear(table, y), y)
+    expected = [run(table) for run in runs]
+    source = table.values.copy()
+    view = NumericTable(table.column_names, source[:, :])  # a view keeps its base writable
+    whole = NumericTable(table.column_names, source)
+    assert source.flags.writeable
+    C = correlation_matrix(view).copy()
+    assert [run(view) for run in runs] == expected
+    source[:, 0] = source[::-1, 1]
+    source[0, 0] = 42.0
+    assert view == table and whole == table
+    assert np.array_equal(correlation_matrix(view), C)
+    assert [run(view) for run in runs] == [run(whole) for run in runs] == expected
+
+
+def test_the_correlation_matrix_refuses_writes():
+    table, _ = make_six_variable(n=120)
+    for method in ("spearman", "pearson"):
+        C = correlation_matrix(table, method)
+        with pytest.raises(ValueError, match="read-only"):
+            C[0, 1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            np.fill_diagonal(C, 0.0)
