@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .cluster import CORRELATION_METHODS, MergeTree, _group_variables, _levels, correlation_matrix
+from .cluster import CORRELATION_METHODS, MergeTree, _levels, correlation_matrix, group_variables
 from .data import (
     AspectPartition,
     NumericTable,
@@ -662,11 +662,9 @@ def _fit_surrogate(model: ModelAdapter, design: SampleDesign, limit: int | None)
     return fit_lasso(W, Z, design.N, design.partition, limit)
 
 
-def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, method: str, C):
-    """Rows ordered by |contribution|; C is the table's correlation matrix
-    under `method`, or None to compute it only if some aspect needs it."""
-    if C is None and any(len(ms) > 1 for ms in partition.member_sets):
-        C = correlation_matrix(table, method)
+def _aspect_rows(partition: AspectPartition, gamma, table: NumericTable, C):
+    """Rows ordered by |contribution|; C is the table's correlation matrix,
+    read only for an aspect of two or more columns (None if there is none)."""
     rows = []
     for g, (name, members) in enumerate(partition.groups):
         if len(members) == 1:
@@ -703,13 +701,16 @@ def predict_aspects(
     """Explain one prediction as contributions of variable groups.
 
     `grouping` is either an AspectPartition or a correlation cutoff in
-    [0, 1]; a cutoff delegates the grouping to group_variables. With `limit`
-    set, at most that many aspects keep a nonzero contribution; a limit at or
+    [0, 1], which group_variables turns into a partition. With `limit` set,
+    at most that many aspects keep a nonzero contribution; a limit at or
     above the number of aspects the grouping gives fits without a cap, as
-    limit = m does. An N, seed or limit that is not an integer (a numpy
+    limit = m does. The partition is checked, and the table's `method`
+    correlation matrix read if an aspect has two or more columns, before any
+    model call. So an N, seed or limit that is not an integer (a numpy
     integer is stored as int), an N below 1, a negative limit, a cutoff
-    outside [0, 1], a `method` outside `cluster.CORRELATION_METHODS` or an
-    argument of another type raises AspectraError before any model call.
+    outside [0, 1], a `method` outside `cluster.CORRELATION_METHODS`, a
+    partition not covering the table, a constant column in such an aspect or
+    an argument of another type raises AspectraError before any model call.
     """
     _instance("table", table, NumericTable)
     _instance("x_star", x_star, Observation)
@@ -717,14 +718,15 @@ def predict_aspects(
     if limit is not None:
         limit = _integer("limit", limit, 0)
     _choice("correlation method", method, CORRELATION_METHODS)
-    if isinstance(grouping, AspectPartition):
-        partition, C = grouping, None
-    else:
-        partition, C = _group_variables(table, _real("grouping", grouping), method)
+    partition = (grouping if isinstance(grouping, AspectPartition)
+                 else group_variables(table, _real("grouping", grouping), method))
+    validate_partition(partition, table.p)
+    multi = any(len(ms) > 1 for ms in partition.member_sets)
+    C = correlation_matrix(table, method) if multi else None
     (design,) = _scored_designs(model, table, x_star, N, RngStream(seed), partition)
     fit = _fit_surrogate(model, design, limit)
     return AspectExplanation(
-        aspects=_aspect_rows(partition, fit.gamma, table, method, C),
+        aspects=_aspect_rows(partition, fit.gamma, table, C),
         N=N,
         seed=seed,
         lam=fit.lam,

@@ -124,11 +124,8 @@ def _cmd_global_importance(args) -> int:
 def _cmd_predict_aspects(args) -> int:
     with _table_and_model(args) as (table, y, model):
         x_star = _parse_observation(args, table)
-        # a cutoff goes to predict_aspects, which reuses the correlation matrix
-        # it groups with for the aspects' correlation summaries
-        grouping = args.cutoff if args.groups is None else _parse_grouping(args, table)
         expl = predict_aspects(
-            model, table, x_star, grouping,
+            model, table, x_star, _parse_grouping(args, table),
             N=args.N, seed=args.seed, limit=args.limit, method=args.method,
         )
     _emit(expl.to_json() + "\n" if args.format == "json" else expl.to_tsv(), args.out)

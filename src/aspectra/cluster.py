@@ -8,8 +8,8 @@ one through partition_after_merges, and a local triplot all through `_levels`.
 
 The hierarchy belongs to the data: a table's correlation matrix is computed
 once per method, and its tree (`_tree`) once per (method, linkage), on first
-request, and both are kept on the table. Every triplot and every
-cutoff-based grouping of one table so shares one tree.
+request, and both are kept on the table, their one carrier. Every triplot,
+cutoff-based grouping and aspect summary of one table so shares them.
 """
 
 from __future__ import annotations
@@ -330,11 +330,6 @@ def group_variables(table: NumericTable, cutoff: float, method: str = "spearman"
     NumericTable, a cutoff that is not a real number in [0, 1] (a bool is
     not one) or a method outside CORRELATION_METHODS raises AspectraError.
     """
-    return _group_variables(table, cutoff, method)[0]
-
-
-def _group_variables(table: NumericTable, cutoff: float, method: str):
-    """group_variables, also returning the correlation matrix it clustered."""
     cutoff = _real("cutoff", cutoff, 0.0, 1.0)
     C = correlation_matrix(table, method)
-    return cut_tree(_tree(table, method, "complete", C), 1.0 - cutoff, table.column_names), C
+    return cut_tree(_tree(table, method, "complete", C), 1.0 - cutoff, table.column_names)

@@ -195,12 +195,16 @@ class NumericTable:
 @dataclass(frozen=True)
 class Observation:
     """A single length-p row vector aligned to a table's columns; it holds a
-    read-only copy of the values it is given."""
+    read-only copy of the values it is given, one row: an array with a
+    dimension above 1 but its last raises AspectraError."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _reals("observation values", self.values).reshape(-1).copy()
+        vals = _reals("observation values", self.values)
+        if any(d != 1 for d in vals.shape[:-1]):
+            raise AspectraError(f"observation values must be one row, got shape {vals.shape}")
+        vals = vals.reshape(-1).copy()
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise AspectraError(

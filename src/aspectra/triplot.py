@@ -46,9 +46,10 @@ from .models import ModelAdapter
 
 @dataclass(frozen=True)
 class TriplotConfig:
-    """Global mode needs a PermutationConfig and local mode an N. N >= 1,
-    seed and limit >= 0 are integers, stored as int; a field of any other
-    value raises AspectraError when the config is built."""
+    """Global mode needs a PermutationConfig; local mode needs an N, and its
+    permutation is None or a PermutationConfig. N >= 1, seed and limit >= 0
+    are integers, stored as int; a field of any other value raises
+    AspectraError when the config is built."""
 
     mode: str  # "global" | "local"
     cor_method: str = "spearman"
@@ -62,8 +63,8 @@ class TriplotConfig:
         _choice("mode", self.mode, ("global", "local"))
         _choice("linkage", self.linkage, VALID_LINKAGES)
         _choice("correlation method", self.cor_method, CORRELATION_METHODS)
-        if self.mode == "global":
-            _instance("global mode's permutation", self.permutation, PermutationConfig)
+        if self.mode == "global" or self.permutation is not None:
+            _instance(f"{self.mode} mode's permutation", self.permutation, PermutationConfig)
         _integer_fields(self, {"seed": None, "N": 1, "limit": 0},
                         optional=("N", "limit") if self.mode == "global" else ("limit",))
 

@@ -261,7 +261,8 @@ def oracle_predict_aspects(model, table, x_star, partition, N, seed, limit=None)
     """predict_aspects for a given partition, scoring all N rows of A'."""
     design = oracle_build_design(table, x_star, partition, N, RngStream(seed))
     fit = oracle_fit(model, design, limit)
-    rows = aspects._aspect_rows(partition, fit.gamma, table, "spearman", None)
+    C = correlation_matrix(table) if any(len(ms) > 1 for ms in partition.member_sets) else None
+    rows = aspects._aspect_rows(partition, fit.gamma, table, C)
     return AspectExplanation(aspects=rows, N=N, seed=seed, lam=fit.lam)
 
 

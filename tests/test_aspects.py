@@ -37,7 +37,8 @@ from aspectra.aspects import (
 )
 from aspectra.cluster import CORRELATION_METHODS
 from aspectra.data import RngStream
-from aspectra.errors import AspectraError, LassoNotConverged, NonFiniteShift
+from aspectra.errors import (AspectraError, LassoNotConverged, NonFiniteShift,
+                             ZeroVarianceColumn)
 from aspectra.models import LinearModel
 
 from conftest import (
@@ -1162,6 +1163,23 @@ def test_an_unknown_correlation_method_is_rejected_before_any_model_call():
             predict_aspects(model, table, table.row(0), grouping, N=300, method="kendall")
     assert model.calls == 0
     assert CORRELATION_METHODS == ("pearson", "spearman")
+
+def test_a_constant_column_in_a_multi_column_aspect_fails_before_any_model_call():
+    # the whole design was once scored before the correlation summaries
+    # found the constant column
+    table, _ = make_six_variable()
+    values = table.values.copy()
+    values[:, 4] = 1.5
+    table = table.with_values(values)
+    model = CountingModel(LinearModel(0.0, [1.0] * 6))
+    pairs = AspectPartition((("ab", (0, 1)), ("ce", (2, 4)), ("d", (3,)), ("f", (5,))))
+    with pytest.raises(ZeroVarianceColumn, match="'e' has zero variance"):
+        predict_aspects(model, table, table.row(0), pairs, N=300)
+    assert model.calls == 0
+    # as singletons the constant column needs no correlation
+    predict_aspects(model, table, table.row(0), singletons(table.column_names), N=300)
+    assert model.calls > 0
+
 
 def test_numpy_integer_arguments_are_stored_as_int():
     table, _ = make_six_variable()

@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from aspectra.global_importance import GlobalImportance
 from aspectra.cli import cli_main
 
 from conftest import CHILD, make_six_variable, package_env, save_table
+
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 def run(argv, capsys):
@@ -313,6 +317,53 @@ def test_predict_aspects_limit_above_aspect_count(six_csv, capsys):
     assert code == 0, err
     assert len(json.loads(at_m)["aspects"]) == 4
     assert run(argv + ["99"], capsys) == (0, at_m, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("method", ["spearman", "pearson"])
+def test_predict_aspects_cutoff_writes_what_its_groups_file_writes(fmt, method, tmp_path, capsys):
+    # --cutoff and --groups take one grouping path, group_variables
+    data = str(CORPUS / "six.csv")
+    code, groups, err = run(["group-vars", "--data", data, "--target", "y", "--cutoff", "0.5",
+                             "--method", method], capsys)
+    assert code == 0, err
+    (tmp_path / "groups.json").write_text(groups, encoding="utf-8")
+    outs = []
+    for grouping in (["--cutoff", "0.5"], ["--groups", str(tmp_path / "groups.json")]):
+        outs.append(tmp_path / f"{grouping[0][2:]}.{fmt}")
+        code, _, err = run(["predict-aspects", "--data", data, "--target", "y", "--model", "linear",
+                            "--row", "3", "--N", "300", "--seed", "2", "--limit", "2",
+                            "--method", method, "--format", fmt, "--out", str(outs[-1])]
+                           + grouping, capsys)
+        assert code == 0, err
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["predict-aspects", "--row", "0"], ["global-importance"]])
+def test_a_nan_cutoff_is_reported_as_outside_the_unit_interval(argv, six_csv, capsys):
+    # predict-aspects once reported "grouping must be a real number"
+    code, out, err = run(argv[:1] + ["--data", six_csv, "--target", "y", "--model", "linear",
+                                     "--cutoff", "nan"] + argv[1:], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: cutoff must be in [0, 1], got non-finite nan\n"
+
+
+def test_a_constant_column_in_an_aspect_fails_before_the_child_is_asked(tmp_path, capsys):
+    table, y = make_six_variable()
+    values = table.values.copy()
+    values[:, 4] = 1.5
+    data = tmp_path / "constant.csv"
+    save_table(table.with_values(values), data, target_name="y", target=y)
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"ab": ["a", "b"], "ce": ["c", "e"], "d": ["d"], "f": ["f"]}))
+    record = tmp_path / "requests.bin"
+    code, out, err = run([
+        "predict-aspects", "--data", str(data), "--target", "y", "--row", "0", "--N", "200",
+        "--model", f"{child_spec('record')} {shlex.quote(str(record))}", "--groups", str(groups),
+    ], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: column 'e' has zero variance; correlation is undefined\n"
+    assert not record.exists() or b"PREDICT" not in record.read_bytes()
 
 
 def _six_csv_as(path, names, target_first=False, bom=False):

@@ -252,6 +252,19 @@ def test_observation_validation():
     assert obs.p == 2
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (2, 2, 1)])
+def test_an_observation_of_more_than_one_row_is_refused(shape):
+    # a (2, 2) array was once read as one observation of p = 4
+    with pytest.raises(AspectraError, match=rf"must be one row, got shape \({shape[0]}, "):
+        Observation(np.arange(float(np.prod(shape))).reshape(shape))
+
+
+@pytest.mark.parametrize("values", [np.array([[1.0, 2.0, 3.0]]), [[1, 2, 3]]])
+def test_an_observation_given_as_one_row_has_its_length(values):
+    obs = Observation(values)
+    assert obs.p == 3 and obs.values.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_observation_owns_a_copy_of_its_values():
     # the observation once aliased its caller's array
     a = np.array([1.0, 2.0, 3.0])

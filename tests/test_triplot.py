@@ -80,6 +80,14 @@ def test_config_validation():
     assert TriplotConfig(mode="local", N=1, limit=0).limit == 0
 
 
+def test_a_local_config_refuses_a_permutation_that_is_no_config():
+    # a str was once stored as a local config's permutation
+    for permutation in ("x", 1, {"loss": "rmse"}):
+        with pytest.raises(AspectraError, match="permutation must be PermutationConfig"):
+            TriplotConfig(mode="local", N=5, permutation=permutation)
+    assert TriplotConfig(mode="local", N=5).permutation is None
+
+
 @pytest.mark.parametrize("field, value", [
     ("N", 100.0), ("N", 100.5), ("N", True),
     ("seed", 1.5), ("seed", False), ("seed", None),
